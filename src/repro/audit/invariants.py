@@ -19,6 +19,9 @@ violation of the invariants the design promises:
   staleness is tolerated by design, but must be visible and repairable).
 * **Replica physicality** — buddy replicas live at live buddies, and dead
   caches hold no documents (their disks died with them).
+* **Stamp soundness** — a directory entry whose stamp is current (origin
+  version, cloud holder-epoch) lists only live holders with a copy at that
+  version or newer: what lets ``answer_lookup`` skip its holder walk.
 * **Traffic-meter conservation** — bytes charged to the meter equal the
   bytes attempted through the transport (injector drops and duplicates
   included), so no traffic is charged twice or silently uncharged.
@@ -61,6 +64,11 @@ class ViolationKind(enum.Enum):
     DEAD_CACHE_STORES = "dead_cache_stores"
     #: Meter bytes/messages disagree with the transport attempt ledger.
     METER_MISMATCH = "meter_mismatch"
+    #: A directory entry carries a current stamp, yet one of its holders is
+    #: dead or lacks a copy at the stamped version: a lookup would trust a
+    #: holder list it should have verified (an event that invalidates the
+    #: stamp was not propagated to it).
+    UNSOUND_STAMP = "unsound_stamp"
 
 
 #: Kinds that represent *divergence* the anti-entropy process repairs, as
@@ -247,8 +255,25 @@ class InvariantAuditor:
                         cache_id=beacon_id,
                         doc_id=doc_id,
                     )
+                version = cloud.origin.version_of(doc_id)
+                stamped = beacon.directory.stamp_of(doc_id) == (
+                    version,
+                    cloud.holder_epoch[0],
+                )
                 for holder in sorted(beacon.directory.holders(doc_id)):
                     holder_cache = cloud.caches[holder]
+                    if stamped and not (
+                        holder_cache.alive
+                        and holder_cache.holds_fresh(doc_id, version)
+                    ):
+                        report.add(
+                            ViolationKind.UNSOUND_STAMP,
+                            f"doc {doc_id}: entry at beacon {beacon_id} is "
+                            f"stamped current at version {version}, but "
+                            f"holder {holder} is dead or has no such copy",
+                            cache_id=holder,
+                            doc_id=doc_id,
+                        )
                     if not holder_cache.alive:
                         report.add(
                             ViolationKind.DEAD_HOLDER_LISTED,

@@ -120,6 +120,12 @@ class CacheCloud:
         #: The single dispatch seam every protocol message crosses.
         self.fabric = MessageFabric(self.transport, self.trace)
 
+        #: The cloud's holder-epoch: a one-element cell every cache bumps
+        #: when it stops holding documents without telling their beacon
+        #: points (crash, retirement, unannounced eviction). Directory
+        #: stamps carry the epoch they were set in, so one bump sends every
+        #: lookup in the cloud back to verifying its holders once.
+        self.holder_epoch: List[int] = [0]
         self.caches: List[EdgeCache] = [
             EdgeCache(
                 cache_id=cache_id,
@@ -127,6 +133,7 @@ class CacheCloud:
                 policy=make_policy(config.replacement_policy),
                 capability=config.capability_of(cache_id),
                 half_life=config.half_life,
+                holder_epoch=self.holder_epoch,
             )
             for cache_id in range(config.num_caches)
         ]
@@ -629,10 +636,8 @@ class CacheCloud:
             live = [c.cache_id for c in self.caches if c.alive]
             if not live:
                 raise RuntimeError("no live cache to redirect to")
-            return min(
-                live,
-                key=lambda c: (self.transport.latency_minutes(cache_id, c), c),
-            )
+            latency = self.transport.latencies_from(cache_id)
+            return min(live, key=lambda c: (latency[c], c))
         n = len(self.caches)
         for offset in range(1, n):
             candidate = (cache_id + offset) % n

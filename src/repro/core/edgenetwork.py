@@ -182,11 +182,8 @@ class EdgeCacheNetwork:
         tracker.observe(now)
 
         size = self.corpus[doc_id].size_bytes
-        holders = [
-            h
-            for h in sorted(beacon.directory.holders(doc_id))
-            if cloud.caches[h].alive and cloud.caches[h].holds(doc_id)
-        ]
+        beacon_role = cloud.beacon_roles[beacon_id]
+        holders = beacon_role.update_targets(doc_id)
         if not holders:
             cloud.transport.send_control(self.origin.node_id, beacon_id)
             return 0
@@ -205,6 +202,7 @@ class EdgeCacheNetwork:
                 )
             cloud.caches[holder].apply_update(doc_id, version, now, size_bytes=size)
             refreshed += 1
+        beacon_role.note_refreshed(doc_id, version, refreshed)
         return refreshed
 
     def run_cycles(self, now: float) -> None:

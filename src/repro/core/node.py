@@ -569,7 +569,9 @@ class CacheNode:
 
         Eviction notices are best-effort (no retransmission): a lost one
         leaves a stale directory entry that the next lookup's holder
-        verification repairs.
+        verification repairs. That lookup must therefore *do* the
+        verification, so both lost branches un-vouch the entry
+        (:meth:`BeaconRole.eviction_unannounced`).
         """
         cloud = self._cloud
         cache_id = self.cache.cache_id
@@ -580,6 +582,7 @@ class CacheNode:
             return
         if not cloud.caches[beacon_id].alive:
             cloud.eviction_notices_lost += 1
+            beacon_role.eviction_unannounced(doc_id)
             return
         message: Optional[EvictionNotice] = None
         if cloud.fabric.trace.enabled:
@@ -589,6 +592,7 @@ class CacheNode:
         )
         if not delivery.ok:
             cloud.eviction_notices_lost += 1
+            beacon_role.eviction_unannounced(doc_id)
             return
         beacon_role.accept_eviction(doc_id, cache_id)
 
@@ -602,23 +606,30 @@ class CacheNode:
         cloud = self._cloud
         cache = self.cache
         caches = cloud.caches
-        holders = cloud.beacons[beacon_id].directory.holders(doc_id)
-        holders.discard(cache.cache_id)
+        cache_id = cache.cache_id
         # Directory entries can outlive their caches (churn kills a holder
         # before its entries are repaired); the policy must only see live
-        # replicas, in ``existing_holders`` and ``residences`` alike —
-        # phantom holders would deflate the DAI component.
-        live = [h for h in holders if caches[h].alive]
-        residences = [
-            caches[h].storage.expected_residence(now) for h in live
-        ]
-        finite = [r for r in residences if r is not None]
+        # replicas, in ``existing_holders`` and the residence minimum alike
+        # — phantom holders would deflate the DAI component.
+        live = []
         # An existing holder with no contention keeps its copy indefinitely;
         # only when every holder is under contention is the minimum finite.
-        min_residence: Optional[float]
-        if finite and len(finite) == len(residences):
-            min_residence = min(finite)
-        else:
+        min_residence: Optional[float] = None
+        uncontended = False
+        # The entry is read in place, and each holder's estimate is an
+        # attribute read: this loop runs once per listed holder per store
+        # decision, on the miss path.
+        for holder in cloud.beacons[beacon_id].directory.entry(doc_id):
+            holder_cache = caches[holder]
+            if holder == cache_id or not holder_cache.alive:
+                continue
+            live.append(holder)
+            residence = holder_cache.storage.residence_mean
+            if residence is None:
+                uncontended = True
+            elif min_residence is None or residence < min_residence:
+                min_residence = residence
+        if uncontended:
             min_residence = None
         update_tracker = cloud._update_rates.get(doc_id)
         profile = cloud.profile
@@ -627,7 +638,7 @@ class CacheNode:
             # whose residence the DAI component examined.
             profile.charge("placement", 1 + len(live))
         return PlacementContext(
-            cache_id=cache.cache_id,
+            cache_id=cache_id,
             doc_id=doc_id,
             size_bytes=size,
             now=now,

@@ -5,7 +5,8 @@ requester side lives in :class:`repro.core.node.CacheNode`; this module
 holds the other two:
 
 * :class:`BeaconRole` — the per-document directory authority (paper §2.2):
-  answers lookups (with holder verification and lazy directory repair),
+  answers lookups (trusting a stamped directory entry, else verifying
+  holders and lazily repairing the directory),
   accepts holder registrations and eviction notices, ticks the IrH load
   counters that drive sub-range determination, and fans updates out to the
   document's holders.
@@ -21,7 +22,7 @@ accounting are fabric properties, not role code.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Collection, List, Optional
 
 from repro.core.beacon import BeaconState
 from repro.core.protocol import UpdateNotice, UpdatePush
@@ -65,50 +66,125 @@ class BeaconRole:
 
         Preference order: nearest holder by transport latency (all ties
         break toward the lowest cache id for determinism).
+
+        An entry whose stamp is current (see :mod:`repro.core.directory`)
+        is trusted as it stands: the walk would verify every holder and
+        repair none. Any other entry is walked holder by holder, and
+        stamped once the walk has left only verified holders in it.
         """
         cloud = self._cloud
-        caches = cloud.caches
-        candidates = self.state.directory.holders(doc_id)
-        candidates.discard(requester)
+        directory = self.state.directory
         profile = cloud.profile
-        if profile is not None:
-            # The walk below visits every candidate exactly once: this is
-            # the O(holders) verification cost the ROADMAP holder-walk item
-            # describes, charged before the loop so the recorded length is
-            # independent of how many entries the loop then repairs.
-            profile.record_walk(doc_id, len(candidates))
-        live: List[int] = []
-        for holder in sorted(candidates):
-            holder_cache = caches[holder]
-            # Freshness check inlined from ``EdgeCache.holds_fresh``: the
-            # verification loop runs for every holder of every lookup.
-            copy = holder_cache.storage.get(doc_id)
-            if holder_cache.alive and copy is not None and copy.version >= version:
-                live.append(holder)
-            else:
-                # Directory entry out of date (failure or stale replica).
-                self.state.directory.remove_holder(doc_id, holder)
-                cloud.directory_repairs += 1
+        epoch = cloud.holder_epoch[0]
+        live: Collection[int]
+        if directory.stamp_of(doc_id) == (version, epoch):
+            if profile is not None:
+                profile.record_walk(doc_id, 0)
+            entry = directory.entry(doc_id)
+            live = entry - {requester} if requester in entry else entry
+        else:
+            caches = cloud.caches
+            candidates = directory.holders(doc_id)
+            candidates.discard(requester)
+            if profile is not None:
+                # The walk below visits every candidate exactly once: the
+                # O(holders) verification cost, charged before the loop so
+                # the recorded length is independent of how many entries
+                # the loop then repairs.
+                profile.record_walk(doc_id, len(candidates))
+            verified: List[int] = []
+            for holder in sorted(candidates):
+                holder_cache = caches[holder]
+                # Freshness check inlined from ``EdgeCache.holds_fresh``:
+                # the verification loop runs for every holder it walks.
+                copy = holder_cache.storage.get(doc_id)
+                if (
+                    holder_cache.alive
+                    and copy is not None
+                    and copy.version >= version
+                ):
+                    verified.append(holder)
+                else:
+                    # Directory entry out of date (failure or stale replica).
+                    directory.remove_holder(doc_id, holder)
+                    cloud.directory_repairs += 1
+            # The walk skips the requester, so an entry that (still) lists
+            # it has one unverified holder and cannot be stamped.
+            if verified and requester not in directory.entry(doc_id):
+                directory.stamp(doc_id, version, epoch)
+            live = verified
         if not live:
             return None
-        topology = cloud.transport.topology
-        if topology is None:
-            return live[0]
-        return min(
-            live,
-            key=lambda h: (cloud.transport.latency_minutes(h, requester), h),
-        )
+        if cloud.transport.topology is None:
+            return min(live)
+        latency = cloud.transport.latencies_to(requester)
+        return min(live, key=lambda h: (latency[h], h))
 
     # ------------------------------------------------------------------
     # Directory bookkeeping (invoked by delivered protocol messages)
     # ------------------------------------------------------------------
     def accept_registration(self, doc_id: int, irh: int, holder: int) -> None:
-        """Record ``holder`` as holding ``doc_id``."""
-        self.state.directory.add_holder(doc_id, irh, holder)
+        """Record ``holder`` as holding ``doc_id``.
+
+        The entry keeps its stamp when the one new copy checks out against
+        it — the common case, a requester registering what it just fetched.
+        """
+        directory = self.state.directory
+        stamp = directory.stamp_of(doc_id)
+        verified = False
+        if stamp is not None:
+            cache = self._cloud.caches[holder]
+            verified = cache.alive and cache.holds_fresh(doc_id, stamp[0])
+        directory.add_holder(doc_id, irh, holder, keep_stamp=verified)
 
     def accept_eviction(self, doc_id: int, holder: int) -> None:
         """Remove ``holder`` from the document's holder set."""
         self.state.directory.remove_holder(doc_id, holder)
+
+    def eviction_unannounced(self, doc_id: int) -> None:
+        """A holder dropped its copy and the notice never got here.
+
+        Simulator bookkeeping, not a message: the beacon point learns
+        nothing and its entry stays as stale as the protocol leaves it,
+        but the entry is no longer vouched for, so the next lookup walks
+        (and repairs) it instead of trusting the stamp.
+        """
+        self.state.directory.unstamp(doc_id)
+
+    # ------------------------------------------------------------------
+    # Update targets (shared by every propagation scheme)
+    # ------------------------------------------------------------------
+    def update_targets(self, doc_id: int) -> List[int]:
+        """Listed holders that are alive and store a copy, in id order.
+
+        These are the caches an update must reach, whatever the scheme
+        that carries it (star fan-out, CUP tree, federation distribute).
+        A stamp of the current holder-epoch already says every listed
+        holder qualifies, whichever version it was set at.
+        """
+        cloud = self._cloud
+        directory = self.state.directory
+        listed = sorted(directory.entry(doc_id))
+        stamp = directory.stamp_of(doc_id)
+        if stamp is not None and stamp[1] == cloud.holder_epoch[0]:
+            return listed
+        caches = cloud.caches
+        return [
+            h
+            for h in listed
+            if caches[h].alive and caches[h].storage.get(doc_id) is not None
+        ]
+
+    def note_refreshed(self, doc_id: int, version: int, refreshed: int) -> None:
+        """Stamp the entry at ``version`` if an update reached all of it.
+
+        ``refreshed`` counts the :meth:`update_targets` that applied the
+        update; when that is every listed holder, each is alive with a copy
+        at ``version`` and the next lookup need not walk them to find out.
+        """
+        directory = self.state.directory
+        if refreshed and refreshed == len(directory.entry(doc_id)):
+            directory.stamp(doc_id, version, self._cloud.holder_epoch[0])
 
     # ------------------------------------------------------------------
     # Cooperative update propagation (paper §2.2)
@@ -132,12 +208,7 @@ class BeaconRole:
         fabric = cloud.fabric
         beacon_id = self.beacon_id
         irh = cloud.doc_irh(doc_id)
-        caches = cloud.caches
-        holders = [
-            h
-            for h in sorted(self.state.directory.holders(doc_id))
-            if caches[h].alive and caches[h].storage.get(doc_id) is not None
-        ]
+        holders = self.update_targets(doc_id)
         carries_body = bool(holders)
         if fabric.trace.enabled:
             fabric.emit(
@@ -239,6 +310,7 @@ class BeaconRole:
                     )
             cloud.caches[holder].apply_update(doc_id, version, now, size_bytes=size)
             refreshed += 1
+        self.note_refreshed(doc_id, version, refreshed)
         return refreshed
 
     def __repr__(self) -> str:

@@ -34,6 +34,13 @@ class EdgeCache:
         sub-range determination to give stronger nodes larger load shares.
     half_life:
         Half-life for the access-frequency estimators.
+    holder_epoch:
+        One-element counter cell shared by every cache of a cloud. It is
+        bumped whenever this cache stops holding documents *without* its
+        beacon points being told — a crash, a retirement, an eviction no
+        notice announces — which is what invalidates, cloud-wide, the
+        directory stamps that let a lookup trust its holder list
+        (:mod:`repro.core.directory`). A cache outside a cloud gets its own.
     """
 
     def __init__(
@@ -43,6 +50,7 @@ class EdgeCache:
         policy: Optional[ReplacementPolicy] = None,
         capability: float = 1.0,
         half_life: float = 60.0,
+        holder_epoch: Optional[List[int]] = None,
     ) -> None:
         if cache_id < 0:
             raise ValueError(f"cache_id must be >= 0, got {cache_id}")
@@ -54,6 +62,7 @@ class EdgeCache:
         self.stats = CacheStats()
         self.frequencies = AccessFrequencyTracker(half_life=half_life)
         self.alive = True
+        self.holder_epoch = holder_epoch if holder_epoch is not None else [0]
 
     # ------------------------------------------------------------------
     # Queries
@@ -93,9 +102,15 @@ class EdgeCache:
         ``None`` means the document did not fit at all; the caller must not
         register this cache as a holder.
         """
-        evicted = self.storage.admit(doc_id, size_bytes, version, now)
+        storage = self.storage
+        evictions_before = storage.evictions
+        evicted = storage.admit(doc_id, size_bytes, version, now)
         if evicted is not None:
             self.stats.stores += 1
+            if storage.evictions - evictions_before != len(evicted):
+                # Re-admitting a resident copy at a larger size evicted
+                # others without reporting them: nobody will send a notice.
+                self.holder_epoch[0] += 1
         return evicted
 
     def decline(self) -> None:
@@ -111,7 +126,13 @@ class EdgeCache:
         """Apply a pushed update; returns False when no copy is resident."""
         if doc_id not in self.storage:
             return False
-        self.storage.refresh_version(doc_id, version, size_bytes=size_bytes, now=now)
+        storage = self.storage
+        evictions_before = storage.evictions
+        storage.refresh_version(doc_id, version, size_bytes=size_bytes, now=now)
+        if storage.evictions != evictions_before:
+            # The grown copy pushed others out, and this path sends no
+            # eviction notice for them.
+            self.holder_epoch[0] += 1
         self.stats.updates_applied += 1
         return True
 
@@ -128,6 +149,7 @@ class EdgeCache:
     def fail(self, now: float) -> None:
         """Crash the node: all cached state is lost."""
         self.alive = False
+        self.holder_epoch[0] += 1
         for doc_id in list(self.storage):
             self.storage.remove(doc_id, now)
 
@@ -149,6 +171,7 @@ class EdgeCache:
                 "documents; drain before retiring"
             )
         self.alive = False
+        self.holder_epoch[0] += 1
 
     def __repr__(self) -> str:
         state = "up" if self.alive else "down"

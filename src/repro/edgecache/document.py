@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
-@dataclass
+@dataclass(init=False)
 class CachedDocument:
     """A stored copy of a document at one edge cache.
+
+    The most-instantiated object of a run (one per resident copy per
+    cache), so it is slotted: the constructor is written out by hand
+    because a slot cannot share its name with a class-level field default.
 
     Attributes
     ----------
@@ -21,27 +25,48 @@ class CachedDocument:
     stored_at:
         Simulation time the copy was admitted (for residence-time stats).
     last_access:
-        Simulation time of the most recent hit.
+        Simulation time of the most recent hit (``stored_at`` until then).
     access_count:
         Number of local hits served by this copy since admission.
     """
+
+    __slots__ = (
+        "doc_id",
+        "size_bytes",
+        "version",
+        "stored_at",
+        "last_access",
+        "access_count",
+    )
 
     doc_id: int
     size_bytes: int
     version: int
     stored_at: float
-    last_access: float = field(default=0.0)
-    access_count: int = 0
+    last_access: float
+    access_count: int
 
-    def __post_init__(self) -> None:
-        if self.doc_id < 0:
-            raise ValueError(f"doc_id must be >= 0, got {self.doc_id}")
-        if self.size_bytes <= 0:
-            raise ValueError(f"size_bytes must be > 0, got {self.size_bytes}")
-        if self.version < 0:
-            raise ValueError(f"version must be >= 0, got {self.version}")
-        if self.last_access == 0.0:
-            self.last_access = self.stored_at
+    def __init__(
+        self,
+        doc_id: int,
+        size_bytes: int,
+        version: int,
+        stored_at: float,
+        last_access: float = 0.0,
+        access_count: int = 0,
+    ) -> None:
+        if doc_id < 0:
+            raise ValueError(f"doc_id must be >= 0, got {doc_id}")
+        if size_bytes <= 0:
+            raise ValueError(f"size_bytes must be > 0, got {size_bytes}")
+        if version < 0:
+            raise ValueError(f"version must be >= 0, got {version}")
+        self.doc_id = doc_id
+        self.size_bytes = size_bytes
+        self.version = version
+        self.stored_at = stored_at
+        self.last_access = stored_at if last_access == 0.0 else last_access
+        self.access_count = access_count
 
     def touch(self, now: float) -> None:
         """Record a hit at time ``now``."""

@@ -54,6 +54,11 @@ class CacheStorage:
         self._used = 0
         self.evictions = 0
         self._residence_samples: Deque[float] = deque(maxlen=RESIDENCE_SAMPLE_WINDOW)
+        #: Mean of ``_residence_samples`` — what :meth:`expected_residence`
+        #: answers. Recomputed at each eviction, the only place it changes,
+        #: so the placement walk over a document's holders reads an
+        #: attribute instead of re-summing the window once per holder.
+        self.residence_mean: Optional[float] = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -144,7 +149,10 @@ class CacheStorage:
         self.policy.on_remove(doc_id)
         if count_as_eviction:
             self.evictions += 1
-            self._residence_samples.append(doc.residence_time(now))
+            samples = self._residence_samples
+            samples.append(doc.residence_time(now))
+            if self.capacity_bytes is not None:
+                self.residence_mean = sum(samples) / len(samples)
 
     # ------------------------------------------------------------------
     # Residence-time estimation (DsCC input)
@@ -158,10 +166,7 @@ class CacheStorage:
         evicted documents, the natural empirical proxy for "how long a new
         copy can be expected to reside before it is replaced".
         """
-        samples = self._residence_samples
-        if self.capacity_bytes is None or not samples:
-            return None
-        return sum(samples) / len(samples)
+        return self.residence_mean
 
     def min_resident_residence(self, now: float, doc_ids) -> Optional[float]:
         """Smallest current residence time among ``doc_ids`` resident here."""

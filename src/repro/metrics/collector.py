@@ -46,9 +46,9 @@ series track the autoscaler: ``cloud_size`` (gauge: live caches),
 and ``drain_bytes`` (windowed scale-in handoff traffic).
 
 When a work profile (``repro.observe.profile``) is attached, two windowed
-series track the ROADMAP holder-walk item: ``holder_walk_mean`` (mean
-holders verified per answered lookup) and ``holder_verify_units`` (total
-holder-verification work in the window).
+series track the holder walk: ``holder_walk_mean`` (mean holders probed
+per answered lookup — 0 for a lookup that trusted its entry's stamp) and
+``holder_verify_units`` (total holder-verification work in the window).
 """
 
 from __future__ import annotations

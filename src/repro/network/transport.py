@@ -16,7 +16,7 @@ Two delivery styles are supported:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.network.bandwidth import TrafficCategory, TrafficMeter
 from repro.network.topology import NetworkTopology, ms_to_minutes
@@ -30,6 +30,39 @@ CONTROL_MESSAGE_BYTES = 256
 
 #: Per-document-transfer protocol overhead (HTTP-ish headers).
 TRANSFER_HEADER_BYTES = 512
+
+
+class LatencyLine(Dict[int, float]):
+    """One-way latencies between one fixed node and any other, in minutes.
+
+    ``line[other]`` is computed through :meth:`Transport.latency_minutes`
+    on first read and kept: a topology's pairwise latencies never change
+    (``EuclideanTopology.add_node`` only adds positions), so a kept value
+    cannot go stale. ``outbound`` lines run *from* the anchor, the others
+    *to* it; the two are kept apart because an explicit latency matrix is
+    symmetric only to a tolerance.
+    """
+
+    __slots__ = ("_latency_minutes", "_anchor", "_outbound")
+
+    def __init__(
+        self,
+        latency_minutes: Callable[[int, int], float],
+        anchor: int,
+        outbound: bool,
+    ) -> None:
+        super().__init__()
+        self._latency_minutes = latency_minutes
+        self._anchor = anchor
+        self._outbound = outbound
+
+    def __missing__(self, other: int) -> float:
+        if self._outbound:
+            value = self._latency_minutes(self._anchor, other)
+        else:
+            value = self._latency_minutes(other, self._anchor)
+        self[other] = value
+        return value
 
 
 class Transport:
@@ -61,6 +94,10 @@ class Transport:
         # from the meter because meters may be shared across transports.
         self.messages_attempted = 0
         self.bytes_attempted = 0
+        # Memoised latency lines, keyed (anchor, outbound), and the
+        # topology they were computed from (``topology`` is assignable).
+        self._lines: Dict[Tuple[int, bool], LatencyLine] = {}
+        self._lines_topology = topology
 
     # ------------------------------------------------------------------
     # Latency model
@@ -70,6 +107,29 @@ class Transport:
         if self.topology is None or src == dst:
             return 0.0
         return ms_to_minutes(self.topology.latency_ms(src, dst))
+
+    def latencies_from(self, src: int) -> LatencyLine:
+        """Memoised ``{dst: latency_minutes(src, dst)}``, filled on demand.
+
+        For ranking many candidates against one node (nearest holder,
+        nearest live stand-in): one dict read per candidate instead of a
+        distance computation.
+        """
+        return self._line(src, True)
+
+    def latencies_to(self, dst: int) -> LatencyLine:
+        """Memoised ``{src: latency_minutes(src, dst)}``, filled on demand."""
+        return self._line(dst, False)
+
+    def _line(self, anchor: int, outbound: bool) -> LatencyLine:
+        if self._lines_topology is not self.topology:
+            self._lines = {}
+            self._lines_topology = self.topology
+        line = self._lines.get((anchor, outbound))
+        if line is None:
+            line = LatencyLine(self.latency_minutes, anchor, outbound)
+            self._lines[(anchor, outbound)] = line
+        return line
 
     def rtt_minutes(self, src: int, dst: int) -> float:
         """Round-trip latency in simulated minutes."""

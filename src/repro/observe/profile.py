@@ -12,9 +12,9 @@ consumed (``units``) — charged at the role seams by
 phase                     role       one unit is
 ========================  =========  =====================================
 ``beacon_lookup``         beacon     one lookup-RPC leg serviced
-``holder_verify``         beacon     one holder candidate walked in
-                                     ``answer_lookup`` (the ROADMAP
-                                     holder-walk open item, measured)
+``holder_verify``         beacon     one holder actually probed by
+                                     ``answer_lookup`` (none when the
+                                     entry's stamp was trusted)
 ``peer_fetch``            holder     one peer-transfer wire attempt
 ``origin_fetch``          origin     one origin-fetch wire attempt (a
                                      beacon-routed fetch charges both legs)
@@ -91,7 +91,7 @@ class WorkProfile:
         self.units[phase] += units
 
     def record_walk(self, doc_id: int, walked: int) -> None:
-        """One ``answer_lookup`` holder walk of ``walked`` candidates."""
+        """One answered lookup that probed ``walked`` holders (0 = trusted)."""
         self.counts["holder_verify"] += 1
         self.units["holder_verify"] += walked
         self.walk_hist.record(float(walked))

@@ -58,11 +58,7 @@ class CUPTreeStrategy(PolicyStrategy):
         beacon_id = beacon_role.beacon_id
         irh = cloud.doc_irh(doc_id)
         caches = cloud.caches
-        holders = [
-            h
-            for h in sorted(beacon_role.state.directory.holders(doc_id))
-            if caches[h].alive and caches[h].storage.get(doc_id) is not None
-        ]
+        holders = beacon_role.update_targets(doc_id)
         carries_body = bool(holders)
         if fabric.trace.enabled:
             fabric.emit(
@@ -176,4 +172,5 @@ class CUPTreeStrategy(PolicyStrategy):
         cloud.update_pushes_lost += sum(
             1 for h in holders if h not in arrival and h not in deferred
         )
+        beacon_role.note_refreshed(doc_id, version, refreshed)
         return refreshed

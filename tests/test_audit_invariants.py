@@ -100,6 +100,38 @@ class TestDetectsViolations:
         assert report.count(ViolationKind.DEAD_HOLDER_LISTED) >= 1
         assert report.count(ViolationKind.DEAD_CACHE_STORES) == 1
 
+    def test_unsound_stamp(self, small_corpus):
+        cloud = make_cloud(small_corpus)
+        cloud.handle_request(0, 5, now=1.0)
+        cloud.handle_request(1, 5, now=2.0)  # the lookup walks, then stamps
+        directory = cloud.beacons[cloud.beacon_for_doc(5)].directory
+        assert directory.stamp_of(5) == (0, cloud.holder_epoch[0])
+        assert self._audit(cloud).ok
+        # A copy vanishes behind the protocol's back: the stamp now lies.
+        cloud.caches[0].storage.remove(5, now=3.0)
+        report = self._audit(cloud)
+        assert report.count(ViolationKind.UNSOUND_STAMP) == 1
+        assert report.hard_violations >= 1
+        # The same divergence under a dropped stamp is merely repairable.
+        directory.unstamp(5)
+        report = self._audit(cloud)
+        assert report.count(ViolationKind.UNSOUND_STAMP) == 0
+        assert report.hard_violations == 0
+
+    def test_stale_stamp_is_not_a_violation(self, small_corpus):
+        """A stamp of an older version or epoch claims nothing current."""
+        cloud = make_cloud(small_corpus)
+        cloud.handle_request(0, 5, now=1.0)
+        cloud.handle_request(1, 5, now=2.0)
+        cloud.origin.publish_update(5)  # stamp now one version behind
+        assert self._audit(cloud).count(ViolationKind.UNSOUND_STAMP) == 0
+        cloud.handle_request(2, 6, now=3.0)
+        cloud.handle_request(3, 6, now=4.0)
+        cloud.caches[2].alive = False  # crash without the epoch bump ...
+        assert self._audit(cloud).count(ViolationKind.UNSOUND_STAMP) == 1
+        cloud.holder_epoch[0] += 1  # ... which is what disarms the stamp
+        assert self._audit(cloud).count(ViolationKind.UNSOUND_STAMP) == 0
+
     def test_misplaced_entry(self, small_corpus):
         cloud = make_cloud(small_corpus)
         beacon = cloud.beacon_for_doc(5)

@@ -89,6 +89,73 @@ class TestCloudHit:
         assert 3 not in cloud.beacons[beacon].directory.holders(5)
 
 
+class TestNearestHolderChoice:
+    """With a topology the beacon names the (latency, id)-nearest holder —
+    on the walked answer and on the stamped (trusted) answer alike."""
+
+    def _cloud(self, small_corpus, positions):
+        from repro.core.cloud import CacheCloud
+        from repro.core.config import CloudConfig
+        from repro.network.topology import EuclideanTopology
+        from repro.network.transport import Transport
+
+        positions = dict(positions)
+        positions[-1] = (500.0, 500.0)  # the origin
+        config = CloudConfig(
+            num_caches=len(positions) - 1, num_rings=1, intra_gen=100
+        )
+        transport = Transport(topology=EuclideanTopology(positions))
+        return CacheCloud(config, small_corpus, transport=transport)
+
+    def test_nearest_holder_serves(self, small_corpus):
+        cloud = self._cloud(
+            small_corpus,
+            {0: (0.0, 0.0), 1: (90.0, 0.0), 2: (100.0, 0.0), 3: (10.0, 0.0)},
+        )
+        cloud.handle_request(0, 5, now=1.0)
+        cloud.handle_request(1, 5, now=2.0)  # holders {0, 1}
+        near_1 = cloud.handle_request(2, 5, now=3.0)  # walked, then stamped
+        near_0 = cloud.handle_request(3, 5, now=4.0)  # answered from the stamp
+        assert near_1.served_by == 1
+        assert near_0.served_by == 0
+        assert cloud.directory_repairs == 0
+
+    def test_equidistant_holders_tie_to_the_lowest_id(self, small_corpus):
+        # Holders 1 and 2 mirror each other across the line both requesters
+        # (0 and 4) sit on, so each requester sees them at equal latency.
+        cloud = self._cloud(
+            small_corpus,
+            {
+                0: (0.0, 0.0),
+                1: (30.0, -40.0),
+                2: (-30.0, -40.0),
+                3: (300.0, 300.0),
+                4: (0.0, -40.0),
+            },
+        )
+        beacon = cloud.beacon_for_doc(5)
+        for holder in (2, 1):
+            cloud.caches[holder].admit(5, 1024, 0, now=0.5)
+            cloud.beacon_roles[beacon].accept_registration(
+                5, cloud.doc_irh(5), holder
+            )
+        walked = cloud.handle_request(0, 5, now=1.0)
+        trusted = cloud.handle_request(4, 5, now=2.0)
+        assert walked.outcome is trusted.outcome is RequestOutcome.CLOUD_HIT
+        assert walked.served_by == trusted.served_by == 1
+
+    def test_redirect_target_is_the_nearest_live_cache(self, small_corpus):
+        cloud = self._cloud(
+            small_corpus,
+            {0: (0.0, 0.0), 1: (30.0, 0.0), 2: (-30.0, 0.0), 3: (5.0, 0.0)},
+        )
+        cloud.redirect_on_dead = True
+        cloud.caches[0].fail(now=1.0)
+        assert cloud._redirect_target(0) == 3
+        cloud.caches[3].fail(now=2.0)
+        assert cloud._redirect_target(0) == 1  # 1 and 2 tie: lowest id
+
+
 class TestBeaconPlacement:
     def test_group_miss_stores_at_beacon_not_requester(self, small_corpus):
         from tests.conftest import make_cloud

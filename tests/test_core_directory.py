@@ -112,3 +112,67 @@ class TestMigration:
         clone.ingest(directory.snapshot())
         for doc in (1, 2, 3, 4):
             assert clone.holders(doc) == directory.holders(doc)
+
+
+class TestStamps:
+    def build(self):
+        directory = LookupDirectory()
+        directory.add_holder(1, irh=10, cache_id=0)
+        directory.add_holder(1, irh=10, cache_id=3)
+        directory.stamp(1, version=4, epoch=2)
+        return directory
+
+    def test_unstamped_by_default(self):
+        directory = LookupDirectory()
+        directory.add_holder(1, irh=10, cache_id=0)
+        assert directory.stamp_of(1) is None
+        assert directory.stamp_of(99) is None
+
+    def test_stamp_round_trip_and_unstamp(self):
+        directory = self.build()
+        assert directory.stamp_of(1) == (4, 2)
+        directory.unstamp(1)
+        assert directory.stamp_of(1) is None
+        directory.unstamp(1)  # idempotent
+
+    def test_removing_a_holder_keeps_the_stamp(self):
+        directory = self.build()
+        directory.remove_holder(1, 3)
+        assert directory.stamp_of(1) == (4, 2)
+        directory.add_holder(2, irh=11, cache_id=3)
+        directory.stamp(2, 0, 2)
+        assert directory.drop_cache(3) == 1
+        assert directory.stamp_of(1) == (4, 2)
+
+    def test_adding_a_holder_drops_the_stamp_unless_vouched_for(self):
+        directory = self.build()
+        directory.add_holder(1, irh=10, cache_id=5, keep_stamp=True)
+        assert directory.stamp_of(1) == (4, 2)
+        directory.add_holder(1, irh=10, cache_id=6)
+        assert directory.stamp_of(1) is None
+
+    def test_stamp_dies_with_the_entry(self):
+        directory = self.build()
+        directory.remove_holder(1, 0)
+        directory.remove_holder(1, 3)
+        assert not directory.knows(1)
+        assert directory.stamp_of(1) is None
+
+    def test_migration_drops_stamps_on_both_sides(self):
+        directory = self.build()
+        entries = directory.extract_range(10, 10)
+        assert directory.stamp_of(1) is None
+        target = LookupDirectory()
+        target.add_holder(1, irh=10, cache_id=7)
+        target.stamp(1, 4, 2)
+        target.ingest(entries)
+        assert target.holders(1) == {0, 3, 7}
+        assert target.stamp_of(1) is None
+
+    def test_entry_is_the_live_set_not_a_copy(self):
+        directory = self.build()
+        entry = directory.entry(1)
+        assert entry == {0, 3}
+        directory.add_holder(1, irh=10, cache_id=8)
+        assert 8 in entry
+        assert directory.entry(99) == frozenset()

@@ -91,3 +91,51 @@ class TestFailure:
         cache.recover()
         assert cache.alive
         assert not cache.holds(1)
+
+
+class TestHolderEpoch:
+    """The shared cell is bumped exactly when this cache stops holding
+    documents without its beacon points being told."""
+
+    def test_own_cell_by_default_shared_when_given(self):
+        assert EdgeCache(0).holder_epoch == [0]
+        cell = [0]
+        a = EdgeCache(0, holder_epoch=cell)
+        b = EdgeCache(1, holder_epoch=cell)
+        a.fail(1.0)
+        assert b.holder_epoch is cell and cell == [1]
+
+    def test_fail_and_retire_bump_recover_does_not(self):
+        cache = EdgeCache(0)
+        cache.admit(1, 100, 0, 0.0)
+        cache.fail(1.0)
+        assert cache.holder_epoch == [1]
+        cache.recover()
+        assert cache.holder_epoch == [1]
+        cache.retire()
+        assert cache.holder_epoch == [2]
+
+    def test_announced_evictions_do_not_bump(self):
+        cache = EdgeCache(0, capacity_bytes=200)
+        cache.admit(1, 100, 0, 0.0)
+        cache.admit(2, 100, 0, 1.0)
+        assert cache.admit(3, 100, 0, 2.0) == [1]  # the caller sends the notice
+        cache.apply_update(2, 1, 3.0, size_bytes=100)
+        cache.drop(2, 4.0)
+        assert cache.holder_epoch == [0]
+
+    def test_update_that_grows_a_copy_over_others_bumps(self):
+        cache = EdgeCache(0, capacity_bytes=200)
+        cache.admit(1, 100, 0, 0.0)
+        cache.admit(2, 100, 0, 1.0)
+        cache.apply_update(2, 1, 2.0, size_bytes=150)  # pushes doc 1 out
+        assert not cache.holds(1)
+        assert cache.holder_epoch == [1]
+
+    def test_readmission_that_grows_a_copy_over_others_bumps(self):
+        cache = EdgeCache(0, capacity_bytes=200)
+        cache.admit(1, 100, 0, 0.0)
+        cache.admit(2, 100, 0, 1.0)
+        assert cache.admit(2, 150, 1, 2.0) == []  # evicted doc 1, unreported
+        assert not cache.holds(1)
+        assert cache.holder_epoch == [1]

@@ -130,6 +130,34 @@ class TestResidenceEstimation:
         storage.admit(4, 100, 0, 30.0)  # evicts doc 2 after 30 units
         assert storage.expected_residence(30.0) == pytest.approx(20.0)
 
+    def test_estimate_is_the_window_mean_bit_for_bit(self):
+        """The estimate is refreshed at each eviction with the same
+        ``sum(samples) / len(samples)`` a per-call recomputation would do —
+        including once the 64-sample window starts dropping old samples."""
+        from repro.edgecache.storage import RESIDENCE_SAMPLE_WINDOW
+
+        storage = CacheStorage(capacity_bytes=100)
+        now = 0.0
+        for doc_id in range(RESIDENCE_SAMPLE_WINDOW + 40):
+            now += 0.1 + (doc_id % 7) / 3.0
+            storage.admit(doc_id, 100, 0, now)  # evicts the previous one
+            samples = storage._residence_samples
+            if samples:
+                assert storage.expected_residence(now) == sum(samples) / len(
+                    samples
+                )
+                assert storage.residence_mean == storage.expected_residence(now)
+        assert len(storage._residence_samples) == RESIDENCE_SAMPLE_WINDOW
+
+    def test_explicit_removal_does_not_move_the_estimate(self):
+        storage = CacheStorage(capacity_bytes=200)
+        storage.admit(1, 100, 0, 0.0)
+        storage.admit(2, 100, 0, 0.0)
+        storage.admit(3, 100, 0, 10.0)
+        before = storage.expected_residence(10.0)
+        storage.remove(3, 50.0)
+        assert storage.expected_residence(50.0) == before
+
     def test_min_resident_residence(self):
         storage = CacheStorage()
         storage.admit(1, 100, 0, 0.0)

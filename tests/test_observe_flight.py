@@ -630,21 +630,29 @@ class TestMillionRequestFlight:
         assert min(counts) > 0
         assert len(set(counts)) > 1
 
-        # The holder-walk knee: as holder sets fill, answer_lookup walks
-        # more candidates per lookup, so holder_verify's share of the
-        # total work visibly grows from the first quarter to the last.
-        def verify_share(windows):
-            total = verify = 0
+        # The holder-walk knee is flat. ``holder_verify`` units count the
+        # holders a lookup actually probed: a stamped directory entry is
+        # trusted (0 units), so what remains is the first lookup after an
+        # entry is created or migrated. Per answered lookup that must not
+        # grow from the first quarter to the last — it sits at ~0.147 in
+        # both (a walk-every-time beacon probes 1.40 here, the mean holder
+        # set) and wobbles in the fourth digit with the Poisson stream,
+        # hence the 5 % allowance rather than a bare ``<=``.
+        def probed_per_lookup(windows):
+            lookups = probed = 0
             for window in windows:
-                for phase, pair in window.get("cost", {}).items():
-                    total += pair[1]
-                    if phase == "holder_verify":
-                        verify += pair[1]
-            return verify / total if total else 0.0
+                count, units = window.get("cost", {}).get(
+                    "holder_verify", (0, 0)
+                )
+                lookups += count
+                probed += units
+            assert lookups > 0
+            return probed / lookups
 
         quarter = len(full) // 4
-        early = verify_share(full[:quarter])
-        late = verify_share(full[-quarter:])
-        assert late > early, (
-            f"holder_verify share did not grow: {early:.4f} -> {late:.4f}"
+        early = probed_per_lookup(full[:quarter])
+        late = probed_per_lookup(full[-quarter:])
+        assert late <= early * 1.05, (
+            f"holders probed per lookup grew: {early:.4f} -> {late:.4f}"
         )
+        assert late < 0.5
