@@ -43,36 +43,29 @@ Dispatch styles
   middleware; the fault model covers the request/update protocols, and
   these transfers carry their own robustness story (see DESIGN.md).
 
-The dispatch fast path
-----------------------
-When no middleware or observer is attached — ``faults is None``,
-``dispatch_log is None``, ``telemetry is None``, and no service model
-(``service is None``, see :mod:`repro.core.overload`) — every dispatch is
-known in advance to succeed on its single attempt with nothing watching the
-wire. The fabric precomputes that condition into one boolean
-(``_fast_path``, resynced by every attach/detach), and the dispatch styles
-collapse to a single inlined meter-and-ledger charge plus a latency read:
-no retry loop, no per-attempt branching, no ``DispatchRecord``
-construction, and no ``Delivery`` allocation in the common zero-latency
-case (an interned ``ok=True, latency=0.0, attempts=1`` singleton is
-returned instead). Same-tick system-plane fan-outs
-(:meth:`send_system_batch`) and the anti-entropy digest pair
-(:meth:`send_exchange`) additionally batch into one meter transaction.
+The attempt plan
+----------------
+Who is attached changes at attach/detach, not per message, so that is when
+the fabric asks: :meth:`MessageFabric._sync_fast_path` rebuilds the
+*attempt plan* — the bound retry policy plus one slot per
+:class:`TrafficCategory` with the category's name, telemetry instruments
+and flight-recorder row — and the one general attempt body
+(:meth:`MessageFabric._attempt`) does arithmetic on those handles.
 
-Equivalence holds by construction: the fast path charges the same bytes
-and message counts to the same categories, returns the same latencies, and
-emits the same trace messages as the general path — it only skips work
-whose *outputs* are unobservable in that configuration (per-attempt log
-records, telemetry samples, retry bookkeeping that cannot trigger without
-an injector). The structural-equivalence suite in
-``tests/test_core_fabric.py`` pins this: meter, ledger, stats, outcomes and
-trace agree between a fast-path run and a fully observed run.
+The plan with nothing bound is the *fast path* (``_fast_path``): every
+dispatch lands on its single attempt with nothing watching, so the
+dispatch styles collapse to an inlined meter-and-ledger charge plus a
+latency read — no retry loop, no ``DispatchRecord``, an interned
+``Delivery`` in the zero-latency case, one meter transaction per lookup
+RPC, :meth:`send_system_batch` or :meth:`send_exchange`. DESIGN.md §3.1
+tabulates what is bound, what each plane adds per attempt and the ordering
+rules that keep every artifact byte-identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.overload import OverloadController
 from repro.core.protocol import ProtocolTrace
@@ -88,7 +81,7 @@ from repro.network.transport import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a runtime import
     from repro.observe.flight import FlightRecorder
-    from repro.observe.registry import Telemetry
+    from repro.observe.registry import CategoryInstruments, Telemetry
 
 #: Control traffic category, hoisted so the RPC fast path pays no enum
 #: attribute lookup per call.
@@ -162,6 +155,16 @@ FAILED_FREE = Delivery(ok=False, latency=0.0, attempts=0)
 DELIVERED_FREE = Delivery(ok=True, latency=0.0, attempts=1)
 
 
+class _CategorySlot(NamedTuple):
+    """What a wire attempt needs of one traffic category (an observer's
+    handle is ``None`` while it is not attached; ``flight_row`` is the
+    recorder's ``[messages, bytes, lost, latency_ms_sum]`` list)."""
+
+    name: str
+    instruments: Optional["CategoryInstruments"]
+    flight_row: Optional[List[float]]
+
+
 class MessageFabric:
     """Single dispatch seam between the protocol roles of one cloud.
 
@@ -186,18 +189,34 @@ class MessageFabric:
         self._telemetry: Optional["Telemetry"] = None
         self._flight: Optional["FlightRecorder"] = None
         self._service: Optional[OverloadController] = None
-        #: True iff no middleware/observer is attached; see module docs.
-        self._fast_path = True
+        self._sync_fast_path()
 
     def _sync_fast_path(self) -> None:
-        """Recompute the fast-path flag after an attach/detach."""
+        """Rebuild the attempt plan: what a dispatch would otherwise re-ask
+        per message — is anything attached (``_fast_path``), which retry
+        ladder governs, each category's name, instruments and flight row."""
+        faults, service = self._faults, self._service
+        telemetry, flight = self._telemetry, self._flight
         self._fast_path = (
-            self._faults is None
+            faults is None
             and self._dispatch_log is None
-            and self._telemetry is None
-            and self._flight is None
-            and self._service is None
+            and telemetry is None
+            and flight is None
+            and service is None
         )
+        self._policy: Optional[RetryPolicy] = None
+        if faults is not None:
+            self._policy = faults.plan.retry
+        elif service is not None:
+            self._policy = service.config.retry
+        self._slots: Dict[TrafficCategory, _CategorySlot] = {
+            category: _CategorySlot(
+                category.value,
+                None if telemetry is None else telemetry.instruments(category.value),
+                None if flight is None else flight.fabric_row(category.value),
+            )
+            for category in TrafficCategory
+        }
 
     # ------------------------------------------------------------------
     # Middleware management
@@ -235,11 +254,7 @@ class MessageFabric:
         an attached service model may supply one (so queue rejections are
         retried even in a loss-free cloud); ``None`` means single-attempt.
         """
-        if self._faults is not None:
-            return self._faults.plan.retry
-        if self._service is not None:
-            return self._service.config.retry
-        return None
+        return self._policy
 
     # ------------------------------------------------------------------
     # Service model (bounded queues / overload)
@@ -341,84 +356,78 @@ class MessageFabric:
         meter._messages[category] += 1
 
     def _attempt(
-        self, src: int, dst: int, num_bytes: int, category: TrafficCategory
+        self, src: int, dst: int, num_bytes: int, category: TrafficCategory, bare: bool = False
     ) -> Optional[float]:
-        """One wire attempt through the middleware stack.
+        """One wire attempt through the attached planes.
 
         Returns the one-way latency, or ``None`` if the middleware lost the
         message. The attempt is charged to the meter and the transport's
         ledger either way — lost bytes still crossed part of the wire.
+        ``bare`` skips the fault and service middleware (forced deliveries,
+        system plane) but not the observers.
 
         With a service model attached, an attempt that survives the wire
         must still be admitted at the destination's bounded queue: queueing
         delay (wait + service) is added to the leg's latency, and a full
         queue converts the attempt into a loss. Attempts the wire already
-        lost never reach the queue — a message that did not arrive cannot
-        occupy the server — which is also what keeps the retry ladder's
-        timeout accounting single-charged: a rejected attempt costs the
-        timeout (as any loss does) but accrues no service delay, and a
-        delayed-but-delivered attempt accrues its queue wait but no
-        timeout.
+        lost never reach the queue, which keeps the retry ladder's timeout
+        single-charged: a rejected attempt costs the timeout (as any loss
+        does) but no service delay, a delayed-but-delivered one its queue
+        wait but no timeout.
         """
-        if self._dispatch_log is not None:
-            self._dispatch_log.append(
-                DispatchRecord(src, dst, num_bytes, category.value)
-            )
+        slot = self._slots[category]
+        instruments = slot.instruments
+        log = self._dispatch_log
+        if log is not None:
+            log.append(DispatchRecord(src, dst, num_bytes, slot.name))
         self.stats.dispatches += 1
-        if self._faults is None:
+        faults = self._faults
+        if faults is None or bare:
             latency: Optional[float] = self.transport.send(
                 src, dst, num_bytes, category
             )
         else:
-            latency = self._faults.deliver(src, dst, num_bytes, category)
-        if latency is not None and self._service is not None:
-            delay = self._service.admit_message(dst, category.value, num_bytes)
+            latency = faults.deliver(src, dst, num_bytes, category)
+        service = self._service
+        if service is not None and latency is not None and not bare:
+            delay, backlog = service.admit_wire(dst, slot.name, num_bytes)
             if delay is None:
                 # Full queue: the destination turned the message away. The
                 # caller sees an ordinary loss, so reliable dispatches
                 # retry under the active ladder.
                 self.stats.rejections += 1
-                if self._telemetry is not None:
-                    self._telemetry.count(f"fabric.rejected.{category.value}")
-                if self._flight is not None:
-                    self._flight.record_rejection(category.value)
                 latency = None
+                if instruments is not None:
+                    instruments.record_rejection()
+                if self._flight is not None:
+                    self._flight.record_rejection(slot.name)
             else:
                 if delay > 0.0:
                     latency += delay
-                    if self._telemetry is not None:
-                        self._telemetry.histogram(
-                            f"queue_delay_ms.{category.value}"
-                        ).record(delay * _MINUTES_TO_MS)
-                if self._telemetry is not None:
-                    self._telemetry.gauge(
-                        f"queue_depth.{dst}",
-                        float(self._service.depth_of(dst)),
-                    )
-        if self._telemetry is not None:
-            self._telemetry.record_attempt(category.value, num_bytes, latency)
-        if self._flight is not None:
-            self._flight.record_attempt(category.value, num_bytes, latency)
+                if instruments is not None:
+                    instruments.record_queueing(dst, delay, backlog)
+        if instruments is not None:
+            instruments.record(num_bytes, latency)
+        row = slot.flight_row
+        if row is not None:  # ``FlightRecorder.record_attempt``, row in hand
+            row[0] += 1
+            row[1] += num_bytes
+            if latency is None:
+                row[2] += 1
+            else:
+                row[3] += latency * _MINUTES_TO_MS
         return latency
 
     def _bare(
         self, src: int, dst: int, num_bytes: int, category: TrafficCategory
     ) -> float:
-        """One wire attempt *bypassing* the fault middleware.
+        """One wire attempt *bypassing* the fault and service middleware.
 
-        Used for forced deliveries and system-plane traffic; still logged
-        and charged so the conservation invariant holds.
+        Used for forced deliveries and system-plane traffic; still logged,
+        charged and observed so the conservation invariant holds.
         """
-        if self._dispatch_log is not None:
-            self._dispatch_log.append(
-                DispatchRecord(src, dst, num_bytes, category.value)
-            )
-        self.stats.dispatches += 1
-        latency = self.transport.send(src, dst, num_bytes, category)
-        if self._telemetry is not None:
-            self._telemetry.record_attempt(category.value, num_bytes, latency)
-        if self._flight is not None:
-            self._flight.record_attempt(category.value, num_bytes, latency)
+        latency = self._attempt(src, dst, num_bytes, category, bare=True)
+        assert latency is not None  # nothing on the bare path loses messages
         return latency
 
     # ------------------------------------------------------------------
@@ -491,7 +500,7 @@ class MessageFabric:
             if topology is None or src == dst:
                 return DELIVERED_FREE
             return Delivery(True, ms_to_minutes(topology.latency_ms(src, dst)), 1)
-        policy = self.retry_policy
+        policy = self._policy
         retrying = reliable and policy is not None
         attempts = policy.max_attempts if retrying and policy is not None else 1
         latency = 0.0
@@ -660,7 +669,7 @@ class MessageFabric:
                 topology.latency_ms(src, dst)
             ) + ms_to_minutes(topology.latency_ms(dst, src))
             return Delivery(True, latency, 1)
-        policy = self.retry_policy
+        policy = self._policy
         attempts = policy.max_attempts if policy is not None else 1
         latency = 0.0
         for attempt in range(attempts):

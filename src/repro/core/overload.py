@@ -260,16 +260,26 @@ class NodeQueue:
     def admit(self, now: float, service_minutes: float) -> Optional[float]:
         """Admit one arrival; returns its total delay or ``None`` if full.
 
-        The caller must :meth:`drain` to ``now`` first (the controller
-        does). ``capacity=0`` rejects every arrival.
+        ``capacity=0`` rejects every arrival.
         """
-        if len(self._completions) >= self.capacity:
-            return None
+        return self.arrive(now, service_minutes)[1]
+
+    def arrive(self, now: float, service_minutes: float) -> Tuple[int, Optional[float]]:
+        """:meth:`drain`, sample :meth:`depth`, admit — in one touch.
+
+        Returns ``(backlog found on arrival, delay or None)``.
+        """
+        completions = self._completions
+        while completions and completions[0] <= now:
+            completions.popleft()
+        depth = len(completions)
+        if depth >= self.capacity:
+            return depth, None
         start = self.busy_until if self.busy_until > now else now
         completion = start + service_minutes
         self.busy_until = completion
-        self._completions.append(completion)
-        return completion - now
+        completions.append(completion)
+        return depth, completion - now
 
     def __repr__(self) -> str:
         return (
@@ -297,6 +307,9 @@ class OverloadController:
         self._queues: Dict[int, NodeQueue] = {}
         self._shedding: Set[int] = set()
         self._exempt: Set[int] = set()
+        # ``config.service_minutes``, resolved once (first override wins).
+        self._flat_ms: Dict[str, float] = dict(reversed(config.category_service_ms))
+        self._request_minutes = config.service_minutes(CLIENT_REQUEST, 0)
 
     # ------------------------------------------------------------------
     # Clock and topology
@@ -350,11 +363,13 @@ class OverloadController:
     # ------------------------------------------------------------------
     # Admission
     # ------------------------------------------------------------------
-    def _admit(self, node_id: int, service_minutes: float) -> Optional[float]:
-        queue = self.queue_for(node_id)
-        self.stats.queue_depth_sum += queue.depth()
+    def _admit(self, node_id: int, service_minutes: float) -> Tuple[int, Optional[float]]:
+        """One arrival at ``node_id``: ``(backlog found, delay or None)``."""
+        queue = self._queues.get(node_id) or self.queue_for(node_id)
+        arrival = queue.arrive(self.now, service_minutes)
+        self.stats.queue_depth_sum += arrival[0]
         self.stats.queue_depth_samples += 1
-        return queue.admit(self.now, service_minutes)
+        return arrival
 
     def admit_message(
         self, dst: int, category: str, num_bytes: int
@@ -366,15 +381,28 @@ class OverloadController:
         treats the attempt as lost, so reliable dispatches retry under the
         active ladder and best-effort dispatches simply fail.
         """
+        return self.admit_wire(dst, category, num_bytes)[0]
+
+    def admit_wire(
+        self, dst: int, category: str, num_bytes: int
+    ) -> Tuple[Optional[float], int]:
+        """:meth:`admit_message` plus the backlog the admission leaves: what
+        :meth:`depth_of` would answer next (the fabric's ``queue_depth``
+        gauge), read off the same queue touch; 0 with a rejection."""
         if dst in self._exempt:
-            return 0.0
-        delay = self._admit(dst, self.config.service_minutes(category, num_bytes))
+            return 0.0, 0
+        config = self.config
+        cost_ms = self._flat_ms.get(category, config.service_ms)
+        if config.service_ms_per_kb:
+            cost_ms += config.service_ms_per_kb * (num_bytes / 1024.0)
+        depth, delay = self._admit(dst, cost_ms * _MS_TO_MINUTES)
         if delay is None:
             self.stats.messages_rejected += 1
-            return None
+            return None, 0
         self.stats.messages_enqueued += 1
         self.stats.queue_delay_minutes += delay
-        return delay
+        # Zero delay: a free message on an idle server, done at ``now``.
+        return delay, depth + 1 if delay > 0.0 else 0
 
     def admit_request(self, cache_id: int) -> Optional[float]:
         """Admit one client request at its ingress cache.
@@ -387,9 +415,7 @@ class OverloadController:
         if cache_id in self._exempt:
             self.stats.requests_admitted += 1
             return 0.0
-        delay = self._admit(
-            cache_id, self.config.service_minutes(CLIENT_REQUEST, 0)
-        )
+        delay = self._admit(cache_id, self._request_minutes)[1]
         if delay is None:
             self.stats.requests_rejected += 1
             return None

@@ -264,6 +264,10 @@ def run_experiment(
         # The meter and the attempt ledger must reset together, or the
         # auditor's conservation check would flag the warm-up skew.
         cloud.transport.reset_accounting()
+        if cloud.faults is not None:
+            # The injector's byte count is the ledger's twin (the auditor
+            # holds it under the ledger); delivery fates stay cumulative.
+            cloud.faults.stats.bytes_attempted = 0
         for cache in cloud.caches:
             cache.stats = CacheStats()
         if cloud.overload is not None:

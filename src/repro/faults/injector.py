@@ -137,7 +137,11 @@ class FaultInjector:
         ):
             self.stats.record_drop(category)
             return None
-        loss = plan.loss_for(category, src, dst)
+        # Without overrides the plan-wide rate needs no ``loss_for`` scan.
+        if plan.link_loss or plan.category_loss:
+            loss = plan.loss_for(category, src, dst)
+        else:
+            loss = plan.loss_rate
         if loss > 0.0 and (loss >= 1.0 or self._rng.random() < loss):
             self.stats.record_drop(category)
             return None

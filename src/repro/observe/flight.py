@@ -173,7 +173,8 @@ class FlightRecorder:
         self._outcomes: Dict[str, int] = {}
         self._latency_sum = 0.0
         self._latency_max = 0.0
-        #: category -> [messages, bytes, lost, latency_ms_sum]
+        #: category -> [messages, bytes, lost, latency_ms_sum]; rows are
+        #: zeroed in place at a window close, so the fabric can keep them.
         self._fabric: Dict[str, List[float]] = {}
         self._queue_rejections: Dict[str, int] = {}
         # Baselines for cumulative sources (profile, overload stats).
@@ -256,20 +257,25 @@ class FlightRecorder:
         """Count one origin update (windows already advanced)."""
         self._updates += 1
 
+    def fabric_row(self, category: str) -> List[float]:
+        """The open window's ``[messages, bytes, lost, latency_ms_sum]`` row:
+        one list per category for the recorder's whole life."""
+        row = self._fabric.get(category)
+        if row is None:
+            row = self._fabric[category] = [0, 0, 0, 0.0]
+        return row
+
     def record_attempt(
         self, category: str, num_bytes: int, latency: Optional[float]
     ) -> None:
         """One fabric wire attempt (mirrors ``Telemetry.record_attempt``)."""
-        entry = self._fabric.get(category)
-        if entry is None:
-            entry = [0, 0, 0, 0.0]
-            self._fabric[category] = entry
-        entry[0] += 1
-        entry[1] += num_bytes
+        row = self.fabric_row(category)
+        row[0] += 1
+        row[1] += num_bytes
         if latency is None:
-            entry[2] += 1
+            row[2] += 1
         else:
-            entry[3] += latency * _MINUTES_TO_MS
+            row[3] += latency * _MINUTES_TO_MS
 
     def record_rejection(self, category: str) -> None:
         """One wire attempt turned away by a full destination queue."""
@@ -327,8 +333,9 @@ class FlightRecorder:
             record["outcomes"] = self._outcomes
         if self._requests and self._outcomes.get("rejected", 0) < self._requests:
             record["latency_ms"] = [self._latency_sum, self._latency_max]
-        if self._fabric:
-            record["fabric"] = self._fabric
+        fabric = {name: list(row) for name, row in self._fabric.items() if row[0]}
+        if fabric:
+            record["fabric"] = fabric
         if self._queue_rejections:
             record["queue_rejections"] = self._queue_rejections
         counts, units = self.profile.snapshot()
@@ -367,7 +374,8 @@ class FlightRecorder:
         self._outcomes = {}
         self._latency_sum = 0.0
         self._latency_max = 0.0
-        self._fabric = {}
+        for row in self._fabric.values():
+            row[:] = (0, 0, 0, 0.0)
         self._queue_rejections = {}
 
     def finish(self, now: float) -> None:

@@ -53,6 +53,7 @@ class LogHistogram:
             bounds.append(edge)
             edge *= growth
         self.bounds = bounds
+        self._lower = lower
         # counts[i] covers values in (bounds[i-1], bounds[i]]; counts[0] is
         # the underflow bucket [0, bounds[1]) collapsed onto edge 0.0, and
         # the final slot is the overflow bucket past the last edge.
@@ -64,10 +65,15 @@ class LogHistogram:
 
     def record(self, value: float) -> None:
         """Add one observation (negative values clamp to zero)."""
-        value = max(0.0, float(value))
-        index = bisect_left(self.bounds, value)
-        if index == 1 and value < self.bounds[1]:
-            index = 0  # sub-``lower`` values belong to the underflow bucket
+        # Zero and sub-``lower`` values (every latency of a topology-less
+        # transport) skip the bisect: they are the underflow bucket.
+        value = value + 0.0  # int -> float, -0.0 -> 0.0, without a call
+        if value >= self._lower:
+            index = bisect_left(self.bounds, value)
+        else:
+            if not value > 0.0:  # negatives (and NaN) clamp to zero
+                value = 0.0
+            index = 0
         self.counts[index] += 1
         self.count += 1
         self.total += value

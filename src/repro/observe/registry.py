@@ -19,7 +19,60 @@ from repro.metrics.timeseries import TimeSeries
 from repro.observe.histogram import LogHistogram
 from repro.observe.spans import Span, SpanRecorder
 
-__all__ = ["Telemetry"]
+__all__ = ["CategoryInstruments", "Telemetry"]
+
+
+class CategoryInstruments:
+    """One traffic category's fabric instruments, names resolved once
+    (finding them per wire attempt cost more than recording). Histograms
+    are still *created* on first use: the export lists only categories
+    that saw traffic."""
+
+    __slots__ = ("_telemetry", "_name", "_keys", "_bytes", "_latency", "_delay")
+
+    def __init__(self, telemetry: "Telemetry", category: str) -> None:
+        self._telemetry = telemetry
+        self._name = category
+        self._keys = tuple(
+            f"fabric.{what}.{category}" for what in ("attempts", "lost", "rejected")
+        )
+        self._bytes: Optional[LogHistogram] = None
+        self._latency: Optional[LogHistogram] = None
+        self._delay: Optional[LogHistogram] = None
+
+    def record(self, num_bytes: int, latency_minutes: Optional[float]) -> None:
+        """One wire attempt: a float latency if delivered, ``None`` if lost."""
+        telemetry = self._telemetry
+        counters = telemetry.counters
+        attempts, lost, _ = self._keys
+        counters[attempts] = counters.get(attempts, 0) + 1
+        hist = self._bytes
+        if hist is None:
+            hist = self._bytes = telemetry.histogram(f"bytes.{self._name}")
+        hist.record(num_bytes)
+        if latency_minutes is None:
+            counters[lost] = counters.get(lost, 0) + 1
+            return
+        hist = self._latency
+        if hist is None:
+            hist = self._latency = telemetry.histogram(f"latency_ms.{self._name}")
+        hist.record(latency_minutes * MINUTES_TO_MS)
+
+    def record_rejection(self) -> None:
+        self._telemetry.count(self._keys[2])
+
+    def record_queueing(self, dst: int, delay_minutes: float, backlog: int) -> None:
+        """One admitted attempt: its queueing delay and ``dst``'s backlog."""
+        telemetry = self._telemetry
+        if delay_minutes > 0.0:
+            hist = self._delay
+            if hist is None:
+                hist = self._delay = telemetry.histogram(f"queue_delay_ms.{self._name}")
+            hist.record(delay_minutes * MINUTES_TO_MS)
+        gauge = telemetry._depth_gauges.get(dst)
+        if gauge is None:
+            gauge = telemetry._depth_gauges[dst] = f"queue_depth.{dst}"
+        telemetry.gauges[gauge] = float(backlog)
 
 
 class Telemetry:
@@ -38,6 +91,8 @@ class Telemetry:
         self.histograms: Dict[str, LogHistogram] = {}
         self.spans = SpanRecorder(max_spans=max_spans)
         self.request_latencies = TimeSeries("request_latency_ms")
+        self._instruments: Dict[str, CategoryInstruments] = {}
+        self._depth_gauges: Dict[int, str] = {}
 
     # -- scalar instruments -------------------------------------------------
 
@@ -59,23 +114,18 @@ class Telemetry:
 
     # -- protocol-plane hooks ----------------------------------------------
 
+    def instruments(self, category: str) -> CategoryInstruments:
+        """The fabric-instrument handle of ``category`` (one per registry)."""
+        if category not in self._instruments:
+            self._instruments[category] = CategoryInstruments(self, category)
+        return self._instruments[category]
+
     def record_attempt(
         self, category: str, num_bytes: int, latency_minutes: Optional[float]
     ) -> None:
-        """Record one fabric dispatch attempt for ``category``.
-
-        ``latency_minutes`` is the transport's verdict: a float for a
-        delivered message (converted to ms for the histogram), ``None``
-        for a loss, which is counted instead of measured.
-        """
-        self.count(f"fabric.attempts.{category}")
-        self.histogram(f"bytes.{category}").record(float(num_bytes))
-        if latency_minutes is None:
-            self.count(f"fabric.lost.{category}")
-        else:
-            self.histogram(f"latency_ms.{category}").record(
-                latency_minutes * MINUTES_TO_MS
-            )
+        """Record one fabric dispatch attempt for ``category`` (a float
+        latency is measured in ms; ``None`` is a loss, counted instead)."""
+        self.instruments(category).record(num_bytes, latency_minutes)
 
     def observe_request(self, now: float, latency_ms: float) -> None:
         """Record one completed client request at sim-time ``now``."""
@@ -85,10 +135,10 @@ class Telemetry:
     # -- span sink delegates ------------------------------------------------
 
     def begin_span(self, name: str, start: float, **attrs: object) -> Span:
-        return self.spans.begin(name, start, **attrs)
+        return self.spans.open(name, start, attrs)
 
     def end_span(self, span: Span, end: float, **attrs: object) -> None:
-        self.spans.end(span, end, **attrs)
+        self.spans.close(span, end, attrs)
 
     def __repr__(self) -> str:
         return (

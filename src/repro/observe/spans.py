@@ -17,7 +17,8 @@ Design constraints (see DESIGN.md §8):
   counted in :attr:`SpanRecorder.dropped` but still participate in stack
   bookkeeping, so parent/child ids stay consistent. Because retention is
   monotone (once full, always full) a retained span's parent is always
-  retained too, and tree reconstruction never dangles.
+  retained too, and tree reconstruction never dangles. A dropped span
+  allocates nothing: ``begin`` returns a reusable per-depth placeholder.
 * **Synchronous** — the protocol plane is single-threaded simulation code,
   so a plain stack models nesting exactly; :meth:`SpanRecorder.end` insists
   on properly paired begin/end calls.
@@ -29,6 +30,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 __all__ = ["Span", "SpanRecorder"]
+
+_DROPPED_ID = -1  # ``span_id`` of the placeholders handed out past the cap
+_NEVER = float("-inf")  # "no child has ended yet" in the child-end stack
 
 
 @dataclass
@@ -73,6 +77,9 @@ class SpanRecorder:
         self._stack: List[Span] = []
         self._frame_child_end: List[float] = []
         self._next_id = 0
+        #: Handles for dropped spans, one per stack depth (nested drops
+        #: stay distinguishable to ``end``/``unwind``).
+        self._placeholders: List[Span] = []
 
     @property
     def depth(self) -> int:
@@ -86,35 +93,56 @@ class SpanRecorder:
 
     def begin(self, name: str, start: float, **attrs: object) -> Span:
         """Open a span; the innermost open span (if any) becomes its parent."""
-        parent_id = self._stack[-1].span_id if self._stack else None
-        span = Span(self._next_id, parent_id, name, float(start), None, dict(attrs))
-        self._next_id += 1
+        return self.open(name, start, attrs)
+
+    def open(self, name: str, start: float, attrs: Dict[str, object]) -> Span:
+        """:meth:`begin` for delegating callers: the span keeps ``attrs``."""
+        stack = self._stack
         if len(self.spans) < self.max_spans:
+            parent_id = stack[-1].span_id if stack else None
+            span = Span(self._next_id, parent_id, name, float(start), None, attrs)
             self.spans.append(span)
         else:
             self.dropped += 1
-        self._stack.append(span)
-        self._frame_child_end.append(float("-inf"))
+            placeholders = self._placeholders
+            while len(placeholders) <= len(stack):
+                placeholders.append(Span(_DROPPED_ID, None, "<dropped>", 0.0))
+            span = placeholders[len(stack)]
+        self._next_id += 1
+        stack.append(span)
+        self._frame_child_end.append(_NEVER)
         return span
 
     def end(self, span: Span, end: float, **attrs: object) -> None:
         """Close the innermost span; must be the one passed in.
 
         The recorded end is ``max(end, latest child end)`` so a parent that
-        only knows its own leg latency still covers its children.
+        only knows its own leg latency still covers its children (dropped
+        ones included).
         """
-        if not self._stack or self._stack[-1] is not span:
-            open_name = self._stack[-1].name if self._stack else "<none>"
+        self.close(span, end, attrs)
+
+    def close(self, span: Span, end: float, attrs: Dict[str, object]) -> None:
+        """:meth:`end` with the closing attributes as one dict."""
+        stack = self._stack
+        if not stack or stack[-1] is not span:
+            open_name = stack[-1].name if stack else "<none>"
             raise RuntimeError(
                 f"span end out of order: closing {span.name!r} "
                 f"but innermost open span is {open_name!r}"
             )
-        self._stack.pop()
-        child_end = self._frame_child_end.pop()
-        span.end = max(float(end), child_end)
-        span.attrs.update(attrs)
-        if self._frame_child_end:
-            self._frame_child_end[-1] = max(self._frame_child_end[-1], span.end)
+        stack.pop()
+        frames = self._frame_child_end
+        child_end = frames.pop()
+        end = float(end)
+        if child_end > end:
+            end = child_end
+        if span.span_id != _DROPPED_ID:
+            span.end = end
+            if attrs:
+                span.attrs.update(attrs)
+        if frames and end > frames[-1]:
+            frames[-1] = end
 
     def unwind(self, span: Span, end: float) -> None:
         """Close every open span up to and including ``span`` (error paths).
@@ -124,8 +152,9 @@ class SpanRecorder:
         """
         while self._stack:
             top = self._stack[-1]
-            top.attrs.setdefault("aborted", True)
-            self.end(top, end)
+            if top.span_id != _DROPPED_ID:
+                top.attrs.setdefault("aborted", True)
+            self.close(top, end, {})
             if top is span:
                 return
         raise RuntimeError(f"span {span.name!r} is not on the stack")

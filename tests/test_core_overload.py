@@ -21,6 +21,8 @@ Four layers of coverage:
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.fabric import DELIVERED_FREE, Delivery, MessageFabric
 from repro.core.overload import (
@@ -110,6 +112,80 @@ class TestNodeQueue:
         queue.admit(0.0, 1.0)  # completes at 2.0
         queue.drain(1.5)
         assert queue.depth() == 1
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        capacity=st.integers(min_value=0, max_value=4),
+        arrivals=st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.0, 0.25, 1.0, 7.5]),  # clock step
+                st.sampled_from([0.0, 0.5, 1.0, 3.0]),  # service time
+            ),
+            max_size=40,
+        ),
+    )
+    def test_single_touch_arrive_equals_drain_depth_admit(self, capacity, arrivals):
+        # The reference spells out the three steps as they were before
+        # ``arrive`` existed (``admit`` used to require a prior ``drain``).
+        one_touch, reference = NodeQueue(capacity), NodeQueue(capacity)
+        now = 0.0
+        for step, service in arrivals:
+            now += step
+            reference.drain(now)
+            depth = reference.depth()
+            delay = None
+            if depth < capacity:
+                start = max(reference.busy_until, now)
+                reference.busy_until = start + service
+                reference._completions.append(start + service)
+                delay = start + service - now
+            assert one_touch.arrive(now, service) == (depth, delay)
+            assert one_touch.busy_until == reference.busy_until
+            assert list(one_touch._completions) == list(reference._completions)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.0, 0.001, 0.004, 0.05]),  # clock step
+                st.integers(min_value=0, max_value=3),  # destination
+                st.sampled_from(["control", "peer_transfer", "update_fanout"]),
+                st.sampled_from([0, 100, 4096]),  # message bytes
+            ),
+            max_size=60,
+        )
+    )
+    def test_admit_wire_reports_the_backlog_depth_of_would_read(self, messages):
+        # ``admit_wire`` answers from the one queue touch it makes; the
+        # reference controller asks ``depth_of`` afterwards, as the fabric
+        # used to for its queue-depth gauge.
+        config = OverloadConfig(
+            queue_capacity=3,
+            service_ms=120.0,
+            service_ms_per_kb=5.0,
+            category_service_ms=(("control", 0.0), ("control", 999.0)),
+        )
+        wired, reference = OverloadController(config), OverloadController(config)
+        for controller in (wired, reference):
+            controller.exempt_node(3)
+        now = 0.0
+        for step, dst, category, num_bytes in messages:
+            now += step
+            wired.advance(now)
+            reference.advance(now)
+            queue = wired._queues.get(dst)
+            start = max(now, queue.busy_until if queue is not None else 0.0)
+            delay, backlog = wired.admit_wire(dst, category, num_bytes)
+            assert delay == reference.admit_message(dst, category, num_bytes)
+            if delay is not None:
+                assert backlog == reference.depth_of(dst)
+                if dst != 3:
+                    # The controller's resolved cost table is the config's
+                    # formula, bit for bit (first duplicate override wins).
+                    cost = config.service_minutes(category, num_bytes)
+                    assert wired._queues[dst].busy_until == start + cost
+        assert wired.stats == reference.stats
 
 
 class TestControllerPolicy:

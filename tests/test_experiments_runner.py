@@ -90,6 +90,34 @@ class TestRunExperiment:
         assert result.traffic.total_bytes == 0
         assert result.stats.requests == 0
 
+    def test_warmup_reset_rebases_the_injector_with_the_ledger(self, corpus):
+        # Regression: the warm-up reset zeroed the transport's attempt
+        # ledger but not the injector's twin of it, so every warmed-up run
+        # with a fault plan failed the auditor's conservation check with a
+        # false *hard* "injector attempted more bytes than the ledger".
+        from repro.faults.plan import FaultPlan
+
+        trace = simple_trace()
+        result = run_experiment(
+            config(),
+            corpus,
+            trace.requests,
+            trace.updates,
+            duration=30.0,
+            warmup=10.0,
+            fault_plan=FaultPlan(seed=4, loss_rate=0.2),
+            audit=True,
+        )
+        injector = result.cloud.faults
+        assert injector.stats.dropped > 0
+        assert result.audit["audit_meter_mismatch"] == 0
+        assert result.audit["audit_hard"] == 0
+        ledger = result.cloud.transport.bytes_attempted
+        assert 0 < injector.stats.bytes_attempted <= ledger
+        # Delivery fates stay cumulative: more attempts than the
+        # post-warm-up ledger ever saw (the resilience goldens pin them).
+        assert injector.stats.attempts > result.cloud.transport.messages_attempted
+
     def test_default_warmup_is_one_cycle(self, corpus):
         trace = simple_trace()
         result = run_experiment(

@@ -1,8 +1,12 @@
 """Unit tests for the observability layer: spans, histograms, registry, export."""
 
 import json
+import math
+from bisect import bisect_left
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.cloud import CacheCloud
 from repro.core.config import CloudConfig, PlacementScheme
@@ -20,6 +24,11 @@ from repro.observe import (
     telemetry_to_jsonable,
     write_json,
 )
+from repro.core.fabric import MessageFabric
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan
+from repro.network.bandwidth import TrafficCategory
+from repro.network.transport import Transport
 from repro.workload.documents import build_corpus
 from repro.workload.generator import SyntheticTraceGenerator, WorkloadConfig
 
@@ -110,14 +119,79 @@ class TestSpanRecorder:
         assert recorder.begun == 5
 
     def test_dropped_spans_keep_parentage_consistent(self):
-        # Dropped spans still push/pop the stack, so ids never skew.
+        # A span begun past the cap is not retained, so nothing about the
+        # handle ``begin`` returned is part of the contract — only what an
+        # export can see: the retained list, the counters, the stack depth.
         recorder = SpanRecorder(max_spans=1)
         root = recorder.begin("root", 0.0)
-        child = recorder.begin("child", 0.0)
+        child = recorder.begin("child", 0.0, doc=7)
+        grandchild = recorder.begin("grandchild", 0.0)
+        assert recorder.depth == 3
+        assert child is not grandchild  # nested drops stay distinguishable
+        recorder.end(grandchild, 0.5, ok=True)
         recorder.end(child, 1.0)
         recorder.end(root, 2.0)
-        assert child.parent_id == root.span_id
         assert recorder.spans == [root]
+        assert (recorder.begun, recorder.dropped, recorder.depth) == (3, 2, 0)
+        assert root.span_id == 0 and root.parent_id is None
+        assert root.attrs == {}  # dropped children leak no attributes
+
+    def test_dropped_child_still_widens_retained_parent(self):
+        recorder = SpanRecorder(max_spans=2)
+        root = recorder.begin("root", 0.0)
+        leg = recorder.begin("leg", 0.0)
+        dropped = recorder.begin("dropped", 0.0)
+        deeper = recorder.begin("deeper", 0.0)
+        recorder.end(deeper, 9.0)  # dropped grandchild runs longest
+        recorder.end(dropped, 1.0)
+        recorder.end(leg, 2.0)
+        recorder.end(root, 3.0)
+        assert leg.end == 9.0 and root.end == 9.0
+        assert [s.name for s in recorder.spans] == ["root", "leg"]
+
+    def test_dropped_spans_still_check_pairing(self):
+        recorder = SpanRecorder(max_spans=1)
+        root = recorder.begin("root", 0.0)
+        outer = recorder.begin("outer", 0.0)
+        recorder.begin("inner", 0.0)
+        with pytest.raises(RuntimeError, match="out of order"):
+            recorder.end(outer, 1.0)
+        with pytest.raises(RuntimeError, match="out of order"):
+            recorder.end(root, 1.0)
+
+    def test_unwind_across_the_cap(self):
+        recorder = SpanRecorder(max_spans=2)
+        root = recorder.begin("root", 0.0)
+        leg = recorder.begin("leg", 0.0)
+        recorder.begin("dropped", 0.0)
+        recorder.begin("deeper", 0.0)
+        recorder.unwind(leg, 4.0)  # closes deeper, dropped, leg — not root
+        assert recorder.depth == 1
+        assert leg.attrs == {"aborted": True} and leg.end == 4.0
+        assert root.end is None and "aborted" not in root.attrs
+        recorder.end(root, 5.0)
+        assert recorder.depth == 0 and recorder.dropped == 2
+
+    def test_unwind_to_a_dropped_span_stops_there(self):
+        recorder = SpanRecorder(max_spans=1)
+        root = recorder.begin("root", 0.0)
+        outer = recorder.begin("outer", 0.0)
+        recorder.begin("inner", 0.0)
+        recorder.unwind(outer, 3.0)
+        assert recorder.depth == 1 and root.end is None
+        recorder.end(root, 1.0)
+        assert root.end == 3.0  # widened by the unwound dropped spans
+
+    def test_clear_across_the_cap_retains_again(self):
+        recorder = SpanRecorder(max_spans=1)
+        recorder.begin("kept", 0.0)
+        recorder.begin("dropped", 0.0)
+        recorder.clear()
+        assert (recorder.spans, recorder.dropped, recorder.depth) == ([], 0, 0)
+        fresh = recorder.begin("fresh", 1.0, tag="x")
+        assert recorder.spans == [fresh]
+        assert fresh.parent_id is None and fresh.attrs == {"tag": "x"}
+        assert recorder.begun == 3  # ids are never reused
 
     def test_clear_resets_everything(self):
         recorder = SpanRecorder(max_spans=1)
@@ -203,6 +277,53 @@ class TestLogHistogram:
         assert hist.counts[-2] == 1
         assert hist.counts[-1] == 1
 
+    @staticmethod
+    def _reference_record(hist, value):
+        """``LogHistogram.record`` as it was before its underflow fast path."""
+        value = max(0.0, float(value))
+        index = bisect_left(hist.bounds, value)
+        if index == 1 and value < hist.bounds[1]:
+            index = 0
+        hist.counts[index] += 1
+        hist.count += 1
+        hist.total += value
+        if hist.min is None or value < hist.min:
+            hist.min = value
+        if hist.max is None or value > hist.max:
+            hist.max = value
+
+    _EDGES = LogHistogram(lower=1e-3, upper=1e3, buckets_per_decade=2).bounds
+    _TRICKY = (
+        [0.0, -0.0, -1.0, -1e-300, 5e-324, 1e-4, 1e9, math.inf, -math.inf, 0, 3, -2]
+        + _EDGES
+        + [math.nextafter(edge, math.inf) for edge in _EDGES]
+        + [math.nextafter(edge, -math.inf) for edge in _EDGES]
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from(_TRICKY),
+                st.floats(allow_nan=False),
+                st.integers(min_value=-10, max_value=10**7),
+            ),
+            max_size=30,
+        )
+    )
+    def test_record_equals_the_bisect_formula_bucket_for_bucket(self, values):
+        fast = LogHistogram(lower=1e-3, upper=1e3, buckets_per_decade=2)
+        slow = LogHistogram(lower=1e-3, upper=1e3, buckets_per_decade=2)
+        for value in values:
+            fast.record(value)
+            self._reference_record(slow, value)
+        assert fast.counts == slow.counts
+        # ``repr`` keeps 0.0 / -0.0 / int-vs-float apart; ``==`` would not.
+        assert repr((fast.count, fast.total, fast.min, fast.max)) == repr(
+            (slow.count, slow.total, slow.min, slow.max)
+        )
+        assert json.dumps(fast.to_dict()) == json.dumps(slow.to_dict())
+
     def test_percentile_validates_q(self):
         hist = LogHistogram()
         hist.record(1.0)
@@ -263,6 +384,35 @@ class TestTelemetry:
         assert tel.counters["fabric.lost.origin_fetch"] == 1
         assert tel.histograms["bytes.origin_fetch"].count == 1
         assert "latency_ms.origin_fetch" not in tel.histograms
+
+    def test_fabric_creates_instruments_only_for_traffic_it_saw(self):
+        # The fabric resolves its per-category handles at attach time, but
+        # an instrument must still appear in the export only once its
+        # category carried traffic: the export's shape depends on which
+        # categories were used, never on the seed or on who was attached.
+        transport = Transport()
+        fabric = MessageFabric(transport)
+        tel = Telemetry()
+        fabric.telemetry = tel
+        assert tel.histograms == {} and tel.counters == {} and tel.gauges == {}
+        fabric.send_control(0, 1)
+        assert set(tel.histograms) == {"bytes.control", "latency_ms.control"}
+        assert tel.counters == {"fabric.attempts.control": 1}
+        # A lost attempt is counted, not measured: no latency histogram.
+        fabric.attach_faults(FaultInjector(FaultPlan(loss_rate=1.0), transport))
+        fabric.send_document(0, 1, 512, TrafficCategory.PEER_TRANSFER)
+        assert set(tel.histograms) == {
+            "bytes.control", "latency_ms.control", "bytes.peer_transfer",
+        }
+        assert tel.counters["fabric.lost.peer_transfer"] == 1
+        # Re-attaching the same registry resumes the same instruments.
+        fabric.detach_faults()
+        fabric.telemetry = None
+        fabric.telemetry = tel
+        fabric.send_control(1, 0)
+        assert tel.counters["fabric.attempts.control"] == 2
+        assert tel.histograms["bytes.control"].count == 2
+        assert len(tel.histograms) == 3 and tel.gauges == {}
 
     def test_observe_request_feeds_series_and_histogram(self):
         tel = Telemetry()
