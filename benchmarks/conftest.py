@@ -1,41 +1,28 @@
-"""Shared configuration for the figure-reproduction benchmarks.
+"""Shared configuration for the experiment benchmarks.
 
-Each benchmark runs its figure's experiment once (``rounds=1``) — these are
-scientific reproductions, not micro-benchmarks — prints the same rows/series
-the paper charts, and asserts the paper's qualitative findings.
+The benchmark runs each registry experiment once (``rounds=1``) — these are
+scientific reproductions, not micro-benchmarks — prints the same
+rows/series the paper charts, and asserts the experiment's claims.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from pathlib import Path
 
-from repro.experiments.figures import SMALL_SCALE
 from repro.experiments.parallel import resolve_jobs
 from repro.experiments.reporting import save_result
 
-#: The default scale for all figure benches (seconds per run, shapes hold).
-BENCH_SCALE = SMALL_SCALE
-
-#: Worker processes for the sweep-heavy benches, from the ``REPRO_JOBS``
-#: environment variable (``REPRO_JOBS=4 pytest benchmarks`` fans the figure
-#: sweeps out over four processes; results are value-identical to serial).
+#: Worker processes for the sweeps, from the ``REPRO_JOBS`` environment
+#: variable (``REPRO_JOBS=4 pytest benchmarks`` fans every sweep out over
+#: four processes; results are value-identical to serial).
 BENCH_JOBS = resolve_jobs()
 
-#: Reduced-duration scale for the sweep-heavy figures (5 and 6).
-SWEEP_SCALE = replace(
-    SMALL_SCALE,
-    request_rate_per_cache=50.0,
-    duration_minutes=60.0,
-    cycle_length=10.0,
-)
-
-
-#: Where rendered tables and JSON archives land (git-ignorable artifacts).
+#: Where rendered tables and JSON archives land (git-ignored, except the
+#: ``BENCH_*`` baselines).
 ARTIFACT_DIR = Path(__file__).parent / "artifacts"
 
 
-def show(rendered: str, archive_as: str | None = None) -> None:
+def show(rendered: str) -> None:
     """Print a figure table (under ``pytest -s``) and archive it to disk.
 
     Every rendered table is also appended to ``artifacts/rendered.txt`` so a

@@ -24,20 +24,19 @@ is value-identical at any job count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping, Optional, Sequence
 
 from repro.audit.antientropy import AntiEntropyConfig
-from repro.audit.invariants import AuditReport, InvariantAuditor
+from repro.audit.invariants import InvariantAuditor
 from repro.core.config import AssignmentScheme, CloudConfig, PlacementScheme
 from repro.experiments.parallel import (
-    FailedRun,
+    ExperimentSpec,
     WorkloadSpec,
     derive_seed,
-    run_sweep,
+    run_live,
 )
-from repro.faults.churn import ChurnSpec
+from repro.experiments.sweeps import SweepTable, poisson_churn, run_points
 from repro.faults.plan import FaultPlan
-from repro.metrics.report import Table, format_figure_header
 from repro.workload.generator import WorkloadConfig
 
 
@@ -119,39 +118,30 @@ def _chaos_workload(scenario: ChaosScenario) -> WorkloadSpec:
     )
 
 
-def _divergence(report: AuditReport) -> int:
-    return report.repairable
-
-
 def run_chaos_scenario(scenario: ChaosScenario) -> ChaosOutcome:
     """Run one scenario end to end; must stay module-level picklable."""
-    from repro.experiments.runner import run_experiment
-
-    config = _chaos_cloud_config(scenario)
-    corpus, trace = _chaos_workload(scenario).materialize()
-    churn = None
-    if scenario.churn_rate > 0.0:
-        churn = ChurnSpec(
-            duration_minutes=scenario.duration_minutes,
-            failure_rate_per_minute=scenario.churn_rate,
-            mean_downtime_minutes=2.0 * scenario.cycle_length,
-            start_minutes=min(scenario.cycle_length, scenario.duration_minutes / 4.0),
-            seed=derive_seed(scenario.seed, "chaos-churn", scenario.churn_rate),
+    result = run_live(
+        ExperimentSpec(
+            key=scenario.key,
+            config=_chaos_cloud_config(scenario),
+            workload=_chaos_workload(scenario),
+            duration=scenario.duration_minutes,
+            # One cycle, not the sweeps' two: the campaign is short and the
+            # audit reads end-of-run state, not steady-state rates.
+            warmup=min(scenario.cycle_length, scenario.duration_minutes / 4.0),
+            fault_plan=FaultPlan(
+                seed=derive_seed(scenario.seed, "chaos-loss", scenario.loss_rate),
+                loss_rate=scenario.loss_rate,
+            ),
+            churn=poisson_churn(
+                derive_seed(scenario.seed, "chaos-churn", scenario.churn_rate),
+                scenario.duration_minutes,
+                scenario.cycle_length,
+                scenario.churn_rate,
+            ),
+            anti_entropy=AntiEntropyConfig() if scenario.anti_entropy else None,
         )
-    result = run_experiment(
-        config,
-        corpus,
-        trace.requests,
-        trace.updates,
-        duration=scenario.duration_minutes,
-        warmup=min(scenario.cycle_length, scenario.duration_minutes / 4.0),
-        fault_plan=FaultPlan(
-            seed=derive_seed(scenario.seed, "chaos-loss", scenario.loss_rate),
-            loss_rate=scenario.loss_rate,
-        ),
-        churn=churn,
-        anti_entropy=AntiEntropyConfig() if scenario.anti_entropy else None,
-    )
+    ).result
 
     # --- quiesce: heal the network, rejoin everyone, repair, audit -----
     cloud = result.cloud
@@ -172,8 +162,8 @@ def run_chaos_scenario(scenario: ChaosScenario) -> ChaosOutcome:
         anti_entropy=scenario.anti_entropy,
         pre_audit=pre.summary(),
         post_audit=post.summary(),
-        pre_divergence=_divergence(pre),
-        unrepaired=_divergence(post),
+        pre_divergence=pre.repairable,
+        unrepaired=post.repairable,
         hard_violations=post.hard_violations,
         pre_stale=pre.stale_copies,
         post_stale=post.stale_copies,
@@ -187,102 +177,25 @@ def run_chaos_scenario(scenario: ChaosScenario) -> ChaosOutcome:
     )
 
 
-@dataclass
-class ChaosGridResult:
-    """Outcomes over a (seed × loss × churn) chaos grid."""
-
-    anti_entropy: bool = True
-    outcomes: List[ChaosOutcome] = field(default_factory=list)
-    failures: List[FailedRun] = field(default_factory=list)
-
-    @property
-    def total_pre_divergence(self) -> int:
-        """Divergence the campaigns injected, summed over the grid."""
-        return sum(outcome.pre_divergence for outcome in self.outcomes)
-
-    @property
-    def total_unrepaired(self) -> int:
-        """Repairable violations left after quiescing, summed over the grid."""
-        return sum(outcome.unrepaired for outcome in self.outcomes)
-
-    @property
-    def total_hard_violations(self) -> int:
-        """Hard violations anywhere in the grid (must always be zero)."""
-        return sum(outcome.hard_violations for outcome in self.outcomes)
-
-    @property
-    def total_post_stale(self) -> int:
-        """Stale holders left after quiescing, summed over the grid."""
-        return sum(outcome.post_stale for outcome in self.outcomes)
-
-    @property
-    def clean(self) -> bool:
-        """Whether every scenario quiesced to a violation-free cloud."""
-        return (
-            not self.failures
-            and self.total_unrepaired == 0
-            and self.total_hard_violations == 0
-        )
-
-    def render(self) -> str:
-        table = Table(
-            [
-                "seed",
-                "loss rate",
-                "churn/min",
-                "pre divergence",
-                "pre stale",
-                "repairs",
-                "unrepaired",
-                "post stale",
-                "hard",
-            ],
-            precision=2,
-        )
-        for outcome in self.outcomes:
-            seed, loss_rate, churn_rate = outcome.key
-            table.add_row(
-                seed,
-                loss_rate,
-                churn_rate,
-                outcome.pre_divergence,
-                outcome.pre_stale,
-                outcome.quiesce_repairs,
-                outcome.unrepaired,
-                outcome.post_stale,
-                outcome.hard_violations,
-            )
-        mode = "on" if self.anti_entropy else "OFF"
-        lines = [
-            format_figure_header(
-                "Chaos audit",
-                f"fault+churn campaigns, quiesced and audited (anti-entropy {mode})",
-            ),
-            table.render(),
-        ]
-        for failed in self.failures:
-            lines.append(f"FAILED {failed.key}: {failed.error_type}: {failed.error}")
-        verdict = "CLEAN" if self.clean else (
-            f"unrepaired={self.total_unrepaired} hard={self.total_hard_violations}"
-        )
-        lines.append(f"verdict: {verdict}")
-        return "\n".join(lines)
-
-
 def chaos_audit_grid(
+    scale: Optional[Mapping[str, Any]] = None,
     seeds: Sequence[int] = (1, 2),
     loss_rates: Sequence[float] = (0.15, 0.3),
     churn_rates: Sequence[float] = (0.0, 0.1),
     anti_entropy: bool = True,
     jobs: Optional[int] = None,
-    scenario_overrides: Optional[Dict[str, object]] = None,
-) -> ChaosGridResult:
-    """Run the chaos grid; one scenario per (seed, loss, churn) point.
+    duration: Optional[float] = None,
+) -> SweepTable:
+    """Run the chaos grid; one scenario (and table row) per (seed, loss, churn).
 
-    ``scenario_overrides`` tweaks every scenario's sizing fields (e.g.
-    ``{"duration_minutes": 30.0}`` for faster test runs).
+    ``scale`` overrides every scenario's sizing fields (e.g.
+    ``{"duration_minutes": 30.0}`` for faster runs); ``duration`` is
+    shorthand for its ``duration_minutes``. The per-scenario
+    :class:`ChaosOutcome` records ride along as ``extras["outcomes"]``.
     """
-    overrides = scenario_overrides or {}
+    sizing: Dict[str, Any] = dict(scale or {})
+    if duration is not None:
+        sizing["duration_minutes"] = duration
     scenarios = [
         ChaosScenario(
             key=(seed, loss_rate, churn_rate),
@@ -290,16 +203,68 @@ def chaos_audit_grid(
             loss_rate=loss_rate,
             churn_rate=churn_rate,
             anti_entropy=anti_entropy,
-            **overrides,
+            **sizing,
         )
         for seed in seeds
         for loss_rate in loss_rates
         for churn_rate in churn_rates
     ]
-    result = ChaosGridResult(anti_entropy=anti_entropy)
-    for outcome in run_sweep(scenarios, jobs=jobs, runner=run_chaos_scenario):
-        if isinstance(outcome, FailedRun):
-            result.failures.append(outcome)
-        else:
-            result.outcomes.append(outcome)
-    return result
+    outcomes, failures = run_points(scenarios, jobs=jobs, runner=run_chaos_scenario)
+    table = SweepTable(
+        header=(
+            "Chaos audit",
+            "fault+churn campaigns, quiesced and audited "
+            f"(anti-entropy {'on' if anti_entropy else 'OFF'})",
+        ),
+        columns=(
+            "seed",
+            "loss rate",
+            "churn/min",
+            "pre divergence",
+            "pre stale",
+            "repairs",
+            "unrepaired",
+            "post stale",
+            "hard",
+        ),
+        keys=("seed", "loss rate", "churn/min"),
+        rows=[
+            (
+                *key,
+                outcome.pre_divergence,
+                outcome.pre_stale,
+                outcome.quiesce_repairs,
+                outcome.unrepaired,
+                outcome.post_stale,
+                outcome.hard_violations,
+            )
+            for key, outcome in outcomes.items()
+        ],
+        failures=failures,
+        extras={"anti_entropy": anti_entropy, "outcomes": list(outcomes.values())},
+    )
+    unrepaired, hard = sum(table.column("unrepaired")), sum(table.column("hard"))
+    clean = not failures and unrepaired == 0 and hard == 0
+    table.footer.append(
+        "verdict: " + ("CLEAN" if clean else f"unrepaired={unrepaired} hard={hard}")
+    )
+    return table
+
+
+def chaos_claims(table: SweepTable) -> Dict[str, bool]:
+    """Repair converges; without it the damage is real and stays."""
+    unrepaired = sum(table.column("unrepaired"))
+    claims = {
+        # Hard (never-acceptable) violations fail either arm.
+        "no_hard_violations": sum(table.column("hard")) == 0,
+        # Vacuity guard: a chaos harness that breaks nothing proves nothing.
+        "campaign_injects_divergence": sum(table.column("pre divergence")) > 0,
+    }
+    if table.extras["anti_entropy"]:
+        # With repair enabled the bar is absolute: everything must converge.
+        claims["quiesces_to_zero_unrepaired"] = (
+            unrepaired == 0 and sum(table.column("post stale")) == 0
+        )
+    else:
+        claims["divergence_persists_without_repair"] = unrepaired > 0
+    return claims

@@ -2,193 +2,216 @@
 
 Usage::
 
-    python -m repro figure 3 --scale small
-    python -m repro figures --scale tiny
-    python -m repro ablation threshold
-    python -m repro extension consistency
+    python -m repro exp fig3 fig4 threshold consistency --scale small
+    python -m repro exp resilience --scale tiny --loss 0 0.2 0.5 --churn 0 0.05
+    python -m repro exp zoo --scale tiny --jobs 2 --fingerprint
     python -m repro trace --documents 500 --duration 30 --out trace.txt
     python -m repro run --caches 10 --rings 5 --placement utility
     python -m repro run --telemetry telemetry.json
     python -m repro observe --duration 20 --out telemetry.json
-    python -m repro resilience --scale tiny --loss 0 0.2 0.5 --churn 0 0.05
-    python -m repro overload --scale tiny --multipliers 1 4 16
-    python -m repro audit --seeds 1 2 --loss 0.15 0.3 --churn 0 0.1
     python -m repro compare old.json new.json --tolerance 0.1
     python -m repro flight record --out flight.jsonl --duration 20 --report
     python -m repro flight render flight.jsonl --html flight.html
     python -m repro flight diff baseline.jsonl candidate.jsonl
 
-Every subcommand prints the same tables the benchmark harness produces, so
-the paper's figures can be regenerated without pytest.
+``exp`` runs experiments of :mod:`repro.experiments.registry` (``repro exp
+--help`` lists them): it prints each one's tables and a ``claims:`` line, and
+exits non-zero when a sweep point failed or a claim is false. Its
+per-experiment flags are generated from the registry entries.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import os
+import random
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Any, List, Optional
 
+from repro.core.cloud import CacheCloud
 from repro.core.config import AssignmentScheme, CloudConfig, PlacementScheme
-from repro.experiments import ablations, extensions, figures, zoo
-from repro.experiments.runner import run_experiment
-from repro.workload.documents import build_corpus
+from repro.experiments import registry
+from repro.experiments.reporting import (
+    compare_runs,
+    fingerprint,
+    load_result,
+    save_result,
+)
+from repro.experiments.runner import ExperimentResult, run_experiment
+from repro.network.origin import ORIGIN_NODE_ID, OriginServer
+from repro.network.topology import EuclideanTopology
+from repro.network.transport import Transport
+from repro.workload.documents import Corpus, build_corpus
 from repro.workload.generator import SyntheticTraceGenerator, WorkloadConfig
 from repro.workload.readers import write_trace
 
-_SCALES = {
-    "tiny": figures.TINY_SCALE,
-    "small": figures.SMALL_SCALE,
-    "paper": figures.PAPER_SCALE,
-}
 
-_ZOO_SCALES = {
-    "tiny": zoo.ZOO_TINY,
-    "small": zoo.ZOO_SMALL,
-    "scale": zoo.ZOO_SCALE,
-}
-
-_FIGURES = {
-    "3": figures.figure3,
-    "4": figures.figure4,
-    "5": figures.figure5,
-    "6": figures.figure6,
-    "7": figures.figure7,
-    "8": figures.figure8,
-    "9": figures.figure9,
-}
-
-_ABLATIONS = {
-    "load-info": ablations.ablation_load_information,
-    "consistent-hashing": ablations.ablation_consistent_hashing,
-    "threshold": ablations.ablation_threshold,
-    "cycle-length": ablations.ablation_cycle_length,
-}
-
-_EXTENSIONS = {
-    "consistency": extensions.consistency_mode_comparison,
-    "multi-cloud": extensions.multi_cloud_update_savings,
-    "adaptive-weights": extensions.adaptive_weights_comparison,
-    "failure-resilience": extensions.failure_resilience_value,
-    "latency": extensions.client_latency_comparison,
-    "capabilities": extensions.capability_proportionality,
-}
+def _add_workload(
+    parser: argparse.ArgumentParser,
+    documents: int,
+    caches: int = 10,
+    update_rate: float = 40.0,
+    duration: float = 60.0,
+    rings: Optional[int] = None,
+    cycle: float = 15.0,
+) -> None:
+    """The synthetic-workload flags (and, with ``rings``, the cloud's)."""
+    parser.add_argument("--documents", type=int, default=documents)
+    parser.add_argument("--caches", type=int, default=caches)
+    if rings is not None:
+        parser.add_argument("--rings", type=int, default=rings)
+        parser.add_argument("--cycle", type=float, default=cycle)
+    parser.add_argument("--request-rate", type=float, default=60.0,
+                        help="requests per minute per cache")
+    parser.add_argument("--update-rate", type=float, default=update_rate,
+                        help="updates per minute")
+    parser.add_argument("--alpha", type=float, default=0.9, help="Zipf parameter")
+    parser.add_argument("--duration", type=float, default=duration, help="minutes")
+    parser.add_argument("--seed", type=int, default=0)
 
 
-def _add_scale(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--scale",
-        choices=sorted(_SCALES),
-        default="small",
-        help="experiment scale (tiny for smoke runs, paper for near-paper sizes)",
+def _generator(args: argparse.Namespace) -> SyntheticTraceGenerator:
+    return SyntheticTraceGenerator(
+        WorkloadConfig(
+            num_documents=args.documents,
+            num_caches=args.caches,
+            request_rate_per_cache=args.request_rate,
+            update_rate=args.update_rate,
+            alpha_requests=args.alpha,
+            duration_minutes=args.duration,
+            seed=args.seed,
+        )
     )
 
 
-def _add_jobs(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--jobs",
-        "-j",
-        type=int,
-        default=None,
+def _run(
+    args: argparse.Namespace,
+    clustered: bool = False,
+    assignment: str = AssignmentScheme.DYNAMIC.value,
+    placement: str = PlacementScheme.UTILITY.value,
+    **planes: Any,
+) -> ExperimentResult:
+    """One cloud over the generated workload, observers attached via ``planes``.
+
+    ``clustered`` places the caches in two metro clusters with a far-away
+    origin, which gives latency histograms real shape: peer transfers are
+    cheap, origin fetches are not, and span trees and per-category latency
+    columns show exactly where each request paid.
+    """
+    corpus: Corpus = build_corpus(args.documents)
+    generator = _generator(args)
+    config = CloudConfig(
+        num_caches=args.caches,
+        num_rings=args.rings,
+        cycle_length=args.cycle,
+        assignment=AssignmentScheme(assignment),
+        placement=PlacementScheme(placement),
+        seed=args.seed,
+    )
+    cloud = None
+    if clustered:
+        topology = EuclideanTopology.random(
+            args.caches,
+            random.Random(args.seed),
+            extent=100.0,
+            num_clusters=2,
+            cluster_spread=25.0,
+        )
+        topology.add_node(ORIGIN_NODE_ID, (2_000.0, 2_000.0))
+        cloud = CacheCloud(
+            config,
+            corpus,
+            origin=OriginServer(corpus),
+            transport=Transport(topology=topology),
+        )
+    return run_experiment(
+        config,
+        corpus,
+        generator.requests(),
+        generator.updates(),
+        duration=args.duration,
+        cloud=cloud,
+        **planes,
+    )
+
+
+def _add_exp(subparsers: Any) -> None:
+    """The ``exp`` verb: common flags plus every registry entry's own."""
+    listing = "\n".join(
+        f"  {entry.name:20s}{entry.help}" for entry in registry.REGISTRY.values()
+    )
+    exp = subparsers.add_parser(
+        "exp",
+        help="run experiments from the registry (figures, ablations, "
+        "extensions, sweeps); exits non-zero on a failed point or false claim",
+        description=f"experiments:\n{listing}",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    exp.add_argument(
+        "names", nargs="+", choices=list(registry.REGISTRY), metavar="NAME"
+    )
+    scales = sorted({s for entry in registry.REGISTRY.values() for s in entry.scales})
+    exp.add_argument(
+        "--scale", choices=scales, default="small",
+        help="experiment scale (tiny = smoke sizes and smoke grids; not every "
+        "experiment has every scale)",
+    )
+    exp.add_argument(
+        "--jobs", "-j", type=int, default=None,
         help="worker processes for experiment sweeps (0 = all CPUs; "
         "default: the REPRO_JOBS environment variable, else serial)",
     )
-
-
-def _jobs_kwargs(func, args) -> dict:
-    """``{"jobs": N}`` when ``func`` accepts a job count, else ``{}``.
-
-    A few extension experiments drive bespoke simulation loops with no
-    sweep to parallelize; those take no ``jobs`` parameter.
-    """
-    params = inspect.signature(func).parameters
-    accepts_jobs = "jobs" in params or any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
+    exp.add_argument(
+        "--seed", type=int, default=None,
+        help="override the scale's root seed (re-derives every random stream)",
     )
-    return {"jobs": args.jobs} if accepts_jobs else {}
+    exp.add_argument("--out", help="archive the result to this JSON file")
+    exp.add_argument(
+        "--fingerprint", action="store_true",
+        help="print a SHA-256 fingerprint of the result (determinism checks)",
+    )
+    registry.add_flags(exp)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Cache Clouds (ICDCS 2005) reproduction harness",
+        prog="repro", description="Cache Clouds (ICDCS 2005) reproduction harness"
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    fig = subparsers.add_parser("figure", help="reproduce one paper figure (3-9)")
-    fig.add_argument("number", choices=sorted(_FIGURES))
-    _add_scale(fig)
-    _add_jobs(fig)
-
-    allfigs = subparsers.add_parser("figures", help="reproduce every figure")
-    _add_scale(allfigs)
-    _add_jobs(allfigs)
-
-    abl = subparsers.add_parser("ablation", help="run one ablation study")
-    abl.add_argument("name", choices=sorted(_ABLATIONS))
-    _add_scale(abl)
-    _add_jobs(abl)
-
-    ext = subparsers.add_parser("extension", help="run one extension experiment")
-    ext.add_argument("name", choices=sorted(_EXTENSIONS))
-    _add_scale(ext)
-    _add_jobs(ext)
+    _add_exp(subparsers)
 
     trace = subparsers.add_parser("trace", help="generate a synthetic trace file")
-    trace.add_argument("--documents", type=int, default=1000)
-    trace.add_argument("--caches", type=int, default=10)
-    trace.add_argument("--request-rate", type=float, default=60.0,
-                       help="requests per minute per cache")
-    trace.add_argument("--update-rate", type=float, default=40.0,
-                       help="updates per minute")
-    trace.add_argument("--alpha", type=float, default=0.9, help="Zipf parameter")
-    trace.add_argument("--duration", type=float, default=60.0, help="minutes")
-    trace.add_argument("--seed", type=int, default=0)
+    _add_workload(trace, documents=1000)
     trace.add_argument("--out", required=True, help="output trace file")
 
     run = subparsers.add_parser("run", help="run one cloud over a generated workload")
-    run.add_argument("--documents", type=int, default=2000)
-    run.add_argument("--caches", type=int, default=10)
-    run.add_argument("--rings", type=int, default=5)
-    run.add_argument("--assignment", choices=[s.value for s in AssignmentScheme],
-                     default="dynamic")
-    run.add_argument("--placement", choices=[s.value for s in PlacementScheme],
-                     default="utility")
-    run.add_argument("--request-rate", type=float, default=60.0)
-    run.add_argument("--update-rate", type=float, default=40.0)
-    run.add_argument("--alpha", type=float, default=0.9)
-    run.add_argument("--duration", type=float, default=60.0)
-    run.add_argument("--cycle", type=float, default=15.0)
-    run.add_argument("--seed", type=int, default=0)
+    _add_workload(run, documents=2000, rings=5)
     run.add_argument(
-        "--telemetry", nargs="?", const="telemetry.json", default=None,
-        metavar="FILE",
+        "--assignment", choices=[s.value for s in AssignmentScheme], default="dynamic"
+    )
+    run.add_argument(
+        "--placement", choices=[s.value for s in PlacementScheme], default="utility"
+    )
+    run.add_argument(
+        "--telemetry", nargs="?", const="telemetry.json", default=None, metavar="FILE",
         help="attach the observability registry and write its JSON artifact "
         "(span trees + per-category latency/bytes histograms) to FILE "
         "(default: telemetry.json)",
     )
 
+    # `observe` and `flight record` trace the same small clustered cloud.
+    traced = dict(
+        documents=300, caches=8, update_rate=30.0, duration=20.0, rings=4, cycle=10.0
+    )
     obs = subparsers.add_parser(
         "observe",
         help="run a small traced workload on a clustered topology and "
         "report span trees plus per-category latency histograms",
     )
-    obs.add_argument("--documents", type=int, default=300)
-    obs.add_argument("--caches", type=int, default=8)
-    obs.add_argument("--rings", type=int, default=4)
-    obs.add_argument("--request-rate", type=float, default=60.0,
-                     help="requests per minute per cache")
-    obs.add_argument("--update-rate", type=float, default=30.0,
-                     help="updates per minute")
-    obs.add_argument("--alpha", type=float, default=0.9, help="Zipf parameter")
-    obs.add_argument("--duration", type=float, default=20.0, help="minutes")
-    obs.add_argument("--cycle", type=float, default=10.0)
-    obs.add_argument("--seed", type=int, default=0)
+    _add_workload(obs, **traced)
     obs.add_argument(
-        "--span-limit", type=int, default=10_000,
-        help="maximum spans retained by the recorder",
+        "--span-limit", type=int, default=10_000, help="maximum spans retained by the recorder"
     )
     obs.add_argument("--out", help="write the telemetry JSON artifact here")
     obs.add_argument(
@@ -196,158 +219,34 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the canonical JSON artifact instead of the text report",
     )
 
-    res = subparsers.add_parser(
-        "resilience",
-        help="sweep hit-rate/origin-load degradation vs loss and churn rates",
-    )
-    _add_scale(res)
-    _add_jobs(res)
-    res.add_argument(
-        "--loss", type=float, nargs="+", default=[0.0, 0.05, 0.2, 0.5],
-        help="message loss rates to sweep (space-separated, in [0, 1])",
-    )
-    res.add_argument(
-        "--churn", type=float, nargs="+", default=[0.0],
-        help="cloud-wide cache failure rates per minute to sweep",
-    )
-    res.add_argument(
-        "--seed", type=int, default=None,
-        help="override the scale's seed (re-derives workload/fault/churn streams)",
-    )
-    res.add_argument("--out", help="archive the sweep result to this JSON file")
-    res.add_argument(
-        "--fingerprint", action="store_true",
-        help="print a SHA-256 fingerprint of the result (determinism checks)",
-    )
-    res.add_argument(
-        "--telemetry", metavar="FILE", default=None,
-        help="additionally re-run the harshest (loss, churn) sweep point "
-        "serially with the observability registry attached and write its "
-        "JSON artifact to FILE",
-    )
-
-    ovl = subparsers.add_parser(
-        "overload",
-        help="flash-crowd sweep: bounded node queues + admission control, "
-        "cooperative vs origin-direct at increasing load multipliers",
-    )
-    _add_scale(ovl)
-    _add_jobs(ovl)
-    ovl.add_argument(
-        "--multipliers", type=float, nargs="+", default=[1.0, 4.0, 16.0],
-        help="load multipliers on the scale's request rate (space-separated)",
-    )
-    ovl.add_argument(
-        "--seed", type=int, default=None,
-        help="override the scale's seed (re-derives the flash-crowd workload)",
-    )
-    ovl.add_argument("--out", help="archive the sweep result to this JSON file")
-    ovl.add_argument(
-        "--fingerprint", action="store_true",
-        help="print a SHA-256 fingerprint of the result (determinism checks)",
-    )
-
-    ela = subparsers.add_parser(
-        "elastic",
-        help="diurnal autoscaling sweep: elastic sizing vs static over-/"
-        "under-provisioning across a day with a flash crowd",
-    )
-    _add_scale(ela)
-    _add_jobs(ela)
-    ela.add_argument(
-        "--seed", type=int, default=None,
-        help="override the scale's seed (re-derives the diurnal workload)",
-    )
-    ela.add_argument("--out", help="archive the sweep result to this JSON file")
-    ela.add_argument(
-        "--fingerprint", action="store_true",
-        help="print a SHA-256 fingerprint of the result (determinism checks)",
-    )
-
-    zoo = subparsers.add_parser(
-        "zoo",
-        help="strategy zoo: every caching strategy (paper placements + "
-        "LCE/LCD/ProbCache/CUP-tree) over one shared workload, ranked",
-    )
-    zoo.add_argument(
-        "--scale",
-        choices=sorted(_ZOO_SCALES),
-        default="small",
-        help="sweep scale (tiny for smoke runs; scale = 1000 caches, "
-        "10M streamed requests per arm)",
-    )
-    _add_jobs(zoo)
-    zoo.add_argument(
-        "--schemes", nargs="+", default=None, metavar="SCHEME",
-        help="subset of strategies to run (default: the whole zoo)",
-    )
-    zoo.add_argument(
-        "--seed", type=int, default=None,
-        help="override the scale's seed (re-derives the shared workload)",
-    )
-    zoo.add_argument(
-        "--checkpoint",
-        help="resume file: completed arms are recorded here and skipped "
-        "when the sweep restarts with the same arguments",
-    )
-    zoo.add_argument(
-        "--materialize", action="store_true",
-        help="build the full trace in memory instead of streaming it "
-        "(value-identical; only useful for memory comparisons)",
-    )
-    zoo.add_argument("--out", help="archive the sweep result to this JSON file")
-    zoo.add_argument(
-        "--fingerprint", action="store_true",
-        help="print a SHA-256 fingerprint of the result (determinism checks)",
-    )
-    zoo.add_argument(
-        "--flight-dir",
-        help="stream one windowed flight artifact per arm to "
-        "<dir>/<scheme>.jsonl (compare arms with `repro flight diff`)",
-    )
-
     flight = subparsers.add_parser(
         "flight",
         help="streaming flight recorder: record a windowed run, render "
         "the throughput/cost dashboard, or diff two artifacts",
     )
-    flight_actions = flight.add_subparsers(dest="flight_action", required=True)
-    rec = flight_actions.add_parser(
+    actions = flight.add_subparsers(dest="flight_action", required=True)
+    rec = actions.add_parser(
         "record",
         help="run a traced workload with the flight recorder attached and "
         "stream the windowed JSONL artifact",
     )
     rec.add_argument("--out", required=True, help="flight artifact (JSONL) path")
-    rec.add_argument("--documents", type=int, default=300)
-    rec.add_argument("--caches", type=int, default=8)
-    rec.add_argument("--rings", type=int, default=4)
-    rec.add_argument("--request-rate", type=float, default=60.0,
-                     help="requests per minute per cache")
-    rec.add_argument("--update-rate", type=float, default=30.0,
-                     help="updates per minute")
-    rec.add_argument("--alpha", type=float, default=0.9, help="Zipf parameter")
-    rec.add_argument("--duration", type=float, default=20.0, help="minutes")
-    rec.add_argument("--cycle", type=float, default=10.0)
-    rec.add_argument("--seed", type=int, default=0)
-    rec.add_argument("--window", type=float, default=1.0,
-                     help="flight window width in simulated minutes")
-    rec.add_argument("--top-docs", type=int, default=5,
-                     help="hottest documents tracked per window")
+    _add_workload(rec, **traced)
     rec.add_argument(
-        "--report", action="store_true",
-        help="render the dashboard after recording",
+        "--window", type=float, default=1.0, help="flight window width in simulated minutes"
     )
-    ren = flight_actions.add_parser(
-        "render", help="render a recorded artifact as a text dashboard"
+    rec.add_argument(
+        "--top-docs", type=int, default=5, help="hottest documents tracked per window"
     )
+    rec.add_argument(
+        "--report", action="store_true", help="render the dashboard after recording"
+    )
+    ren = actions.add_parser("render", help="render a recorded artifact as a text dashboard")
     ren.add_argument("artifact", help="flight artifact (JSONL)")
     ren.add_argument("--html", help="also write an HTML report here")
-    ren.add_argument("--top", type=int, default=5,
-                     help="hottest documents shown")
-    fdiff = flight_actions.add_parser(
-        "diff",
-        help="compare two artifacts with thresholded verdicts "
-        "(exit 1 on any FAIL)",
+    ren.add_argument("--top", type=int, default=5, help="hottest documents shown")
+    fdiff = actions.add_parser(
+        "diff", help="compare two artifacts with thresholded verdicts (exit 1 on any FAIL)"
     )
     fdiff.add_argument("baseline", help="baseline flight artifact")
     fdiff.add_argument("candidate", help="candidate flight artifact")
@@ -356,141 +255,65 @@ def build_parser() -> argparse.ArgumentParser:
         help="relative drift allowed per verdict (default 10%%)",
     )
 
-    aud = subparsers.add_parser(
-        "audit",
-        help="chaos-audit: seeded fault+churn campaigns, quiesced, "
-        "anti-entropy-repaired, and checked against every invariant",
-    )
-    _add_jobs(aud)
-    aud.add_argument(
-        "--seeds", type=int, nargs="+", default=[1, 2],
-        help="scenario seeds (one grid per seed)",
-    )
-    aud.add_argument(
-        "--loss", type=float, nargs="+", default=[0.15, 0.3],
-        help="message loss rates to sweep (space-separated, in [0, 1))",
-    )
-    aud.add_argument(
-        "--churn", type=float, nargs="+", default=[0.0, 0.1],
-        help="cloud-wide cache failure rates per minute to sweep",
-    )
-    aud.add_argument(
-        "--duration", type=float, default=60.0,
-        help="simulated minutes per scenario",
-    )
-    aud.add_argument(
-        "--no-anti-entropy", action="store_true",
-        help="run the grid without background repair (divergence baseline; "
-        "unrepaired violations are reported, not failed on)",
-    )
-    aud.add_argument("--out", help="archive the grid result to this JSON file")
-    aud.add_argument(
-        "--fingerprint", action="store_true",
-        help="print a SHA-256 fingerprint of the result (determinism checks)",
-    )
-
-    compare = subparsers.add_parser(
-        "compare", help="diff two archived experiment results (JSON)"
-    )
+    compare = subparsers.add_parser("compare", help="diff two archived experiment results (JSON)")
     compare.add_argument("old", help="baseline archive")
     compare.add_argument("new", help="candidate archive")
     compare.add_argument(
         "--tolerance", type=float, default=0.05,
         help="relative drift above which a metric is reported (default 5%%)",
     )
-
     return parser
 
 
-def _cmd_figure(args) -> int:
-    scale = _SCALES[args.scale]
-    func = _FIGURES[args.number]
-    result = func(scale, **_jobs_kwargs(func, args))
-    if isinstance(result, tuple):
-        for part in result:
-            print(part.render())
-    else:
-        print(result.render())
-    return 0
+class _Usage(Exception):
+    """A well-formed command line asking for something an experiment lacks."""
 
 
-def _cmd_figures(args) -> int:
-    scale = _SCALES[args.scale]
-    # Figures 7 and 8 share their runs; regenerate them together.
-    for number in ("3", "4", "5", "6"):
-        print(_FIGURES[number](scale, jobs=args.jobs).render())
-    stored, traffic = figures.figure7_and_8(scale, jobs=args.jobs)
-    stored.figure, traffic.figure = "Figure 7", "Figure 8"
-    print(stored.render())
-    print(traffic.render())
-    print(figures.figure9(scale, jobs=args.jobs).render())
-    return 0
-
-
-def _cmd_ablation(args) -> int:
-    func = _ABLATIONS[args.name]
-    print(func(_SCALES[args.scale], **_jobs_kwargs(func, args)).render())
-    return 0
-
-
-def _cmd_extension(args) -> int:
-    func = _EXTENSIONS[args.name]
-    print(func(_SCALES[args.scale], **_jobs_kwargs(func, args)).render())
-    return 0
-
-
-def _cmd_trace(args) -> int:
-    generator = SyntheticTraceGenerator(
-        WorkloadConfig(
-            num_documents=args.documents,
-            num_caches=args.caches,
-            request_rate_per_cache=args.request_rate,
-            update_rate=args.update_rate,
-            alpha_requests=args.alpha,
-            duration_minutes=args.duration,
-            seed=args.seed,
+def _cmd_exp(args: argparse.Namespace) -> int:
+    if args.out and len(args.names) > 1:
+        raise _Usage("--out archives one experiment; name exactly one")
+    try:  # reject a flag, scale or seed an experiment lacks before running any
+        grids = registry.given_grids(args.names, vars(args))
+        for name in args.names:
+            registry.resolve(name, args.scale, args.seed)
+    except ValueError as exc:
+        raise _Usage(str(exc)) from None
+    code = 0
+    for name in args.names:
+        outcome = registry.run(
+            name, args.scale, jobs=args.jobs, seed=args.seed, **grids[name]
         )
-    )
-    count = write_trace(generator.build_trace(), args.out)
+        print(outcome.render())
+        if args.out:
+            save_result(outcome.result, args.out, name)
+            print(f"archived to {args.out}")
+        if args.fingerprint:
+            print(f"fingerprint: {fingerprint(outcome.result)}")
+        if not outcome.ok:
+            code = 1
+    return code
+
+
+def _cmd_trace(args: argparse.Namespace) -> int:
+    count = write_trace(_generator(args).build_trace(), args.out)
     print(f"wrote {count} records to {args.out}")
     return 0
 
 
-def _cmd_run(args) -> int:
-    corpus = build_corpus(args.documents)
-    generator = SyntheticTraceGenerator(
-        WorkloadConfig(
-            num_documents=args.documents,
-            num_caches=args.caches,
-            request_rate_per_cache=args.request_rate,
-            update_rate=args.update_rate,
-            alpha_requests=args.alpha,
-            duration_minutes=args.duration,
-            seed=args.seed,
-        )
-    )
-    config = CloudConfig(
-        num_caches=args.caches,
-        num_rings=args.rings,
-        cycle_length=args.cycle,
-        assignment=AssignmentScheme(args.assignment),
-        placement=PlacementScheme(args.placement),
-        seed=args.seed,
-    )
+def _cmd_run(args: argparse.Namespace) -> int:
     telemetry = None
     if args.telemetry:
         from repro.observe import Telemetry
 
         telemetry = Telemetry()
-    result = run_experiment(
-        config,
-        corpus,
-        generator.requests(),
-        generator.updates(),
-        duration=args.duration,
+    result = _run(
+        args,
+        assignment=args.assignment,
+        placement=args.placement,
         telemetry=telemetry,
     )
     stats = result.stats
+    assert result.load_stats is not None
     print(f"requests={stats.requests} updates={result.updates}")
     print(f"local hit rate={stats.local_hit_rate:.3f} "
           f"cloud hit rate={stats.cloud_hit_rate:.3f}")
@@ -507,13 +330,7 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_observe(args) -> int:
-    import random
-
-    from repro.network.origin import ORIGIN_NODE_ID, OriginServer
-    from repro.network.topology import EuclideanTopology
-    from repro.network.transport import Transport
-    from repro.core.cloud import CacheCloud
+def _cmd_observe(args: argparse.Namespace) -> int:
     from repro.observe import (
         Telemetry,
         dump_json,
@@ -524,51 +341,8 @@ def _cmd_observe(args) -> int:
         write_json,
     )
 
-    corpus = build_corpus(args.documents)
-    generator = SyntheticTraceGenerator(
-        WorkloadConfig(
-            num_documents=args.documents,
-            num_caches=args.caches,
-            request_rate_per_cache=args.request_rate,
-            update_rate=args.update_rate,
-            alpha_requests=args.alpha,
-            duration_minutes=args.duration,
-            seed=args.seed,
-        )
-    )
-    config = CloudConfig(
-        num_caches=args.caches,
-        num_rings=args.rings,
-        cycle_length=args.cycle,
-        seed=args.seed,
-    )
-    # A clustered topology with a far-away origin gives the latency
-    # histograms real shape: peer transfers are cheap, origin fetches are
-    # not, and the span trees show exactly where each request paid.
-    topology = EuclideanTopology.random(
-        args.caches,
-        random.Random(args.seed),
-        extent=100.0,
-        num_clusters=2,
-        cluster_spread=25.0,
-    )
-    topology.add_node(ORIGIN_NODE_ID, (2_000.0, 2_000.0))
-    cloud = CacheCloud(
-        config,
-        corpus,
-        origin=OriginServer(corpus),
-        transport=Transport(topology=topology),
-    )
     telemetry = Telemetry(max_spans=args.span_limit)
-    run_experiment(
-        config,
-        corpus,
-        generator.requests(),
-        generator.updates(),
-        duration=args.duration,
-        cloud=cloud,
-        telemetry=telemetry,
-    )
+    _run(args, clustered=True, telemetry=telemetry)
     if args.json:
         print(dump_json(telemetry))
     else:
@@ -586,179 +360,9 @@ def _cmd_observe(args) -> int:
     return 0
 
 
-def _cmd_resilience(args) -> int:
-    from repro.experiments.reporting import fingerprint, save_result
-    from repro.experiments.resilience import resilience_sweep
-
-    result = resilience_sweep(
-        _SCALES[args.scale],
-        loss_rates=tuple(args.loss),
-        churn_rates=tuple(args.churn),
-        jobs=args.jobs,
-        seed=args.seed,
-    )
-    print(result.render())
-    if args.out:
-        save_result(result, args.out, "resilience")
-        print(f"archived to {args.out}")
-    if args.fingerprint:
-        print(f"fingerprint: {fingerprint(result)}")
-    if args.telemetry:
-        from repro.experiments.resilience import instrumented_point
-        from repro.observe import write_json
-
-        loss_rate = max(args.loss)
-        churn_rate = max(args.churn)
-        _, telemetry = instrumented_point(
-            _SCALES[args.scale],
-            loss_rate=loss_rate,
-            churn_rate=churn_rate,
-            seed=args.seed,
-        )
-        write_json(telemetry, args.telemetry)
-        print(
-            f"telemetry for point (loss={loss_rate}, churn={churn_rate}) "
-            f"-> {args.telemetry}"
-        )
-    return 1 if result.failures else 0
-
-
-def _cmd_overload(args) -> int:
-    from repro.experiments.overload import overload_sweep
-    from repro.experiments.reporting import fingerprint, save_result
-
-    result = overload_sweep(
-        _SCALES[args.scale],
-        multipliers=tuple(args.multipliers),
-        jobs=args.jobs,
-        seed=args.seed,
-    )
-    print(result.render())
-    if args.out:
-        save_result(result, args.out, "overload")
-        print(f"archived to {args.out}")
-    if args.fingerprint:
-        print(f"fingerprint: {fingerprint(result)}")
-    return 1 if result.failures else 0
-
-
-def _cmd_elastic(args) -> int:
-    from repro.experiments.elastic import elastic_sweep
-    from repro.experiments.reporting import fingerprint, save_result
-
-    result = elastic_sweep(
-        _SCALES[args.scale], jobs=args.jobs, seed=args.seed
-    )
-    print(result.render())
-    if args.out:
-        save_result(result, args.out, "elastic")
-        print(f"archived to {args.out}")
-    if args.fingerprint:
-        print(f"fingerprint: {fingerprint(result)}")
-    if result.failures:
-        return 1
-    # The sweep exists to demonstrate the acceptance claims; an arm that
-    # breaks one (or a missing arm) is a failing run, not a shrug.
-    verdicts = result.acceptance()
-    if not verdicts or not all(verdicts.values()):
-        return 1
-    return 0
-
-
-def _cmd_zoo(args) -> int:
-    from repro.experiments.reporting import fingerprint, save_result
-    from repro.experiments.zoo import DEFAULT_SCHEMES, zoo_sweep
-
-    result = zoo_sweep(
-        _ZOO_SCALES[args.scale],
-        schemes=tuple(args.schemes) if args.schemes else DEFAULT_SCHEMES,
-        jobs=args.jobs,
-        seed=args.seed,
-        streaming=not args.materialize,
-        checkpoint=args.checkpoint,
-        flight_dir=args.flight_dir,
-    )
-    print(result.render())
-    if args.out:
-        save_result(result, args.out, "zoo")
-        print(f"archived to {args.out}")
-    if args.fingerprint:
-        print(f"fingerprint: {fingerprint(result)}")
-    return 1 if result.failures else 0
-
-
-def _cmd_flight_record(args) -> int:
-    import random
-
-    from repro.core.cloud import CacheCloud
-    from repro.network.origin import ORIGIN_NODE_ID, OriginServer
-    from repro.network.topology import EuclideanTopology
-    from repro.network.transport import Transport
+def _cmd_flight(args: argparse.Namespace) -> int:
     from repro.observe.flight import (
         FlightRecorder,
-        read_flight,
-        render_flight_report,
-    )
-
-    corpus = build_corpus(args.documents)
-    generator = SyntheticTraceGenerator(
-        WorkloadConfig(
-            num_documents=args.documents,
-            num_caches=args.caches,
-            request_rate_per_cache=args.request_rate,
-            update_rate=args.update_rate,
-            alpha_requests=args.alpha,
-            duration_minutes=args.duration,
-            seed=args.seed,
-        )
-    )
-    config = CloudConfig(
-        num_caches=args.caches,
-        num_rings=args.rings,
-        cycle_length=args.cycle,
-        seed=args.seed,
-    )
-    # Same latency shape as `observe`: clustered caches with a far-away
-    # origin, so the per-category latency columns carry real signal.
-    topology = EuclideanTopology.random(
-        args.caches,
-        random.Random(args.seed),
-        extent=100.0,
-        num_clusters=2,
-        cluster_spread=25.0,
-    )
-    topology.add_node(ORIGIN_NODE_ID, (2_000.0, 2_000.0))
-    cloud = CacheCloud(
-        config,
-        corpus,
-        origin=OriginServer(corpus),
-        transport=Transport(topology=topology),
-    )
-    recorder = FlightRecorder(
-        args.out, window=args.window, top_docs=args.top_docs
-    )
-    run_experiment(
-        config,
-        corpus,
-        generator.requests(),
-        generator.updates(),
-        duration=args.duration,
-        cloud=cloud,
-        flight=recorder,
-    )
-    log = read_flight(args.out)
-    print(
-        f"flight artifact -> {args.out} "
-        f"({len(log.windows)} windows, window={log.window_width:g} min)"
-    )
-    if args.report:
-        print()
-        print(render_flight_report(log, top_k=args.top_docs))
-    return 0
-
-
-def _cmd_flight(args) -> int:
-    from repro.observe.flight import (
         diff_flights,
         read_flight,
         render_flight_html,
@@ -766,7 +370,19 @@ def _cmd_flight(args) -> int:
     )
 
     if args.flight_action == "record":
-        return _cmd_flight_record(args)
+        recorder = FlightRecorder(
+            args.out, window=args.window, top_docs=args.top_docs
+        )
+        _run(args, clustered=True, flight=recorder)
+        log = read_flight(args.out)
+        print(
+            f"flight artifact -> {args.out} "
+            f"({len(log.windows)} windows, window={log.window_width:g} min)"
+        )
+        if args.report:
+            print()
+            print(render_flight_report(log, top_k=args.top_docs))
+        return 0
     if args.flight_action == "render":
         log = read_flight(args.artifact)
         print(render_flight_report(log, top_k=args.top))
@@ -785,35 +401,7 @@ def _cmd_flight(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_audit(args) -> int:
-    from repro.audit.chaos import chaos_audit_grid
-    from repro.experiments.reporting import fingerprint, save_result
-
-    result = chaos_audit_grid(
-        seeds=tuple(args.seeds),
-        loss_rates=tuple(args.loss),
-        churn_rates=tuple(args.churn),
-        anti_entropy=not args.no_anti_entropy,
-        jobs=args.jobs,
-        scenario_overrides={"duration_minutes": args.duration},
-    )
-    print(result.render())
-    if args.out:
-        save_result(result, args.out, "chaos-audit")
-        print(f"archived to {args.out}")
-    if args.fingerprint:
-        print(f"fingerprint: {fingerprint(result)}")
-    if result.failures or result.total_hard_violations:
-        return 1
-    # With repair enabled the bar is absolute: everything must converge.
-    if not args.no_anti_entropy and result.total_unrepaired:
-        return 1
-    return 0
-
-
-def _cmd_compare(args) -> int:
-    from repro.experiments.reporting import compare_runs, load_result
-
+def _cmd_compare(args: argparse.Namespace) -> int:
     old = load_result(args.old)
     new = load_result(args.new)
     drifted = compare_runs(old, new, tolerance=args.tolerance)
@@ -827,28 +415,23 @@ def _cmd_compare(args) -> int:
 
 
 _HANDLERS = {
-    "figure": _cmd_figure,
-    "figures": _cmd_figures,
-    "ablation": _cmd_ablation,
-    "extension": _cmd_extension,
+    "exp": _cmd_exp,
     "trace": _cmd_trace,
     "run": _cmd_run,
     "observe": _cmd_observe,
-    "resilience": _cmd_resilience,
-    "overload": _cmd_overload,
-    "elastic": _cmd_elastic,
-    "zoo": _cmd_zoo,
     "flight": _cmd_flight,
-    "audit": _cmd_audit,
     "compare": _cmd_compare,
 }
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
+    except _Usage as exc:
+        parser.error(str(exc))
     except BrokenPipeError:
         # Downstream reader (head, less) closed the pipe; redirect stdout
         # to devnull so the interpreter's exit-time flush stays quiet.

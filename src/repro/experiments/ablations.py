@@ -12,13 +12,25 @@ These go beyond the paper's figures:
   store threshold.
 * :func:`ablation_cycle_length` — sensitivity of dynamic hashing to the
   sub-range determination period.
+* :func:`ablation_ring_theory` — the closed-form balance model of
+  :mod:`repro.analysis.balance_theory` against an idealized Monte-Carlo and
+  the real machinery.
+
+Each returns a :class:`~repro.experiments.sweeps.SweepTable`; the matching
+``*_claims`` function states what the study is expected to show.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import List, Optional, Tuple
+from dataclasses import replace
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.analysis.balance_theory import (
+    expected_cov_ring_balanced,
+    expected_cov_static,
+    monte_carlo_cov,
+    zipf_load_weights,
+)
 from repro.core.config import (
     AssignmentScheme,
     CloudConfig,
@@ -29,49 +41,42 @@ from repro.experiments.figures import (
     FigureScale,
     SMALL_SCALE,
     _loadbalance_config,
-    _spec,
     _sydney_workload,
     _zipf_workload,
+    figure3,
 )
-from repro.experiments.parallel import run_sweep
-from repro.metrics.report import Table, format_figure_header
+from repro.experiments.parallel import ExperimentSpec
+from repro.experiments.sweeps import SweepTable, run_points, warmed_spec
 from repro.network.bandwidth import TrafficCategory
 
 
-@dataclass
-class AblationResult:
-    """Generic ablation output: labelled rows of named metrics."""
-
-    name: str
-    columns: List[str]
-    rows: List[Tuple] = field(default_factory=list)
-
-    def render(self) -> str:
-        table = Table(self.columns, precision=3)
-        for row in self.rows:
-            table.add_row(*row)
-        return "\n".join(
-            [format_figure_header(f"Ablation: {self.name}", ""), table.render()]
-        )
-
-    def column(self, name: str) -> List:
-        """One column's values across rows."""
-        index = self.columns.index(name)
-        return [row[index] for row in self.rows]
+def _ablation(
+    name: str,
+    columns: Tuple[str, ...],
+    specs: List[ExperimentSpec],
+    jobs: Optional[int],
+    measure: Callable[[Any], Tuple[Any, ...]],
+) -> SweepTable:
+    """Run ``specs``; one ``(key, *measure(run))`` table row per completed point."""
+    runs, failures = run_points(specs, jobs=jobs)
+    return SweepTable(
+        header=(f"Ablation: {name}", ""),
+        columns=columns,
+        rows=[(key, *measure(run)) for key, run in runs.items()],
+        failures=failures,
+        extras={"name": name},
+        precision=3,
+    )
 
 
 def ablation_load_information(
     scale: FigureScale = SMALL_SCALE, jobs: Optional[int] = None
-) -> AblationResult:
+) -> SweepTable:
     """CIrHLd vs CAvgLoad approximation on the Zipf-0.9 workload."""
     workload = _zipf_workload(scale, num_caches=10, alpha=0.9)
-    result = AblationResult(
-        "per-IrH load information (CIrHLd) vs CAvgLoad approximation",
-        ["load info", "CoV", "peak/mean"],
-    )
     variants = (("CIrHLd (exact)", True), ("CAvgLoad (approx)", False))
     specs = [
-        _spec(
+        warmed_spec(
             label,
             _loadbalance_config(
                 AssignmentScheme.DYNAMIC, 10, 5, scale, use_per_irh_load=per_irh
@@ -81,24 +86,32 @@ def ablation_load_information(
         )
         for label, per_irh in variants
     ]
-    for spec, run in zip(specs, run_sweep(specs, jobs=jobs)):
-        result.rows.append(
-            (spec.key, run.load_stats.cov, run.load_stats.peak_to_mean)
-        )
-    return result
+    return _ablation(
+        "per-IrH load information (CIrHLd) vs CAvgLoad approximation",
+        ("load info", "CoV", "peak/mean"),
+        specs,
+        jobs,
+        lambda run: (run.load_stats.cov, run.load_stats.peak_to_mean),
+    )
+
+
+def load_information_claims(table: SweepTable) -> Dict[str, bool]:
+    """The approximation stays usable (paper: "not mandatory")."""
+    exact = table.record("CIrHLd (exact)")["CoV"]
+    approx = table.record("CAvgLoad (approx)")["CoV"]
+    return {
+        "exact_no_worse_than_approximation": exact <= approx * 1.25,
+        "approximation_stays_balanced": approx < 0.5,
+    }
 
 
 def ablation_consistent_hashing(
     scale: FigureScale = SMALL_SCALE, jobs: Optional[int] = None
-) -> AblationResult:
+) -> SweepTable:
     """Static vs consistent vs dynamic hashing: balance + lookup cost."""
     workload = _zipf_workload(scale, num_caches=10, alpha=0.9)
-    result = AblationResult(
-        "assignment scheme (incl. consistent hashing baseline)",
-        ["scheme", "CoV", "peak/mean", "control msgs/lookup"],
-    )
     specs = [
-        _spec(
+        warmed_spec(
             label,
             _loadbalance_config(scheme, 10, 5, scale),
             workload,
@@ -110,30 +123,48 @@ def ablation_consistent_hashing(
             ("dynamic", AssignmentScheme.DYNAMIC),
         )
     ]
-    for spec, run in zip(specs, run_sweep(specs, jobs=jobs)):
+
+    def measure(run: Any) -> Tuple[float, float, float]:
         lookups = run.beacon_lookups_total
         control = run.traffic.messages_for(TrafficCategory.CONTROL)
-        per_lookup = control / lookups if lookups else 0.0
-        result.rows.append(
-            (spec.key, run.load_stats.cov, run.load_stats.peak_to_mean, per_lookup)
+        return (
+            run.load_stats.cov,
+            run.load_stats.peak_to_mean,
+            control / lookups if lookups else 0.0,
         )
-    return result
+
+    return _ablation(
+        "assignment scheme (incl. consistent hashing baseline)",
+        ("scheme", "CoV", "peak/mean", "control msgs/lookup"),
+        specs,
+        jobs,
+        measure,
+    )
+
+
+def consistent_hashing_claims(table: SweepTable) -> Dict[str, bool]:
+    """§2.1's two arguments against consistent hashing."""
+    consistent, dynamic = table.record("consistent"), table.record("dynamic")
+    return {
+        # (a) beacon discovery costs O(log n) control messages per lookup;
+        "consistent_pays_more_control_messages": (
+            consistent["control msgs/lookup"] > dynamic["control msgs/lookup"]
+        ),
+        # (b) uniform URL distribution still imbalances under Zipf skew.
+        "dynamic_balances_better_than_consistent": dynamic["CoV"] < consistent["CoV"],
+    }
 
 
 def ablation_threshold(
     scale: FigureScale = SMALL_SCALE,
     thresholds: Tuple[float, ...] = (0.1, 0.3, 0.5, 0.7, 0.9),
     jobs: Optional[int] = None,
-) -> AblationResult:
+) -> SweepTable:
     """Utility-threshold sweep: stored % and network load."""
     update_rate = 195.0 * scale.update_sweep_scale
     workload = _sydney_workload(scale, num_caches=10, update_rate=update_rate)
-    result = AblationResult(
-        "utility store threshold",
-        ["threshold", "docs stored/cache (%)", "network MB/unit"],
-    )
     specs = [
-        _spec(
+        warmed_spec(
             threshold,
             CloudConfig(
                 num_caches=10,
@@ -149,34 +180,42 @@ def ablation_threshold(
         )
         for threshold in thresholds
     ]
-    for spec, run in zip(specs, run_sweep(specs, jobs=jobs)):
-        result.rows.append(
-            (
-                spec.key,
-                100.0 * run.mean_resident_docs / run.unique_request_docs,
-                run.network_mb_per_unit,
-            )
-        )
-    return result
+    return _ablation(
+        "utility store threshold",
+        ("threshold", "docs stored/cache (%)", "network MB/unit"),
+        specs,
+        jobs,
+        lambda run: (
+            100.0 * run.mean_resident_docs / run.unique_request_docs,
+            run.network_mb_per_unit,
+        ),
+    )
+
+
+def threshold_claims(table: SweepTable) -> Dict[str, bool]:
+    """The threshold interpolates from store-everything to never-store."""
+    stored = table.column("docs stored/cache (%)")
+    return {
+        "stored_share_falls_with_threshold": all(
+            a >= b - 0.5 for a, b in zip(stored, stored[1:])
+        ),
+        "sweep_spans_a_meaningful_range": stored[0] > stored[-1] + 10.0,
+    }
 
 
 def ablation_cycle_length(
     scale: FigureScale = SMALL_SCALE,
     cycle_lengths: Tuple[float, ...] = (5.0, 15.0, 30.0, 60.0),
     jobs: Optional[int] = None,
-) -> AblationResult:
+) -> SweepTable:
     """Sub-range determination period sweep on the Sydney-like workload.
 
     Shorter cycles track drift better but re-announce/migrate more; the
     paper fixes 1 hour without exploring the trade-off.
     """
     workload = _sydney_workload(scale, num_caches=10)
-    result = AblationResult(
-        "sub-range determination cycle length",
-        ["cycle (min)", "CoV", "directory entries migrated"],
-    )
     specs = [
-        _spec(
+        warmed_spec(
             cycle,
             replace(
                 _loadbalance_config(AssignmentScheme.DYNAMIC, 10, 5, scale),
@@ -187,8 +226,75 @@ def ablation_cycle_length(
         )
         for cycle in cycle_lengths
     ]
-    for spec, run in zip(specs, run_sweep(specs, jobs=jobs)):
-        result.rows.append(
-            (spec.key, run.load_stats.cov, run.directory_entries_migrated)
-        )
-    return result
+    return _ablation(
+        "sub-range determination cycle length",
+        ("cycle (min)", "CoV", "directory entries migrated"),
+        specs,
+        jobs,
+        lambda run: (run.load_stats.cov, run.directory_entries_migrated),
+    )
+
+
+def cycle_length_claims(table: SweepTable) -> Dict[str, bool]:
+    """More cycles, more migration; every period stays balanced."""
+    migrated = table.column("directory entries migrated")
+    return {
+        "shorter_cycles_migrate_more": migrated[0] >= migrated[-1],
+        "every_period_stays_balanced": all(c < 1.0 for c in table.column("CoV")),
+    }
+
+
+def ablation_ring_theory(
+    scale: FigureScale = SMALL_SCALE, jobs: Optional[int] = None
+) -> SweepTable:
+    """The analytical balance model vs the real machinery.
+
+    §2.3 claims (proof deferred to an unavailable tech report) that 2-point
+    rings beat static hashing significantly. Three levels on the same
+    Zipf-0.9 weight vector: the closed forms ``CoV_static ≈ sqrt((m-1)·Σw²)``
+    and ``CoV_ring(k) ≈ sqrt((m/k-1)·Σw²)``, an idealized Monte-Carlo
+    (uniform ring assignment + perfect balancing), and the CoV *measured* by
+    the Figure-3 experiment (MD5 hashing + the greedy circular rebalancer).
+    The gaps quantify the model's error and the greedy walk's optimality gap.
+    """
+    weights = zipf_load_weights(scale.num_documents, 0.9)
+    measured = figure3(scale, jobs=jobs)
+    return SweepTable(
+        header=("Ablation: ring-balancing theory validation", ""),
+        columns=("scheme", "closed form", "ideal Monte-Carlo", "measured (greedy)"),
+        rows=[
+            (
+                "static",
+                expected_cov_static(weights, 10),
+                monte_carlo_cov(weights, 10, ring_size=1, trials=150),
+                measured.static.load_stats.cov,
+            ),
+            (
+                "rings(k=2)",
+                expected_cov_ring_balanced(weights, 10, 2),
+                monte_carlo_cov(weights, 10, ring_size=2, trials=150),
+                measured.dynamic.load_stats.cov,
+            ),
+        ],
+        precision=3,
+        title="CoV: theory vs idealized simulation vs the real system",
+    )
+
+
+def ring_theory_claims(table: SweepTable) -> Dict[str, bool]:
+    """Rings beat static at every level, by about the predicted third."""
+    static, rings = table.record("static"), table.record("rings(k=2)")
+    levels = table.columns[1:]
+    improvement = 1.0 - rings["measured (greedy)"] / static["measured (greedy)"]
+    return {
+        "closed_form_tracks_its_idealization": all(
+            abs(row["ideal Monte-Carlo"] - row["closed form"])
+            <= 0.2 * row["closed form"]
+            for row in (static, rings)
+        ),
+        "rings_beat_static_at_every_level": all(
+            rings[level] < static[level] for level in levels
+        ),
+        # The theoretical k=2 improvement at m=10 is exactly 1/3.
+        "measured_improvement_near_a_third": 0.15 < improvement < 0.75,
+    }

@@ -30,13 +30,13 @@ hide behind.
 Determinism: arms share the workload spec, the controller is RNG-free, and
 the monitor runs on the simulated clock — the sweep is value-identical at
 any ``--jobs`` count and fingerprint-stable across runs (CI's
-elastic-smoke job).
+sweep-determinism matrix).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.audit.invariants import InvariantAuditor
 from repro.core.cloud import CacheCloud
@@ -47,17 +47,13 @@ from repro.experiments.figures import SMALL_SCALE, FigureScale
 from repro.experiments.overload import default_overload_config
 from repro.experiments.parallel import (
     ExperimentSpec,
-    FailedRun,
     WorkloadSpec,
     derive_seed,
-    run_sweep,
+    run_live,
 )
-from repro.experiments.runner import run_experiment
+from repro.experiments.sweeps import SweepTable, run_points
 from repro.faults.churn import RETIRE, ChurnEvent
-from repro.metrics.collector import CloudMonitor
-from repro.metrics.report import Table, format_figure_header
 from repro.observe.registry import Telemetry
-from repro.simulation.engine import Simulator
 from repro.workload.sydney import SydneyConfig
 
 #: Number of configured caches in every arm (the paper's cloud size; the
@@ -238,16 +234,7 @@ class ElasticArmResult:
 def _run_point(spec: ExperimentSpec) -> ElasticArmResult:
     """Execute one arm with monitor, telemetry, and scale-in audits."""
     arm = str(spec.key)
-    assert spec.overload is not None
-    assert spec.elastic is not None
-    corpus, trace = spec.workload.materialize()
-    simulator = Simulator()
-    cloud = CacheCloud(spec.config, corpus)
-    controller_overload = cloud.attach_overload(spec.overload)
     telemetry = Telemetry()
-    cloud.attach_telemetry(telemetry)
-    controller = cloud.attach_elastic(spec.elastic, simulator)
-
     audit_violations = 0
     audits = 0
 
@@ -261,23 +248,22 @@ def _run_point(spec: ExperimentSpec) -> ElasticArmResult:
         audits += 1
         audit_violations += report.hard_violations
 
-    controller.add_hook(_audit_scale_in)
-    monitor = CloudMonitor(
-        cloud, simulator, period=spec.duration / MONITOR_WINDOWS
+    def _hook_controller(cloud: CacheCloud) -> None:
+        assert cloud.elastic is not None
+        cloud.elastic.add_hook(_audit_scale_in)
+
+    live = run_live(
+        spec,
+        telemetry=telemetry,
+        monitor_windows=MONITOR_WINDOWS,
+        prepare=_hook_controller,
     )
-    monitor.start()
-    result = run_experiment(
-        spec.config,
-        corpus,
-        trace.requests,
-        trace.updates,
-        duration=spec.duration,
-        warmup=spec.warmup,
-        cloud=cloud,
-        simulator=simulator,
-        audit=True,
-    )
-    stats = controller_overload.stats
+    result, monitor = live.result, live.monitor
+    cloud = result.cloud
+    assert cloud is not None and monitor is not None
+    assert cloud.overload is not None and cloud.elastic is not None
+    controller = cloud.elastic
+    stats = cloud.overload.stats
     arrivals = stats.requests_admitted + stats.requests_rejected
     window = flash_window(spec.duration)
     flash_p99 = telemetry.request_latencies.percentile_in(
@@ -314,111 +300,15 @@ def _run_point(spec: ExperimentSpec) -> ElasticArmResult:
     )
 
 
-@dataclass
-class ElasticSweepResult:
-    """The three-arm comparison, plus monitor series and audit verdicts."""
-
-    columns: Tuple[str, ...] = (
-        "arm",
-        "rejected (%)",
-        "p99 (ms)",
-        "flash p99 (ms)",
-        "node-minutes",
-        "mean size",
-        "scale out/in",
-        "drain MB",
-        "audit viol.",
-    )
-    rows: List[Tuple[Any, ...]] = field(default_factory=list)
-    arms: Dict[str, ElasticArmResult] = field(default_factory=dict)
-    #: arm -> series name -> [(t, value), ...].
-    series: Dict[str, Dict[str, List[Tuple[float, float]]]] = field(
-        default_factory=dict
-    )
-    failures: List[FailedRun] = field(default_factory=list)
-
-    def acceptance(self) -> Dict[str, bool]:
-        """The claims the sweep exists to check, as named booleans.
-
-        Empty (all-absent) when any arm failed; callers treat that as
-        failure.
-        """
-        if set(self.arms) != set(ARMS):
-            return {}
-        elastic = self.arms["elastic"]
-        over = self.arms["over"]
-        under = self.arms["under"]
-        return {
-            # Tail latency during the flash within 10% of always-peak
-            # provisioning...
-            "flash_p99_matches_over": (
-                elastic.flash_p99_ms <= 1.10 * over.flash_p99_ms
-            ),
-            # ...at strictly fewer node-minutes...
-            "fewer_node_minutes_than_over": (
-                elastic.node_minutes < over.node_minutes
-            ),
-            # ...while rejecting strictly fewer clients than the static
-            # minimum (which must actually be suffering, or the scenario
-            # is vacuous).
-            "fewer_rejections_than_under": (
-                under.requests_rejected > 0
-                and elastic.requests_rejected < under.requests_rejected
-            ),
-            # The autoscaler actually scaled both ways...
-            "scaled_both_ways": (
-                elastic.scale_out_events > 0 and elastic.scale_in_events > 0
-            ),
-            # ...and every membership change left the cloud sound.
-            "audits_clean": (
-                elastic.scale_in_audits >= elastic.scale_in_events
-                and elastic.scale_in_audit_violations == 0
-                and all(
-                    arm.final_audit_violations == 0
-                    for arm in self.arms.values()
-                )
-            ),
-        }
-
-    def render(self) -> str:
-        table = Table(list(self.columns), precision=2)
-        for row in self.rows:
-            table.add_row(*row)
-        lines = [
-            format_figure_header(
-                "Elastic",
-                "diurnal autoscaling: elastic vs static over/under provisioning",
-            ),
-            table.render(),
-        ]
-        verdicts = self.acceptance()
-        if verdicts:
-            lines.append(
-                "acceptance: "
-                + "  ".join(
-                    f"{name}={'PASS' if ok else 'FAIL'}"
-                    for name, ok in verdicts.items()
-                )
-            )
-        for failed in self.failures:
-            lines.append(
-                f"FAILED {failed.key}: {failed.error_type}: {failed.error}"
-            )
-        return "\n".join(lines)
-
-
 def elastic_sweep(
-    scale: FigureScale = SMALL_SCALE,
-    jobs: Optional[int] = None,
-    seed: Optional[int] = None,
-) -> ElasticSweepResult:
+    scale: FigureScale = SMALL_SCALE, jobs: Optional[int] = None
+) -> SweepTable:
     """Run the three-arm diurnal comparison; one table row per arm.
 
-    ``seed`` overrides the scale's seed (re-deriving the workload streams,
-    shared by all three arms).
+    The per-arm records and monitor series ride along as ``extras["arms"]``
+    (arm -> :class:`ElasticArmResult`) and ``extras["series"]`` (arm ->
+    series name -> ``[(t, value), ...]``).
     """
-    if seed is not None:
-        scale = replace(scale, seed=seed)
     workload = _diurnal_workload(scale)
     config = _cloud_config(scale)
     overload = _service_model(scale)
@@ -435,16 +325,30 @@ def elastic_sweep(
             warmup=0.0,
             overload=overload,
             elastic=_arm_elastic_config(arm, scale),
+            # The workload is update-free, so the end-of-run audit must be
+            # perfectly clean.
+            audit=True,
         )
         for arm in ARMS
     ]
-    result = ElasticSweepResult()
-    for outcome in run_sweep(specs, jobs=jobs, runner=_run_point):
-        if isinstance(outcome, FailedRun):
-            result.failures.append(outcome)
-            continue
-        result.arms[outcome.arm] = outcome
-        result.rows.append(
+    arms, failures = run_points(specs, jobs=jobs, runner=_run_point)
+    return SweepTable(
+        header=(
+            "Elastic",
+            "diurnal autoscaling: elastic vs static over/under provisioning",
+        ),
+        columns=(
+            "arm",
+            "rejected (%)",
+            "p99 (ms)",
+            "flash p99 (ms)",
+            "node-minutes",
+            "mean size",
+            "scale out/in",
+            "drain MB",
+            "audit viol.",
+        ),
+        rows=[
             (
                 outcome.arm,
                 outcome.rejection_percent,
@@ -454,9 +358,46 @@ def elastic_sweep(
                 outcome.mean_cloud_size,
                 f"{outcome.scale_out_events}/{outcome.scale_in_events}",
                 outcome.drain_bytes / (1024.0 * 1024.0),
-                outcome.scale_in_audit_violations
-                + outcome.final_audit_violations,
+                outcome.scale_in_audit_violations + outcome.final_audit_violations,
             )
-        )
-        result.series[outcome.arm] = outcome.series
-    return result
+            for outcome in arms.values()
+        ],
+        failures=failures,
+        extras={
+            "arms": arms,
+            "series": {arm: outcome.series for arm, outcome in arms.items()},
+        },
+    )
+
+
+def elastic_claims(table: SweepTable) -> Dict[str, bool]:
+    """The claims the sweep exists to check, as named booleans."""
+    arms: Dict[str, ElasticArmResult] = table.extras["arms"]
+    elastic, over, under = (arms[arm] for arm in ARMS)
+    return {
+        # Tail latency during the flash within 10% of always-peak
+        # provisioning...
+        "flash_p99_matches_over": elastic.flash_p99_ms <= 1.10 * over.flash_p99_ms,
+        # ...at strictly fewer node-minutes...
+        "fewer_node_minutes_than_over": elastic.node_minutes < over.node_minutes,
+        # ...while rejecting strictly fewer clients than the static
+        # minimum (which must actually be suffering, or the scenario
+        # is vacuous).
+        "fewer_rejections_than_under": (
+            under.requests_rejected > 0
+            and elastic.requests_rejected < under.requests_rejected
+        ),
+        # The autoscaler actually scaled both ways (a constant size series
+        # means the sweep compared three static arms)...
+        "scaled_both_ways": (
+            elastic.scale_out_events > 0
+            and elastic.scale_in_events > 0
+            and len({size for _, size in elastic.series["cloud_size"]}) > 1
+        ),
+        # ...and every membership change left the cloud sound.
+        "audits_clean": (
+            elastic.scale_in_audits >= elastic.scale_in_events
+            and elastic.scale_in_audit_violations == 0
+            and all(arm.final_audit_violations == 0 for arm in arms.values())
+        ),
+    }

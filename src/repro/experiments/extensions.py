@@ -12,12 +12,19 @@
   update intensity shifts mid-run.
 * :func:`failure_resilience_value` — what the lazy directory replication
   buys: post-failure service quality with and without the buddy replica.
+* :func:`client_latency_comparison` — mean client latency per placement
+  scheme on a metro topology with a far-away origin.
+* :func:`capability_proportionality` — does beacon load track machine
+  capability under each assignment scheme?
+
+Row-shaped results are :class:`~repro.experiments.sweeps.SweepTable`; each
+experiment's ``*_claims`` function states what it is expected to show.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.baselines.leases import CooperativeLeaseCloud, LeaseConfig
@@ -25,73 +32,52 @@ from repro.baselines.ttl import TTLCloud, TTLConfig
 from repro.core.adaptive import FeedbackWeightAdapter
 from repro.core.cloud import CacheCloud
 from repro.core.config import (
+    AssignmentScheme,
     CloudConfig,
     PlacementScheme,
     WEIGHTS_DSCC_OFF,
 )
 from repro.core.edgenetwork import EdgeCacheNetwork
-from repro.experiments.figures import FigureScale, SMALL_SCALE, seed_corpus_rng
-from repro.metrics.report import Table, format_figure_header
+from repro.edgecache.stats import CacheStats
+from repro.experiments.figures import (
+    FigureScale,
+    SMALL_SCALE,
+    _loadbalance_config,
+    _sydney_workload,
+    _zipf_workload,
+)
+from repro.experiments.sweeps import SweepTable, run_points, warmed_spec
+from repro.faults.churn import FAIL, ChurnEvent, ChurnSchedule
+from repro.metrics.report import format_figure_header
+from repro.network.origin import ORIGIN_NODE_ID, OriginServer
 from repro.network.topology import EuclideanTopology
-from repro.workload.documents import Corpus, build_corpus
+from repro.network.transport import Transport
+from repro.workload.documents import Corpus, build_corpus, seed_corpus_rng
 from repro.workload.sydney import SydneyConfig, SydneyTraceGenerator
-from repro.workload.trace import Trace, UpdateRecord
+from repro.workload.trace import RequestRecord, Trace, UpdateRecord
 
 
 # ----------------------------------------------------------------------
 # Consistency-mode comparison
 # ----------------------------------------------------------------------
-@dataclass
-class ConsistencyComparisonResult:
-    """Traffic / staleness / origin-load rows per consistency mode."""
-
-    columns: Tuple[str, ...] = (
-        "mode",
-        "MB/unit",
-        "stale hit rate (%)",
-        "origin msgs/update",
-        "cloud hit rate (%)",
-    )
-    rows: List[Tuple] = field(default_factory=list)
-
-    def row(self, mode: str) -> Tuple:
-        """The row for ``mode``."""
-        for row in self.rows:
-            if row[0] == mode:
-                return row
-        raise KeyError(mode)
-
-    def render(self) -> str:
-        table = Table(list(self.columns), precision=2)
-        for row in self.rows:
-            table.add_row(*row)
-        return "\n".join(
-            [
-                format_figure_header(
-                    "Extension", "consistency modes: push (cache cloud) vs TTL vs leases"
-                ),
-                table.render(),
-            ]
-        )
+def _sydney(scale: FigureScale) -> Tuple[Corpus, Trace]:
+    """The Sydney-like corpus + trace at the scale's observed update rate."""
+    return _sydney_workload(
+        scale, num_caches=10, update_rate=195.0 * scale.update_sweep_scale
+    ).materialize()
 
 
-def _sydney(scale: FigureScale, update_rate: Optional[float] = None) -> Tuple[Corpus, Trace]:
-    corpus = build_corpus(scale.num_documents, seed_corpus_rng(scale.seed))
-    rate = (
-        195.0 * scale.update_sweep_scale if update_rate is None else update_rate
-    )
-    config = SydneyConfig(
-        num_documents=scale.num_documents,
+def _cloud_config(scale: FigureScale, placement: PlacementScheme, **overrides) -> CloudConfig:
+    """The paper's 10-cache, 5-ring cloud at ``scale`` (DsCC off, as in Fig. 7-8)."""
+    return CloudConfig(
         num_caches=10,
-        peak_request_rate_per_cache=scale.request_rate_per_cache,
-        base_update_rate=rate,
-        duration_minutes=scale.duration_minutes,
-        diurnal_period_minutes=scale.duration_minutes,
-        num_epochs=max(2, int(scale.duration_minutes / 60.0)),
-        drift_pool=max(10, scale.num_documents // 10),
+        num_rings=5,
+        cycle_length=scale.cycle_length,
+        placement=placement,
+        utility_weights=WEIGHTS_DSCC_OFF,
         seed=scale.seed,
+        **overrides,
     )
-    return corpus, SydneyTraceGenerator(config).build_trace()
 
 
 def _drive(system, trace: Trace, cycle_hook=None, cycle_length: float = 15.0) -> None:
@@ -110,24 +96,25 @@ def consistency_mode_comparison(
     scale: FigureScale = SMALL_SCALE,
     ttl_minutes: float = 15.0,
     lease_minutes: float = 30.0,
-) -> ConsistencyComparisonResult:
+) -> SweepTable:
     """Push vs TTL vs cooperative leases on the same Sydney-like trace."""
     corpus, trace = _sydney(scale)
     duration = scale.duration_minutes
-    result = ConsistencyComparisonResult()
+    result = SweepTable(
+        header=(
+            "Extension", "consistency modes: push (cache cloud) vs TTL vs leases"
+        ),
+        columns=(
+            "mode",
+            "MB/unit",
+            "stale hit rate (%)",
+            "origin msgs/update",
+            "cloud hit rate (%)",
+        ),
+    )
 
     # Push-based cache cloud (the paper's design).
-    cloud = CacheCloud(
-        CloudConfig(
-            num_caches=10,
-            num_rings=5,
-            cycle_length=scale.cycle_length,
-            placement=PlacementScheme.UTILITY,
-            utility_weights=WEIGHTS_DSCC_OFF,
-            seed=scale.seed,
-        ),
-        corpus,
-    )
+    cloud = CacheCloud(_cloud_config(scale, PlacementScheme.UTILITY), corpus)
     _drive(cloud, trace, cycle_hook=cloud.run_cycle, cycle_length=scale.cycle_length)
     stats = cloud.aggregate_stats()
     result.rows.append(
@@ -170,56 +157,38 @@ def consistency_mode_comparison(
     return result
 
 
+def consistency_claims(table: SweepTable) -> Dict[str, bool]:
+    """The paper's §5 positioning, quantified."""
+    push, ttl, leases = table.records()
+    return {
+        "push_never_serves_stale": push["stale hit rate (%)"] == 0.0,
+        "ttl_serves_stale": ttl["stale hit rate (%)"] > 1.0,
+        "leases_fresher_than_ttl": (
+            leases["stale hit rate (%)"] < ttl["stale hit rate (%)"]
+        ),
+        # Push pays for freshness in bandwidth (bodies travel on updates)...
+        "push_pays_in_bandwidth": push["MB/unit"] > ttl["MB/unit"],
+        # ...with exactly one origin message per update.
+        "one_origin_message_per_update": abs(push["origin msgs/update"] - 1.0) < 0.05,
+    }
+
+
 # ----------------------------------------------------------------------
 # Multi-cloud update savings
 # ----------------------------------------------------------------------
-@dataclass
-class MultiCloudResult:
-    """Server update messages vs network size."""
-
-    cloud_counts: List[int]
-    cooperative_messages: List[int] = field(default_factory=list)
-    per_holder_messages: List[int] = field(default_factory=list)
-    hit_rates: List[float] = field(default_factory=list)
-
-    def savings_at(self, num_clouds: int) -> float:
-        """Relative server-message saving of cooperation at ``num_clouds``."""
-        index = self.cloud_counts.index(num_clouds)
-        per_holder = self.per_holder_messages[index]
-        if per_holder == 0:
-            return 0.0
-        return 1.0 - self.cooperative_messages[index] / per_holder
-
-    def render(self) -> str:
-        table = Table(
-            ["clouds", "coop msgs", "per-holder msgs", "saving (%)", "hit rate (%)"],
-            precision=1,
-        )
-        for i, n in enumerate(self.cloud_counts):
-            table.add_row(
-                n,
-                self.cooperative_messages[i],
-                self.per_holder_messages[i],
-                100.0 * self.savings_at(n),
-                100.0 * self.hit_rates[i],
-            )
-        return "\n".join(
-            [
-                format_figure_header(
-                    "Extension", "multi-cloud edge network: server update messages"
-                ),
-                table.render(),
-            ]
-        )
-
-
 def multi_cloud_update_savings(
     scale: FigureScale = SMALL_SCALE,
     cloud_counts: Tuple[int, ...] = (1, 2, 4),
     caches_per_cloud: int = 8,
-) -> MultiCloudResult:
+) -> SweepTable:
     """Server update messages: one-per-cloud vs one-per-holder."""
-    result = MultiCloudResult(list(cloud_counts))
+    result = SweepTable(
+        header=("Extension", "multi-cloud edge network: server update messages"),
+        columns=(
+            "clouds", "coop msgs", "per-holder msgs", "saving (%)", "hit rate (%)"
+        ),
+        precision=1,
+    )
     for num_clouds in cloud_counts:
         num_caches = num_clouds * caches_per_cloud
         rng = random.Random(scale.seed)
@@ -275,10 +244,28 @@ def multi_cloud_update_savings(
             else:
                 network.handle_request(record.cache_id, record.doc_id, record.time)
         stats = network.stats()
-        result.cooperative_messages.append(stats.server_update_messages)
-        result.per_holder_messages.append(per_holder)
-        result.hit_rates.append(stats.cloud_hit_rate)
+        cooperative = stats.server_update_messages
+        result.rows.append(
+            (
+                num_clouds,
+                cooperative,
+                per_holder,
+                100.0 * (1.0 - cooperative / per_holder) if per_holder else 0.0,
+                100.0 * stats.cloud_hit_rate,
+            )
+        )
     return result
+
+
+def multi_cloud_claims(table: SweepTable) -> Dict[str, bool]:
+    """One update message per holding cloud beats one per holding cache."""
+    cooperative = table.column("coop msgs")
+    return {
+        "cooperation_saves_most_update_messages": all(
+            saving > 40.0 for saving in table.column("saving (%)")
+        ),
+        "messages_grow_with_clouds": cooperative == sorted(cooperative),
+    }
 
 
 # ----------------------------------------------------------------------
@@ -353,8 +340,6 @@ def adaptive_weights_comparison(
                 seed=seed,
             )
         ).build_trace()
-        from repro.workload.trace import RequestRecord
-
         return Trace(
             requests=[
                 RequestRecord(r.time + offset, r.cache_id, r.doc_id)
@@ -371,17 +356,7 @@ def adaptive_weights_comparison(
     )
 
     def run(adaptive: bool):
-        cloud = CacheCloud(
-            CloudConfig(
-                num_caches=10,
-                num_rings=5,
-                cycle_length=scale.cycle_length,
-                placement=PlacementScheme.UTILITY,
-                utility_weights=WEIGHTS_DSCC_OFF,
-                seed=scale.seed,
-            ),
-            corpus,
-        )
+        cloud = CacheCloud(_cloud_config(scale, PlacementScheme.UTILITY), corpus)
         adapter = (
             FeedbackWeightAdapter(cloud.placement, cloud.transport.meter)
             if adaptive
@@ -407,45 +382,19 @@ def adaptive_weights_comparison(
     )
 
 
+def adaptive_weights_claims(result: AdaptiveWeightsResult) -> Dict[str, bool]:
+    """The controller adapts, stays normalized, and never makes things worse."""
+    return {
+        "controller_adapted": result.steps >= 3,
+        "adaptive_not_worse_than_fixed": result.adaptive_mb <= result.fixed_mb * 1.05,
+        "weights_stay_normalized": abs(sum(result.final_weights.values()) - 1.0) < 1e-9,
+    }
+
+
 # ----------------------------------------------------------------------
 # Failure resilience
 # ----------------------------------------------------------------------
-@dataclass
-class FailureResilienceResult:
-    """Post-failure service quality, with vs without the buddy replica."""
-
-    columns: Tuple[str, ...] = (
-        "variant",
-        "cloud hit rate (%)",
-        "origin fetches",
-        "directory repairs",
-        "failovers",
-        "redirected requests",
-    )
-    rows: List[Tuple] = field(default_factory=list)
-
-    def row(self, variant: str) -> Tuple:
-        """The row for ``variant``."""
-        for row in self.rows:
-            if row[0] == variant:
-                return row
-        raise KeyError(variant)
-
-    def render(self) -> str:
-        table = Table(list(self.columns), precision=2)
-        for row in self.rows:
-            table.add_row(*row)
-        return "\n".join(
-            [
-                format_figure_header(
-                    "Extension", "value of lazy directory replication under failure"
-                ),
-                table.render(),
-            ]
-        )
-
-
-def failure_resilience_value(scale: FigureScale = SMALL_SCALE) -> FailureResilienceResult:
+def failure_resilience_value(scale: FigureScale = SMALL_SCALE) -> SweepTable:
     """Measure what the buddy replica buys after a beacon-point crash.
 
     Two identical clouds are warmed on the first half of a trace; the
@@ -458,25 +407,25 @@ def failure_resilience_value(scale: FigureScale = SMALL_SCALE) -> FailureResilie
     post-failure service quality; requests addressed to the dead cache are
     redirected (and counted) by the churn machinery.
     """
-    from repro.edgecache.stats import CacheStats
-    from repro.faults.churn import FAIL, ChurnEvent, ChurnSchedule
-
     corpus, trace = _sydney(scale)
     half_time = scale.duration_minutes / 2.0
     first = [r for r in trace.requests if r.time < half_time]
     second = [r for r in trace.requests if r.time >= half_time]
-    result = FailureResilienceResult()
+    result = SweepTable(
+        header=("Extension", "value of lazy directory replication under failure"),
+        columns=(
+            "variant",
+            "cloud hit rate (%)",
+            "origin fetches",
+            "directory repairs",
+            "failovers",
+            "redirected requests",
+        ),
+    )
 
     for variant in ("with replica", "without replica"):
         cloud = CacheCloud(
-            CloudConfig(
-                num_caches=10,
-                num_rings=5,
-                cycle_length=scale.cycle_length,
-                placement=PlacementScheme.AD_HOC,
-                failure_resilience=True,
-                seed=scale.seed,
-            ),
+            _cloud_config(scale, PlacementScheme.AD_HOC, failure_resilience=True),
             corpus,
         )
         for record in first:
@@ -511,43 +460,21 @@ def failure_resilience_value(scale: FigureScale = SMALL_SCALE) -> FailureResilie
     return result
 
 
+def failure_resilience_claims(table: SweepTable) -> Dict[str, bool]:
+    """The replica preserves lookup state across the crash."""
+    kept, lost = table.record("with replica"), table.record("without replica")
+    return {
+        "replica_saves_origin_fetches": kept["origin fetches"] < lost["origin fetches"],
+        "replica_keeps_hit_rate": (
+            kept["cloud hit rate (%)"] >= lost["cloud hit rate (%)"] - 0.2
+        ),
+    }
+
+
 # ----------------------------------------------------------------------
 # Client latency
 # ----------------------------------------------------------------------
-@dataclass
-class LatencyComparisonResult:
-    """Mean client latency per placement scheme on a real topology."""
-
-    columns: Tuple[str, ...] = (
-        "scheme",
-        "mean latency (ms)",
-        "local hit (%)",
-        "cloud hit (%)",
-    )
-    rows: List[Tuple] = field(default_factory=list)
-
-    def latency(self, scheme: str) -> float:
-        """Mean latency for ``scheme``."""
-        for row in self.rows:
-            if row[0] == scheme:
-                return row[1]
-        raise KeyError(scheme)
-
-    def render(self) -> str:
-        table = Table(list(self.columns), precision=2)
-        for row in self.rows:
-            table.add_row(*row)
-        return "\n".join(
-            [
-                format_figure_header(
-                    "Extension", "client latency by placement scheme (far origin)"
-                ),
-                table.render(),
-            ]
-        )
-
-
-def client_latency_comparison(scale: FigureScale = SMALL_SCALE) -> LatencyComparisonResult:
+def client_latency_comparison(scale: FigureScale = SMALL_SCALE) -> SweepTable:
     """Mean client-perceived latency per placement scheme.
 
     A metro-clustered topology puts the caches ~5 ms apart and the origin
@@ -557,9 +484,6 @@ def client_latency_comparison(scale: FigureScale = SMALL_SCALE) -> LatencyCompar
     client latency; the isolated-caches baseline shows the cost of no
     cooperation at all.
     """
-    from repro.network.origin import ORIGIN_NODE_ID, OriginServer
-    from repro.network.transport import Transport
-
     corpus, trace = _sydney(scale)
     rng = random.Random(scale.seed)
     topology = EuclideanTopology.random(
@@ -567,7 +491,10 @@ def client_latency_comparison(scale: FigureScale = SMALL_SCALE) -> LatencyCompar
     )
     topology.add_node(ORIGIN_NODE_ID, (2_000.0, 2_000.0))  # a far-away origin
 
-    result = LatencyComparisonResult()
+    result = SweepTable(
+        header=("Extension", "client latency by placement scheme (far origin)"),
+        columns=("scheme", "mean latency (ms)", "local hit (%)", "cloud hit (%)"),
+    )
     schemes = [
         ("ad hoc", PlacementScheme.AD_HOC, True),
         ("utility", PlacementScheme.UTILITY, True),
@@ -577,15 +504,7 @@ def client_latency_comparison(scale: FigureScale = SMALL_SCALE) -> LatencyCompar
     ]
     for label, placement, cooperation in schemes:
         cloud = CacheCloud(
-            CloudConfig(
-                num_caches=10,
-                num_rings=5,
-                cycle_length=scale.cycle_length,
-                placement=placement,
-                utility_weights=WEIGHTS_DSCC_OFF,
-                cooperation=cooperation,
-                seed=scale.seed,
-            ),
+            _cloud_config(scale, placement, cooperation=cooperation),
             corpus,
             origin=OriginServer(corpus),
             transport=Transport(topology=topology),
@@ -603,84 +522,59 @@ def client_latency_comparison(scale: FigureScale = SMALL_SCALE) -> LatencyCompar
     return result
 
 
+def latency_claims(table: SweepTable) -> Dict[str, bool]:
+    """Where each scheme's requests are served, read off the latency."""
+    latency = dict(zip(table.column("scheme"), table.column("mean latency (ms)")))
+    cooperative = ("ad hoc", "utility", "expiration age", "beacon")
+    return {
+        "cooperation_halves_latency": all(
+            latency[scheme] < latency["no cooperation"] / 2 for scheme in cooperative
+        ),
+        # Replication-friendly schemes serve closer to the client than the
+        # single-copy beacon policy.
+        "replicating_schemes_beat_beacon": (
+            latency["utility"] < latency["beacon"]
+            and latency["ad hoc"] < latency["beacon"]
+        ),
+        # Utility trades a little latency for its traffic savings, but stays
+        # in ad hoc's neighbourhood, far from beacon's.
+        "utility_stays_near_adhoc": (
+            latency["utility"] < (latency["ad hoc"] + latency["beacon"]) / 2
+        ),
+    }
+
+
 # ----------------------------------------------------------------------
 # Heterogeneous capabilities
 # ----------------------------------------------------------------------
-@dataclass
-class CapabilityProportionalityResult:
-    """How well each scheme matches load to machine capability."""
-
-    capabilities: List[float]
-    static_loads: Dict[int, float] = field(default_factory=dict)
-    dynamic_loads: Dict[int, float] = field(default_factory=dict)
-
-    def _imbalance(self, loads: Dict[int, float]) -> float:
-        """Mean relative deviation of load-per-unit-capability from its mean."""
-        per_capability = [
-            loads[cache_id] / self.capabilities[cache_id] for cache_id in loads
-        ]
-        mean = sum(per_capability) / len(per_capability)
-        if mean == 0:
-            return 0.0
-        return sum(abs(v - mean) for v in per_capability) / (len(per_capability) * mean)
-
-    @property
-    def static_imbalance(self) -> float:
-        """Capability-normalized imbalance under static hashing."""
-        return self._imbalance(self.static_loads)
-
-    @property
-    def dynamic_imbalance(self) -> float:
-        """Capability-normalized imbalance under dynamic hashing."""
-        return self._imbalance(self.dynamic_loads)
-
-    def render(self) -> str:
-        table = Table(
-            ["cache", "capability", "static load", "dynamic load"], precision=1
-        )
-        for cache_id in sorted(self.static_loads):
-            table.add_row(
-                cache_id,
-                self.capabilities[cache_id],
-                self.static_loads[cache_id],
-                self.dynamic_loads[cache_id],
-            )
-        return "\n".join(
-            [
-                format_figure_header(
-                    "Extension", "capability-proportional load shares"
-                ),
-                table.render(),
-                f"load/capability imbalance: static={self.static_imbalance:.3f} "
-                f"dynamic={self.dynamic_imbalance:.3f}",
-            ]
-        )
+def _imbalance(loads: List[float], capabilities: List[float]) -> float:
+    """Mean relative deviation of load-per-unit-capability from its mean."""
+    per_capability = [load / cap for load, cap in zip(loads, capabilities)]
+    mean = sum(per_capability) / len(per_capability)
+    if mean == 0:
+        return 0.0
+    return sum(abs(v - mean) for v in per_capability) / (len(per_capability) * mean)
 
 
 def capability_proportionality(
     scale: FigureScale = SMALL_SCALE,
     capabilities: Optional[List[float]] = None,
     jobs: Optional[int] = None,
-) -> CapabilityProportionalityResult:
+) -> SweepTable:
     """Heterogeneous cloud: does load track capability?
 
     §2.3 weighs each beacon point's fair share by its capability; static
     hashing is capability-blind. Half the cloud runs on 3x machines by
-    default.
+    default. One row per cache; the capability-normalized imbalance of each
+    scheme rides along as ``extras["static_imbalance"]`` /
+    ``extras["dynamic_imbalance"]``.
     """
-    from dataclasses import replace
-
-    from repro.core.config import AssignmentScheme
-    from repro.experiments.figures import _loadbalance_config, _spec, _zipf_workload
-    from repro.experiments.parallel import run_sweep
-
     capabilities = capabilities if capabilities is not None else [3.0] * 5 + [1.0] * 5
     if len(capabilities) != 10:
         raise ValueError("capability experiment expects 10 caches")
     workload = _zipf_workload(scale, num_caches=10, alpha=0.9)
-    result = CapabilityProportionalityResult(capabilities=list(capabilities))
     specs = [
-        _spec(
+        warmed_spec(
             scheme,
             replace(
                 _loadbalance_config(scheme, 10, 5, scale),
@@ -691,7 +585,37 @@ def capability_proportionality(
         )
         for scheme in (AssignmentScheme.STATIC, AssignmentScheme.DYNAMIC)
     ]
-    static, dynamic = run_sweep(specs, jobs=jobs)
-    result.static_loads = dict(static.beacon_loads)
-    result.dynamic_loads = dict(dynamic.beacon_loads)
-    return result
+    runs, _ = run_points(specs, jobs=jobs, strict=True)
+    static, dynamic = (
+        [runs[scheme].beacon_loads[cache] for cache in range(10)]
+        for scheme in (AssignmentScheme.STATIC, AssignmentScheme.DYNAMIC)
+    )
+    imbalance = {
+        "static_imbalance": _imbalance(static, capabilities),
+        "dynamic_imbalance": _imbalance(dynamic, capabilities),
+    }
+    return SweepTable(
+        header=("Extension", "capability-proportional load shares"),
+        columns=("cache", "capability", "static load", "dynamic load"),
+        rows=list(zip(range(10), capabilities, static, dynamic)),
+        extras=imbalance,
+        precision=1,
+        footer=[
+            "load/capability imbalance: "
+            f"static={imbalance['static_imbalance']:.3f} "
+            f"dynamic={imbalance['dynamic_imbalance']:.3f}"
+        ],
+    )
+
+
+def capability_claims(table: SweepTable) -> Dict[str, bool]:
+    """Dynamic hashing tracks capability; static hashing is blind to it."""
+    caps, loads = table.column("capability"), table.column("dynamic load")
+    strong = sum(load for cap, load in zip(caps, loads) if cap == max(caps))
+    weak = sum(load for cap, load in zip(caps, loads) if cap == min(caps))
+    return {
+        "dynamic_respects_capability": (
+            table.extras["dynamic_imbalance"] < table.extras["static_imbalance"] * 0.8
+        ),
+        "strong_machines_carry_more": strong > 1.5 * weak,
+    }

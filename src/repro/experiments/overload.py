@@ -21,30 +21,25 @@ windows is visible, not just the totals.
 Determinism: both arms of a load point share one :class:`WorkloadSpec`
 (identical trace), all randomness flows from seeds, and the monitor runs
 on the simulated clock — the sweep is value-identical at any ``--jobs``
-count and fingerprint-stable across runs (CI's overload-smoke job).
+count and fingerprint-stable across runs (CI's sweep-determinism matrix).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.cloud import CacheCloud
 from repro.core.config import AssignmentScheme, CloudConfig, PlacementScheme
 from repro.core.overload import OverloadConfig
 from repro.experiments.figures import SMALL_SCALE, FigureScale
 from repro.experiments.parallel import (
     ExperimentSpec,
-    FailedRun,
     WorkloadSpec,
     derive_seed,
-    run_sweep,
+    run_live,
 )
-from repro.experiments.runner import run_experiment
+from repro.experiments.sweeps import SweepTable, run_points
 from repro.faults.plan import RetryPolicy
-from repro.metrics.collector import CloudMonitor
-from repro.metrics.report import Table, format_figure_header
-from repro.simulation.engine import Simulator
 from repro.workload.sydney import SydneyConfig
 
 #: Number of caches in every sweep point (the paper's cloud size).
@@ -160,35 +155,19 @@ class OverloadPointResult:
 def _run_point(spec: ExperimentSpec) -> OverloadPointResult:
     """Execute one sweep point with an armed monitor (picklable runner).
 
-    Builds the cloud and simulator in-process so the
-    :class:`CloudMonitor` can be scheduled on the same simulated clock the
-    experiment runs on, then packages the scalar summary + windowed series
-    into a detached record (the live cloud never crosses the process
-    boundary).
+    The :class:`~repro.metrics.collector.CloudMonitor` runs on the same
+    simulated clock as the experiment; the scalar summary + windowed series
+    are packaged into a detached record (the live cloud never crosses the
+    process boundary).
     """
     key = spec.key
     assert isinstance(key, tuple)
     multiplier, arm = key
-    assert spec.overload is not None  # every sweep point carries the model
-    corpus, trace = spec.workload.materialize()
-    simulator = Simulator()
-    cloud = CacheCloud(spec.config, corpus)
-    controller = cloud.attach_overload(spec.overload)
-    monitor = CloudMonitor(
-        cloud, simulator, period=spec.duration / MONITOR_WINDOWS
-    )
-    monitor.start()
-    result = run_experiment(
-        spec.config,
-        corpus,
-        trace.requests,
-        trace.updates,
-        duration=spec.duration,
-        warmup=spec.warmup,
-        cloud=cloud,
-        simulator=simulator,
-    )
-    stats = controller.stats
+    live = run_live(spec, monitor_windows=MONITOR_WINDOWS)
+    result, monitor = live.result, live.monitor
+    assert result.cloud is not None and result.cloud.overload is not None
+    assert monitor is not None
+    stats = result.cloud.overload.stats
     arrivals = stats.requests_admitted + stats.requests_rejected
     return OverloadPointResult(
         multiplier=float(multiplier),
@@ -216,74 +195,25 @@ def _run_point(spec: ExperimentSpec) -> OverloadPointResult:
     )
 
 
-@dataclass
-class OverloadSweepResult:
-    """Rows over the (load multiplier × arm) grid, plus monitor series."""
-
-    columns: Tuple[str, ...] = (
-        "load x",
-        "arm",
-        "rejected (%)",
-        "shed (%)",
-        "avg queue depth",
-        "cloud hit rate (%)",
-        "origin fetches",
-        "mean latency (ms)",
-    )
-    rows: List[Tuple[Any, ...]] = field(default_factory=list)
-    #: "multiplier:arm" -> series name -> [(t, value), ...].
-    series: Dict[str, Dict[str, List[Tuple[float, float]]]] = field(
-        default_factory=dict
-    )
-    #: Sweep points that failed both attempts (empty on healthy runs).
-    failures: List[FailedRun] = field(default_factory=list)
-
-    @staticmethod
-    def point_key(multiplier: float, arm: str) -> str:
-        """The ``series`` key for one sweep point."""
-        return f"{multiplier:g}:{arm}"
-
-    def row(self, multiplier: float, arm: str) -> Tuple[Any, ...]:
-        """The row for the ``(multiplier, arm)`` sweep point."""
-        for row in self.rows:
-            if row[0] == multiplier and row[1] == arm:
-                return row
-        raise KeyError((multiplier, arm))
-
-    def render(self) -> str:
-        table = Table(list(self.columns), precision=2)
-        for row in self.rows:
-            table.add_row(*row)
-        lines = [
-            format_figure_header(
-                "Overload",
-                "flash-crowd saturation: cooperative vs origin-direct",
-            ),
-            table.render(),
-        ]
-        for failed in self.failures:
-            lines.append(
-                f"FAILED {failed.key}: {failed.error_type}: {failed.error}"
-            )
-        return "\n".join(lines)
+def point_key(multiplier: float, arm: str) -> str:
+    """The ``series`` key for one sweep point."""
+    return f"{multiplier:g}:{arm}"
 
 
 def overload_sweep(
     scale: FigureScale = SMALL_SCALE,
     multipliers: Sequence[float] = DEFAULT_MULTIPLIERS,
     jobs: Optional[int] = None,
-    seed: Optional[int] = None,
     overload: Optional[OverloadConfig] = None,
-) -> OverloadSweepResult:
+) -> SweepTable:
     """Run the (load multiplier × arm) grid; one table row per point.
 
     Both arms of a load point run the *same* flash-crowd trace under the
     *same* service model; the only variable is whether misses are handled
-    cooperatively. ``seed`` overrides the scale's seed (re-deriving the
-    workload); ``overload`` overrides the icarus-shaped default config.
+    cooperatively. ``overload`` overrides the icarus-shaped default config.
+    The monitor series ride along as ``extras["series"]``
+    (``"multiplier:arm"`` -> series name -> ``[(t, value), ...]``).
     """
-    if seed is not None:
-        scale = replace(scale, seed=seed)
     config = overload if overload is not None else default_overload_config()
     specs: List[ExperimentSpec] = []
     for multiplier in multipliers:
@@ -304,24 +234,67 @@ def overload_sweep(
                 )
             )
 
-    result = OverloadSweepResult()
-    for outcome in run_sweep(specs, jobs=jobs, runner=_run_point):
-        if isinstance(outcome, FailedRun):
-            result.failures.append(outcome)
-            continue
-        result.rows.append(
+    points, failures = run_points(specs, jobs=jobs, runner=_run_point)
+    return SweepTable(
+        header=("Overload", "flash-crowd saturation: cooperative vs origin-direct"),
+        columns=(
+            "load x",
+            "arm",
+            "rejected (%)",
+            "shed (%)",
+            "avg queue depth",
+            "cloud hit rate (%)",
+            "origin fetches",
+            "mean latency (ms)",
+        ),
+        keys=("load x", "arm"),
+        rows=[
             (
-                outcome.multiplier,
-                outcome.arm,
-                outcome.rejection_percent,
-                outcome.shed_percent,
-                outcome.avg_queue_depth,
-                outcome.cloud_hit_percent,
-                outcome.origin_fetches,
-                outcome.mean_latency_ms,
+                point.multiplier,
+                point.arm,
+                point.rejection_percent,
+                point.shed_percent,
+                point.avg_queue_depth,
+                point.cloud_hit_percent,
+                point.origin_fetches,
+                point.mean_latency_ms,
             )
+            for point in points.values()
+        ],
+        failures=failures,
+        extras={
+            "series": {
+                point_key(point.multiplier, point.arm): point.series
+                for point in points.values()
+            }
+        },
+    )
+
+
+def overload_claims(table: SweepTable) -> Dict[str, bool]:
+    """Saturation engages shedding and rejection; only cooperation is shed."""
+    records = table.records()
+    cooperative = sorted(
+        (r for r in records if r["arm"] == "cooperative"), key=lambda r: r["load x"]
+    )
+    claims = {
+        "rejections_grow_with_load": all(
+            a["rejected (%)"] <= b["rejected (%)"]
+            for a, b in zip(cooperative, cooperative[1:])
+        ),
+        # The direct arm has no cooperative work to shed.
+        "only_cooperative_work_is_shed": all(
+            r["shed (%)"] == 0.0 for r in records if r["arm"] == "direct"
+        ),
+    }
+    # The default service model crosses utilization 1.0 below 16x at every
+    # scale; a sweep that stops short of it claims nothing about saturation.
+    saturated = [r for r in cooperative if r["load x"] >= 16.0]
+    if saturated:
+        claims["saturation_rejects_clients"] = all(
+            r["rejected (%)"] > 0.0 for r in saturated
         )
-        result.series[
-            OverloadSweepResult.point_key(outcome.multiplier, outcome.arm)
-        ] = outcome.series
-    return result
+        claims["saturation_sheds_cooperative_work"] = all(
+            r["shed (%)"] > 0.0 for r in saturated
+        )
+    return claims

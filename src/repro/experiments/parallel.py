@@ -6,10 +6,13 @@ parameter, update rate, ...). This module fans such sweeps out over worker
 processes:
 
 * :class:`WorkloadSpec` — a small, picklable recipe for a (corpus, trace)
-  pair. Workers materialize the workload locally from seeds, so only the
+  pair. Workers rebuild the workload locally from seeds, so only the
   recipe crosses the process boundary, never multi-million-record traces.
 * :class:`ExperimentSpec` — one runnable experiment: cloud configuration +
   workload recipe + run window. Built in the parent, executed anywhere.
+* :func:`run_live` — the one spec-driven run body (streamed workload,
+  optional telemetry / monitor observers, live cloud kept);
+  :func:`run_spec` is its detached, picklable form.
 * :func:`run_sweep` — the driver: executes specs on a
   :class:`~concurrent.futures.ProcessPoolExecutor` with ``jobs`` workers,
   collects results in submission order, and logs per-run timing. ``jobs=1``
@@ -48,13 +51,16 @@ from typing import (
     Union,
 )
 
+from repro.core.cloud import CacheCloud
 from repro.core.config import CloudConfig
 from repro.core.elastic import ElasticConfig
 from repro.core.overload import OverloadConfig
 from repro.experiments.runner import ExperimentResult, run_experiment
 from repro.faults.churn import ChurnSpec
 from repro.faults.plan import FaultPlan
+from repro.metrics.collector import CloudMonitor
 from repro.observe.flight import FlightSpec
+from repro.simulation.engine import Simulator
 from repro.strategies.spec import StrategySpec, build_strategy
 from repro.workload.documents import Corpus, build_corpus, seed_corpus_rng
 from repro.workload.generator import SyntheticTraceGenerator, WorkloadConfig
@@ -63,6 +69,7 @@ from repro.workload.trace import RequestStreamStats, Trace
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
     from repro.audit.antientropy import AntiEntropyConfig
+    from repro.observe.registry import Telemetry
 
 logger = logging.getLogger(__name__)
 
@@ -118,8 +125,8 @@ class WorkloadSpec:
 
         Both generator classes expose lazy ``requests()`` / ``updates()``
         iterators whose values are exactly what :meth:`build_trace` would
-        list out — the streaming run path and the materialized run path see
-        identical records.
+        list out — a streamed run and ``run_experiment`` over the
+        materialized trace see identical records.
         """
         if isinstance(self.generator_config, SydneyConfig):
             return SydneyTraceGenerator(self.generator_config)
@@ -140,7 +147,7 @@ class ExperimentSpec:
 
     ``key`` labels the spec in logs and lets sweep builders map ordered
     results back to sweep coordinates. Specs are built in the parent and
-    stay small — the corpus and trace are materialized in the worker.
+    stay small — the corpus is built and the trace streamed in the worker.
     """
 
     key: object
@@ -171,14 +178,10 @@ class ExperimentSpec:
     #: never by :class:`CloudConfig` — so results embedding the config stay
     #: schema-identical (golden fingerprints untouched).
     strategy: Optional[StrategySpec] = None
-    #: Feed the workload through lazy iterators instead of materializing
-    #: the trace list. Value-identical records; peak resident trace state
-    #: drops from O(requests) to O(generator window).
-    streaming: bool = False
     #: Optional flight-recorder recipe (:mod:`repro.observe.flight`); the
     #: worker builds the recorder and streams the windowed artifact to
     #: ``flight.path``. Same-seed runs produce byte-identical artifacts
-    #: regardless of ``--jobs`` or ``streaming``.
+    #: at any ``--jobs`` count.
     flight: Optional[FlightSpec] = None
 
 
@@ -206,57 +209,86 @@ SweepResult = Union[ExperimentResult, FailedRun]
 R = TypeVar("R")
 
 
-def run_spec(spec: ExperimentSpec) -> ExperimentResult:
-    """Execute one spec; returns a detached (cloud-free, picklable) result."""
+@dataclass
+class LiveRun:
+    """One executed spec with its live observers still attached.
+
+    ``result.cloud`` is the live cloud; :func:`run_spec` ships the detached
+    result, while monitored runners read the monitor series, telemetry or
+    controller statistics first and package their own detached record.
+    """
+
+    result: ExperimentResult
+    monitor: Optional[CloudMonitor] = None
+
+
+def run_live(
+    spec: ExperimentSpec,
+    telemetry: Optional["Telemetry"] = None,
+    monitor_windows: int = 0,
+    prepare: Optional[Callable[[CacheCloud], None]] = None,
+) -> LiveRun:
+    """Execute one spec in-process and keep the cloud and observers live.
+
+    The one body every spec-driven run goes through. The workload is
+    streamed — the trace is never held as a list, and the counting wrapper
+    preserves ``unique_request_docs`` at O(corpus) state; the records are
+    exactly what :meth:`WorkloadSpec.build_trace` would list out.
+
+    ``telemetry`` attaches an observability registry; ``monitor_windows``
+    arms a :class:`~repro.metrics.collector.CloudMonitor` sampling that
+    many windows on the run's own simulated clock; ``prepare`` sees the
+    fully attached cloud before the first record (e.g. to hook the elastic
+    controller). Attach order — overload, telemetry, elastic, monitor — is
+    part of the determinism contract: same-tick periodic events fire in
+    the order they were scheduled.
+    """
     corpus = spec.workload.build_corpus()
     strategy = (
         build_strategy(spec.strategy, spec.config)
         if spec.strategy is not None
         else None
     )
-    flight = spec.flight.build() if spec.flight is not None else None
-    if spec.streaming:
-        # Out-of-core path: the trace is never held as a list. The counting
-        # wrapper preserves ``unique_request_docs`` at O(corpus) state.
-        generator = spec.workload.build_generator()
-        counter = RequestStreamStats(generator.requests())
-        result = run_experiment(
-            spec.config,
-            corpus,
-            counter,
-            generator.updates(),
-            duration=spec.duration,
-            warmup=spec.warmup,
-            fault_plan=spec.fault_plan,
-            churn=spec.churn,
-            anti_entropy=spec.anti_entropy,
-            audit=spec.audit,
-            overload=spec.overload,
-            elastic=spec.elastic,
-            strategy=strategy,
-            flight=flight,
+    simulator = Simulator()
+    cloud = CacheCloud(spec.config, corpus, strategy=strategy)
+    if spec.overload is not None:
+        cloud.attach_overload(spec.overload)
+    if telemetry is not None:
+        cloud.attach_telemetry(telemetry)
+    if spec.elastic is not None:
+        cloud.attach_elastic(spec.elastic, simulator)
+    if prepare is not None:
+        prepare(cloud)
+    monitor = None
+    if monitor_windows:
+        monitor = CloudMonitor(
+            cloud, simulator, period=spec.duration / monitor_windows
         )
-        result.unique_request_docs = counter.unique_docs
-        return result.detached()
-    trace = spec.workload.build_trace()
+        monitor.start()
+    generator = spec.workload.build_generator()
+    counter = RequestStreamStats(generator.requests())
     result = run_experiment(
         spec.config,
         corpus,
-        trace.requests,
-        trace.updates,
+        counter,
+        generator.updates(),
         duration=spec.duration,
         warmup=spec.warmup,
+        cloud=cloud,
         fault_plan=spec.fault_plan,
         churn=spec.churn,
         anti_entropy=spec.anti_entropy,
         audit=spec.audit,
-        overload=spec.overload,
-        elastic=spec.elastic,
-        strategy=strategy,
-        flight=flight,
+        simulator=simulator,
+        flight=spec.flight.build() if spec.flight is not None else None,
     )
-    result.unique_request_docs = len(trace.request_counts_by_doc())
-    return result.detached()
+    result.unique_request_docs = counter.unique_docs
+    return LiveRun(result=result, monitor=monitor)
+
+
+def run_spec(spec: ExperimentSpec) -> ExperimentResult:
+    """Execute one spec; returns a detached (cloud-free, picklable) result."""
+    return run_live(spec).result.detached()
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:

@@ -29,11 +29,16 @@ SCHEMA_VERSION = 1
 def to_jsonable(value: Any) -> Any:
     """Convert experiment objects into JSON-serializable structures.
 
-    Handles dataclasses (recursively), enums (by value), mappings with
+    Handles results that choose their own archive form (a ``payload()``
+    method, e.g. :class:`~repro.experiments.sweeps.SweepTable`),
+    dataclasses (recursively), enums (by value), mappings with
     tuple/int keys (stringified), sets/frozensets (sorted lists), and the
     basic scalar/sequence types. Anything else falls back to ``repr`` —
     archives must never fail because a result grew a new field.
     """
+    payload = getattr(value, "payload", None)
+    if callable(payload) and not isinstance(value, type):
+        return to_jsonable(payload())
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {
             field.name: to_jsonable(getattr(value, field.name))

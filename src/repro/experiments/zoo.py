@@ -13,30 +13,25 @@ Determinism: all arms share one :class:`WorkloadSpec` and one config seed
 (common random numbers — arms differ only by the strategy under study);
 ProbCache's coin flips come from its own derived stream, so the shared
 streams see zero extra draws. The sweep is value-identical at any
-``--jobs`` count and fingerprint-stable across runs (CI's zoo-smoke job).
+``--jobs`` count and fingerprint-stable across runs (CI's sweep-determinism
+matrix).
 
-Scale: arms run *streamed* — the trace is generated lazily and never
-materialized — so the ``ZOO_SCALE`` preset (1000 caches, ten million
+Scale: spec-driven runs stream their trace — it is generated lazily and
+never materialized — so the ``ZOO_SCALE`` preset (1000 caches, ten million
 requests per arm) is bounded by cloud state, not trace length. Long sweeps
 can pass ``checkpoint=`` to resume interrupted runs arm-by-arm.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.core.config import AssignmentScheme, CloudConfig, PlacementScheme
-from repro.experiments.parallel import (
-    ExperimentSpec,
-    FailedRun,
-    WorkloadSpec,
-    derive_seed,
-    run_sweep,
-)
+from repro.experiments.parallel import WorkloadSpec, derive_seed
 from repro.experiments.runner import ExperimentResult
-from repro.metrics.report import Table, format_figure_header
+from repro.experiments.sweeps import SweepTable, run_points, warmed_spec
 from repro.observe.flight import FlightSpec
 from repro.strategies.spec import KNOWN_SCHEMES, StrategySpec
 from repro.workload.generator import WorkloadConfig
@@ -159,57 +154,6 @@ def _zoo_config(scale: ZooScale, capacity_bytes: int) -> CloudConfig:
     )
 
 
-@dataclass
-class ZooSweepResult:
-    """Ranked rows over the strategy zoo (rank 1 = best cloud hit rate)."""
-
-    scale_label: str = ""
-    requests_per_arm: int = 0
-    columns: Tuple[str, ...] = (
-        "rank",
-        "strategy",
-        "cloud hit (%)",
-        "local hit (%)",
-        "origin fetches",
-        "net MB/min",
-        "docs stored (%)",
-        "stores",
-        "rejects",
-    )
-    rows: List[Tuple[Any, ...]] = field(default_factory=list)
-    #: Sweep arms that failed both attempts (empty on healthy runs).
-    failures: List[FailedRun] = field(default_factory=list)
-
-    def ranking(self) -> List[str]:
-        """Strategy names, best first."""
-        return [str(row[1]) for row in self.rows]
-
-    def row(self, scheme: str) -> Tuple[Any, ...]:
-        """The row for one strategy."""
-        for row in self.rows:
-            if row[1] == scheme:
-                return row
-        raise KeyError(scheme)
-
-    def render(self) -> str:
-        table = Table(list(self.columns), precision=2)
-        for row in self.rows:
-            table.add_row(*row)
-        lines = [
-            format_figure_header(
-                "Zoo",
-                f"strategy ranking, {self.scale_label} scale "
-                f"({self.requests_per_arm:,} requests per arm)",
-            ),
-            table.render(),
-        ]
-        for failed in self.failures:
-            lines.append(
-                f"FAILED {failed.key}: {failed.error_type}: {failed.error}"
-            )
-        return "\n".join(lines)
-
-
 def _rank_key(outcome: ExperimentResult) -> Tuple[float, float, float]:
     """Sort key: cloud hit rate down, then network cost up, then origin up.
 
@@ -228,24 +172,19 @@ def zoo_sweep(
     scale: ZooScale = ZOO_SMALL,
     schemes: Sequence[str] = DEFAULT_SCHEMES,
     jobs: Optional[int] = None,
-    seed: Optional[int] = None,
-    streaming: bool = True,
     checkpoint: Optional[Union[str, Path]] = None,
     flight_dir: Optional[Union[str, Path]] = None,
-) -> ZooSweepResult:
+) -> SweepTable:
     """Run every strategy over the shared workload; one ranked row per arm.
 
-    ``seed`` overrides the scale's seed (re-deriving workload and cloud
-    randomness together). ``checkpoint`` names a resume file: completed
-    arms are recorded as they finish and skipped when the sweep is re-run
-    with the same arguments (see
+    Rank 1 is the best cloud hit rate. ``checkpoint`` names a resume file:
+    completed arms are recorded as they finish and skipped when the sweep
+    is re-run with the same arguments (see
     :func:`~repro.experiments.parallel.run_sweep`). ``flight_dir`` turns
     on the flight recorder per arm: each scheme streams a windowed JSONL
     artifact to ``<flight_dir>/<scheme>.jsonl`` (window = one cycle
     length), comparable across arms with ``repro flight diff``.
     """
-    if seed is not None:
-        scale = replace(scale, seed=seed)
     for scheme in schemes:
         if scheme not in KNOWN_SCHEMES:
             raise ValueError(
@@ -258,56 +197,74 @@ def zoo_sweep(
     capacity = max(1, int(corpus.total_bytes * scale.disk_fraction))
     config = _zoo_config(scale, capacity)
     if flight_dir is not None:
-        flight_base = Path(flight_dir)
-        flight_base.mkdir(parents=True, exist_ok=True)
+        Path(flight_dir).mkdir(parents=True, exist_ok=True)
 
     def _flight(scheme: str) -> Optional[FlightSpec]:
         if flight_dir is None:
             return None
         return FlightSpec(
-            path=str(flight_base / f"{scheme}.jsonl"),
+            path=str(Path(flight_dir) / f"{scheme}.jsonl"),
             window=scale.cycle_length,
         )
 
     specs = [
-        ExperimentSpec(
-            key=scheme,
-            config=config,
-            workload=workload,
-            duration=scale.duration_minutes,
-            warmup=min(2.0 * scale.cycle_length, scale.duration_minutes / 2.0),
+        warmed_spec(
+            scheme,
+            config,
+            workload,
+            scale.duration_minutes,
             strategy=StrategySpec(scheme=scheme),
-            streaming=streaming,
             flight=_flight(scheme),
         )
         for scheme in schemes
     ]
-
-    result = ZooSweepResult(
-        scale_label=scale.label, requests_per_arm=int(scale.requests_total)
-    )
-    ranked: List[Tuple[str, ExperimentResult]] = []
-    for spec, outcome in zip(
-        specs, run_sweep(specs, jobs=jobs, checkpoint=checkpoint)
-    ):
-        if isinstance(outcome, FailedRun):
-            result.failures.append(outcome)
-            continue
-        ranked.append((str(spec.key), outcome))
-    ranked.sort(key=lambda pair: _rank_key(pair[1]))
-    for rank, (scheme, outcome) in enumerate(ranked, start=1):
-        stats = outcome.stats
-        result.rows.append(
+    runs, failures = run_points(specs, jobs=jobs, checkpoint=checkpoint)
+    ranked = sorted(runs.items(), key=lambda pair: _rank_key(pair[1]))
+    requests_per_arm = int(scale.requests_total)
+    return SweepTable(
+        header=(
+            "Zoo",
+            f"strategy ranking, {scale.label} scale "
+            f"({requests_per_arm:,} requests per arm)",
+        ),
+        columns=(
+            "rank",
+            "strategy",
+            "cloud hit (%)",
+            "local hit (%)",
+            "origin fetches",
+            "net MB/min",
+            "docs stored (%)",
+            "stores",
+            "rejects",
+        ),
+        keys=("strategy",),
+        rows=[
             (
                 rank,
                 scheme,
-                100.0 * stats.cloud_hit_rate,
-                100.0 * stats.local_hit_rate,
-                stats.origin_fetches,
-                outcome.network_mb_per_unit,
-                outcome.docs_stored_percent,
-                stats.stores,
-                stats.placement_rejects,
+                100.0 * run.stats.cloud_hit_rate,
+                100.0 * run.stats.local_hit_rate,
+                run.stats.origin_fetches,
+                run.network_mb_per_unit,
+                run.docs_stored_percent,
+                run.stats.stores,
+                run.stats.placement_rejects,
             )
-        )
-    return result
+            for rank, (scheme, run) in enumerate(ranked, start=1)
+        ],
+        failures=failures,
+        extras={"scale_label": scale.label, "requests_per_arm": requests_per_arm},
+    )
+
+
+def zoo_claims(table: SweepTable) -> Dict[str, bool]:
+    """The zoo is a ranking, not a mirror hall."""
+    hit_rates = table.column("cloud hit (%)")
+    claims = {
+        "ranked_by_cloud_hit_rate": hit_rates == sorted(hit_rates, reverse=True),
+    }
+    if len(table.rows) > 1:
+        # Every strategy storing identically would mean the seam is inert.
+        claims["schemes_differentiate"] = len(set(table.column("stores"))) > 1
+    return claims

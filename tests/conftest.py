@@ -59,3 +59,49 @@ def cloud_factory(small_corpus):
         return make_cloud(small_corpus, **kwargs)
 
     return factory
+
+
+@pytest.fixture(scope="session")
+def smoke():
+    """``smoke(name)``: the registry entry's tiny-scale outcome, run once.
+
+    The experiment tests read one shared serial run per entry instead of
+    re-running it per module; treat the outcome as read-only.
+    """
+    from repro.experiments import registry
+
+    outcomes = {}
+
+    def outcome(name):
+        if name not in outcomes:
+            outcomes[name] = registry.run(name, registry.SMOKE_SCALE, jobs=1)
+        return outcomes[name]
+
+    return outcome
+
+
+def run_materialized(spec):
+    """Run ``spec`` from its fully materialized trace: the streaming reference.
+
+    Spec-driven runs stream their workload (``run_spec``); this is the
+    value-identity oracle — the same spec fed from ``materialize()``'s
+    lists through :func:`~repro.experiments.runner.run_experiment`.
+    """
+    from repro.experiments.runner import run_experiment
+    from repro.strategies.spec import build_strategy
+
+    corpus, trace = spec.workload.materialize()
+    result = run_experiment(
+        spec.config,
+        corpus,
+        trace.requests,
+        trace.updates,
+        duration=spec.duration,
+        warmup=spec.warmup,
+        strategy=(
+            build_strategy(spec.strategy, spec.config) if spec.strategy else None
+        ),
+        flight=spec.flight.build() if spec.flight else None,
+    )
+    result.unique_request_docs = len(trace.request_counts_by_doc())
+    return result.detached()

@@ -5,6 +5,20 @@ import pytest
 from repro.cli import build_parser, main
 
 
+#: The nine sweep verbs `repro exp` replaced, each with a once-valid tail.
+REMOVED_VERBS = [
+    ["figure", "3"],
+    ["figures"],
+    ["ablation", "threshold"],
+    ["extension", "consistency"],
+    ["resilience"],
+    ["overload"],
+    ["elastic"],
+    ["zoo"],
+    ["audit"],
+]
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -12,13 +26,13 @@ class TestParser:
 
     def test_figure_requires_valid_number(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["figure", "12"])
+            build_parser().parse_args(["exp", "fig12"])
 
     def test_scale_choices(self):
-        args = build_parser().parse_args(["figure", "3", "--scale", "tiny"])
+        args = build_parser().parse_args(["exp", "fig3", "--scale", "tiny"])
         assert args.scale == "tiny"
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["figure", "3", "--scale", "huge"])
+            build_parser().parse_args(["exp", "fig3", "--scale", "huge"])
 
     def test_trace_requires_out(self):
         with pytest.raises(SystemExit):
@@ -26,33 +40,114 @@ class TestParser:
 
     def test_elastic_flags_parse(self):
         args = build_parser().parse_args(
-            ["elastic", "--scale", "tiny", "--jobs", "2", "--seed", "9",
+            ["exp", "elastic", "--scale", "tiny", "--jobs", "2", "--seed", "9",
              "--fingerprint"]
         )
-        assert args.command == "elastic"
+        assert args.command == "exp"
+        assert args.names == ["elastic"]
         assert args.scale == "tiny"
         assert args.jobs == 2
         assert args.seed == 9
         assert args.fingerprint
         assert args.out is None
 
+    @pytest.mark.parametrize("argv", REMOVED_VERBS, ids=lambda argv: argv[0])
+    def test_removed_verbs_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_exactly_six_verbs(self):
+        (verbs,) = [
+            action.choices
+            for action in build_parser()._actions
+            if action.dest == "command"
+        ]
+        assert list(verbs) == ["exp", "trace", "run", "observe", "flight", "compare"]
+
+    def test_experiment_flags_come_from_the_registry(self):
+        from repro.experiments.registry import REGISTRY
+
+        parser = build_parser()
+        for entry in REGISTRY.values():
+            args = parser.parse_args(["exp", entry.name])
+            # Ungiven grid flags stay absent: each entry applies its own default.
+            assert not {param.name for param in entry.params} & set(vars(args))
+        args = parser.parse_args(
+            ["exp", "audit", "--seeds", "3", "4", "--no-anti-entropy", "--duration", "5"]
+        )
+        assert (args.seeds, args.anti_entropy, args.duration) == ([3, 4], False, 5.0)
+
+
+class TestExpUsageErrors:
+    """Well-formed command lines asking for something an experiment lacks."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["exp", "fig3", "--loss", "0.1"], "--loss applies to none of: fig3"),
+            (["exp", "audit", "--scale", "paper"], "audit has no 'paper' scale"),
+            (["exp", "audit", "--seed", "3"], "takes no root seed"),
+            (["exp", "fig3", "fig4", "--out", "x.json"], "name exactly one"),
+        ],
+    )
+    def test_rejected_before_anything_runs(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
 
 class TestCommands:
     def test_figure3_tiny(self, capsys):
-        assert main(["figure", "3", "--scale", "tiny"]) == 0
+        # One claim is known-false at the tiny scale (dynamic peak/mean is
+        # 1.453 there), and a false claim is a failing run.
+        assert main(["exp", "fig3", "--scale", "tiny"]) == 1
         out = capsys.readouterr().out
         assert "Figure 3" in out
         assert "peak/mean" in out
+        assert "dynamic_peak_below_static=PASS" in out
+        assert "dynamic_peak_below_1.45=FAIL" in out
 
     def test_ablation_load_info_tiny(self, capsys):
-        assert main(["ablation", "load-info", "--scale", "tiny"]) == 0
+        assert main(["exp", "load-info", "--scale", "tiny"]) == 0
         out = capsys.readouterr().out
         assert "CIrHLd" in out
 
     def test_extension_consistency_tiny(self, capsys):
-        assert main(["extension", "consistency", "--scale", "tiny"]) == 0
+        assert main(["exp", "consistency", "--scale", "tiny"]) == 0
         out = capsys.readouterr().out
         assert "TTL" in out
+
+    def test_several_experiments_in_one_invocation(self, capsys):
+        code = main(
+            ["exp", "failure-resilience", "zoo", "--scale", "tiny",
+             "--schemes", "lce", "lcd", "--fingerprint"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.index("lazy directory replication") < out.index("strategy ranking")
+        assert out.count("claims: ") == out.count("fingerprint: ") == 2
+        assert "probcache" not in out  # --schemes reached the zoo only
+
+    def test_resilience_telemetry_reruns_the_harshest_point(self, tmp_path, capsys):
+        import json
+
+        artifact = tmp_path / "harshest.json"
+        code = main(
+            ["exp", "resilience", "--scale", "tiny", "--loss", "0", "0.2",
+             "--churn", "0", "--telemetry", str(artifact)]
+        )
+        assert code == 0
+        assert f"telemetry for point (loss=0.2, churn=0.0) -> {artifact}" in (
+            capsys.readouterr().out
+        )
+        data = json.loads(artifact.read_text())
+        assert data["spans"]["recorded"] > 0
+        assert any(key.startswith("latency_ms.") for key in data["histograms"])
 
     def test_trace_generation(self, tmp_path, capsys):
         out_file = tmp_path / "trace.txt"
@@ -103,17 +198,17 @@ class TestCommands:
 
 class TestResilienceSeedFlag:
     def test_seed_parses(self):
-        args = build_parser().parse_args(["resilience", "--seed", "42"])
+        args = build_parser().parse_args(["exp", "resilience", "--seed", "42"])
         assert args.seed == 42
 
     def test_seed_defaults_to_none(self):
-        args = build_parser().parse_args(["resilience"])
+        args = build_parser().parse_args(["exp", "resilience"])
         assert args.seed is None
 
 
 class TestAuditCommand:
     _FAST = [
-        "audit",
+        "exp", "audit",
         "--seeds", "1",
         "--loss", "0.3",
         "--churn", "0.1",
@@ -130,10 +225,11 @@ class TestAuditCommand:
         code = main(self._FAST + ["--no-anti-entropy"])
         out = capsys.readouterr().out
         assert "anti-entropy OFF" in out
-        # Unrepaired divergence is expected (and tolerated) with repair
-        # off; only hard violations would fail the command.
+        # Unrepaired divergence is what the control arm claims; only hard
+        # violations (or no divergence at all) would fail the command.
         assert code == 0
-        assert "unrepaired" in out
+        assert "verdict: unrepaired=" in out
+        assert "divergence_persists_without_repair=PASS" in out
 
     def test_fingerprint_and_archive(self, tmp_path, capsys):
         out_file = tmp_path / "audit.json"
@@ -302,6 +398,6 @@ class TestFlightCommand:
 
     def test_zoo_flight_dir_parses(self):
         args = build_parser().parse_args(
-            ["zoo", "--scale", "tiny", "--flight-dir", "arms"]
+            ["exp", "zoo", "--scale", "tiny", "--flight-dir", "arms"]
         )
         assert args.flight_dir == "arms"

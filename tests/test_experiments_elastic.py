@@ -1,11 +1,10 @@
 """The diurnal autoscaling sweep: arms, acceptance, and determinism.
 
 The tiny-scale sweep runs in a few seconds and is the anchor here: its
-acceptance verdicts (elastic matches the over-provisioned arm's flash
-tail at fewer node-minutes, beats the under-provisioned arm's rejection
-rate, scales both ways, audits clean) are asserted directly, and the
-fingerprint must be identical at any job count (CI's elastic-smoke job
-re-checks this cross-process).
+claims (elastic matches the over-provisioned arm's flash tail at fewer
+node-minutes, beats the under-provisioned arm's rejection rate, scales
+both ways, audits clean) are asserted directly; job-count invariance of
+its fingerprint is the registry test's (``test_experiments_registry``).
 """
 
 import pytest
@@ -17,16 +16,21 @@ from repro.experiments.elastic import (
     NUM_CACHES,
     _arm_elastic_config,
     _service_model,
-    elastic_sweep,
     flash_window,
 )
+from repro.experiments import registry
 from repro.experiments.figures import SMALL_SCALE, TINY_SCALE
 from repro.experiments.reporting import fingerprint
 
 
 @pytest.fixture(scope="module")
-def tiny_sweep():
-    return elastic_sweep(TINY_SCALE, jobs=1)
+def tiny_sweep(smoke):
+    return smoke("elastic").result
+
+
+@pytest.fixture(scope="module")
+def arms(tiny_sweep):
+    return tiny_sweep.extras["arms"]
 
 
 class TestArmConfigs:
@@ -66,19 +70,26 @@ class TestArmConfigs:
 
 
 class TestTinySweep:
-    def test_all_arms_complete(self, tiny_sweep):
+    def test_all_arms_complete(self, tiny_sweep, arms):
         assert not tiny_sweep.failures
-        assert set(tiny_sweep.arms) == set(ARMS)
-        assert len(tiny_sweep.rows) == len(ARMS)
+        assert set(arms) == set(ARMS)
+        assert tiny_sweep.column("arm") == list(ARMS)
+        assert set(tiny_sweep.extras["series"]) == set(ARMS)
 
-    def test_acceptance_criteria_hold(self, tiny_sweep):
-        verdicts = tiny_sweep.acceptance()
-        assert verdicts, "an arm is missing"
+    def test_acceptance_criteria_hold(self, smoke):
+        verdicts = smoke("elastic").claims
+        assert set(verdicts) == {
+            "flash_p99_matches_over",
+            "fewer_node_minutes_than_over",
+            "fewer_rejections_than_under",
+            "scaled_both_ways",
+            "audits_clean",
+        }
         failing = [name for name, ok in verdicts.items() if not ok]
         assert not failing, f"acceptance failed: {failing}"
 
-    def test_elastic_arm_actually_scaled(self, tiny_sweep):
-        elastic = tiny_sweep.arms["elastic"]
+    def test_elastic_arm_actually_scaled(self, arms):
+        elastic = arms["elastic"]
         assert elastic.scale_out_events > 0
         assert elastic.scale_in_events > 0
         # The vacuity check CI's smoke job also runs: the size series must
@@ -88,33 +99,29 @@ class TestTinySweep:
         assert elastic.drain_bytes > 0
         assert elastic.docs_handed_off > 0
 
-    def test_static_arms_never_scale(self, tiny_sweep):
+    def test_static_arms_never_scale(self, arms):
         for arm in ("over", "under"):
-            result = tiny_sweep.arms[arm]
+            result = arms[arm]
             assert result.scale_out_events == 0
             assert result.scale_in_events == 0
             sizes = {v for _, v in result.series["cloud_size"]}
             assert len(sizes) == 1
 
-    def test_scale_in_audits_ran_and_were_clean(self, tiny_sweep):
-        elastic = tiny_sweep.arms["elastic"]
+    def test_scale_in_audits_ran_and_were_clean(self, arms):
+        elastic = arms["elastic"]
         assert elastic.scale_in_audits >= elastic.scale_in_events > 0
         assert elastic.scale_in_audit_violations == 0
-        for result in tiny_sweep.arms.values():
+        for result in arms.values():
             assert result.final_audit_violations == 0
 
-    def test_render_reports_verdicts(self, tiny_sweep):
-        rendered = tiny_sweep.render()
-        assert "acceptance:" in rendered
+    def test_render_reports_verdicts(self, smoke):
+        rendered = smoke("elastic").render()
+        assert "claims: flash_p99_matches_over=PASS" in rendered
         assert "FAIL" not in rendered
         for arm in ARMS:
             assert arm in rendered
 
-    def test_fingerprint_is_job_count_invariant(self, tiny_sweep):
-        parallel = elastic_sweep(TINY_SCALE, jobs=2)
-        assert fingerprint(parallel) == fingerprint(tiny_sweep)
-
     def test_seed_override_changes_the_workload(self, tiny_sweep):
-        reseeded = elastic_sweep(TINY_SCALE, jobs=1, seed=99)
+        reseeded = registry.run("elastic", "tiny", jobs=1, seed=99).result
         assert fingerprint(reseeded) != fingerprint(tiny_sweep)
-        assert set(reseeded.arms) == set(ARMS)
+        assert set(reseeded.extras["arms"]) == set(ARMS)

@@ -1,19 +1,17 @@
-"""Smoke + shape tests for the extension experiments (tiny scale)."""
+"""Smoke + shape tests for the extension experiments (tiny scale).
+
+Each result is the registry's shared smoke run (``smoke`` fixture).
+"""
 
 import pytest
 
-from repro.experiments.extensions import (
-    adaptive_weights_comparison,
-    consistency_mode_comparison,
-    multi_cloud_update_savings,
-)
 from repro.experiments.figures import TINY_SCALE
 
 
 class TestConsistencyComparison:
     @pytest.fixture(scope="class")
-    def result(self):
-        return consistency_mode_comparison(TINY_SCALE)
+    def result(self, smoke):
+        return smoke("consistency").result
 
     def test_three_modes_present(self, result):
         modes = [row[0] for row in result.rows]
@@ -39,22 +37,23 @@ class TestConsistencyComparison:
 
 class TestMultiCloudSavings:
     @pytest.fixture(scope="class")
-    def result(self):
-        return multi_cloud_update_savings(
-            TINY_SCALE, cloud_counts=(1, 2), caches_per_cloud=4
-        )
+    def result(self, smoke):
+        return smoke("multi-cloud").result
 
     def test_rows(self, result):
-        assert result.cloud_counts == [1, 2]
-        assert len(result.cooperative_messages) == 2
+        assert result.column("clouds") == [1, 2]
+        assert len(result.column("coop msgs")) == 2
 
     def test_cooperation_saves_server_messages(self, result):
-        for n in result.cloud_counts:
-            assert result.savings_at(n) > 0.3
+        for row in (result.record(1), result.record(2)):
+            assert row["saving (%)"] > 30.0
+            assert row["saving (%)"] == pytest.approx(
+                100.0 * (1.0 - row["coop msgs"] / row["per-holder msgs"])
+            )
 
     def test_savings_do_not_collapse_with_more_clouds(self, result):
         # One message per cloud still beats one per holder at every size.
-        assert result.savings_at(2) > 0.2
+        assert result.record(2)["saving (%)"] > 20.0
 
     def test_render(self, result):
         assert "server update messages" in result.render()
@@ -62,8 +61,8 @@ class TestMultiCloudSavings:
 
 class TestAdaptiveWeights:
     @pytest.fixture(scope="class")
-    def result(self):
-        return adaptive_weights_comparison(TINY_SCALE)
+    def result(self, smoke):
+        return smoke("adaptive-weights").result
 
     def test_adaptation_actually_stepped(self, result):
         assert result.steps >= 2
@@ -87,10 +86,8 @@ class TestAdaptiveWeights:
 
 class TestFailureResilienceValue:
     @pytest.fixture(scope="class")
-    def result(self):
-        from repro.experiments.extensions import failure_resilience_value
-
-        return failure_resilience_value(TINY_SCALE)
+    def result(self, smoke):
+        return smoke("failure-resilience").result
 
     def test_two_variants(self, result):
         assert [row[0] for row in result.rows] == ["with replica", "without replica"]
@@ -104,25 +101,27 @@ class TestFailureResilienceValue:
 
 class TestClientLatency:
     @pytest.fixture(scope="class")
-    def result(self):
-        from repro.experiments.extensions import client_latency_comparison
+    def result(self, smoke):
+        return smoke("latency").result
 
-        return client_latency_comparison(TINY_SCALE)
+    @staticmethod
+    def latency(result, scheme):
+        return result.record(scheme)["mean latency (ms)"]
 
     def test_five_schemes(self, result):
         assert len(result.rows) == 5
 
     def test_no_cooperation_is_worst(self, result):
-        worst = result.latency("no cooperation")
+        worst = self.latency(result, "no cooperation")
         for scheme in ("ad hoc", "utility", "expiration age", "beacon"):
-            assert result.latency(scheme) < worst
+            assert self.latency(result, scheme) < worst
 
     def test_beacon_pays_for_single_copy(self, result):
-        assert result.latency("beacon") > result.latency("utility")
+        assert self.latency(result, "beacon") > self.latency(result, "utility")
 
     def test_unknown_scheme_raises(self, result):
         with pytest.raises(KeyError):
-            result.latency("bogus")
+            self.latency(result, "bogus")
 
     def test_render(self, result):
         assert "client latency" in result.render()
@@ -130,17 +129,18 @@ class TestClientLatency:
 
 class TestCapabilityProportionality:
     @pytest.fixture(scope="class")
-    def result(self):
-        from repro.experiments.extensions import capability_proportionality
-
-        return capability_proportionality(TINY_SCALE)
+    def result(self, smoke):
+        return smoke("capabilities").result
 
     def test_loads_for_all_caches(self, result):
-        assert set(result.static_loads) == set(range(10))
-        assert set(result.dynamic_loads) == set(range(10))
+        assert result.column("cache") == list(range(10))
+        assert result.column("capability") == [3.0] * 5 + [1.0] * 5
+        assert all(load > 0 for load in result.column("static load"))
+        assert all(load > 0 for load in result.column("dynamic load"))
 
     def test_dynamic_respects_capability_better(self, result):
-        assert result.dynamic_imbalance < result.static_imbalance * 1.05
+        imbalance = result.extras
+        assert imbalance["dynamic_imbalance"] < imbalance["static_imbalance"] * 1.05
 
     def test_rejects_wrong_capability_count(self):
         from repro.experiments.extensions import capability_proportionality

@@ -2,21 +2,14 @@
 
 Tiny runs are statistically noisy, so assertions here target *robust* shape
 properties (orderings that hold by construction) rather than the paper's
-ratios; EXPERIMENTS.md validates the ratios at benchmark scale.
+ratios; EXPERIMENTS.md validates the ratios at benchmark scale. Every test
+reads the registry's shared smoke run of its figure (``smoke`` fixture).
 """
 
 import pytest
 
 from repro.experiments import figures
-from repro.experiments.figures import (
-    FigureScale,
-    TINY_SCALE,
-    figure3,
-    figure5,
-    figure6,
-    figure7_and_8,
-    figure9,
-)
+from repro.experiments.figures import FigureScale, TINY_SCALE
 
 
 class TestFigureScale:
@@ -35,8 +28,8 @@ class TestFigureScale:
 
 
 class TestFigure3:
-    def test_structure(self):
-        result = figure3(TINY_SCALE)
+    def test_structure(self, smoke):
+        result = smoke("fig3").result
         assert len(result.static.beacon_loads) == 10
         assert len(result.dynamic.beacon_loads) == 10
         # Identical workload: total load conserved across schemes.
@@ -49,96 +42,98 @@ class TestFigure3:
 
 
 class TestFigure5:
-    def test_rows_and_labels(self):
-        result = figure5(TINY_SCALE, cloud_sizes=(10,), ring_sizes=(2, 5))
-        assert result.labels() == ["static", "dynamic/2-per-ring", "dynamic/5-per-ring"]
-        assert set(result.cov) == {
-            (10, "static"),
-            (10, "dynamic/2-per-ring"),
-            (10, "dynamic/5-per-ring"),
-        }
-        for value in result.cov.values():
+    def test_rows_and_labels(self, smoke):
+        result = smoke("fig5").result
+        assert result.columns == (
+            "caches", "static", "dynamic/2-per-ring", "dynamic/10-per-ring"
+        )
+        assert result.column("caches") == [10]
+        for value in result.row(10)[1:]:
             assert value >= 0.0
         assert "Figure 5" in result.render()
 
-    def test_bigger_rings_balance_at_least_as_well(self):
-        result = figure5(TINY_SCALE, cloud_sizes=(10,), ring_sizes=(2, 10))
+    def test_bigger_rings_balance_at_least_as_well(self, smoke):
+        result = smoke("fig5").result
         # A single 10-member ring balances across all beacon points; it must
         # beat (or match) the 2-member configuration on the same workload.
-        assert (
-            result.cov[(10, "dynamic/10-per-ring")]
-            <= result.cov[(10, "dynamic/2-per-ring")] + 0.05
-        )
+        covs = result.record(10)
+        assert covs["dynamic/10-per-ring"] <= covs["dynamic/2-per-ring"] + 0.05
 
 
 class TestFigure6:
-    def test_series_lengths(self):
-        result = figure6(TINY_SCALE, alphas=(0.0, 0.9))
-        assert result.alphas == [0.0, 0.9]
-        assert len(result.cov_static) == 2
-        assert len(result.cov_dynamic) == 2
+    def test_series_lengths(self, smoke):
+        result = smoke("fig6").result
+        assert result.alphas == [0.0, 0.9, 0.99]
+        assert len(result.cov_static) == 3
+        assert len(result.cov_dynamic) == 3
         assert "Figure 6" in result.render()
 
-    def test_skew_increases_static_imbalance(self):
-        result = figure6(TINY_SCALE, alphas=(0.0, 0.9))
+    def test_skew_increases_static_imbalance(self, smoke):
+        result = smoke("fig6").result
         assert result.cov_static[1] > result.cov_static[0]
 
-    def test_divergence_at(self):
-        result = figure6(TINY_SCALE, alphas=(0.9,))
+    def test_divergence_at(self, smoke):
+        result = smoke("fig6").result
         value = result.divergence_at(0.9)
         assert isinstance(value, float)
+        static, dynamic = result.cov_static[1], result.cov_dynamic[1]
+        assert value == pytest.approx((static - dynamic) / dynamic * 100.0)
 
 
 class TestFigures7And8:
     @pytest.fixture(scope="class")
-    def results(self):
-        return figure7_and_8(TINY_SCALE, update_rates=(10.0, 500.0))
+    def results(self, smoke):
+        return smoke("fig7-8").result
 
     def test_series_present(self, results):
         stored, traffic = results
         for result in (stored, traffic):
-            assert set(result.series) == {"ad hoc", "utility", "beacon"}
-            for series in result.series.values():
-                assert len(series) == 2
+            assert result.columns == ("update rate", "ad hoc", "utility", "beacon")
+            assert len(result.rows) == 2
 
     def test_figure7_orderings(self, results):
         stored, _ = results
-        for index in range(2):
-            assert stored.series["ad hoc"][index] > stored.series["utility"][index]
-            assert stored.series["utility"][index] > stored.series["beacon"][index]
+        for _, adhoc, utility, beacon in stored.rows:
+            assert adhoc > utility > beacon
 
     def test_beacon_stores_one_copy_per_doc(self, results):
         stored, _ = results
         # ~10% per cache in a 10-cache cloud (one copy per requested doc).
-        for value in stored.series["beacon"]:
+        for value in stored.column("beacon"):
             assert 5.0 < value < 20.0
 
     def test_utility_storage_decreases_with_update_rate(self, results):
         stored, _ = results
-        assert stored.series["utility"][1] < stored.series["utility"][0]
+        assert stored.column("utility")[1] < stored.column("utility")[0]
 
     def test_figure8_adhoc_traffic_grows_with_update_rate(self, results):
         _, traffic = results
-        assert traffic.series["ad hoc"][1] > traffic.series["ad hoc"][0]
+        assert traffic.column("ad hoc")[1] > traffic.column("ad hoc")[0]
 
     def test_utility_beats_adhoc_at_high_update_rate(self, results):
         _, traffic = results
-        assert traffic.series["utility"][1] < traffic.series["ad hoc"][1]
+        assert traffic.column("utility")[1] < traffic.column("ad hoc")[1]
 
     def test_value_accessor_and_render(self, results):
         stored, traffic = results
-        rate = stored.update_rates[0]
-        assert stored.value("ad hoc", rate) == stored.series["ad hoc"][0]
+        # Rows are keyed by the simulated rate: the paper's, scaled.
+        rates = [rate * TINY_SCALE.update_sweep_scale for rate in (10.0, 500.0)]
+        assert stored.column("update rate") == rates
+        assert stored.record(rates[0])["ad hoc"] == stored.column("ad hoc")[0]
         assert "update rate" in traffic.render()
+        # One sweep, two labelled views.
+        assert (stored.header[0], traffic.header[0]) == ("Figure 7", "Figure 8")
+        assert stored.extras["unique_docs"] == traffic.extras["unique_docs"]
 
 
 class TestFigure9:
-    def test_limited_disk_run(self):
-        result = figure9(TINY_SCALE, update_rates=(100.0,))
-        assert set(result.series) == {"ad hoc", "utility", "beacon"}
-        assert result.figure == "Figure 9"
-        assert all(v > 0 for series in result.series.values() for v in series)
+    def test_limited_disk_run(self, smoke):
+        result = smoke("fig9").result
+        assert result.columns[1:] == ("ad hoc", "utility", "beacon")
+        assert result.header[0] == "Figure 9"
+        assert all(v > 0 for row in result.rows for v in row)
 
-    def test_utility_not_worse_than_adhoc(self):
-        result = figure9(TINY_SCALE, update_rates=(500.0,))
-        assert result.series["utility"][0] <= result.series["ad hoc"][0] * 1.1
+    def test_utility_not_worse_than_adhoc(self, smoke):
+        result = smoke("fig9").result
+        for utility, adhoc in zip(result.column("utility"), result.column("ad hoc")):
+            assert utility <= adhoc * 1.1

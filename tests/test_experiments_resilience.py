@@ -1,43 +1,47 @@
-"""Integration tests for the resilience sweep (loss × churn grid)."""
+"""Integration tests for the resilience sweep (loss × churn grid).
+
+The grid is the registry's shared smoke run: loss 0 / 0.3 / 0.7 × churn
+0 / 0.05 (``smoke`` fixture).
+"""
 
 import pytest
 
+from repro.experiments import registry
 from repro.experiments.figures import TINY_SCALE
 from repro.experiments.reporting import fingerprint
-from repro.experiments.resilience import anti_entropy_sweep, resilience_sweep
+
+LOSS_RATES = (0.0, 0.3, 0.7)
 
 
 @pytest.fixture(scope="module")
-def sweep():
-    """One tiny sweep shared by the module (the runs dominate test time)."""
-    return resilience_sweep(
-        scale=TINY_SCALE, loss_rates=(0.0, 0.5, 0.9), churn_rates=(0.0,)
-    )
+def sweep(smoke):
+    return smoke("resilience").result
 
 
 class TestResilienceSweep:
     def test_no_failed_points(self, sweep):
         assert sweep.failures == []
-        assert len(sweep.rows) == 3
+        assert len(sweep.rows) == 6
 
     def test_hit_rate_degrades_monotonically_with_loss(self, sweep):
-        rates = [sweep.hit_rate(loss, 0.0) for loss in (0.0, 0.5, 0.9)]
+        rates = [
+            sweep.record(loss, 0.0)["cloud hit rate (%)"] for loss in LOSS_RATES
+        ]
         assert rates[0] > rates[1] > rates[2]
 
     def test_origin_load_grows_with_loss(self, sweep):
-        fetches = [sweep.row(loss, 0.0)[3] for loss in (0.0, 0.5, 0.9)]
+        fetches = [sweep.record(loss, 0.0)["origin fetches"] for loss in LOSS_RATES]
         assert fetches[0] < fetches[1] < fetches[2]
 
     def test_perfect_network_row_is_clean(self, sweep):
-        row = sweep.row(0.0, 0.0)
-        columns = dict(zip(sweep.columns, row))
+        columns = sweep.record(0.0, 0.0)
         assert columns["retries"] == 0.0
         assert columns["timeouts"] == 0.0
         assert columns["failovers"] == 0.0
         assert columns["unavailable (min)"] == 0.0
 
     def test_lossy_rows_show_protocol_work(self, sweep):
-        row = dict(zip(sweep.columns, sweep.row(0.9, 0.0)))
+        row = sweep.record(0.7, 0.0)
         assert row["retries"] > 0.0
         assert row["timeouts"] > 0.0
 
@@ -47,56 +51,36 @@ class TestResilienceSweep:
         assert "cloud hit rate (%)" in rendered
 
 
-class TestSweepDeterminism:
-    def test_serial_and_parallel_fingerprints_match(self):
-        serial = resilience_sweep(
-            scale=TINY_SCALE, loss_rates=(0.0, 0.5), churn_rates=(0.0,), jobs=1
-        )
-        parallel = resilience_sweep(
-            scale=TINY_SCALE, loss_rates=(0.0, 0.5), churn_rates=(0.0,), jobs=2
-        )
-        assert fingerprint(serial) == fingerprint(parallel)
-
-
 class TestSeedOverride:
+    _POINT = dict(loss_rates=(0.5,), churn_rates=(0.0,), jobs=1)
+
     def test_seed_changes_the_sweep(self):
-        base = resilience_sweep(
-            scale=TINY_SCALE, loss_rates=(0.5,), churn_rates=(0.0,)
-        )
-        reseeded = resilience_sweep(
-            scale=TINY_SCALE, loss_rates=(0.5,), churn_rates=(0.0,), seed=99
-        )
+        base = registry.run("resilience", "tiny", **self._POINT)
+        reseeded = registry.run("resilience", "tiny", seed=99, **self._POINT)
         assert base.failures == [] and reseeded.failures == []
         # A new root seed re-derives workload and fault streams: the sweep
         # must actually change, not just relabel.
-        assert fingerprint(base) != fingerprint(reseeded)
+        assert fingerprint(base.result) != fingerprint(reseeded.result)
 
     def test_explicit_scale_seed_is_a_noop_override(self):
-        base = resilience_sweep(
-            scale=TINY_SCALE, loss_rates=(0.5,), churn_rates=(0.0,)
+        base = registry.run("resilience", "tiny", **self._POINT)
+        same = registry.run(
+            "resilience", "tiny", seed=TINY_SCALE.seed, **self._POINT
         )
-        same = resilience_sweep(
-            scale=TINY_SCALE,
-            loss_rates=(0.5,),
-            churn_rates=(0.0,),
-            seed=TINY_SCALE.seed,
-        )
-        assert fingerprint(base) == fingerprint(same)
+        assert fingerprint(base.result) == fingerprint(same.result)
 
 
 class TestAntiEntropySweep:
     @pytest.fixture(scope="class")
-    def sweep(self):
-        return anti_entropy_sweep(
-            scale=TINY_SCALE, loss_rates=(0.5,), churn_rates=(0.1,)
-        )
+    def sweep(self, smoke):
+        return smoke("anti-entropy").result
 
     def test_no_failed_points(self, sweep):
         assert sweep.failures == []
         assert len(sweep.rows) == 1
 
     def test_repair_reduces_end_of_run_staleness(self, sweep):
-        row = dict(zip(sweep.columns, sweep.row(0.5, 0.1)))
+        row = sweep.record(0.5, 0.1)
         assert row["stale (off)"] >= row["stale (on)"]
         assert row["repairs"] > 0.0
         assert row["repair traffic (MB)"] > 0.0
@@ -115,11 +99,7 @@ class TestAntiEntropySweep:
 
 
 class TestChurnColumn:
-    def test_churn_produces_failovers_and_unavailability(self):
-        sweep = resilience_sweep(
-            scale=TINY_SCALE, loss_rates=(0.0,), churn_rates=(0.1,)
-        )
-        assert sweep.failures == []
-        row = dict(zip(sweep.columns, sweep.row(0.0, 0.1)))
+    def test_churn_produces_failovers_and_unavailability(self, sweep):
+        row = sweep.record(0.0, 0.05)
         assert row["failovers"] > 0.0
         assert row["unavailable (min)"] > 0.0

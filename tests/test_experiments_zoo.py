@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments import registry, sweeps
 from repro.experiments.reporting import fingerprint
 from repro.experiments.zoo import (
     DEFAULT_SCHEMES,
@@ -12,12 +13,13 @@ from repro.experiments.zoo import (
     zoo_sweep,
 )
 from repro.strategies import KNOWN_SCHEMES
+from tests.conftest import run_materialized
 
 
 @pytest.fixture(scope="module")
-def tiny_result():
-    """One serial tiny sweep shared by the read-only assertions."""
-    return zoo_sweep(scale=ZOO_TINY, jobs=1)
+def tiny_result(smoke):
+    """The registry's serial tiny sweep, shared by the read-only assertions."""
+    return smoke("zoo").result
 
 
 class TestZooSweep:
@@ -27,7 +29,7 @@ class TestZooSweep:
         assert [row[0] for row in tiny_result.rows] == list(
             range(1, len(DEFAULT_SCHEMES) + 1)
         )
-        assert sorted(tiny_result.ranking()) == sorted(KNOWN_SCHEMES)
+        assert sorted(tiny_result.column("strategy")) == sorted(KNOWN_SCHEMES)
 
     def test_ranking_orders_by_cloud_hit_rate(self, tiny_result):
         hit_rates = [row[2] for row in tiny_result.rows]
@@ -49,7 +51,7 @@ class TestZooSweep:
 
     def test_subset_sweep(self):
         result = zoo_sweep(scale=ZOO_TINY, schemes=("lce", "lcd"), jobs=1)
-        assert result.ranking() and set(result.ranking()) == {"lce", "lcd"}
+        assert set(result.column("strategy")) == {"lce", "lcd"}
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError, match="unknown strategy"):
@@ -65,13 +67,10 @@ class TestZooSweep:
 
 
 class TestZooDeterminism:
-    def test_jobs_one_and_two_fingerprint_identical(self, tiny_result):
-        """The CI zoo-smoke invariant: parallelism never shifts a number."""
-        parallel_result = zoo_sweep(scale=ZOO_TINY, jobs=2)
-        assert fingerprint(parallel_result) == fingerprint(tiny_result)
-
-    def test_streaming_matches_materialized(self, tiny_result):
-        materialized = zoo_sweep(scale=ZOO_TINY, jobs=1, streaming=False)
+    def test_streaming_matches_materialized(self, tiny_result, monkeypatch):
+        """Every arm re-run from the materialized trace lands on the same table."""
+        monkeypatch.setattr(sweeps, "run_spec", run_materialized)
+        materialized = zoo_sweep(scale=ZOO_TINY, jobs=1)
         assert fingerprint(materialized) == fingerprint(tiny_result)
 
     def test_checkpointed_resume_fingerprint_identical(
@@ -84,5 +83,5 @@ class TestZooDeterminism:
         assert fingerprint(resumed) == fingerprint(tiny_result)
 
     def test_seed_override_changes_outcome(self, tiny_result):
-        reseeded = zoo_sweep(scale=ZOO_TINY, jobs=1, seed=123)
+        reseeded = registry.run("zoo", "tiny", jobs=1, seed=123).result
         assert fingerprint(reseeded) != fingerprint(tiny_result)

@@ -47,7 +47,7 @@ from repro.observe.flight import (
 )
 from repro.observe.profile import PHASE_ROLES, PHASES, WorkProfile
 from repro.workload.generator import WorkloadConfig
-from tests.conftest import make_cloud
+from tests.conftest import make_cloud, run_materialized
 
 
 def _drive(cloud, steps=60):
@@ -367,7 +367,7 @@ class TestFlightRecording:
 # ----------------------------------------------------------------------
 # Determinism across run paths (jobs, streaming)
 # ----------------------------------------------------------------------
-def _sweep_spec(key, flight_path, streaming=True, alpha=0.6):
+def _sweep_spec(key, flight_path, alpha=0.6):
     workload = WorkloadSpec(
         generator_config=WorkloadConfig(
             num_documents=80,
@@ -396,7 +396,6 @@ def _sweep_spec(key, flight_path, streaming=True, alpha=0.6):
         workload=workload,
         duration=8.0,
         warmup=0.0,
-        streaming=streaming,
         flight=FlightSpec(path=str(flight_path), window=2.0),
     )
 
@@ -423,8 +422,8 @@ class TestFlightSweepDeterminism:
     def test_streaming_matches_materialized_bytes(self, tmp_path):
         streamed_path = tmp_path / "streamed.jsonl"
         materialized_path = tmp_path / "materialized.jsonl"
-        run_spec(_sweep_spec("s", streamed_path, streaming=True))
-        run_spec(_sweep_spec("m", materialized_path, streaming=False))
+        run_spec(_sweep_spec("s", streamed_path))
+        run_materialized(_sweep_spec("m", materialized_path))
         streamed = streamed_path.read_bytes()
         assert streamed == materialized_path.read_bytes()
         assert len(streamed) > 0

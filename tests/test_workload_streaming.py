@@ -1,14 +1,14 @@
 """Streaming workload path: lazy trace generation, value-identical and O(window).
 
-The out-of-core run path (``ExperimentSpec(streaming=True)``) replaces the
+The spec-driven run path (``run_spec``) is out-of-core: it replaces the
 materialized :class:`~repro.workload.trace.Trace` with lazy
 ``requests()`` / ``updates()`` iterators merged on the fly. These tests pin
 its two contracts:
 
 * **value identity** — the streamed records are exactly what
   ``build_trace()`` would list out, record for record, for both generator
-  families, and a streamed experiment fingerprints identically to a
-  materialized one; and
+  families, and a streamed experiment fingerprints identically to the
+  same spec run from ``materialize()``'s lists; and
 * **bounded memory** — replaying a million-request trace through the
   iterator path keeps peak resident trace state O(window) (merge
   lookahead + distinct-doc tally), not O(requests).
@@ -30,6 +30,7 @@ from repro.core.config import AssignmentScheme, CloudConfig, PlacementScheme
 from repro.workload.generator import SyntheticTraceGenerator, WorkloadConfig
 from repro.workload.sydney import SydneyConfig, SydneyTraceGenerator
 from repro.workload.trace import RequestStreamStats, merge_streams
+from tests.conftest import run_materialized
 
 
 def _zipf_config(**overrides) -> WorkloadConfig:
@@ -45,7 +46,7 @@ def _zipf_config(**overrides) -> WorkloadConfig:
     return WorkloadConfig(**base)
 
 
-def _zipf_spec(streaming: bool) -> ExperimentSpec:
+def _zipf_spec() -> ExperimentSpec:
     workload = WorkloadSpec(
         generator_config=_zipf_config(),
         corpus_documents=80,
@@ -61,12 +62,7 @@ def _zipf_spec(streaming: bool) -> ExperimentSpec:
         seed=11,
     )
     return ExperimentSpec(
-        key=f"streaming={streaming}",
-        config=config,
-        workload=workload,
-        duration=8.0,
-        warmup=0.0,
-        streaming=streaming,
+        key="zipf", config=config, workload=workload, duration=8.0, warmup=0.0
     )
 
 
@@ -108,10 +104,8 @@ class TestStreamValueIdentity:
 
 class TestStreamingRunPath:
     def test_streaming_experiment_fingerprints_like_materialized(self):
-        streamed = run_spec(_zipf_spec(streaming=True))
-        materialized = run_spec(_zipf_spec(streaming=False))
-        # Keys differ by construction; everything that describes the run
-        # must not.
+        streamed = run_spec(_zipf_spec())
+        materialized = run_materialized(_zipf_spec())
         assert streamed.stats == materialized.stats
         assert streamed.unique_request_docs == materialized.unique_request_docs
         assert fingerprint(streamed) == fingerprint(materialized)
