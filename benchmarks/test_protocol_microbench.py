@@ -11,7 +11,12 @@ Two rows are measured on the same cloud and workload: the dispatch fast
 path (nothing attached — the 174.6k req/s guard) and ``all_planes`` (fault
 injector with retries, overload controller, telemetry registry and flight
 recorder attached at once — the fabric's general attempt path with every
-handle of its attach-time plan bound). CI holds both to the same 10 % floor.
+handle of its attach-time plan bound). A third row, ``update_fanout``,
+measures the update path alone: updates/s and holder legs/s with every
+cache of a 32-cache cloud holding every document (a steady ~31-leg
+fan-out), again with nothing attached (one ``send_fanout`` transaction per
+update) and with all planes attached (leg by leg). CI holds every row to
+the same 10 % floor.
 
 The measurement is best-of-``TRIALS``: every trial rebuilds the cloud and
 replays the identical seeded workload, so each timed segment does exactly
@@ -37,6 +42,7 @@ from repro.core.config import AssignmentScheme, CloudConfig, PlacementScheme
 from repro.core.overload import OverloadConfig
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, RetryPolicy
+from repro.network.bandwidth import TrafficCategory
 from repro.observe.flight import FlightRecorder
 from repro.observe.registry import Telemetry
 from repro.workload.documents import build_corpus
@@ -59,7 +65,13 @@ ROOT_ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_protocol.json"
 
 #: Schema of the root artifact. Bump when fields change meaning so the CI
 #: guard never silently compares incompatible documents.
-ROOT_SCHEMA_VERSION = 3
+ROOT_SCHEMA_VERSION = 4
+
+#: The ``update_fanout`` row: every cache holds every document, so each
+#: update fans out to all caches but the document's beacon point.
+FANOUT_CACHES = 32
+FANOUT_DOCS = 50
+FANOUT_UPDATES = 4_000
 
 
 def _workload(num_events: int, num_caches: int, start: int = 0):
@@ -75,10 +87,12 @@ def _workload(num_events: int, num_caches: int, start: int = 0):
     return events
 
 
-def _build_cloud() -> CacheCloud:
-    corpus = build_corpus(NUM_DOCS, random.Random(7))
+def _build_cloud(
+    num_caches: int = NUM_CACHES, num_docs: int = NUM_DOCS
+) -> CacheCloud:
+    corpus = build_corpus(num_docs, random.Random(7))
     config = CloudConfig(
-        num_caches=NUM_CACHES,
+        num_caches=num_caches,
         num_rings=NUM_RINGS,
         intra_gen=1000,
         assignment=AssignmentScheme.DYNAMIC,
@@ -138,6 +152,56 @@ def _run_trial(scratch: str | None = None) -> tuple[float, CacheCloud]:
     return elapsed, cloud
 
 
+def _run_fanout_trial(scratch: str | None = None) -> tuple[float, CacheCloud]:
+    """One cold-start measurement of the update path at a full holder set.
+
+    The planes are attached after the warm-up, so both rows start from the
+    same full holder sets. Updates are a simulated minute apart: the service
+    queues drain between bursts and every leg is sent (and, under the 5 %
+    loss, some retried) rather than deferred.
+    """
+    cloud = _build_cloud(FANOUT_CACHES, FANOUT_DOCS)
+    for doc_id in range(FANOUT_DOCS):
+        for cache_id in range(FANOUT_CACHES):
+            cloud.handle_request(cache_id, doc_id, 0.0)
+    if scratch is not None:
+        _attach_all_planes(cloud, scratch)
+    handle_update = cloud.handle_update
+    start = time.perf_counter()
+    for i in range(FANOUT_UPDATES):
+        handle_update(i % FANOUT_DOCS, float(1 + i))
+    elapsed = time.perf_counter() - start
+    if cloud.flight is not None:
+        cloud.flight.finish(float(FANOUT_UPDATES))
+    return elapsed, cloud
+
+
+def _fanout_work_done(cloud: CacheCloud) -> dict:
+    """Seed-exact pins of one fan-out trial."""
+    return {
+        "refreshed_total": cloud.aggregate_stats().updates_applied,
+        "fanout_legs": cloud.transport.meter.messages_for(
+            TrafficCategory.UPDATE_FANOUT
+        ),
+        "fabric_dispatches": cloud.fabric.stats.dispatches,
+        "fabric_retries": cloud.fabric.stats.retries,
+    }
+
+
+def _fanout_row(trials: list[tuple[float, CacheCloud]]) -> dict:
+    """The least-noise trial as an artifact row (trials did identical work)."""
+    elapsed, cloud = min(trials, key=lambda t: t[0])
+    work = _fanout_work_done(cloud)
+    for _, other in trials:
+        assert _fanout_work_done(other) == work
+    return {
+        "elapsed_seconds_best": elapsed,
+        "updates_per_second": FANOUT_UPDATES / elapsed,
+        "legs_per_second": work["fanout_legs"] / elapsed,
+        **work,
+    }
+
+
 def _work_done(cloud: CacheCloud) -> dict:
     """The seed-exact work pins of one trial (what CI compares for equality)."""
     stats = cloud.aggregate_stats()
@@ -168,9 +232,16 @@ def test_protocol_microbench(benchmark):
         fast = [_run_trial() for _ in range(TRIALS)]
         with tempfile.TemporaryDirectory(prefix="bench-protocol-") as scratch:
             planes = [_run_trial(scratch) for _ in range(TRIALS)]
-        return fast, planes
+        fanout = [_run_fanout_trial() for _ in range(TRIALS)]
+        with tempfile.TemporaryDirectory(prefix="bench-protocol-") as scratch:
+            fanout_planes = [_run_fanout_trial(scratch) for _ in range(TRIALS)]
+        return fast, planes, fanout, fanout_planes
 
-    fast_trials, planes_trials = benchmark.pedantic(measure, rounds=1, iterations=1)
+    fast_trials, planes_trials, fanout_trials, fanout_planes_trials = (
+        benchmark.pedantic(measure, rounds=1, iterations=1)
+    )
+    fanout_row = _fanout_row(fanout_trials)
+    fanout_planes_row = _fanout_row(fanout_planes_trials)
     elapsed, cloud = _best(fast_trials)
     planes_elapsed, planes_cloud = _best(planes_trials)
     rps = NUM_REQUESTS / elapsed
@@ -188,6 +259,10 @@ def test_protocol_microbench(benchmark):
         "elapsed_seconds": elapsed,
         "requests_per_second": rps,
         "all_planes_requests_per_second": planes_rps,
+        "fanout_updates_per_second": fanout_row["updates_per_second"],
+        "all_planes_fanout_updates_per_second": fanout_planes_row[
+            "updates_per_second"
+        ],
         **work,
     }
     archive(payload, "BENCH_protocol")
@@ -219,6 +294,15 @@ def test_protocol_microbench(benchmark):
             "fabric_rejections": planes_fabric.rejections,
             **_work_done(planes_cloud),
         },
+        "update_fanout": {
+            "workload": {
+                "num_caches": FANOUT_CACHES,
+                "num_docs": FANOUT_DOCS,
+                "updates": FANOUT_UPDATES,
+            },
+            **fanout_row,
+            "all_planes": fanout_planes_row,
+        },
     }
     ROOT_ARTIFACT.write_text(
         json.dumps(root_doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -239,3 +323,11 @@ def test_protocol_microbench(benchmark):
     assert not planes_cloud.fabric._fast_path
     assert planes_fabric.retries > 0
     assert planes_cloud.telemetry.counters["fabric.attempts.control"] > 0
+    # The fan-out row held its ~31-leg burst on both paths: every holder
+    # refreshed when nothing is attached, nearly all of them under loss.
+    legs = FANOUT_UPDATES * (FANOUT_CACHES - 1)
+    assert fanout_row["fanout_legs"] == legs
+    assert fanout_row["refreshed_total"] == FANOUT_UPDATES * FANOUT_CACHES
+    assert fanout_row["fabric_retries"] == 0
+    assert fanout_planes_row["fabric_retries"] > 0
+    assert fanout_planes_row["refreshed_total"] > 0.95 * fanout_row["refreshed_total"]

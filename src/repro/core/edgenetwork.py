@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.cloud import CacheCloud, RequestResult
 from repro.core.config import CloudConfig
-from repro.network.bandwidth import TrafficMeter
+from repro.network.bandwidth import TrafficCategory, TrafficMeter
 from repro.network.landmarks import form_cache_clouds
 from repro.network.origin import OriginServer
 from repro.network.topology import NetworkTopology
@@ -167,9 +167,15 @@ class EdgeCacheNetwork:
     def _distribute(
         self, cloud: CacheCloud, doc_id: int, version: int, now: float
     ) -> int:
-        """Run one cloud's beacon-mediated fan-out at ``version``."""
-        from repro.network.bandwidth import TrafficCategory
+        """Run one cloud's beacon-mediated fan-out at ``version``.
 
+        The version was published network-wide, so this is
+        :meth:`BeaconRole.propagate_update` without the publish, over the
+        cloud's own fabric. Its preamble counts differently from the
+        beacon's notice-or-body step: the beacon's load counter ticks
+        whether or not the message arrives, and a bare notice is not an
+        origin update message (DESIGN.md §3.1).
+        """
         beacon_id = cloud.beacon_for_doc(doc_id)
         beacon = cloud.beacons[beacon_id]
         beacon.record_update(cloud.doc_irh(doc_id))
@@ -182,28 +188,27 @@ class EdgeCacheNetwork:
         tracker.observe(now)
 
         size = self.corpus[doc_id].size_bytes
+        fabric = cloud.fabric
         beacon_role = cloud.beacon_roles[beacon_id]
         holders = beacon_role.update_targets(doc_id)
+        origin_id = self.origin.node_id
         if not holders:
-            cloud.transport.send_control(self.origin.node_id, beacon_id)
+            fabric.send_control(origin_id, beacon_id, reliable=True)
             return 0
         self.origin.note_update_message(doc_id)
-        cloud.transport.send_document(
-            self.origin.node_id,
+        body = fabric.send_document(
+            origin_id,
             beacon_id,
             size,
             TrafficCategory.UPDATE_SERVER_TO_BEACON,
+            reliable=True,
         )
-        refreshed = 0
-        for holder in holders:
-            if holder != beacon_id:
-                cloud.transport.send_document(
-                    beacon_id, holder, size, TrafficCategory.UPDATE_FANOUT
-                )
-            cloud.caches[holder].apply_update(doc_id, version, now, size_bytes=size)
-            refreshed += 1
-        beacon_role.note_refreshed(doc_id, version, refreshed)
-        return refreshed
+        if not body.ok:
+            cloud.update_pushes_lost += len(holders)
+            return 0
+        return beacon_role.fan_out(
+            holders, doc_id, version, size, now, now + body.latency
+        )
 
     def run_cycles(self, now: float) -> None:
         """Run the sub-range determination in every cloud."""

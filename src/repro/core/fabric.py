@@ -42,6 +42,9 @@ Dispatch styles
   digests) that is accounted and logged but not subject to the fault
   middleware; the fault model covers the request/update protocols, and
   these transfers carry their own robustness story (see DESIGN.md).
+* **fan-out** (:meth:`send_fanout`) — one document body pushed reliably
+  from one source to many holders at one tick (an update's holder legs);
+  per leg it is exactly a reliable dispatch.
 
 The attempt plan
 ----------------
@@ -57,9 +60,10 @@ dispatch lands on its single attempt with nothing watching, so the
 dispatch styles collapse to an inlined meter-and-ledger charge plus a
 latency read — no retry loop, no ``DispatchRecord``, an interned
 ``Delivery`` in the zero-latency case, one meter transaction per lookup
-RPC, :meth:`send_system_batch` or :meth:`send_exchange`. DESIGN.md §3.1
-tabulates what is bound, what each plane adds per attempt and the ordering
-rules that keep every artifact byte-identical.
+RPC, :meth:`send_system_batch`, :meth:`send_exchange` or
+:meth:`send_fanout`. DESIGN.md §3.1 tabulates what is bound, what each
+plane adds per attempt and the ordering rules that keep every artifact
+byte-identical.
 """
 
 from __future__ import annotations
@@ -625,6 +629,45 @@ class MessageFabric:
             return (False, False)
         reverse = self.send(dst, src, reverse_bytes, category, reliable=False)
         return (True, reverse.ok)
+
+    def send_fanout(
+        self,
+        src: int,
+        dsts: Sequence[int],
+        document_bytes: int,
+        category: TrafficCategory,
+    ) -> List[Delivery]:
+        """Same-tick reliable pushes of one document body to many holders.
+
+        Returns one :class:`Delivery` per destination, in ``dsts`` order.
+        On the fast path every leg lands on its first attempt, so the whole
+        burst is one meter/ledger transaction; with anything bound in the
+        attempt plan each leg goes through :meth:`send` in ``dsts`` order,
+        so the fault middleware draws the same RNG stream and capture,
+        telemetry, the flight recorder and the service queues see the same
+        per-attempt stream as per-leg :meth:`send_document` calls.
+        """
+        legs = len(dsts)
+        if not legs:
+            return []
+        if document_bytes <= 0:
+            raise ValueError(f"document_bytes must be > 0, got {document_bytes}")
+        num_bytes = document_bytes + TRANSFER_HEADER_BYTES
+        if not self._fast_path:
+            send = self.send
+            return [
+                send(src, dst, num_bytes, category, reliable=True) for dst in dsts
+            ]
+        total = legs * num_bytes
+        self.stats.dispatches += legs
+        transport = self.transport
+        transport.messages_attempted += legs
+        transport.bytes_attempted += total
+        transport.meter.record_batch(category, total, legs)
+        if transport.topology is None:
+            return [DELIVERED_FREE] * legs
+        latency = transport.latencies_from(src)
+        return [Delivery(True, latency[dst], 1) for dst in dsts]
 
     def request_response(
         self,

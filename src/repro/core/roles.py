@@ -34,6 +34,96 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.observe.spans import Span
 
 
+def push_to_holders(
+    cloud: "CacheCloud",
+    src: int,
+    holders: List[int],
+    doc_id: int,
+    version: int,
+    size: int,
+    now: float,
+    start: float,
+    *,
+    from_beacon: bool,
+) -> int:
+    """The holder legs of one update: choose targets, send, then apply.
+
+    ``src`` holds the fresh body from ``start`` on and pushes it reliably
+    to each of ``holders`` (ascending ids); returns how many now store
+    ``version``. The one delivery body behind the star fan-out, the
+    federation's per-cloud distribution (``from_beacon``: ``UPDATE_FANOUT``
+    legs that a saturated holder's overload model may defer, charged to the
+    work profile and traced as :class:`UpdatePush`) and the origin's
+    holder-by-holder refresh (``UPDATE_SERVER_TO_BEACON`` legs, none of
+    those). A holder that is ``src`` itself needs no leg. A deferred or
+    lost leg leaves its holder stale — one recovery contract for both: the
+    version check on the holder's next request, or anti-entropy, repairs it.
+
+    All legs leave at ``start``, so they go out as one
+    :meth:`~repro.core.fabric.MessageFabric.send_fanout` burst, the
+    deferrals asked first and the copies refreshed afterwards. That equals
+    asking, sending and applying holder by holder: a leg touches only its
+    destination's queue, a deferral reads only its holder's, and
+    ``apply_update`` draws no randomness and sends nothing (DESIGN.md
+    §3.1). Spans, profile charges and trace messages are written after the
+    burst, in holder order, exactly as the per-leg loop wrote them.
+    """
+    fabric = cloud.fabric
+    caches = cloud.caches
+    own_copy = src in holders
+    targets = [h for h in holders if h != src] if own_copy else holders
+    deferred: Collection[int] = ()
+    overload = cloud.overload if from_beacon else None
+    if overload is not None:
+        deferred = {h for h in targets if overload.defer_fanout(h)}
+        if deferred:
+            targets = [h for h in targets if h not in deferred]
+    if from_beacon:
+        category, span_name = TrafficCategory.UPDATE_FANOUT, "fanout_leg"
+    else:
+        category, span_name = TrafficCategory.UPDATE_SERVER_TO_BEACON, "origin_refresh"
+    pushes = fabric.send_fanout(src, targets, size, category)
+
+    tel = cloud.telemetry
+    if tel is not None:
+        landed = iter(pushes)
+        for holder in holders:
+            if holder == src:
+                continue
+            if holder in deferred:
+                defer_span = tel.begin_span(
+                    "overload_defer", start, kind="fanout_leg", node=holder
+                )
+                tel.end_span(defer_span, start)
+                tel.count("overload.deferred.fanout")
+                continue
+            push = next(landed)
+            leg_span = tel.begin_span(span_name, start, holder=holder, bytes=size)
+            tel.end_span(
+                leg_span, start + push.latency, ok=push.ok, attempts=push.attempts
+            )
+    profile = cloud.profile
+    if profile is not None and from_beacon:
+        profile.charge(
+            "fanout_leg", sum(push.attempts for push in pushes), len(pushes)
+        )
+    emit = from_beacon and fabric.trace.enabled
+
+    refreshed = 0
+    if own_copy:
+        caches[src].apply_update(doc_id, version, now, size)
+        refreshed = 1
+    for holder, push in zip(targets, pushes):
+        if not push.ok:
+            cloud.update_pushes_lost += 1
+            continue
+        if emit:
+            fabric.emit(UpdatePush(src, holder, doc_id, version, size))
+        caches[holder].apply_update(doc_id, version, now, size)
+        refreshed += 1
+    return refreshed
+
+
 class BeaconRole:
     """Beacon-point protocol behaviour for one cache.
 
@@ -189,26 +279,23 @@ class BeaconRole:
     # ------------------------------------------------------------------
     # Cooperative update propagation (paper §2.2)
     # ------------------------------------------------------------------
-    def propagate_update(
-        self, doc_id: int, version: int, size: int, now: float
-    ) -> int:
-        """One server→beacon transfer, fanned out in-cloud to holders.
+    def receive_update(
+        self, doc_id: int, version: int, size: int, now: float, holders: List[int]
+    ) -> Optional[float]:
+        """The origin's one message to this beacon point: notice or body.
 
-        This star fan-out is the default ``on_update`` of every strategy in
-        :mod:`repro.strategies`;
-        :class:`~repro.strategies.cup.CUPTreeStrategy` replaces it with an
-        interest-tree push rooted at the same beacon.
-
-        Returns the number of holders refreshed. A lost server→beacon body
-        leaves *every* holder stale; a lost fan-out push leaves that one
-        holder stale. Both are detected by the version check on the
-        holder's next request and repaired there.
+        With no holder to refresh a bare invalidation notice suffices;
+        otherwise the server→beacon transfer carries the fresh body. Every
+        propagation scheme rooted at the beacon starts here. Returns the
+        body's arrival time — when the holder legs may start — or ``None``
+        when there is nothing to fan out: nobody holds the document, or the
+        body was lost, which leaves *every* holder stale (counted in
+        ``update_pushes_lost``) until its next request repairs it.
         """
         cloud = self._cloud
         fabric = cloud.fabric
         beacon_id = self.beacon_id
         irh = cloud.doc_irh(doc_id)
-        holders = self.update_targets(doc_id)
         carries_body = bool(holders)
         if fabric.trace.enabled:
             fabric.emit(
@@ -218,7 +305,6 @@ class BeaconRole:
         origin_id = cloud.origin.node_id
         tel = cloud.telemetry
         if not carries_body:
-            # Nobody holds the document: a bare invalidation notice suffices.
             notice_span: Optional["Span"] = None
             if tel is not None:
                 notice_span = tel.begin_span(
@@ -231,7 +317,7 @@ class BeaconRole:
                 )
             if notice.ok:
                 self.state.record_update(irh)
-            return 0
+            return None
         body_span: Optional["Span"] = None
         if tel is not None:
             body_span = tel.begin_span(
@@ -252,66 +338,52 @@ class BeaconRole:
                 attempts=body.attempts,
             )
         if not body.ok:
-            # The fresh body never reached the beacon: every holder is now
-            # stale until its next request triggers the repair path.
             cloud.update_pushes_lost += len(holders)
-            return 0
+            return None
         self.state.record_update(irh)
-        # Fan-out legs all start once the body has reached the beacon.
-        fanout_start = now + body.latency
-        refreshed = 0
-        overload = cloud.overload
-        for holder in holders:
-            if holder != beacon_id:
-                if overload is not None and overload.defer_fanout(holder):
-                    # Graceful degradation: a saturated holder's push leg is
-                    # deferred rather than queued. The holder stays stale —
-                    # the same recovery contract as a *lost* push (version
-                    # check on its next request, or anti-entropy, repairs
-                    # it), so deferral needs no new repair machinery.
-                    if tel is not None:
-                        defer_span = tel.begin_span(
-                            "overload_defer",
-                            fanout_start,
-                            kind="fanout_leg",
-                            node=holder,
-                        )
-                        tel.end_span(defer_span, fanout_start)
-                        tel.count("overload.deferred.fanout")
-                    continue
-                leg_span: Optional["Span"] = None
-                if tel is not None:
-                    leg_span = tel.begin_span(
-                        "fanout_leg", fanout_start, holder=holder, bytes=size
-                    )
-                push = fabric.send_document(
-                    beacon_id,
-                    holder,
-                    size,
-                    TrafficCategory.UPDATE_FANOUT,
-                    reliable=True,
-                )
-                profile = cloud.profile
-                if profile is not None:
-                    profile.charge("fanout_leg", push.attempts)
-                if tel is not None and leg_span is not None:
-                    tel.end_span(
-                        leg_span,
-                        fanout_start + push.latency,
-                        ok=push.ok,
-                        attempts=push.attempts,
-                    )
-                if not push.ok:
-                    cloud.update_pushes_lost += 1
-                    continue
-                if fabric.trace.enabled:
-                    fabric.emit(
-                        UpdatePush(beacon_id, holder, doc_id, version, size)
-                    )
-            cloud.caches[holder].apply_update(doc_id, version, now, size_bytes=size)
-            refreshed += 1
+        return now + body.latency
+
+    def fan_out(
+        self,
+        holders: List[int],
+        doc_id: int,
+        version: int,
+        size: int,
+        now: float,
+        start: float,
+    ) -> int:
+        """Push the body this beacon received at ``start`` to ``holders``.
+
+        Returns the number refreshed, and stamps the entry when that is
+        all of it.
+        """
+        refreshed = push_to_holders(
+            self._cloud, self.beacon_id, holders, doc_id, version, size, now,
+            start, from_beacon=True,
+        )
         self.note_refreshed(doc_id, version, refreshed)
         return refreshed
+
+    def propagate_update(
+        self, doc_id: int, version: int, size: int, now: float
+    ) -> int:
+        """One server→beacon transfer, fanned out in-cloud to holders.
+
+        This star fan-out is the default ``on_update`` of every strategy in
+        :mod:`repro.strategies`;
+        :class:`~repro.strategies.cup.CUPTreeStrategy` replaces it with an
+        interest-tree push rooted at the same beacon.
+
+        Returns the number of holders refreshed. A lost server→beacon body
+        leaves *every* holder stale; a lost fan-out push leaves that one
+        holder stale. Both are detected by the version check on the
+        holder's next request and repaired there.
+        """
+        holders = self.update_targets(doc_id)
+        arrival = self.receive_update(doc_id, version, size, now, holders)
+        if arrival is None:
+            return 0
+        return self.fan_out(holders, doc_id, version, size, now, arrival)
 
     def __repr__(self) -> str:
         return f"BeaconRole(state={self.state!r})"
@@ -348,37 +420,17 @@ class OriginRole:
         counted on its next request).
         """
         cloud = self._cloud
-        fabric = cloud.fabric
-        tel = cloud.telemetry
-        refreshed = 0
-        for cache in cloud.caches:
-            if cache.alive and cache.holds(doc_id):
-                self.server.note_update_message(doc_id)
-                push_span: Optional["Span"] = None
-                if tel is not None:
-                    push_span = tel.begin_span(
-                        "origin_refresh", now, holder=cache.cache_id, bytes=size
-                    )
-                push = fabric.send_document(
-                    self.node_id,
-                    cache.cache_id,
-                    size,
-                    TrafficCategory.UPDATE_SERVER_TO_BEACON,
-                    reliable=True,
-                )
-                if tel is not None and push_span is not None:
-                    tel.end_span(
-                        push_span,
-                        now + push.latency,
-                        ok=push.ok,
-                        attempts=push.attempts,
-                    )
-                if not push.ok:
-                    cloud.update_pushes_lost += 1
-                    continue
-                cache.apply_update(doc_id, version, now, size_bytes=size)
-                refreshed += 1
-        return refreshed
+        holders = [
+            cache.cache_id
+            for cache in cloud.caches
+            if cache.alive and cache.holds(doc_id)
+        ]
+        for _ in holders:
+            self.server.note_update_message(doc_id)
+        return push_to_holders(
+            cloud, self.node_id, holders, doc_id, version, size, now, now,
+            from_beacon=False,
+        )
 
     def __repr__(self) -> str:
         return f"OriginRole(server={self.server!r})"

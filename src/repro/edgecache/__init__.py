@@ -17,6 +17,7 @@ from repro.edgecache.replacement import (
     GDSFPolicy,
     LFUPolicy,
     LRUPolicy,
+    NoReplacement,
     ReplacementPolicy,
     make_policy,
 )
@@ -34,6 +35,7 @@ __all__ = [
     "GDSFPolicy",
     "LFUPolicy",
     "LRUPolicy",
+    "NoReplacement",
     "ReplacementPolicy",
     "make_policy",
 ]

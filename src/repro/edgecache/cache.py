@@ -124,11 +124,10 @@ class EdgeCache:
         self, doc_id: int, version: int, now: float, size_bytes: Optional[int] = None
     ) -> bool:
         """Apply a pushed update; returns False when no copy is resident."""
-        if doc_id not in self.storage:
-            return False
         storage = self.storage
         evictions_before = storage.evictions
-        storage.refresh_version(doc_id, version, size_bytes=size_bytes, now=now)
+        if not storage.refresh_version(doc_id, version, size_bytes, now):
+            return False
         if storage.evictions != evictions_before:
             # The grown copy pushed others out, and this path sends no
             # eviction notice for them.

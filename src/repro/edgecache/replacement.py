@@ -13,7 +13,8 @@ can be ablated independently of placement:
 
 A policy tracks metadata only; the byte accounting lives in
 :class:`~repro.edgecache.storage.CacheStorage`, which asks the policy for
-victims until the new document fits.
+victims until the new document fits. A store with no byte budget never
+asks, so it binds :class:`NoReplacement` and keeps no order at all.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import heapq
 from abc import ABC, abstractmethod
 from collections import OrderedDict
-from typing import Dict, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 
 class ReplacementPolicy(ABC):
@@ -50,6 +51,34 @@ class ReplacementPolicy(ABC):
     @abstractmethod
     def __contains__(self, doc_id: int) -> bool:
         """Whether the policy tracks ``doc_id``."""
+
+
+class NoReplacement(ReplacementPolicy):
+    """Tracks nothing: the policy of a store that never evicts.
+
+    :class:`~repro.edgecache.storage.CacheStorage` binds this when it has
+    no byte budget, whichever policy it was handed — nobody would ever read
+    the order, and keeping one costs an entry per resident copy plus a
+    reorder per local hit.
+    """
+
+    def on_insert(self, doc_id: int, size_bytes: int, now: float) -> None:
+        pass
+
+    def on_access(self, doc_id: int, now: float) -> None:
+        pass
+
+    def on_remove(self, doc_id: int) -> None:
+        pass
+
+    def choose_victim(self) -> Optional[int]:
+        return None
+
+    def __len__(self) -> int:
+        return 0
+
+    def __contains__(self, doc_id: int) -> bool:
+        return False
 
 
 class LRUPolicy(ReplacementPolicy):
@@ -121,7 +150,7 @@ class LFUPolicy(ReplacementPolicy):
     def __init__(self) -> None:
         self._counts: Dict[int, int] = {}
         self._last: Dict[int, float] = {}
-        self._heap: list = []
+        self._heap: List[Tuple[int, float, int]] = []
 
     def _push(self, doc_id: int) -> None:
         heapq.heappush(
@@ -180,7 +209,7 @@ class GDSFPolicy(ReplacementPolicy):
         self._priority: Dict[int, float] = {}
         self._freq: Dict[int, int] = {}
         self._size: Dict[int, int] = {}
-        self._heap: list = []
+        self._heap: List[Tuple[float, int]] = []
 
     def _score(self, doc_id: int) -> float:
         return self._inflation + self._freq[doc_id] * self._cost / self._size[doc_id]
@@ -228,7 +257,7 @@ class GDSFPolicy(ReplacementPolicy):
         return doc_id in self._priority
 
 
-_POLICIES = {
+_POLICIES: Dict[str, Callable[[], ReplacementPolicy]] = {
     "lru": LRUPolicy,
     "fifo": FIFOPolicy,
     "lfu": LFUPolicy,

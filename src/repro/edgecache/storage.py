@@ -11,10 +11,10 @@ before it is replaced" (paper §3.1).
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, Iterator, List, Optional
+from typing import Callable, Deque, Dict, Iterable, Iterator, List, Optional
 
 from repro.edgecache.document import CachedDocument
-from repro.edgecache.replacement import LRUPolicy, ReplacementPolicy
+from repro.edgecache.replacement import LRUPolicy, NoReplacement, ReplacementPolicy
 
 #: How many recent evictions contribute to the residence-time estimate.
 RESIDENCE_SAMPLE_WINDOW = 64
@@ -29,7 +29,11 @@ class CacheStorage:
         Disk budget; ``None`` means unlimited (Figures 7-8 run the caches
         with unlimited disk).
     policy:
-        Replacement policy; defaults to LRU, matching the paper.
+        Replacement policy; defaults to LRU, matching the paper. A store
+        without a budget never asks for a victim, so it keeps no
+        replacement order: ``policy`` is then
+        :class:`~repro.edgecache.replacement.NoReplacement`, whatever was
+        passed.
     """
 
     #: The stored copy for a doc id, or ``None``. Bound directly to the
@@ -48,7 +52,9 @@ class CacheStorage:
         if capacity_bytes is not None and capacity_bytes <= 0:
             raise ValueError(f"capacity_bytes must be > 0 or None, got {capacity_bytes}")
         self.capacity_bytes = capacity_bytes
-        self.policy = policy if policy is not None else LRUPolicy()
+        if capacity_bytes is None:
+            policy = NoReplacement()
+        self.policy: ReplacementPolicy = policy if policy is not None else LRUPolicy()
         self._docs: Dict[int, CachedDocument] = {}
         self.get = self._docs.get
         self._used = 0
@@ -126,9 +132,14 @@ class CacheStorage:
         version: int,
         size_bytes: Optional[int] = None,
         now: float = 0.0,
-    ) -> None:
-        """Apply a pushed update to a resident copy (version bump, size change)."""
-        doc = self._docs[doc_id]
+    ) -> bool:
+        """Apply a pushed update to a resident copy (version bump, size change).
+
+        Returns ``False``, having changed nothing, when no copy is resident.
+        """
+        doc = self.get(doc_id)
+        if doc is None:
+            return False
         doc.version = version
         if size_bytes is not None and size_bytes != doc.size_bytes:
             delta = size_bytes - doc.size_bytes
@@ -138,9 +149,10 @@ class CacheStorage:
                 self._used += delta
                 doc.size_bytes = size_bytes
                 self._shrink_to_capacity(now, protect=doc_id)
-                return
+                return True
             self._used += delta
             doc.size_bytes = size_bytes
+        return True
 
     def remove(self, doc_id: int, now: float, count_as_eviction: bool = False) -> None:
         """Explicitly drop a copy; raises KeyError when absent."""
@@ -168,7 +180,9 @@ class CacheStorage:
         """
         return self.residence_mean
 
-    def min_resident_residence(self, now: float, doc_ids) -> Optional[float]:
+    def min_resident_residence(
+        self, now: float, doc_ids: Iterable[int]
+    ) -> Optional[float]:
         """Smallest current residence time among ``doc_ids`` resident here."""
         times = [
             self._docs[d].residence_time(now) for d in doc_ids if d in self._docs

@@ -85,9 +85,13 @@ class WorkProfile:
     # ------------------------------------------------------------------
     # Charging (called from the role seams)
     # ------------------------------------------------------------------
-    def charge(self, phase: str, units: int = 1) -> None:
-        """Record one execution of ``phase`` costing ``units`` work units."""
-        self.counts[phase] += 1
+    def charge(self, phase: str, units: int = 1, executions: int = 1) -> None:
+        """Record ``executions`` runs of ``phase`` costing ``units`` in total.
+
+        One call for a whole burst (an update's fan-out legs) leaves the
+        same counts and units as charging each execution on its own.
+        """
+        self.counts[phase] += executions
         self.units[phase] += units
 
     def record_walk(self, doc_id: int, walked: int) -> None:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Optional, Set
 
-from repro.core.protocol import UpdateNotice, UpdatePush
+from repro.core.protocol import UpdatePush
 from repro.network.bandwidth import TrafficCategory
 from repro.strategies.paper import PolicyStrategy
 
@@ -56,58 +56,20 @@ class CUPTreeStrategy(PolicyStrategy):
         cloud = beacon_role.cloud
         fabric = cloud.fabric
         beacon_id = beacon_role.beacon_id
-        irh = cloud.doc_irh(doc_id)
         caches = cloud.caches
         holders = beacon_role.update_targets(doc_id)
-        carries_body = bool(holders)
-        if fabric.trace.enabled:
-            fabric.emit(
-                UpdateNotice(doc_id, version, beacon_id, carries_body, size)
-            )
-        cloud.origin.note_update_message(doc_id)
-        origin_id = cloud.origin.node_id
+        # Same notice-or-body step as the star; with nobody holding the
+        # document, or the root never getting the body, there is no tree.
+        root_at = beacon_role.receive_update(doc_id, version, size, now, holders)
+        if root_at is None:
+            return 0
         tel = cloud.telemetry
-        if not carries_body:
-            # Nobody holds the document: same bare invalidation notice as
-            # the star — there is no tree to build.
-            notice_span: Optional["Span"] = None
-            if tel is not None:
-                notice_span = tel.begin_span(
-                    "update_notice", now, beacon=beacon_id
-                )
-            notice = fabric.send_control(origin_id, beacon_id, reliable=True)
-            if tel is not None and notice_span is not None:
-                tel.end_span(notice_span, now + notice.latency, ok=notice.ok)
-            if notice.ok:
-                beacon_role.state.record_update(irh)
-            return 0
-        body_span: Optional["Span"] = None
-        if tel is not None:
-            body_span = tel.begin_span(
-                "server_to_beacon", now, beacon=beacon_id, bytes=size
-            )
-        body = fabric.send_document(
-            origin_id,
-            beacon_id,
-            size,
-            TrafficCategory.UPDATE_SERVER_TO_BEACON,
-            reliable=True,
-        )
-        if tel is not None and body_span is not None:
-            tel.end_span(
-                body_span, now + body.latency, ok=body.ok, attempts=body.attempts
-            )
-        if not body.ok:
-            # The root never got the body: the whole tree stays stale.
-            cloud.update_pushes_lost += len(holders)
-            return 0
-        beacon_role.state.record_update(irh)
 
         # Deterministic k-ary tree: the beacon at index 0, holders in sorted
         # order after it; node i relays to indices k*i+1 .. k*i+k. A node's
         # push starts when its own copy arrived, so latency accrues per level.
         order = [beacon_id] + [h for h in holders if h != beacon_id]
-        arrival: Dict[int, float] = {beacon_id: now + body.latency}
+        arrival: Dict[int, float] = {beacon_id: root_at}
         deferred: Set[int] = set()
         overload = cloud.overload
         k = self.fanout

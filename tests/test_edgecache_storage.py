@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.edgecache.replacement import LRUPolicy
+from repro.edgecache.replacement import LRUPolicy, NoReplacement, make_policy
 from repro.edgecache.storage import CacheStorage
 
 
@@ -19,6 +19,29 @@ class TestUnlimitedStorage:
         storage = CacheStorage()
         storage.admit(0, 100, 0, 0.0)
         assert storage.expected_residence(5.0) is None
+
+    @pytest.mark.parametrize("name", ["lru", "fifo", "lfu", "gdsf"])
+    def test_never_asks_for_a_victim_whichever_policy_it_was_handed(self, name):
+        handed = make_policy(name)
+        handed.choose_victim = lambda: pytest.fail("an unlimited store evicted")
+        storage = CacheStorage(capacity_bytes=None, policy=handed)
+        for doc in range(50):
+            storage.admit(doc, 1000, 0, float(doc))
+            storage.access(doc, doc + 0.5)
+        storage.refresh_version(3, 1, size_bytes=10**9, now=60.0)  # grown body
+        storage.admit(4, 10**9, 2, 61.0)  # re-admission at a larger size
+        storage.remove(5, 62.0)
+        assert len(storage) == 49 and storage.evictions == 0
+        # ... so it keeps no replacement order for anybody to read.
+        assert isinstance(storage.policy, NoReplacement)
+        assert len(storage.policy) == 0 and len(handed) == 0
+        assert 3 not in storage.policy
+
+    def test_a_budget_keeps_the_policy_it_was_handed(self):
+        handed = make_policy("fifo")
+        storage = CacheStorage(capacity_bytes=1000, policy=handed)
+        storage.admit(1, 100, 0, 0.0)
+        assert storage.policy is handed and 1 in handed
 
 
 class TestBoundedStorage:
@@ -85,6 +108,13 @@ class TestVersionRefresh:
         storage.admit(1, 100, 0, 0.0)
         storage.refresh_version(1, 4)
         assert storage.get(1).version == 4
+
+    def test_refresh_of_an_absent_doc_changes_nothing(self):
+        storage = CacheStorage(capacity_bytes=1000)
+        storage.admit(1, 100, 0, 0.0)
+        assert storage.refresh_version(2, 4, size_bytes=300) is False
+        assert storage.refresh_version(1, 4) is True
+        assert 2 not in storage and storage.used_bytes == 100
 
     def test_refresh_with_size_change_adjusts_usage(self):
         storage = CacheStorage(capacity_bytes=1000)

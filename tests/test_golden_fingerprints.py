@@ -17,7 +17,7 @@ The configs are TINY on purpose (~1-2 s each); the full-scale figures are
 exercised by ``benchmarks/``.
 """
 
-from repro.experiments.figures import TINY_SCALE, figure3, figure6
+from repro.experiments.figures import TINY_SCALE, figure3, figure6, figure7_and_8
 from repro.experiments.reporting import fingerprint
 from repro.experiments.resilience import resilience_sweep
 
@@ -31,6 +31,12 @@ GOLDEN_FIGURE6 = (
 GOLDEN_RESILIENCE = (
     "46180117cf904e758b50903e4e501de9a603eae8677719367973c609b7516d9e"
 )
+#: Captured at f892e04, the commit before a store without a byte budget
+#: stopped keeping a replacement order: the unlimited-disk figures must not
+#: be able to tell (figs. 3 and 6 above run unlimited too).
+GOLDEN_FIGURE7_8 = (
+    "2b8b55f7b9061e02503f921a35533c76c717463fa6379bb27ddfdd77ea698371"
+)
 
 
 class TestGoldenFingerprints:
@@ -41,6 +47,10 @@ class TestGoldenFingerprints:
     def test_figure6_fingerprint_unchanged(self):
         result = figure6(TINY_SCALE, alphas=(0.0, 0.9), jobs=1)
         assert fingerprint(result) == GOLDEN_FIGURE6
+
+    def test_figure7_8_fingerprint_unchanged(self):
+        result = figure7_and_8(TINY_SCALE, update_rates=(20.0, 300.0), jobs=1)
+        assert fingerprint(result) == GOLDEN_FIGURE7_8
 
     def test_resilience_fingerprint_unchanged(self):
         result = resilience_sweep(

@@ -80,6 +80,14 @@ class TestWorkProfile:
         assert profile.units["beacon_lookup"] == 4
         assert profile.counts["peer_fetch"] == 0
 
+    def test_one_charge_for_a_burst_equals_charging_each_execution(self):
+        burst, per_leg = WorkProfile(), WorkProfile()
+        attempts = [1, 3, 1, 2]
+        burst.charge("fanout_leg", sum(attempts), len(attempts))
+        for units in attempts:
+            per_leg.charge("fanout_leg", units)
+        assert burst.snapshot() == per_leg.snapshot()
+
     def test_record_walk_feeds_histogram_and_window_table(self):
         profile = WorkProfile()
         profile.record_walk(doc_id=9, walked=4)

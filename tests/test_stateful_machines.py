@@ -99,7 +99,10 @@ class StorageMachine(RuleBasedStateMachine):
     def resident_set_matches_model(self):
         assert set(self.storage) == set(self.model)
         assert len(self.storage) == len(self.model)
-        assert len(self.storage.policy) == len(self.model)
+        # The policy tracks the resident set iff there is a budget: a
+        # store that can never evict keeps no replacement order.
+        tracked = len(self.model) if self.capacity is not None else 0
+        assert len(self.storage.policy) == tracked
 
     @invariant()
     def byte_accounting_exact(self):
