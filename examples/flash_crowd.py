@@ -63,29 +63,36 @@ def main() -> None:
         "dynamic": build(AssignmentScheme.DYNAMIC),
     }
 
-    sim = Simulator()
-    samples = []
-    window_start = {name: {} for name in clouds}
+    # One simulator per cloud (a simulator draws from one trace stream);
+    # both replay the same trace and sample at the same instants.
+    series = {}
+    for name, cloud in clouds.items():
+        sim = Simulator()
+        window_start = {}
+        column = series[name] = []
 
-    def sample():
-        row = [sim.now]
-        for name, cloud in clouds.items():
+        def sample(cloud=cloud, sim=sim, column=column, window_start=window_start):
             loads = cloud.beacon_loads()
-            deltas = [
-                loads[c] - window_start[name].get(c, 0.0) for c in loads
-            ]
-            window_start[name] = loads
-            row.append(coefficient_of_variation(deltas) if any(deltas) else 0.0)
-        samples.append(row)
+            deltas = [loads[c] - window_start.get(c, 0.0) for c in loads]
+            window_start.clear()
+            window_start.update(loads)
+            column.append(
+                (sim.now, coefficient_of_variation(deltas) if any(deltas) else 0.0)
+            )
 
-    for cloud in clouds.values():
         cloud.attach_cycles(sim)
         TraceFeeder(sim, cloud, trace.merged()).start()
-    t = sample_every
-    while t <= duration:
-        sim.schedule_at(t, sample, priority=EventPriority.METRICS)
-        t += sample_every
-    sim.run_until(duration)
+        t = sample_every
+        while t <= duration:
+            sim.schedule_at(t, sample, priority=EventPriority.METRICS)
+            t += sample_every
+        sim.run_until(duration)
+    samples = [
+        [time, cov_static, cov_dynamic]
+        for (time, cov_static), (_, cov_dynamic) in zip(
+            series["static"], series["dynamic"]
+        )
+    ]
 
     print("Per-window beacon-load imbalance (coefficient of variation):\n")
     table = Table(["t (min)", "static CoV", "dynamic CoV"], precision=3)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.core.protocol import (
     DocumentTransfer,
@@ -38,6 +38,7 @@ from repro.strategies.base import FetchRoute, ReplyHop, Retrieval, ServedFrom
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.cloud import CacheCloud
+    from repro.core.placement import PlacementPolicy
     from repro.observe.spans import Span
 
 #: Simulated minutes -> reported milliseconds.
@@ -62,7 +63,7 @@ class RequestOutcome(enum.Enum):
     REJECTED = "rejected"
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestResult:
     """Outcome + client-perceived latency of one request."""
 
@@ -133,8 +134,9 @@ class CacheNode:
         # Lookup RPC (possibly multi-hop for consistent hashing). The load
         # counter ticks on every attempt whose request legs arrive — the
         # beacon did its work even if its response then went missing.
+        capture = fabric.trace.enabled
         request: Optional[LookupRequest] = None
-        if fabric.trace.enabled:
+        if capture:
             request = LookupRequest(cache_id, beacon_id, doc_id)
         tel = cloud.telemetry
         lookup_span: Optional["Span"] = None
@@ -187,7 +189,7 @@ class CacheNode:
                 tel.end_span(span, now)
                 tel.count("overload.shed.peer_fetch")
             holder_id = None
-        if fabric.trace.enabled:
+        if capture:
             # Only built under capture: the frozenset copy of the holder set
             # is pure instrumentation and must not tax the hot loop.
             fabric.emit(
@@ -215,7 +217,7 @@ class CacheNode:
                 message=self._transfer_message(
                     holder_id, cache_id, doc_id, size,
                     TrafficCategory.PEER_TRANSFER,
-                ),
+                ) if capture else None,
             )
             if profile is not None:
                 profile.charge("peer_fetch", transfer.attempts)
@@ -266,7 +268,7 @@ class CacheNode:
                 message=self._transfer_message(
                     cloud.origin.node_id, cache_id, doc_id, size,
                     TrafficCategory.ORIGIN_FETCH,
-                ),
+                ) if capture else None,
             )
             if profile is not None:
                 profile.charge("origin_fetch")
@@ -531,9 +533,14 @@ class CacheNode:
     # Directory maintenance (registration + eviction notices)
     # ------------------------------------------------------------------
     def admit_and_register(
-        self, doc_id: int, size: int, version: int, now: float
+        self, doc_id: int, size: int, version: int, now: float, beacon_id: int
     ) -> None:
-        """Store a copy locally and register it with the beacon point."""
+        """Store a copy locally and register it with ``beacon_id``.
+
+        ``beacon_id`` is the document's beacon point as the retrieval that
+        produced the copy resolved it (nothing re-assigns ranges between a
+        lookup and the admission it leads to).
+        """
         cloud = self._cloud
         cache = self.cache
         cache_id = cache.cache_id
@@ -542,7 +549,6 @@ class CacheNode:
             cache.decline()  # did not fit at all
             return
         irh = cloud.doc_irh(doc_id)
-        beacon_id = cloud.beacon_for_doc(doc_id)
         beacon_role = cloud.beacon_roles[beacon_id]
         if cache_id == beacon_id:
             beacon_role.accept_registration(doc_id, irh, cache_id)
@@ -599,17 +605,59 @@ class CacheNode:
     # ------------------------------------------------------------------
     # Placement
     # ------------------------------------------------------------------
+    def decide_store(
+        self, policy: "PlacementPolicy", doc_id: int, now: float, beacon_id: int
+    ) -> bool:
+        """One store decision, from values read in place.
+
+        Reads what :meth:`placement_context` would report and hands it to
+        ``policy`` as plain arguments — no context object on the miss path.
+        """
+        copies, local, mean, update, new, existing = self._placement_inputs(
+            doc_id, now, beacon_id
+        )
+        return policy.decide(
+            self.cache.cache_id == beacon_id,
+            len(copies), local, mean, update, new, existing,
+        )
+
     def placement_context(
         self, doc_id: int, size: int, now: float, beacon_id: int
     ) -> PlacementContext:
-        """Everything the placement policy needs for one store decision."""
+        """The inputs of one store decision, as a report.
+
+        Counts as a decision for the estimators and the work profile, like
+        :meth:`decide_store`: the rate reads advance decay state.
+        """
+        copies, local, mean, update, new, existing = self._placement_inputs(
+            doc_id, now, beacon_id
+        )
+        return PlacementContext(
+            cache_id=self.cache.cache_id,
+            doc_id=doc_id,
+            size_bytes=size,
+            now=now,
+            beacon_id=beacon_id,
+            existing_holders=frozenset(copies),
+            local_access_rate=local,
+            cache_mean_rate=mean,
+            update_rate=update,
+            expected_residence_new=new,
+            min_residence_existing=existing,
+        )
+
+    def _placement_inputs(
+        self, doc_id: int, now: float, beacon_id: int
+    ) -> Tuple[List[int], float, float, float, Optional[float], Optional[float]]:
+        """(live holders, local rate, mean rate, update rate, residence here,
+        minimum residence at the holders) for one store decision."""
         cloud = self._cloud
         cache = self.cache
         caches = cloud.caches
         cache_id = cache.cache_id
         # Directory entries can outlive their caches (churn kills a holder
         # before its entries are repaired); the policy must only see live
-        # replicas, in ``existing_holders`` and the residence minimum alike
+        # replicas, in the holder count and the residence minimum alike
         # — phantom holders would deflate the DAI component.
         live = []
         # An existing holder with no contention keeps its copy indefinitely;
@@ -637,18 +685,17 @@ class CacheNode:
             # One store decision, whose work scales with the live holders
             # whose residence the DAI component examined.
             profile.charge("placement", 1 + len(live))
-        return PlacementContext(
-            cache_id=cache_id,
-            doc_id=doc_id,
-            size_bytes=size,
-            now=now,
-            beacon_id=beacon_id,
-            existing_holders=frozenset(live),
-            local_access_rate=cache.frequencies.rate_of(doc_id, now),
-            cache_mean_rate=cache.frequencies.mean_rate(now),
-            update_rate=update_tracker.rate(now) if update_tracker else 0.0,
-            expected_residence_new=cache.storage.expected_residence(now),
-            min_residence_existing=min_residence,
+        # The three estimator reads happen for every decision and in this
+        # order: ``rate()`` advances decay state, and a decay split
+        # differently changes float bits downstream.
+        frequencies = cache.frequencies
+        return (
+            live,
+            frequencies.rate_of(doc_id, now),
+            frequencies.mean_rate(now),
+            update_tracker.rate(now) if update_tracker else 0.0,
+            cache.storage.residence_mean,
+            min_residence,
         )
 
     # ------------------------------------------------------------------

@@ -17,7 +17,7 @@ stores the copy:
   copy is expected to serve at least one hit before it dies. A single-signal
   precursor of the utility function's CMC component.
 
-All policies answer through the same :meth:`PlacementPolicy.should_store`
+All policies answer through the same :meth:`PlacementPolicy.decide`
 interface so the cloud orchestrator is scheme-agnostic. Policies are the
 *admission rule* layer only: the strategy plane (:mod:`repro.strategies`)
 wraps them into full :class:`~repro.strategies.base.CacheStrategy` objects
@@ -29,6 +29,7 @@ trees) plug in without touching this module.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import Optional
 
 from repro.core.config import CloudConfig, PlacementScheme
 from repro.core.utility import PlacementContext, UtilityComputer
@@ -41,8 +42,30 @@ class PlacementPolicy(ABC):
     name: str = "abstract"
 
     @abstractmethod
+    def decide(
+        self, at_beacon: bool, copies: int, access_rate: float, mean_rate: float,
+        update_rate: float, residence_new: Optional[float], residence_min: Optional[float],
+    ) -> bool:
+        """Whether the deciding cache should store the copy.
+
+        The arguments are what :class:`~repro.core.utility.PlacementContext`
+        reports, as plain values: whether the deciding cache is the
+        document's beacon point, the number of live copies elsewhere in the
+        cloud, then the context's rate and residence fields. This is the
+        form the miss path calls — nothing is built per decision.
+        """
+
     def should_store(self, ctx: PlacementContext) -> bool:
-        """Whether the deciding cache should store the copy."""
+        """:meth:`decide` on the values a context object carries."""
+        return self.decide(
+            ctx.cache_id == ctx.beacon_id,
+            len(ctx.existing_holders),
+            ctx.local_access_rate,
+            ctx.cache_mean_rate,
+            ctx.update_rate,
+            ctx.expected_residence_new,
+            ctx.min_residence_existing,
+        )
 
 
 class AdHocPlacement(PlacementPolicy):
@@ -50,7 +73,10 @@ class AdHocPlacement(PlacementPolicy):
 
     name = "ad_hoc"
 
-    def should_store(self, ctx: PlacementContext) -> bool:
+    def decide(
+        self, at_beacon: bool, copies: int, access_rate: float, mean_rate: float,
+        update_rate: float, residence_new: Optional[float], residence_min: Optional[float],
+    ) -> bool:
         return True
 
 
@@ -59,8 +85,11 @@ class BeaconPlacement(PlacementPolicy):
 
     name = "beacon"
 
-    def should_store(self, ctx: PlacementContext) -> bool:
-        return ctx.cache_id == ctx.beacon_id
+    def decide(
+        self, at_beacon: bool, copies: int, access_rate: float, mean_rate: float,
+        update_rate: float, residence_new: Optional[float], residence_min: Optional[float],
+    ) -> bool:
+        return at_beacon
 
 
 class UtilityPlacement(PlacementPolicy):
@@ -71,8 +100,14 @@ class UtilityPlacement(PlacementPolicy):
     def __init__(self, computer: UtilityComputer) -> None:
         self.computer = computer
 
-    def should_store(self, ctx: PlacementContext) -> bool:
-        return self.computer.should_store(ctx)
+    def decide(
+        self, at_beacon: bool, copies: int, access_rate: float, mean_rate: float,
+        update_rate: float, residence_new: Optional[float], residence_min: Optional[float],
+    ) -> bool:
+        return self.computer.decide(
+            copies, access_rate, mean_rate, update_rate,
+            residence_new, residence_min,
+        )
 
 
 class ExpirationAgePlacement(PlacementPolicy):
@@ -91,10 +126,13 @@ class ExpirationAgePlacement(PlacementPolicy):
             raise ValueError(f"beta must be > 0, got {beta}")
         self.beta = beta
 
-    def should_store(self, ctx: PlacementContext) -> bool:
-        if ctx.update_rate <= 0.0:
+    def decide(
+        self, at_beacon: bool, copies: int, access_rate: float, mean_rate: float,
+        update_rate: float, residence_new: Optional[float], residence_min: Optional[float],
+    ) -> bool:
+        if update_rate <= 0.0:
             return True
-        return ctx.local_access_rate > self.beta * ctx.update_rate
+        return access_rate > self.beta * update_rate
 
 
 def make_placement(config: CloudConfig) -> PlacementPolicy:

@@ -34,19 +34,21 @@ its stated semantics, normalized to [0, 1]:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import FrozenSet, Optional, Tuple
 
 from repro.core.config import UtilityWeights
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PlacementContext:
     """Everything the utility function observes about one placement decision.
 
-    Assembled by the cloud orchestrator at the moment a cache has retrieved
-    a document and must decide whether to store it.
+    A report of one decision's inputs, as
+    :meth:`~repro.core.node.CacheNode.placement_context` assembles it for
+    callers that want to look at them. The miss path itself builds no
+    context: it hands the same values straight to
+    :meth:`~repro.core.placement.PlacementPolicy.decide`.
     """
 
     cache_id: int
@@ -55,7 +57,7 @@ class PlacementContext:
     now: float
     beacon_id: int
     #: Caches (other than the requester) currently holding the document.
-    existing_holders: frozenset
+    existing_holders: FrozenSet[int]
     #: Recent local access rate of the document at the deciding cache.
     local_access_rate: float
     #: Mean per-document access rate at the deciding cache.
@@ -96,11 +98,47 @@ class UtilityComponents:
 
 
 def _ratio(numerator: float, denominator_extra: float, neutral: float = 0.5) -> float:
-    """``n / (n + m)`` with a neutral value when both signals are absent."""
+    """``n / (n + m)`` with a neutral value when both signals are absent.
+
+    "Absent" is exact: the guard is ``n + m <= 0``, with no tolerance — a
+    total of ``1e-300`` is a signal and divides.
+    """
     total = numerator + denominator_extra
-    if total <= 0.0 or math.isclose(total, 0.0):
+    if total <= 0.0:
         return neutral
     return numerator / total
+
+
+def evaluate(
+    copies: int,
+    access_rate: float,
+    mean_rate: float,
+    update_rate: float,
+    residence_new: Optional[float],
+    residence_min: Optional[float],
+) -> Tuple[float, float, float, float]:
+    """The four components ``(afc, dai, dscc, cmc)``, not yet range-checked.
+
+    ``copies`` is the number of live in-cloud copies other than the
+    deciding cache's; the remaining arguments are the
+    :class:`PlacementContext` fields of the same meaning.
+    """
+    if residence_new is None:
+        # No contention at the deciding cache: the copy effectively
+        # never leaves, so it outlives any existing copy.
+        dscc = 1.0
+    elif residence_min is None:
+        # Contention here, none at the holders: the new copy is the
+        # volatile one. Compare against its own horizon — neutral.
+        dscc = 0.5
+    else:
+        dscc = _ratio(residence_new, residence_min)
+    return (
+        _ratio(access_rate, mean_rate),
+        1.0 / (copies + 1),
+        dscc,
+        _ratio(access_rate, update_rate),
+    )
 
 
 class UtilityComputer:
@@ -115,57 +153,73 @@ class UtilityComputer:
         self.accepts = 0
 
     # ------------------------------------------------------------------
-    # Components
+    # From values read in place (the miss path)
     # ------------------------------------------------------------------
-    def components(self, ctx: PlacementContext) -> UtilityComponents:
-        """Evaluate all four components for ``ctx``."""
-        return UtilityComponents(
-            afc=self._afc(ctx),
-            dai=self._dai(ctx),
-            dscc=self._dscc(ctx),
-            cmc=self._cmc(ctx),
+    def utility(
+        self,
+        copies: int,
+        access_rate: float,
+        mean_rate: float,
+        update_rate: float,
+        residence_new: Optional[float],
+        residence_min: Optional[float],
+    ) -> float:
+        """The scalar utility of storing the copy; arguments as :func:`evaluate`."""
+        afc, dai, dscc, cmc = evaluate(
+            copies, access_rate, mean_rate, update_rate, residence_new, residence_min
+        )
+        if not (
+            0.0 <= afc <= 1.0
+            and 0.0 <= dai <= 1.0
+            and 0.0 <= dscc <= 1.0
+            and 0.0 <= cmc <= 1.0
+        ):
+            # Raises, naming the first component out of range.
+            UtilityComponents(afc, dai, dscc, cmc)
+        weights = self.weights
+        return (
+            weights.afc * afc
+            + weights.dai * dai
+            + weights.dscc * dscc
+            + weights.cmc * cmc
         )
 
-    @staticmethod
-    def _afc(ctx: PlacementContext) -> float:
-        return _ratio(ctx.local_access_rate, ctx.cache_mean_rate)
-
-    @staticmethod
-    def _dai(ctx: PlacementContext) -> float:
-        return 1.0 / (len(ctx.existing_holders) + 1)
-
-    @staticmethod
-    def _dscc(ctx: PlacementContext) -> float:
-        r_new = ctx.expected_residence_new
-        r_min = ctx.min_residence_existing
-        if r_new is None:
-            # No contention at the deciding cache: the copy effectively
-            # never leaves, so it outlives any existing copy.
-            return 1.0
-        if r_min is None:
-            # Contention here, none at the holders: the new copy is the
-            # volatile one. Compare against its own horizon — neutral.
-            return 0.5
-        return _ratio(r_new, r_min)
-
-    @staticmethod
-    def _cmc(ctx: PlacementContext) -> float:
-        return _ratio(ctx.local_access_rate, ctx.update_rate)
-
-    # ------------------------------------------------------------------
-    # Decision
-    # ------------------------------------------------------------------
-    def value(self, ctx: PlacementContext) -> float:
-        """The scalar utility of storing the copy."""
-        return self.components(ctx).weighted(self.weights)
-
-    def should_store(self, ctx: PlacementContext) -> bool:
+    def decide(
+        self,
+        copies: int,
+        access_rate: float,
+        mean_rate: float,
+        update_rate: float,
+        residence_new: Optional[float],
+        residence_min: Optional[float],
+    ) -> bool:
         """Thresholded decision: store iff ``utility > threshold``."""
         self.evaluations += 1
-        decision = self.value(ctx) > self.threshold
+        decision = (
+            self.utility(
+                copies, access_rate, mean_rate, update_rate,
+                residence_new, residence_min,
+            )
+            > self.threshold
+        )
         if decision:
             self.accepts += 1
         return decision
+
+    # ------------------------------------------------------------------
+    # From a context object (reporting callers)
+    # ------------------------------------------------------------------
+    def components(self, ctx: PlacementContext) -> UtilityComponents:
+        """Evaluate all four components for ``ctx``."""
+        return UtilityComponents(*evaluate(*_inputs(ctx)))
+
+    def value(self, ctx: PlacementContext) -> float:
+        """The scalar utility of storing the copy."""
+        return self.utility(*_inputs(ctx))
+
+    def should_store(self, ctx: PlacementContext) -> bool:
+        """Thresholded decision: store iff ``utility > threshold``."""
+        return self.decide(*_inputs(ctx))
 
     @property
     def accept_rate(self) -> float:
@@ -177,3 +231,17 @@ class UtilityComputer:
             f"UtilityComputer(threshold={self.threshold}, "
             f"weights={self.weights.as_dict()}, accept_rate={self.accept_rate:.3f})"
         )
+
+
+def _inputs(
+    ctx: PlacementContext,
+) -> Tuple[int, float, float, float, Optional[float], Optional[float]]:
+    """The arguments of :func:`evaluate`, read from a context."""
+    return (
+        len(ctx.existing_holders),
+        ctx.local_access_rate,
+        ctx.cache_mean_rate,
+        ctx.update_rate,
+        ctx.expected_residence_new,
+        ctx.min_residence_existing,
+    )

@@ -11,7 +11,7 @@ before it is replaced" (paper §3.1).
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, Iterable, Iterator, List, Optional
+from typing import Callable, Deque, Dict, Iterator, List, Optional
 
 from repro.edgecache.document import CachedDocument
 from repro.edgecache.replacement import LRUPolicy, NoReplacement, ReplacementPolicy
@@ -169,7 +169,7 @@ class CacheStorage:
     # ------------------------------------------------------------------
     # Residence-time estimation (DsCC input)
     # ------------------------------------------------------------------
-    def expected_residence(self, now: float) -> Optional[float]:
+    def expected_residence(self) -> Optional[float]:
         """Expected residence time of a *new* admission, in simulated minutes.
 
         ``None`` means "effectively unbounded" — either the store is
@@ -179,17 +179,6 @@ class CacheStorage:
         copy can be expected to reside before it is replaced".
         """
         return self.residence_mean
-
-    def min_resident_residence(
-        self, now: float, doc_ids: Iterable[int]
-    ) -> Optional[float]:
-        """Smallest current residence time among ``doc_ids`` resident here."""
-        times = [
-            self._docs[d].residence_time(now) for d in doc_ids if d in self._docs
-        ]
-        if not times:
-            return None
-        return min(times)
 
     # ------------------------------------------------------------------
     # Internals

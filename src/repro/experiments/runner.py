@@ -21,7 +21,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.metrics.loadbalance import LoadBalanceStats, load_balance_stats
 from repro.network.bandwidth import TrafficMeter
-from repro.simulation.engine import Simulator
+from repro.simulation.engine import Simulator, SourceItem
 from repro.simulation.events import EventPriority
 from repro.simulation.rng import derive_seed
 from repro.workload.documents import Corpus
@@ -40,11 +40,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class TraceFeeder:
-    """Feeds a merged trace stream into a cloud, one event in flight.
+    """Feeds a merged trace stream into a cloud, one record in flight.
 
-    Scheduling the whole trace up front would materialize millions of heap
-    entries; the feeder keeps exactly one pending event and schedules the
-    next record when the current one fires.
+    The feeder is the simulator's record source
+    (:meth:`~repro.simulation.engine.Simulator.attach_source`): the engine
+    holds exactly one waiting record and asks for the next when the current
+    one has been processed, so a trace of any length costs one slot — never
+    a heap entry, an event object or a closure per record.
     """
 
     def __init__(
@@ -60,31 +62,24 @@ class TraceFeeder:
 
     def start(self) -> None:
         """Arm the first record."""
-        self._schedule_next()
+        self._sim.attach_source(self._pull, self._process)
 
-    def _schedule_next(self) -> None:
+    def _pull(self) -> Optional[SourceItem]:
+        """The next record with its time and same-instant priority class."""
         record = next(self._iter, None)
         if record is None:
-            return
-        priority = (
-            EventPriority.UPDATE
-            if isinstance(record, UpdateRecord)
-            else EventPriority.REQUEST
-        )
-        self._sim.schedule_at(
-            max(record.time, self._sim.now),
-            lambda r=record: self._process(r),
-            priority=priority,
-            label="trace-record",
-        )
+            return None
+        if isinstance(record, UpdateRecord):
+            return (record.time, EventPriority.UPDATE, record)
+        return (record.time, EventPriority.REQUEST, record)
 
-    def _process(self, record: TraceRecord) -> None:
+    def _process(self, record: TraceRecord, now: float) -> None:
+        """Hand one due record to the cloud."""
         self.records_fed += 1
         if isinstance(record, UpdateRecord):
-            self._cloud.handle_update(record.doc_id, self._sim.now)
+            self._cloud.handle_update(record.doc_id, now)
         else:
-            self._cloud.handle_request(record.cache_id, record.doc_id, self._sim.now)
-        self._schedule_next()
+            self._cloud.handle_request(record.cache_id, record.doc_id, now)
 
 
 @dataclass

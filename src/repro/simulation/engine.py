@@ -3,15 +3,30 @@
 A classic calendar-queue-free DES loop built on :mod:`heapq`. The engine is
 single-threaded and deterministic: events with equal timestamps dispatch in
 (priority, insertion) order.
+
+Pending work comes in two kinds. *Events* are callbacks on the heap
+(:meth:`Simulator.schedule_at`): cycles, resets, churn, monitors — anything
+scheduled ahead of time, in any order. The *source*
+(:meth:`Simulator.attach_source`) is one time-sorted stream of items with a
+single item waiting at a time; a trace of a million records is a million
+items through one slot, not a million heap entries. Both kinds share one
+total order ``(time, priority, seq)`` and one ``seq`` counter, and an item
+takes its ``seq`` when it becomes the waiting one — right after its
+predecessor was processed, which is when an event-per-item feeder would
+have scheduled it — so the two interleave exactly as if every item were an
+event.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.simulation.clock import SimulationClock
-from repro.simulation.events import Event, EventPriority
+from repro.simulation.events import _SEQ, Event, EventPriority
+
+#: What a source hands over: ``(time, priority, item)``.
+SourceItem = Tuple[float, int, Any]
 
 
 class SimulationError(RuntimeError):
@@ -28,14 +43,22 @@ class Simulator:
         sim.run_until(10.0)
 
     The engine exposes both absolute (:meth:`schedule_at`) and relative
-    (:meth:`schedule_in`) scheduling, lazy cancellation, and bounded runs.
+    (:meth:`schedule_in`) scheduling, lazy cancellation, bounded runs, and
+    one attached record source (:meth:`attach_source`).
     """
 
     def __init__(self, start_time: float = 0.0) -> None:
         self.clock = SimulationClock(start_time)
         self._queue: List[Event] = []
+        #: The attached source, ``(pull, process)``; see :meth:`attach_source`.
+        self._source: Optional[
+            Tuple[Callable[[], Optional[SourceItem]], Callable[[Any, float], None]]
+        ] = None
+        #: Sort key ``(time, priority, seq)`` of the source's waiting item;
+        #: ``None`` while an item is being processed or the stream is done.
+        self._head_key: Optional[Tuple[float, int, int]] = None
+        self._head_item: Any = None
         self._dispatched = 0
-        self._running = False
         self._stop_requested = False
 
     # ------------------------------------------------------------------
@@ -48,27 +71,29 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Number of events still in the queue (including cancelled ones)."""
-        return len(self._queue)
+        """Queued events (including cancelled ones) plus a waiting source item."""
+        return len(self._queue) + (self._head_key is not None)
 
     @property
     def dispatched_events(self) -> int:
-        """Number of events executed so far."""
+        """Number of events and source items executed so far."""
         return self._dispatched
 
     def peek_next_time(self) -> Optional[float]:
-        """Time of the next live event, or ``None`` if the queue is drained."""
+        """Time of the next live event or source item, ``None`` if drained."""
         self._drop_cancelled_head()
-        if not self._queue:
-            return None
-        return self._queue[0].time
+        times = [event.time for event in self._queue[:1]]
+        if self._head_key is not None:
+            times.append(self._head_key[0])
+        return min(times, default=None)
 
     def iter_pending(self) -> List[Event]:
         """The live (non-cancelled) queued events, in heap order.
 
-        The returned list is a snapshot; mutating an event's ``callback``
-        (as :class:`~repro.simulation.tracing.EventTracer` does on attach)
-        is supported, re-ordering is not.
+        Events only — a waiting source item is not an :class:`Event`. The
+        returned list is a snapshot; mutating an event's ``callback`` (as
+        :class:`~repro.simulation.tracing.EventTracer` does on attach) is
+        supported, re-ordering is not.
         """
         return [event for event in self._queue if not event.cancelled]
 
@@ -109,6 +134,32 @@ class Simulator:
             self.clock.now + delay, callback, priority=priority, label=label
         )
 
+    def attach_source(
+        self,
+        pull: Callable[[], Optional[SourceItem]],
+        process: Callable[[Any, float], None],
+    ) -> None:
+        """Draw a time-sorted stream alongside the heap, one item at a time.
+
+        ``pull()`` answers the stream's next ``(time, priority, item)`` or
+        ``None`` once exhausted; ``process(item, now)`` handles an item when
+        it is due. The first item waits from now on; each later one is
+        pulled after its predecessor was processed. An item is due at its
+        own time, or at once if the clock has already passed it (a stream
+        attached late) — so, unlike an event, it can never lie in the past.
+        """
+        if self._source is not None:
+            raise SimulationError("a source is already attached")
+        self._source = (pull, process)
+        self._pull(pull, self.clock.now)
+
+    def _pull(self, pull: Callable[[], Optional[SourceItem]], now: float) -> None:
+        """Make the stream's next item the waiting one (it takes its seq now)."""
+        pulled = pull()
+        if pulled is not None:
+            time, priority, self._head_item = pulled
+            self._head_key = (float(max(time, now)), int(priority), next(_SEQ))
+
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -117,58 +168,65 @@ class Simulator:
         self._stop_requested = True
 
     def run_until(self, end_time: float, inclusive: bool = True) -> int:
-        """Dispatch events with time <= ``end_time`` (or < when not inclusive).
+        """Dispatch work with time <= ``end_time`` (or < when not inclusive).
 
-        The clock is left at ``end_time`` even if the queue drains earlier,
+        The clock is left at ``end_time`` even if the work drains earlier,
         so that periodic metric windows are well defined. Returns the number
-        of events dispatched by this call.
+        of events and source items dispatched by this call.
         """
         if end_time < self.clock.now:
             raise SimulationError(
                 f"end_time {end_time} is before current time {self.clock.now}"
             )
-        dispatched_before = self._dispatched
-        self._running = True
-        self._stop_requested = False
-        try:
-            while self._queue and not self._stop_requested:
-                self._drop_cancelled_head()
-                if not self._queue:
-                    break
-                head = self._queue[0]
-                beyond = head.time > end_time if inclusive else head.time >= end_time
-                if beyond:
-                    break
-                heapq.heappop(self._queue)
-                self.clock.advance_to(head.time)
-                head.callback()
-                self._dispatched += 1
-            self.clock.advance_to(max(self.clock.now, end_time))
-        finally:
-            self._running = False
-        return self._dispatched - dispatched_before
+        dispatched = self._dispatch(end_time, inclusive, None)
+        self.clock.advance_to(max(self.clock.now, end_time))
+        return dispatched
 
     def run(self, max_events: Optional[int] = None) -> int:
-        """Dispatch until the queue drains (or ``max_events`` is reached)."""
+        """Dispatch until nothing is pending (or ``max_events`` is reached)."""
+        return self._dispatch(float("inf"), True, max_events)
+
+    def _dispatch(
+        self, end_time: float, inclusive: bool, max_events: Optional[int]
+    ) -> int:
+        """The one dispatch loop: the smaller of heap head and source head."""
+        queue = self._queue
+        clock = self.clock
         dispatched_before = self._dispatched
-        self._running = True
+        limit = float("inf") if max_events is None else dispatched_before + max_events
         self._stop_requested = False
-        try:
-            while self._queue and not self._stop_requested:
-                if (
-                    max_events is not None
-                    and self._dispatched - dispatched_before >= max_events
-                ):
-                    break
-                self._drop_cancelled_head()
-                if not self._queue:
-                    break
-                head = heapq.heappop(self._queue)
-                self.clock.advance_to(head.time)
-                head.callback()
-                self._dispatched += 1
-        finally:
-            self._running = False
+        while not self._stop_requested and self._dispatched < limit:
+            while queue and queue[0].cancelled:
+                heapq.heappop(queue)
+            key = self._head_key
+            event = queue[0] if queue else None
+            if event is not None and (
+                key is None or (event.time, event.priority, event.seq) < key
+            ):
+                time = event.time
+            elif key is not None:
+                event = None
+                time = key[0]
+            else:
+                break
+            if time > end_time or (time == end_time and not inclusive):
+                break
+            if event is not None:
+                heapq.heappop(queue)
+                clock.advance_to(time)
+                event.callback()
+            else:
+                # In flight: nothing waits while the item runs, and its
+                # successor is pulled (and numbered) only afterwards, behind
+                # whatever the item itself scheduled.
+                assert self._source is not None  # an item waits => a source
+                pull, process = self._source
+                item = self._head_item
+                self._head_key = self._head_item = None
+                clock.advance_to(time)
+                process(item, time)
+                self._pull(pull, time)
+            self._dispatched += 1
         return self._dispatched - dispatched_before
 
     # ------------------------------------------------------------------
@@ -180,6 +238,6 @@ class Simulator:
 
     def __repr__(self) -> str:
         return (
-            f"Simulator(now={self.clock.now:.4f}, pending={len(self._queue)}, "
+            f"Simulator(now={self.clock.now:.4f}, pending={self.pending_events}, "
             f"dispatched={self._dispatched})"
         )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Tuple
 
 
 class EventPriority(enum.IntEnum):
@@ -47,7 +47,7 @@ class Event:
         Optional human-readable tag used in tracing/debugging output.
     """
 
-    __slots__ = ("time", "priority", "seq", "callback", "label", "_cancelled")
+    __slots__ = ("time", "priority", "seq", "callback", "label", "cancelled")
 
     def __init__(
         self,
@@ -65,18 +65,15 @@ class Event:
         self.seq = next(_SEQ)
         self.callback = callback
         self.label = label
-        self._cancelled = False
-
-    @property
-    def cancelled(self) -> bool:
-        """Whether :meth:`cancel` has been called."""
-        return self._cancelled
+        #: Whether :meth:`cancel` has been called (read per loop turn by
+        #: the engine, hence a plain attribute).
+        self.cancelled = False
 
     def cancel(self) -> None:
         """Mark the event as cancelled; the engine will skip it lazily."""
-        self._cancelled = True
+        self.cancelled = True
 
-    def sort_key(self) -> tuple:
+    def sort_key(self) -> Tuple[float, int, int]:
         """Total-order key used by the engine's priority queue."""
         return (self.time, int(self.priority), self.seq)
 
@@ -84,6 +81,6 @@ class Event:
         return self.sort_key() < other.sort_key()
 
     def __repr__(self) -> str:
-        state = "cancelled" if self._cancelled else "pending"
+        state = "cancelled" if self.cancelled else "pending"
         tag = f" label={self.label!r}" if self.label else ""
         return f"Event(t={self.time:.4f}, prio={self.priority.name}, {state}{tag})"

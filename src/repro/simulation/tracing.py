@@ -37,7 +37,10 @@ class EventTracer:
     so every event's callback is decorated with a recording shim, and on
     :meth:`attach` it also rewrites the callbacks of events *already* in
     the queue — so pre-attach events (a periodic process armed during
-    setup, a warm-up reset) are traced too, not silently skipped.
+    setup, a warm-up reset) are traced too, not silently skipped. It sees
+    *events* only: items the engine draws from an attached source (a
+    :class:`~repro.experiments.runner.TraceFeeder`'s records) are not
+    scheduled, so they do not appear in the log.
     """
 
     def __init__(self, capacity: int = 10_000) -> None:

@@ -74,7 +74,7 @@ class ReplyHop(enum.Enum):
     REQUESTER = "requester"
 
 
-@dataclass
+@dataclass(slots=True)
 class Retrieval:
     """One storage decision point on the reply path.
 
@@ -114,7 +114,7 @@ def apply_store_decision(
     if stored:
         node.admit_and_register(
             retrieval.doc_id, retrieval.size_bytes, retrieval.version,
-            retrieval.now,
+            retrieval.now, retrieval.beacon_id,
         )
     else:
         node.cache.decline()

@@ -69,7 +69,7 @@ class OnPathStrategy(CacheStrategy):
             if stored:
                 node.admit_and_register(
                     retrieval.doc_id, retrieval.size_bytes, retrieval.version,
-                    retrieval.now,
+                    retrieval.now, retrieval.beacon_id,
                 )
             else:
                 node.cache.decline()

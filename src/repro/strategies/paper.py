@@ -46,14 +46,13 @@ class PolicyStrategy(CacheStrategy):
         self.name = policy.name
 
     def on_retrieval(self, node: "CacheNode", retrieval: Retrieval) -> bool:
-        # Context construction must happen for every decision — the rate
-        # estimators it reads advance their decay state, so skipping it
-        # (even for an always-store policy) would change later decisions.
-        ctx = node.placement_context(
-            retrieval.doc_id, retrieval.size_bytes, retrieval.now,
-            retrieval.beacon_id,
+        # The decision's inputs must be read for every decision — the rate
+        # estimators advance their decay state when read, so skipping the
+        # reads (even for an always-store policy) would change later
+        # decisions.
+        stored = node.decide_store(
+            self.policy, retrieval.doc_id, retrieval.now, retrieval.beacon_id
         )
-        stored = self.policy.should_store(ctx)
         return apply_store_decision(node, retrieval, stored)
 
 
@@ -79,7 +78,7 @@ class BeaconPointStrategy(PolicyStrategy):
             # fetch; ``admit_and_register`` declines internally on no-fit.
             node.admit_and_register(
                 retrieval.doc_id, retrieval.size_bytes, retrieval.version,
-                retrieval.now,
+                retrieval.now, retrieval.beacon_id,
             )
             return True
         if retrieval.served_from is ServedFrom.ORIGIN_VIA_BEACON:

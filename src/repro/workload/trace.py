@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple, Union
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class RequestRecord:
     """A client request arriving at an edge cache.
 
@@ -35,7 +35,7 @@ class RequestRecord:
             raise ValueError(f"doc_id must be >= 0, got {self.doc_id}")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class UpdateRecord:
     """An origin-server update (new version) of a document."""
 
@@ -88,16 +88,16 @@ class Trace:
         """
         return merge_streams(self.requests, self.updates)
 
-    def request_counts_by_doc(self) -> dict:
+    def request_counts_by_doc(self) -> Dict[int, int]:
         """Histogram: doc_id -> number of requests (for workload validation)."""
-        counts: dict = {}
+        counts: Dict[int, int] = {}
         for record in self.requests:
             counts[record.doc_id] = counts.get(record.doc_id, 0) + 1
         return counts
 
-    def update_counts_by_doc(self) -> dict:
+    def update_counts_by_doc(self) -> Dict[int, int]:
         """Histogram: doc_id -> number of updates."""
-        counts: dict = {}
+        counts: Dict[int, int] = {}
         for record in self.updates:
             counts[record.doc_id] = counts.get(record.doc_id, 0) + 1
         return counts
@@ -126,7 +126,8 @@ def merge_streams(
     Both inputs may be lazy iterators; the merge is itself lazy, so
     arbitrarily long traces can be replayed in O(1) memory.
     """
-    return heapq.merge(requests, updates, key=_stream_key)
+    streams: Tuple[Iterable[TraceRecord], ...] = (requests, updates)
+    return heapq.merge(*streams, key=_stream_key)
 
 
 class RequestStreamStats:
@@ -140,7 +141,7 @@ class RequestStreamStats:
 
     def __init__(self, requests: Iterable[RequestRecord]) -> None:
         self._requests = requests
-        self._doc_ids: set = set()
+        self._doc_ids: Set[int] = set()
         self.records = 0
 
     def __iter__(self) -> Iterator[RequestRecord]:

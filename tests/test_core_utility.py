@@ -5,7 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import UtilityWeights
-from repro.core.utility import PlacementContext, UtilityComponents, UtilityComputer
+from repro.core.utility import (
+    PlacementContext,
+    UtilityComponents,
+    UtilityComputer,
+    _ratio,
+)
 
 
 def make_context(**overrides):
@@ -78,6 +83,20 @@ class TestComponents:
         computer = UtilityComputer(UtilityWeights())
         ctx = make_context(local_access_rate=1.0, update_rate=99.0)
         assert computer.components(ctx).cmc == pytest.approx(0.01)
+
+
+class TestRatio:
+    """``n / (n + m)``: the no-signal guard is exact, not a tolerance."""
+
+    def test_tiny_total_is_a_signal(self):
+        assert _ratio(1e-300, 0.0) == 1.0
+        assert _ratio(5e-324, 5e-324) == 0.5  # divides: 5e-324 / 1e-323
+        assert _ratio(0.0, 1e-300) == 0.0
+
+    def test_no_signal_is_neutral(self):
+        assert _ratio(0.0, 0.0) == 0.5
+        assert _ratio(0.0, 0.0, neutral=0.25) == 0.25
+        assert _ratio(-1.0, 0.5) == 0.5  # a non-positive total never divides
 
 
 class TestDecision:

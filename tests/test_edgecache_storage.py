@@ -18,7 +18,7 @@ class TestUnlimitedStorage:
     def test_expected_residence_none(self):
         storage = CacheStorage()
         storage.admit(0, 100, 0, 0.0)
-        assert storage.expected_residence(5.0) is None
+        assert storage.expected_residence() is None
 
     @pytest.mark.parametrize("name", ["lru", "fifo", "lfu", "gdsf"])
     def test_never_asks_for_a_victim_whichever_policy_it_was_handed(self, name):
@@ -150,7 +150,7 @@ class TestResidenceEstimation:
     def test_no_evictions_yet_returns_none(self):
         storage = CacheStorage(capacity_bytes=1000)
         storage.admit(1, 100, 0, 0.0)
-        assert storage.expected_residence(5.0) is None
+        assert storage.expected_residence() is None
 
     def test_estimate_is_mean_of_recent_evictions(self):
         storage = CacheStorage(capacity_bytes=200)
@@ -158,7 +158,7 @@ class TestResidenceEstimation:
         storage.admit(2, 100, 0, 0.0)
         storage.admit(3, 100, 0, 10.0)  # evicts doc 1 after 10 units
         storage.admit(4, 100, 0, 30.0)  # evicts doc 2 after 30 units
-        assert storage.expected_residence(30.0) == pytest.approx(20.0)
+        assert storage.expected_residence() == pytest.approx(20.0)
 
     def test_estimate_is_the_window_mean_bit_for_bit(self):
         """The estimate is refreshed at each eviction with the same
@@ -173,10 +173,10 @@ class TestResidenceEstimation:
             storage.admit(doc_id, 100, 0, now)  # evicts the previous one
             samples = storage._residence_samples
             if samples:
-                assert storage.expected_residence(now) == sum(samples) / len(
+                assert storage.expected_residence() == sum(samples) / len(
                     samples
                 )
-                assert storage.residence_mean == storage.expected_residence(now)
+                assert storage.residence_mean == storage.expected_residence()
         assert len(storage._residence_samples) == RESIDENCE_SAMPLE_WINDOW
 
     def test_explicit_removal_does_not_move_the_estimate(self):
@@ -184,13 +184,6 @@ class TestResidenceEstimation:
         storage.admit(1, 100, 0, 0.0)
         storage.admit(2, 100, 0, 0.0)
         storage.admit(3, 100, 0, 10.0)
-        before = storage.expected_residence(10.0)
+        before = storage.expected_residence()
         storage.remove(3, 50.0)
-        assert storage.expected_residence(50.0) == before
-
-    def test_min_resident_residence(self):
-        storage = CacheStorage()
-        storage.admit(1, 100, 0, 0.0)
-        storage.admit(2, 100, 0, 6.0)
-        assert storage.min_resident_residence(10.0, [1, 2]) == pytest.approx(4.0)
-        assert storage.min_resident_residence(10.0, [99]) is None
+        assert storage.expected_residence() == before

@@ -1,5 +1,9 @@
 """Unit + property tests for trace records and stream merging."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +32,63 @@ class TestRecords:
     def test_records_sort_by_time(self):
         records = [RequestRecord(2.0, 0, 0), RequestRecord(1.0, 1, 1)]
         assert sorted(records)[0].time == 1.0
+
+
+class TestRecordLayout:
+    """Slotted records keep every behaviour the unslotted ones had."""
+
+    RECORDS = [
+        RequestRecord(1.5, 2, 7),
+        RequestRecord(0.0, 0, 0),
+        UpdateRecord(1.5, 7),
+        UpdateRecord(3, 1),
+    ]
+
+    @pytest.mark.parametrize("record", RECORDS, ids=repr)
+    def test_no_instance_dict(self, record):
+        assert not hasattr(record, "__dict__")
+        assert "__slots__" in vars(type(record))
+
+    @pytest.mark.parametrize("record", RECORDS, ids=repr)
+    def test_frozen(self, record):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.time = 9.0
+
+    @pytest.mark.parametrize("record", RECORDS, ids=repr)
+    @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, record, protocol):
+        # ``--jobs`` workers ship whole traces across process boundaries.
+        clone = pickle.loads(pickle.dumps(record, protocol))
+        assert clone == record and type(clone) is type(record)
+        assert hash(clone) == hash(record)
+        assert copy.deepcopy(record) == record
+
+    def test_order_hash_and_equality(self):
+        a, b = RequestRecord(1.0, 3, 4), RequestRecord(1.0, 3, 4)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != RequestRecord(1.0, 3, 5)
+        assert RequestRecord(1.0, 0, 9) < RequestRecord(1.0, 1, 0) < RequestRecord(2.0, 0, 0)
+        assert UpdateRecord(1.0, 2) < UpdateRecord(1.0, 3) <= UpdateRecord(1.0, 3)
+        assert UpdateRecord(1.0, 2) != RequestRecord(1.0, 0, 2)
+        assert dataclasses.replace(a, doc_id=6) == RequestRecord(1.0, 3, 6)
+        assert dataclasses.astuple(UpdateRecord(2.0, 5)) == (2.0, 5)
+
+    def test_negative_fields_still_rejected(self):
+        for bad in ((-0.1, 0, 0), (0.0, -1, 0), (0.0, 0, -1)):
+            with pytest.raises(ValueError):
+                RequestRecord(*bad)
+        for bad in ((-0.1, 0), (0.0, -1)):
+            with pytest.raises(ValueError):
+                UpdateRecord(*bad)
+
+    def test_a_trace_round_trips(self):
+        trace = Trace(
+            requests=[RequestRecord(2.0, 0, 1), RequestRecord(1.0, 1, 2)],
+            updates=[UpdateRecord(1.5, 2)],
+        )
+        clone = pickle.loads(pickle.dumps(trace))
+        assert clone.requests == trace.requests and clone.updates == trace.updates
+        assert list(clone.merged()) == list(trace.merged())
 
 
 class TestTrace:
