@@ -78,6 +78,11 @@ if TYPE_CHECKING:
 
 __all__ = ["CacheCloud", "RequestOutcome", "RequestResult"]
 
+#: The ``requests.<outcome>`` telemetry counter of each outcome value.
+_REQUEST_COUNTERS = {
+    outcome.value: "requests." + outcome.value for outcome in RequestOutcome
+}
+
 
 class CacheCloud:
     """One cooperative cache cloud.
@@ -542,22 +547,30 @@ class CacheCloud:
         try:
             result = self._serve_request(cache_id, doc_id, now)
         except BaseException:
-            telemetry.spans.unwind(root, now)
+            if root is not None:
+                telemetry.spans.unwind(root, now)
             raise
-        telemetry.end_span(
-            root,
-            now + result.latency_ms / MINUTES_TO_MS,
-            outcome=result.outcome.value,
-            served_by=result.served_by,
-            latency_ms=result.latency_ms,
+        # ``_value_``: the plain attribute behind the ``value`` descriptor,
+        # which costs two Python frames per read.
+        outcome_name = result.outcome._value_
+        latency_ms = result.latency_ms
+        if root is not None:
+            telemetry.end_span(
+                root,
+                now + latency_ms / MINUTES_TO_MS,
+                outcome=outcome_name,
+                served_by=result.served_by,
+                latency_ms=latency_ms,
+            )
+        # A rejected request has no service latency — recording its 0.0
+        # would drag every latency percentile toward zero exactly when the
+        # cloud is overloaded. Rejections are visible through the
+        # requests.rejected counter and the overload statistics.
+        telemetry.observe_root(
+            _REQUEST_COUNTERS[outcome_name],
+            now,
+            None if result.outcome is RequestOutcome.REJECTED else latency_ms,
         )
-        telemetry.count("requests." + result.outcome.value)
-        if result.outcome is not RequestOutcome.REJECTED:
-            # A rejected request has no service latency — recording its 0.0
-            # would drag every latency percentile toward zero exactly when
-            # the cloud is overloaded. Rejections are visible through the
-            # requests.rejected counter and the overload statistics.
-            telemetry.observe_request(now, result.latency_ms)
         if flight is not None:
             flight.observe_request(now, result)
         return result
@@ -580,7 +593,8 @@ class CacheCloud:
             # the client away before any protocol work happens — the cache's
             # own request/frequency counters are untouched because the
             # request was never served.
-            overload.advance(now)
+            if now > overload.now:  # ``overload.advance``, in place
+                overload.now = now
             ingress_delay = overload.admit_request(cache_id)
             if ingress_delay is None:
                 self.requests_handled += 1
@@ -661,17 +675,20 @@ class CacheCloud:
         try:
             refreshed = self._apply_update(doc_id, now)
         except BaseException:
-            telemetry.spans.unwind(root, now)
+            if root is not None:
+                telemetry.spans.unwind(root, now)
             raise
-        # The root's end is widened to cover the propagation children.
-        telemetry.end_span(root, now, refreshed=refreshed)
-        telemetry.count("updates.handled")
+        if root is not None:
+            # The root's end is widened to cover the propagation children.
+            telemetry.end_span(root, now, refreshed=refreshed)
+        telemetry.observe_root("updates.handled")
         return refreshed
 
     def _apply_update(self, doc_id: int, now: float) -> int:
         self.updates_handled += 1
-        if self.overload is not None:
-            self.overload.advance(now)
+        overload = self.overload
+        if overload is not None and now > overload.now:
+            overload.now = now  # ``overload.advance``, in place
         version = self.origin.publish_update(doc_id)
         tracker = self._update_rates.get(doc_id)
         if tracker is None:

@@ -161,8 +161,9 @@ DELIVERED_FREE = Delivery(ok=True, latency=0.0, attempts=1)
 
 class _CategorySlot(NamedTuple):
     """What a wire attempt needs of one traffic category (an observer's
-    handle is ``None`` while it is not attached; ``flight_row`` is the
-    recorder's ``[messages, bytes, lost, latency_ms_sum]`` list)."""
+    handle is ``None`` while it is not attached; ``instruments`` is the
+    telemetry journal the attempt appends to, ``flight_row`` the recorder's
+    ``[messages, bytes, lost, latency_ms_sum]`` list)."""
 
     name: str
     instruments: Optional["CategoryInstruments"]
@@ -408,10 +409,16 @@ class MessageFabric:
             else:
                 if delay > 0.0:
                     latency += delay
-                if instruments is not None:
-                    instruments.record_queueing(dst, delay, backlog)
-        if instruments is not None:
-            instruments.record(num_bytes, latency)
+                if instruments is not None:  # ``record_queueing``, in place
+                    if delay > 0.0:
+                        instruments.note_delay(delay * _MINUTES_TO_MS)
+                    instruments.backlogs[dst] = backlog
+        # Telemetry only journals the attempt (bound ``list.append``s, no
+        # frame); ``Telemetry.fold`` does the counting and the histograms.
+        if instruments is not None:  # ``CategoryInstruments.record``, in place
+            instruments.note_size(num_bytes)
+            if latency is not None:
+                instruments.note_latency(latency * _MINUTES_TO_MS)
         row = slot.flight_row
         if row is not None:  # ``FlightRecorder.record_attempt``, row in hand
             row[0] += 1

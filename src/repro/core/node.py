@@ -123,7 +123,8 @@ class CacheNode:
                 span = tel_shed.begin_span(
                     "overload_shed", now, kind="lookup", node=beacon_id
                 )
-                tel_shed.end_span(span, now)
+                if span is not None:
+                    tel_shed.end_span(span, now)
                 tel_shed.count("overload.shed.lookup")
             return self.origin_fallback(
                 doc_id, size, now,
@@ -186,7 +187,8 @@ class CacheNode:
                 span = tel.begin_span(
                     "overload_shed", now, kind="peer_fetch", node=holder_id
                 )
-                tel.end_span(span, now)
+                if span is not None:
+                    tel.end_span(span, now)
                 tel.count("overload.shed.peer_fetch")
             holder_id = None
         if capture:

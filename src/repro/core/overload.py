@@ -363,14 +363,6 @@ class OverloadController:
     # ------------------------------------------------------------------
     # Admission
     # ------------------------------------------------------------------
-    def _admit(self, node_id: int, service_minutes: float) -> Tuple[int, Optional[float]]:
-        """One arrival at ``node_id``: ``(backlog found, delay or None)``."""
-        queue = self._queues.get(node_id) or self.queue_for(node_id)
-        arrival = queue.arrive(self.now, service_minutes)
-        self.stats.queue_depth_sum += arrival[0]
-        self.stats.queue_depth_samples += 1
-        return arrival
-
     def admit_message(
         self, dst: int, category: str, num_bytes: int
     ) -> Optional[float]:
@@ -395,12 +387,26 @@ class OverloadController:
         cost_ms = self._flat_ms.get(category, config.service_ms)
         if config.service_ms_per_kb:
             cost_ms += config.service_ms_per_kb * (num_bytes / 1024.0)
-        depth, delay = self._admit(dst, cost_ms * _MS_TO_MINUTES)
-        if delay is None:
-            self.stats.messages_rejected += 1
+        # ``NodeQueue.arrive``, in place: this runs once per wire attempt.
+        now = self.now
+        queue = self._queues.get(dst) or self.queue_for(dst)
+        completions = queue._completions
+        while completions and completions[0] <= now:
+            completions.popleft()
+        depth = len(completions)
+        stats = self.stats
+        stats.queue_depth_sum += depth
+        stats.queue_depth_samples += 1
+        if depth >= queue.capacity:
+            stats.messages_rejected += 1
             return None, 0
-        self.stats.messages_enqueued += 1
-        self.stats.queue_delay_minutes += delay
+        start = queue.busy_until if queue.busy_until > now else now
+        completion = start + cost_ms * _MS_TO_MINUTES
+        queue.busy_until = completion
+        completions.append(completion)
+        delay = completion - now
+        stats.messages_enqueued += 1
+        stats.queue_delay_minutes += delay
         # Zero delay: a free message on an idle server, done at ``now``.
         return delay, depth + 1 if delay > 0.0 else 0
 
@@ -412,15 +418,29 @@ class OverloadController:
         arrivals are counted separately from wire messages — they are the
         icarus ``PERCENTAGE_OF_REJECTION`` numerator/denominator.
         """
+        stats = self.stats
         if cache_id in self._exempt:
-            self.stats.requests_admitted += 1
+            stats.requests_admitted += 1
             return 0.0
-        delay = self._admit(cache_id, self._request_minutes)[1]
-        if delay is None:
-            self.stats.requests_rejected += 1
+        # ``NodeQueue.arrive``, in place, as in :meth:`admit_wire`.
+        now = self.now
+        queue = self._queues.get(cache_id) or self.queue_for(cache_id)
+        completions = queue._completions
+        while completions and completions[0] <= now:
+            completions.popleft()
+        depth = len(completions)
+        stats.queue_depth_sum += depth
+        stats.queue_depth_samples += 1
+        if depth >= queue.capacity:
+            stats.requests_rejected += 1
             return None
-        self.stats.requests_admitted += 1
-        self.stats.queue_delay_minutes += delay
+        start = queue.busy_until if queue.busy_until > now else now
+        completion = start + self._request_minutes
+        queue.busy_until = completion
+        completions.append(completion)
+        delay = completion - now
+        stats.requests_admitted += 1
+        stats.queue_delay_minutes += delay
         return delay
 
     # ------------------------------------------------------------------
@@ -430,7 +450,14 @@ class OverloadController:
         """Recompute and return the node's shedding state."""
         if node_id in self._exempt:
             return False
-        depth = self.queue_for(node_id).depth()
+        # ``queue_for(node_id).depth()``, in place: asked before every
+        # lookup, peer fetch and fan-out leg.
+        queue = self._queues.get(node_id) or self.queue_for(node_id)
+        completions = queue._completions
+        now = self.now
+        while completions and completions[0] <= now:
+            completions.popleft()
+        depth = len(completions)
         if node_id in self._shedding:
             if depth <= self.config.shed_lowwater:
                 self._shedding.discard(node_id)

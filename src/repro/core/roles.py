@@ -94,14 +94,19 @@ def push_to_holders(
                 defer_span = tel.begin_span(
                     "overload_defer", start, kind="fanout_leg", node=holder
                 )
-                tel.end_span(defer_span, start)
+                if defer_span is not None:
+                    tel.end_span(defer_span, start)
                 tel.count("overload.deferred.fanout")
                 continue
             push = next(landed)
             leg_span = tel.begin_span(span_name, start, holder=holder, bytes=size)
-            tel.end_span(
-                leg_span, start + push.latency, ok=push.ok, attempts=push.attempts
-            )
+            if leg_span is not None:
+                tel.end_span(
+                    leg_span,
+                    start + push.latency,
+                    ok=push.ok,
+                    attempts=push.attempts,
+                )
     profile = cloud.profile
     if profile is not None and from_beacon:
         profile.charge(

@@ -90,6 +90,7 @@ _LATENCY_METRICS = (
     "request_p50_ms",
     "request_p99_ms",
 )
+_LATENCY_QUANTILES = (0.50, 0.99)
 
 #: Extra series sampled only when an overload controller is attached.
 _OVERLOAD_METRICS = (
@@ -119,7 +120,13 @@ _ELASTIC_METRICS = (
 
 
 class CloudMonitor:
-    """Samples windowed cloud statistics on a fixed period."""
+    """Samples windowed cloud statistics on a fixed period.
+
+    Which planes are tracked is decided at construction, and the monitor
+    holds the tracked objects themselves: detaching a plane from the cloud
+    mid-run freezes its series (the detached object keeps its state) instead
+    of breaking the sampler.
+    """
 
     def __init__(self, cloud: Any, simulator: Simulator, period: float) -> None:
         if period <= 0:
@@ -127,23 +134,23 @@ class CloudMonitor:
         self.cloud = cloud
         self.period = period
         names = list(_METRICS)
-        self._track_faults = getattr(cloud, "faults", None) is not None
-        if self._track_faults:
+        self._faults = getattr(cloud, "faults", None)
+        if self._faults is not None:
             names.extend(_FAULT_METRICS)
         self._track_ae = getattr(cloud, "anti_entropy", None) is not None
         if self._track_ae:
             names.extend(_AE_METRICS)
-        self._track_latency = getattr(cloud, "telemetry", None) is not None
-        if self._track_latency:
+        self._telemetry = getattr(cloud, "telemetry", None)
+        if self._telemetry is not None:
             names.extend(_LATENCY_METRICS)
-        self._track_overload = getattr(cloud, "overload", None) is not None
-        if self._track_overload:
+        self._overload = getattr(cloud, "overload", None)
+        if self._overload is not None:
             names.extend(_OVERLOAD_METRICS)
         self._track_elastic = getattr(cloud, "elastic", None) is not None
         if self._track_elastic:
             names.extend(_ELASTIC_METRICS)
-        self._track_profile = getattr(cloud, "profile", None) is not None
-        if self._track_profile:
+        self._profile = getattr(cloud, "profile", None)
+        if self._profile is not None:
             names.extend(_PROFILE_METRICS)
         self.series: Dict[str, TimeSeries] = {
             name: TimeSeries(name) for name in names
@@ -187,17 +194,17 @@ class CloudMonitor:
         self._last_loads = dict(self.cloud.beacon_loads())
         self._last_bytes = self.cloud.transport.meter.total_bytes
         self._last_stats = self._aggregate()
-        if self._track_faults:
+        if self._faults is not None:
             self._last_faults = self._fault_snapshot()
         if self._track_ae:
             self._last_ae_repairs = float(self.cloud.anti_entropy.stats.repairs)
-        if self._track_overload:
+        if self._overload is not None:
             self._last_overload = self._overload_snapshot()
         if self._track_elastic:
             self._last_elastic = self._elastic_snapshot()
-        if self._track_profile:
+        if self._profile is not None:
             self._last_profile = self._profile_snapshot()
-        if self._track_latency:
+        if self._telemetry is not None:
             self._window_start = self._simulator.now
 
     def _fault_snapshot(self) -> Dict[str, float]:
@@ -205,12 +212,12 @@ class CloudMonitor:
         return {
             "retries": float(cloud.retries),
             "timeouts": float(cloud.timeouts),
-            "messages_dropped": float(cloud.faults.stats.dropped),
+            "messages_dropped": float(self._faults.stats.dropped),
             "stale_refreshes": float(cloud.stale_refreshes),
         }
 
     def _overload_snapshot(self) -> Dict[str, float]:
-        stats = self.cloud.overload.stats
+        stats = self._overload.stats
         return {
             "depth_sum": float(stats.queue_depth_sum),
             "depth_samples": float(stats.queue_depth_samples),
@@ -220,7 +227,7 @@ class CloudMonitor:
         }
 
     def _profile_snapshot(self) -> Dict[str, float]:
-        profile = self.cloud.profile
+        profile = self._profile
         return {
             "verify_walks": float(profile.counts["holder_verify"]),
             "verify_units": float(profile.units["holder_verify"]),
@@ -275,7 +282,7 @@ class CloudMonitor:
         resident = sum(len(cache.storage) for cache in self.cloud.caches)
         self.series["docs_stored"].append(now, float(resident))
 
-        if self._track_faults:
+        if self._faults is not None:
             snapshot = self._fault_snapshot()
             for name in _FAULT_METRICS:
                 self.series[name].append(
@@ -293,7 +300,7 @@ class CloudMonitor:
             self.series["ae_repairs"].append(now, repairs - self._last_ae_repairs)
             self._last_ae_repairs = repairs
 
-        if self._track_overload:
+        if self._overload is not None:
             snapshot = self._overload_snapshot()
             last = self._last_overload
             delta = {
@@ -324,7 +331,7 @@ class CloudMonitor:
                 )
             self._last_elastic = snapshot
 
-        if self._track_profile:
+        if self._profile is not None:
             snapshot = self._profile_snapshot()
             last = self._last_profile
             walks = snapshot["verify_walks"] - last.get("verify_walks", 0.0)
@@ -335,11 +342,14 @@ class CloudMonitor:
             self.series["holder_verify_units"].append(now, units)
             self._last_profile = snapshot
 
-        if self._track_latency:
-            latencies = self.cloud.telemetry.request_latencies
-            for name, q in zip(_LATENCY_METRICS, (0.50, 0.99)):
-                value = latencies.percentile_in(self._window_start, now, q)
-                self.series[name].append(now, value if value is not None else 0.0)
+        if self._telemetry is not None:
+            # One sort of the window for both percentiles (the same
+            # nearest-rank rule as ``percentile_in``); empty window -> 0.0.
+            quantiles = self._telemetry.request_latencies.quantiles(
+                _LATENCY_QUANTILES, self._window_start, now
+            )
+            for name, q in zip(_LATENCY_METRICS, _LATENCY_QUANTILES):
+                self.series[name].append(now, quantiles.get(q, 0.0))
             self._window_start = now
 
     def _staleness_scan(self, now: float) -> Tuple[int, float]:

@@ -152,8 +152,17 @@ class Transport:
         """
         self.messages_attempted += 1
         self.bytes_attempted += num_bytes
-        self.meter.record(category, num_bytes)
-        return self.latency_minutes(src, dst)
+        # ``meter.record`` and ``latency_minutes``, in place (as the fabric's
+        # fast-path ``_charge`` does): one frame per slow-path wire attempt.
+        if num_bytes < 0:
+            raise ValueError(f"num_bytes must be >= 0, got {num_bytes}")
+        meter = self.meter
+        meter._bytes[category] += num_bytes
+        meter._messages[category] += 1
+        topology = self.topology
+        if topology is None or src == dst:
+            return 0.0
+        return ms_to_minutes(topology.latency_ms(src, dst))
 
     def send_batch(
         self,

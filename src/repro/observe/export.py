@@ -58,14 +58,15 @@ def span_trees(spans: Sequence[Span]) -> List[Tree]:
 
 def telemetry_to_jsonable(telemetry: Telemetry) -> Dict[str, object]:
     """Full telemetry snapshot as plain JSON-serializable data."""
+    # Each of the three reads folds the registry's journal: read once.
+    counters, gauges, histograms = (
+        telemetry.counters, telemetry.gauges, telemetry.histograms
+    )
     return {
         "schema_version": Telemetry.SCHEMA_VERSION,
-        "counters": {key: telemetry.counters[key] for key in sorted(telemetry.counters)},
-        "gauges": {key: telemetry.gauges[key] for key in sorted(telemetry.gauges)},
-        "histograms": {
-            key: telemetry.histograms[key].to_dict()
-            for key in sorted(telemetry.histograms)
-        },
+        "counters": {key: counters[key] for key in sorted(counters)},
+        "gauges": {key: gauges[key] for key in sorted(gauges)},
+        "histograms": {key: histograms[key].to_dict() for key in sorted(histograms)},
         "spans": {
             "recorded": len(telemetry.spans.spans),
             "dropped": telemetry.spans.dropped,
@@ -113,16 +114,19 @@ def render_span_tree(tree: Tree, indent: int = 0) -> str:
 
 def render_summary(telemetry: Telemetry) -> str:
     """Human-readable counter / histogram summary."""
+    counters, gauges, histograms = (
+        telemetry.counters, telemetry.gauges, telemetry.histograms
+    )
     lines: List[str] = ["== counters =="]
-    for key in sorted(telemetry.counters):
-        lines.append(f"  {key}: {telemetry.counters[key]}")
-    if telemetry.gauges:
+    for key in sorted(counters):
+        lines.append(f"  {key}: {counters[key]}")
+    if gauges:
         lines.append("== gauges ==")
-        for key in sorted(telemetry.gauges):
-            lines.append(f"  {key}: {telemetry.gauges[key]:g}")
+        for key in sorted(gauges):
+            lines.append(f"  {key}: {gauges[key]:g}")
     lines.append("== histograms ==")
-    for key in sorted(telemetry.histograms):
-        hist = telemetry.histograms[key]
+    for key in sorted(histograms):
+        hist = histograms[key]
         p50, p90, p99 = (
             hist.percentile(0.50),
             hist.percentile(0.90),

@@ -243,7 +243,9 @@ class FlightRecorder:
     def observe_request(self, now: float, result: "RequestResult") -> None:
         """Count one served client request (windows already advanced)."""
         self._requests += 1
-        outcome = result.outcome.value
+        # ``_value_``: the plain attribute behind the ``value`` descriptor,
+        # which costs two Python frames per read.
+        outcome = result.outcome._value_
         self._outcomes[outcome] = self._outcomes.get(outcome, 0) + 1
         if outcome != "rejected":
             # Rejected requests have no service latency; including their

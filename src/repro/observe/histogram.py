@@ -16,8 +16,8 @@ counts alone — deterministic, mergeable, and honest about resolution.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
-from typing import Dict, List, Optional
+from bisect import bisect_left, bisect_right
+from typing import Dict, Iterable, List, Optional
 
 __all__ = ["LogHistogram"]
 
@@ -81,6 +81,42 @@ class LogHistogram:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
+
+    def record_many(self, values: Iterable[float]) -> None:
+        """Add every observation of ``values``, in order.
+
+        Leaves exactly the state one :meth:`record` call per value would:
+        ``total`` is accumulated left to right (never with ``sum``, whose
+        float result differs between CPython versions), while the bucket
+        counts come from one sort and a bisect per occupied bucket.
+        """
+        # As ``record``: int -> float, and anything not positive (negatives,
+        # -0.0, NaN) clamps to zero.
+        clean = [value + 0.0 if value > 0.0 else 0.0 for value in values]
+        if not clean:
+            return
+        total = self.total
+        for value in clean:
+            total += value
+        self.total = total
+        clean.sort()
+        size = len(clean)
+        self.count += size
+        if self.min is None or clean[0] < self.min:
+            self.min = clean[0]
+        if self.max is None or clean[-1] > self.max:
+            self.max = clean[-1]
+        counts, bounds = self.counts, self.bounds
+        done = bisect_left(clean, self._lower)
+        counts[0] += done
+        while done < size:
+            index = bisect_left(bounds, clean[done])
+            if index < len(bounds):
+                upto = bisect_right(clean, bounds[index], done)
+            else:
+                upto = size
+            counts[index] += upto - done
+            done = upto
 
     @property
     def mean(self) -> Optional[float]:

@@ -12,7 +12,7 @@ equivalence tests in tests/test_core_fabric.py).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.core.node import MINUTES_TO_MS
 from repro.metrics.timeseries import TimeSeries
@@ -22,13 +22,42 @@ from repro.observe.spans import Span, SpanRecorder
 __all__ = ["CategoryInstruments", "Telemetry"]
 
 
-class CategoryInstruments:
-    """One traffic category's fabric instruments, names resolved once
-    (finding them per wire attempt cost more than recording). Histograms
-    are still *created* on first use: the export lists only categories
-    that saw traffic."""
+def _histogram(histograms: Dict[str, LogHistogram], name: str) -> LogHistogram:
+    """Fetch-or-create ``histograms[name]``."""
+    hist = histograms.get(name)
+    if hist is None:
+        hist = histograms[name] = LogHistogram()
+    return hist
 
-    __slots__ = ("_telemetry", "_name", "_keys", "_bytes", "_latency", "_delay")
+
+class CategoryInstruments:
+    """One traffic category's journal of wire attempts.
+
+    A category's counters and its three histograms are a left fold over its
+    attempts, so an attempt only *appends* — the size to :attr:`sizes`, a
+    delivered attempt's latency to :attr:`latencies`, a positive queueing
+    delay to :attr:`delays` — and :meth:`Telemetry.fold` does the arithmetic
+    for a whole batch, in arrival order. The fabric appends through the
+    bound ``list.append`` handles :attr:`note_size`, :attr:`note_latency`
+    and :attr:`note_delay` (no Python frame per attempt; the lists live as
+    long as the registry and are emptied in place) and writes
+    :attr:`backlogs` itself; :meth:`record` and :meth:`record_queueing` are
+    the method form of the same. Counters and histograms are still
+    *created* on first use: the export lists only what saw traffic.
+    """
+
+    __slots__ = (
+        "_telemetry",
+        "_name",
+        "_keys",
+        "sizes",
+        "latencies",
+        "delays",
+        "note_size",
+        "note_latency",
+        "note_delay",
+        "backlogs",
+    )
 
     def __init__(self, telemetry: "Telemetry", category: str) -> None:
         self._telemetry = telemetry
@@ -36,43 +65,52 @@ class CategoryInstruments:
         self._keys = tuple(
             f"fabric.{what}.{category}" for what in ("attempts", "lost", "rejected")
         )
-        self._bytes: Optional[LogHistogram] = None
-        self._latency: Optional[LogHistogram] = None
-        self._delay: Optional[LogHistogram] = None
+        #: Bytes of every attempt since the last fold.
+        self.sizes: List[int] = []
+        #: Latency in ms of every *delivered* attempt since the last fold
+        #: (``len(sizes) - len(latencies)`` attempts were lost).
+        self.latencies: List[float] = []
+        #: Every positive queueing delay in ms since the last fold.
+        self.delays: List[float] = []
+        self.note_size: Callable[[int], None] = self.sizes.append
+        self.note_latency: Callable[[float], None] = self.latencies.append
+        self.note_delay: Callable[[float], None] = self.delays.append
+        #: The registry's ``dst -> backlog`` map (:attr:`Telemetry.backlogs`).
+        self.backlogs = telemetry.backlogs
 
     def record(self, num_bytes: int, latency_minutes: Optional[float]) -> None:
         """One wire attempt: a float latency if delivered, ``None`` if lost."""
-        telemetry = self._telemetry
-        counters = telemetry.counters
-        attempts, lost, _ = self._keys
-        counters[attempts] = counters.get(attempts, 0) + 1
-        hist = self._bytes
-        if hist is None:
-            hist = self._bytes = telemetry.histogram(f"bytes.{self._name}")
-        hist.record(num_bytes)
-        if latency_minutes is None:
-            counters[lost] = counters.get(lost, 0) + 1
-            return
-        hist = self._latency
-        if hist is None:
-            hist = self._latency = telemetry.histogram(f"latency_ms.{self._name}")
-        hist.record(latency_minutes * MINUTES_TO_MS)
+        self.note_size(num_bytes)
+        if latency_minutes is not None:
+            self.note_latency(latency_minutes * MINUTES_TO_MS)
 
     def record_rejection(self) -> None:
         self._telemetry.count(self._keys[2])
 
     def record_queueing(self, dst: int, delay_minutes: float, backlog: int) -> None:
         """One admitted attempt: its queueing delay and ``dst``'s backlog."""
-        telemetry = self._telemetry
         if delay_minutes > 0.0:
-            hist = self._delay
-            if hist is None:
-                hist = self._delay = telemetry.histogram(f"queue_delay_ms.{self._name}")
-            hist.record(delay_minutes * MINUTES_TO_MS)
-        gauge = telemetry._depth_gauges.get(dst)
-        if gauge is None:
-            gauge = telemetry._depth_gauges[dst] = f"queue_depth.{dst}"
-        telemetry.gauges[gauge] = float(backlog)
+            self.note_delay(delay_minutes * MINUTES_TO_MS)
+        self.backlogs[dst] = backlog
+
+    def fold(self) -> None:
+        """Move the journalled attempts into the counters and histograms."""
+        telemetry = self._telemetry
+        counters, histograms = telemetry._counters, telemetry._histograms
+        sizes, latencies = self.sizes, self.latencies
+        if sizes:
+            attempts, lost, _ = self._keys
+            counters[attempts] = counters.get(attempts, 0) + len(sizes)
+            if len(latencies) < len(sizes):
+                counters[lost] = counters.get(lost, 0) + len(sizes) - len(latencies)
+        for what, values in (
+            ("bytes", sizes),
+            ("latency_ms", latencies),
+            ("queue_delay_ms", self.delays),
+        ):
+            if values:
+                _histogram(histograms, f"{what}.{self._name}").record_many(values)
+                del values[:]
 
 
 class Telemetry:
@@ -81,24 +119,84 @@ class Telemetry:
     Histograms are keyed ``latency_ms.<category>`` / ``bytes.<category>``
     and created on demand with fixed log-spaced buckets, so the export
     shape depends only on which categories saw traffic — not on the seed.
+
+    The journal's contract
+    ----------------------
+    What the fabric and the cloud record per wire attempt and per operation
+    is *journalled* (appended to lists) and folded into the counters,
+    gauges and histograms later, in arrival order:
+
+    * **a read folds** — :attr:`counters`, :attr:`gauges`,
+      :attr:`histograms`, :meth:`histogram`, :meth:`gauge` and therefore
+      every export fold first, so a reader never sees a stale value;
+    * **hold the registry, not the dict it returned** — the dict a property
+      returned is live but only as fresh as the last read;
+    * **first-use creation** — a fold creates a counter or histogram only
+      for a fact that occurred (``fabric.lost.<cat>`` after a loss, no
+      histogram for an empty journal);
+    * **the fold bound** — the journal is also folded every
+      :attr:`FOLD_EVERY` operation roots, so it never holds more than a
+      constant number of operations.
     """
 
     SCHEMA_VERSION = 1
+    #: Operation roots (:meth:`observe_root` calls) between two folds.
+    FOLD_EVERY = 512
 
     def __init__(self, max_spans: int = 10_000) -> None:
-        self.counters: Dict[str, int] = {}
-        self.gauges: Dict[str, float] = {}
-        self.histograms: Dict[str, LogHistogram] = {}
+        self._counters: Dict[str, int] = {}
+        self._gauges: Dict[str, float] = {}
+        self._histograms: Dict[str, LogHistogram] = {}
         self.spans = SpanRecorder(max_spans=max_spans)
         self.request_latencies = TimeSeries("request_latency_ms")
         self._instruments: Dict[str, CategoryInstruments] = {}
-        self._depth_gauges: Dict[int, str] = {}
+        #: ``dst -> backlog`` the last admitted attempt left there, since
+        #: the last fold: the ``queue_depth.<dst>`` gauges. Registry-wide
+        #: because the gauge is last-write-wins *across* categories.
+        self.backlogs: Dict[int, int] = {}
+        #: Request latencies (ms) not yet in ``latency_ms.request``.
+        self._request_ms: List[float] = []
+        self._roots = 0
+
+    # -- the fold -------------------------------------------------------------
+
+    def fold(self) -> None:
+        """Bring counters, gauges and histograms up to date with the journal."""
+        self._roots = 0
+        for instruments in self._instruments.values():
+            instruments.fold()
+        backlogs = self.backlogs
+        if backlogs:
+            gauges = self._gauges
+            for dst, backlog in backlogs.items():
+                gauges[f"queue_depth.{dst}"] = float(backlog)
+            backlogs.clear()
+        request_ms = self._request_ms
+        if request_ms:
+            _histogram(self._histograms, "latency_ms.request").record_many(request_ms)
+            del request_ms[:]
+
+    @property
+    def counters(self) -> Dict[str, int]:
+        self.fold()
+        return self._counters
+
+    @property
+    def gauges(self) -> Dict[str, float]:
+        self.fold()
+        return self._gauges
+
+    @property
+    def histograms(self) -> Dict[str, LogHistogram]:
+        self.fold()
+        return self._histograms
 
     # -- scalar instruments -------------------------------------------------
 
     def count(self, name: str, delta: int = 1) -> None:
         """Increment counter ``name`` by ``delta``."""
-        self.counters[name] = self.counters.get(name, 0) + delta
+        counters = self._counters  # addition commutes with a pending fold
+        counters[name] = counters.get(name, 0) + delta
 
     def gauge(self, name: str, value: float) -> None:
         """Set gauge ``name`` to ``value`` (last write wins)."""
@@ -106,11 +204,7 @@ class Telemetry:
 
     def histogram(self, name: str) -> LogHistogram:
         """Fetch-or-create the histogram named ``name``."""
-        hist = self.histograms.get(name)
-        if hist is None:
-            hist = LogHistogram()
-            self.histograms[name] = hist
-        return hist
+        return _histogram(self.histograms, name)
 
     # -- protocol-plane hooks ----------------------------------------------
 
@@ -130,12 +224,44 @@ class Telemetry:
     def observe_request(self, now: float, latency_ms: float) -> None:
         """Record one completed client request at sim-time ``now``."""
         self.request_latencies.append(now, latency_ms)
-        self.histogram("latency_ms.request").record(latency_ms)
+        self._request_ms.append(latency_ms)
+
+    def observe_root(
+        self, counter: str, now: float = 0.0, latency_ms: Optional[float] = None
+    ) -> None:
+        """One finished operation root — a request or an update — in one call.
+
+        Counts ``counter``, records the request's ``latency_ms`` at sim-time
+        ``now`` when there is one (:meth:`observe_request`), and ticks the
+        fold bound.
+        """
+        counters = self._counters
+        counters[counter] = counters.get(counter, 0) + 1
+        if latency_ms is not None:
+            # ``TimeSeries.append``, in place: once per request.
+            series = self.request_latencies
+            times = series._times
+            if times and now < times[-1]:
+                raise ValueError(
+                    f"timestamps must be non-decreasing: {now} after {times[-1]}"
+                )
+            times.append(now)
+            series._values.append(latency_ms)
+            self._request_ms.append(latency_ms)
+        self._roots += 1
+        if self._roots >= self.FOLD_EVERY:
+            self.fold()
 
     # -- span sink delegates ------------------------------------------------
 
-    def begin_span(self, name: str, start: float, **attrs: object) -> Span:
-        return self.spans.open(name, start, attrs)
+    def begin_span(self, name: str, start: float, **attrs: object) -> Optional[Span]:
+        """Open a span, or count a drop and return ``None`` once the
+        recorder is saturated (callers then skip :meth:`end_span`)."""
+        spans = self.spans
+        if spans.saturated:
+            spans.begun += 1
+            return None
+        return spans.open(name, start, attrs)
 
     def end_span(self, span: Span, end: float, **attrs: object) -> None:
         self.spans.close(span, end, attrs)

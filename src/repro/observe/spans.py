@@ -14,11 +14,17 @@ Design constraints (see DESIGN.md §8):
   attributes; ids are a begin-order counter. Two same-seed runs produce
   identical span lists.
 * **Bounded** — at most ``max_spans`` spans are retained; later spans are
-  counted in :attr:`SpanRecorder.dropped` but still participate in stack
-  bookkeeping, so parent/child ids stay consistent. Because retention is
-  monotone (once full, always full) a retained span's parent is always
-  retained too, and tree reconstruction never dangles. A dropped span
-  allocates nothing: ``begin`` returns a reusable per-depth placeholder.
+  counted in :attr:`SpanRecorder.dropped`. Because retention is monotone
+  (once full, always full) a retained span's parent is always retained
+  too, and tree reconstruction never dangles. While a retained span is
+  still open its dropped descendants keep the stack bookkeeping (``begin``
+  returns a reusable per-depth placeholder), so they still widen its end.
+  Once the recorder is full *and the stack is empty* it is
+  :attr:`~SpanRecorder.saturated`: no later span can be retained or be the
+  child of a retained one, so a caller may skip the begin/end pair and
+  only count the span in :attr:`~SpanRecorder.begun` — which is what
+  ``Telemetry.begin_span`` does (it returns ``None``, and every protocol
+  seam skips its ``end_span``/``unwind`` on ``None``).
 * **Synchronous** — the protocol plane is single-threaded simulation code,
   so a plain stack models nesting exactly; :meth:`SpanRecorder.end` insists
   on properly paired begin/end calls.
@@ -64,8 +70,13 @@ class SpanRecorder:
     ----------
     max_spans:
         Retention cap. Spans begun past the cap are dropped (counted in
-        :attr:`dropped`) but still push/pop the stack so nesting of later
-        retained spans stays correct.
+        :attr:`dropped`); until the stack next empties they still push/pop
+        it, so the retained spans still open are widened by them.
+
+    One counter, :attr:`begun`, is written per span; ``begun == cleared +
+    len(spans) + dropped`` holds by construction, where ``cleared`` is what
+    had been begun when :meth:`clear` was last called (ids keep running
+    across a clear, so an id is never reused).
     """
 
     def __init__(self, max_spans: int = 10_000) -> None:
@@ -73,10 +84,15 @@ class SpanRecorder:
             raise ValueError(f"max_spans must be positive, got {max_spans}")
         self.max_spans = max_spans
         self.spans: List[Span] = []
-        self.dropped = 0
+        #: Spans begun in this recorder's life, retained or dropped; also
+        #: the next span id.
+        self.begun = 0
+        #: Full with nothing open: a later span can only be a counted drop
+        #: (``begun += 1``), with or without the begin/end bookkeeping.
+        self.saturated = False
+        self._cleared = 0  # ``begun`` when ``clear`` was last called
         self._stack: List[Span] = []
         self._frame_child_end: List[float] = []
-        self._next_id = 0
         #: Handles for dropped spans, one per stack depth (nested drops
         #: stay distinguishable to ``end``/``unwind``).
         self._placeholders: List[Span] = []
@@ -87,9 +103,9 @@ class SpanRecorder:
         return len(self._stack)
 
     @property
-    def begun(self) -> int:
-        """Total spans ever begun (retained + dropped)."""
-        return self._next_id
+    def dropped(self) -> int:
+        """Spans begun since the last :meth:`clear` that were not retained."""
+        return self.begun - self._cleared - len(self.spans)
 
     def begin(self, name: str, start: float, **attrs: object) -> Span:
         """Open a span; the innermost open span (if any) becomes its parent."""
@@ -100,15 +116,14 @@ class SpanRecorder:
         stack = self._stack
         if len(self.spans) < self.max_spans:
             parent_id = stack[-1].span_id if stack else None
-            span = Span(self._next_id, parent_id, name, float(start), None, attrs)
+            span = Span(self.begun, parent_id, name, float(start), None, attrs)
             self.spans.append(span)
         else:
-            self.dropped += 1
             placeholders = self._placeholders
             while len(placeholders) <= len(stack):
                 placeholders.append(Span(_DROPPED_ID, None, "<dropped>", 0.0))
             span = placeholders[len(stack)]
-        self._next_id += 1
+        self.begun += 1
         stack.append(span)
         self._frame_child_end.append(_NEVER)
         return span
@@ -141,8 +156,11 @@ class SpanRecorder:
             span.end = end
             if attrs:
                 span.attrs.update(attrs)
-        if frames and end > frames[-1]:
-            frames[-1] = end
+        if frames:
+            if end > frames[-1]:
+                frames[-1] = end
+        elif len(self.spans) >= self.max_spans:
+            self.saturated = True
 
     def unwind(self, span: Span, end: float) -> None:
         """Close every open span up to and including ``span`` (error paths).
@@ -164,7 +182,8 @@ class SpanRecorder:
         self.spans.clear()
         self._stack.clear()
         self._frame_child_end.clear()
-        self.dropped = 0
+        self._cleared = self.begun
+        self.saturated = False
 
     def __repr__(self) -> str:
         return (

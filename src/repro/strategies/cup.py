@@ -91,7 +91,8 @@ class CUPTreeStrategy(PolicyStrategy):
                             "overload_defer", parent_at,
                             kind="tree_push", node=child,
                         )
-                        tel.end_span(defer_span, parent_at)
+                        if defer_span is not None:
+                            tel.end_span(defer_span, parent_at)
                         tel.count("overload.deferred.fanout")
                     deferred.add(child)
                     continue

@@ -11,6 +11,16 @@ below what it cost when every record was an ``Event`` on the heap and every
 miss built a frozen context (81.6 frames per operation on this script), so a
 change that quietly puts a frame or two back on every operation fails here,
 on any host, with the most-called functions named in the message.
+
+A second window (the same cloud at half the request rate) is replayed with
+the planes of the ``planes-on`` benchmark workload attached one after another — a fault plan (5 % loss, the
+default retry ladder), the overload model (queues of 10, 120 ms + 5 ms/KiB),
+a ``Telemetry`` registry, a ``FlightRecorder`` — and each plane's increment
+is held under its own ceiling: what an observer costs when attached is a
+number too. With the planes on, an operation makes several wire attempts,
+so the per-attempt rules are pinned as well: no ``LogHistogram.record``
+frame per attempt (the registry journals and folds), no span bookkeeping
+once the span recorder is saturated.
 """
 
 from __future__ import annotations
@@ -29,7 +39,14 @@ from repro.core.config import (
     CloudConfig,
     PlacementScheme,
 )
+from repro.core.overload import OverloadConfig
 from repro.experiments.runner import run_experiment
+from repro.faults.plan import FaultPlan, RetryPolicy
+from repro.observe.flight import FlightRecorder
+from repro.observe.histogram import LogHistogram
+from repro.observe.profile import WorkProfile
+from repro.observe.registry import Telemetry
+from repro.observe.spans import SpanRecorder
 from repro.simulation.events import Event
 from repro.simulation.rng import derive_seed
 from repro.workload.documents import build_corpus
@@ -42,6 +59,26 @@ COUNTED_RECORDS = 2_000
 #: Python frames under ``src/repro`` per operation: measured 61.7 over 2 164
 #: operations (2 000 requests, 164 updates); the ceiling leaves ~10 %.
 FRAMES_PER_OPERATION_CEILING = 68.0
+#: The planes window runs at half the request rate over twice the time:
+#: queues build and shed without saturating (3 % of lookups shed, 0.3 % of
+#: requests rejected), as in the benchmark's segment; at the full rate a
+#: fifth of the lookups is shed and the overload model makes an operation
+#: *cheaper*. 59.3 frames per operation with nothing attached.
+PLANES_PEAK_RATE, PLANES_MINUTES = 60.0, 16.0
+#: With all four planes attached: measured 84.1 over 2 340 operations (it
+#: was 134.3 when every wire attempt walked the registry's histograms and
+#: the queue's call chain, and every dropped span kept the stack
+#: bookkeeping).
+PLANES_ON_CEILING = 92.5
+#: Frames per operation each plane may add when attached after the ones
+#: before it — measured +9.4, +4.8, +4.7, +5.9 (it was +16.7, +17.8,
+#: +34.7, +5.9).
+PLANE_INCREMENT_CEILINGS = {
+    "fault_plan": 10.5,
+    "overload": 5.5,
+    "telemetry": 5.5,
+    "flight": 6.5,
+}
 
 SRC_ROOT = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 
@@ -87,16 +124,18 @@ def counted(
         yield record
 
 
-def test_frames_per_operation_within_budget():
+def counted_run(peak_rate: float = 120.0, minutes: float = 8.0, **planes):
+    """Replay the window with ``planes`` attached (``run_experiment``
+    keywords); returns ``(counter, operations, cloud)``."""
     corpus = build_corpus(1_000, random.Random(derive_seed(SEED, "corpus")))
     trace = SydneyTraceGenerator(
         SydneyConfig(
             num_documents=1_000,
             num_caches=20,
-            peak_request_rate_per_cache=120.0,
+            peak_request_rate_per_cache=peak_rate,
             base_update_rate=195.0,
-            duration_minutes=8.0,
-            diurnal_period_minutes=8.0,
+            duration_minutes=minutes,
+            diurnal_period_minutes=minutes,
             drift_pool=500,
             seed=derive_seed(SEED, "trace"),
         )
@@ -122,14 +161,20 @@ def test_frames_per_operation_within_budget():
             corpus,
             counted(trace.requests, counter, cloud, span),
             trace.updates,
-            duration=8.0,
+            duration=minutes,
             warmup=1.0,
             cloud=cloud,
+            **planes,
         )
     finally:
         sys.setprofile(previous)
     operations = span["end"] - span["start"]
     assert operations >= COUNTED_RECORDS  # the requests, plus interleaved updates
+    return counter, operations, cloud
+
+
+def test_frames_per_operation_within_budget():
+    counter, operations, cloud = counted_run()
     frames = sum(counter.calls.values())
     per_operation = frames / operations
     assert per_operation <= FRAMES_PER_OPERATION_CEILING, (
@@ -142,3 +187,51 @@ def test_frames_per_operation_within_budget():
     # The window really was the miss-heavy steady state, not a quiet corner.
     stats = cloud.aggregate_stats()
     assert stats.origin_fetches + stats.cloud_hits > 0.5 * stats.requests
+
+
+def test_each_plane_adds_a_bounded_number_of_frames(tmp_path):
+    retry = RetryPolicy()
+    planes = {  # stateful ones are built afresh for every run
+        "fault_plan": lambda: FaultPlan(
+            seed=derive_seed(SEED, "faults"), loss_rate=0.05, retry=retry
+        ),
+        "overload": lambda: OverloadConfig(
+            queue_capacity=10, service_ms=120.0, service_ms_per_kb=5.0, retry=retry
+        ),
+        "telemetry": Telemetry,
+        "flight": lambda: FlightRecorder(str(tmp_path / "flight.jsonl"), window=2.0),
+    }
+    counter, operations, _ = counted_run(PLANES_PEAK_RATE, PLANES_MINUTES)
+    before = sum(counter.calls.values()) / operations
+    attached = []
+    for name, ceiling in PLANE_INCREMENT_CEILINGS.items():
+        attached.append(name)
+        counter, operations, cloud = counted_run(
+            PLANES_PEAK_RATE,
+            PLANES_MINUTES,
+            **{plane: planes[plane]() for plane in attached},
+        )
+        per_operation = sum(counter.calls.values()) / operations
+        assert per_operation - before <= ceiling, (
+            f"{name} adds {per_operation - before:.1f} frames per operation "
+            f"(ceiling {ceiling}); most called: {counter.top()}"
+        )
+        before = per_operation
+    assert before <= PLANES_ON_CEILING, (
+        f"{before:.1f} frames per operation with every plane attached "
+        f"(ceiling {PLANES_ON_CEILING}); most called: {counter.top()}"
+    )
+    # The window saw what the planes exist for: retries, queueing, drops.
+    fabric = cloud.fabric.stats
+    assert fabric.dispatches > 3 * operations
+    assert fabric.retries > 0 and fabric.rejections > 0
+    telemetry = cloud.telemetry
+    assert telemetry.spans.saturated and telemetry.spans.dropped > COUNTED_RECORDS
+    # Per wire attempt the registry only appends: its histograms are filled
+    # by the fold (a few ``record_many`` calls per ``FOLD_EVERY`` operations;
+    # the one ``record`` left is the work profile's, per answered lookup)...
+    assert counter.of(LogHistogram.record) == counter.of(WorkProfile.record_walk)
+    assert 0 < counter.of(LogHistogram.record_many) < 0.05 * operations
+    # ...and a span begun past saturation touches no stack.
+    assert counter.of(SpanRecorder.open) == 0 and counter.of(SpanRecorder.close) == 0
+    assert telemetry.counters["fabric.attempts.control"] > operations

@@ -157,3 +157,56 @@ class TestLatencySeries:
         monitor.start()
         sim.run_until(10.0)  # no traffic
         assert [v for _, v in monitor.series["request_p50_ms"].items()] == [0.0, 0.0]
+
+
+class TestDetachedPlanes:
+    """What a monitor tracks is decided when it is built, and it holds those
+    objects: detaching one from the cloud mid-run freezes its series — it
+    used to kill the run at the next sample (``'NoneType' object has no
+    attribute 'request_latencies'`` / ``'stats'`` / ``'counts'``)."""
+
+    #: plane -> (detach method, a series of that plane)
+    PLANES = {
+        "telemetry": ("detach_telemetry", "request_p99_ms"),
+        "overload": ("detach_overload", "avg_queue_depth"),
+        "profile": ("detach_profile", "holder_verify_units"),
+        "faults": ("detach_faults", "messages_dropped"),
+    }
+
+    def build_monitored(self):
+        from repro.core.overload import OverloadConfig
+        from repro.faults.injector import FaultInjector
+        from repro.faults.plan import FaultPlan, RetryPolicy
+        from repro.observe import Telemetry, WorkProfile
+
+        cloud = build_cloud()
+        cloud.attach_telemetry(Telemetry())
+        cloud.attach_overload(OverloadConfig(queue_capacity=4, service_ms=400.0))
+        cloud.attach_profile(WorkProfile())
+        cloud.attach_faults(
+            FaultInjector(
+                FaultPlan(seed=5, loss_rate=0.2, retry=RetryPolicy()), cloud.transport
+            )
+        )
+        sim = Simulator()
+        monitor = CloudMonitor(cloud, sim, period=10.0)
+        monitor.start()
+        TraceFeeder(sim, cloud, trace_for().merged()).start()
+        return cloud, sim, monitor
+
+    @pytest.mark.parametrize("plane", sorted(PLANES))
+    def test_detach_mid_run_freezes_the_series(self, plane):
+        detach, series_name = self.PLANES[plane]
+        cloud, sim, monitor = self.build_monitored()
+        sim.run_until(25.0)
+        getattr(cloud, detach)()
+        assert getattr(cloud, plane) is None
+        sim.run_until(40.0)  # sampling continues
+        assert monitor.samples == 4
+        for name, series in monitor.series.items():
+            assert len(series) == 4, name
+        # The detached object no longer moves: its last window reads zero.
+        values = [v for _, v in monitor.series[series_name].items()]
+        if plane != "profile":  # no holder walk in a cloud this small
+            assert values[0] > 0.0
+        assert values[3] == 0.0

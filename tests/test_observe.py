@@ -204,6 +204,147 @@ class TestSpanRecorder:
         assert fresh.parent_id is None  # stack really was reset
 
 
+class TestSpanSaturation:
+    """``Telemetry.begin_span`` stops opening spans once the recorder is full
+    with nothing open; what an export can see must equal what the recorder's
+    own stack bookkeeping (``SpanRecorder.begin``/``end``, which never
+    short-circuits) leaves for the same spans."""
+
+    #: (name, start, own end, children) — three requests; the second one's
+    #: last leg runs past its root's own end, with a nested leg under it.
+    SCRIPT = [
+        ("request", 0.0, 1.0, [("lookup", 0.0, 0.4, []), ("fetch", 0.4, 0.9, [])]),
+        (
+            "request", 2.0, 2.5,
+            [
+                ("lookup", 2.0, 2.2, []),
+                ("fanout", 2.2, 7.0, [("leg", 2.2, 9.0, [("deeper", 2.3, 8.0, [])])]),
+            ],
+        ),
+        ("update", 10.0, 10.0, [("leg", 10.0, 10.5, [])]),
+        ("request", 11.0, 11.5, []),
+    ]
+
+    @staticmethod
+    def exported(recorder):
+        return {
+            "recorded": len(recorder.spans),
+            "dropped": recorder.dropped,
+            "begun": recorder.begun,
+            "trees": span_trees(recorder.spans),
+        }
+
+    def by_bookkeeping(self, cap):
+        recorder = SpanRecorder(max_spans=cap)
+
+        def walk(node):
+            name, start, end, children = node
+            span = recorder.begin(name, start, tag=name)
+            for child in children:
+                walk(child)
+            recorder.end(span, end, closed=True)
+
+        for root in self.SCRIPT:
+            walk(root)
+        return recorder
+
+    def by_telemetry(self, cap):
+        tel = Telemetry(max_spans=cap)
+        skipped = 0
+
+        def walk(node):
+            nonlocal skipped
+            name, start, end, children = node
+            span = tel.begin_span(name, start, tag=name)
+            for child in children:
+                walk(child)
+            if span is not None:
+                tel.end_span(span, end, closed=True)
+            else:
+                skipped += 1
+
+        for root in self.SCRIPT:
+            walk(root)
+        return tel.spans, skipped
+
+    #: cap -> spans begun after saturation (their begin/end pair is skipped),
+    #: of the script's 11. 3: the cap is hit by the last span of a request;
+    #: 4: by a root; 5: mid-request with the retained root open; 6-8: inside
+    #: the nested drops; 11: by the very last span; 12: never.
+    @pytest.mark.parametrize(
+        "cap, skipped",
+        [(1, 8), (3, 8), (4, 3), (5, 3), (6, 3), (7, 3), (8, 3), (9, 1), (10, 1),
+         (11, 0), (12, 0)],
+    )
+    def test_export_equals_the_stack_bookkeeping(self, cap, skipped):
+        recorder, skipped_pairs = self.by_telemetry(cap)
+        assert self.exported(recorder) == self.exported(self.by_bookkeeping(cap))
+        assert skipped_pairs == skipped
+        assert recorder.depth == 0
+        assert recorder.saturated == (cap <= 11)
+
+    def test_open_retained_parent_is_still_widened_by_dropped_children(self):
+        recorder, _ = self.by_telemetry(5)  # cap hit at the second "lookup"
+        second = recorder.spans[3]
+        assert second.name == "request" and second.start == 2.0
+        assert second.end == 9.0  # its own end was 2.5; a dropped leg ran to 9.0
+        assert [s.name for s in recorder.spans] == [
+            "request", "lookup", "fetch", "request", "lookup",
+        ]
+
+    def test_not_saturated_while_anything_is_open(self):
+        tel = Telemetry(max_spans=1)
+        root = tel.begin_span("request", 0.0)
+        assert not tel.spans.saturated  # full, but the root is open
+        child = tel.begin_span("leg", 0.0)
+        assert child is not None and tel.spans.depth == 2
+        tel.end_span(child, 5.0)
+        assert not tel.spans.saturated
+        tel.end_span(root, 1.0)
+        assert tel.spans.saturated and root.end == 5.0
+        assert tel.begin_span("request", 2.0, doc=1) is None
+        assert (tel.spans.begun, tel.spans.dropped, tel.spans.depth) == (3, 2, 0)
+
+    def test_counters_add_up_across_a_clear(self):
+        tel = Telemetry(max_spans=2)
+        for index in range(5):
+            span = tel.begin_span("request", float(index))
+            if span is not None:
+                tel.end_span(span, float(index))
+        recorder = tel.spans
+        assert (recorder.begun, len(recorder.spans), recorder.dropped) == (5, 2, 3)
+        recorder.clear()  # leaves saturation; ids keep running
+        assert not recorder.saturated
+        assert (recorder.begun, len(recorder.spans), recorder.dropped) == (5, 0, 0)
+        fresh = tel.begin_span("request", 9.0)
+        assert fresh is not None and fresh.span_id == 5
+        tel.end_span(fresh, 9.5)
+        assert tel.begin_span("request", 10.0) is not None
+        assert tel.begin_span("nested", 10.0) is not None  # a placeholder
+        assert (recorder.begun, len(recorder.spans), recorder.dropped) == (8, 2, 1)
+
+    def test_exception_under_a_saturated_root_propagates_cleanly(self):
+        corpus = build_corpus(20, fixed_size=1024)
+        cloud = CacheCloud(
+            CloudConfig(num_caches=4, num_rings=2, failure_resilience=True, seed=3),
+            corpus,
+        )
+        telemetry = Telemetry(max_spans=2)
+        cloud.attach_telemetry(telemetry)
+        for doc_id in range(3):
+            cloud.handle_request(0, doc_id, float(doc_id))
+            cloud.handle_update(doc_id, float(doc_id))
+        assert telemetry.spans.saturated
+        begun = telemetry.spans.begun
+        cloud.fail_cache(1, 5.0)
+        with pytest.raises(RuntimeError, match="failed cache"):
+            cloud.handle_request(1, 0, 6.0)  # root is None: nothing to unwind
+        assert telemetry.spans.depth == 0
+        assert telemetry.spans.begun == begun + 1
+        assert len(telemetry.spans.spans) == 2
+        assert all(span.end is not None for span in telemetry.spans.spans)
+
+
 class TestLogHistogram:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
