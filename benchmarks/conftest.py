@@ -17,8 +17,7 @@ from repro.experiments.reporting import save_result
 #: four processes; results are value-identical to serial).
 BENCH_JOBS = resolve_jobs()
 
-#: Where rendered tables and JSON archives land (git-ignored, except the
-#: ``BENCH_*`` baselines).
+#: Where rendered tables and JSON archives land (git-ignored).
 ARTIFACT_DIR = Path(__file__).parent / "artifacts"
 
 

@@ -317,7 +317,7 @@ def test_protocol_microbench(benchmark):
     assert cloud.requests_handled == WARMUP_REQUESTS + NUM_REQUESTS
     assert all(count > 0 for count in outcome_mix.values())
     # A perfect network accrues no retries/timeouts through the fabric ...
-    assert cloud.retries == 0 and cloud.timeouts == 0
+    assert cloud.fabric.stats.retries == 0 and cloud.fabric.stats.timeouts == 0
     assert cloud.fabric._fast_path
     # ... and the all-planes row really ran the general path under loss.
     assert not planes_cloud.fabric._fast_path

@@ -206,4 +206,4 @@ def test_scale_federation(benchmark):
     assert stats.cloud_hits > 0
     assert stats.origin_fetches > 0
     # A perfect network accrues no retries/timeouts in any member cloud.
-    assert all(c.retries == 0 and c.timeouts == 0 for c in network.clouds)
+    assert all(c.fabric.stats.retries == 0 and c.fabric.stats.timeouts == 0 for c in network.clouds)

@@ -52,7 +52,7 @@ from repro.core.overload import (
 from repro.core.ring import BeaconRing
 from repro.core.utility import UtilityComputer
 from repro.edgecache.cache import EdgeCache
-from repro.experiments.runner import ExperimentResult, run_experiment, run_trace
+from repro.experiments.runner import ExperimentResult, run_experiment
 from repro.faults.churn import ChurnEvent, ChurnSchedule, ChurnSpec
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import NO_FAULTS, FaultPlan, RetryPolicy
@@ -121,6 +121,5 @@ __all__ = [
     "WorkloadConfig",
     "build_corpus",
     "run_experiment",
-    "run_trace",
     "__version__",
 ]

@@ -15,7 +15,6 @@ from repro.analysis.balance_theory import (
     expected_cov_ring_balanced,
     expected_cov_static,
     monte_carlo_cov,
-    predicted_improvement,
     zipf_load_weights,
 )
 
@@ -23,6 +22,5 @@ __all__ = [
     "expected_cov_ring_balanced",
     "expected_cov_static",
     "monte_carlo_cov",
-    "predicted_improvement",
     "zipf_load_weights",
 ]

@@ -100,21 +100,6 @@ def expected_cov_ring_balanced(
     return math.sqrt((num_rings - 1) * self_collision_mass(weights))
 
 
-def predicted_improvement(
-    weights: Sequence[float], num_caches: int, ring_size: int
-) -> float:
-    """Predicted relative CoV improvement of ring size ``k`` over static.
-
-    ``1 - CoV_ring / CoV_static``; e.g. ≈ 0.29 for ``k = 2`` at ``m = 10``
-    (``1 - sqrt(4/9)`` = 1/3 exactly for m=10, k=2).
-    """
-    static = expected_cov_static(weights, num_caches)
-    if static == 0.0:
-        return 0.0
-    ring = expected_cov_ring_balanced(weights, num_caches, ring_size)
-    return 1.0 - ring / static
-
-
 def monte_carlo_cov(
     weights: Sequence[float],
     num_caches: int,

@@ -32,11 +32,11 @@ from repro.core.config import AssignmentScheme, CloudConfig, PlacementScheme
 from repro.experiments.parallel import (
     ExperimentSpec,
     WorkloadSpec,
-    derive_seed,
     run_live,
 )
 from repro.experiments.sweeps import SweepTable, poisson_churn, run_points
 from repro.faults.plan import FaultPlan
+from repro.simulation.rng import derive_seed
 from repro.workload.generator import WorkloadConfig
 
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.core.cloud import RequestOutcome, RequestResult
-from repro.core.config import CloudConfig
 from repro.core.hashing import StaticHashAssigner
 from repro.edgecache.cache import EdgeCache
 from repro.edgecache.replacement import make_policy

@@ -22,7 +22,7 @@ is a slow integrator rather than a bang-bang switch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.config import UtilityWeights

@@ -365,21 +365,6 @@ class CacheCloud:
                 self.profile = None
         return recorder
 
-    @property
-    def retries(self) -> int:
-        """Reliable-dispatch retransmissions issued by the fabric."""
-        return self.fabric.stats.retries
-
-    @property
-    def timeouts(self) -> int:
-        """Reliable-dispatch attempts that timed out on the fabric."""
-        return self.fabric.stats.timeouts
-
-    @property
-    def forced_deliveries(self) -> int:
-        """Dispatches forced through out-of-band after the retry budget."""
-        return self.fabric.stats.forced_deliveries
-
     # ------------------------------------------------------------------
     # Overload / service model (delegates to the fabric)
     # ------------------------------------------------------------------
@@ -824,11 +809,12 @@ class CacheCloud:
 
     def resilience_summary(self) -> Dict[str, float]:
         """Flat fault/failure counter summary (all zero on a perfect run)."""
+        fabric = self.fabric.stats
         summary = {
-            "retries": float(self.retries),
-            "timeouts": float(self.timeouts),
+            "retries": float(fabric.retries),
+            "timeouts": float(fabric.timeouts),
             "fault_origin_fallbacks": float(self.fault_origin_fallbacks),
-            "forced_deliveries": float(self.forced_deliveries),
+            "forced_deliveries": float(fabric.forced_deliveries),
             "beacon_unreachable": float(self.beacon_unreachable),
             "update_pushes_lost": float(self.update_pushes_lost),
             "registrations_lost": float(self.registrations_lost),

@@ -171,15 +171,3 @@ class CloudConfig:
         if self.capabilities is None:
             return 1.0
         return self.capabilities[cache_id]
-
-    def strategy_scheme(self) -> str:
-        """Name of the strategy this config composes to by default.
-
-        A bare config always composes its own placement scheme through the
-        strategy plane (``repro.strategies``); richer strategies (LCE/LCD/
-        ProbCache/CUPTree) are carried by a
-        :class:`~repro.strategies.spec.StrategySpec` on the experiment spec
-        — never by a config field, so archived results embedding this
-        config keep their schema and the golden fingerprints stand.
-        """
-        return self.placement.value

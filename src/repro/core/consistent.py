@@ -24,10 +24,6 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.core.hashing import DocumentAssigner
 
-#: Size of the hash circle (points are 64-bit).
-CIRCLE_BITS = 64
-CIRCLE_SIZE = 1 << CIRCLE_BITS
-
 
 def _point(key: str) -> int:
     digest = hashlib.md5(key.encode("utf-8")).digest()
@@ -63,15 +59,6 @@ class ConsistentHashAssigner(DocumentAssigner):
             self._points.insert(index, point)
             self._ring.insert(index, (point, cache_id))
 
-    def remove_cache(self, cache_id: int) -> None:
-        """Remove a cache; its arc falls to clockwise successors."""
-        if cache_id not in self._members:
-            raise KeyError(f"cache {cache_id} not on the ring")
-        del self._members[cache_id]
-        keep = [(p, c) for (p, c) in self._ring if c != cache_id]
-        self._ring = keep
-        self._points = [p for (p, _) in keep]
-
     # ------------------------------------------------------------------
     # Assignment
     # ------------------------------------------------------------------
@@ -91,23 +78,6 @@ class ConsistentHashAssigner(DocumentAssigner):
         """Distributed successor lookup: ceil(log2 n) hops (paper §2.1)."""
         n = len(self._members)
         return max(1, math.ceil(math.log2(n))) if n > 1 else 1
-
-    # ------------------------------------------------------------------
-    # Analysis helpers
-    # ------------------------------------------------------------------
-    def arc_fractions(self) -> Dict[int, float]:
-        """Fraction of the circle owned by each cache (sums to 1).
-
-        Used by tests to verify that virtual nodes even out the arcs.
-        """
-        if not self._ring:
-            return {}
-        fractions: Dict[int, float] = {c: 0.0 for c in self._members}
-        for i, (point, _) in enumerate(self._ring):
-            prev_point = self._ring[i - 1][0] if i > 0 else self._ring[-1][0] - CIRCLE_SIZE
-            # The arc ending at `point` belongs to the cache at `point`.
-            fractions[self._ring[i][1]] += (point - prev_point) / CIRCLE_SIZE
-        return fractions
 
     def __repr__(self) -> str:
         return (

@@ -123,12 +123,6 @@ class LookupDirectory:
     def __iter__(self) -> Iterator[int]:
         return iter(self._holders)
 
-    def entry_count_in_range(self, lo: int, hi: int) -> int:
-        """Number of entries with IrH value in ``[lo, hi]``."""
-        return sum(
-            len(self._docs_by_irh.get(irh, ())) for irh in range(lo, hi + 1)
-        )
-
     # ------------------------------------------------------------------
     # Stamps
     # ------------------------------------------------------------------

@@ -148,10 +148,6 @@ class FabricStats:
         self.rejections = 0
 
 
-#: A dispatch that failed before any wire attempt (no such case today, but
-#: roles use it as the "gave up with nothing accrued" zero value).
-FAILED_FREE = Delivery(ok=False, latency=0.0, attempts=0)
-
 #: Interned outcome of the overwhelmingly common dispatch: first attempt,
 #: delivered, zero latency (topology-less transports and intra-node hops).
 #: The fast path returns this singleton instead of allocating; ``Delivery``

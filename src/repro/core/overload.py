@@ -50,7 +50,7 @@ robustness story (see the fabric module docs).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, Optional, Set, Tuple
 
 from repro.faults.plan import RetryPolicy
@@ -212,6 +212,20 @@ class OverloadStats:
             return 0.0
         return self.queue_depth_sum / self.queue_depth_samples
 
+    def window_counters(self) -> Dict[str, float]:
+        """The cumulative counters windowed observers take deltas of.
+
+        What the cloud monitor's and the flight recorder's per-window
+        overload series (rejection and shed rates, mean depth) are made from.
+        """
+        return {
+            "admitted": float(self.requests_admitted),
+            "rejected": float(self.requests_rejected),
+            "shed": float(self.shed_total),
+            "depth_sum": float(self.queue_depth_sum),
+            "depth_samples": float(self.queue_depth_samples),
+        }
+
     def as_dict(self) -> Dict[str, float]:
         """Flat ``overload_*`` summary for resilience reporting."""
         return {
@@ -355,10 +369,6 @@ class OverloadController:
         if node_id in self._exempt:
             return 0
         return self.queue_for(node_id).depth()
-
-    def is_shedding(self, node_id: int) -> bool:
-        """Whether the node is currently in the shedding state."""
-        return node_id in self._shedding
 
     # ------------------------------------------------------------------
     # Admission

@@ -91,10 +91,6 @@ class Arc:
         return [(self.start + k) % self.intra_gen for k in range(self.width)]
 
 
-# Backwards-friendly alias: the paper calls these sub-ranges.
-SubRange = Arc
-
-
 @dataclass
 class RebalanceResult:
     """Outcome of one sub-range determination cycle.

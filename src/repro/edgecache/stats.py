@@ -14,8 +14,8 @@ Two concerns live here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Dict
 
 #: Default half-life (simulated minutes) for rate estimators. One hour —
 #: matching the paper's sub-range determination cycle, so placement and load
@@ -57,11 +57,6 @@ class DecayingRate:
         """Estimated events per time unit as of ``now``."""
         self._decay_to(now)
         return self._count * _LN2 / self.half_life
-
-    def decayed_count(self, now: float) -> float:
-        """The raw decayed counter (mostly for tests)."""
-        self._decay_to(now)
-        return self._count
 
     def _decay_to(self, now: float) -> None:
         if now > self._last_time:
@@ -118,10 +113,6 @@ class AccessFrequencyTracker:
         if not self._per_doc:
             return 0.0
         return self._aggregate.rate(now) / len(self._per_doc)
-
-    def tracked_documents(self) -> int:
-        """Number of documents with a live estimator."""
-        return len(self._per_doc)
 
     def forget(self, doc_id: int) -> None:
         """Drop a document's estimator (e.g. after corpus churn)."""

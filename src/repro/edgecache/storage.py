@@ -60,10 +60,14 @@ class CacheStorage:
         self._used = 0
         self.evictions = 0
         self._residence_samples: Deque[float] = deque(maxlen=RESIDENCE_SAMPLE_WINDOW)
-        #: Mean of ``_residence_samples`` — what :meth:`expected_residence`
-        #: answers. Recomputed at each eviction, the only place it changes,
-        #: so the placement walk over a document's holders reads an
-        #: attribute instead of re-summing the window once per holder.
+        #: Expected residence time of a *new* admission, in simulated minutes
+        #: (the DsCC input): the mean of ``_residence_samples``, the natural
+        #: empirical proxy for "how long a new copy can be expected to reside
+        #: before it is replaced". ``None`` means "effectively unbounded" —
+        #: the store is unlimited, or no eviction has happened yet.
+        #: Recomputed at each eviction, the only place it changes, so the
+        #: placement walk over a document's holders reads an attribute
+        #: instead of re-summing the window once per holder.
         self.residence_mean: Optional[float] = None
 
     # ------------------------------------------------------------------
@@ -78,12 +82,6 @@ class CacheStorage:
     def unlimited(self) -> bool:
         """Whether the store has no byte budget."""
         return self.capacity_bytes is None
-
-    def free_bytes(self) -> Optional[int]:
-        """Remaining budget, or ``None`` when unlimited."""
-        if self.capacity_bytes is None:
-            return None
-        return self.capacity_bytes - self._used
 
     def __len__(self) -> int:
         return len(self._docs)
@@ -165,20 +163,6 @@ class CacheStorage:
             samples.append(doc.residence_time(now))
             if self.capacity_bytes is not None:
                 self.residence_mean = sum(samples) / len(samples)
-
-    # ------------------------------------------------------------------
-    # Residence-time estimation (DsCC input)
-    # ------------------------------------------------------------------
-    def expected_residence(self) -> Optional[float]:
-        """Expected residence time of a *new* admission, in simulated minutes.
-
-        ``None`` means "effectively unbounded" — either the store is
-        unlimited, or no eviction has happened yet (no contention observed).
-        With contention, the estimate is the mean residence time of recently
-        evicted documents, the natural empirical proxy for "how long a new
-        copy can be expected to reside before it is replaced".
-        """
-        return self.residence_mean
 
     # ------------------------------------------------------------------
     # Internals

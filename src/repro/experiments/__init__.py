@@ -32,7 +32,6 @@ from repro.experiments.runner import (
     ExperimentResult,
     TraceFeeder,
     run_experiment,
-    run_trace,
 )
 from repro.experiments.sweeps import (
     UPDATE_RATE_SWEEP,
@@ -55,5 +54,4 @@ __all__ = [
     "run_points",
     "run_spec",
     "run_sweep",
-    "run_trace",
 ]

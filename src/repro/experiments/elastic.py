@@ -48,12 +48,12 @@ from repro.experiments.overload import default_overload_config
 from repro.experiments.parallel import (
     ExperimentSpec,
     WorkloadSpec,
-    derive_seed,
     run_live,
 )
 from repro.experiments.sweeps import SweepTable, run_points
 from repro.faults.churn import RETIRE, ChurnEvent
 from repro.observe.registry import Telemetry
+from repro.simulation.rng import derive_seed
 from repro.workload.sydney import SydneyConfig
 
 #: Number of configured caches in every arm (the paper's cloud size; the

@@ -416,14 +416,6 @@ class Figure6Result:
     cov_static: List[float] = field(default_factory=list)
     cov_dynamic: List[float] = field(default_factory=list)
 
-    def divergence_at(self, alpha: float) -> float:
-        """How much worse static is than dynamic at ``alpha``, percent."""
-        index = self.alphas.index(alpha)
-        dynamic = self.cov_dynamic[index]
-        if dynamic == 0:
-            return 0.0
-        return (self.cov_static[index] - dynamic) / dynamic * 100.0
-
     def render(self) -> str:
         table = Table(
             ["zipf alpha", "static CoV", "dynamic CoV"],

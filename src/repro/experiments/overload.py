@@ -35,11 +35,11 @@ from repro.experiments.figures import SMALL_SCALE, FigureScale
 from repro.experiments.parallel import (
     ExperimentSpec,
     WorkloadSpec,
-    derive_seed,
     run_live,
 )
 from repro.experiments.sweeps import SweepTable, run_points
 from repro.faults.plan import RetryPolicy
+from repro.simulation.rng import derive_seed
 from repro.workload.sydney import SydneyConfig
 
 #: Number of caches in every sweep point (the paper's cloud size).

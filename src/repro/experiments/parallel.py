@@ -83,18 +83,6 @@ JOBS_ENV_VAR = "REPRO_JOBS"
 GeneratorConfig = Union[WorkloadConfig, SydneyConfig]
 
 
-def derive_seed(base: int, *parts: object) -> int:
-    """A stable seed derived from ``base`` and any labels.
-
-    Uses SHA-256 rather than :func:`hash` so the derivation is identical
-    across processes and interpreter invocations (``hash`` of strings is
-    randomized per process).
-    """
-    text = ":".join([str(base), *(str(part) for part in parts)])
-    digest = hashlib.sha256(text.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
 @dataclass(frozen=True)
 class WorkloadSpec:
     """Picklable recipe for one (corpus, trace) pair.
@@ -198,9 +186,6 @@ class FailedRun:
     error: str
     error_type: str
 
-
-#: What one sweep slot can hold.
-SweepResult = Union[ExperimentResult, FailedRun]
 
 #: Result type produced by a sweep's runner callable. The default runner
 #: (:func:`run_spec`) yields :class:`ExperimentResult`; custom runners may

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence
 from repro.audit.antientropy import AntiEntropyConfig
 from repro.core.config import AssignmentScheme, CloudConfig, PlacementScheme
 from repro.experiments.figures import FigureScale, SMALL_SCALE, _zipf_workload
-from repro.experiments.parallel import ExperimentSpec, derive_seed, run_live
+from repro.experiments.parallel import ExperimentSpec, run_live
 from repro.experiments.sweeps import (
     SweepTable,
     poisson_churn,
@@ -31,6 +31,7 @@ from repro.experiments.sweeps import (
 from repro.faults.plan import FaultPlan
 from repro.network.bandwidth import TrafficCategory
 from repro.observe import Telemetry, write_json
+from repro.simulation.rng import derive_seed
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.overload import OverloadConfig

@@ -9,7 +9,7 @@ statistics every figure needs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, Optional, Union
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, Optional
 
 from repro.core.cloud import CacheCloud
 from repro.core.config import CloudConfig
@@ -27,7 +27,6 @@ from repro.simulation.rng import derive_seed
 from repro.workload.documents import Corpus
 from repro.workload.trace import (
     RequestRecord,
-    Trace,
     TraceRecord,
     UpdateRecord,
     merge_streams,
@@ -113,11 +112,6 @@ class ExperimentResult:
     resilience: Dict[str, float] = field(default_factory=dict)
     #: End-of-run invariant audit summary (empty unless requested).
     audit: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def measured_span(self) -> float:
-        """Length of the post-warm-up measurement window."""
-        return self.duration - self.warmup
 
     def sorted_loads(self) -> list:
         """Beacon loads in decreasing order (the figures' x-axis order)."""
@@ -319,27 +313,3 @@ def run_experiment(
 
         result.audit = InvariantAuditor().audit(cloud).summary()
     return result
-
-
-def run_trace(
-    config: CloudConfig,
-    corpus: Corpus,
-    trace: Union[Trace, Iterable[TraceRecord]],
-    duration: Optional[float] = None,
-    warmup: Optional[float] = None,
-) -> ExperimentResult:
-    """Convenience wrapper for a materialized :class:`Trace`."""
-    if isinstance(trace, Trace):
-        if duration is None:
-            # Empty/zero-duration traces fall back to one unit of simulated
-            # time; the epsilon keeps the last record inside the run window.
-            duration = (trace.duration or 1.0) + 1e-9
-        return run_experiment(
-            config, corpus, trace.requests, trace.updates, duration, warmup
-        )
-    if duration is None:
-        raise ValueError("duration is required for a raw record stream")
-    records = list(trace)
-    requests = [r for r in records if isinstance(r, RequestRecord)]
-    updates = [r for r in records if isinstance(r, UpdateRecord)]
-    return run_experiment(config, corpus, requests, updates, duration, warmup)

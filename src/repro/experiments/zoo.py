@@ -29,10 +29,11 @@ from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.core.config import AssignmentScheme, CloudConfig, PlacementScheme
-from repro.experiments.parallel import WorkloadSpec, derive_seed
+from repro.experiments.parallel import WorkloadSpec
 from repro.experiments.runner import ExperimentResult
 from repro.experiments.sweeps import SweepTable, run_points, warmed_spec
 from repro.observe.flight import FlightSpec
+from repro.simulation.rng import derive_seed
 from repro.strategies.spec import KNOWN_SCHEMES, StrategySpec
 from repro.workload.generator import WorkloadConfig
 

@@ -15,14 +15,13 @@ from repro.metrics.loadbalance import (
     peak_to_mean,
 )
 from repro.metrics.report import Table, format_figure_header
-from repro.metrics.timeseries import TimeSeries, WindowedCounter
+from repro.metrics.timeseries import TimeSeries
 
 __all__ = [
     "CloudMonitor",
     "LoadBalanceStats",
     "Table",
     "TimeSeries",
-    "WindowedCounter",
     "coefficient_of_variation",
     "format_figure_header",
     "load_balance_stats",

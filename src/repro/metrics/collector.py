@@ -55,9 +55,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Tuple
 
-from repro.edgecache.stats import CacheStats
 from repro.metrics.loadbalance import coefficient_of_variation, peak_to_mean
-from repro.metrics.timeseries import TimeSeries
+from repro.metrics.timeseries import CounterWindow, TimeSeries
 from repro.simulation.engine import Simulator
 from repro.simulation.events import EventPriority
 from repro.simulation.process import PeriodicProcess
@@ -70,53 +69,17 @@ _METRICS = (
     "docs_stored",
 )
 
-#: Extra windowed series sampled only when the cloud has faults attached.
-_FAULT_METRICS = (
-    "retries",
-    "timeouts",
-    "messages_dropped",
-    "stale_refreshes",
-)
-
-#: Extra series sampled only when an anti-entropy process is attached.
-_AE_METRICS = (
-    "stale_copies",
-    "stale_age_mean",
-    "ae_repairs",
-)
-
-#: Extra series sampled only when a telemetry registry is attached.
-_LATENCY_METRICS = (
-    "request_p50_ms",
-    "request_p99_ms",
-)
+#: Plane (its attribute on the cloud) -> the extra series sampled only when
+#: that plane is attached; the module docstring says what each one reads.
+_PLANE_METRICS = {
+    "faults": ("retries", "timeouts", "messages_dropped", "stale_refreshes"),
+    "anti_entropy": ("stale_copies", "stale_age_mean", "ae_repairs"),
+    "telemetry": ("request_p50_ms", "request_p99_ms"),
+    "overload": ("avg_queue_depth", "rejection_rate", "shed_rate"),
+    "elastic": ("cloud_size", "scale_out_events", "scale_in_events", "drain_bytes"),
+    "profile": ("holder_walk_mean", "holder_verify_units"),
+}
 _LATENCY_QUANTILES = (0.50, 0.99)
-
-#: Extra series sampled only when an overload controller is attached.
-_OVERLOAD_METRICS = (
-    "avg_queue_depth",
-    "rejection_rate",
-    "shed_rate",
-)
-
-#: Extra series sampled only when a work profile
-#: (``repro.observe.profile``) is attached: the time-resolved view of the
-#: ROADMAP holder-walk item — mean holders verified per answered lookup,
-#: and total holder-verification work performed in the window.
-_PROFILE_METRICS = (
-    "holder_walk_mean",
-    "holder_verify_units",
-)
-
-#: Extra series sampled only when an elastic controller is attached:
-#: ``cloud_size`` (gauge: live caches), windowed scale event counts, and
-#: windowed drain traffic — the time-resolved view of the autoscaler.
-_ELASTIC_METRICS = (
-    "cloud_size",
-    "scale_out_events",
-    "scale_in_events",
-    "drain_bytes",
-)
 
 
 class CloudMonitor:
@@ -134,35 +97,17 @@ class CloudMonitor:
         self.cloud = cloud
         self.period = period
         names = list(_METRICS)
-        self._faults = getattr(cloud, "faults", None)
-        if self._faults is not None:
-            names.extend(_FAULT_METRICS)
-        self._track_ae = getattr(cloud, "anti_entropy", None) is not None
-        if self._track_ae:
-            names.extend(_AE_METRICS)
-        self._telemetry = getattr(cloud, "telemetry", None)
-        if self._telemetry is not None:
-            names.extend(_LATENCY_METRICS)
-        self._overload = getattr(cloud, "overload", None)
-        if self._overload is not None:
-            names.extend(_OVERLOAD_METRICS)
-        self._track_elastic = getattr(cloud, "elastic", None) is not None
-        if self._track_elastic:
-            names.extend(_ELASTIC_METRICS)
-        self._profile = getattr(cloud, "profile", None)
-        if self._profile is not None:
-            names.extend(_PROFILE_METRICS)
+        self._planes: Dict[str, Any] = {}
+        for plane, metrics in _PLANE_METRICS.items():
+            tracked = getattr(cloud, plane, None)
+            if tracked is not None:
+                self._planes[plane] = tracked
+                names.extend(metrics)
         self.series: Dict[str, TimeSeries] = {
             name: TimeSeries(name) for name in names
         }
-        self._last_loads: Dict[int, float] = {}
-        self._last_bytes = 0
-        self._last_stats = CacheStats()
-        self._last_faults: Dict[str, float] = {}
-        self._last_ae_repairs = 0.0
-        self._last_overload: Dict[str, float] = {}
-        self._last_elastic: Dict[str, float] = {}
-        self._last_profile: Dict[str, float] = {}
+        self._loads: CounterWindow[int] = CounterWindow(cloud.beacon_loads)
+        self._counters: CounterWindow[str] = CounterWindow(self._read_counters)
         self._window_start = 0.0
         self._simulator = simulator
         self._process = PeriodicProcess(
@@ -175,7 +120,9 @@ class CloudMonitor:
 
     def start(self, first_at: Optional[float] = None) -> None:
         """Arm the monitor (first sample at ``first_at`` or now+period)."""
-        self._baseline()
+        self._loads.rebase()
+        self._counters.rebase()
+        self._window_start = self._simulator.now
         self._process.start(first_at=first_at)
 
     def stop(self) -> None:
@@ -190,166 +137,101 @@ class CloudMonitor:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _baseline(self) -> None:
-        self._last_loads = dict(self.cloud.beacon_loads())
-        self._last_bytes = self.cloud.transport.meter.total_bytes
-        self._last_stats = self._aggregate()
-        if self._faults is not None:
-            self._last_faults = self._fault_snapshot()
-        if self._track_ae:
-            self._last_ae_repairs = float(self.cloud.anti_entropy.stats.repairs)
-        if self._overload is not None:
-            self._last_overload = self._overload_snapshot()
-        if self._track_elastic:
-            self._last_elastic = self._elastic_snapshot()
-        if self._profile is not None:
-            self._last_profile = self._profile_snapshot()
-        if self._telemetry is not None:
-            self._window_start = self._simulator.now
+    def _read_counters(self) -> Dict[str, float]:
+        """Every cumulative counter a windowed series is made from.
 
-    def _fault_snapshot(self) -> Dict[str, float]:
+        Keyed by the series' own name where the window's growth is the
+        sample as is; the rest feed the ratios ``_sample`` derives.
+        """
         cloud = self.cloud
-        return {
-            "retries": float(cloud.retries),
-            "timeouts": float(cloud.timeouts),
-            "messages_dropped": float(self._faults.stats.dropped),
-            "stale_refreshes": float(cloud.stale_refreshes),
+        stats = cloud.aggregate_stats()
+        counters: Dict[str, float] = {
+            "requests": stats.requests,
+            "served": stats.local_hits + stats.cloud_hits,
+            "bytes": cloud.transport.meter.total_bytes,
         }
-
-    def _overload_snapshot(self) -> Dict[str, float]:
-        stats = self._overload.stats
-        return {
-            "depth_sum": float(stats.queue_depth_sum),
-            "depth_samples": float(stats.queue_depth_samples),
-            "requests_admitted": float(stats.requests_admitted),
-            "requests_rejected": float(stats.requests_rejected),
-            "shed_total": float(stats.shed_total),
-        }
-
-    def _profile_snapshot(self) -> Dict[str, float]:
-        profile = self._profile
-        return {
-            "verify_walks": float(profile.counts["holder_verify"]),
-            "verify_units": float(profile.units["holder_verify"]),
-        }
-
-    def _elastic_snapshot(self) -> Dict[str, float]:
-        stats = self.cloud.elastic.stats
-        return {
-            "scale_out_events": float(stats.scale_out_events),
-            "scale_in_events": float(stats.scale_in_events),
-            "drain_bytes": float(stats.drain_bytes),
-        }
-
-    def _aggregate(self) -> CacheStats:
-        total = CacheStats()
-        for cache in self.cloud.caches:
-            total.merge(cache.stats)
-        return total
+        planes = self._planes
+        if "faults" in planes:
+            fabric = cloud.fabric.stats
+            counters["retries"] = fabric.retries
+            counters["timeouts"] = fabric.timeouts
+            counters["messages_dropped"] = planes["faults"].stats.dropped
+            counters["stale_refreshes"] = cloud.stale_refreshes
+        if "anti_entropy" in planes:
+            counters["ae_repairs"] = planes["anti_entropy"].stats.repairs
+        if "overload" in planes:
+            counters.update(planes["overload"].stats.window_counters())
+        if "elastic" in planes:
+            elastic = planes["elastic"].stats
+            counters["scale_out_events"] = elastic.scale_out_events
+            counters["scale_in_events"] = elastic.scale_in_events
+            counters["drain_bytes"] = elastic.drain_bytes
+        if "profile" in planes:
+            profile = planes["profile"]
+            counters["holder_walks"] = profile.counts["holder_verify"]
+            counters["holder_verify_units"] = profile.units["holder_verify"]
+        return counters
 
     def _sample(self, now: float) -> None:
-        loads = self.cloud.beacon_loads()
-        deltas = [
-            loads[cache_id] - self._last_loads.get(cache_id, 0.0)
-            for cache_id in loads
-        ]
-        if any(delta > 0 for delta in deltas):
-            self.series["beacon_cov"].append(now, coefficient_of_variation(deltas))
-            self.series["beacon_peak_to_mean"].append(now, peak_to_mean(deltas))
+        series = self.series
+        loads = list(self._loads.delta().values())
+        if any(delta > 0 for delta in loads):
+            series["beacon_cov"].append(now, coefficient_of_variation(loads))
+            series["beacon_peak_to_mean"].append(now, peak_to_mean(loads))
         else:
-            self.series["beacon_cov"].append(now, 0.0)
-            self.series["beacon_peak_to_mean"].append(now, 1.0)
-        self._last_loads = dict(loads)
+            series["beacon_cov"].append(now, 0.0)
+            series["beacon_peak_to_mean"].append(now, 1.0)
 
-        stats = self._aggregate()
-        window_requests = stats.requests - self._last_stats.requests
-        window_served = (
-            stats.local_hits
-            + stats.cloud_hits
-            - self._last_stats.local_hits
-            - self._last_stats.cloud_hits
+        grown = self._counters.delta()
+        requests = grown["requests"]
+        series["cloud_hit_rate"].append(
+            now, grown["served"] / requests if requests else 0.0
         )
-        hit_rate = window_served / window_requests if window_requests else 0.0
-        self.series["cloud_hit_rate"].append(now, hit_rate)
-        self._last_stats = stats
-
-        total_bytes = self.cloud.transport.meter.total_bytes
-        self.series["network_mb"].append(
-            now, (total_bytes - self._last_bytes) / (1024.0 * 1024.0)
-        )
-        self._last_bytes = total_bytes
-
+        series["network_mb"].append(now, grown["bytes"] / (1024.0 * 1024.0))
         resident = sum(len(cache.storage) for cache in self.cloud.caches)
-        self.series["docs_stored"].append(now, float(resident))
+        series["docs_stored"].append(now, float(resident))
+        # A counter named like a series *is* that series: its growth within
+        # the window (retries, ae_repairs, drain_bytes, ...).
+        for name, value in grown.items():
+            if name in series:
+                series[name].append(now, value)
 
-        if self._faults is not None:
-            snapshot = self._fault_snapshot()
-            for name in _FAULT_METRICS:
-                self.series[name].append(
-                    now, snapshot[name] - self._last_faults.get(name, 0.0)
-                )
-            self._last_faults = snapshot
-
-        if self._track_ae:
+        planes = self._planes
+        if "anti_entropy" in planes:
             stale, age_sum = self._staleness_scan(now)
-            self.series["stale_copies"].append(now, float(stale))
-            self.series["stale_age_mean"].append(
-                now, age_sum / stale if stale else 0.0
-            )
-            repairs = float(self.cloud.anti_entropy.stats.repairs)
-            self.series["ae_repairs"].append(now, repairs - self._last_ae_repairs)
-            self._last_ae_repairs = repairs
+            series["stale_copies"].append(now, float(stale))
+            series["stale_age_mean"].append(now, age_sum / stale if stale else 0.0)
 
-        if self._overload is not None:
-            snapshot = self._overload_snapshot()
-            last = self._last_overload
-            delta = {
-                name: snapshot[name] - last.get(name, 0.0) for name in snapshot
-            }
-            samples = delta["depth_samples"]
-            self.series["avg_queue_depth"].append(
-                now, delta["depth_sum"] / samples if samples else 0.0
+        if "overload" in planes:
+            samples = grown["depth_samples"]
+            series["avg_queue_depth"].append(
+                now, grown["depth_sum"] / samples if samples else 0.0
             )
-            arrivals = delta["requests_admitted"] + delta["requests_rejected"]
-            self.series["rejection_rate"].append(
-                now, delta["requests_rejected"] / arrivals if arrivals else 0.0
+            arrivals = grown["admitted"] + grown["rejected"]
+            series["rejection_rate"].append(
+                now, grown["rejected"] / arrivals if arrivals else 0.0
             )
-            self.series["shed_rate"].append(
-                now, delta["shed_total"] / arrivals if arrivals else 0.0
+            series["shed_rate"].append(
+                now, grown["shed"] / arrivals if arrivals else 0.0
             )
-            self._last_overload = snapshot
 
-        if self._track_elastic:
-            self.series["cloud_size"].append(
-                now, float(self.cloud.elastic.active_count())
-            )
-            snapshot = self._elastic_snapshot()
-            last = self._last_elastic
-            for name in ("scale_out_events", "scale_in_events", "drain_bytes"):
-                self.series[name].append(
-                    now, snapshot[name] - last.get(name, 0.0)
-                )
-            self._last_elastic = snapshot
+        if "elastic" in planes:
+            series["cloud_size"].append(now, float(planes["elastic"].active_count()))
 
-        if self._profile is not None:
-            snapshot = self._profile_snapshot()
-            last = self._last_profile
-            walks = snapshot["verify_walks"] - last.get("verify_walks", 0.0)
-            units = snapshot["verify_units"] - last.get("verify_units", 0.0)
-            self.series["holder_walk_mean"].append(
-                now, units / walks if walks else 0.0
+        if "profile" in planes:
+            walks = grown["holder_walks"]
+            series["holder_walk_mean"].append(
+                now, grown["holder_verify_units"] / walks if walks else 0.0
             )
-            self.series["holder_verify_units"].append(now, units)
-            self._last_profile = snapshot
 
-        if self._telemetry is not None:
+        if "telemetry" in planes:
             # One sort of the window for both percentiles (the same
             # nearest-rank rule as ``percentile_in``); empty window -> 0.0.
-            quantiles = self._telemetry.request_latencies.quantiles(
+            quantiles = planes["telemetry"].request_latencies.quantiles(
                 _LATENCY_QUANTILES, self._window_start, now
             )
-            for name, q in zip(_LATENCY_METRICS, _LATENCY_QUANTILES):
-                self.series[name].append(now, quantiles.get(q, 0.0))
+            for name, q in zip(_PLANE_METRICS["telemetry"], _LATENCY_QUANTILES):
+                series[name].append(now, quantiles.get(q, 0.0))
             self._window_start = now
 
     def _staleness_scan(self, now: float) -> Tuple[int, float]:

@@ -81,8 +81,3 @@ def format_figure_header(figure: str, description: str) -> str:
     """Banner line printed above each figure reproduction."""
     line = f"=== {figure}: {description} ==="
     return f"\n{line}"
-
-
-def format_percent(value: float, precision: int = 1) -> str:
-    """Format a 0-100 percentage with a trailing %."""
-    return f"{value:.{precision}f}%"

@@ -1,10 +1,23 @@
-"""Simple time series and windowed counters for experiment instrumentation."""
+"""Time series and the windowed counter delta for experiment instrumentation."""
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Generic,
+    Hashable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
+
+K = TypeVar("K", bound=Hashable)
 
 
 def _nearest_rank(sorted_values: Sequence[float], q: float) -> float:
@@ -50,23 +63,6 @@ class TimeSeries:
         """All (time, value) pairs."""
         return list(zip(self._times, self._values))
 
-    def window(self, start: float, end: float) -> List[Tuple[float, float]]:
-        """Pairs with ``start <= time < end``."""
-        lo = bisect_left(self._times, start)
-        hi = bisect_left(self._times, end)
-        return list(zip(self._times[lo:hi], self._values[lo:hi]))
-
-    def sum_in(self, start: float, end: float) -> float:
-        """Sum of values in ``[start, end)``."""
-        return sum(value for _, value in self.window(start, end))
-
-    def mean_in(self, start: float, end: float) -> Optional[float]:
-        """Mean of values in ``[start, end)``, or None when empty."""
-        points = self.window(start, end)
-        if not points:
-            return None
-        return sum(value for _, value in points) / len(points)
-
     def values_in(self, start: float, end: float) -> List[float]:
         """Values with ``start <= time < end`` (insertion order)."""
         lo = bisect_left(self._times, start)
@@ -106,49 +102,33 @@ class TimeSeries:
         values.sort()
         return {q: _nearest_rank(values, q) for q in qs}
 
-    def last(self) -> Optional[Tuple[float, float]]:
-        """Most recent (time, value), or None when empty."""
-        if not self._times:
-            return None
-        return self._times[-1], self._values[-1]
 
+class CounterWindow(Generic[K]):
+    """Per-window growth of the cumulative counters one source reports.
 
-class WindowedCounter:
-    """Event counter bucketed into fixed-width time windows.
-
-    Used to build per-unit-time load series (e.g. beacon load per minute)
-    without storing every event.
+    ``read`` returns the counters' current values by name, as a mapping it
+    does not touch again (the last one is kept as the baseline). The experiment
+    runner zeroes statistics at the warm-up boundary, so a counter below its
+    baseline was reset inside the window: its value *is* the growth since.
+    Every windowed observer (the cloud monitor, the flight recorder) takes
+    its deltas here, so they all read a warmed run the same way.
     """
 
-    def __init__(self, window: float) -> None:
-        if window <= 0:
-            raise ValueError(f"window must be > 0, got {window}")
-        self.window = window
-        self._buckets: List[float] = []
+    def __init__(self, read: Callable[[], Mapping[K, float]]) -> None:
+        self._read = read
+        self._base: Mapping[K, float] = {}
 
-    def record(self, time: float, weight: float = 1.0) -> None:
-        """Add ``weight`` to the bucket containing ``time``."""
-        if time < 0:
-            raise ValueError(f"time must be >= 0, got {time}")
-        index = int(time / self.window)
-        if index >= len(self._buckets):
-            self._buckets.extend([0.0] * (index + 1 - len(self._buckets)))
-        self._buckets[index] += weight
+    def rebase(self) -> None:
+        """Start the next window at the counters' current values."""
+        self._base = self._read()
 
-    def buckets(self) -> List[float]:
-        """Per-window totals (copy)."""
-        return list(self._buckets)
-
-    def rate_series(self) -> List[float]:
-        """Per-window event *rates* (totals divided by the window width)."""
-        return [total / self.window for total in self._buckets]
-
-    def total(self) -> float:
-        """Sum across all windows."""
-        return sum(self._buckets)
-
-    def mean_rate(self) -> float:
-        """Mean events per time unit over the observed span."""
-        if not self._buckets:
-            return 0.0
-        return self.total() / (len(self._buckets) * self.window)
+    def delta(self) -> Dict[K, float]:
+        """Growth of every counter since the last call, which it rebases."""
+        snapshot = self._read()
+        base = self._base
+        self._base = snapshot
+        delta: Dict[K, float] = {}
+        for name, value in snapshot.items():
+            last = base.get(name, 0.0)
+            delta[name] = float(value - last if value >= last else value)
+        return delta

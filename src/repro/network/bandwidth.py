@@ -84,10 +84,6 @@ class TrafficMeter:
         """All bytes across categories."""
         return sum(self._bytes.values())
 
-    def total_data_bytes(self) -> int:
-        """Bytes excluding CONTROL — the document-payload traffic."""
-        return self.total_bytes - self._bytes[TrafficCategory.CONTROL]
-
     def megabytes_per_unit_time(self, duration: float) -> float:
         """Total MB transferred per unit time over ``duration`` time units."""
         if duration <= 0:

@@ -78,16 +78,6 @@ class OriginServer:
         self._check_doc(doc_id)
         self.update_messages_sent += 1
 
-    def document_size(self, doc_id: int) -> int:
-        """Size in bytes of ``doc_id``."""
-        self._check_doc(doc_id)
-        return self.corpus[doc_id].size_bytes
-
-    def document_url(self, doc_id: int) -> str:
-        """URL of ``doc_id`` — the key hashed by assignment schemes."""
-        self._check_doc(doc_id)
-        return self.corpus[doc_id].url
-
     def _check_doc(self, doc_id: int) -> None:
         if not 0 <= doc_id < self._num_docs:
             raise KeyError(f"unknown doc_id {doc_id}")

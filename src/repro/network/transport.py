@@ -2,26 +2,18 @@
 
 The transport charges every message to a :class:`TrafficCategory` on a
 :class:`TrafficMeter` and computes its delivery latency from the topology.
-Two delivery styles are supported:
-
-* **Accounted-synchronous** (:meth:`send`) — the caller gets the latency back
-  and continues immediately. The cloud protocols use this style: the paper's
-  metrics are throughput/byte statistics plus *computed* client latencies, so
-  an asynchronous in-flight model would add heap pressure without changing
-  any reported number.
-* **Scheduled** (:meth:`send_scheduled`) — the message triggers a callback on
-  the simulator after the latency elapses, for components that genuinely
-  need asynchrony (e.g. failure-detection timeouts).
+Delivery is accounted-synchronous (:meth:`send`): the caller gets the latency
+back and continues immediately. The paper's metrics are throughput/byte
+statistics plus *computed* client latencies, so an asynchronous in-flight
+model would add heap pressure without changing any reported number.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.network.bandwidth import TrafficCategory, TrafficMeter
 from repro.network.topology import NetworkTopology, ms_to_minutes
-from repro.simulation.engine import Simulator
-from repro.simulation.events import EventPriority
 
 #: Size of a control message (lookup request/response, announcements). The
 #: paper counts lookups in *load* units; bytes only matter for Figures 8-9,
@@ -75,19 +67,15 @@ class Transport:
         experiments, in which case all latencies are 0.
     meter:
         Byte accounting sink. A fresh meter is created when omitted.
-    simulator:
-        Required only for :meth:`send_scheduled`.
     """
 
     def __init__(
         self,
         topology: Optional[NetworkTopology] = None,
         meter: Optional[TrafficMeter] = None,
-        simulator: Optional[Simulator] = None,
     ) -> None:
         self.topology = topology
         self.meter = meter if meter is not None else TrafficMeter()
-        self.simulator = simulator
         # Attempt ledger: every send is counted here *and* charged to the
         # meter, so the invariant auditor can verify conservation (bytes on
         # the meter == bytes attempted through the transport). Kept separate
@@ -219,21 +207,6 @@ class Transport:
         self.meter.reset()
         self.messages_attempted = 0
         self.bytes_attempted = 0
-
-    def send_scheduled(
-        self,
-        src: int,
-        dst: int,
-        num_bytes: int,
-        category: TrafficCategory,
-        on_delivery: Callable[[], Any],
-        priority: EventPriority = EventPriority.TRANSFER,
-    ) -> None:
-        """Deliver via the simulator after the link latency elapses."""
-        if self.simulator is None:
-            raise RuntimeError("send_scheduled requires a simulator")
-        latency = self.send(src, dst, num_bytes, category)
-        self.simulator.schedule_in(latency, on_delivery, priority=priority)
 
     def __repr__(self) -> str:
         topo = type(self.topology).__name__ if self.topology else "none"

@@ -45,6 +45,7 @@ import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
 
+from repro.metrics.timeseries import CounterWindow
 from repro.observe.profile import PHASE_ROLES, PHASES, WorkProfile
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids runtime imports
@@ -179,7 +180,7 @@ class FlightRecorder:
         self._queue_rejections: Dict[str, int] = {}
         # Baselines for cumulative sources (profile, overload stats).
         self._profile_base = self.profile.snapshot()
-        self._overload_base: Dict[str, float] = {}
+        self._overload = CounterWindow(self._overload_counters)
 
     @classmethod
     def resume(cls, path: str, top_docs: Optional[int] = None) -> "FlightRecorder":
@@ -226,7 +227,7 @@ class FlightRecorder:
                 }
             )
             self._header_written = True
-        self._overload_base = self._overload_snapshot()
+        self._overload.rebase()
 
     def unbind(self) -> None:
         """Drop the cloud reference (recording pauses, file stays open)."""
@@ -288,37 +289,11 @@ class FlightRecorder:
     # ------------------------------------------------------------------
     # Window lifecycle
     # ------------------------------------------------------------------
-    def _overload_snapshot(self) -> Dict[str, float]:
+    def _overload_counters(self) -> Dict[str, float]:
         cloud = self._cloud
-        overload = getattr(cloud, "overload", None) if cloud is not None else None
-        if overload is None:
+        if cloud is None or cloud.overload is None:
             return {}
-        stats = overload.stats
-        return {
-            "admitted": float(stats.requests_admitted),
-            "rejected": float(stats.requests_rejected),
-            "shed": float(stats.shed_total),
-            "depth_sum": float(stats.queue_depth_sum),
-            "depth_samples": float(stats.queue_depth_samples),
-        }
-
-    def _overload_delta(self) -> Dict[str, float]:
-        """Per-window overload-stat deltas, tolerant of counter resets.
-
-        The experiment runner zeroes overload statistics at the warm-up
-        boundary; a counter below its baseline means such a reset happened
-        inside the window, and the post-reset value *is* the delta.
-        """
-        snapshot = self._overload_snapshot()
-        base = self._overload_base
-        delta = {
-            name: value - base.get(name, 0.0)
-            if value >= base.get(name, 0.0)
-            else value
-            for name, value in snapshot.items()
-        }
-        self._overload_base = snapshot
-        return delta
+        return cloud.overload.stats.window_counters()
 
     def _close_window(self, end: float, partial: bool = False) -> None:
         record: Dict[str, object] = {
@@ -357,7 +332,7 @@ class FlightRecorder:
                 "max": max_walk,
                 "top": [[doc_id, walked] for doc_id, walked in top],
             }
-        overload = self._overload_delta()
+        overload = self._overload.delta()
         if overload:
             samples = overload["depth_samples"]
             record["overload"] = {

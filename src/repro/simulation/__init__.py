@@ -26,12 +26,9 @@ from repro.simulation.engine import Simulator
 from repro.simulation.events import Event, EventPriority
 from repro.simulation.process import PeriodicProcess
 from repro.simulation.rng import RandomStreams
-from repro.simulation.tracing import DispatchRecord, EventTracer
 
 __all__ = [
-    "DispatchRecord",
     "Event",
-    "EventTracer",
     "EventPriority",
     "PeriodicProcess",
     "RandomStreams",

@@ -87,16 +87,6 @@ class Simulator:
             times.append(self._head_key[0])
         return min(times, default=None)
 
-    def iter_pending(self) -> List[Event]:
-        """The live (non-cancelled) queued events, in heap order.
-
-        Events only — a waiting source item is not an :class:`Event`. The
-        returned list is a snapshot; mutating an event's ``callback`` (as
-        :class:`~repro.simulation.tracing.EventTracer` does on attach) is
-        supported, re-ordering is not.
-        """
-        return [event for event in self._queue if not event.cancelled]
-
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------

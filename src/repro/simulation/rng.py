@@ -15,13 +15,14 @@ import random
 from typing import Dict
 
 
-def derive_seed(master_seed: int, name: str) -> int:
-    """Derive a 64-bit child seed from ``(master_seed, name)``.
+def derive_seed(master_seed: int, *names: object) -> int:
+    """Derive a 64-bit child seed from ``master_seed`` and any labels.
 
-    Uses SHA-256 so that distinct names yield statistically independent
-    child seeds even for adjacent master seeds.
+    Uses SHA-256 so that distinct labels yield statistically independent
+    child seeds even for adjacent master seeds, and (unlike :func:`hash`,
+    which is randomized per process) identically in every worker process.
     """
-    payload = f"{master_seed}:{name}".encode("utf-8")
+    payload = ":".join(map(str, (master_seed, *names))).encode("utf-8")
     digest = hashlib.sha256(payload).digest()
     return int.from_bytes(digest[:8], "big")
 
@@ -47,14 +48,6 @@ class RandomStreams:
             stream = random.Random(derive_seed(self.master_seed, name))
             self._streams[name] = stream
         return stream
-
-    def fork(self, name: str) -> "RandomStreams":
-        """Create a child family of streams, independent of this one.
-
-        Useful when an experiment spawns several clouds that each need their
-        own ``"requests"``/``"updates"`` streams.
-        """
-        return RandomStreams(derive_seed(self.master_seed, f"fork:{name}"))
 
     def reset(self) -> None:
         """Drop all derived streams; subsequent gets re-derive from scratch."""

@@ -34,7 +34,6 @@ from repro.strategies.spec import (
     PAPER_SCHEMES,
     StrategySpec,
     build_strategy,
-    default_spec,
 )
 
 __all__ = [
@@ -57,5 +56,4 @@ __all__ = [
     "PAPER_SCHEMES",
     "StrategySpec",
     "build_strategy",
-    "default_spec",
 ]

@@ -68,11 +68,6 @@ class StrategySpec:
             )
 
 
-def default_spec(config: CloudConfig) -> StrategySpec:
-    """The spec a bare config composes to (its placement scheme)."""
-    return StrategySpec(scheme=config.strategy_scheme())
-
-
 def build_strategy(spec: StrategySpec, config: CloudConfig) -> CacheStrategy:
     """Build the live strategy a spec describes, seeded from ``config``.
 

@@ -14,32 +14,14 @@ The paper evaluates on two datasets:
   DESIGN.md §2 for the substitution rationale.
 """
 
-from repro.workload.analysis import fit_zipf_alpha, gini_coefficient, summarize
-from repro.workload.arrivals import (
-    ArrivalProcess,
-    MMPPArrivals,
-    OnOffArrivals,
-    PoissonArrivals,
-)
 from repro.workload.documents import Corpus, DocumentSpec, build_corpus
 from repro.workload.generator import SyntheticTraceGenerator, WorkloadConfig
 from repro.workload.sydney import SydneyConfig, SydneyTraceGenerator
 from repro.workload.trace import RequestRecord, Trace, UpdateRecord, merge_streams
-from repro.workload.transforms import (
-    clip,
-    concatenate,
-    overlay,
-    scale_time,
-    shift,
-)
 from repro.workload.zipf import ZipfSampler, zipf_weights
 
 __all__ = [
-    "ArrivalProcess",
     "Corpus",
-    "MMPPArrivals",
-    "OnOffArrivals",
-    "PoissonArrivals",
     "DocumentSpec",
     "RequestRecord",
     "SydneyConfig",
@@ -50,14 +32,6 @@ __all__ = [
     "WorkloadConfig",
     "ZipfSampler",
     "build_corpus",
-    "clip",
-    "concatenate",
-    "fit_zipf_alpha",
-    "gini_coefficient",
     "merge_streams",
-    "overlay",
-    "scale_time",
-    "shift",
-    "summarize",
     "zipf_weights",
 ]

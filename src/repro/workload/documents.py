@@ -71,10 +71,6 @@ class Corpus:
     def __getitem__(self, doc_id: int) -> DocumentSpec:
         return self._docs[doc_id]
 
-    def by_url(self, url: str) -> DocumentSpec:
-        """Look a document up by URL; raises KeyError if absent."""
-        return self._by_url[url]
-
     @property
     def total_bytes(self) -> int:
         """Sum of all document sizes (denominator of Fig. 9's 5 % disk rule)."""

@@ -18,7 +18,7 @@ hashing schemes cannot accidentally correlate with popularity.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence
 
 from repro.simulation.rng import RandomStreams
@@ -100,14 +100,8 @@ class SyntheticTraceGenerator:
     # ------------------------------------------------------------------
     # Streams
     # ------------------------------------------------------------------
-    def requests(self, arrival_process=None) -> Iterator[RequestRecord]:
-        """Lazy time-ordered stream of request records.
-
-        ``arrival_process`` optionally overrides the homogeneous Poisson
-        arrivals with any :class:`repro.workload.arrivals.ArrivalProcess`
-        (e.g. an MMPP for burstiness studies); document/cache selection is
-        unchanged, so the popularity structure stays comparable.
-        """
+    def requests(self) -> Iterator[RequestRecord]:
+        """Lazy time-ordered stream of request records."""
         cfg = self.config
         total_rate = cfg.num_caches * cfg.request_rate_per_cache
         arrival_rng = self._streams.get("request-arrivals")
@@ -116,15 +110,7 @@ class SyntheticTraceGenerator:
         sampler = ZipfSampler(cfg.num_documents, cfg.alpha_requests, doc_rng)
         weights = list(cfg.cache_weights) if cfg.cache_weights is not None else None
         cache_ids = list(range(cfg.num_caches))
-        if arrival_process is not None:
-            arrival_times = arrival_process.arrivals(
-                cfg.duration_minutes, arrival_rng
-            )
-        else:
-            arrival_times = poisson_arrivals(
-                total_rate, cfg.duration_minutes, arrival_rng
-            )
-        for t in arrival_times:
+        for t in poisson_arrivals(total_rate, cfg.duration_minutes, arrival_rng):
             doc_id = self._rank_to_doc[sampler.sample()]
             if weights is None:
                 cache_id = cache_rng.randrange(cfg.num_caches)

@@ -9,7 +9,6 @@ inspected with standard tools, diffed, and checked into test fixtures:
 
 from __future__ import annotations
 
-import io
 from pathlib import Path
 from typing import List, TextIO, Union
 
@@ -92,10 +91,3 @@ def _read_records(fh: TextIO) -> Trace:
                 raise
             raise TraceFormatError(f"line {lineno}: {exc}") from exc
     return Trace(requests=requests, updates=updates)
-
-
-def trace_to_string(trace: Trace) -> str:
-    """Serialize a trace to a string (round-trips via :func:`read_trace`)."""
-    buf = io.StringIO()
-    write_trace(trace, buf)
-    return buf.getvalue()

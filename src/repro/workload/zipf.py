@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import random
-from typing import List, Sequence
+from typing import List
 
 
 def zipf_weights(n: int, alpha: float) -> List[float]:
@@ -67,16 +67,6 @@ class ZipfSampler:
         u = self._rng.random() * self._total
         return bisect.bisect_left(self._cdf, u)
 
-    def sample_many(self, count: int) -> List[int]:
-        """Draw ``count`` ranks (convenience for trace generation)."""
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        return [self.sample() for _ in range(count)]
-
-    def expected_counts(self, total_draws: int) -> List[float]:
-        """Expected number of draws per rank after ``total_draws`` samples."""
-        return [total_draws * self.probability(r) for r in range(self.n)]
-
     def __repr__(self) -> str:
         return f"ZipfSampler(n={self.n}, alpha={self.alpha})"
 
@@ -92,11 +82,3 @@ def permuted_ranks(n: int, rng: random.Random) -> List[int]:
     mapping = list(range(n))
     rng.shuffle(mapping)
     return mapping
-
-
-def weights_from_counts(counts: Sequence[int]) -> List[float]:
-    """Normalize observed per-item counts into a probability vector."""
-    total = float(sum(counts))
-    if total <= 0:
-        raise ValueError("counts must sum to a positive value")
-    return [c / total for c in counts]

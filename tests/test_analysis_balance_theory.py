@@ -13,7 +13,6 @@ from repro.analysis.balance_theory import (
     expected_cov_ring_balanced,
     expected_cov_static,
     monte_carlo_cov,
-    predicted_improvement,
     self_collision_mass,
     zipf_load_weights,
 )
@@ -58,7 +57,9 @@ class TestClosedForms:
     def test_paper_claim_two_point_rings_beat_static(self):
         """The §2.3 theory claim, derived: k=2 gives a 1/3 CoV cut at m=10."""
         weights = zipf_load_weights(2000, 0.9)
-        improvement = predicted_improvement(weights, 10, 2)
+        improvement = 1.0 - expected_cov_ring_balanced(
+            weights, 10, 2
+        ) / expected_cov_static(weights, 10)
         # CoV_ring/CoV_static = sqrt((5-1)/(10-1)) = 2/3 exactly.
         assert improvement == pytest.approx(1.0 / 3.0, abs=1e-9)
 

@@ -56,8 +56,8 @@ class TestZeroPlanEquivalence:
         assert _drive(bare) == _drive(faulty)
         assert bare.aggregate_stats() == faulty.aggregate_stats()
         assert bare.transport.meter == faulty.transport.meter
-        assert faulty.retries == 0
-        assert faulty.timeouts == 0
+        assert faulty.fabric.stats.retries == 0
+        assert faulty.fabric.stats.timeouts == 0
         # A disabled plan contributes no message counters to the summary,
         # keeping zero-fault results byte-identical to fault-free runs.
         assert bare.resilience_summary() == faulty.resilience_summary()
@@ -92,9 +92,9 @@ class TestTotalLoss:
         # twice -> forced delivery. The client is still served.
         assert result.outcome is RequestOutcome.CLOUD_TIMEOUT_ORIGIN_FALLBACK
         assert cloud.fault_origin_fallbacks == 1
-        assert cloud.forced_deliveries == 1
-        assert cloud.retries == 2  # one retransmission per failed RPC
-        assert cloud.timeouts == 4  # every attempt of both RPCs timed out
+        assert cloud.fabric.stats.forced_deliveries == 1
+        assert cloud.fabric.stats.retries == 2  # one retransmission per failed RPC
+        assert cloud.fabric.stats.timeouts == 4  # every attempt of both RPCs timed out
         assert cloud.caches[0].holds(5)
 
     def test_fallback_copy_is_not_registered(self, small_corpus):
@@ -195,7 +195,7 @@ class TestNoCooperationFaults:
         # served: the document leg is forced (last line of service).
         assert result.outcome is RequestOutcome.ORIGIN_FETCH
         assert cloud.fault_origin_fallbacks == 1
-        assert cloud.forced_deliveries == 1
+        assert cloud.fabric.stats.forced_deliveries == 1
         assert cloud.caches[0].holds(5)
 
     def test_lost_direct_request_inflates_client_latency(self, small_corpus):

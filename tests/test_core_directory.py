@@ -45,7 +45,7 @@ class TestHolders:
         directory.remove_holder(7, 1)
         assert not directory.knows(7)
         assert len(directory) == 0
-        assert directory.entry_count_in_range(0, 10) == 0
+        assert directory.extract_range(0, 10) == []
 
     def test_remove_unknown_is_noop(self):
         directory = LookupDirectory()
@@ -72,12 +72,6 @@ class TestMigration:
         directory.add_holder(3, 5, 12)
         directory.add_holder(4, 9, 13)
         return directory
-
-    def test_entry_count_in_range(self):
-        directory = self.build()
-        assert directory.entry_count_in_range(0, 4) == 1
-        assert directory.entry_count_in_range(5, 5) == 2
-        assert directory.entry_count_in_range(0, 9) == 4
 
     def test_extract_range_removes_and_returns(self):
         directory = self.build()

@@ -284,7 +284,7 @@ class TestForcedDeliveryTrace:
             )
         )
         result = cloud.handle_request(0, 5, now=1.0)
-        assert cloud.forced_deliveries == 1
+        assert cloud.fabric.stats.forced_deliveries == 1
         # The client was served exactly once, by the origin — and the trace
         # says so even though the transfer rode the forced leg.
         transfers = cloud.trace.of_type(DocumentTransfer)
@@ -403,9 +403,9 @@ class TestZeroFaultStructuralEquivalence:
             == instrumented.transport.bytes_attempted
         )
         assert bare.fabric.stats == instrumented.fabric.stats
-        assert instrumented.retries == 0
-        assert instrumented.timeouts == 0
-        assert instrumented.forced_deliveries == 0
+        assert instrumented.fabric.stats.retries == 0
+        assert instrumented.fabric.stats.timeouts == 0
+        assert instrumented.fabric.stats.forced_deliveries == 0
 
     def test_zero_fault_plan_makes_no_random_draws(self, small_corpus):
         """NO_FAULTS must never consult the RNG, or seeds would diverge."""

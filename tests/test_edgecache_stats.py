@@ -10,6 +10,9 @@ from repro.edgecache.stats import (
     DecayingRate,
 )
 
+#: ``rate(now)`` per decayed event at half-life 10: count · ln 2 / half-life.
+PER_EVENT = math.log(2) / 10.0
+
 
 class TestDecayingRate:
     def test_rejects_bad_half_life(self):
@@ -22,9 +25,9 @@ class TestDecayingRate:
     def test_count_halves_per_half_life(self):
         rate = DecayingRate(half_life=10.0)
         rate.observe(0.0)
-        assert rate.decayed_count(10.0) == pytest.approx(0.5)
+        assert rate.rate(10.0) == pytest.approx(0.5 * PER_EVENT)
         rate.observe(10.0)  # count back to 1.5
-        assert rate.decayed_count(20.0) == pytest.approx(0.75)
+        assert rate.rate(20.0) == pytest.approx(0.75 * PER_EVENT)
 
     def test_rate_converges_to_poisson_intensity(self):
         # 5 events per unit, observed over many half-lives.
@@ -39,15 +42,14 @@ class TestDecayingRate:
     def test_weighted_observation(self):
         rate = DecayingRate(half_life=10.0)
         rate.observe(0.0, weight=3.0)
-        assert rate.decayed_count(0.0) == 3.0
+        assert rate.rate(0.0) == pytest.approx(3.0 * PER_EVENT)
 
     def test_time_does_not_go_backwards(self):
         rate = DecayingRate(half_life=10.0)
         rate.observe(10.0)
         # Querying an earlier time returns the current (later) state rather
         # than raising: estimators are monotone in observation time.
-        count_then = rate.decayed_count(5.0)
-        assert count_then == pytest.approx(1.0)
+        assert rate.rate(5.0) == pytest.approx(1.0 * PER_EVENT)
 
 
 class TestAccessFrequencyTracker:
@@ -80,7 +82,7 @@ class TestAccessFrequencyTracker:
         tracker.observe(1, 0.0)
         tracker.forget(1)
         assert tracker.rate_of(1, 0.0) == 0.0
-        assert tracker.tracked_documents() == 0
+        assert tracker.mean_rate(0.0) == 0.0  # no live estimator left
 
 
 class TestCacheStats:

@@ -13,12 +13,11 @@ class TestUnlimitedStorage:
             assert storage.admit(doc, 1000, 0, float(doc)) == []
         assert len(storage) == 100
         assert storage.unlimited
-        assert storage.free_bytes() is None
 
     def test_expected_residence_none(self):
         storage = CacheStorage()
         storage.admit(0, 100, 0, 0.0)
-        assert storage.expected_residence() is None
+        assert storage.residence_mean is None
 
     @pytest.mark.parametrize("name", ["lru", "fifo", "lfu", "gdsf"])
     def test_never_asks_for_a_victim_whichever_policy_it_was_handed(self, name):
@@ -54,7 +53,6 @@ class TestBoundedStorage:
         storage.admit(1, 300, 0, 0.0)
         storage.admit(2, 200, 0, 0.0)
         assert storage.used_bytes == 500
-        assert storage.free_bytes() == 500
 
     def test_evicts_lru_to_make_room(self):
         storage = CacheStorage(capacity_bytes=1000, policy=LRUPolicy())
@@ -150,7 +148,7 @@ class TestResidenceEstimation:
     def test_no_evictions_yet_returns_none(self):
         storage = CacheStorage(capacity_bytes=1000)
         storage.admit(1, 100, 0, 0.0)
-        assert storage.expected_residence() is None
+        assert storage.residence_mean is None
 
     def test_estimate_is_mean_of_recent_evictions(self):
         storage = CacheStorage(capacity_bytes=200)
@@ -158,7 +156,7 @@ class TestResidenceEstimation:
         storage.admit(2, 100, 0, 0.0)
         storage.admit(3, 100, 0, 10.0)  # evicts doc 1 after 10 units
         storage.admit(4, 100, 0, 30.0)  # evicts doc 2 after 30 units
-        assert storage.expected_residence() == pytest.approx(20.0)
+        assert storage.residence_mean == pytest.approx(20.0)
 
     def test_estimate_is_the_window_mean_bit_for_bit(self):
         """The estimate is refreshed at each eviction with the same
@@ -173,10 +171,9 @@ class TestResidenceEstimation:
             storage.admit(doc_id, 100, 0, now)  # evicts the previous one
             samples = storage._residence_samples
             if samples:
-                assert storage.expected_residence() == sum(samples) / len(
+                assert storage.residence_mean == sum(samples) / len(
                     samples
                 )
-                assert storage.residence_mean == storage.expected_residence()
         assert len(storage._residence_samples) == RESIDENCE_SAMPLE_WINDOW
 
     def test_explicit_removal_does_not_move_the_estimate(self):
@@ -184,6 +181,6 @@ class TestResidenceEstimation:
         storage.admit(1, 100, 0, 0.0)
         storage.admit(2, 100, 0, 0.0)
         storage.admit(3, 100, 0, 10.0)
-        before = storage.expected_residence()
+        before = storage.residence_mean
         storage.remove(3, 50.0)
-        assert storage.expected_residence() == before
+        assert storage.residence_mean == before

@@ -72,13 +72,6 @@ class TestFigure6:
         result = smoke("fig6").result
         assert result.cov_static[1] > result.cov_static[0]
 
-    def test_divergence_at(self, smoke):
-        result = smoke("fig6").result
-        value = result.divergence_at(0.9)
-        assert isinstance(value, float)
-        static, dynamic = result.cov_static[1], result.cov_dynamic[1]
-        assert value == pytest.approx((static - dynamic) / dynamic * 100.0)
-
 
 class TestFigures7And8:
     @pytest.fixture(scope="class")

@@ -13,11 +13,11 @@ from repro.experiments.parallel import (
     ExperimentSpec,
     FailedRun,
     WorkloadSpec,
-    derive_seed,
     resolve_jobs,
     run_spec,
     run_sweep,
 )
+from repro.simulation.rng import derive_seed
 from repro.workload.generator import WorkloadConfig
 from repro.workload.sydney import SydneyConfig
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.config import AssignmentScheme, CloudConfig, PlacementScheme
-from repro.experiments.runner import TraceFeeder, run_experiment, run_trace
+from repro.experiments.runner import TraceFeeder, run_experiment
 from repro.simulation.engine import Simulator
 from repro.core.cloud import CacheCloud
 from repro.workload.documents import build_corpus
@@ -66,7 +66,7 @@ class TestRunExperiment:
             config(), corpus, trace.requests, trace.updates, duration=30.0, warmup=5.0
         )
         assert result.duration == 30.0
-        assert result.measured_span == 25.0
+        assert result.warmup == 5.0
         assert set(result.beacon_loads) == {0, 1, 2, 3}
         assert result.load_stats is not None
         assert result.requests == 40
@@ -158,47 +158,6 @@ class TestRunExperiment:
         )
         loads = result.sorted_loads()
         assert loads == sorted(loads, reverse=True)
-
-
-class TestRunTrace:
-    def test_accepts_trace_object(self, corpus):
-        result = run_trace(config(), corpus, simple_trace())
-        assert result.requests == 40
-
-    def test_accepts_record_iterable_with_duration(self, corpus):
-        records = list(simple_trace().merged())
-        result = run_trace(config(), corpus, records, duration=30.0)
-        assert result.requests == 40
-        assert result.updates == 15
-
-    def test_record_iterable_requires_duration(self, corpus):
-        with pytest.raises(ValueError):
-            run_trace(config(), corpus, iter([]))
-
-    def test_default_duration_covers_trace(self, corpus):
-        """The inferred duration is the trace span (plus the window epsilon)."""
-        trace = simple_trace()
-        result = run_trace(config(), corpus, trace)
-        assert result.duration == pytest.approx(trace.duration, abs=1e-6)
-        assert result.duration > trace.duration  # last record stays inside
-
-    def test_empty_trace_defaults_to_one_unit(self, corpus):
-        """Regression: ``trace.duration + 1e-9 or 1.0`` never hit the 1.0 arm,
-        so an empty trace produced a ~1e-9 duration and a nonsense MB/unit
-        normalization."""
-        result = run_trace(config(), corpus, Trace(requests=[], updates=[]))
-        assert result.duration == pytest.approx(1.0)
-        assert result.requests == 0
-        assert result.network_mb_per_unit == 0.0
-
-    def test_zero_duration_trace_defaults_to_one_unit(self, corpus):
-        """A trace whose only records sit at t=0 spans zero time; the run
-        still needs a positive window, and the records must land inside it."""
-        trace = Trace(requests=[RequestRecord(0.0, 0, 1)], updates=[])
-        result = run_trace(config(), corpus, trace, warmup=0.0)
-        assert result.duration == pytest.approx(1.0)
-        assert result.requests == 1
-        assert result.network_mb_per_unit < 1e6  # sane normalization
 
 
 class TestCommonRandomNumbers:

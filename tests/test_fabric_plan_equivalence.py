@@ -20,6 +20,17 @@ no-override fast path) and one with link and category overrides.
 same PR rebases it at the warm-up boundary (it is the transport ledger's
 twin, and the ledger is zeroed there), so it is the one number that is
 *meant* to differ from the parent.
+
+The two ``monitor`` digests are the exception to "generated before the
+plan": they were regenerated when ``CloudMonitor`` learnt the reset rule
+(``CounterWindow``). The warm-up reset fires at t=4.0 just before the
+sample that closes window [2, 4], and the old monitor subtracted its
+pre-reset baseline from the zeroed counters: that one sample read
+``network_mb`` -3.92 / -3.75, ``cloud_hit_rate`` 0.51 / 0.48 (a negative
+over a negative), ``avg_queue_depth`` 1.005 / 0.961, ``rejection_rate``
+0.0028 and ``shed_rate`` 0.0112 (uniform / overrides). It now reads the
+post-reset counters, 0.0; the other 91 samples of the 16 series are
+value-identical, compared one by one against the parent.
 """
 
 from __future__ import annotations
@@ -103,7 +114,7 @@ PARENT_DIGESTS: Dict[str, Dict[str, str]] = {
         "fabric_stats": "b1fcce70bb05105012557a7483128cb7d1f505a234c341b4d13819206fb9c547",
         "fault_stats": "3a3668fb78530f4598e5b8c394419a94fb1428d0449bceb2e292ef5522f395cd",
         "overload_stats": "126109a5645fde5c13a25c5eaa0aa291584fc0892d9195e6c9083dfac4e4e89f",
-        "monitor": "cf9d6ca1ce17237f376076042d17097ac5a9f796a4cbe1c2f04c528e4dd7cf53",
+        "monitor": "7fe824091d60e3d959841425786eb36f648b17b747f6db2318f69021cc42d257",
         "result": "19b5ba200416b0de5fafd90c72ad2b084a6a4663da9e5fd9a20e67b8ed7cc3d3",
     },
     "overrides": {
@@ -113,7 +124,7 @@ PARENT_DIGESTS: Dict[str, Dict[str, str]] = {
         "fabric_stats": "ba25e13a0bb3d93a814cf410696187dc344bca2c43f6a34332b5dece85e30f04",
         "fault_stats": "f7cbc974706d2a59aadf04256165fe73378ceb6d48dad61e2802f6f974e4a3e2",
         "overload_stats": "12968facf4c47aea877cb7de5769ada031847c54d0a4ffb9c66c37a71d694efe",
-        "monitor": "67d38a96eea43f2ba1fd561a7dcf47eda2ff981c304332781b66ea31b0006c87",
+        "monitor": "165bac4f4462c3e95ff96366b4bb9f8fbaf2362272d590e20dbb341cce9761d6",
         "result": "2d8b0426cc2bd5ba1d4c94a2c428d219b3445966ccd348980c59a3c6bdcac5e2",
     },
 }

@@ -1,10 +1,13 @@
 """Unit tests for the periodic cloud monitor."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.core.cloud import CacheCloud
 from repro.core.config import CloudConfig, PlacementScheme
-from repro.experiments.runner import TraceFeeder
+from repro.experiments.runner import TraceFeeder, run_experiment
 from repro.metrics.collector import CloudMonitor
 from repro.simulation.engine import Simulator
 from repro.workload.documents import build_corpus
@@ -210,3 +213,69 @@ class TestDetachedPlanes:
         if plane != "profile":  # no holder walk in a cloud this small
             assert values[0] > 0.0
         assert values[3] == 0.0
+
+
+class TestCounterResets:
+    """``run_experiment`` zeroes the meter, the per-cache stats, the beacon
+    totals and the overload stats at the end of warm-up. The monitor used to
+    subtract its pre-reset baseline regardless: in the window holding the
+    reset ``network_mb`` read negative, and the hit rate and the queue depth
+    were a negative divided by a negative."""
+
+    def monitored_run(self, warmup, duration=20.0):
+        from repro.core.overload import OverloadConfig
+
+        cloud = build_cloud()
+        cloud.attach_overload(
+            OverloadConfig(queue_capacity=10, service_ms=120.0, service_ms_per_kb=5.0)
+        )
+        sim = Simulator()
+        monitor = CloudMonitor(cloud, sim, period=2.0)
+        monitor.start()
+        requests = [
+            RequestRecord(t * 0.02, t % 4, t * 7 % 40) for t in range(int(duration * 50))
+        ]
+        updates = [UpdateRecord(t + 0.5, t % 40) for t in range(int(duration))]
+        run_experiment(
+            cloud.config,
+            cloud.corpus,
+            requests,
+            updates,
+            duration=duration,
+            warmup=warmup,
+            cloud=cloud,
+            simulator=sim,
+        )
+        return cloud, {
+            name: [value for _, value in series.items()]
+            for name, series in monitor.series.items()
+        }
+
+    def test_no_negative_sample_on_a_warmed_run(self):
+        _, series = self.monitored_run(warmup=5.0)
+        for name, values in series.items():
+            assert len(values) == 10, name
+            assert min(values) >= 0.0, (name, values)
+        assert all(0.0 <= rate <= 1.0 for rate in series["cloud_hit_rate"])
+
+    def test_the_reset_window_reads_the_post_reset_counters(self):
+        """Run ends with the window that holds the reset (warm-up at 5,
+        windows close at 2, 4, 6), so the counters it should report are the
+        cloud's own end-of-run totals."""
+        cloud, series = self.monitored_run(warmup=5.0, duration=6.0)
+        meter = cloud.transport.meter
+        assert series["network_mb"][-1] == meter.total_bytes / (1024.0 * 1024.0)
+        assert series["network_mb"][-1] < series["network_mb"][0]
+        assert series["cloud_hit_rate"][-1] == cloud.aggregate_stats().cloud_hit_rate
+        assert series["avg_queue_depth"][-1] == cloud.overload.stats.avg_queue_depth
+        loads = list(cloud.beacon_loads().values())
+        assert series["beacon_peak_to_mean"][-1] == max(loads) / (sum(loads) / len(loads))
+
+    def test_an_unwarmed_run_reads_as_it_always_did(self):
+        """No reset, no difference: the digest is of the series the monitor
+        produced for this run before the reset rule existed."""
+        _, series = self.monitored_run(warmup=0.0)
+        digest = hashlib.sha256(json.dumps(series, sort_keys=True).encode()).hexdigest()
+        assert digest == (
+            "f6a639699015ec84879ce312850501e6cd17d54daf6b8cbf0b629f9e91cce238"
+        )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.metrics.report import Table, format_figure_header, format_percent
+from repro.metrics.report import Table, format_figure_header
 
 
 class TestTable:
@@ -58,7 +58,3 @@ class TestFormatters:
     def test_figure_header(self):
         header = format_figure_header("Figure 3", "load distribution")
         assert "Figure 3" in header and "load distribution" in header
-
-    def test_percent(self):
-        assert format_percent(12.345) == "12.3%"
-        assert format_percent(12.345, precision=2) == "12.35%"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.metrics.timeseries import TimeSeries, WindowedCounter
+from repro.metrics.timeseries import TimeSeries
 
 
 class TestTimeSeries:
@@ -24,26 +24,6 @@ class TestTimeSeries:
         series.append(1.0, 1.0)
         series.append(1.0, 2.0)
         assert len(series) == 2
-
-    def test_window_is_half_open(self):
-        series = TimeSeries()
-        for t in (1.0, 2.0, 3.0):
-            series.append(t, t)
-        assert series.window(1.0, 3.0) == [(1.0, 1.0), (2.0, 2.0)]
-
-    def test_sum_and_mean_in_window(self):
-        series = TimeSeries()
-        for t in (1.0, 2.0, 3.0):
-            series.append(t, 10.0)
-        assert series.sum_in(0.0, 10.0) == 30.0
-        assert series.mean_in(0.0, 10.0) == 10.0
-        assert series.mean_in(5.0, 6.0) is None
-
-    def test_last(self):
-        series = TimeSeries()
-        assert series.last() is None
-        series.append(1.0, 5.0)
-        assert series.last() == (1.0, 5.0)
 
     def test_values_in_half_open_window(self):
         series = TimeSeries()
@@ -115,36 +95,3 @@ class TestPercentiles:
         series = self.build()
         assert series.percentile_in(2.0, float("inf"), 0.5) == 30.0
         assert series.percentile_in(float("-inf"), 2.0, 0.5) == 10.0
-
-
-class TestWindowedCounter:
-    def test_rejects_bad_window(self):
-        with pytest.raises(ValueError):
-            WindowedCounter(0.0)
-
-    def test_rejects_negative_time(self):
-        with pytest.raises(ValueError):
-            WindowedCounter(1.0).record(-1.0)
-
-    def test_bucketing(self):
-        counter = WindowedCounter(10.0)
-        counter.record(0.5)
-        counter.record(9.9)
-        counter.record(10.0)
-        counter.record(25.0, weight=3.0)
-        assert counter.buckets() == [2.0, 1.0, 3.0]
-
-    def test_rate_series(self):
-        counter = WindowedCounter(10.0)
-        counter.record(5.0, weight=20.0)
-        assert counter.rate_series() == [2.0]
-
-    def test_totals_and_mean_rate(self):
-        counter = WindowedCounter(10.0)
-        counter.record(5.0, weight=10.0)
-        counter.record(15.0, weight=30.0)
-        assert counter.total() == 40.0
-        assert counter.mean_rate() == 2.0  # 40 over 20 time units
-
-    def test_empty_mean_rate(self):
-        assert WindowedCounter(1.0).mean_rate() == 0.0

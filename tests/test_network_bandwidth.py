@@ -34,12 +34,6 @@ class TestTrafficMeter:
         meter.record(TrafficCategory.ORIGIN_FETCH, 90)
         assert meter.total_bytes == 100
 
-    def test_total_data_bytes_excludes_control(self):
-        meter = TrafficMeter()
-        meter.record(TrafficCategory.CONTROL, 10)
-        meter.record(TrafficCategory.UPDATE_FANOUT, 90)
-        assert meter.total_data_bytes() == 90
-
     def test_megabytes_per_unit_time(self):
         meter = TrafficMeter()
         meter.record(TrafficCategory.PEER_TRANSFER, 2 * 1024 * 1024)

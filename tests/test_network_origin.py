@@ -42,10 +42,6 @@ class TestServing:
         origin.note_update_message(0)
         assert origin.update_messages_sent == 1
 
-    def test_document_metadata(self, origin):
-        assert origin.document_size(5) == 2048
-        assert "5" in origin.document_url(5)
-
     def test_default_node_id(self, origin):
         assert origin.node_id == ORIGIN_NODE_ID
 

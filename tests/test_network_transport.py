@@ -9,7 +9,6 @@ from repro.network.transport import (
     TRANSFER_HEADER_BYTES,
     Transport,
 )
-from repro.simulation.engine import Simulator
 
 
 class TestLatencyModel:
@@ -109,22 +108,3 @@ class TestAccounting:
         transport = Transport()
         transport.send(0, 1, 5, TrafficCategory.CONTROL)
         assert transport.meter.total_bytes == 5
-
-
-class TestScheduledDelivery:
-    def test_requires_simulator(self):
-        with pytest.raises(RuntimeError):
-            Transport().send_scheduled(
-                0, 1, 10, TrafficCategory.CONTROL, lambda: None
-            )
-
-    def test_delivery_after_latency(self):
-        topo = ExplicitTopology([[0, 120_000], [120_000, 0]])  # 2 minutes
-        sim = Simulator()
-        transport = Transport(topology=topo, simulator=sim)
-        delivered = []
-        transport.send_scheduled(
-            0, 1, 10, TrafficCategory.CONTROL, lambda: delivered.append(sim.now)
-        )
-        sim.run_until(10.0)
-        assert delivered == [2.0]

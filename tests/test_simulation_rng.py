@@ -1,9 +1,31 @@
 """Unit tests for named random streams."""
 
+import pytest
+
 from repro.simulation.rng import RandomStreams, derive_seed
 
 
 class TestDeriveSeed:
+    @pytest.mark.parametrize(
+        "parts, expected",
+        [
+            # One label: the stream form (RandomStreams, fault injector,
+            # churn timeline, strategy seed) and the sweeps' corpus/trace
+            # seeds, which used to go through a second definition.
+            ((7, "fault-injector"), 12384334453386346612),
+            ((0, "faults:3"), 13897554339444974401),
+            ((42, "zoo-trace"), 18185853599559634447),
+            # Two labels: resilience's and chaos's per-rate seeds.
+            ((42, "loss", 0.1), 2656604763014388664),
+            ((42, "chaos-churn", 0.05), 9230180160408609412),
+            ((1, "a", 2), 13335118564629491481),
+        ],
+    )
+    def test_every_call_shape_keeps_its_value(self, parts, expected):
+        """Pinned when the two definitions became one: a moved value would
+        silently change every derived trace, corpus and fault stream."""
+        assert derive_seed(*parts) == expected
+
     def test_deterministic(self):
         assert derive_seed(42, "x") == derive_seed(42, "x")
 
@@ -43,19 +65,6 @@ class TestRandomStreams:
         for _ in range(1000):
             lhs.get("noise").random()
         assert lhs.get("requests").random() == rhs.get("requests").random()
-
-    def test_fork_creates_independent_family(self):
-        parent = RandomStreams(5)
-        child = parent.fork("cloud-0")
-        assert child.master_seed != parent.master_seed
-        assert (
-            parent.get("requests").random() != child.get("requests").random()
-        )
-
-    def test_fork_deterministic(self):
-        a = RandomStreams(5).fork("x").get("s").random()
-        b = RandomStreams(5).fork("x").get("s").random()
-        assert a == b
 
     def test_reset_rederives(self):
         streams = RandomStreams(3)

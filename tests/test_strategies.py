@@ -23,7 +23,6 @@ from repro.strategies import (
     ProbCacheStrategy,
     StrategySpec,
     build_strategy,
-    default_spec,
 )
 from repro.workload.documents import build_corpus
 
@@ -87,10 +86,6 @@ class TestStrategySpec:
             StrategySpec(scheme="cup_tree", tree_fanout=0)
         with pytest.raises(ValueError, match="base_placement"):
             StrategySpec(scheme="cup_tree", base_placement="lce")
-
-    def test_default_spec_mirrors_config_placement(self):
-        config = _config(placement=PlacementScheme.BEACON)
-        assert default_spec(config).scheme == "beacon"
 
     def test_composition_types(self):
         config = _config()

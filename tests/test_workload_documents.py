@@ -42,7 +42,6 @@ class TestCorpus:
         docs = [DocumentSpec(0, "a", 5), DocumentSpec(1, "b", 7)]
         corpus = Corpus(docs)
         assert corpus[1].url == "b"
-        assert corpus.by_url("a").doc_id == 0
 
     def test_total_bytes_and_mean(self):
         docs = [DocumentSpec(0, "a", 5), DocumentSpec(1, "b", 7)]

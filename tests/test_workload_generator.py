@@ -48,6 +48,14 @@ class TestPoissonArrivals:
     def test_mean_rate_approximates_requested(self):
         times = list(poisson_arrivals(10.0, 1000.0, random.Random(2)))
         assert len(times) / 1000.0 == pytest.approx(10.0, rel=0.1)
+        # ... and the counts per 5-minute window are Poisson too: their
+        # variance is their mean (index of dispersion 1).
+        counts = [0] * 200
+        for t in times:
+            counts[int(t // 5.0)] += 1
+        mean = sum(counts) / len(counts)
+        variance = sum((c - mean) ** 2 for c in counts) / len(counts)
+        assert variance / mean == pytest.approx(1.0, abs=0.3)
 
 
 def small_config(**overrides):
@@ -118,38 +126,3 @@ class TestSyntheticTraceGenerator:
         counts = trace.update_counts_by_doc()
         hottest_doc = gen.doc_for_rank(0)
         assert counts.get(hottest_doc, 0) >= max(counts.values()) * 0.3
-
-
-class TestCustomArrivalProcess:
-    def test_mmpp_arrivals_plug_in(self):
-        from repro.workload.arrivals import MMPPArrivals
-
-        gen = SyntheticTraceGenerator(small_config(duration_minutes=120.0))
-        process = MMPPArrivals(
-            quiet_rate=10.0, burst_rate=200.0, quiet_mean=20.0, burst_mean=2.0
-        )
-        records = list(gen.requests(arrival_process=process))
-        assert records, "bursty process produced no arrivals"
-        times = [r.time for r in records]
-        assert times == sorted(times)
-        assert all(0 <= t < 120.0 for t in times)
-        config = small_config()
-        for record in records:
-            assert 0 <= record.cache_id < config.num_caches
-            assert 0 <= record.doc_id < config.num_documents
-
-    def test_document_popularity_unchanged_under_bursty_arrivals(self):
-        from repro.workload.arrivals import MMPPArrivals
-
-        config = small_config(duration_minutes=240.0)
-        poisson_gen = SyntheticTraceGenerator(config)
-        bursty_gen = SyntheticTraceGenerator(config)
-        process = MMPPArrivals(
-            quiet_rate=30.0, burst_rate=300.0, quiet_mean=20.0, burst_mean=2.0
-        )
-        hot_doc = poisson_gen.doc_for_rank(0)
-        bursty_counts = {}
-        for record in bursty_gen.requests(arrival_process=process):
-            bursty_counts[record.doc_id] = bursty_counts.get(record.doc_id, 0) + 1
-        # The hottest rank stays near the top regardless of arrival model.
-        assert bursty_counts.get(hot_doc, 0) >= 0.5 * max(bursty_counts.values())

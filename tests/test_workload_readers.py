@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.workload.readers import (
     TraceFormatError,
     read_trace,
-    trace_to_string,
     write_trace,
 )
 from repro.workload.trace import RequestRecord, Trace, UpdateRecord
@@ -25,7 +24,9 @@ def sample_trace():
 class TestWriteRead:
     def test_round_trip_via_string(self):
         trace = sample_trace()
-        restored = read_trace(io.StringIO(trace_to_string(trace)))
+        buf = io.StringIO()
+        write_trace(trace, buf)
+        restored = read_trace(io.StringIO(buf.getvalue()))
         assert restored.requests == trace.requests
         assert restored.updates == trace.updates
 
@@ -39,8 +40,9 @@ class TestWriteRead:
         assert restored.updates == trace.updates
 
     def test_output_is_time_ordered(self):
-        text = trace_to_string(sample_trace())
-        times = [float(line.split()[1]) for line in text.strip().splitlines()]
+        buf = io.StringIO()
+        write_trace(sample_trace(), buf)
+        times = [float(line.split()[1]) for line in buf.getvalue().splitlines()]
         assert times == sorted(times)
 
     def test_comments_and_blank_lines_ignored(self):
@@ -87,7 +89,9 @@ def test_round_trip_property(requests, updates):
         requests=[RequestRecord(t, c, d) for t, c, d in requests],
         updates=[UpdateRecord(t, d) for t, d in updates],
     )
-    restored = read_trace(io.StringIO(trace_to_string(trace)))
+    buf = io.StringIO()
+    write_trace(trace, buf)
+    restored = read_trace(io.StringIO(buf.getvalue()))
     # Timestamps survive at the serialized precision (6 decimal places);
     # records whose times collide at that precision may re-sort, so compare
     # as multisets of rounded records.

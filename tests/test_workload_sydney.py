@@ -1,5 +1,7 @@
 """Unit tests for the Sydney-like trace generator."""
 
+from collections import Counter
+
 import pytest
 
 from repro.workload.sydney import SydneyConfig, SydneyTraceGenerator
@@ -70,6 +72,19 @@ class TestEpochs:
         head0 = gen._epoch_maps[0][:20]
         head1 = gen._epoch_maps[1][:20]
         assert head0 != head1  # drift actually happened
+        # ... and shows in the realized trace: more than a fifth of the 20
+        # most requested documents turn over between consecutive epochs.
+        requests = gen.build_trace().requests
+        hot = [
+            {
+                doc
+                for doc, _ in Counter(
+                    r.doc_id for r in requests if start <= r.time < start + 30.0
+                ).most_common(20)
+            }
+            for start in (0.0, 30.0)
+        ]
+        assert len(hot[0] - hot[1]) > 4
 
     def test_tail_is_stable_across_epochs(self):
         gen = SydneyTraceGenerator(small_config())
