@@ -18,7 +18,10 @@ hashing schemes cannot accidentally correlate with popularity.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+from math import inf, log
 from typing import Iterator, List, Optional, Sequence
 
 from repro.simulation.rng import RandomStreams
@@ -61,6 +64,8 @@ class WorkloadConfig:
                 f"cache_weights has {len(self.cache_weights)} entries for "
                 f"{self.num_caches} caches"
             )
+        if self.cache_weights is not None and not 0.0 < sum(self.cache_weights) < inf:
+            raise ValueError("cache_weights must sum to a positive finite total")
 
     @property
     def effective_alpha_updates(self) -> float:
@@ -74,10 +79,10 @@ def poisson_arrivals(
     """Lazy homogeneous Poisson arrival times in ``[0, duration)``."""
     if rate_per_minute <= 0:
         return
-    t = rng.expovariate(rate_per_minute)
+    t = -log(1.0 - rng.random()) / rate_per_minute  # rng.expovariate(rate_per_minute)
     while t < duration:
         yield t
-        t += rng.expovariate(rate_per_minute)
+        t += -log(1.0 - rng.random()) / rate_per_minute
 
 
 class SyntheticTraceGenerator:
@@ -98,36 +103,56 @@ class SyntheticTraceGenerator:
         self._rank_to_doc: List[int] = permuted_ranks(config.num_documents, perm_rng)
 
     # ------------------------------------------------------------------
-    # Streams
+    # Streams: one loop each over bound methods, the helpers spelled out in
+    # place draw for draw (DESIGN.md §3.3); a trailing comment names the call.
     # ------------------------------------------------------------------
     def requests(self) -> Iterator[RequestRecord]:
         """Lazy time-ordered stream of request records."""
         cfg = self.config
-        total_rate = cfg.num_caches * cfg.request_rate_per_cache
-        arrival_rng = self._streams.get("request-arrivals")
+        rate = cfg.num_caches * cfg.request_rate_per_cache
+        arrive = self._streams.get("request-arrivals").random
         doc_rng = self._streams.get("request-docs")
         cache_rng = self._streams.get("request-caches")
+        if rate <= 0:
+            return
         sampler = ZipfSampler(cfg.num_documents, cfg.alpha_requests, doc_rng)
-        weights = list(cfg.cache_weights) if cfg.cache_weights is not None else None
-        cache_ids = list(range(cfg.num_caches))
-        for t in poisson_arrivals(total_rate, cfg.duration_minutes, arrival_rng):
-            doc_id = self._rank_to_doc[sampler.sample()]
-            if weights is None:
-                cache_id = cache_rng.randrange(cfg.num_caches)
+        pick, cdf, total = doc_rng.random, sampler.cdf, sampler.total
+        rank_to_doc, duration = self._rank_to_doc, cfg.duration_minutes
+        cache_pick, cache_bits = cache_rng.random, cache_rng.getrandbits
+        num_caches, bits = cfg.num_caches, cfg.num_caches.bit_length()
+        cum: Optional[List[float]] = None
+        if cfg.cache_weights is not None:
+            # What cache_rng.choices(ids, weights=...) does, accumulated once.
+            cum = list(accumulate(cfg.cache_weights))
+            weight_total, last = cum[-1] + 0.0, num_caches - 1
+        t = -log(1.0 - arrive()) / rate  # arrival_rng.expovariate(rate)
+        while t < duration:
+            if cum is None:
+                cache_id = cache_bits(bits)  # cache_rng.randrange(num_caches)
+                while cache_id >= num_caches:
+                    cache_id = cache_bits(bits)
             else:
-                cache_id = cache_rng.choices(cache_ids, weights=weights, k=1)[0]
-            yield RequestRecord(time=t, cache_id=cache_id, doc_id=doc_id)
+                cache_id = bisect_right(cum, cache_pick() * weight_total, 0, last)
+            rank = bisect_left(cdf, pick() * total)  # sampler.sample()
+            yield RequestRecord(t, cache_id, rank_to_doc[rank])
+            t += -log(1.0 - arrive()) / rate
 
     def updates(self) -> Iterator[UpdateRecord]:
         """Lazy time-ordered stream of update records."""
         cfg = self.config
-        arrival_rng = self._streams.get("update-arrivals")
+        rate = cfg.update_rate
+        arrive = self._streams.get("update-arrivals").random
         doc_rng = self._streams.get("update-docs")
-        sampler = ZipfSampler(
-            cfg.num_documents, cfg.effective_alpha_updates, doc_rng
-        )
-        for t in poisson_arrivals(cfg.update_rate, cfg.duration_minutes, arrival_rng):
-            yield UpdateRecord(time=t, doc_id=self._rank_to_doc[sampler.sample()])
+        if rate <= 0:
+            return
+        sampler = ZipfSampler(cfg.num_documents, cfg.effective_alpha_updates, doc_rng)
+        pick, cdf, total = doc_rng.random, sampler.cdf, sampler.total
+        rank_to_doc, duration = self._rank_to_doc, cfg.duration_minutes
+        t = -log(1.0 - arrive()) / rate  # arrival_rng.expovariate(rate)
+        while t < duration:
+            rank = bisect_left(cdf, pick() * total)  # sampler.sample()
+            yield UpdateRecord(t, rank_to_doc[rank])
+            t += -log(1.0 - arrive()) / rate
 
     # ------------------------------------------------------------------
     # Materialization

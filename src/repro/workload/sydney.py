@@ -24,8 +24,9 @@ why the figures reproduce.
 from __future__ import annotations
 
 import math
-import random
+from bisect import bisect_left
 from dataclasses import dataclass
+from math import cos, log
 from typing import Iterator, List, Optional, Tuple
 
 from repro.simulation.rng import RandomStreams
@@ -81,6 +82,9 @@ class SydneyConfig:
             raise ValueError("num_documents must be positive")
         if self.num_caches <= 0:
             raise ValueError("num_caches must be positive")
+        for name in ("peak_request_rate_per_cache", "base_update_rate", "alpha"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.duration_minutes <= 0:
             raise ValueError("duration_minutes must be positive")
         if not 0 < self.diurnal_floor <= 1:
@@ -95,6 +99,10 @@ class SydneyConfig:
             raise ValueError("live_update_share must be in [0, 1]")
         if self.drift_pool > self.num_documents:
             raise ValueError("drift_pool cannot exceed num_documents")
+        if self.num_flash_crowds < 0:
+            raise ValueError("num_flash_crowds must be >= 0")
+        if self.flash_multiplier < 1.0:
+            raise ValueError("flash_multiplier must be >= 1.0")
         if self.flash_rate_boost < 1.0:
             raise ValueError("flash_rate_boost must be >= 1.0")
         if self.flash_times is not None:
@@ -174,67 +182,91 @@ class SydneyTraceGenerator:
         wave = 0.5 * (1.0 - math.cos(phase))
         return cfg.diurnal_floor + (1.0 - cfg.diurnal_floor) * wave
 
-    def _flash_boost(self, t: float) -> Optional[int]:
-        """Rank receiving a flash-crowd boost at ``t``, if any."""
-        for start, end, rank in self._flash_events:
-            if start <= t < end:
-                return rank
-        return None
-
     # ------------------------------------------------------------------
-    # Streams
+    # Streams: one loop each over bound methods, the helpers spelled out in
+    # place draw for draw (DESIGN.md §3.3); a trailing comment names the call.
     # ------------------------------------------------------------------
     def requests(self) -> Iterator[RequestRecord]:
         """Lazy stream of request records (non-homogeneous Poisson, thinned)."""
         cfg = self.config
-        peak_rate = cfg.num_caches * cfg.peak_request_rate_per_cache
-        arrival_rng = self._streams.get("request-arrivals")
-        thin_rng = self._streams.get("request-thinning")
-        doc_rng = self._streams.get("request-docs")
-        cache_rng = self._streams.get("request-caches")
-        flash_rng = self._streams.get("flash-redirect")
-        sampler = ZipfSampler(cfg.num_documents, cfg.alpha, doc_rng)
-        # Thinning bound must also cover flash-crowd amplification of the total
-        # rate; a flash crowd multiplies one page's share, adding at most
-        # (multiplier - 1) * p(rank) to the acceptance mass, bounded by 1+slack.
-        # A volume boost B > 1 generates candidate arrivals at B times the
-        # peak rate and scales the acceptance envelope by B inside flash
-        # windows (capped at certainty), so the realized rate is diurnal
-        # outside flashes and up to B-fold during them. B == 1 reproduces
-        # the legacy draw sequence exactly.
+        # Candidates arrive at the peak rate and are thinned to the diurnal
+        # envelope. A volume boost B > 1 generates them at B times that rate and
+        # scales the envelope by B inside flash windows (capped at certainty).
         volume = cfg.flash_rate_boost
-        for t in _poisson(peak_rate * volume, cfg.duration_minutes, arrival_rng):
-            boost_rank = self._flash_boost(t)
-            envelope = self.diurnal_factor(t)
-            if volume > 1.0 and boost_rank is not None:
+        rate = cfg.num_caches * cfg.peak_request_rate_per_cache * volume
+        arrive = self._streams.get("request-arrivals").random
+        thin = self._streams.get("request-thinning").random
+        doc_rng = self._streams.get("request-docs")
+        cache_bits = self._streams.get("request-caches").getrandbits
+        flash = self._streams.get("flash-redirect").random
+        if rate <= 0:
+            return
+        sampler = ZipfSampler(cfg.num_documents, cfg.alpha, doc_rng)
+        pick, cdf, total = doc_rng.random, sampler.cdf, sampler.total
+        duration, period = cfg.duration_minutes, cfg.diurnal_period_minutes
+        floor, swing, tau = cfg.diurnal_floor, 1.0 - cfg.diurnal_floor, 2.0 * math.pi
+        epoch_maps, last_epoch = self._epoch_maps, cfg.num_epochs - 1
+        epoch_len = duration / cfg.num_epochs
+        num_caches, bits = cfg.num_caches, cfg.num_caches.bit_length()
+        # Inside a window a request flips to the flash page with a probability
+        # that multiplies that page's request rate by ~flash_multiplier.
+        gain = cfg.flash_multiplier - 1.0
+        windows = iter(
+            [(a, b, r, min(gain * sampler.probability(r), 0.5)) for a, b, r in self._flash_events]
+            + [(math.inf, math.inf, 0, 0.0)]  # never starts, never ends
+        )
+        start, end, flash_rank, redirect = next(windows)
+        t = -log(1.0 - arrive()) / rate  # arrival_rng.expovariate(rate)
+        while t < duration:
+            # The windows are sorted by start and t only grows: the first one not
+            # yet over is the only one that can be the first, in order, to hold t.
+            while t >= end:
+                start, end, flash_rank, redirect = next(windows)
+            in_flash = t >= start
+            envelope = floor + swing * (0.5 * (1.0 - cos(tau * (t / period))))  # diurnal_factor(t)
+            if in_flash and volume > 1.0:
                 envelope = min(volume, envelope * volume)
-            if thin_rng.random() > envelope / volume:
-                continue
-            rank = sampler.sample()
-            if boost_rank is not None:
-                # Redirect a slice of traffic to the flash page: each request
-                # flips to the flash page with a probability that multiplies
-                # its effective request rate by ~flash_multiplier.
-                extra = (cfg.flash_multiplier - 1.0) * sampler.probability(boost_rank)
-                if flash_rng.random() < min(extra, 0.5):
-                    rank = boost_rank
-            doc_id = self._epoch_maps[self.epoch_at(t)][rank]
-            cache_id = cache_rng.randrange(cfg.num_caches)
-            yield RequestRecord(time=t, cache_id=cache_id, doc_id=doc_id)
+            if thin() <= envelope / volume:
+                rank = bisect_left(cdf, pick() * total)  # sampler.sample()
+                if in_flash and flash() < redirect:
+                    rank = flash_rank
+                epoch = int(t / epoch_len)  # self.epoch_at(t)
+                if epoch > last_epoch:
+                    epoch = last_epoch
+                cache_id = cache_bits(bits)  # cache_rng.randrange(num_caches)
+                while cache_id >= num_caches:
+                    cache_id = cache_bits(bits)
+                yield RequestRecord(t, cache_id, epoch_maps[epoch][rank])
+            t += -log(1.0 - arrive()) / rate
 
     def updates(self) -> Iterator[UpdateRecord]:
         """Lazy stream of update records concentrated on the live subset."""
         cfg = self.config
-        arrival_rng = self._streams.get("update-arrivals")
+        rate = cfg.base_update_rate
+        arrive = self._streams.get("update-arrivals").random
         pick_rng = self._streams.get("update-docs")
+        if rate <= 0:
+            return
         sampler = ZipfSampler(cfg.num_documents, cfg.alpha, pick_rng)
+        pick, pick_bits = pick_rng.random, pick_rng.getrandbits
+        cdf, total = sampler.cdf, sampler.total
+        duration, share = cfg.duration_minutes, cfg.live_update_share
+        epoch_maps, last_epoch = self._epoch_maps, cfg.num_epochs - 1
+        epoch_len = duration / cfg.num_epochs
         live = self._live_docs
-        for t in _poisson(cfg.base_update_rate, cfg.duration_minutes, arrival_rng):
-            if pick_rng.random() < cfg.live_update_share:
-                doc_id = live[pick_rng.randrange(len(live))]
-            else:
-                doc_id = self._epoch_maps[self.epoch_at(t)][sampler.sample()]
-            yield UpdateRecord(time=t, doc_id=doc_id)
+        num_live, bits = len(live), len(live).bit_length()
+        t = -log(1.0 - arrive()) / rate  # arrival_rng.expovariate(rate)
+        while t < duration:
+            if pick() < share:
+                index = pick_bits(bits)  # pick_rng.randrange(num_live)
+                while index >= num_live:
+                    index = pick_bits(bits)
+                doc_id = live[index]
+            else:  # the rare branch: self.epoch_at(t), sampler.sample()
+                epoch_map = epoch_maps[min(int(t / epoch_len), last_epoch)]
+                doc_id = epoch_map[bisect_left(cdf, pick() * total)]
+            yield UpdateRecord(t, doc_id)
+            t += -log(1.0 - arrive()) / rate
 
     def build_trace(self) -> Trace:
         """Materialize the full trace."""
@@ -256,12 +288,3 @@ class SydneyTraceGenerator:
             f"SydneyTraceGenerator(docs={cfg.num_documents}, caches={cfg.num_caches}, "
             f"duration={cfg.duration_minutes}min, epochs={cfg.num_epochs})"
         )
-
-
-def _poisson(rate: float, duration: float, rng: random.Random) -> Iterator[float]:
-    if rate <= 0:
-        return
-    t = rng.expovariate(rate)
-    while t < duration:
-        yield t
-        t += rng.expovariate(rate)

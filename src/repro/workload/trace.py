@@ -9,9 +9,9 @@ document).
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple, Union
+from math import inf
+from typing import Dict, Iterable, Iterator, List, Sequence, Set, Union
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -27,8 +27,8 @@ class RequestRecord:
     doc_id: int
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ValueError(f"time must be >= 0, got {self.time}")
+        if not 0.0 <= self.time < inf:  # also false for NaN
+            raise ValueError(f"time must be finite and >= 0, got {self.time}")
         if self.cache_id < 0:
             raise ValueError(f"cache_id must be >= 0, got {self.cache_id}")
         if self.doc_id < 0:
@@ -43,8 +43,8 @@ class UpdateRecord:
     doc_id: int
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ValueError(f"time must be >= 0, got {self.time}")
+        if not 0.0 <= self.time < inf:  # also false for NaN
+            raise ValueError(f"time must be finite and >= 0, got {self.time}")
         if self.doc_id < 0:
             raise ValueError(f"doc_id must be >= 0, got {self.doc_id}")
 
@@ -80,12 +80,7 @@ class Trace:
         return last
 
     def merged(self) -> Iterator[TraceRecord]:
-        """Iterate all records in global time order.
-
-        Updates sort before requests at equal timestamps so that a request
-        arriving "at the same instant" as an invalidation observes the new
-        version — the conservative choice for consistency accounting.
-        """
+        """Iterate all records in global time order (:func:`merge_streams`)."""
         return merge_streams(self.requests, self.updates)
 
     def request_counts_by_doc(self) -> Dict[int, int]:
@@ -112,22 +107,27 @@ class Trace:
         )
 
 
-def _stream_key(record: TraceRecord) -> Tuple[float, int]:
-    # Updates (kind 0) win ties against requests (kind 1).
-    kind = 0 if isinstance(record, UpdateRecord) else 1
-    return (record.time, kind)
-
-
 def merge_streams(
     requests: Iterable[RequestRecord], updates: Iterable[UpdateRecord]
 ) -> Iterator[TraceRecord]:
     """Merge two individually time-sorted streams into global time order.
 
     Both inputs may be lazy iterators; the merge is itself lazy, so
-    arbitrarily long traces can be replayed in O(1) memory.
+    arbitrarily long traces can be replayed in O(1) memory. An update goes
+    before a request of the same timestamp, so that a request arriving "at
+    the same instant" as an invalidation observes the new version — the
+    conservative choice for consistency accounting.
     """
-    streams: Tuple[Iterable[TraceRecord], ...] = (requests, updates)
-    return heapq.merge(*streams, key=_stream_key)
+    request_iter = iter(requests)
+    request = next(request_iter, None)
+    for update in updates:
+        while request is not None and request.time < update.time:
+            yield request
+            request = next(request_iter, None)
+        yield update
+    if request is not None:
+        yield request
+        yield from request_iter
 
 
 class RequestStreamStats:

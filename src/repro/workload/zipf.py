@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import random
-from typing import List
+from typing import List, Optional
 
 
 def zipf_weights(n: int, alpha: float) -> List[float]:
@@ -45,27 +45,30 @@ class ZipfSampler:
     rng:
         Source of randomness. Pass a seeded :class:`random.Random` for
         reproducibility; defaults to a fresh, unseeded instance.
+
+    A generator loop spells :meth:`sample` out in place from the public
+    ``cdf`` and ``total``: ``bisect_left(cdf, rng.random() * total)``.
     """
 
-    def __init__(self, n: int, alpha: float, rng: random.Random = None) -> None:
+    def __init__(self, n: int, alpha: float, rng: Optional[random.Random] = None) -> None:
         weights = zipf_weights(n, alpha)
         self.n = n
         self.alpha = alpha
         self._rng = rng if rng is not None else random.Random()
-        self._cdf = list(itertools.accumulate(weights))
-        self._total = self._cdf[-1]
+        self.cdf = list(itertools.accumulate(weights))
+        self.total = self.cdf[-1]
 
     def probability(self, rank: int) -> float:
         """Exact probability mass of 0-based ``rank``."""
         if not 0 <= rank < self.n:
             raise IndexError(f"rank {rank} out of range [0, {self.n})")
-        prev = self._cdf[rank - 1] if rank > 0 else 0.0
-        return (self._cdf[rank] - prev) / self._total
+        prev = self.cdf[rank - 1] if rank > 0 else 0.0
+        return (self.cdf[rank] - prev) / self.total
 
     def sample(self) -> int:
         """Draw one 0-based rank."""
-        u = self._rng.random() * self._total
-        return bisect.bisect_left(self._cdf, u)
+        u = self._rng.random() * self.total
+        return bisect.bisect_left(self.cdf, u)
 
     def __repr__(self) -> str:
         return f"ZipfSampler(n={self.n}, alpha={self.alpha})"

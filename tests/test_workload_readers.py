@@ -73,6 +73,16 @@ class TestErrors:
         with pytest.raises(TraceFormatError, match="line 2"):
             read_trace(io.StringIO("R 1.0 0 0\nBOGUS\n"))
 
+    @pytest.mark.parametrize("line", ["R nan 1 2", "R inf 1 2", "U inf 4", "U -inf 4", "U NaN 4"])
+    def test_non_finite_time_names_its_line(self, line):
+        """Such a trace used to load: NaN broke the sort, ``duration`` read inf."""
+        with pytest.raises(TraceFormatError, match="line 2.*finite"):
+            read_trace(io.StringIO(f"R 1.0 0 1\n{line}\nR 0.5 0 3\n"))
+
+    def test_negative_zero_time_loads(self):
+        trace = read_trace(io.StringIO("R -0.0 0 1\nU -0.0 4\n"))
+        assert trace.requests == [RequestRecord(0.0, 0, 1)] and trace.duration == 0.0
+
 
 times = st.floats(min_value=0, max_value=1e6, allow_nan=False)
 

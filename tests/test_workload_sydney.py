@@ -38,6 +38,30 @@ class TestSydneyConfig:
         with pytest.raises(ValueError):
             small_config(drift_pool=10_000)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"peak_request_rate_per_cache": -5.0},
+            {"base_update_rate": -1.0},
+            {"alpha": -0.1},
+            {"flash_multiplier": 0.5},
+            {"num_flash_crowds": -1},
+        ],
+        ids=lambda bad: next(iter(bad)),
+    )
+    def test_rejects_what_workload_config_rejects(self, bad):
+        """A negative rate used to validate and yield two silently empty streams."""
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            small_config(**bad)
+
+    def test_zero_rates_stay_legal(self):
+        config = small_config(
+            peak_request_rate_per_cache=0.0, base_update_rate=0.0, alpha=0.0,
+            flash_multiplier=1.0, num_flash_crowds=0,
+        )
+        gen = SydneyTraceGenerator(config)
+        assert list(gen.requests()) == [] and list(gen.updates()) == []
+
     def test_defaults_match_paper_trace_shape(self):
         config = SydneyConfig()
         assert config.num_documents == 52_000

@@ -29,6 +29,18 @@ class TestRecords:
         with pytest.raises(ValueError):
             UpdateRecord(time=-0.5, doc_id=0)
 
+    @pytest.mark.parametrize("time", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_time_rejected(self, time):
+        """``time < 0`` is false for NaN; a NaN timestamp also breaks every sort."""
+        with pytest.raises(ValueError, match="finite"):
+            RequestRecord(time, 0, 0)
+        with pytest.raises(ValueError, match="finite"):
+            UpdateRecord(time, 0)
+
+    def test_negative_zero_is_a_valid_time(self):
+        assert RequestRecord(-0.0, 0, 0) == RequestRecord(0.0, 0, 0)
+        assert UpdateRecord(-0.0, 0).time == 0.0
+
     def test_records_sort_by_time(self):
         records = [RequestRecord(2.0, 0, 0), RequestRecord(1.0, 1, 1)]
         assert sorted(records)[0].time == 1.0
