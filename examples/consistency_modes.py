@@ -14,23 +14,11 @@ Usage::
 from repro.baselines.leases import CooperativeLeaseCloud, LeaseConfig
 from repro.baselines.ttl import TTLCloud, TTLConfig
 from repro.core.cloud import CacheCloud
-from repro.core.config import CloudConfig, PlacementScheme, WEIGHTS_DSCC_OFF
+from repro.experiments.figures import SMALL_SCALE
+from repro.experiments.sweeps import drive, paper_cloud
 from repro.metrics.report import Table
 from repro.workload.documents import build_corpus
 from repro.workload.sydney import SydneyConfig, SydneyTraceGenerator
-from repro.workload.trace import UpdateRecord
-
-
-def drive(system, trace, cycle_hook=None, cycle=15.0):
-    next_cycle = cycle
-    for record in trace.merged():
-        while cycle_hook is not None and record.time >= next_cycle:
-            cycle_hook(next_cycle)
-            next_cycle += cycle
-        if isinstance(record, UpdateRecord):
-            system.handle_update(record.doc_id, record.time)
-        else:
-            system.handle_request(record.cache_id, record.doc_id, record.time)
 
 
 def main() -> None:
@@ -56,17 +44,9 @@ def main() -> None:
         precision=2,
     )
 
-    cloud = CacheCloud(
-        CloudConfig(
-            num_caches=10,
-            num_rings=5,
-            cycle_length=15.0,
-            placement=PlacementScheme.UTILITY,
-            utility_weights=WEIGHTS_DSCC_OFF,
-        ),
-        corpus,
-    )
-    drive(cloud, trace, cycle_hook=cloud.run_cycle)
+    # The paper's cloud (10 caches, 5 rings of 2, utility placement), 15-minute cycles.
+    cloud = CacheCloud(paper_cloud(SMALL_SCALE), corpus)
+    drive(cloud, trace, cloud.run_cycle, SMALL_SCALE.cycle_length)
     stats = cloud.aggregate_stats()
     table.add_row(
         "push (cache cloud)",

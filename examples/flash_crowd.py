@@ -13,15 +13,10 @@ Usage::
     python examples/flash_crowd.py
 """
 
-from repro import (
-    AssignmentScheme,
-    CacheCloud,
-    CloudConfig,
-    PlacementScheme,
-    Simulator,
-    build_corpus,
-)
+from repro import AssignmentScheme, CacheCloud, Simulator, build_corpus
+from repro.experiments.figures import SMALL_SCALE
 from repro.experiments.runner import TraceFeeder
+from repro.experiments.sweeps import loadbalance_cloud
 from repro.metrics.loadbalance import coefficient_of_variation
 from repro.metrics.report import Table
 from repro.simulation.events import EventPriority
@@ -49,13 +44,8 @@ def main() -> None:
     ).build_trace()
 
     def build(assignment):
-        config = CloudConfig(
-            num_caches=10,
-            num_rings=5,
-            cycle_length=sample_every,
-            assignment=assignment,
-            placement=PlacementScheme.BEACON,
-        )
+        # The load-balance figures' cloud, re-balancing at every sample.
+        config = loadbalance_cloud(SMALL_SCALE, assignment, cycle_length=sample_every)
         return CacheCloud(config, corpus)
 
     clouds = {

@@ -13,8 +13,9 @@ Usage::
     python examples/heterogeneous_cloud.py
 """
 
-from repro import AssignmentScheme, CloudConfig, build_corpus, run_experiment
-from repro.core.config import PlacementScheme
+from repro import AssignmentScheme, build_corpus, run_experiment
+from repro.experiments.figures import SMALL_SCALE
+from repro.experiments.sweeps import loadbalance_cloud
 from repro.metrics.report import Table
 from repro.workload.generator import SyntheticTraceGenerator, WorkloadConfig
 
@@ -40,14 +41,8 @@ def main() -> None:
 
     results = {}
     for scheme in (AssignmentScheme.STATIC, AssignmentScheme.DYNAMIC):
-        config = CloudConfig(
-            num_caches=num_caches,
-            num_rings=5,
-            cycle_length=15.0,
-            assignment=scheme,
-            placement=PlacementScheme.BEACON,
-            capabilities=capabilities,
-        )
+        # The load-balance figures' cloud (10 caches, 5 rings, 15-minute cycles).
+        config = loadbalance_cloud(SMALL_SCALE, scheme, capabilities=capabilities)
         results[scheme] = run_experiment(
             config, corpus, trace.requests, trace.updates, duration=duration
         )

@@ -13,8 +13,9 @@ Usage::
 
 import sys
 
-from repro import CloudConfig, PlacementScheme, build_corpus, run_experiment
-from repro.core.config import WEIGHTS_DSCC_OFF
+from repro import PlacementScheme, build_corpus, run_experiment
+from repro.experiments.figures import SMALL_SCALE
+from repro.experiments.sweeps import paper_cloud
 from repro.metrics.report import Table
 from repro.workload.sydney import SydneyConfig, SydneyTraceGenerator
 
@@ -59,14 +60,8 @@ def main() -> None:
         PlacementScheme.UTILITY,
         PlacementScheme.BEACON,
     ):
-        config = CloudConfig(
-            num_caches=10,
-            num_rings=5,
-            cycle_length=15.0,
-            placement=scheme,
-            utility_weights=WEIGHTS_DSCC_OFF,
-            utility_threshold=0.5,
-        )
+        # The paper's cloud, as Figures 7-8 run it; only the placement varies.
+        config = paper_cloud(SMALL_SCALE, placement=scheme)
         result = run_experiment(
             config, corpus, trace.requests, trace.updates, duration=duration
         )

@@ -28,16 +28,18 @@ from typing import Any, Dict, Mapping, Optional, Sequence
 
 from repro.audit.antientropy import AntiEntropyConfig
 from repro.audit.invariants import InvariantAuditor
-from repro.core.config import AssignmentScheme, CloudConfig, PlacementScheme
-from repro.experiments.parallel import (
-    ExperimentSpec,
-    WorkloadSpec,
-    run_live,
+from repro.core.config import PlacementScheme
+from repro.experiments.parallel import ExperimentSpec, run_live
+from repro.experiments.sweeps import (
+    Scale,
+    SweepTable,
+    paper_cloud,
+    poisson_churn,
+    run_table,
+    zipf_workload,
 )
-from repro.experiments.sweeps import SweepTable, poisson_churn, run_points
 from repro.faults.plan import FaultPlan
 from repro.simulation.rng import derive_seed
-from repro.workload.generator import WorkloadConfig
 
 
 @dataclass(frozen=True)
@@ -89,42 +91,28 @@ class ChaosOutcome:
     resilience: Dict[str, float] = field(default_factory=dict)
 
 
-def _chaos_cloud_config(scenario: ChaosScenario) -> CloudConfig:
-    return CloudConfig(
-        num_caches=scenario.num_caches,
-        num_rings=scenario.num_rings,
-        intra_gen=scenario.intra_gen,
-        cycle_length=scenario.cycle_length,
-        assignment=AssignmentScheme.DYNAMIC,
-        placement=PlacementScheme.AD_HOC,
-        failure_resilience=True,
-        seed=scenario.seed,
-    )
-
-
-def _chaos_workload(scenario: ChaosScenario) -> WorkloadSpec:
-    return WorkloadSpec(
-        generator_config=WorkloadConfig(
-            num_documents=scenario.num_documents,
-            num_caches=scenario.num_caches,
-            request_rate_per_cache=scenario.request_rate_per_cache,
-            update_rate=scenario.update_rate,
-            alpha_requests=0.9,
-            duration_minutes=scenario.duration_minutes,
-            seed=scenario.seed,
-        ),
-        corpus_documents=scenario.num_documents,
-        corpus_seed=scenario.seed,
-    )
-
-
 def run_chaos_scenario(scenario: ChaosScenario) -> ChaosOutcome:
     """Run one scenario end to end; must stay module-level picklable."""
+    scale = Scale(
+        num_documents=scenario.num_documents,
+        request_rate_per_cache=scenario.request_rate_per_cache,
+        update_rate=scenario.update_rate,
+        duration_minutes=scenario.duration_minutes,
+        cycle_length=scenario.cycle_length,
+        num_caches=scenario.num_caches,
+        num_rings=scenario.num_rings,
+        seed=scenario.seed,
+    )
     result = run_live(
         ExperimentSpec(
             key=scenario.key,
-            config=_chaos_cloud_config(scenario),
-            workload=_chaos_workload(scenario),
+            config=paper_cloud(
+                scale,
+                intra_gen=scenario.intra_gen,
+                placement=PlacementScheme.AD_HOC,
+                failure_resilience=True,
+            ),
+            workload=zipf_workload(scale),
             duration=scenario.duration_minutes,
             # One cycle, not the sweeps' two: the campaign is short and the
             # audit reads end-of-run state, not steady-state rates.
@@ -209,8 +197,22 @@ def chaos_audit_grid(
         for loss_rate in loss_rates
         for churn_rate in churn_rates
     ]
-    outcomes, failures = run_points(scenarios, jobs=jobs, runner=run_chaos_scenario)
-    table = SweepTable(
+    table = run_table(
+        scenarios,
+        lambda outcome: (
+            outcome.pre_divergence,
+            outcome.pre_stale,
+            outcome.quiesce_repairs,
+            outcome.unrepaired,
+            outcome.post_stale,
+            outcome.hard_violations,
+        ),
+        jobs,
+        runner=run_chaos_scenario,
+        extras=lambda outcomes: {
+            "anti_entropy": anti_entropy,
+            "outcomes": list(outcomes.values()),
+        },
         header=(
             "Chaos audit",
             "fault+churn campaigns, quiesced and audited "
@@ -228,23 +230,9 @@ def chaos_audit_grid(
             "hard",
         ),
         keys=("seed", "loss rate", "churn/min"),
-        rows=[
-            (
-                *key,
-                outcome.pre_divergence,
-                outcome.pre_stale,
-                outcome.quiesce_repairs,
-                outcome.unrepaired,
-                outcome.post_stale,
-                outcome.hard_violations,
-            )
-            for key, outcome in outcomes.items()
-        ],
-        failures=failures,
-        extras={"anti_entropy": anti_entropy, "outcomes": list(outcomes.values())},
     )
     unrepaired, hard = sum(table.column("unrepaired")), sum(table.column("hard"))
-    clean = not failures and unrepaired == 0 and hard == 0
+    clean = not table.failures and unrepaired == 0 and hard == 0
     table.footer.append(
         "verdict: " + ("CLEAN" if clean else f"unrepaired={unrepaired} hard={hard}")
     )

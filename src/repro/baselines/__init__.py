@@ -15,8 +15,11 @@ families of consistency mechanisms:
   in-cloud holders. Consistency is strong while leased, but updates
   invalidate rather than refresh, so hot documents are re-fetched.
 
-Both baselines implement the same ``handle_request`` / ``handle_update``
-surface as :class:`repro.core.cloud.CacheCloud`, so the comparison harness
+Both are one :class:`repro.baselines.group.CacheGroup` — the static-hash
+proxy group with its holder map, peer-or-origin miss tail and staleness
+counters — plus the mechanism's rule as a subclass. The group implements
+the same ``handle_request`` / ``handle_update`` surface as
+:class:`repro.core.cloud.CacheCloud`, so the comparison harness
 (:mod:`repro.experiments.extensions`) can drive all three uniformly and
 chart traffic, staleness, and origin load side by side.
 """

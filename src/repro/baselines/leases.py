@@ -22,51 +22,38 @@ only while leases are live.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Set
+from typing import Dict, Optional, Tuple
 
+from repro.baselines.group import CacheGroup, GroupConfig
 from repro.core.cloud import RequestOutcome, RequestResult
-from repro.core.hashing import StaticHashAssigner
 from repro.edgecache.cache import EdgeCache
-from repro.edgecache.replacement import make_policy
-from repro.edgecache.stats import CacheStats
-from repro.network.bandwidth import TrafficCategory
+from repro.edgecache.document import CachedDocument
 from repro.network.origin import OriginServer
 from repro.network.transport import Transport
 from repro.workload.documents import Corpus
 
 
 @dataclass
-class LeaseConfig:
+class LeaseConfig(GroupConfig):
     """Configuration of the cooperative-leases baseline."""
 
-    num_caches: int = 10
     lease_duration_minutes: float = 30.0
-    capacity_bytes: Optional[int] = None
-    replacement_policy: str = "lru"
 
     def __post_init__(self) -> None:
-        if self.num_caches <= 0:
-            raise ValueError("num_caches must be positive")
+        super().__post_init__()
         if self.lease_duration_minutes <= 0:
             raise ValueError("lease_duration_minutes must be positive")
-        if self.capacity_bytes is not None and self.capacity_bytes <= 0:
-            raise ValueError("capacity_bytes must be positive or None")
 
 
-@dataclass
-class _Lease:
-    """One document's lease state at its leaseholder."""
-
-    expires_at: float
-
-
-class CooperativeLeaseCloud:
+class CooperativeLeaseCloud(CacheGroup):
     """A cache group under cooperative-lease consistency.
 
-    Same driving surface as :class:`repro.core.cloud.CacheCloud`:
-    ``handle_request`` / ``handle_update`` plus lease-specific counters
-    (renewals, invalidations forwarded, stale hits during lapsed leases).
+    Beside the group's staleness counters (stale hits happen during lapsed
+    leases): lease renewals, and invalidations sent by the origin and
+    forwarded by leaseholders.
     """
+
+    config: LeaseConfig
 
     def __init__(
         self,
@@ -75,140 +62,62 @@ class CooperativeLeaseCloud:
         origin: Optional[OriginServer] = None,
         transport: Optional[Transport] = None,
     ) -> None:
-        self.config = config
-        self.corpus = corpus
-        self.origin = origin if origin is not None else OriginServer(corpus)
-        self.transport = transport if transport is not None else Transport()
-        self.caches = [
-            EdgeCache(
-                cache_id=cache_id,
-                capacity_bytes=config.capacity_bytes,
-                policy=make_policy(config.replacement_policy),
-            )
-            for cache_id in range(config.num_caches)
-        ]
-        self._assigner = StaticHashAssigner(list(range(config.num_caches)))
-        self._leases: Dict[int, _Lease] = {}  # doc_id -> lease at its holder
-        self._holders: Dict[int, Set[int]] = {}  # doc_id -> caches w/ copies
-        self.requests_handled = 0
-        self.updates_handled = 0
+        super().__init__(config, corpus, origin, transport)
+        self._lease_expiry: Dict[int, float] = {}  # doc_id -> lease end at its holder
         self.lease_renewals = 0
         self.invalidations_sent = 0
         self.invalidations_forwarded = 0
-        self.stale_hits = 0
-        self.fresh_hits = 0
 
     # ------------------------------------------------------------------
     # Lease machinery
     # ------------------------------------------------------------------
     def leaseholder_of(self, doc_id: int) -> int:
         """The statically hashed leaseholder cache for ``doc_id``."""
-        return self._assigner.beacon_for(self.corpus[doc_id].url)
+        return self.home_of(doc_id)
 
     def lease_active(self, doc_id: int, now: float) -> bool:
         """Whether the document's lease is currently live."""
-        lease = self._leases.get(doc_id)
-        return lease is not None and lease.expires_at > now
+        return self._lease_expiry.get(doc_id, 0.0) > now
 
     def _renew_lease(self, doc_id: int, now: float) -> float:
         """Leaseholder ↔ origin control round-trip; returns its latency."""
         holder = self.leaseholder_of(doc_id)
         latency = self.transport.send_control(holder, self.origin.node_id)
         latency += self.transport.send_control(self.origin.node_id, holder)
-        self._leases[doc_id] = _Lease(
-            expires_at=now + self.config.lease_duration_minutes
-        )
+        self._lease_expiry[doc_id] = now + self.config.lease_duration_minutes
         self.lease_renewals += 1
         return latency
 
     # ------------------------------------------------------------------
-    # Request path
+    # The rule
     # ------------------------------------------------------------------
-    def handle_request(self, cache_id: int, doc_id: int, now: float) -> RequestResult:
-        """Serve one request under lease semantics."""
-        cache = self.caches[cache_id]
-        self.requests_handled += 1
-        cache.observe_request(doc_id, now)
-        current_version = self.origin.version_of(doc_id)
+    def _serve_copy(
+        self, cache: EdgeCache, copy: CachedDocument, doc_id: int, current: int, now: float
+    ) -> RequestResult:
+        cache.serve_local(doc_id, now)
         latency = 0.0
+        if self.lease_active(doc_id, now):
+            # Covered by the lease: consistent by construction (any update
+            # would have invalidated the copy).
+            self.fresh_hits += 1
+        else:
+            # Lapsed lease: the copy is served as-is; renewal happens via
+            # the leaseholder so future updates invalidate again.
+            self._count(copy.version, current)
+            latency += self._renew_lease(doc_id, now)
+        return self._served(cache, RequestOutcome.LOCAL_HIT, latency, cache.cache_id)
 
-        copy = cache.copy_of(doc_id)
-        if copy is not None:
-            if self.lease_active(doc_id, now):
-                # Covered by the lease: consistent by construction (any
-                # update would have invalidated the copy).
-                cache.serve_local(doc_id, now)
-                self.fresh_hits += 1
-            else:
-                # Lapsed lease: the copy is served as-is; renewal happens
-                # via the leaseholder so future updates invalidate again.
-                cache.serve_local(doc_id, now)
-                if copy.version >= current_version:
-                    self.fresh_hits += 1
-                else:
-                    self.stale_hits += 1
-                latency += self._renew_lease(doc_id, now)
-            result = RequestResult(RequestOutcome.LOCAL_HIT, 60_000.0 * latency, cache_id)
-            cache.stats.record_latency(result.latency_ms)
-            return result
-
-        # Local miss: consult the leaseholder (it tracks group holders).
+    def _locate(
+        self, cache_id: int, doc_id: int, now: float
+    ) -> Tuple[float, Optional[int]]:
+        # Consult the leaseholder (it tracks group holders).
         holder_id = self.leaseholder_of(doc_id)
-        latency += self.transport.send_control(cache_id, holder_id)
+        latency = self.transport.send_control(cache_id, holder_id)
         latency += self.transport.send_control(holder_id, cache_id)
         if not self.lease_active(doc_id, now):
             latency += self._renew_lease(doc_id, now)
+        return latency, self._find_peer(doc_id, cache_id, now)
 
-        size = self.corpus[doc_id].size_bytes
-        peer = self._find_peer(doc_id, cache_id)
-        if peer is not None:
-            latency += self.transport.send_document(
-                peer, cache_id, size, TrafficCategory.PEER_TRANSFER
-            )
-            self.caches[peer].storage.access(doc_id, now)
-            cache.stats.cloud_hits += 1
-            version = self.caches[peer].copy_of(doc_id).version
-            self._store(cache, doc_id, size, version, now)
-            if version >= current_version:
-                self.fresh_hits += 1
-            else:
-                self.stale_hits += 1
-            result = RequestResult(RequestOutcome.CLOUD_HIT, 60_000.0 * latency, peer)
-            cache.stats.record_latency(result.latency_ms)
-            return result
-
-        self.origin.serve_fetch(doc_id)
-        latency += self.transport.send_document(
-            self.origin.node_id, cache_id, size, TrafficCategory.ORIGIN_FETCH
-        )
-        cache.stats.origin_fetches += 1
-        self._store(cache, doc_id, size, current_version, now)
-        result = RequestResult(
-            RequestOutcome.ORIGIN_FETCH, 60_000.0 * latency, self.origin.node_id
-        )
-        cache.stats.record_latency(result.latency_ms)
-        return result
-
-    def _find_peer(self, doc_id: int, requester: int) -> Optional[int]:
-        for peer in sorted(self._holders.get(doc_id, ())):
-            if peer != requester and self.caches[peer].holds(doc_id):
-                return peer
-        return None
-
-    def _store(
-        self, cache: EdgeCache, doc_id: int, size: int, version: int, now: float
-    ) -> None:
-        evicted = cache.admit(doc_id, size, version, now)
-        if evicted is None:
-            cache.decline()
-            return
-        self._holders.setdefault(doc_id, set()).add(cache.cache_id)
-        for evicted_doc in evicted:
-            self._holders.get(evicted_doc, set()).discard(cache.cache_id)
-
-    # ------------------------------------------------------------------
-    # Update path
-    # ------------------------------------------------------------------
     def handle_update(self, doc_id: int, now: float) -> int:
         """Invalidate in-group copies while the lease is live.
 
@@ -216,8 +125,7 @@ class CooperativeLeaseCloud:
         origin sends nothing (the lease contract has ended) and existing
         copies go stale until revalidation.
         """
-        self.updates_handled += 1
-        self.origin.publish_update(doc_id)
+        super().handle_update(doc_id, now)
         if not self.lease_active(doc_id, now):
             return 0
         holder_id = self.leaseholder_of(doc_id)
@@ -225,7 +133,7 @@ class CooperativeLeaseCloud:
         self.transport.send_control(self.origin.node_id, holder_id)
         self.invalidations_sent += 1
         invalidated = 0
-        for cache_id in sorted(self._holders.get(doc_id, set())):
+        for cache_id in sorted(self._holders.pop(doc_id, ())):
             cache = self.caches[cache_id]
             if not cache.holds(doc_id):
                 continue
@@ -234,24 +142,7 @@ class CooperativeLeaseCloud:
                 self.invalidations_forwarded += 1
             cache.drop(doc_id, now)
             invalidated += 1
-        self._holders.pop(doc_id, None)
         return invalidated
-
-    # ------------------------------------------------------------------
-    # Reporting
-    # ------------------------------------------------------------------
-    @property
-    def staleness_rate(self) -> float:
-        """Fraction of copy-served requests that delivered stale bytes."""
-        served = self.stale_hits + self.fresh_hits
-        return self.stale_hits / served if served else 0.0
-
-    def aggregate_stats(self) -> CacheStats:
-        """Sum of per-cache counters."""
-        total = CacheStats()
-        for cache in self.caches:
-            total.merge(cache.stats)
-        return total
 
     def __repr__(self) -> str:
         return (

@@ -284,10 +284,11 @@ def _cmd_exp(args: argparse.Namespace) -> int:
             name, args.scale, jobs=args.jobs, seed=args.seed, **grids[name]
         )
         print(outcome.render())
-        if args.out:
+        # A strict sweep that lost a point has no result: nothing to archive.
+        if args.out and outcome.result is not None:
             save_result(outcome.result, args.out, name)
             print(f"archived to {args.out}")
-        if args.fingerprint:
+        if args.fingerprint and outcome.result is not None:
             print(f"fingerprint: {fingerprint(outcome.result)}")
         if not outcome.ok:
             code = 1
@@ -408,9 +409,18 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if not drifted:
         print(f"no metric drifted more than {args.tolerance:.0%}")
         return 0
-    print(f"{len(drifted)} metrics drifted more than {args.tolerance:.0%}:")
+
+    def shown(value: Optional[float]) -> str:
+        return "absent" if value is None else f"{value:g}"
+
+    one_sided = sum(None in (before, after) for _, before, after, _ in drifted)
+    print(
+        f"{len(drifted)} metrics drifted more than {args.tolerance:.0%} "
+        f"({one_sided} present in one archive only):"
+    )
     for path, before, after, delta in drifted:
-        print(f"  {path}: {before:g} -> {after:g} ({delta:+.1%})")
+        change = "" if None in (before, after) else f" ({delta:+.1%})"
+        print(f"  {path}: {shown(before)} -> {shown(after)}{change}")
     return 1
 
 

@@ -6,9 +6,11 @@
   (``ExperimentSpec``), the one spec-driven run body (``run_live`` /
   ``run_spec``), and ``run_sweep``, which fans independent runs out over
   worker processes with a value-identical serial fallback.
-* :mod:`~repro.experiments.sweeps` — what every sweep shares: the paper's
-  grids, the warm-up rule, the failed-point collector (``run_points``) and
-  the one row-table result type (``SweepTable``).
+* :mod:`~repro.experiments.sweeps` — the paper's setup as recipes (one
+  ``Scale``, ``paper_cloud``, ``zipf_workload`` / ``sydney_workload``) and
+  what every sweep shares: the paper's grids, the warm-up rule, the
+  failed-point collector (``run_points`` / ``run_table``) and the one
+  row-table result type (``SweepTable``).
 * :mod:`~repro.experiments.figures`, :mod:`~repro.experiments.ablations`,
   :mod:`~repro.experiments.extensions`, :mod:`~repro.experiments.resilience`,
   :mod:`~repro.experiments.overload`, :mod:`~repro.experiments.elastic`,

@@ -22,7 +22,6 @@ Each returns a :class:`~repro.experiments.sweeps.SweepTable`; the matching
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.balance_theory import (
@@ -31,22 +30,19 @@ from repro.analysis.balance_theory import (
     monte_carlo_cov,
     zipf_load_weights,
 )
-from repro.core.config import (
-    AssignmentScheme,
-    CloudConfig,
-    PlacementScheme,
-    WEIGHTS_DSCC_OFF,
-)
-from repro.experiments.figures import (
-    FigureScale,
-    SMALL_SCALE,
-    _loadbalance_config,
-    _sydney_workload,
-    _zipf_workload,
-    figure3,
-)
+from repro.core.config import AssignmentScheme
+from repro.experiments.figures import SMALL_SCALE, figure3
 from repro.experiments.parallel import ExperimentSpec
-from repro.experiments.sweeps import SweepTable, run_points, warmed_spec
+from repro.experiments.sweeps import (
+    Scale,
+    SweepTable,
+    loadbalance_cloud,
+    paper_cloud,
+    run_table,
+    sydney_workload,
+    warmed_spec,
+    zipf_workload,
+)
 from repro.network.bandwidth import TrafficCategory
 
 
@@ -57,29 +53,29 @@ def _ablation(
     jobs: Optional[int],
     measure: Callable[[Any], Tuple[Any, ...]],
 ) -> SweepTable:
-    """Run ``specs``; one ``(key, *measure(run))`` table row per completed point."""
-    runs, failures = run_points(specs, jobs=jobs)
-    return SweepTable(
+    """The ablations' table shape: titled by the study's name, three decimals."""
+    return run_table(
+        specs,
+        measure,
+        jobs,
+        extras=lambda _: {"name": name},
         header=(f"Ablation: {name}", ""),
         columns=columns,
-        rows=[(key, *measure(run)) for key, run in runs.items()],
-        failures=failures,
-        extras={"name": name},
         precision=3,
     )
 
 
 def ablation_load_information(
-    scale: FigureScale = SMALL_SCALE, jobs: Optional[int] = None
+    scale: Scale = SMALL_SCALE, jobs: Optional[int] = None
 ) -> SweepTable:
     """CIrHLd vs CAvgLoad approximation on the Zipf-0.9 workload."""
-    workload = _zipf_workload(scale, num_caches=10, alpha=0.9)
+    workload = zipf_workload(scale)
     variants = (("CIrHLd (exact)", True), ("CAvgLoad (approx)", False))
     specs = [
         warmed_spec(
             label,
-            _loadbalance_config(
-                AssignmentScheme.DYNAMIC, 10, 5, scale, use_per_irh_load=per_irh
+            loadbalance_cloud(
+                scale, AssignmentScheme.DYNAMIC, use_per_irh_load=per_irh
             ),
             workload,
             scale.duration_minutes,
@@ -106,14 +102,14 @@ def load_information_claims(table: SweepTable) -> Dict[str, bool]:
 
 
 def ablation_consistent_hashing(
-    scale: FigureScale = SMALL_SCALE, jobs: Optional[int] = None
+    scale: Scale = SMALL_SCALE, jobs: Optional[int] = None
 ) -> SweepTable:
     """Static vs consistent vs dynamic hashing: balance + lookup cost."""
-    workload = _zipf_workload(scale, num_caches=10, alpha=0.9)
+    workload = zipf_workload(scale)
     specs = [
         warmed_spec(
             label,
-            _loadbalance_config(scheme, 10, 5, scale),
+            loadbalance_cloud(scale, scheme),
             workload,
             scale.duration_minutes,
         )
@@ -156,25 +152,16 @@ def consistent_hashing_claims(table: SweepTable) -> Dict[str, bool]:
 
 
 def ablation_threshold(
-    scale: FigureScale = SMALL_SCALE,
+    scale: Scale = SMALL_SCALE,
     thresholds: Tuple[float, ...] = (0.1, 0.3, 0.5, 0.7, 0.9),
     jobs: Optional[int] = None,
 ) -> SweepTable:
     """Utility-threshold sweep: stored % and network load."""
-    update_rate = 195.0 * scale.update_sweep_scale
-    workload = _sydney_workload(scale, num_caches=10, update_rate=update_rate)
+    workload = sydney_workload(scale, base_update_rate=scale.observed_update_rate)
     specs = [
         warmed_spec(
             threshold,
-            CloudConfig(
-                num_caches=10,
-                num_rings=5,
-                cycle_length=scale.cycle_length,
-                placement=PlacementScheme.UTILITY,
-                utility_weights=WEIGHTS_DSCC_OFF,
-                utility_threshold=threshold,
-                seed=scale.seed,
-            ),
+            paper_cloud(scale, utility_threshold=threshold),
             workload,
             scale.duration_minutes,
         )
@@ -204,7 +191,7 @@ def threshold_claims(table: SweepTable) -> Dict[str, bool]:
 
 
 def ablation_cycle_length(
-    scale: FigureScale = SMALL_SCALE,
+    scale: Scale = SMALL_SCALE,
     cycle_lengths: Tuple[float, ...] = (5.0, 15.0, 30.0, 60.0),
     jobs: Optional[int] = None,
 ) -> SweepTable:
@@ -213,14 +200,11 @@ def ablation_cycle_length(
     Shorter cycles track drift better but re-announce/migrate more; the
     paper fixes 1 hour without exploring the trade-off.
     """
-    workload = _sydney_workload(scale, num_caches=10)
+    workload = sydney_workload(scale)
     specs = [
         warmed_spec(
             cycle,
-            replace(
-                _loadbalance_config(AssignmentScheme.DYNAMIC, 10, 5, scale),
-                cycle_length=cycle,
-            ),
+            loadbalance_cloud(scale, AssignmentScheme.DYNAMIC, cycle_length=cycle),
             workload,
             scale.duration_minutes,
         )
@@ -245,7 +229,7 @@ def cycle_length_claims(table: SweepTable) -> Dict[str, bool]:
 
 
 def ablation_ring_theory(
-    scale: FigureScale = SMALL_SCALE, jobs: Optional[int] = None
+    scale: Scale = SMALL_SCALE, jobs: Optional[int] = None
 ) -> SweepTable:
     """The analytical balance model vs the real machinery.
 

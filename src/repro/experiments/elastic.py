@@ -40,21 +40,26 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.audit.invariants import InvariantAuditor
 from repro.core.cloud import CacheCloud
-from repro.core.config import AssignmentScheme, CloudConfig, PlacementScheme
+from repro.core.config import PlacementScheme
 from repro.core.elastic import ElasticConfig
 from repro.core.overload import OverloadConfig
-from repro.experiments.figures import SMALL_SCALE, FigureScale
+from repro.experiments.figures import SMALL_SCALE
 from repro.experiments.overload import default_overload_config
 from repro.experiments.parallel import (
     ExperimentSpec,
     WorkloadSpec,
     run_live,
 )
-from repro.experiments.sweeps import SweepTable, run_points
+from repro.experiments.sweeps import (
+    Scale,
+    SweepTable,
+    paper_cloud,
+    run_table,
+    sydney_workload,
+)
 from repro.faults.churn import RETIRE, ChurnEvent
 from repro.observe.registry import Telemetry
 from repro.simulation.rng import derive_seed
-from repro.workload.sydney import SydneyConfig
 
 #: Number of configured caches in every arm (the paper's cloud size; the
 #: elastic and under arms run fewer of them at a time).
@@ -94,7 +99,7 @@ def flash_window(duration_minutes: float) -> Tuple[float, float]:
     return (start, start + FLASH_LENGTH * duration_minutes)
 
 
-def _diurnal_workload(scale: FigureScale) -> WorkloadSpec:
+def _diurnal_workload(scale: Scale) -> WorkloadSpec:
     """One Sydney-like day, update-free, with a scripted volume flash.
 
     Update-free is a deliberate choice, not a simplification: with no
@@ -103,29 +108,23 @@ def _diurnal_workload(scale: FigureScale) -> WorkloadSpec:
     report — any violation is the autoscaler's fault.
     """
     duration = scale.duration_minutes
-    return WorkloadSpec(
-        generator_config=SydneyConfig(
-            num_documents=scale.num_documents,
-            num_caches=NUM_CACHES,
-            peak_request_rate_per_cache=scale.request_rate_per_cache,
-            base_update_rate=0.0,
-            duration_minutes=duration,
-            seed=derive_seed(scale.seed, "elastic"),
-            num_epochs=2,
-            drift_pool=min(100, scale.num_documents),
-            diurnal_floor=0.15,
-            diurnal_period_minutes=duration,
-            flash_times=(flash_window(duration)[0],),
-            flash_duration_minutes=FLASH_LENGTH * duration,
-            flash_multiplier=8.0,
-            flash_rate_boost=FLASH_BOOST,
-        ),
-        corpus_documents=scale.num_documents,
+    return sydney_workload(
+        scale,
         corpus_seed=derive_seed(scale.seed, "elastic-corpus"),
+        num_caches=NUM_CACHES,
+        base_update_rate=0.0,
+        seed=derive_seed(scale.seed, "elastic"),
+        num_epochs=2,
+        drift_pool=min(100, scale.num_documents),
+        diurnal_floor=0.15,
+        flash_times=(flash_window(duration)[0],),
+        flash_duration_minutes=FLASH_LENGTH * duration,
+        flash_multiplier=8.0,
+        flash_rate_boost=FLASH_BOOST,
     )
 
 
-def _service_model(scale: FigureScale) -> OverloadConfig:
+def _service_model(scale: Scale) -> OverloadConfig:
     """The icarus-shaped service model, normalized to the scale's rate.
 
     The figure scales raise the request rate with experiment size, but a
@@ -147,21 +146,7 @@ def _service_model(scale: FigureScale) -> OverloadConfig:
     )
 
 
-def _cloud_config(scale: FigureScale) -> CloudConfig:
-    """The cloud every arm shares (sizing differs only via the controller)."""
-    return CloudConfig(
-        num_caches=NUM_CACHES,
-        num_rings=2,
-        intra_gen=1000,
-        cycle_length=scale.cycle_length,
-        assignment=AssignmentScheme.DYNAMIC,
-        placement=PlacementScheme.AD_HOC,
-        failure_resilience=True,
-        seed=scale.seed,
-    )
-
-
-def _arm_elastic_config(arm: str, scale: FigureScale) -> ElasticConfig:
+def _arm_elastic_config(arm: str, scale: Scale) -> ElasticConfig:
     """The sizing policy for one arm.
 
     The static arms are controllers whose bounds pin the size — they run
@@ -301,7 +286,7 @@ def _run_point(spec: ExperimentSpec) -> ElasticArmResult:
 
 
 def elastic_sweep(
-    scale: FigureScale = SMALL_SCALE, jobs: Optional[int] = None
+    scale: Scale = SMALL_SCALE, jobs: Optional[int] = None
 ) -> SweepTable:
     """Run the three-arm diurnal comparison; one table row per arm.
 
@@ -310,7 +295,14 @@ def elastic_sweep(
     series name -> ``[(t, value), ...]``).
     """
     workload = _diurnal_workload(scale)
-    config = _cloud_config(scale)
+    # One cloud for every arm: sizing differs only via the controller.
+    config = paper_cloud(
+        scale,
+        num_caches=NUM_CACHES,
+        num_rings=2,
+        placement=PlacementScheme.AD_HOC,
+        failure_resilience=True,
+    )
     overload = _service_model(scale)
     specs = [
         ExperimentSpec(
@@ -331,8 +323,24 @@ def elastic_sweep(
         )
         for arm in ARMS
     ]
-    arms, failures = run_points(specs, jobs=jobs, runner=_run_point)
-    return SweepTable(
+    return run_table(
+        specs,
+        lambda outcome: (
+            outcome.rejection_percent,
+            outcome.p99_ms,
+            outcome.flash_p99_ms,
+            outcome.node_minutes,
+            outcome.mean_cloud_size,
+            f"{outcome.scale_out_events}/{outcome.scale_in_events}",
+            outcome.drain_bytes / (1024.0 * 1024.0),
+            outcome.scale_in_audit_violations + outcome.final_audit_violations,
+        ),
+        jobs,
+        runner=_run_point,
+        extras=lambda arms: {
+            "arms": arms,
+            "series": {arm: outcome.series for arm, outcome in arms.items()},
+        },
         header=(
             "Elastic",
             "diurnal autoscaling: elastic vs static over/under provisioning",
@@ -348,25 +356,6 @@ def elastic_sweep(
             "drain MB",
             "audit viol.",
         ),
-        rows=[
-            (
-                outcome.arm,
-                outcome.rejection_percent,
-                outcome.p99_ms,
-                outcome.flash_p99_ms,
-                outcome.node_minutes,
-                outcome.mean_cloud_size,
-                f"{outcome.scale_out_events}/{outcome.scale_in_events}",
-                outcome.drain_bytes / (1024.0 * 1024.0),
-                outcome.scale_in_audit_violations + outcome.final_audit_violations,
-            )
-            for outcome in arms.values()
-        ],
-        failures=failures,
-        extras={
-            "arms": arms,
-            "series": {arm: outcome.series for arm, outcome in arms.items()},
-        },
     )
 
 

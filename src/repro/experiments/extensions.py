@@ -31,76 +31,67 @@ from repro.baselines.leases import CooperativeLeaseCloud, LeaseConfig
 from repro.baselines.ttl import TTLCloud, TTLConfig
 from repro.core.adaptive import FeedbackWeightAdapter
 from repro.core.cloud import CacheCloud
-from repro.core.config import (
-    AssignmentScheme,
-    CloudConfig,
-    PlacementScheme,
-    WEIGHTS_DSCC_OFF,
-)
+from repro.core.config import AssignmentScheme, PlacementScheme
 from repro.core.edgenetwork import EdgeCacheNetwork
 from repro.edgecache.stats import CacheStats
-from repro.experiments.figures import (
-    FigureScale,
-    SMALL_SCALE,
-    _loadbalance_config,
-    _sydney_workload,
-    _zipf_workload,
+from repro.experiments.figures import SMALL_SCALE
+from repro.experiments.sweeps import (
+    Scale,
+    SweepTable,
+    drive,
+    loadbalance_cloud,
+    paper_cloud,
+    run_points,
+    sydney_workload,
+    warmed_spec,
+    zipf_workload,
 )
-from repro.experiments.sweeps import SweepTable, run_points, warmed_spec
 from repro.faults.churn import FAIL, ChurnEvent, ChurnSchedule
 from repro.metrics.report import format_figure_header
 from repro.network.origin import ORIGIN_NODE_ID, OriginServer
 from repro.network.topology import EuclideanTopology
 from repro.network.transport import Transport
-from repro.workload.documents import Corpus, build_corpus, seed_corpus_rng
-from repro.workload.sydney import SydneyConfig, SydneyTraceGenerator
+from repro.workload.documents import Corpus
 from repro.workload.trace import RequestRecord, Trace, UpdateRecord
 
 
 # ----------------------------------------------------------------------
 # Consistency-mode comparison
 # ----------------------------------------------------------------------
-def _sydney(scale: FigureScale) -> Tuple[Corpus, Trace]:
+def _sydney(scale: Scale) -> Tuple[Corpus, Trace]:
     """The Sydney-like corpus + trace at the scale's observed update rate."""
-    return _sydney_workload(
-        scale, num_caches=10, update_rate=195.0 * scale.update_sweep_scale
+    return sydney_workload(
+        scale, base_update_rate=scale.observed_update_rate
     ).materialize()
 
 
-def _cloud_config(scale: FigureScale, placement: PlacementScheme, **overrides) -> CloudConfig:
-    """The paper's 10-cache, 5-ring cloud at ``scale`` (DsCC off, as in Fig. 7-8)."""
-    return CloudConfig(
-        num_caches=10,
-        num_rings=5,
-        cycle_length=scale.cycle_length,
-        placement=placement,
-        utility_weights=WEIGHTS_DSCC_OFF,
-        seed=scale.seed,
-        **overrides,
-    )
-
-
-def _drive(system, trace: Trace, cycle_hook=None, cycle_length: float = 15.0) -> None:
-    next_cycle = cycle_length
-    for record in trace.merged():
-        while cycle_hook is not None and record.time >= next_cycle:
-            cycle_hook(next_cycle)
-            next_cycle += cycle_length
-        if isinstance(record, UpdateRecord):
-            system.handle_update(record.doc_id, record.time)
-        else:
-            system.handle_request(record.cache_id, record.doc_id, record.time)
-
-
 def consistency_mode_comparison(
-    scale: FigureScale = SMALL_SCALE,
+    scale: Scale = SMALL_SCALE,
     ttl_minutes: float = 15.0,
     lease_minutes: float = 30.0,
 ) -> SweepTable:
     """Push vs TTL vs cooperative leases on the same Sydney-like trace."""
     corpus, trace = _sydney(scale)
-    duration = scale.duration_minutes
-    result = SweepTable(
+    cloud = CacheCloud(paper_cloud(scale), corpus)
+    drive(cloud, trace, cloud.run_cycle, scale.cycle_length)
+    ttl = TTLCloud(
+        TTLConfig(num_caches=scale.num_caches, ttl_minutes=ttl_minutes), corpus
+    )
+    drive(ttl, trace)
+    leases = CooperativeLeaseCloud(
+        LeaseConfig(
+            num_caches=scale.num_caches, lease_duration_minutes=lease_minutes
+        ),
+        corpus,
+    )
+    drive(leases, trace)
+    arms = (
+        # Push keeps registered copies fresh by construction.
+        ("push (cache cloud)", cloud, 0.0),
+        (f"TTL ({ttl_minutes:g} min)", ttl, 100.0 * ttl.staleness_rate),
+        (f"leases ({lease_minutes:g} min)", leases, 100.0 * leases.staleness_rate),
+    )
+    return SweepTable(
         header=(
             "Extension", "consistency modes: push (cache cloud) vs TTL vs leases"
         ),
@@ -111,50 +102,19 @@ def consistency_mode_comparison(
             "origin msgs/update",
             "cloud hit rate (%)",
         ),
+        rows=[
+            (
+                mode,
+                system.transport.meter.megabytes_per_unit_time(scale.duration_minutes),
+                stale_percent,
+                # One per update under push, none under TTL (the origin never
+                # pushes), one invalidation per update under a live lease.
+                system.origin.update_messages_sent / max(1, system.updates_handled),
+                100.0 * system.aggregate_stats().cloud_hit_rate,
+            )
+            for mode, system, stale_percent in arms
+        ],
     )
-
-    # Push-based cache cloud (the paper's design).
-    cloud = CacheCloud(_cloud_config(scale, PlacementScheme.UTILITY), corpus)
-    _drive(cloud, trace, cycle_hook=cloud.run_cycle, cycle_length=scale.cycle_length)
-    stats = cloud.aggregate_stats()
-    result.rows.append(
-        (
-            "push (cache cloud)",
-            cloud.transport.meter.megabytes_per_unit_time(duration),
-            0.0,  # push keeps registered copies fresh by construction
-            cloud.origin.update_messages_sent / max(1, cloud.updates_handled),
-            100.0 * stats.cloud_hit_rate,
-        )
-    )
-
-    # TTL baseline.
-    ttl = TTLCloud(TTLConfig(num_caches=10, ttl_minutes=ttl_minutes), corpus)
-    _drive(ttl, trace)
-    result.rows.append(
-        (
-            f"TTL ({ttl_minutes:g} min)",
-            ttl.transport.meter.megabytes_per_unit_time(duration),
-            100.0 * ttl.staleness_rate,
-            0.0,  # the origin never pushes under TTL
-            100.0 * ttl.aggregate_stats().cloud_hit_rate,
-        )
-    )
-
-    # Cooperative leases baseline.
-    leases = CooperativeLeaseCloud(
-        LeaseConfig(num_caches=10, lease_duration_minutes=lease_minutes), corpus
-    )
-    _drive(leases, trace)
-    result.rows.append(
-        (
-            f"leases ({lease_minutes:g} min)",
-            leases.transport.meter.megabytes_per_unit_time(duration),
-            100.0 * leases.staleness_rate,
-            leases.invalidations_sent / max(1, leases.updates_handled),
-            100.0 * leases.aggregate_stats().cloud_hit_rate,
-        )
-    )
-    return result
 
 
 def consistency_claims(table: SweepTable) -> Dict[str, bool]:
@@ -177,7 +137,7 @@ def consistency_claims(table: SweepTable) -> Dict[str, bool]:
 # Multi-cloud update savings
 # ----------------------------------------------------------------------
 def multi_cloud_update_savings(
-    scale: FigureScale = SMALL_SCALE,
+    scale: Scale = SMALL_SCALE,
     cloud_counts: Tuple[int, ...] = (1, 2, 4),
     caches_per_cloud: int = 8,
 ) -> SweepTable:
@@ -204,13 +164,23 @@ def multi_cloud_update_savings(
             node = 100_000 + i
             topology.add_node(node, pos)
             landmarks.append(node)
-        corpus = build_corpus(scale.num_documents, seed_corpus_rng(scale.seed))
-        base_config = CloudConfig(
+        # Half the figures' run at half their rate, over every cloud's caches.
+        workload = sydney_workload(
+            replace(
+                scale,
+                num_caches=num_caches,
+                request_rate_per_cache=scale.request_rate_per_cache / 2,
+                duration_minutes=scale.duration_minutes / 2,
+            ),
+            base_update_rate=scale.observed_update_rate,
+            num_epochs=2,
+        )
+        corpus = workload.build_corpus()
+        base_config = paper_cloud(
+            scale,
             num_caches=caches_per_cloud,
             num_rings=max(1, caches_per_cloud // 2),
-            cycle_length=scale.cycle_length,
             placement=PlacementScheme.AD_HOC,
-            seed=scale.seed,
         )
         network = EdgeCacheNetwork.from_topology(
             topology,
@@ -221,21 +191,8 @@ def multi_cloud_update_savings(
             corpus,
             rng=rng,
         )
-        trace = SydneyTraceGenerator(
-            SydneyConfig(
-                num_documents=scale.num_documents,
-                num_caches=num_caches,
-                peak_request_rate_per_cache=scale.request_rate_per_cache / 2,
-                base_update_rate=195.0 * scale.update_sweep_scale,
-                duration_minutes=scale.duration_minutes / 2,
-                diurnal_period_minutes=scale.duration_minutes / 2,
-                num_epochs=2,
-                drift_pool=max(10, scale.num_documents // 10),
-                seed=scale.seed,
-            )
-        ).build_trace()
         per_holder = 0
-        for record in trace.merged():
+        for record in workload.build_trace().merged():
             if isinstance(record, UpdateRecord):
                 # What a non-cooperative origin would pay: one message per
                 # cache currently holding the document, network-wide.
@@ -303,7 +260,7 @@ class AdaptiveWeightsResult:
 
 
 def adaptive_weights_comparison(
-    scale: FigureScale = SMALL_SCALE,
+    scale: Scale = SMALL_SCALE,
     quiet_update_rate: Optional[float] = None,
     burst_update_rate: Optional[float] = None,
 ) -> AdaptiveWeightsResult:
@@ -314,31 +271,23 @@ def adaptive_weights_comparison(
     before; the adapter shifts weight toward CMC and cuts fan-out traffic.
     """
     quiet = (
-        195.0 * scale.update_sweep_scale * 0.2
+        scale.observed_update_rate * 0.2
         if quiet_update_rate is None
         else quiet_update_rate
     )
     burst = (
-        195.0 * scale.update_sweep_scale * 8.0
+        scale.observed_update_rate * 8.0
         if burst_update_rate is None
         else burst_update_rate
     )
-    corpus = build_corpus(scale.num_documents, seed_corpus_rng(scale.seed))
+    corpus = sydney_workload(scale).build_corpus()
     half = scale.duration_minutes / 2.0
 
     def make_half(rate: float, offset: float, seed: int) -> Trace:
-        trace = SydneyTraceGenerator(
-            SydneyConfig(
-                num_documents=scale.num_documents,
-                num_caches=10,
-                peak_request_rate_per_cache=scale.request_rate_per_cache,
-                base_update_rate=rate,
-                duration_minutes=half,
-                diurnal_period_minutes=half,
-                num_epochs=2,
-                drift_pool=max(10, scale.num_documents // 10),
-                seed=seed,
-            )
+        trace = sydney_workload(
+            replace(scale, duration_minutes=half, seed=seed),
+            base_update_rate=rate,
+            num_epochs=2,
         ).build_trace()
         return Trace(
             requests=[
@@ -356,7 +305,7 @@ def adaptive_weights_comparison(
     )
 
     def run(adaptive: bool):
-        cloud = CacheCloud(_cloud_config(scale, PlacementScheme.UTILITY), corpus)
+        cloud = CacheCloud(paper_cloud(scale), corpus)
         adapter = (
             FeedbackWeightAdapter(cloud.placement, cloud.transport.meter)
             if adaptive
@@ -368,7 +317,7 @@ def adaptive_weights_comparison(
             if adapter is not None:
                 adapter.adapt(now)
 
-        _drive(cloud, trace, cycle_hook=hook, cycle_length=scale.cycle_length)
+        drive(cloud, trace, hook, scale.cycle_length)
         mb = cloud.transport.meter.megabytes_per_unit_time(scale.duration_minutes)
         return cloud, adapter, mb
 
@@ -394,7 +343,7 @@ def adaptive_weights_claims(result: AdaptiveWeightsResult) -> Dict[str, bool]:
 # ----------------------------------------------------------------------
 # Failure resilience
 # ----------------------------------------------------------------------
-def failure_resilience_value(scale: FigureScale = SMALL_SCALE) -> SweepTable:
+def failure_resilience_value(scale: Scale = SMALL_SCALE) -> SweepTable:
     """Measure what the buddy replica buys after a beacon-point crash.
 
     Two identical clouds are warmed on the first half of a trace; the
@@ -425,7 +374,9 @@ def failure_resilience_value(scale: FigureScale = SMALL_SCALE) -> SweepTable:
 
     for variant in ("with replica", "without replica"):
         cloud = CacheCloud(
-            _cloud_config(scale, PlacementScheme.AD_HOC, failure_resilience=True),
+            paper_cloud(
+                scale, placement=PlacementScheme.AD_HOC, failure_resilience=True
+            ),
             corpus,
         )
         for record in first:
@@ -474,7 +425,7 @@ def failure_resilience_claims(table: SweepTable) -> Dict[str, bool]:
 # ----------------------------------------------------------------------
 # Client latency
 # ----------------------------------------------------------------------
-def client_latency_comparison(scale: FigureScale = SMALL_SCALE) -> SweepTable:
+def client_latency_comparison(scale: Scale = SMALL_SCALE) -> SweepTable:
     """Mean client-perceived latency per placement scheme.
 
     A metro-clustered topology puts the caches ~5 ms apart and the origin
@@ -504,12 +455,12 @@ def client_latency_comparison(scale: FigureScale = SMALL_SCALE) -> SweepTable:
     ]
     for label, placement, cooperation in schemes:
         cloud = CacheCloud(
-            _cloud_config(scale, placement, cooperation=cooperation),
+            paper_cloud(scale, placement=placement, cooperation=cooperation),
             corpus,
             origin=OriginServer(corpus),
             transport=Transport(topology=topology),
         )
-        _drive(cloud, trace, cycle_hook=cloud.run_cycle, cycle_length=scale.cycle_length)
+        drive(cloud, trace, cloud.run_cycle, scale.cycle_length)
         stats = cloud.aggregate_stats()
         result.rows.append(
             (
@@ -557,7 +508,7 @@ def _imbalance(loads: List[float], capabilities: List[float]) -> float:
 
 
 def capability_proportionality(
-    scale: FigureScale = SMALL_SCALE,
+    scale: Scale = SMALL_SCALE,
     capabilities: Optional[List[float]] = None,
     jobs: Optional[int] = None,
 ) -> SweepTable:
@@ -572,14 +523,11 @@ def capability_proportionality(
     capabilities = capabilities if capabilities is not None else [3.0] * 5 + [1.0] * 5
     if len(capabilities) != 10:
         raise ValueError("capability experiment expects 10 caches")
-    workload = _zipf_workload(scale, num_caches=10, alpha=0.9)
+    workload = zipf_workload(scale)
     specs = [
         warmed_spec(
             scheme,
-            replace(
-                _loadbalance_config(scheme, 10, 5, scale),
-                capabilities=list(capabilities),
-            ),
+            loadbalance_cloud(scale, scheme, capabilities=list(capabilities)),
             workload,
             scale.duration_minutes,
         )

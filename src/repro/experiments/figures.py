@@ -9,7 +9,7 @@ Scaling
 -------
 The paper simulates 25 000-52 000 documents over 24 hours. Pure-Python
 replays of that volume are possible but slow; every entry point therefore
-takes a :class:`FigureScale`. ``SMALL_SCALE`` (the default) runs each figure
+takes a :class:`~repro.experiments.sweeps.Scale`. ``SMALL_SCALE`` (the default) runs each figure
 in seconds while preserving every qualitative conclusion (who wins, by
 roughly what factor); ``PAPER_SCALE`` approaches the paper's sizes.
 EXPERIMENTS.md records paper-vs-measured numbers at the benchmark scale.
@@ -38,7 +38,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.config import (
     AssignmentScheme,
-    CloudConfig,
     PlacementScheme,
     UtilityWeights,
     WEIGHTS_ALL_ON,
@@ -52,47 +51,23 @@ from repro.experiments.sweeps import (
     RING_SIZE_SWEEP,
     UPDATE_RATE_SWEEP,
     ZIPF_SWEEP,
+    Scale,
     SweepTable,
+    disk_budget,
+    loadbalance_cloud,
+    paper_cloud,
     rings_for,
     run_points,
+    sydney_workload,
     warmed_spec,
+    zipf_workload,
 )
 from repro.metrics.loadbalance import improvement_percent
 from repro.metrics.report import Table, format_figure_header
-from repro.workload.generator import WorkloadConfig
-from repro.workload.sydney import SydneyConfig
-
-
-@dataclass(frozen=True)
-class FigureScale:
-    """Run-size knobs shared by all figure reproductions."""
-
-    num_documents: int
-    request_rate_per_cache: float
-    update_rate: float
-    duration_minutes: float
-    #: Sub-range determination cycle length. The paper uses 1 hour over a
-    #: 24-hour trace (≈ 24 cycles); scaled runs shrink the cycle with the
-    #: duration so the dynamic scheme gets a comparable number of cycles.
-    cycle_length: float = 60.0
-    #: Figure 9's limited-disk budget — the paper sets 5 % of the corpus.
-    limited_disk_fraction: float = 0.05
-    #: Multiplier applied to the paper's update-rate sweep in Figures 7-9.
-    #: The paper's x-axis (10..1000 updates/unit) sits against an Olympics
-    #: site's request volume, which dwarfs it; scaled-down runs shrink the
-    #: sweep by the same factor as the request volume so the request:update
-    #: ratio — the quantity the placement trade-off actually depends on —
-    #: is preserved. Rendered tables report the actual simulated rates.
-    update_sweep_scale: float = 1.0
-    seed: int = 7
-
-    def __post_init__(self) -> None:
-        if self.num_documents <= 0 or self.duration_minutes <= 0:
-            raise ValueError("scale sizes must be positive")
 
 
 #: Fast default: each figure in seconds on a laptop.
-SMALL_SCALE = FigureScale(
+SMALL_SCALE = Scale(
     num_documents=2_000,
     request_rate_per_cache=80.0,
     update_rate=195.0,
@@ -102,7 +77,7 @@ SMALL_SCALE = FigureScale(
 )
 
 #: Tiny scale for unit tests.
-TINY_SCALE = FigureScale(
+TINY_SCALE = Scale(
     num_documents=300,
     request_rate_per_cache=30.0,
     update_rate=60.0,
@@ -112,93 +87,13 @@ TINY_SCALE = FigureScale(
 )
 
 #: Near-paper scale (tens of minutes of wall-clock).
-PAPER_SCALE = FigureScale(
+PAPER_SCALE = Scale(
     num_documents=25_000,
     request_rate_per_cache=200.0,
     update_rate=195.0,
     duration_minutes=480.0,
     cycle_length=60.0,
 )
-
-
-# ----------------------------------------------------------------------
-# Shared machinery
-# ----------------------------------------------------------------------
-def _loadbalance_config(
-    assignment: AssignmentScheme,
-    num_caches: int,
-    num_rings: int,
-    scale: FigureScale,
-    use_per_irh_load: bool = True,
-) -> CloudConfig:
-    """Cloud config for the load-balance experiments (Figures 3-6).
-
-    Beacon-point placement keeps every non-beacon request flowing through
-    the beacon (a lookup) at steady state, so beacon load carries the full
-    Zipf skew of both components the paper counts ("number of document
-    updates and document lookups ... per unit time"). Under ad-hoc placement
-    with ample disk the hot documents are resident everywhere and lookups
-    degenerate to the near-uniform tail, washing out the skew the experiment
-    is about.
-    """
-    return CloudConfig(
-        num_caches=num_caches,
-        num_rings=num_rings,
-        intra_gen=1000,
-        cycle_length=scale.cycle_length,
-        assignment=assignment,
-        placement=PlacementScheme.BEACON,
-        capacity_bytes=None,
-        use_per_irh_load=use_per_irh_load,
-        seed=scale.seed,
-    )
-
-
-def _zipf_workload(
-    scale: FigureScale,
-    num_caches: int,
-    alpha: float = 0.9,
-    update_rate: Optional[float] = None,
-) -> WorkloadSpec:
-    """Picklable recipe for a Zipf corpus + trace (built in sweep workers)."""
-    return WorkloadSpec(
-        generator_config=WorkloadConfig(
-            num_documents=scale.num_documents,
-            num_caches=num_caches,
-            request_rate_per_cache=scale.request_rate_per_cache,
-            update_rate=scale.update_rate if update_rate is None else update_rate,
-            alpha_requests=alpha,
-            duration_minutes=scale.duration_minutes,
-            seed=scale.seed,
-        ),
-        corpus_documents=scale.num_documents,
-        corpus_seed=scale.seed,
-    )
-
-
-def _sydney_workload(
-    scale: FigureScale,
-    num_caches: int,
-    update_rate: Optional[float] = None,
-) -> WorkloadSpec:
-    """Picklable recipe for a Sydney-like corpus + trace."""
-    return WorkloadSpec(
-        generator_config=SydneyConfig(
-            num_documents=scale.num_documents,
-            num_caches=num_caches,
-            peak_request_rate_per_cache=scale.request_rate_per_cache,
-            base_update_rate=(
-                scale.update_rate if update_rate is None else update_rate
-            ),
-            duration_minutes=scale.duration_minutes,
-            diurnal_period_minutes=scale.duration_minutes,
-            num_epochs=max(2, int(scale.duration_minutes / 60.0)),
-            drift_pool=max(10, scale.num_documents // 10),
-            seed=scale.seed,
-        ),
-        corpus_documents=scale.num_documents,
-        corpus_seed=scale.seed,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -263,15 +158,14 @@ def _load_distribution(
     figure: str,
     dataset: str,
     workload: WorkloadSpec,
-    scale: FigureScale,
+    scale: Scale,
     jobs: Optional[int] = None,
     overload: Optional[OverloadConfig] = None,
 ) -> LoadDistributionResult:
-    num_caches = 10
     specs = [
         warmed_spec(
             scheme.value,
-            _loadbalance_config(scheme, num_caches, 5, scale),
+            loadbalance_cloud(scale, scheme),
             workload,
             scale.duration_minutes,
             overload=overload,
@@ -307,7 +201,7 @@ def figure3_claims(result: LoadDistributionResult) -> Dict[str, bool]:
 
 
 def figure3(
-    scale: FigureScale = SMALL_SCALE,
+    scale: Scale = SMALL_SCALE,
     jobs: Optional[int] = None,
     overload: Optional[OverloadConfig] = None,
 ) -> LoadDistributionResult:
@@ -322,24 +216,22 @@ def figure3(
     run; a zero-cost config is value-identical to omitting it (pinned by
     the golden-fingerprint equivalence tests).
     """
-    workload = _zipf_workload(scale, num_caches=10, alpha=0.9)
     return _load_distribution(
-        "Figure 3", "Zipf-0.9 dataset", workload, scale, jobs=jobs,
+        "Figure 3", "Zipf-0.9 dataset", zipf_workload(scale), scale, jobs=jobs,
         overload=overload,
     )
 
 
 def figure4(
-    scale: FigureScale = SMALL_SCALE, jobs: Optional[int] = None
+    scale: Scale = SMALL_SCALE, jobs: Optional[int] = None
 ) -> LoadDistributionResult:
     """Figure 4: load distribution for the Sydney(-like) dataset.
 
     Paper: dynamic hashing improves peak/mean by ~40 % (to 1.06) and the
     coefficient of variation by ~63 %.
     """
-    workload = _sydney_workload(scale, num_caches=10)
     return _load_distribution(
-        "Figure 4", "Sydney dataset", workload, scale, jobs=jobs
+        "Figure 4", "Sydney dataset", sydney_workload(scale), scale, jobs=jobs
     )
 
 
@@ -347,7 +239,7 @@ def figure4(
 # Figure 5: beacon-ring size vs load balancing
 # ----------------------------------------------------------------------
 def figure5(
-    scale: FigureScale = SMALL_SCALE,
+    scale: Scale = SMALL_SCALE,
     cloud_sizes: Tuple[int, ...] = CLOUD_SIZE_SWEEP,
     ring_sizes: Tuple[int, ...] = RING_SIZE_SWEEP,
     jobs: Optional[int] = None,
@@ -362,7 +254,7 @@ def figure5(
     labels = ["static"] + [f"dynamic/{ring_size}-per-ring" for ring_size in ring_sizes]
     specs = []
     for num_caches in cloud_sizes:
-        workload = _sydney_workload(scale, num_caches=num_caches)
+        workload = sydney_workload(scale, num_caches=num_caches)
         # Static hashing is one ring of every cache; its ring plays no role.
         for label, ring_size in zip(labels, (num_caches, *ring_sizes)):
             scheme = (
@@ -371,8 +263,11 @@ def figure5(
             specs.append(
                 warmed_spec(
                     (num_caches, label),
-                    _loadbalance_config(
-                        scheme, num_caches, rings_for(num_caches, ring_size), scale
+                    loadbalance_cloud(
+                        scale,
+                        scheme,
+                        num_caches=num_caches,
+                        num_rings=rings_for(num_caches, ring_size),
                     ),
                     workload,
                     scale.duration_minutes,
@@ -435,7 +330,7 @@ class Figure6Result:
 
 
 def figure6(
-    scale: FigureScale = SMALL_SCALE,
+    scale: Scale = SMALL_SCALE,
     alphas: Tuple[float, ...] = ZIPF_SWEEP,
     jobs: Optional[int] = None,
     overload: Optional[OverloadConfig] = None,
@@ -448,12 +343,12 @@ def figure6(
     result = Figure6Result(list(alphas))
     specs = []
     for alpha in alphas:
-        workload = _zipf_workload(scale, num_caches=10, alpha=alpha)
+        workload = zipf_workload(scale, alpha_requests=alpha)
         for scheme in (AssignmentScheme.STATIC, AssignmentScheme.DYNAMIC):
             specs.append(
                 warmed_spec(
                     (alpha, scheme.value),
-                    _loadbalance_config(scheme, 10, 5, scale),
+                    loadbalance_cloud(scale, scheme),
                     workload,
                     scale.duration_minutes,
                     overload=overload,
@@ -488,29 +383,10 @@ PLACEMENT_LABELS = {
 }
 
 
-def _placement_config(
-    placement: PlacementScheme,
-    weights: UtilityWeights,
-    capacity_bytes: Optional[int],
-    scale: FigureScale,
-) -> CloudConfig:
-    return CloudConfig(
-        num_caches=10,
-        num_rings=5,
-        cycle_length=scale.cycle_length,
-        assignment=AssignmentScheme.DYNAMIC,
-        placement=placement,
-        utility_weights=weights,
-        utility_threshold=0.5,
-        capacity_bytes=capacity_bytes,
-        seed=scale.seed,
-    )
-
-
 def _placement_sweep(
     figures: Tuple[str, str],
     metric: str,
-    scale: FigureScale,
+    scale: Scale,
     update_rates: Tuple[float, ...],
     weights: UtilityWeights,
     disk_fraction: Optional[float],
@@ -527,29 +403,31 @@ def _placement_sweep(
     """
     schemes = [PlacementScheme.AD_HOC, PlacementScheme.UTILITY, PlacementScheme.BEACON]
     labels = [PLACEMENT_LABELS[scheme] for scheme in schemes]
-    if disk_fraction is None:
-        capacity = None
-    else:
-        # The corpus depends only on the scale's seed — build it once here to
-        # size the disk budget; workers rebuild the identical corpus.
-        corpus = _sydney_workload(scale, num_caches=10).build_corpus()
-        capacity = max(1, int(corpus.total_bytes * disk_fraction))
+    capacity = (
+        None
+        if disk_fraction is None
+        else disk_budget(sydney_workload(scale), disk_fraction)
+    )
     specs = []
     for update_rate in update_rates:
-        workload = _sydney_workload(
-            scale, num_caches=10, update_rate=update_rate * scale.update_sweep_scale
+        workload = sydney_workload(
+            scale, base_update_rate=update_rate * scale.update_sweep_scale
         )
         for scheme, label in zip(schemes, labels):
             specs.append(
                 warmed_spec(
                     (update_rate, label),
-                    _placement_config(scheme, weights, capacity, scale),
+                    paper_cloud(
+                        scale,
+                        placement=scheme,
+                        utility_weights=weights,
+                        capacity_bytes=capacity,
+                    ),
                     workload,
                     scale.duration_minutes,
                 )
             )
     runs, _ = run_points(specs, jobs=jobs, strict=True)
-    observed = 195.0 * scale.update_sweep_scale
     # All arms of a rate share one trace; any arm's unique-doc count will do.
     unique = [runs[(rate, labels[0])].unique_request_docs for rate in update_rates]
 
@@ -565,7 +443,10 @@ def _placement_sweep(
                 for rate in update_rates
             ],
             extras={"unique_docs": unique},
-            title=f"{what} vs document update rate (observed rate ≈ {observed:g}/unit)",
+            title=(
+                f"{what} vs document update rate "
+                f"(observed rate ≈ {scale.observed_update_rate:g}/unit)"
+            ),
         )
 
     return (
@@ -579,7 +460,7 @@ def _placement_sweep(
 
 
 def figure7_and_8(
-    scale: FigureScale = SMALL_SCALE,
+    scale: Scale = SMALL_SCALE,
     update_rates: Tuple[float, ...] = UPDATE_RATE_SWEEP,
     jobs: Optional[int] = None,
 ) -> Tuple[SweepTable, SweepTable]:
@@ -635,7 +516,7 @@ def figure7_and_8_claims(result: Tuple[SweepTable, SweepTable]) -> Dict[str, boo
 
 
 def figure9(
-    scale: FigureScale = SMALL_SCALE,
+    scale: Scale = SMALL_SCALE,
     update_rates: Tuple[float, ...] = UPDATE_RATE_SWEEP,
     jobs: Optional[int] = None,
 ) -> SweepTable:
@@ -652,7 +533,7 @@ def figure9(
         scale,
         update_rates,
         WEIGHTS_ALL_ON,
-        disk_fraction=scale.limited_disk_fraction,
+        disk_fraction=scale.disk_fraction,
         jobs=jobs,
     )
     return traffic

@@ -29,21 +29,23 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.config import AssignmentScheme, CloudConfig, PlacementScheme
+from repro.core.config import PlacementScheme
 from repro.core.overload import OverloadConfig
-from repro.experiments.figures import SMALL_SCALE, FigureScale
+from repro.experiments.figures import SMALL_SCALE
 from repro.experiments.parallel import (
     ExperimentSpec,
     WorkloadSpec,
     run_live,
 )
-from repro.experiments.sweeps import SweepTable, run_points
+from repro.experiments.sweeps import (
+    Scale,
+    SweepTable,
+    paper_cloud,
+    run_table,
+    sydney_workload,
+)
 from repro.faults.plan import RetryPolicy
 from repro.simulation.rng import derive_seed
-from repro.workload.sydney import SydneyConfig
-
-#: Number of caches in every sweep point (the paper's cloud size).
-NUM_CACHES = 10
 
 #: Monitor windows per run — coarse enough to stay cheap, fine enough to
 #: resolve the flash-crowd humps.
@@ -82,7 +84,7 @@ def default_overload_config() -> OverloadConfig:
     )
 
 
-def _flash_workload(scale: FigureScale, load_multiplier: float) -> WorkloadSpec:
+def _flash_workload(scale: Scale, load_multiplier: float) -> WorkloadSpec:
     """A Sydney-like diurnal trace with flash crowds at ``load_multiplier``.
 
     The multiplier scales the *offered load* (peak request rate); the flash
@@ -92,59 +94,30 @@ def _flash_workload(scale: FigureScale, load_multiplier: float) -> WorkloadSpec:
     is constant across multipliers (common random numbers: arms and load
     points differ by the knob under study, not by their randomness).
     """
-    return WorkloadSpec(
-        generator_config=SydneyConfig(
-            num_documents=scale.num_documents,
-            num_caches=NUM_CACHES,
-            peak_request_rate_per_cache=(
-                scale.request_rate_per_cache * load_multiplier
-            ),
-            base_update_rate=scale.update_rate,
-            duration_minutes=scale.duration_minutes,
-            seed=derive_seed(scale.seed, "overload"),
-            num_epochs=2,
-            drift_pool=min(100, scale.num_documents),
-            diurnal_floor=0.6,
-            diurnal_period_minutes=scale.duration_minutes,
-            num_flash_crowds=2,
-            flash_duration_minutes=scale.duration_minutes / 8.0,
-            flash_multiplier=8.0,
-        ),
-        corpus_documents=scale.num_documents,
+    return sydney_workload(
+        scale,
         corpus_seed=derive_seed(scale.seed, "overload-corpus"),
-    )
-
-
-def _arm_config(scale: FigureScale, cooperative: bool) -> CloudConfig:
-    """Cloud configuration for one arm (cooperation on or off)."""
-    return CloudConfig(
-        num_caches=NUM_CACHES,
-        num_rings=5,
-        intra_gen=1000,
-        cycle_length=scale.cycle_length,
-        assignment=AssignmentScheme.DYNAMIC,
-        placement=PlacementScheme.AD_HOC,
-        cooperation=cooperative,
-        seed=scale.seed,
+        peak_request_rate_per_cache=scale.request_rate_per_cache * load_multiplier,
+        seed=derive_seed(scale.seed, "overload"),
+        num_epochs=2,
+        drift_pool=min(100, scale.num_documents),
+        diurnal_floor=0.6,
+        num_flash_crowds=2,
+        flash_duration_minutes=scale.duration_minutes / 8.0,
+        flash_multiplier=8.0,
     )
 
 
 @dataclass
 class OverloadPointResult:
-    """One (load multiplier, arm) sweep point, detached and picklable."""
+    """One (load multiplier, arm) point's table columns and monitor series.
 
-    multiplier: float
-    arm: str  # "cooperative" | "direct"
-    requests: int
-    requests_rejected: int
+    Detached and picklable; the point's coordinates are its spec key.
+    """
+
     rejection_percent: float
     shed_percent: float
-    lookups_shed: int
-    peer_fetches_shed: int
-    fanout_deferred: int
     avg_queue_depth: float
-    queue_delay_minutes: float
-    messages_rejected: int
     cloud_hit_percent: float
     origin_fetches: int
     mean_latency_ms: float
@@ -160,9 +133,6 @@ def _run_point(spec: ExperimentSpec) -> OverloadPointResult:
     are packaged into a detached record (the live cloud never crosses the
     process boundary).
     """
-    key = spec.key
-    assert isinstance(key, tuple)
-    multiplier, arm = key
     live = run_live(spec, monitor_windows=MONITOR_WINDOWS)
     result, monitor = live.result, live.monitor
     assert result.cloud is not None and result.cloud.overload is not None
@@ -170,22 +140,13 @@ def _run_point(spec: ExperimentSpec) -> OverloadPointResult:
     stats = result.cloud.overload.stats
     arrivals = stats.requests_admitted + stats.requests_rejected
     return OverloadPointResult(
-        multiplier=float(multiplier),
-        arm=str(arm),
-        requests=result.requests,
-        requests_rejected=stats.requests_rejected,
         rejection_percent=(
             100.0 * stats.requests_rejected / arrivals if arrivals else 0.0
         ),
         shed_percent=(
             100.0 * stats.shed_total / arrivals if arrivals else 0.0
         ),
-        lookups_shed=stats.lookups_shed,
-        peer_fetches_shed=stats.peer_fetches_shed,
-        fanout_deferred=stats.fanout_deferred,
         avg_queue_depth=stats.avg_queue_depth,
-        queue_delay_minutes=stats.queue_delay_minutes,
-        messages_rejected=stats.messages_rejected,
         cloud_hit_percent=100.0 * result.stats.cloud_hit_rate,
         origin_fetches=result.stats.origin_fetches,
         mean_latency_ms=result.stats.mean_latency_ms,
@@ -201,7 +162,7 @@ def point_key(multiplier: float, arm: str) -> str:
 
 
 def overload_sweep(
-    scale: FigureScale = SMALL_SCALE,
+    scale: Scale = SMALL_SCALE,
     multipliers: Sequence[float] = DEFAULT_MULTIPLIERS,
     jobs: Optional[int] = None,
     overload: Optional[OverloadConfig] = None,
@@ -222,8 +183,12 @@ def overload_sweep(
             arm = "cooperative" if cooperative else "direct"
             specs.append(
                 ExperimentSpec(
-                    key=(multiplier, arm),
-                    config=_arm_config(scale, cooperative),
+                    key=(float(multiplier), arm),
+                    config=paper_cloud(
+                        scale,
+                        placement=PlacementScheme.AD_HOC,
+                        cooperation=cooperative,
+                    ),
                     workload=workload,
                     duration=scale.duration_minutes,
                     # No warm-up reset: the cold start is part of the story
@@ -234,8 +199,21 @@ def overload_sweep(
                 )
             )
 
-    points, failures = run_points(specs, jobs=jobs, runner=_run_point)
-    return SweepTable(
+    return run_table(
+        specs,
+        lambda point: (
+            point.rejection_percent,
+            point.shed_percent,
+            point.avg_queue_depth,
+            point.cloud_hit_percent,
+            point.origin_fetches,
+            point.mean_latency_ms,
+        ),
+        jobs,
+        runner=_run_point,
+        extras=lambda points: {
+            "series": {point_key(*key): point.series for key, point in points.items()}
+        },
         header=("Overload", "flash-crowd saturation: cooperative vs origin-direct"),
         columns=(
             "load x",
@@ -248,26 +226,6 @@ def overload_sweep(
             "mean latency (ms)",
         ),
         keys=("load x", "arm"),
-        rows=[
-            (
-                point.multiplier,
-                point.arm,
-                point.rejection_percent,
-                point.shed_percent,
-                point.avg_queue_depth,
-                point.cloud_hit_percent,
-                point.origin_fetches,
-                point.mean_latency_ms,
-            )
-            for point in points.values()
-        ],
-        failures=failures,
-        extras={
-            "series": {
-                point_key(point.multiplier, point.arm): point.series
-                for point in points.values()
-            }
-        },
     )
 
 

@@ -96,15 +96,10 @@ class WorkloadSpec:
     generator_config: GeneratorConfig
     corpus_documents: int
     corpus_seed: int
-    corpus_fixed_size: Optional[int] = None
 
     def build_corpus(self) -> Corpus:
         """Materialize the document corpus."""
-        return build_corpus(
-            self.corpus_documents,
-            seed_corpus_rng(self.corpus_seed),
-            fixed_size=self.corpus_fixed_size,
-        )
+        return build_corpus(self.corpus_documents, seed_corpus_rng(self.corpus_seed))
 
     def build_generator(
         self,

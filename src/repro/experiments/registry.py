@@ -16,6 +16,7 @@ sweep point failed and every claim holds.
 from __future__ import annotations
 
 import argparse
+import inspect
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -37,9 +38,7 @@ from repro.experiments.resilience import (
 from repro.experiments.sweeps import SweepFailed, SweepTable, failure_lines
 from repro.experiments.zoo import (
     DEFAULT_SCHEMES,
-    ZOO_SCALE,
-    ZOO_SMALL,
-    ZOO_TINY,
+    ZOO_SCALES,
     zoo_claims,
     zoo_sweep,
 )
@@ -76,8 +75,9 @@ class Experiment:
 
     name: str
     help: str
-    #: ``run(scale, **grid)`` (plus ``jobs=`` when :attr:`sweeps`); returns
-    #: a result with ``render()``, or a tuple of them.
+    #: ``run(scale, **grid)``; returns a result with ``render()``, or a tuple
+    #: of them. A run that accepts ``jobs`` is a sweep of independent points
+    #: and is given the job count.
     run: Callable[..., Any]
     #: The experiment's expected findings as named booleans over the result.
     claims: Callable[[Any], Dict[str, bool]]
@@ -85,8 +85,6 @@ class Experiment:
     params: Tuple[Param, ...] = ()
     #: Grid overrides at :data:`SMOKE_SCALE` (explicit values still win).
     smoke: Mapping[str, Any] = field(default_factory=dict)
-    #: Whether the run is a sweep of independent points (takes ``jobs``).
-    sweeps: bool = True
 
 
 @dataclass
@@ -165,7 +163,7 @@ def run(
     if scale == SMOKE_SCALE:
         kwargs.update(entry.smoke)
     kwargs.update(grid)
-    if entry.sweeps:
+    if "jobs" in inspect.signature(entry.run).parameters:
         kwargs["jobs"] = jobs
     try:
         result = entry.run(sizing, **kwargs)
@@ -211,7 +209,9 @@ def given_grids(
 ) -> Dict[str, Dict[str, Any]]:
     """Split parsed flag values (``vars(args)``) among the named experiments.
 
-    Raises :class:`ValueError` for a flag that none of them takes.
+    Raises :class:`ValueError` for a flag that none of them takes, and for a
+    grid that names a value twice: points are keyed by their grid values, so
+    a repeat would run twice into one row (and one ``--flight-dir`` file).
     """
     flags = {p.name: p.flag for entry in REGISTRY.values() for p in entry.params}
     grids: Dict[str, Dict[str, Any]] = {name: {} for name in names}
@@ -221,6 +221,8 @@ def given_grids(
         takers = [n for n in names if any(p.name == key for p in REGISTRY[n].params)]
         if not takers:
             raise ValueError(f"{flags[key]} applies to none of: {', '.join(names)}")
+        if isinstance(value, list) and len(set(value)) < len(value):
+            raise ValueError(f"{flags[key]} names a value more than once: {value}")
         for name in takers:
             grids[name][key] = tuple(value) if isinstance(value, list) else value
     return grids
@@ -312,28 +314,23 @@ _ENTRIES: Tuple[Experiment, ...] = (
     Experiment(
         "consistency", "extension: push (cache cloud) vs TTL vs cooperative leases",
         extensions.consistency_mode_comparison, extensions.consistency_claims,
-        sweeps=False,
     ),
     Experiment(
         "multi-cloud", "extension: server update messages as the edge network grows",
         extensions.multi_cloud_update_savings, extensions.multi_cloud_claims,
         smoke={"cloud_counts": (1, 2), "caches_per_cloud": 4},
-        sweeps=False,
     ),
     Experiment(
         "adaptive-weights", "extension: fixed vs feedback-adapted utility weights",
         extensions.adaptive_weights_comparison, extensions.adaptive_weights_claims,
-        sweeps=False,
     ),
     Experiment(
         "failure-resilience", "extension: value of lazy directory replication under failure",
         extensions.failure_resilience_value, extensions.failure_resilience_claims,
-        sweeps=False,
     ),
     Experiment(
         "latency", "extension: client latency by placement scheme (far origin)",
         extensions.client_latency_comparison, extensions.latency_claims,
-        sweeps=False,
     ),
     Experiment(
         "capabilities", "extension: does beacon load track machine capability?",
@@ -388,7 +385,7 @@ _ENTRIES: Tuple[Experiment, ...] = (
         "LCE/LCD/ProbCache/CUP-tree) over one shared workload, ranked",
         zoo_sweep, zoo_claims,
         # scale = 1000 caches, 10M streamed requests per arm.
-        scales={"tiny": ZOO_TINY, "small": ZOO_SMALL, "scale": ZOO_SCALE},
+        scales=ZOO_SCALES,
         params=(
             Param(
                 "schemes", "--schemes", str, DEFAULT_SCHEMES,

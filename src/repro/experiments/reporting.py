@@ -19,9 +19,10 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from enum import Enum
 from pathlib import Path
-from typing import Any, Dict, List, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 SCHEMA_VERSION = 1
 
@@ -131,12 +132,14 @@ def compare_runs(
     old: Dict[str, Any],
     new: Dict[str, Any],
     tolerance: float = 0.05,
-) -> List[Tuple[str, float, float, float]]:
+) -> List[Tuple[str, Optional[float], Optional[float], float]]:
     """Numeric drift between two archives of the same experiment.
 
-    Returns ``(path, old, new, relative_delta)`` for every shared numeric
-    path whose relative change exceeds ``tolerance`` (absolute change for
-    near-zero baselines). Raises if the archives are different experiments.
+    Returns ``(path, old, new, relative_delta)`` for every numeric path
+    whose relative change exceeds ``tolerance`` (absolute change for
+    near-zero baselines). A path only one archive has — a lost row, a
+    ``null`` payload — is drift too: its missing side is ``None`` and its
+    delta infinite. Raises if the archives are different experiments.
     """
     if old["experiment"] != new["experiment"]:
         raise ValueError(
@@ -144,10 +147,12 @@ def compare_runs(
         )
     old_numbers = numeric_view(old)
     new_numbers = numeric_view(new)
-    drifted: List[Tuple[str, float, float, float]] = []
-    for path in sorted(set(old_numbers) & set(new_numbers)):
-        before, after = old_numbers[path], new_numbers[path]
-        if abs(before) < 1e-9:
+    drifted: List[Tuple[str, Optional[float], Optional[float], float]] = []
+    for path in sorted(set(old_numbers) | set(new_numbers)):
+        before, after = old_numbers.get(path), new_numbers.get(path)
+        if before is None or after is None:
+            delta = math.inf
+        elif abs(before) < 1e-9:
             delta = abs(after - before)
         else:
             delta = abs(after - before) / abs(before)

@@ -16,17 +16,21 @@ are seeded, so the sweep is value-identical at any ``--jobs`` count.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Tuple
 
 from repro.audit.antientropy import AntiEntropyConfig
-from repro.core.config import AssignmentScheme, CloudConfig, PlacementScheme
-from repro.experiments.figures import FigureScale, SMALL_SCALE, _zipf_workload
+from repro.core.config import PlacementScheme
+from repro.experiments.figures import SMALL_SCALE
 from repro.experiments.parallel import ExperimentSpec, run_live
 from repro.experiments.sweeps import (
+    Scale,
     SweepTable,
+    paper_cloud,
     poisson_churn,
     run_points,
+    run_table,
     warmed_spec,
+    zipf_workload,
 )
 from repro.faults.plan import FaultPlan
 from repro.network.bandwidth import TrafficCategory
@@ -37,22 +41,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.overload import OverloadConfig
 
 
-def _sweep_config(scale: FigureScale) -> CloudConfig:
-    """The cloud configuration every resilience sweep point shares."""
-    return CloudConfig(
-        num_caches=10,
-        num_rings=5,
-        intra_gen=1000,
-        cycle_length=scale.cycle_length,
-        assignment=AssignmentScheme.DYNAMIC,
-        placement=PlacementScheme.AD_HOC,
-        failure_resilience=True,
-        seed=scale.seed,
-    )
-
-
 def _point(
-    scale: FigureScale, key: object, loss_rate: float, churn_rate: float, **planes: Any
+    scale: Scale, key: object, loss_rate: float, churn_rate: float, **planes: Any
 ) -> ExperimentSpec:
     """One (loss, churn) grid point: shared config + workload, seeded faults.
 
@@ -61,11 +51,10 @@ def _point(
     same Zipf workload, so the only variable across points is the fault
     regime.
     """
-    config = _sweep_config(scale)
     return warmed_spec(
         key,
-        config,
-        _zipf_workload(scale, config.num_caches),
+        paper_cloud(scale, placement=PlacementScheme.AD_HOC, failure_resilience=True),
+        zipf_workload(scale),
         scale.duration_minutes,
         fault_plan=FaultPlan(
             seed=derive_seed(scale.seed, "loss", loss_rate), loss_rate=loss_rate
@@ -81,7 +70,7 @@ def _point(
 
 
 def resilience_sweep(
-    scale: FigureScale = SMALL_SCALE,
+    scale: Scale = SMALL_SCALE,
     loss_rates: Sequence[float] = (0.0, 0.05, 0.2, 0.5),
     churn_rates: Sequence[float] = (0.0,),
     jobs: Optional[int] = None,
@@ -103,8 +92,24 @@ def resilience_sweep(
         for loss_rate in loss_rates
         for churn_rate in churn_rates
     ]
-    runs, failures = run_points(specs, jobs=jobs)
-    table = SweepTable(
+
+    def measure(run: Any) -> Tuple[float, ...]:
+        counters = run.resilience
+        return (
+            100.0 * run.stats.cloud_hit_rate,
+            run.stats.origin_fetches,
+            counters.get("retries", 0.0),
+            counters.get("timeouts", 0.0),
+            counters.get("stale_refreshes", 0.0),
+            counters.get("directory_repairs", 0.0),
+            counters.get("failovers", 0.0),
+            counters.get("unavailability_minutes", 0.0),
+        )
+
+    table = run_table(
+        specs,
+        measure,
+        jobs,
         header=("Resilience", "service degradation vs message loss and churn"),
         columns=(
             "loss rate",
@@ -119,24 +124,7 @@ def resilience_sweep(
             "unavailable (min)",
         ),
         keys=("loss rate", "churn/min"),
-        failures=failures,
     )
-    for (loss_rate, churn_rate), run in runs.items():
-        counters = run.resilience
-        table.rows.append(
-            (
-                loss_rate,
-                churn_rate,
-                100.0 * run.stats.cloud_hit_rate,
-                run.stats.origin_fetches,
-                counters.get("retries", 0.0),
-                counters.get("timeouts", 0.0),
-                counters.get("stale_refreshes", 0.0),
-                counters.get("directory_repairs", 0.0),
-                counters.get("failovers", 0.0),
-                counters.get("unavailability_minutes", 0.0),
-            )
-        )
     if telemetry is not None:
         harshest = (max(loss_rates), max(churn_rates))
         observed = Telemetry()
@@ -186,7 +174,7 @@ def resilience_claims(table: SweepTable) -> Dict[str, bool]:
 
 
 def anti_entropy_sweep(
-    scale: FigureScale = SMALL_SCALE,
+    scale: Scale = SMALL_SCALE,
     loss_rates: Sequence[float] = (0.1, 0.3),
     churn_rates: Sequence[float] = (0.0, 0.05),
     jobs: Optional[int] = None,

@@ -24,63 +24,33 @@ can pass ``checkpoint=`` to resume interrupted runs arm-by-arm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.core.config import AssignmentScheme, CloudConfig, PlacementScheme
-from repro.experiments.parallel import WorkloadSpec
 from repro.experiments.runner import ExperimentResult
-from repro.experiments.sweeps import SweepTable, run_points, warmed_spec
+from repro.experiments.sweeps import (
+    Scale,
+    SweepTable,
+    disk_budget,
+    paper_cloud,
+    run_points,
+    warmed_spec,
+    zipf_workload,
+)
 from repro.observe.flight import FlightSpec
 from repro.simulation.rng import derive_seed
 from repro.strategies.spec import KNOWN_SCHEMES, StrategySpec
-from repro.workload.generator import WorkloadConfig
 
 #: Schemes swept by default: the whole zoo, paper schemes first.
 DEFAULT_SCHEMES: Tuple[str, ...] = KNOWN_SCHEMES
 
 
-@dataclass(frozen=True)
-class ZooScale:
-    """Run-size knobs for the strategy zoo.
-
-    Unlike :class:`~repro.experiments.figures.FigureScale`, the cloud size
-    is a knob here — the zoo's headline preset runs a thousand caches.
-    ``disk_fraction`` sizes each cache's disk budget as a fraction of the
-    corpus bytes; a budget below 1.0 is what makes admission policies
-    differ at steady state (with infinite disk every scheme converges on
-    "everything is resident").
-    """
-
-    label: str
-    num_caches: int
-    num_rings: int
-    num_documents: int
-    request_rate_per_cache: float
-    update_rate: float
-    duration_minutes: float
-    cycle_length: float
-    disk_fraction: float = 0.05
-    seed: int = 7
-
-    def __post_init__(self) -> None:
-        if self.num_caches <= 0 or self.num_documents <= 0:
-            raise ValueError("zoo scale sizes must be positive")
-        if not 0.0 < self.disk_fraction:
-            raise ValueError("disk_fraction must be positive")
-
-    @property
-    def requests_total(self) -> float:
-        """Offered requests per arm (rate x caches x duration)."""
-        return (
-            self.request_rate_per_cache * self.num_caches * self.duration_minutes
-        )
-
+# Unlike the figures, the cloud size is a knob here — the headline preset
+# runs a thousand caches.
 
 #: Unit-test / CI-smoke scale: each arm in well under a second.
-ZOO_TINY = ZooScale(
-    label="tiny",
+ZOO_TINY = Scale(
     num_caches=8,
     num_rings=2,
     num_documents=200,
@@ -92,22 +62,17 @@ ZOO_TINY = ZooScale(
 )
 
 #: Laptop default: the full zoo in tens of seconds.
-ZOO_SMALL = ZooScale(
-    label="small",
-    num_caches=10,
-    num_rings=5,
+ZOO_SMALL = Scale(
     num_documents=2_000,
     request_rate_per_cache=80.0,
     update_rate=60.0,
     duration_minutes=60.0,
     cycle_length=15.0,
-    disk_fraction=0.05,
 )
 
 #: The streaming showcase: 1000 caches x 200 req/min x 50 min = 10M
 #: requests per arm, fed out-of-core (the trace is never a list).
-ZOO_SCALE = ZooScale(
-    label="scale",
+ZOO_SCALE = Scale(
     num_caches=1_000,
     num_rings=10,
     num_documents=100_000,
@@ -118,41 +83,20 @@ ZOO_SCALE = ZooScale(
     disk_fraction=0.01,
 )
 
-
-def _zoo_workload(scale: ZooScale) -> WorkloadSpec:
-    """The one Zipf workload recipe every arm shares (common random numbers)."""
-    return WorkloadSpec(
-        generator_config=WorkloadConfig(
-            num_documents=scale.num_documents,
-            num_caches=scale.num_caches,
-            request_rate_per_cache=scale.request_rate_per_cache,
-            update_rate=scale.update_rate,
-            duration_minutes=scale.duration_minutes,
-            seed=derive_seed(scale.seed, "zoo-trace"),
-        ),
-        corpus_documents=scale.num_documents,
-        corpus_seed=derive_seed(scale.seed, "zoo-corpus"),
-    )
+#: The presets by their registry name (``extras["scale_label"]``).
+ZOO_SCALES: Mapping[str, Scale] = {
+    "tiny": ZOO_TINY,
+    "small": ZOO_SMALL,
+    "scale": ZOO_SCALE,
+}
 
 
-def _zoo_config(scale: ZooScale, capacity_bytes: int) -> CloudConfig:
-    """The one cloud shape every arm shares.
-
-    ``config.placement`` is the utility baseline, but it is inert here:
-    :func:`~repro.strategies.spec.build_strategy` re-derives the placement
-    from each arm's :class:`StrategySpec`, so the arm's strategy — not this
-    field — decides admission.
-    """
-    return CloudConfig(
-        num_caches=scale.num_caches,
-        num_rings=scale.num_rings,
-        intra_gen=1000,
-        cycle_length=scale.cycle_length,
-        assignment=AssignmentScheme.DYNAMIC,
-        placement=PlacementScheme.UTILITY,
-        capacity_bytes=capacity_bytes,
-        seed=scale.seed,
-    )
+def _scale_label(scale: Scale) -> str:
+    """The registry name of ``scale``: a preset is itself under any root seed."""
+    for label, preset in ZOO_SCALES.items():
+        if replace(scale, seed=preset.seed) == preset:
+            return label
+    return "custom"
 
 
 def _rank_key(outcome: ExperimentResult) -> Tuple[float, float, float]:
@@ -170,7 +114,7 @@ def _rank_key(outcome: ExperimentResult) -> Tuple[float, float, float]:
 
 
 def zoo_sweep(
-    scale: ZooScale = ZOO_SMALL,
+    scale: Scale = ZOO_SMALL,
     schemes: Sequence[str] = DEFAULT_SCHEMES,
     jobs: Optional[int] = None,
     checkpoint: Optional[Union[str, Path]] = None,
@@ -191,12 +135,20 @@ def zoo_sweep(
             raise ValueError(
                 f"unknown strategy {scheme!r}; known: {', '.join(KNOWN_SCHEMES)}"
             )
-    workload = _zoo_workload(scale)
-    # The corpus depends only on its seed — build it once here to size the
-    # per-cache disk budget; workers rebuild the identical corpus.
-    corpus = workload.build_corpus()
-    capacity = max(1, int(corpus.total_bytes * scale.disk_fraction))
-    config = _zoo_config(scale, capacity)
+    # One workload recipe and one cloud shape for every arm (common random
+    # numbers).
+    workload = zipf_workload(
+        scale,
+        corpus_seed=derive_seed(scale.seed, "zoo-corpus"),
+        seed=derive_seed(scale.seed, "zoo-trace"),
+    )
+    # ``config.placement`` stays the utility default, but it is inert here:
+    # :func:`~repro.strategies.spec.build_strategy` re-derives the placement
+    # from each arm's :class:`StrategySpec`, so the arm's strategy — not
+    # that field — decides admission.
+    config = paper_cloud(
+        scale, capacity_bytes=disk_budget(workload, scale.disk_fraction)
+    )
     if flight_dir is not None:
         Path(flight_dir).mkdir(parents=True, exist_ok=True)
 
@@ -221,11 +173,14 @@ def zoo_sweep(
     ]
     runs, failures = run_points(specs, jobs=jobs, checkpoint=checkpoint)
     ranked = sorted(runs.items(), key=lambda pair: _rank_key(pair[1]))
-    requests_per_arm = int(scale.requests_total)
+    label = _scale_label(scale)
+    requests_per_arm = int(
+        scale.request_rate_per_cache * scale.num_caches * scale.duration_minutes
+    )
     return SweepTable(
         header=(
             "Zoo",
-            f"strategy ranking, {scale.label} scale "
+            f"strategy ranking, {label} scale "
             f"({requests_per_arm:,} requests per arm)",
         ),
         columns=(
@@ -255,7 +210,7 @@ def zoo_sweep(
             for rank, (scheme, run) in enumerate(ranked, start=1)
         ],
         failures=failures,
-        extras={"scale_label": scale.label, "requests_per_arm": requests_per_arm},
+        extras={"scale_label": label, "requests_per_arm": requests_per_arm},
     )
 
 

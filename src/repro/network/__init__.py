@@ -18,7 +18,6 @@ substrate:
 """
 
 from repro.network.bandwidth import TrafficCategory, TrafficMeter
-from repro.network.clients import Client, ClientPopulation
 from repro.network.landmarks import LandmarkClustering, form_cache_clouds
 from repro.network.origin import OriginServer
 from repro.network.topology import EuclideanTopology, ExplicitTopology, NetworkTopology
@@ -26,8 +25,6 @@ from repro.network.transport import CONTROL_MESSAGE_BYTES, Transport
 
 __all__ = [
     "CONTROL_MESSAGE_BYTES",
-    "Client",
-    "ClientPopulation",
     "EuclideanTopology",
     "ExplicitTopology",
     "LandmarkClustering",

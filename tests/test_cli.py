@@ -90,6 +90,10 @@ class TestExpUsageErrors:
             (["exp", "audit", "--scale", "paper"], "audit has no 'paper' scale"),
             (["exp", "audit", "--seed", "3"], "takes no root seed"),
             (["exp", "fig3", "fig4", "--out", "x.json"], "name exactly one"),
+            (
+                ["exp", "zoo", "--schemes", "utility", "utility", "--flight-dir", "d"],
+                "--schemes names a value more than once",
+            ),
         ],
     )
     def test_rejected_before_anything_runs(self, argv, message, capsys):
@@ -261,6 +265,14 @@ class TestCompareCommand:
         assert main(["compare", a, b]) == 1
         out = capsys.readouterr().out
         assert "v: 1 -> 2" in out
+
+    def test_one_sided_paths_exit_nonzero_with_a_count(self, tmp_path, capsys):
+        a = self._write(tmp_path, "e", {"rows": [[1.0], [2.0], [3.0]]}, "a.json")
+        b = self._write(tmp_path, "e", {"rows": [[1.0]]}, "b.json")
+        assert main(["compare", a, b]) == 1
+        out = capsys.readouterr().out
+        assert "2 present in one archive only" in out
+        assert "rows[2][0]: 3 -> absent" in out
 
     def test_tolerance_flag(self, tmp_path):
         a = self._write(tmp_path, "e", {"v": 1.0}, "a.json")

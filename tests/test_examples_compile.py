@@ -27,7 +27,6 @@ def test_examples_exist():
     assert "failure_resilience" in names
     assert "multi_cloud" in names
     assert "consistency_modes" in names
-    assert "client_population" in names
 
 
 @pytest.mark.parametrize("path", EXAMPLE_FILES, ids=lambda p: p.stem)

@@ -1,0 +1,85 @@
+"""The experiment layer's two structural rules (pure ``ast``, like the gate beside it).
+
+* The paper's setup is written once: ``CloudConfig``, ``SydneyConfig`` and
+  ``WorkloadConfig`` are each constructed at exactly one site under
+  ``repro.experiments`` + ``repro.audit.chaos`` — the recipes of
+  :mod:`repro.experiments.sweeps`. An entry module states overrides.
+* What modules share is public: no module under ``repro.experiments``,
+  ``repro.audit`` or ``repro.baselines`` imports an underscore name from a
+  sibling module.
+
+:func:`lines_per_claim` ranks the experiment modules by what they cost:
+the table EXPERIMENTS.md embeds under the catalogue
+(``tests/test_experiments_registry.py`` keeps the two in sync).
+"""
+
+import ast
+from typing import Dict, Mapping, Sequence
+
+from tests.test_module_reachability import MODULES, _reachable, _references, _resolve
+
+LAYERS = ("repro.experiments", "repro.audit", "repro.baselines")
+RECIPE_SCOPE = [
+    path
+    for name, path in MODULES.items()
+    if name.startswith("repro.experiments.") or name == "repro.audit.chaos"
+]
+
+
+def test_the_setup_is_constructed_at_one_site_each():
+    sites = {"CloudConfig": [], "SydneyConfig": [], "WorkloadConfig": []}
+    for path in RECIPE_SCOPE:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                if node.func.id in sites:
+                    sites[node.func.id].append(f"{path.name}:{node.lineno}")
+    assert {name: len(where) for name, where in sites.items()} == {
+        "CloudConfig": 1, "SydneyConfig": 1, "WorkloadConfig": 1,
+    }, f"build configs through the recipes of experiments/sweeps.py: {sites}"
+    assert all(where[0].startswith("sweeps.py:") for where in sites.values())
+
+
+def test_no_module_imports_a_siblings_private_name():
+    private = [
+        f"{importer} imports {name} from {target}"
+        for importer, path in MODULES.items()
+        if importer.startswith(LAYERS)
+        for module, name in _references(path)
+        if name is not None and name.startswith("_") and not name.startswith("__")
+        for target in [_resolve(module, name)]
+        if target is not None and target != importer and target.startswith(LAYERS)
+    ]
+    assert not private, private
+
+
+def lines_per_claim(claims: Mapping[str, Sequence[str]]) -> str:
+    """Markdown table: per experiment module, exclusive lines ÷ claims stated.
+
+    ``claims`` maps each registry entry to the claims a smoke run of it
+    stated. A module's *exclusive* lines are those of every ``src/repro``
+    module the CLI no longer reaches once that module is gone — itself
+    included — i.e. what deleting its entries would let us delete. Examples
+    and benchmarks are demos, not claims, so unlike the reachability gate
+    they are not entry points here: a module only an example keeps alive
+    still counts against the experiment that needs it.
+    """
+    from repro.experiments.registry import REGISTRY
+
+    stated: Dict[str, int] = {}
+    for entry in REGISTRY.values():
+        module = entry.run.__module__
+        stated[module] = stated.get(module, 0) + len(claims[entry.name])
+    everything = _reachable(globs=())
+    rows = []
+    for module, count in stated.items():
+        only = everything - _reachable(globs=(), without=module)
+        lines = sum(len(MODULES[name].read_text().splitlines()) for name in only)
+        others = ", ".join(sorted(f"`{n[len('repro.'):]}`" for n in only - {module}))
+        rows.append((lines / count, module, lines, count, others or "—"))
+    table = [
+        "| module | lines only it reaches | with it go | claims at `tiny` | lines per claim |",
+        "|---|---|---|---|---|",
+    ]
+    for ratio, module, lines, count, others in sorted(rows, reverse=True):
+        table.append(f"| `{module}` | {lines} | {others} | {count} | {ratio:.0f} |")
+    return "\n".join(table)

@@ -9,13 +9,14 @@ reads the registry's shared smoke run of its figure (``smoke`` fixture).
 import pytest
 
 from repro.experiments import figures
-from repro.experiments.figures import FigureScale, TINY_SCALE
+from repro.experiments.figures import TINY_SCALE
+from repro.experiments.sweeps import Scale
 
 
 class TestFigureScale:
     def test_validation(self):
         with pytest.raises(ValueError):
-            FigureScale(
+            Scale(
                 num_documents=0,
                 request_rate_per_cache=1.0,
                 update_rate=1.0,

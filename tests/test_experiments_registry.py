@@ -54,9 +54,15 @@ def test_experiments_md_catalogue_is_generated(smoke):
     embedded = text.split("<!-- registry:begin -->\n")[1].split(
         "\n<!-- registry:end -->"
     )[0]
-    assert embedded == registry.catalogue(
-        {name: list(smoke(name).claims) for name in REGISTRY}
-    )
+    claims = {name: list(smoke(name).claims) for name in REGISTRY}
+    assert embedded == registry.catalogue(claims)
+    # ...and, under it, what each experiment module costs per claim it states.
+    from tests.test_experiment_layering import lines_per_claim
+
+    ranked = text.split("<!-- lines-per-claim:begin -->\n")[1].split(
+        "\n<!-- lines-per-claim:end -->"
+    )[0]
+    assert ranked == lines_per_claim(claims)
 
 
 def test_known_false_claims_name_real_claims(smoke):
@@ -96,6 +102,21 @@ class TestResolve:
         assert grids == {"resilience": {"loss_rates": (0.1,)}, "fig3": {}}
         with pytest.raises(ValueError, match="--loss applies to none of: fig3"):
             registry.given_grids(["fig3"], {"loss_rates": [0.1]})
+
+    def test_a_repeated_grid_value_is_rejected(self):
+        """Points are keyed by grid value: a repeat ran twice into one row."""
+        with pytest.raises(ValueError, match="--loss names a value more than once"):
+            registry.given_grids(["resilience"], {"loss_rates": [0.1, 0.1]})
+
+    def test_a_run_is_given_jobs_exactly_when_it_accepts_them(self, monkeypatch):
+        for name, run in (
+            ("serial", lambda scale: "serial"),
+            ("pooled", lambda scale, jobs=None: jobs),
+        ):
+            entry = registry.Experiment(name, "", run, lambda result: {})
+            monkeypatch.setitem(REGISTRY, name, entry)
+        assert registry.run("serial", SMOKE_SCALE, jobs=3).result == "serial"
+        assert registry.run("pooled", SMOKE_SCALE, jobs=3).result == 3
 
 
 class TestFailedPoints:
@@ -144,3 +165,17 @@ class TestFailedPoints:
         outcome = registry.run("fig3", SMOKE_SCALE, jobs=1)
         assert outcome.result is None and not outcome.ok
         assert [failed.error_type for failed in outcome.failures] == ["RuntimeError"]
+
+    def test_a_failed_figure_is_not_archived_as_a_result(
+        self, second_point_always_fails, tmp_path, capsys
+    ):
+        """``--out`` used to write ``{"payload": null}`` and fingerprint ``null``."""
+        from repro.cli import main
+
+        archive = tmp_path / "fig3.json"
+        argv = ["exp", "fig3", "--scale", SMOKE_SCALE, "--jobs", "1"]
+        assert main(argv + ["--out", str(archive), "--fingerprint"]) == 1
+        out = capsys.readouterr().out
+        assert "FAILED" in out
+        assert "archived to" not in out and "fingerprint:" not in out
+        assert not archive.exists()

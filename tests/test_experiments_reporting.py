@@ -125,6 +125,19 @@ class TestCompare:
         c = self.archive(tmp_path, "e", {"v": 0.2}, "c.json")
         assert len(compare_runs(a, c, tolerance=0.05)) == 1
 
+    def test_a_path_only_one_archive_has_is_drift(self, tmp_path):
+        """A lost row or a ``null`` payload used to compare as "no drift"."""
+        full = self.archive(tmp_path, "e", {"rows": [[1, 2.0], [2, 4.0]]}, "a.json")
+        short = self.archive(tmp_path, "e", {"rows": [[1, 2.0]]}, "b.json")
+        empty = self.archive(tmp_path, "e", None, "c.json")
+        assert compare_runs(full, short) == [
+            ("rows[1][0]", 2.0, None, float("inf")),
+            ("rows[1][1]", 4.0, None, float("inf")),
+        ]
+        assert [(p, old) for p, old, *_ in compare_runs(empty, short)] == [
+            ("rows[0][0]", None), ("rows[0][1]", None),
+        ]
+
     def test_different_experiments_rejected(self, tmp_path):
         a = self.archive(tmp_path, "e1", {"v": 1.0}, "a.json")
         b = self.archive(tmp_path, "e2", {"v": 1.0}, "b.json")

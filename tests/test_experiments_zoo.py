@@ -6,12 +6,8 @@ import pytest
 
 from repro.experiments import registry, sweeps
 from repro.experiments.reporting import fingerprint
-from repro.experiments.zoo import (
-    DEFAULT_SCHEMES,
-    ZOO_TINY,
-    ZooScale,
-    zoo_sweep,
-)
+from repro.experiments.sweeps import Scale
+from repro.experiments.zoo import DEFAULT_SCHEMES, ZOO_TINY, zoo_sweep
 from repro.strategies import KNOWN_SCHEMES
 from tests.conftest import run_materialized
 
@@ -59,8 +55,8 @@ class TestZooSweep:
 
     def test_scale_validation(self):
         with pytest.raises(ValueError, match="must be positive"):
-            ZooScale(
-                label="bad", num_caches=0, num_rings=1, num_documents=10,
+            Scale(
+                num_caches=0, num_rings=1, num_documents=10,
                 request_rate_per_cache=1.0, update_rate=1.0,
                 duration_minutes=1.0, cycle_length=1.0,
             )
@@ -85,3 +81,5 @@ class TestZooDeterminism:
     def test_seed_override_changes_outcome(self, tiny_result):
         reseeded = registry.run("zoo", "tiny", jobs=1, seed=123).result
         assert fingerprint(reseeded) != fingerprint(tiny_result)
+        # A preset keeps its registry name under any root seed.
+        assert reseeded.extras["scale_label"] == tiny_result.extras["scale_label"]

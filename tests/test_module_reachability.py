@@ -83,16 +83,19 @@ def _resolve(module: str, name: Optional[str]) -> Optional[str]:
         module, name = exports[name]
 
 
-def _reachable() -> Set[str]:
+def _reachable(
+    globs: Tuple[str, ...] = ENTRY_GLOBS, without: Optional[str] = None
+) -> Set[str]:
+    """Modules reached from the CLI and the ``globs`` scripts, never entering ``without``."""
     pending: List[Path] = [MODULES[name] for name in ENTRY_MODULES]
-    for pattern in ENTRY_GLOBS:
+    for pattern in globs:
         pending.extend(sorted(ROOT.glob(pattern)))
-    assert len(pending) > len(ENTRY_MODULES), "entry-point globs matched nothing"
+    assert len(pending) >= len(ENTRY_MODULES) + len(globs), "an entry-point glob matched nothing"
     seen: Set[str] = set(ENTRY_MODULES)
     while pending:
         for module, name in _references(pending.pop()):
             target = _resolve(module, name)
-            if target is not None and target not in seen:
+            if target is not None and target not in seen and target != without:
                 seen.add(target)
                 pending.append(MODULES[target])
     return seen
