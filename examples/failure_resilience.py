@@ -83,8 +83,9 @@ def main() -> None:
 
     # Recover and verify the node rejoins its ring with a sub-range.
     cloud.recover_cache(victim, now=30.0)
-    ring_index, _ = cloud.failure_manager._home[victim]
-    arc = cloud.assigner.rings[ring_index].arc_of(victim)
+    ring = cloud.failure_manager.ring_of(victim)
+    ring_index = cloud.assigner.rings.index(ring)
+    arc = ring.arc_of(victim)
     print(f"\ncache {victim} recovered; owns IrH arc "
           f"{arc.spans()} in ring {ring_index}")
     result = cloud.handle_request(victim, 0, now=31.0)

@@ -40,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro.faults.churn import INSTANTIATE, RECOVER
 from repro.network.bandwidth import TrafficCategory
 from repro.network.transport import CONTROL_MESSAGE_BYTES, TRANSFER_HEADER_BYTES
 from repro.simulation.engine import Simulator
@@ -181,10 +182,17 @@ class AntiEntropyProcess:
             self._process = None
 
     def on_churn_event(self, cloud, event, applied: bool, now: float) -> None:
-        """Churn-schedule hook: sweep right after a recovery lands."""
+        """Churn / scale hook: sweep right after a node joins its ring.
+
+        A warm join (``instantiate``) is the same join as a crash recovery,
+        so it gets the same repair-on-recovery sweep. A *scripted*
+        ``instantiate`` is announced by the schedule and by the controller
+        that executed it: hooked to both, the process sweeps twice, the
+        second sweep continuing the sample rotation where the first stopped.
+        """
         if not (self.config.enabled and self.config.repair_on_recovery):
             return
-        if applied and event.action == "recover":
+        if applied and event.action in (RECOVER, INSTANTIATE):
             self.run_cycle(now)
 
     # ------------------------------------------------------------------

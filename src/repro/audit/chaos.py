@@ -23,7 +23,7 @@ is value-identical at any job count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Mapping, Optional, Sequence
 
 from repro.audit.antientropy import AntiEntropyConfig
@@ -42,31 +42,35 @@ from repro.faults.plan import FaultPlan
 from repro.simulation.rng import derive_seed
 
 
+#: A campaign's sizing ("small"); the grid re-seeds it per scenario — its
+#: seeds are a grid axis — and the registry's scales override fields of it.
+CHAOS_SCALE = Scale(
+    num_documents=200,
+    request_rate_per_cache=30.0,
+    update_rate=45.0,
+    duration_minutes=60.0,
+    cycle_length=6.0,
+    num_caches=8,
+    num_rings=4,
+)
+
+
 @dataclass(frozen=True)
 class ChaosScenario:
     """One seeded fault campaign plus its quiesce-and-audit epilogue."""
 
     key: object
-    seed: int
+    scale: Scale
     loss_rate: float
     churn_rate: float
     anti_entropy: bool = True
-    duration_minutes: float = 60.0
-    num_caches: int = 8
-    num_rings: int = 4
-    num_documents: int = 200
     intra_gen: int = 400
-    request_rate_per_cache: float = 30.0
-    update_rate: float = 45.0
-    cycle_length: float = 6.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.loss_rate < 1.0:
             raise ValueError("loss_rate must be in [0, 1)")
         if self.churn_rate < 0.0:
             raise ValueError("churn_rate must be >= 0")
-        if self.duration_minutes <= 0:
-            raise ValueError("duration_minutes must be > 0")
 
 
 @dataclass
@@ -93,16 +97,7 @@ class ChaosOutcome:
 
 def run_chaos_scenario(scenario: ChaosScenario) -> ChaosOutcome:
     """Run one scenario end to end; must stay module-level picklable."""
-    scale = Scale(
-        num_documents=scenario.num_documents,
-        request_rate_per_cache=scenario.request_rate_per_cache,
-        update_rate=scenario.update_rate,
-        duration_minutes=scenario.duration_minutes,
-        cycle_length=scenario.cycle_length,
-        num_caches=scenario.num_caches,
-        num_rings=scenario.num_rings,
-        seed=scenario.seed,
-    )
+    scale = scenario.scale
     result = run_live(
         ExperimentSpec(
             key=scenario.key,
@@ -113,18 +108,18 @@ def run_chaos_scenario(scenario: ChaosScenario) -> ChaosOutcome:
                 failure_resilience=True,
             ),
             workload=zipf_workload(scale),
-            duration=scenario.duration_minutes,
+            duration=scale.duration_minutes,
             # One cycle, not the sweeps' two: the campaign is short and the
             # audit reads end-of-run state, not steady-state rates.
-            warmup=min(scenario.cycle_length, scenario.duration_minutes / 4.0),
+            warmup=min(scale.cycle_length, scale.duration_minutes / 4.0),
             fault_plan=FaultPlan(
-                seed=derive_seed(scenario.seed, "chaos-loss", scenario.loss_rate),
+                seed=derive_seed(scale.seed, "chaos-loss", scenario.loss_rate),
                 loss_rate=scenario.loss_rate,
             ),
             churn=poisson_churn(
-                derive_seed(scenario.seed, "chaos-churn", scenario.churn_rate),
-                scenario.duration_minutes,
-                scenario.cycle_length,
+                derive_seed(scale.seed, "chaos-churn", scenario.churn_rate),
+                scale.duration_minutes,
+                scale.cycle_length,
                 scenario.churn_rate,
             ),
             anti_entropy=AntiEntropyConfig() if scenario.anti_entropy else None,
@@ -133,7 +128,7 @@ def run_chaos_scenario(scenario: ChaosScenario) -> ChaosOutcome:
 
     # --- quiesce: heal the network, rejoin everyone, repair, audit -----
     cloud = result.cloud
-    end = scenario.duration_minutes
+    end = scale.duration_minutes
     cloud.detach_faults()
     for cache in cloud.caches:
         if not cache.alive:
@@ -176,8 +171,8 @@ def chaos_audit_grid(
 ) -> SweepTable:
     """Run the chaos grid; one scenario (and table row) per (seed, loss, churn).
 
-    ``scale`` overrides every scenario's sizing fields (e.g.
-    ``{"duration_minutes": 30.0}`` for faster runs); ``duration`` is
+    ``scale`` overrides fields of :data:`CHAOS_SCALE` for every scenario
+    (e.g. ``{"duration_minutes": 30.0}`` for faster runs); ``duration`` is
     shorthand for its ``duration_minutes``. The per-scenario
     :class:`ChaosOutcome` records ride along as ``extras["outcomes"]``.
     """
@@ -186,12 +181,11 @@ def chaos_audit_grid(
         sizing["duration_minutes"] = duration
     scenarios = [
         ChaosScenario(
-            key=(seed, loss_rate, churn_rate),
-            seed=seed,
-            loss_rate=loss_rate,
-            churn_rate=churn_rate,
-            anti_entropy=anti_entropy,
-            **sizing,
+            (seed, loss_rate, churn_rate),
+            replace(CHAOS_SCALE, seed=seed, **sizing),
+            loss_rate,
+            churn_rate,
+            anti_entropy,
         )
         for seed in seeds
         for loss_rate in loss_rates

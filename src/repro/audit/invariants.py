@@ -344,7 +344,7 @@ class InvariantAuditor:
         manager = cloud.failure_manager
         if manager is None:
             return
-        for owner, (holder, _snapshot) in sorted(manager._replicas.items()):
+        for owner, holder in sorted(manager.replica_holders().items()):
             if not cloud.caches[holder].alive:
                 report.add(
                     ViolationKind.REPLICA_AT_DEAD_BUDDY,

@@ -40,6 +40,7 @@ from repro.experiments.reporting import (
 )
 from repro.experiments.runner import ExperimentResult, run_experiment
 from repro.network.origin import ORIGIN_NODE_ID, OriginServer
+from repro.observe.flight import ArtifactError
 from repro.network.topology import EuclideanTopology
 from repro.network.transport import Transport
 from repro.workload.documents import Corpus, build_corpus
@@ -419,7 +420,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         f"({one_sided} present in one archive only):"
     )
     for path, before, after, delta in drifted:
-        change = "" if None in (before, after) else f" ({delta:+.1%})"
+        change = "" if delta == float("inf") else f" ({delta:+.1%})"
         print(f"  {path}: {shown(before)} -> {shown(after)}{change}")
     return 1
 
@@ -442,6 +443,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _HANDLERS[args.command](args)
     except _Usage as exc:
         parser.error(str(exc))
+    except ArtifactError as exc:  # a malformed file: one line, no traceback
+        print(f"repro: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Downstream reader (head, less) closed the pipe; redirect stdout
         # to devnull so the interpreter's exit-time flush stays quiet.

@@ -31,7 +31,7 @@ Set ``cooperation=False`` in the config for the isolated-caches baseline
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.core.beacon import BeaconState
 from repro.core.config import AssignmentScheme, CloudConfig
@@ -750,15 +750,34 @@ class CacheCloud:
             # Migrate lookup records for the moved IrH spans.
             for lo, hi, src, dst in result.moves:
                 entries = self.beacons[src].directory.extract_range(lo, hi)
-                self.beacons[dst].directory.ingest(entries)
-                self.beacons[dst].directory_entries_migrated += len(entries)
                 transfer = DirectoryTransfer(src, dst, len(entries))
                 self.trace.emit(transfer)
-                self.fabric.send_system(
-                    src, dst, transfer.size_bytes, TrafficCategory.DIRECTORY_MIGRATION
-                )
+                self.hand_over(src, dst, entries, transfer.size_bytes)
         if self.failure_manager is not None:
             self.failure_manager.sync(now)
+
+    def hand_over(
+        self,
+        src: int,
+        dst: int,
+        entries: List[Tuple[int, int, Set[int]]],
+        num_bytes: int,
+    ) -> None:
+        """Move directory entries to their new owner ``dst``.
+
+        The one hand-over body — a cycle's range moves, a join's pull and a
+        retirement's hand-off all end here: install, count at the receiver,
+        one ``DIRECTORY_MIGRATION`` system send. ``num_bytes`` is the
+        caller's: the three sites size the same wire message three ways
+        (DESIGN.md §6 names the inconsistency; reconciling it re-pins every
+        churn and elastic fingerprint).
+        """
+        receiver = self.beacons[dst]
+        receiver.directory.ingest(entries)
+        receiver.directory_entries_migrated += len(entries)
+        self.fabric.send_system(
+            src, dst, num_bytes, TrafficCategory.DIRECTORY_MIGRATION
+        )
 
     def attach_cycles(self, simulator: Simulator) -> PeriodicProcess:
         """Arm the periodic sub-range determination on ``simulator``."""

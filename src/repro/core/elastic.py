@@ -17,8 +17,8 @@ loop on top of the overload signals from :mod:`repro.core.overload`:
   membership changes:
 
   **Warm join** (scale-out): the lowest-id standby node re-enters its home
-  ring (:meth:`FailureResilienceManager.recover_cache` — the same
-  anti-entropy-style directory pull crash recovery uses), so the node owns
+  ring (:meth:`FailureResilienceManager.instantiate_cache` — the join body
+  and directory pull crash recovery uses), so the node owns
   its sub-range *and* holds its lookup entries before the next request
   arrives. Its service queue starts empty.
 
@@ -32,6 +32,10 @@ loop on top of the overload signals from :mod:`repro.core.overload`:
   ``repro.audit`` invariant auditor pins this. Then
   :meth:`FailureResilienceManager.retire_cache` migrates the live
   directory to the ring successor and removes the member.
+
+Who is a member, who is crashed and who is a standby (retired) is the
+failure manager's record, not the controller's: a crashed node is not a
+standby and comes back through churn's ``recover``, never through here.
 
 Determinism: no RNG anywhere — node choice is by id (lowest standby joins,
 highest eligible active node retires), the signal window is driven by the
@@ -218,9 +222,7 @@ class ElasticController:
             num if config.max_caches is None else min(config.max_caches, num)
         )
         self.min_caches = config.min_caches
-        #: Nodes this controller retired (eligible for instantiation).
-        #: Crash-downed nodes are *not* standbys; they recover via churn.
-        self._standby: "set[int]" = set()
+        self._manager = cloud.failure_manager
         #: (time, cumulative overload snapshot) sliding window.
         self._window: Deque[Tuple[float, _Snapshot]] = deque()
         self._last_change: Optional[float] = None
@@ -243,8 +245,8 @@ class ElasticController:
         return sum(1 for cache in self.cloud.caches if cache.alive)
 
     def is_standby(self, cache_id: int) -> bool:
-        """Whether ``cache_id`` is a retired node this controller holds."""
-        return cache_id in self._standby
+        """Whether ``cache_id`` is retired (eligible for instantiation)."""
+        return cache_id in self._manager.retired()
 
     def add_hook(self, hook: ScaleHook) -> None:
         """Register an end-of-event hook (``hook(cloud, event, applied, now)``)."""
@@ -323,8 +325,9 @@ class ElasticController:
             self.stats.blocked_cooldown += 1
             return
         if want_out:
-            if self.active_count() < self.max_caches and self._standby:
-                self.instantiate_node(min(self._standby), now)
+            standby = self._manager.retired()
+            if self.active_count() < self.max_caches and standby:
+                self.instantiate_node(standby[0], now)
             else:
                 self.stats.blocked_bounds += 1
             return
@@ -345,18 +348,9 @@ class ElasticController:
     def _choose_victim(self) -> Optional[int]:
         """Highest-id live cache whose retirement keeps every ring covered."""
         for cache in reversed(self.cloud.caches):
-            if cache.alive and not self._is_last_live_ring_member(
-                cache.cache_id
-            ):
+            if self._manager.can_leave(cache.cache_id):
                 return cache.cache_id
         return None
-
-    def _is_last_live_ring_member(self, cache_id: int) -> bool:
-        manager = self.cloud.failure_manager
-        assert manager is not None
-        ring_index, _ = manager._home[cache_id]
-        members = self.cloud.assigner.rings[ring_index].members
-        return cache_id in members and len(members) < 2
 
     # ------------------------------------------------------------------
     # Membership changes
@@ -371,16 +365,10 @@ class ElasticController:
         all complete inside this call (the same anti-entropy-style
         re-registration crash recovery performs), and the node's service
         queue starts empty. Storage is cold by design — documents arrive
-        through normal placement.
+        through normal placement. Raises :class:`ValueError` for a node
+        that is not retired (a member, or a crashed node).
         """
-        if cache_id not in self._standby:
-            raise ValueError(
-                f"cache {cache_id} is not a standby of this controller"
-            )
-        manager = self.cloud.failure_manager
-        assert manager is not None
-        manager.recover_cache(cache_id, now)
-        self._standby.discard(cache_id)
+        self._manager.instantiate_cache(cache_id, now)
         self._integrate(now)
         if record:
             self.stats.scale_out_events += 1
@@ -390,19 +378,18 @@ class ElasticController:
     def retire_node(
         self, cache_id: int, now: float, *, record: bool = True
     ) -> None:
-        """Safely drain and retire a live node (voluntary scale-in)."""
-        cache = self.cloud.caches[cache_id]
-        if not cache.alive:
-            raise ValueError(f"cache {cache_id} is already down")
-        if self._is_last_live_ring_member(cache_id):
+        """Safely drain and retire a live node (voluntary scale-in).
+
+        Raises :class:`ValueError`, before draining anything, for a node
+        that is already out or is the last live member of its ring.
+        """
+        if not self._manager.can_leave(cache_id):
             raise ValueError(
-                f"cache {cache_id} is the last live member of its ring"
+                f"cache {cache_id} cannot be retired: it is already out, or "
+                "the last live member of its ring"
             )
         self._drain(cache_id, now)
-        manager = self.cloud.failure_manager
-        assert manager is not None
-        manager.retire_cache(cache_id, now)
-        self._standby.add(cache_id)
+        self._manager.retire_cache(cache_id, now)
         self._integrate(now)
         if record:
             self.stats.scale_in_events += 1
@@ -427,9 +414,7 @@ class ElasticController:
         """
         cloud = self.cloud
         cache = cloud.caches[cache_id]
-        manager = cloud.failure_manager
-        assert manager is not None
-        absorber = manager.buddy_of(cache_id)
+        absorber = self._manager.buddy_of(cache_id)
         budget = self.config.drain_byte_budget
         for doc_id in sorted(cache.storage):
             copy = cache.storage.get(doc_id)

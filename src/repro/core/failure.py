@@ -20,6 +20,15 @@ Staleness is visible, not hidden: lookups that consult a stale replica may
 return holders that no longer hold the document; the cloud's request path
 verifies holders and repairs the directory, and the manager counts those
 repairs so experiments can quantify the cost of laziness.
+
+Membership
+----------
+The manager is the one record of who is in a ring and why the others are
+out: every cache is a *member* (alive, listed in exactly one ring), or out
+as *crashed* (:meth:`fail_cache`; back through :meth:`recover_cache`) or
+*retired* (:meth:`retire_cache`, the elastic scale-in; back through
+:meth:`instantiate_cache`). Both departures run one body behind one guard
+(:meth:`can_leave`), both joins run one body; DESIGN.md §6 has the table.
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.core.directory import DIRECTORY_ENTRY_BYTES
+from repro.core.ring import BeaconRing
 from repro.network.bandwidth import TrafficCategory
 
 if TYPE_CHECKING:
@@ -34,15 +44,19 @@ if TYPE_CHECKING:
 
 Entry = Tuple[int, int, Set[int]]
 
+#: Why a cache is out of its ring.
+CRASHED = "crashed"
+RETIRED = "retired"
+
 
 class FailureResilienceManager:
-    """Buddy replication + failover for a dynamically hashed cloud.
+    """Ring membership, buddy replication and failover for a dynamic cloud.
 
     Operates on the cloud's rings/beacons through a narrow surface so it can
     be unit-tested with fakes. ``cloud`` must expose ``assigner`` (a
     :class:`~repro.core.hashing.DynamicHashAssigner`), ``beacons``,
-    ``caches``, and ``fabric`` (replica shipments ride the system plane of
-    the :class:`~repro.core.fabric.MessageFabric`).
+    ``caches``, ``fabric`` (replica shipments ride the system plane of the
+    :class:`~repro.core.fabric.MessageFabric`) and ``hand_over``.
     """
 
     def __init__(self, cloud: "CacheCloud") -> None:
@@ -51,13 +65,17 @@ class FailureResilienceManager:
         #: The holder matters: a replica physically lives at the buddy, so
         #: it dies with the buddy — overlapping failures can lose it.
         self._replicas: Dict[int, Tuple[int, List[Entry]]] = {}
-        #: Original (ring_index, position) of each member, for reinstatement.
-        self._home: Dict[int, Tuple[int, int]] = {}
-        for ring_index, ring in enumerate(cloud.assigner.rings):
+        #: Home (ring, original position) of each cache, for reinstatement.
+        self._home: Dict[int, Tuple[BeaconRing, int]] = {}
+        for ring in cloud.assigner.rings:
             for position, member in enumerate(ring.members):
-                self._home[member] = (ring_index, position)
+                self._home[member] = (ring, position)
+        #: Caches currently out of their ring -> why (CRASHED or RETIRED).
+        #: Everyone else is a member: alive and listed in its home ring.
+        self._out: Dict[int, str] = {}
         self.syncs = 0
         self.failovers = 0
+        #: Joins of either kind (crash recovery and elastic warm join).
         self.recoveries = 0
         #: Voluntary (elastic scale-in) leaves via :meth:`retire_cache`.
         self.retirements = 0
@@ -66,16 +84,36 @@ class FailureResilienceManager:
         self.replicas_lost = 0
 
     # ------------------------------------------------------------------
-    # Buddies
+    # Membership
     # ------------------------------------------------------------------
+    def crashed(self) -> List[int]:
+        """Caches out after a crash (back through ``recover``), lowest id first."""
+        return sorted(c for c, why in self._out.items() if why == CRASHED)
+
+    def retired(self) -> List[int]:
+        """Retired caches (the elastic controller's standbys), lowest id first."""
+        return sorted(c for c, why in self._out.items() if why == RETIRED)
+
+    def ring_of(self, cache_id: int) -> BeaconRing:
+        """The cache's home ring (it rejoins no other)."""
+        return self._home[cache_id][0]
+
+    def can_leave(self, cache_id: int) -> bool:
+        """Whether ``cache_id`` is a member its ring can lose.
+
+        The one last-live-member guard: emptying a ring would leave its
+        documents with no beacon point at all, so neither a crash, a
+        retirement nor a scripted churn event may take the last one.
+        """
+        return cache_id not in self._out and len(self.ring_of(cache_id)) > 1
+
     def buddy_of(self, cache_id: int) -> Optional[int]:
         """The ring successor of ``cache_id`` (None in a 1-member ring)."""
-        ring_index, _ = self._home[cache_id]
-        members = self._cloud.assigner.rings[ring_index].members
-        if cache_id not in members or len(members) < 2:
+        members = self.ring_of(cache_id).members
+        if cache_id not in members:
             return None
-        position = members.index(cache_id)
-        return members[(position + 1) % len(members)]
+        successor = members[(members.index(cache_id) + 1) % len(members)]
+        return None if successor == cache_id else successor
 
     # ------------------------------------------------------------------
     # Lazy replication
@@ -103,97 +141,73 @@ class FailureResilienceManager:
         )
         self.syncs += 1
 
+    def replica_holders(self) -> Dict[int, int]:
+        """Beacon -> the buddy physically holding its last synced replica."""
+        return {owner: holder for owner, (holder, _) in self._replicas.items()}
+
+    def drop_replicas(self) -> None:
+        """Forget every synced replica (an experiment's no-replication arm)."""
+        self._replicas.clear()
+
     # ------------------------------------------------------------------
-    # Failover
+    # Leaving a ring
     # ------------------------------------------------------------------
-    def fail_cache(self, cache_id: int, now: float) -> int:
-        """Crash ``cache_id``; returns the absorbing beacon's cache id."""
+    def _depart(self, cache_id: int, why: str, now: float) -> Tuple[int, List[Entry]]:
+        """Take ``cache_id`` out of its ring; the one departure body.
+
+        Returns the absorbing beacon and the lookup entries it should
+        install, scrubbed to live holders: the buddy replica (possibly one
+        cycle stale) after a crash, the live directory on a retirement.
+        """
+        if not self.can_leave(cache_id):
+            reason = self._out.get(cache_id, "the last live member of its ring")
+            raise ValueError(f"cache {cache_id} cannot leave: it is {reason}")
         cloud = self._cloud
         cache = cloud.caches[cache_id]
-        if not cache.alive:
-            raise ValueError(f"cache {cache_id} is already down")
-        ring_index, _ = self._home[cache_id]
-        ring = cloud.assigner.rings[ring_index]
-        if cache_id in ring.members and len(ring.members) < 2:
-            # Refuse before mutating anything: emptying a ring would leave
-            # its documents with no beacon point at all.
-            raise ValueError(
-                f"cache {cache_id} is the last live member of ring "
-                f"{ring_index}; cannot fail it"
-            )
-        cache.fail(now)
+        beacon = cloud.beacons[cache_id]
+        if why == CRASHED:
+            cache.fail(now)
+        else:
+            # Raises, before mutating, unless the node was drained first.
+            cache.retire()
+        self._out[cache_id] = why
         # Its stored copies are gone: scrub every live directory.
-        for other_id, beacon in cloud.beacons.items():
+        for other_id, other in cloud.beacons.items():
             if other_id != cache_id:
-                beacon.directory.drop_cache(cache_id)
-        # Replicas physically held at the failed node die with its disk.
-        for owner in list(self._replicas):
-            holder, _ = self._replicas[owner]
-            if holder == cache_id:
-                del self._replicas[owner]
-                self.replicas_lost += 1
-        absorber = ring.remove_member(cache_id)
-        # Install the (possibly stale) buddy replica at the absorber.
-        holder, replica = self._replicas.pop(cache_id, (None, []))
-        if holder is not None and not cloud.caches[holder].alive:
-            # Belt and braces: a dead holder's replicas were already
-            # dropped above when it failed.
-            replica = []
-            self.replicas_lost += 1
-        scrubbed: List[Entry] = []
-        for doc_id, irh, holders in replica:
-            holders = {h for h in holders if h != cache_id and cloud.caches[h].alive}
-            if holders:
-                scrubbed.append((doc_id, irh, holders))
-        cloud.beacons[absorber].directory.ingest(scrubbed)
-        self.stale_entries_installed += len(scrubbed)
-        # The failed node's own live directory dies with it.
-        cloud.beacons[cache_id].directory = type(
-            cloud.beacons[cache_id].directory
-        )()
+                other.directory.drop_cache(cache_id)
+        # Replicas physically held at the leaver go with it (a crash loses
+        # them; after a retirement their live owners re-sync next cycle),
+        # so the replica map never names a dead buddy.
+        hosted = [o for o, (holder, _) in self._replicas.items() if holder == cache_id]
+        for owner in hosted:
+            del self._replicas[owner]
+        absorber = self.ring_of(cache_id).remove_member(cache_id)
+        _, source = self._replicas.pop(cache_id, (None, []))
+        if why == CRASHED:
+            self.replicas_lost += len(hosted)
+        else:
+            source = beacon.directory.snapshot()
+        entries: List[Entry] = []
+        for doc_id, irh, holders in source:
+            live = {h for h in holders if cloud.caches[h].alive}
+            if live:
+                entries.append((doc_id, irh, live))
+        # The leaver's own directory goes with it.
+        beacon.directory = type(beacon.directory)()
         cloud.invalidate_assignment_cache()
+        return absorber, entries
+
+    def fail_cache(self, cache_id: int, now: float) -> int:
+        """Crash ``cache_id``; returns the absorbing beacon's cache id.
+
+        The absorber installs the buddy replica it already holds: nothing
+        crosses the wire and nothing is counted as migrated.
+        """
+        absorber, entries = self._depart(cache_id, CRASHED, now)
+        self._cloud.beacons[absorber].directory.ingest(entries)
+        self.stale_entries_installed += len(entries)
         self.failovers += 1
         return absorber
-
-    def recover_cache(self, cache_id: int, now: float) -> None:
-        """Bring a failed node back into its home ring (cold storage)."""
-        cloud = self._cloud
-        cache = cloud.caches[cache_id]
-        if cache.alive:
-            raise ValueError(f"cache {cache_id} is not down")
-        cache.recover()
-        if cloud.overload is not None:
-            # The crashed node's backlog died with its process: without
-            # this reset the revived node would inherit a busy-until
-            # horizon (and shedding state) frozen at crash time and serve
-            # ghost backlog it no longer has.
-            cloud.overload.reset_node(cache_id)
-        ring_index, position = self._home[cache_id]
-        ring = cloud.assigner.rings[ring_index]
-        insert_at = min(position, len(ring.members))
-        ring.add_member(cache_id, insert_at, capability=cache.capability)
-        # Pull the directory entries for the range it now owns from the other
-        # members of its own ring (IrH values are ring-local: a document with
-        # the same IrH in a different ring belongs to that ring's beacons).
-        taken = ring.sub_range_of(cache_id)
-        target_beacon = cloud.beacons[cache_id]
-        for other_id in ring.members:
-            if other_id == cache_id:
-                continue
-            beacon = cloud.beacons[other_id]
-            entries = []
-            for span_lo, span_hi in taken.spans():
-                entries.extend(beacon.directory.extract_range(span_lo, span_hi))
-            if entries:
-                target_beacon.directory.ingest(entries)
-                cloud.fabric.send_system(
-                    other_id,
-                    cache_id,
-                    len(entries) * DIRECTORY_ENTRY_BYTES,
-                    TrafficCategory.DIRECTORY_MIGRATION,
-                )
-        cloud.invalidate_assignment_cache()
-        self.recoveries += 1
 
     def retire_cache(self, cache_id: int, now: float) -> int:
         """Voluntarily remove a *drained* node; returns the absorber's id.
@@ -202,67 +216,73 @@ class FailureResilienceManager:
         scale-in. The node must already be empty (the elastic controller's
         drain protocol hands off or explicitly invalidates every resident
         copy and its holder registrations first); what remains here is the
-        membership change and the *live* directory handoff: the retiring
+        membership change and the *live* directory hand-over: the retiring
         beacon's sub-range merges into its ring successor, and its current
         directory — not a stale buddy replica — migrates there, so no
         lookup information is lost on a voluntary leave.
         """
-        cloud = self._cloud
-        cache = cloud.caches[cache_id]
-        if not cache.alive:
-            raise ValueError(f"cache {cache_id} is already down")
-        if len(cache.storage):
-            raise ValueError(
-                f"cache {cache_id} still holds documents; drain before retiring"
-            )
-        ring_index, _ = self._home[cache_id]
-        ring = cloud.assigner.rings[ring_index]
-        if cache_id in ring.members and len(ring.members) < 2:
-            raise ValueError(
-                f"cache {cache_id} is the last live member of ring "
-                f"{ring_index}; cannot retire it"
-            )
-        absorber = ring.remove_member(cache_id)
-        # Hand the live directory to the new sub-range owner. The drain
-        # already removed every entry naming the retiring node as holder;
-        # scrubbing again here is belt-and-braces against dead holders.
-        beacon = cloud.beacons[cache_id]
-        entries: List[Entry] = []
-        for doc_id, irh, holders in beacon.directory.snapshot():
-            live = {
-                h for h in holders if h != cache_id and cloud.caches[h].alive
-            }
-            if live:
-                entries.append((doc_id, irh, live))
-        cloud.beacons[absorber].directory.ingest(entries)
-        cloud.beacons[absorber].directory_entries_migrated += len(entries)
-        cloud.fabric.send_system(
-            cache_id,
-            absorber,
-            max(1, len(entries)) * DIRECTORY_ENTRY_BYTES,
-            TrafficCategory.DIRECTORY_MIGRATION,
+        absorber, entries = self._depart(cache_id, RETIRED, now)
+        self._cloud.hand_over(
+            cache_id, absorber, entries, max(1, len(entries)) * DIRECTORY_ENTRY_BYTES
         )
-        cloud.beacons[cache_id].directory = type(beacon.directory)()
-        # The replica this node held for its predecessor moves nowhere: the
-        # owner is still alive and will re-sync next cycle. Dropping both
-        # directions keeps the replica map free of dead holders (the
-        # auditor's REPLICA_AT_DEAD_BUDDY check).
-        for owner in list(self._replicas):
-            holder, _ = self._replicas[owner]
-            if holder == cache_id:
-                del self._replicas[owner]
-        self._replicas.pop(cache_id, None)
-        # Belt-and-braces scrub of every other directory (the drain should
-        # have deregistered everything already).
-        for other_id, other_beacon in cloud.beacons.items():
-            if other_id != cache_id:
-                other_beacon.directory.drop_cache(cache_id)
-        cache.retire()
-        if cloud.overload is not None:
-            cloud.overload.reset_node(cache_id)
-        cloud.invalidate_assignment_cache()
+        if self._cloud.overload is not None:
+            self._cloud.overload.reset_node(cache_id)
         self.retirements += 1
         return absorber
+
+    # ------------------------------------------------------------------
+    # Joining a ring
+    # ------------------------------------------------------------------
+    def _join(self, cache_id: int, why: str) -> None:
+        """Bring a cache that is out for ``why`` back into its home ring.
+
+        The one join body (cold storage, empty service queue): the node
+        re-enters at its original position with half of its successor's
+        arc and pulls the directory entries for the range it now owns from
+        the other members of its own ring (IrH values are ring-local: a
+        document with the same IrH in a different ring belongs to that
+        ring's beacons).
+        """
+        if self._out.get(cache_id) != why:
+            raise ValueError(
+                f"cache {cache_id} is {self._out.get(cache_id, 'a member')}, not {why}"
+            )
+        cloud = self._cloud
+        cache = cloud.caches[cache_id]
+        ring, position = self._home[cache_id]
+        # Raises, before mutating, when no arc is wide enough to split.
+        ring.add_member(
+            cache_id, min(position, len(ring)), capability=cache.capability
+        )
+        del self._out[cache_id]
+        cache.recover()
+        if cloud.overload is not None:
+            # The node's backlog died with its process: without this reset
+            # the revived node would inherit a busy-until horizon (and
+            # shedding state) frozen when it left and serve ghost backlog.
+            cloud.overload.reset_node(cache_id)
+        taken = ring.arc_of(cache_id)
+        for other_id in ring.members:
+            if other_id == cache_id:
+                continue
+            directory = cloud.beacons[other_id].directory
+            entries: List[Entry] = []
+            for span_lo, span_hi in taken.spans():
+                entries.extend(directory.extract_range(span_lo, span_hi))
+            if entries:
+                cloud.hand_over(
+                    other_id, cache_id, entries, len(entries) * DIRECTORY_ENTRY_BYTES
+                )
+        cloud.invalidate_assignment_cache()
+        self.recoveries += 1
+
+    def recover_cache(self, cache_id: int, now: float) -> None:
+        """Bring a *crashed* node back into its home ring."""
+        self._join(cache_id, CRASHED)
+
+    def instantiate_cache(self, cache_id: int, now: float) -> None:
+        """Warm-join a *retired* node (elastic scale-out)."""
+        self._join(cache_id, RETIRED)
 
     def __repr__(self) -> str:
         return (

@@ -200,9 +200,6 @@ class BeaconRing:
         index = self._members.index(cache_id)
         return Arc(self._starts[index], self._width(index), self.intra_gen)
 
-    # The paper's vocabulary.
-    sub_range_of = arc_of
-
     def ranges(self) -> Dict[int, Arc]:
         """Snapshot of the whole assignment."""
         return {member: self.arc_of(member) for member in self._members}

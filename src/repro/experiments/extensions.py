@@ -383,7 +383,7 @@ def failure_resilience_value(scale: Scale = SMALL_SCALE) -> SweepTable:
             cloud.handle_request(record.cache_id, record.doc_id, record.time)
         cloud.run_cycle(half_time)  # includes the lazy replica sync
         if variant == "without replica":
-            cloud.failure_manager._replicas.clear()
+            cloud.failure_manager.drop_replicas()
         victim = max(
             cloud.beacons, key=lambda c: len(cloud.beacons[c].directory)
         )

@@ -38,6 +38,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
@@ -47,6 +48,7 @@ from typing import (
     List,
     Optional,
     Tuple,
+    Type,
     TypeVar,
     Union,
 )
@@ -59,7 +61,7 @@ from repro.experiments.runner import ExperimentResult, run_experiment
 from repro.faults.churn import ChurnSpec
 from repro.faults.plan import FaultPlan
 from repro.metrics.collector import CloudMonitor
-from repro.observe.flight import FlightSpec
+from repro.observe.flight import ArtifactError, FlightSpec
 from repro.simulation.engine import Simulator
 from repro.strategies.spec import StrategySpec, build_strategy
 from repro.workload.documents import Corpus, build_corpus, seed_corpus_rng
@@ -315,56 +317,65 @@ def _load_checkpoint(path: Path, signature: str) -> Dict[int, object]:
     """Read completed (index, result) records from a checkpoint file.
 
     Returns an empty mapping when the file does not exist. Raises
-    :class:`ValueError` when the file is not a checkpoint or was written
-    for a different sweep. A truncated tail record (crash mid-append) is
-    silently dropped — that run simply re-executes.
+    :class:`~repro.observe.flight.ArtifactError` (a :class:`ValueError`)
+    naming the file when it is not a checkpoint, was written for a
+    different sweep, or holds a record that is not an ``(index, result)``
+    pair or does not unpickle. The one exception is the tail a crash tore
+    mid-append (the stream runs out, or stops parsing as a pickle): it is
+    dropped — and cut off the file, so what the resumed sweep appends
+    follows the last complete record — and those runs simply re-execute.
     """
     completed: Dict[int, object] = {}
     if not path.exists():
         return completed
-    with open(path, "rb") as fh:
+    with open(path, "r+b") as fh:
         try:
             header = pickle.load(fh)
-        except (EOFError, pickle.UnpicklingError):
-            raise ValueError(f"{path} is not a sweep checkpoint file") from None
+        except Exception:  # pickle raises anything on bytes it did not write
+            header = None
         if not isinstance(header, dict) or header.get("kind") != _CHECKPOINT_KIND:
-            raise ValueError(f"{path} is not a sweep checkpoint file")
+            raise ArtifactError(f"{path} is not a sweep checkpoint file")
         if header.get("signature") != signature:
-            raise ValueError(
+            raise ArtifactError(
                 f"checkpoint {path} was written for a different sweep "
                 "(signature mismatch); delete it or pass a fresh path"
             )
         while True:
+            complete = fh.tell()
             try:
                 index, result = pickle.load(fh)
-            except (EOFError, pickle.UnpicklingError, AttributeError):
+                completed[int(index)] = result
+            except (EOFError, pickle.UnpicklingError):
                 break
-            completed[int(index)] = result
+            except Exception as exc:
+                raise ArtifactError(
+                    f"checkpoint {path}: unreadable record at byte {complete} "
+                    f"({type(exc).__name__}: {exc}); delete it or pass a fresh path"
+                ) from exc
+        fh.truncate(complete)
     return completed
 
 
-class _CheckpointWriter:
-    """Appends completed runs to a checkpoint file, one pickle per run.
+def _append_checkpoint(
+    path: Path, signature: str, pending: List[int], local: int, result: object
+) -> None:
+    """Append the run at ``pending[local]`` to the checkpoint (the per-run hook).
 
-    The header (kind + signature) is written when the file is created;
-    resumed sweeps append below the records already present. Every append
-    is flushed so a killed sweep loses at most the in-flight record.
+    One pickle per completed run, below a header (kind + signature) written
+    when the file is created; every append is flushed and fsynced, so a
+    killed sweep loses at most the in-flight record. :class:`FailedRun`
+    slots are never checkpointed — a resumed sweep retries them instead of
+    replaying the failure.
     """
-
-    def __init__(self, path: Path, signature: str) -> None:
-        self._path = path
-        self._signature = signature
-
-    def append(self, index: int, result: object) -> None:
-        is_new = not self._path.exists()
-        with open(self._path, "ab") as fh:
-            if is_new:
-                pickle.dump(
-                    {"kind": _CHECKPOINT_KIND, "signature": self._signature}, fh
-                )
-            pickle.dump((index, result), fh)
-            fh.flush()
-            os.fsync(fh.fileno())
+    if isinstance(result, FailedRun):
+        return
+    is_new = not path.exists()
+    with open(path, "ab") as fh:
+        if is_new:
+            pickle.dump({"kind": _CHECKPOINT_KIND, "signature": signature}, fh)
+        pickle.dump((pending[local], result), fh)
+        fh.flush()
+        os.fsync(fh.fileno())
 
 
 def run_sweep(
@@ -403,38 +414,32 @@ def run_sweep(
         return []
 
     restored: Dict[int, Union[R, FailedRun]] = {}
-    writer: Optional[_CheckpointWriter] = None
+    pending = list(range(len(spec_list)))
+    on_result: Optional[Callable[[int, object], None]] = None
     if checkpoint is not None:
-        path = Path(checkpoint)
-        signature = _sweep_signature(spec_list, runner)
+        path, signature = Path(checkpoint), _sweep_signature(spec_list, runner)
         restored = _load_checkpoint(path, signature)  # type: ignore[assignment]
-        if restored:
-            logger.info(
-                "checkpoint %s: %d/%d runs restored",
-                path, len(restored), len(spec_list),
-            )
-        writer = _CheckpointWriter(path, signature)
+        logger.info("checkpoint %s: %d/%d runs restored", path, len(restored), len(pending))
+        pending = [i for i in pending if i not in restored]
+        on_result = partial(_append_checkpoint, path, signature, pending)
 
-    pending = [i for i in range(len(spec_list)) if i not in restored]
     fresh: List[Union[R, FailedRun]] = []
     if pending:
         pending_specs = [spec_list[i] for i in pending]
-        collect: OnResult = None
-        if writer is not None:
-            collect = _make_collector(writer, pending)
         workers = min(resolve_jobs(jobs), len(pending_specs))
-        if workers <= 1:
-            fresh = _run_serial(pending_specs, runner, collect)
-        else:
+        if workers > 1:
             try:
-                fresh = _run_parallel(pending_specs, workers, runner, collect)
+                fresh = _run_pool(pending_specs, workers, runner, on_result)
             except (OSError, PermissionError, ImportError, NotImplementedError,
                     BrokenProcessPool) as exc:
                 logger.warning(
                     "process pool unavailable (%s: %s); falling back to serial "
                     "execution", type(exc).__name__, exc,
                 )
-                fresh = _run_serial(pending_specs, runner, collect)
+                workers = 1
+        if workers <= 1:
+            attempts = [partial(runner, spec) for spec in pending_specs]
+            fresh = _collect(pending_specs, runner, attempts, on_result)
 
     slots: List[Union[R, FailedRun]] = [None] * len(spec_list)  # type: ignore[list-item]
     for index, result in restored.items():
@@ -466,73 +471,48 @@ def _retry_serially(
         )
 
 
-#: Per-run collection hook: ``(position within the spec list, result)``.
-#: Used by ``run_sweep`` to append completed runs to a checkpoint file.
-OnResult = Optional[Callable[[int, object], None]]
-
-
-def _make_collector(
-    writer: _CheckpointWriter, pending: List[int]
-) -> Callable[[int, object], None]:
-    """Checkpoint hook mapping pending-list positions back to sweep slots.
-
-    :class:`FailedRun` slots are never checkpointed — a resumed sweep
-    retries them instead of replaying the failure.
-    """
-
-    def collect(local: int, result: object) -> None:
-        if not isinstance(result, FailedRun):
-            writer.append(pending[local], result)
-
-    return collect
-
-
-def _run_serial(
+def _collect(
     specs: List[ExperimentSpec],
     runner: Callable[[ExperimentSpec], R],
-    on_result: OnResult = None,
+    attempts: List[Callable[[], R]],
+    on_result: Optional[Callable[[int, object], None]],
+    fatal: Tuple[Type[BaseException], ...] = (),
 ) -> List[Union[R, FailedRun]]:
+    """The one collection loop: a result per spec, in spec order.
+
+    ``attempts[i]()`` produces spec ``i``'s result — by running it (serial)
+    or by waiting on its future (pool). One that raises is retried once
+    with ``runner`` in this process, unless the error is ``fatal`` (the
+    pool itself died: the caller falls back to serial). ``on_result`` sees
+    ``(position, result)`` as each one lands (the checkpoint hook).
+    """
     results: List[Union[R, FailedRun]] = []
-    total = len(specs)
-    for index, spec in enumerate(specs, start=1):
-        start = time.perf_counter()
+    start = time.perf_counter()
+    for index, (spec, attempt) in enumerate(zip(specs, attempts)):
         try:
-            results.append(runner(spec))
+            result: Union[R, FailedRun] = attempt()
+        except fatal:
+            raise
         except Exception as exc:
-            results.append(_retry_serially(spec, runner, exc))
+            result = _retry_serially(spec, runner, exc)
+        results.append(result)
         if on_result is not None:
-            on_result(index - 1, results[-1])
+            on_result(index, result)
         logger.info(
-            "sweep run %d/%d %r: %.2fs (serial)",
-            index, total, spec.key, time.perf_counter() - start,
+            "sweep run %d/%d %r: collected at +%.2fs",
+            index + 1, len(specs), spec.key, time.perf_counter() - start,
         )
     return results
 
 
-def _run_parallel(
+def _run_pool(
     specs: List[ExperimentSpec],
     workers: int,
     runner: Callable[[ExperimentSpec], R],
-    on_result: OnResult = None,
+    on_result: Optional[Callable[[int, object], None]] = None,
 ) -> List[Union[R, FailedRun]]:
-    total = len(specs)
-    start = time.perf_counter()
-    results: List[Union[R, FailedRun]] = []
+    """Results from a process pool (the seam tests replace to break it)."""
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(runner, spec) for spec in specs]
-        logger.info("sweep: %d runs on %d worker processes", total, workers)
-        for index, (spec, future) in enumerate(zip(specs, futures), start=1):
-            try:
-                results.append(future.result())
-            except BrokenProcessPool:
-                # The pool itself died; let run_sweep fall back to serial.
-                raise
-            except Exception as exc:
-                results.append(_retry_serially(spec, runner, exc))
-            if on_result is not None:
-                on_result(index - 1, results[-1])
-            logger.info(
-                "sweep run %d/%d %r: collected at +%.2fs",
-                index, total, spec.key, time.perf_counter() - start,
-            )
-    return results
+        attempts = [pool.submit(runner, spec).result for spec in specs]
+        logger.info("sweep: %d runs on %d worker processes", len(specs), workers)
+        return _collect(specs, runner, attempts, on_result, (BrokenProcessPool,))

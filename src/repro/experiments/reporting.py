@@ -24,6 +24,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+from repro.observe.flight import ArtifactError
+
 SCHEMA_VERSION = 1
 
 
@@ -96,15 +98,24 @@ def save_result(result: Any, path: Union[str, Path], name: str) -> Dict[str, Any
 
 
 def load_result(path: Union[str, Path]) -> Dict[str, Any]:
-    """Load an archived result document; validates the schema version."""
-    document = json.loads(Path(path).read_text())
+    """Load an archived result document; validates shape and schema version.
+
+    Anything else than an archive raises :class:`ArtifactError` naming
+    ``path``.
+    """
+    try:
+        document = json.loads(Path(path).read_bytes())
+    except ValueError as exc:
+        raise ArtifactError(f"{path}: not a JSON result archive ({exc})") from None
+    if not isinstance(document, dict):
+        raise ArtifactError(f"{path}: a result archive is a JSON object")
     version = document.get("schema_version")
     if version != SCHEMA_VERSION:
-        raise ValueError(
-            f"archive schema version {version} != supported {SCHEMA_VERSION}"
+        raise ArtifactError(
+            f"{path}: archive schema version {version} != supported {SCHEMA_VERSION}"
         )
     if "experiment" not in document or "payload" not in document:
-        raise ValueError("archive missing 'experiment' or 'payload'")
+        raise ArtifactError(f"{path}: archive missing 'experiment' or 'payload'")
     return document
 
 
@@ -139,7 +150,8 @@ def compare_runs(
     whose relative change exceeds ``tolerance`` (absolute change for
     near-zero baselines). A path only one archive has — a lost row, a
     ``null`` payload — is drift too: its missing side is ``None`` and its
-    delta infinite. Raises if the archives are different experiments.
+    delta infinite; so is a non-finite value (``NaN``, ``inf``) on either
+    side. Raises if the archives are different experiments.
     """
     if old["experiment"] != new["experiment"]:
         raise ValueError(
@@ -150,7 +162,9 @@ def compare_runs(
     drifted: List[Tuple[str, Optional[float], Optional[float], float]] = []
     for path in sorted(set(old_numbers) | set(new_numbers)):
         before, after = old_numbers.get(path), new_numbers.get(path)
-        if before is None or after is None:
+        if before is None or after is None or not math.isfinite(after - before):
+            # ``nan > tolerance`` is false: without this a NaN on either
+            # side would read as "no drift".
             delta = math.inf
         elif abs(before) < 1e-9:
             delta = abs(after - before)

@@ -238,6 +238,9 @@ def run_experiment(
     ae_process = None
     if anti_entropy is not None:
         ae_process = cloud.attach_anti_entropy(anti_entropy, simulator)
+        if cloud.elastic is not None:
+            # A warm join is a recovery: it gets the same repair sweep.
+            cloud.elastic.add_hook(ae_process.on_churn_event)
     schedule: Optional[ChurnSchedule] = None
     if churn is not None:
         schedule = ChurnSchedule.from_spec(churn, config.num_caches)

@@ -20,9 +20,12 @@ regime rather than at steady state. This module provides:
   directory scrubbing, and buddy-replica installation are exercised and
   counted — never bypassed.
 
-Safety rails: an event that would fail an already-dead cache, recover a
-live one, or take down the *last* live member of a beacon ring is skipped
-(and counted as skipped) instead of corrupting the run.
+Safety rails: the manager's membership record decides. An event the
+addressed node's state does not admit — failing or retiring a node that is
+already out or is the *last* live member of its beacon ring, recovering a
+node that did not crash (a live one, or one the elastic controller
+retired), instantiating a node that was not retired — is skipped (and
+counted as skipped) instead of corrupting the run.
 """
 
 from __future__ import annotations
@@ -233,20 +236,20 @@ class ChurnSchedule:
         return applied
 
     def _apply_inner(self, cloud, event: ChurnEvent, now: float) -> bool:
-        cache = cloud.caches[event.cache_id]
         if event.action in (INSTANTIATE, RETIRE):
             return self._apply_scale(cloud, event, now)
+        manager = cloud.failure_manager
         if event.action == FAIL:
-            if not cache.alive or self._is_last_live_ring_member(
-                cloud, event.cache_id
-            ):
+            if not manager.can_leave(event.cache_id):
                 self.stats.skipped += 1
                 return False
             cloud.fail_cache(event.cache_id, now)
             self.stats.failures += 1
             self.stats.open_window(event.cache_id, now)
             return True
-        if cache.alive:
+        if event.cache_id not in manager.crashed():
+            # Alive, or retired: a standby comes back through
+            # ``instantiate``, never through ``recover``.
             self.stats.skipped += 1
             return False
         cloud.recover_cache(event.cache_id, now)
@@ -266,21 +269,16 @@ class ChurnSchedule:
         explicit operator actions, not watermark decisions.
         """
         controller = getattr(cloud, "elastic", None)
-        cache = cloud.caches[event.cache_id]
         if event.action == RETIRE:
-            if (
-                controller is None
-                or not cache.alive
-                or self._is_last_live_ring_member(cloud, event.cache_id)
+            if controller is None or not cloud.failure_manager.can_leave(
+                event.cache_id
             ):
                 self.stats.skipped += 1
                 return False
             controller.retire_node(event.cache_id, now)
             self.stats.scale_ins += 1
             return True
-        if controller is None or cache.alive or not controller.is_standby(
-            event.cache_id
-        ):
+        if controller is None or not controller.is_standby(event.cache_id):
             # A crash-downed node is not a standby: it comes back through
             # ``recover``, not ``instantiate``.
             self.stats.skipped += 1
@@ -302,13 +300,6 @@ class ChurnSchedule:
             raise RuntimeError(
                 "churn scheduling requires a cloud with failure_resilience=True"
             )
-
-    @staticmethod
-    def _is_last_live_ring_member(cloud, cache_id: int) -> bool:
-        """Whether failing ``cache_id`` would empty its beacon ring."""
-        ring_index, _ = cloud.failure_manager._home[cache_id]
-        members = cloud.assigner.rings[ring_index].members
-        return cache_id in members and len(members) < 2
 
     def __repr__(self) -> str:
         return (

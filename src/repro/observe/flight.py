@@ -41,6 +41,7 @@ structural-equivalence tests in ``tests/test_observe_flight.py``).
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
@@ -53,6 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids runtime imports
     from repro.core.node import RequestResult
 
 __all__ = [
+    "ArtifactError",
     "FLIGHT_SCHEMA_VERSION",
     "FlightLog",
     "FlightRecorder",
@@ -377,6 +379,24 @@ class FlightRecorder:
 # ----------------------------------------------------------------------
 # Reading
 # ----------------------------------------------------------------------
+class ArtifactError(ValueError):
+    """A file this program wrote and reads back is malformed.
+
+    The one error of the artifact readers — flight logs here, result
+    archives (``experiments.reporting``), sweep checkpoints
+    (``experiments.parallel``). The message names the file; the CLI prints
+    it on one line and exits 2.
+    """
+
+
+#: Fields the renderers index without a default, per record type: a reader
+#: that lets a record through without them only moves the crash downstream.
+_REQUIRED_NUMBERS = {
+    "header": ("window",),
+    "window": ("index", "start", "end", "requests", "updates"),
+}
+
+
 @dataclass
 class FlightLog:
     """A parsed flight artifact."""
@@ -413,8 +433,17 @@ def read_flight(path: str) -> FlightLog:
         try:
             record = json.loads(raw)
         except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: corrupt flight record") from exc
+            raise ArtifactError(f"{path}:{lineno}: corrupt flight record") from exc
+        if not isinstance(record, dict):
+            raise ArtifactError(f"{path}:{lineno}: flight record is not an object")
         kind = record.get("type")
+        for name in _REQUIRED_NUMBERS.get(kind, ()):
+            value = record.get(name)
+            if type(value) not in (int, float) or value != value or abs(value) == math.inf:
+                raise ArtifactError(
+                    f"{path}:{lineno}: {kind} record needs a finite number "
+                    f"{name!r}, got {value!r}"
+                )
         if kind == "header":
             header = record
         elif kind == "window":

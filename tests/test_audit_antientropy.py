@@ -15,6 +15,9 @@ import pytest
 
 from repro.audit.antientropy import AntiEntropyConfig, AntiEntropyProcess
 from repro.audit.invariants import InvariantAuditor
+from repro.core.elastic import ElasticConfig
+from repro.core.overload import OverloadConfig
+from repro.experiments.runner import run_experiment
 from repro.faults.churn import ChurnEvent, ChurnSchedule
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, RetryPolicy
@@ -277,6 +280,30 @@ class TestChurnHook:
         schedule.apply(cloud, ChurnEvent(1.0, 1, "fail"), 1.0)
         schedule.apply(cloud, ChurnEvent(2.0, 1, "recover"), 2.0)
         assert process.stats.cycles == 0
+
+    def test_sweep_fires_after_a_warm_join(self, small_corpus):
+        """An elastic warm join *is* a recovery, so ``run_experiment`` hooks
+        the repair sweep to the controller as it does to the churn schedule
+        (it used to hook the schedule only, and the hook matched ``recover``
+        only: a re-instantiated node waited for the next periodic sweep)."""
+        cloud = make_cloud(small_corpus, num_caches=6, failure_resilience=True)
+        run_experiment(
+            cloud.config,
+            small_corpus,
+            [],
+            [],
+            duration=5.0,
+            cloud=cloud,
+            overload=OverloadConfig(),
+            elastic=ElasticConfig(initial_caches=5),
+            # No periodic sweep falls inside the run: every cycle counted
+            # below is the hook's.
+            anti_entropy=AntiEntropyConfig(period_minutes=100.0),
+        )
+        assert cloud.anti_entropy.stats.cycles == 0
+        standby = cloud.failure_manager.retired()[0]
+        cloud.elastic.instantiate_node(standby, 6.0)
+        assert cloud.anti_entropy.stats.cycles == 1
 
 
 class TestLossyRepairs:

@@ -153,7 +153,7 @@ class TestDetectsViolations:
     def test_replica_at_dead_buddy(self, small_corpus):
         cloud = make_cloud(small_corpus, failure_resilience=True)
         cloud.failure_manager.sync(1.0)
-        holder, _ = cloud.failure_manager._replicas[0]
+        holder = cloud.failure_manager.replica_holders()[0]
         cloud.caches[holder].alive = False
         cloud.caches[holder].storage._docs = {}  # avoid DEAD_CACHE_STORES noise
         report = self._audit(cloud)

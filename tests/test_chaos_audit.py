@@ -6,9 +6,16 @@ grid must leave visible divergence when it is off (proving the harness
 actually injects the damage anti-entropy exists to repair).
 """
 
+from dataclasses import replace
+
 import pytest
 
-from repro.audit.chaos import ChaosScenario, chaos_audit_grid, run_chaos_scenario
+from repro.audit.chaos import (
+    CHAOS_SCALE,
+    ChaosScenario,
+    chaos_audit_grid,
+    run_chaos_scenario,
+)
 
 #: Small enough for CI, long enough for churn + loss to do real damage.
 _FAST = {"duration_minutes": 30.0}
@@ -27,14 +34,11 @@ def total(grid, column):
 class TestScenarioValidation:
     def test_rejects_bad_rates(self):
         with pytest.raises(ValueError):
-            ChaosScenario(key="x", seed=1, loss_rate=1.0, churn_rate=0.0)
+            ChaosScenario("x", CHAOS_SCALE, loss_rate=1.0, churn_rate=0.0)
         with pytest.raises(ValueError):
-            ChaosScenario(key="x", seed=1, loss_rate=0.1, churn_rate=-1.0)
-        with pytest.raises(ValueError):
-            ChaosScenario(
-                key="x", seed=1, loss_rate=0.1, churn_rate=0.0,
-                duration_minutes=0.0,
-            )
+            ChaosScenario("x", CHAOS_SCALE, loss_rate=0.1, churn_rate=-1.0)
+        with pytest.raises(ValueError):  # the sizing is a Scale: it validates itself
+            replace(CHAOS_SCALE, duration_minutes=0.0)
 
 
 class TestAntiEntropyOn:
@@ -94,10 +98,9 @@ class TestSingleScenario:
         outcome = run_chaos_scenario(
             ChaosScenario(
                 key=(3, 0.2, 0.0),
-                seed=3,
+                scale=replace(CHAOS_SCALE, seed=3, duration_minutes=20.0),
                 loss_rate=0.2,
                 churn_rate=0.0,
-                duration_minutes=20.0,
             )
         )
         assert outcome.key == (3, 0.2, 0.0)

@@ -31,6 +31,7 @@ from repro.core.overload import OverloadConfig
 from repro.faults.churn import (
     FAIL,
     INSTANTIATE,
+    RECOVER,
     RETIRE,
     ChurnEvent,
     ChurnSchedule,
@@ -397,6 +398,26 @@ class TestScheduledScaleEvents:
         assert schedule.stats.scale_outs == 0
         assert schedule.stats.skipped == 1
 
+    def test_retired_node_cannot_be_recovered_by_script(self, small_corpus):
+        """A standby is out by choice, not crashed: churn's ``recover`` leaves
+        it to the controller. The two ledgers used to disagree here — the
+        node came back alive *and* standby, ``active_count()`` read 6, and the
+        next scale-out died with ``cache 5 is not down`` inside the check."""
+        cloud, controller = elastic_cloud(
+            small_corpus, min_caches=2, cooldown_minutes=0.0
+        )
+        controller.retire_node(5, 0.5)
+        schedule = ChurnSchedule([ChurnEvent(1.0, 5, RECOVER)])
+        schedule.apply_due(cloud, 2.0)
+        assert schedule.stats.recoveries == 0
+        assert schedule.stats.skipped == 1
+        assert not cloud.caches[5].alive and controller.is_standby(5)
+        assert controller.active_count() == 5
+        feed(controller, 3.0, depth=0.0)  # first sample: observe only
+        feed(controller, 4.0, depth=50.0)
+        assert controller.stats.scale_out_events == 1
+        assert cloud.caches[5].alive and not controller.is_standby(5)
+
     def test_legacy_as_dict_schema_without_scale_events(self):
         stats = ChurnStats(failures=1, recoveries=1)
         assert set(stats.as_dict()) == {
@@ -521,8 +542,9 @@ class TestScaleSequenceProperty:
                     doc += 1
                 continue
             if op == "out":
-                if controller._standby:
-                    controller.instantiate_node(min(controller._standby), now)
+                standby = cloud.failure_manager.retired()
+                if standby:
+                    controller.instantiate_node(standby[0], now)
             else:
                 victim = controller._choose_victim()
                 if (

@@ -210,7 +210,7 @@ class TestOverlappingFailures:
         buddy = manager.buddy_of(victim)
         wide_cloud.fail_cache(buddy, now=6.0)
         # The buddy held the victim's replica; the victim's entry is gone.
-        assert victim not in manager._replicas
+        assert victim not in manager.replica_holders()
         assert manager.replicas_lost >= 1
 
     def test_victim_failing_after_buddy_installs_nothing(self, wide_cloud):
@@ -262,10 +262,10 @@ class TestOverlappingFailures:
         buddy = manager.buddy_of(victim)
         wide_cloud.fail_cache(victim, now=6.0)
         wide_cloud.recover_cache(victim, now=7.0)
-        assert victim not in manager._replicas
+        assert victim not in manager.replica_holders()
         held_at_buddy = [
             owner
-            for owner, (host, _) in manager._replicas.items()
+            for owner, host in manager.replica_holders().items()
             if host == buddy
         ]
         assert victim not in held_at_buddy
@@ -275,7 +275,7 @@ class TestOverlappingFailures:
         # The next sync after the buddy recovers re-covers everyone.
         wide_cloud.recover_cache(buddy, now=9.0)
         wide_cloud.run_cycle(now=10.0)
-        assert victim in manager._replicas
+        assert victim in manager.replica_holders()
 
     def test_failure_during_recovery_window(self, wide_cloud):
         """A second member fails before the first one's replica re-syncs."""
@@ -287,7 +287,7 @@ class TestOverlappingFailures:
         wide_cloud.recover_cache(first, now=7.0)
         # No sync has run since recovery: the recovered node has no fresh
         # replica, so a failure now must fall back to an empty install.
-        assert first not in manager._replicas
+        assert first not in manager.replica_holders()
         installed_before = manager.stale_entries_installed
         wide_cloud.fail_cache(first, now=8.0)
         assert manager.stale_entries_installed == installed_before

@@ -153,7 +153,7 @@ class TestRunSweep:
         def broken(*args, **kwargs):
             raise OSError("no semaphores here")
 
-        monkeypatch.setattr(parallel, "_run_parallel", broken)
+        monkeypatch.setattr(parallel, "_run_pool", broken)
         specs = [zipf_spec(key="a"), zipf_spec(key="b")]
         results = run_sweep(specs, jobs=2)
         assert results == run_sweep(specs, jobs=1)
@@ -165,7 +165,7 @@ class TestRunSweep:
             seen["workers"] = workers
             return [runner(spec) for spec in specs]
 
-        monkeypatch.setattr(parallel, "_run_parallel", fake_parallel)
+        monkeypatch.setattr(parallel, "_run_pool", fake_parallel)
         run_sweep([zipf_spec(key="a"), zipf_spec(key="b")], jobs=16)
         assert seen["workers"] == 2
 

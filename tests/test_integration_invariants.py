@@ -153,8 +153,7 @@ def test_invariants_under_failures(ops):
             cloud.run_cycle(now)
         elif kind == "fail":
             cache_id = op[1]
-            ring_index, _ = cloud.failure_manager._home[cache_id]
-            ring = cloud.assigner.rings[ring_index]
+            ring = cloud.failure_manager.ring_of(cache_id)
             # Keep at least one live member per ring, and an arc wide enough
             # to split on recovery.
             if cache_id in down or len(ring.members) <= 1:

@@ -117,3 +117,73 @@ def test_a_name_imported_through_a_hub_resolves_to_its_defining_module():
     assert _resolve("repro.workload", None) is None
     assert _resolve("repro", "__version__") is None
     assert _resolve("os.path", "join") is None
+
+
+# ----------------------------------------------------------------------
+# What a module knows of another object's insides
+# ----------------------------------------------------------------------
+#: ``(module, attribute)``: the deliberate reads of a ``_private`` attribute
+#: of an object that is not ``self`` / ``cls`` — hot-path pokes that skip a
+#: frame per operation, and a class reading a second instance of itself.
+#: This list may only shrink: give the owner a public accessor instead of
+#: adding a line (``FailureResilienceManager._home`` / ``._replicas`` were
+#: read from four modules before they got ``ring_of`` / ``can_leave`` /
+#: ``replica_holders``).
+PRIVATE_READS: Set[Tuple[str, str]] = {
+    # The meter's two tallies, charged in place by the fabric and transport.
+    ("repro.core.fabric", "_bytes"),
+    ("repro.core.fabric", "_messages"),
+    ("repro.network.transport", "_bytes"),
+    ("repro.network.transport", "_messages"),
+    # NodeQueue's deque, touched in place by the overload controller.
+    ("repro.core.overload", "_completions"),
+    # The cloud-wide update-rate estimators, read where a miss is decided.
+    ("repro.core.node", "_update_rates"),
+    ("repro.core.edgenetwork", "_update_rates"),
+    # DecayingRate's two fields, folded by the stats aggregation beside it.
+    ("repro.edgecache.stats", "_count"),
+    ("repro.edgecache.stats", "_last_time"),
+    # A class reading another instance of itself.
+    ("repro.network.bandwidth", "_bytes"),
+    ("repro.network.bandwidth", "_messages"),
+    ("repro.observe.registry", "_counters"),
+    ("repro.observe.registry", "_histograms"),
+    ("repro.observe.registry", "_times"),
+    ("repro.observe.registry", "_values"),
+    ("repro.observe.flight", "_index"),
+    ("repro.observe.flight", "_header_written"),
+    # The TTL rule extending the group's peer test through ``super()``.
+    ("repro.baselines.ttl", "_peer_usable"),
+}
+
+
+def _private_reads() -> Dict[Tuple[str, str], List[int]]:
+    """``(module, attr) -> lines`` reading ``<not self>._attr`` under ``src/repro``.
+
+    Dunder and sunder names (``__dict__``, an ``Enum``'s ``_value_``) are
+    the language's own, not a module's secrets.
+    """
+    reads: Dict[Tuple[str, str], List[int]] = {}
+    for module, path in MODULES.items():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr.startswith("_")
+                and not node.attr.endswith("_")
+                and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+            ):
+                reads.setdefault((module, node.attr), []).append(node.lineno)
+    return reads
+
+
+def test_no_module_reads_another_objects_private_attribute():
+    reads = _private_reads()
+    leaked = sorted(
+        f"{module}:{lines} reads .{attr}"
+        for (module, attr), lines in reads.items()
+        if (module, attr) not in PRIVATE_READS
+    )
+    assert not leaked, (
+        f"give the owning class a public accessor (the allowlist only shrinks): {leaked}"
+    )
+    assert PRIVATE_READS <= set(reads), f"stale entries: {sorted(PRIVATE_READS - set(reads))}"

@@ -4,11 +4,16 @@ Rule-based state machines drive :class:`CacheStorage` and
 :class:`BeaconRing` through arbitrary interleavings of their operations,
 checking invariants a shadow model maintains in parallel. These catch
 bookkeeping desyncs (byte accounting, policy/tracked-set drift, arc
-partition corruption) that example-based tests rarely reach.
+partition corruption) that example-based tests rarely reach. A third
+machine drives ring *membership* of a whole cloud — crashes, recoveries,
+retirements, warm joins and scripted churn events addressed to any node —
+against the failure manager's record of who is in and why the others are
+out.
 """
 
 import random
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -19,9 +24,15 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.audit.invariants import InvariantAuditor
+from repro.core.elastic import ElasticConfig
+from repro.core.overload import OverloadConfig
 from repro.core.ring import BeaconRing
 from repro.edgecache.replacement import make_policy
 from repro.edgecache.storage import CacheStorage
+from repro.faults.churn import FAIL, INSTANTIATE, RECOVER, RETIRE, ChurnEvent, ChurnSchedule
+from repro.workload.documents import build_corpus
+from tests.conftest import make_cloud
 
 DOC_IDS = st.integers(min_value=0, max_value=19)
 SIZES = st.integers(min_value=10, max_value=400)
@@ -176,8 +187,118 @@ class RingMachine(RuleBasedStateMachine):
             assert self.ring.arc_of(owner).contains(irh)
 
 
+class MembershipMachine(RuleBasedStateMachine):
+    """A small elastic cloud under every membership change, asked of any node.
+
+    Members, crashed and retired nodes alike are addressed by every rule.
+    A change the addressed node's state does not admit must raise the
+    documented ``ValueError`` (direct calls) or be skipped (churn events)
+    and leave the cloud as it was; one it admits must go through.
+    """
+
+    NUM_CACHES = 6
+    CACHES = st.integers(min_value=0, max_value=NUM_CACHES - 1)
+    DOCS = st.integers(min_value=0, max_value=39)
+
+    def __init__(self):
+        super().__init__()
+        corpus = build_corpus(40, fixed_size=1024)
+        self.cloud = make_cloud(
+            corpus, num_caches=self.NUM_CACHES, num_rings=2, failure_resilience=True
+        )
+        self.cloud.attach_overload(OverloadConfig())
+        self.controller = self.cloud.attach_elastic(ElasticConfig())
+        self.manager = self.cloud.failure_manager
+        self.schedule = ChurnSchedule([])
+        self.auditor = InvariantAuditor()
+        self.now = 0.0
+
+    def _tick(self):
+        self.now += 0.5
+        return self.now
+
+    def _attempt(self, admitted, change, cache_id):
+        """``change`` goes through iff ``admitted``; else ValueError, no effect."""
+        if admitted:
+            change(cache_id, self._tick())
+            return
+        before = (self.manager.crashed(), self.manager.retired())
+        with pytest.raises(ValueError):
+            change(cache_id, self._tick())
+        assert (self.manager.crashed(), self.manager.retired()) == before
+
+    @rule(cache_id=CACHES, doc_id=DOCS)
+    def request(self, cache_id, doc_id):
+        self.cloud.handle_request(cache_id, doc_id, self._tick())
+
+    @rule(doc_id=DOCS)
+    def update(self, doc_id):
+        self.cloud.handle_update(doc_id, self._tick())
+
+    @rule()
+    def cycle(self):
+        self.cloud.run_cycle(self._tick())
+
+    @rule(cache_id=CACHES)
+    def fail(self, cache_id):
+        self._attempt(self.manager.can_leave(cache_id), self.cloud.fail_cache, cache_id)
+
+    @rule(cache_id=CACHES)
+    def recover(self, cache_id):
+        self._attempt(
+            cache_id in self.manager.crashed(), self.cloud.recover_cache, cache_id
+        )
+
+    @rule(cache_id=CACHES)
+    def retire(self, cache_id):
+        self._attempt(
+            self.manager.can_leave(cache_id), self.controller.retire_node, cache_id
+        )
+
+    @rule(cache_id=CACHES)
+    def instantiate(self, cache_id):
+        self._attempt(
+            cache_id in self.manager.retired(), self.controller.instantiate_node, cache_id
+        )
+
+    @rule(cache_id=CACHES, action=st.sampled_from([FAIL, RECOVER, RETIRE, INSTANTIATE]))
+    def churn_event(self, cache_id, action):
+        admitted = {
+            FAIL: self.manager.can_leave(cache_id),
+            RETIRE: self.manager.can_leave(cache_id),
+            RECOVER: cache_id in self.manager.crashed(),
+            INSTANTIATE: cache_id in self.manager.retired(),
+        }[action]
+        now = self._tick()
+        skipped = self.schedule.stats.skipped
+        applied = self.schedule.apply(self.cloud, ChurnEvent(now, cache_id, action), now)
+        assert applied == admitted
+        assert self.schedule.stats.skipped == skipped + (not admitted)
+
+    @invariant()
+    def one_record_of_who_is_in_and_why_the_others_are_out(self):
+        crashed, retired = set(self.manager.crashed()), set(self.manager.retired())
+        assert not crashed & retired
+        rings = self.cloud.assigner.rings
+        for cache in self.cloud.caches:
+            listed = sum(cache.cache_id in ring.members for ring in rings)
+            member = cache.cache_id not in crashed | retired
+            assert cache.alive == member == (listed == 1) and listed <= 1
+            assert self.controller.is_standby(cache.cache_id) == (cache.cache_id in retired)
+        assert self.controller.active_count() == self.NUM_CACHES - len(crashed | retired)
+
+    @invariant()
+    def never_a_hard_violation(self):
+        assert self.auditor.audit(self.cloud).hard_violations == 0
+
+
 TestStorageMachine = StorageMachine.TestCase
 TestStorageMachine.settings = settings(max_examples=40, deadline=None, stateful_step_count=40)
 
 TestRingMachine = RingMachine.TestCase
 TestRingMachine.settings = settings(max_examples=40, deadline=None, stateful_step_count=30)
+
+TestMembershipMachine = MembershipMachine.TestCase
+TestMembershipMachine.settings = settings(
+    max_examples=40, deadline=None, stateful_step_count=30, derandomize=True
+)
