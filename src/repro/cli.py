@@ -27,7 +27,7 @@ import os
 import random
 import sys
 from pathlib import Path
-from typing import Any, List, Optional
+from typing import Any, Callable, List, Optional, TypeVar
 
 from repro.core.cloud import CacheCloud
 from repro.core.config import AssignmentScheme, CloudConfig, PlacementScheme
@@ -74,7 +74,8 @@ def _add_workload(
 
 def _generator(args: argparse.Namespace) -> SyntheticTraceGenerator:
     return SyntheticTraceGenerator(
-        WorkloadConfig(
+        _checked(
+            WorkloadConfig,
             num_documents=args.documents,
             num_caches=args.caches,
             request_rate_per_cache=args.request_rate,
@@ -86,23 +87,26 @@ def _generator(args: argparse.Namespace) -> SyntheticTraceGenerator:
     )
 
 
-def _run(
+def _prepare(
     args: argparse.Namespace,
     clustered: bool = False,
     assignment: str = AssignmentScheme.DYNAMIC.value,
     placement: str = PlacementScheme.UTILITY.value,
-    **planes: Any,
-) -> ExperimentResult:
-    """One cloud over the generated workload, observers attached via ``planes``.
+) -> Callable[..., ExperimentResult]:
+    """One cloud over the generated workload, built but not yet run.
+
+    Every flag the workload and the cloud reject is rejected here, before
+    anything runs; the returned call runs it, observers attached by keyword.
 
     ``clustered`` places the caches in two metro clusters with a far-away
     origin, which gives latency histograms real shape: peer transfers are
     cheap, origin fetches are not, and span trees and per-category latency
     columns show exactly where each request paid.
     """
-    corpus: Corpus = build_corpus(args.documents)
     generator = _generator(args)
-    config = CloudConfig(
+    corpus: Corpus = build_corpus(args.documents)
+    config = _checked(
+        CloudConfig,
         num_caches=args.caches,
         num_rings=args.rings,
         cycle_length=args.cycle,
@@ -126,7 +130,7 @@ def _run(
             origin=OriginServer(corpus),
             transport=Transport(topology=topology),
         )
-    return run_experiment(
+    return lambda **planes: run_experiment(
         config,
         corpus,
         generator.requests(),
@@ -266,8 +270,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_T = TypeVar("_T")
+
+
 class _Usage(Exception):
-    """A well-formed command line asking for something an experiment lacks."""
+    """A well-formed command line asking for something the verb rejects."""
+
+
+def _checked(build: Callable[..., _T], *args: Any, **kwargs: Any) -> _T:
+    """``build(*args, **kwargs)``; a value it rejects is a usage error."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise _Usage(str(exc)) from None
 
 
 def _cmd_exp(args: argparse.Namespace) -> int:
@@ -303,17 +318,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    run = _prepare(args, assignment=args.assignment, placement=args.placement)
     telemetry = None
     if args.telemetry:
         from repro.observe import Telemetry
 
         telemetry = Telemetry()
-    result = _run(
-        args,
-        assignment=args.assignment,
-        placement=args.placement,
-        telemetry=telemetry,
-    )
+    result = run(telemetry=telemetry)
     stats = result.stats
     assert result.load_stats is not None
     print(f"requests={stats.requests} updates={result.updates}")
@@ -343,8 +354,9 @@ def _cmd_observe(args: argparse.Namespace) -> int:
         write_json,
     )
 
-    telemetry = Telemetry(max_spans=args.span_limit)
-    _run(args, clustered=True, telemetry=telemetry)
+    run = _prepare(args, clustered=True)
+    telemetry = _checked(Telemetry, max_spans=args.span_limit)
+    run(telemetry=telemetry)
     if args.json:
         print(dump_json(telemetry))
     else:
@@ -372,10 +384,11 @@ def _cmd_flight(args: argparse.Namespace) -> int:
     )
 
     if args.flight_action == "record":
-        recorder = FlightRecorder(
-            args.out, window=args.window, top_docs=args.top_docs
+        run = _prepare(args, clustered=True)
+        recorder = _checked(
+            FlightRecorder, args.out, window=args.window, top_docs=args.top_docs
         )
-        _run(args, clustered=True, flight=recorder)
+        run(flight=recorder)
         log = read_flight(args.out)
         print(
             f"flight artifact -> {args.out} "
@@ -440,17 +453,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag in ("top", "tolerance"):  # a count and a drift bound
+            if getattr(args, flag, 0) < 0:
+                raise _Usage(f"--{flag} must be >= 0, got {getattr(args, flag)}")
         return _HANDLERS[args.command](args)
-    except _Usage as exc:
-        parser.error(str(exc))
-    except ArtifactError as exc:  # a malformed file: one line, no traceback
-        print(f"repro: {exc}", file=sys.stderr)
-        return 2
+    except _Usage as exc:  # one line, exit 2, before anything runs
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
     except BrokenPipeError:
         # Downstream reader (head, less) closed the pipe; redirect stdout
         # to devnull so the interpreter's exit-time flush stays quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
+    except (ArtifactError, OSError) as exc:  # a malformed or unopenable file: one line
+        print(f"repro: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

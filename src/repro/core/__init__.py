@@ -14,9 +14,8 @@ Modules:
 * :mod:`~repro.core.utility` — the four-component utility function (paper §3.1).
 * :mod:`~repro.core.placement` — ad hoc / beacon-point / utility placement.
 * :mod:`~repro.core.failure` — lazy directory replication and beacon failover.
-* :mod:`~repro.core.protocol` — the typed protocol messages and trace.
 * :mod:`~repro.core.fabric` — the single message-dispatch seam (accounting,
-  fault middleware, tracing).
+  fault middleware, the dispatch log of every wire attempt).
 * :mod:`~repro.core.node` / :mod:`~repro.core.roles` — the protocol roles:
   requester-side cache node, beacon point, origin facade.
 * :mod:`~repro.core.cloud` — the composition root tying it together.

@@ -36,6 +36,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 from repro.core.beacon import BeaconState
 from repro.core.config import AssignmentScheme, CloudConfig
 from repro.core.consistent import ConsistentHashAssigner
+from repro.core.directory import DIRECTORY_ENTRY_BYTES
 from repro.core.fabric import MessageFabric
 from repro.core.failure import FailureResilienceManager
 from repro.core.hashing import (
@@ -53,7 +54,6 @@ from repro.core.node import (
 )
 from repro.core.overload import OverloadConfig, OverloadController
 from repro.core.placement import make_placement
-from repro.core.protocol import DirectoryTransfer, ProtocolTrace, RangeAnnouncement
 from repro.core.ring import BeaconRing
 from repro.core.roles import BeaconRole, OriginRole
 from repro.edgecache.cache import EdgeCache
@@ -97,8 +97,6 @@ class CacheCloud:
         Shared origin server; created internally when omitted.
     transport:
         Byte-accounted wire; a zero-latency one is created when omitted.
-    capture_protocol:
-        Enable :class:`ProtocolTrace` message capture (tests only).
     strategy:
         Optional :class:`~repro.strategies.base.CacheStrategy` override.
         ``None`` composes the config's own placement scheme through the
@@ -114,16 +112,14 @@ class CacheCloud:
         corpus: Corpus,
         origin: Optional[OriginServer] = None,
         transport: Optional[Transport] = None,
-        capture_protocol: bool = False,
         strategy: Optional[CacheStrategy] = None,
     ) -> None:
         self.config = config
         self.corpus = corpus
         self.origin = origin if origin is not None else OriginServer(corpus)
         self.transport = transport if transport is not None else Transport()
-        self.trace = ProtocolTrace(enabled=capture_protocol)
         #: The single dispatch seam every protocol message crosses.
-        self.fabric = MessageFabric(self.transport, self.trace)
+        self.fabric = MessageFabric(self.transport)
 
         #: The cloud's holder-epoch: a one-element cell every cache bumps
         #: when it stops holding documents without telling their beacon
@@ -711,7 +707,7 @@ class CacheCloud:
             for beacon in self.beacons.values():
                 beacon.reset_cycle()
             return
-        for ring_idx, ring in enumerate(self.assigner.rings):
+        for ring in self.assigner.rings:
             loads: Dict[int, float] = {}
             per_irh: Dict[int, float] = {}
             for member in ring.members:
@@ -733,13 +729,6 @@ class CacheCloud:
             # announcements go out at the same tick, so the fan-out batches
             # into one meter transaction on the fast path.
             coordinator = ring.members[0]
-            if self.trace.enabled:
-                assignments = tuple(
-                    (member, span_lo, span_hi)
-                    for member, arc in result.ranges.items()
-                    for span_lo, span_hi in arc.spans()
-                )
-                self.trace.emit(RangeAnnouncement(ring_idx, assignments))
             legs = [
                 (coordinator, cache.cache_id, CONTROL_MESSAGE_BYTES)
                 for cache in self.caches
@@ -750,9 +739,8 @@ class CacheCloud:
             # Migrate lookup records for the moved IrH spans.
             for lo, hi, src, dst in result.moves:
                 entries = self.beacons[src].directory.extract_range(lo, hi)
-                transfer = DirectoryTransfer(src, dst, len(entries))
-                self.trace.emit(transfer)
-                self.hand_over(src, dst, entries, transfer.size_bytes)
+                num_bytes = max(CONTROL_MESSAGE_BYTES, len(entries) * DIRECTORY_ENTRY_BYTES)
+                self.hand_over(src, dst, entries, num_bytes)
         if self.failure_manager is not None:
             self.failure_manager.sync(now)
 

@@ -12,8 +12,8 @@ through a single :class:`MessageFabric`. Per dispatch the fabric
   when one is attached — loss/delay/duplication/partition on each wire
   attempt, plus the plan's :class:`~repro.faults.plan.RetryPolicy` for
   reliable dispatches,
-* emits the typed :mod:`repro.core.protocol` message to the
-  :class:`~repro.core.protocol.ProtocolTrace` when capture is on, and
+* appends one :class:`DispatchRecord` per wire attempt to the dispatch
+  log when one is attached — the one capture of what crossed the wire, and
 * returns the accumulated latency (successful legs plus timeout/backoff
   penalties), so client-perceived latency reflects loss.
 
@@ -72,7 +72,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.overload import OverloadController
-from repro.core.protocol import ProtocolTrace
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import RetryPolicy
 from repro.network.bandwidth import TrafficCategory
@@ -173,17 +172,10 @@ class MessageFabric:
     ----------
     transport:
         The byte-accounted wire (meter + attempt ledger).
-    trace:
-        Shared :class:`ProtocolTrace`; a disabled one is created when
-        omitted. Roles gate message *construction* on ``trace.enabled`` so
-        the hot path never builds instrumentation objects it will not use.
     """
 
-    def __init__(
-        self, transport: Transport, trace: Optional[ProtocolTrace] = None
-    ) -> None:
+    def __init__(self, transport: Transport) -> None:
         self.transport = transport
-        self.trace = trace if trace is not None else ProtocolTrace()
         self.stats = FabricStats()
         self._faults: Optional[FaultInjector] = None
         self._dispatch_log: Optional[List[DispatchRecord]] = None
@@ -322,13 +314,6 @@ class MessageFabric:
         self._flight = recorder
         self._sync_fast_path()
 
-    # ------------------------------------------------------------------
-    # Tracing
-    # ------------------------------------------------------------------
-    def emit(self, message: object) -> None:
-        """Record a protocol message on the trace (when capture is on)."""
-        self.trace.emit(message)
-
     def capture_dispatches(self) -> List[DispatchRecord]:
         """Start recording wire attempts; returns the live record list."""
         records: List[DispatchRecord] = []
@@ -440,23 +425,9 @@ class MessageFabric:
     # ------------------------------------------------------------------
     # Dispatch styles
     # ------------------------------------------------------------------
-    def send_control(
-        self,
-        src: int,
-        dst: int,
-        *,
-        reliable: bool = False,
-        message: Optional[object] = None,
-    ) -> Delivery:
+    def send_control(self, src: int, dst: int, *, reliable: bool = False) -> Delivery:
         """Dispatch one control-sized message."""
-        return self.send(
-            src,
-            dst,
-            CONTROL_MESSAGE_BYTES,
-            _CONTROL,
-            reliable=reliable,
-            message=message,
-        )
+        return self.send(src, dst, CONTROL_MESSAGE_BYTES, _CONTROL, reliable=reliable)
 
     def send_document(
         self,
@@ -466,18 +437,12 @@ class MessageFabric:
         category: TrafficCategory,
         *,
         reliable: bool = False,
-        message: Optional[object] = None,
     ) -> Delivery:
         """Dispatch a document body plus protocol header."""
         if document_bytes <= 0:
             raise ValueError(f"document_bytes must be > 0, got {document_bytes}")
         return self.send(
-            src,
-            dst,
-            document_bytes + TRANSFER_HEADER_BYTES,
-            category,
-            reliable=reliable,
-            message=message,
+            src, dst, document_bytes + TRANSFER_HEADER_BYTES, category, reliable=reliable
         )
 
     def send(
@@ -488,9 +453,8 @@ class MessageFabric:
         category: TrafficCategory,
         *,
         reliable: bool = False,
-        message: Optional[object] = None,
     ) -> Delivery:
-        """Dispatch one message; ``message`` is traced on delivery.
+        """Dispatch one message.
 
         Only *reliable* dispatches wait for acknowledgement: a lost
         best-effort message costs nothing in sender latency and ticks no
@@ -501,8 +465,6 @@ class MessageFabric:
             # No middleware, no observers: the single attempt always lands.
             self.stats.dispatches += 1
             self._charge(num_bytes, category)
-            if message is not None:
-                self.trace.emit(message)
             topology = self.transport.topology
             if topology is None or src == dst:
                 return DELIVERED_FREE
@@ -518,8 +480,6 @@ class MessageFabric:
                 latency += policy.backoff_minutes(attempt - 1)
             leg = self._attempt(src, dst, num_bytes, category)
             if leg is not None:
-                if message is not None:
-                    self.trace.emit(message)
                 return Delivery(True, latency + leg, attempt + 1)
             if retrying and policy is not None:
                 self.stats.timeouts += 1
@@ -532,30 +492,20 @@ class MessageFabric:
         dst: int,
         document_bytes: int,
         category: TrafficCategory,
-        *,
-        message: Optional[object] = None,
     ) -> float:
         """Reliably dispatch a document, forcing delivery past the budget.
 
-        Returns the accumulated latency; the message *always* arrives —
-        and is therefore always traced. A transfer delivered on the forced
-        out-of-band leg reached the client just as surely as one the retry
-        budget covered, so the trace must record it either way (the
-        regression otherwise: under heavy loss a captured trace disagreed
-        with what the client actually received).
+        Returns the accumulated latency; the message *always* arrives. The
+        forced out-of-band leg is one more row of the dispatch log, after
+        the attempts the retry budget covered.
         """
-        delivery = self.send_document(
-            src, dst, document_bytes, category, reliable=True, message=message
-        )
+        delivery = self.send_document(src, dst, document_bytes, category, reliable=True)
         if delivery.ok:
             return delivery.latency
         self.stats.forced_deliveries += 1
-        latency = delivery.latency + self._bare(
+        return delivery.latency + self._bare(
             src, dst, document_bytes + TRANSFER_HEADER_BYTES, category
         )
-        if message is not None:
-            self.trace.emit(message)
-        return latency
 
     def send_system(
         self, src: int, dst: int, num_bytes: int, category: TrafficCategory
@@ -680,7 +630,6 @@ class MessageFabric:
         *,
         irh: int = 0,
         on_request_delivered: Optional[Callable[[int], None]] = None,
-        request: Optional[object] = None,
     ) -> Delivery:
         """A control-sized RPC: ``hops`` request legs plus one response leg.
 
@@ -690,8 +639,7 @@ class MessageFabric:
         mirroring a real server that does its work before its reply goes
         missing (this is how beacon load counters tick under loss; passing
         the IrH value through lets callers hand over a bound method instead
-        of allocating a closure per request). ``request`` is traced at the
-        same point.
+        of allocating a closure per request).
         """
         if self._fast_path:
             # Every leg lands: one meter transaction for the whole RPC.
@@ -706,8 +654,6 @@ class MessageFabric:
             meter._messages[_CONTROL] += legs
             if on_request_delivered is not None:
                 on_request_delivered(irh)
-            if request is not None:
-                self.trace.emit(request)
             topology = transport.topology
             if topology is None or src == dst:
                 return DELIVERED_FREE
@@ -733,8 +679,6 @@ class MessageFabric:
             if delivered:
                 if on_request_delivered is not None:
                     on_request_delivered(irh)
-                if request is not None:
-                    self.trace.emit(request)
                 response = self._attempt(
                     dst, src, CONTROL_MESSAGE_BYTES, _CONTROL
                 )

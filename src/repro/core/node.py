@@ -24,13 +24,6 @@ import enum
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from repro.core.protocol import (
-    DocumentTransfer,
-    EvictionNotice,
-    HolderRegistration,
-    LookupRequest,
-    LookupResponse,
-)
 from repro.core.utility import PlacementContext
 from repro.edgecache.cache import EdgeCache
 from repro.network.bandwidth import TrafficCategory
@@ -130,15 +123,10 @@ class CacheNode:
                 doc_id, size, now,
                 RequestOutcome.OVERLOAD_ORIGIN_FALLBACK, 0.0,
             )
-        beacon_state = beacon_role.state
         hops = cloud.doc_hops(doc_id)
         # Lookup RPC (possibly multi-hop for consistent hashing). The load
         # counter ticks on every attempt whose request legs arrive — the
         # beacon did its work even if its response then went missing.
-        capture = fabric.trace.enabled
-        request: Optional[LookupRequest] = None
-        if capture:
-            request = LookupRequest(cache_id, beacon_id, doc_id)
         tel = cloud.telemetry
         lookup_span: Optional["Span"] = None
         if tel is not None:
@@ -153,8 +141,7 @@ class CacheNode:
             beacon_id,
             hops,
             irh=irh,
-            on_request_delivered=beacon_state.record_lookup,
-            request=request,
+            on_request_delivered=beacon_role.state.record_lookup,
         )
         profile = cloud.profile
         if profile is not None:
@@ -191,17 +178,6 @@ class CacheNode:
                     tel.end_span(span, now)
                 tel.count("overload.shed.peer_fetch")
             holder_id = None
-        if capture:
-            # Only built under capture: the frozenset copy of the holder set
-            # is pure instrumentation and must not tax the hot loop.
-            fabric.emit(
-                LookupResponse(
-                    beacon_id,
-                    cache_id,
-                    doc_id,
-                    frozenset(beacon_state.directory.holders(doc_id)),
-                )
-            )
 
         if holder_id is not None:
             fetch_start = now + lookup.latency
@@ -216,10 +192,6 @@ class CacheNode:
                 size,
                 TrafficCategory.PEER_TRANSFER,
                 reliable=True,
-                message=self._transfer_message(
-                    holder_id, cache_id, doc_id, size,
-                    TrafficCategory.PEER_TRANSFER,
-                ) if capture else None,
             )
             if profile is not None:
                 profile.charge("peer_fetch", transfer.attempts)
@@ -267,10 +239,6 @@ class CacheNode:
                 cache_id,
                 size,
                 TrafficCategory.ORIGIN_FETCH,
-                message=self._transfer_message(
-                    cloud.origin.node_id, cache_id, doc_id, size,
-                    TrafficCategory.ORIGIN_FETCH,
-                ) if capture else None,
             )
             if profile is not None:
                 profile.charge("origin_fetch")
@@ -331,10 +299,6 @@ class CacheNode:
             size,
             TrafficCategory.ORIGIN_FETCH,
             reliable=True,
-            message=self._transfer_message(
-                cloud.origin.node_id, beacon_id, doc_id, size,
-                TrafficCategory.ORIGIN_FETCH,
-            ),
         )
         profile = cloud.profile
         if profile is not None:
@@ -379,10 +343,6 @@ class CacheNode:
             size,
             TrafficCategory.PEER_TRANSFER,
             reliable=True,
-            message=self._transfer_message(
-                beacon_id, cache_id, doc_id, size,
-                TrafficCategory.PEER_TRANSFER,
-            ),
         )
         if profile is not None:
             # Second leg of the same origin retrieval: charged to the
@@ -457,10 +417,6 @@ class CacheNode:
             cache.cache_id,
             size,
             TrafficCategory.ORIGIN_FETCH,
-            message=self._transfer_message(
-                cloud.origin.node_id, cache.cache_id, doc_id, size,
-                TrafficCategory.ORIGIN_FETCH,
-            ),
         )
         profile = cloud.profile
         if profile is not None:
@@ -512,10 +468,6 @@ class CacheNode:
             cache.cache_id,
             size,
             TrafficCategory.ORIGIN_FETCH,
-            message=self._transfer_message(
-                cloud.origin.node_id, cache.cache_id, doc_id, size,
-                TrafficCategory.ORIGIN_FETCH,
-            ),
         )
         profile = cloud.profile
         if profile is not None:
@@ -559,11 +511,8 @@ class CacheNode:
             # serve local hits until a later registration succeeds.
             cloud.registrations_lost += 1
         else:
-            message: Optional[HolderRegistration] = None
-            if cloud.fabric.trace.enabled:
-                message = HolderRegistration(cache_id, beacon_id, doc_id)
             delivery = cloud.fabric.send_control(
-                cache_id, beacon_id, reliable=True, message=message
+                cache_id, beacon_id, reliable=True
             )
             if delivery.ok:
                 beacon_role.accept_registration(doc_id, irh, cache_id)
@@ -592,12 +541,7 @@ class CacheNode:
             cloud.eviction_notices_lost += 1
             beacon_role.eviction_unannounced(doc_id)
             return
-        message: Optional[EvictionNotice] = None
-        if cloud.fabric.trace.enabled:
-            message = EvictionNotice(cache_id, beacon_id, doc_id)
-        delivery = cloud.fabric.send_control(
-            cache_id, beacon_id, reliable=False, message=message
-        )
+        delivery = cloud.fabric.send_control(cache_id, beacon_id, reliable=False)
         if not delivery.ok:
             cloud.eviction_notices_lost += 1
             beacon_role.eviction_unannounced(doc_id)
@@ -699,22 +643,6 @@ class CacheNode:
             cache.storage.residence_mean,
             min_residence,
         )
-
-    # ------------------------------------------------------------------
-    # Helpers
-    # ------------------------------------------------------------------
-    def _transfer_message(
-        self,
-        src: int,
-        dst: int,
-        doc_id: int,
-        size: int,
-        category: TrafficCategory,
-    ) -> Optional[DocumentTransfer]:
-        """A traceable transfer record, or ``None`` when capture is off."""
-        if not self._cloud.fabric.trace.enabled:
-            return None
-        return DocumentTransfer(src, dst, doc_id, size, category.value)
 
     def __repr__(self) -> str:
         return f"CacheNode(cache={self.cache!r})"

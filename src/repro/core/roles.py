@@ -25,7 +25,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Collection, List, Optional
 
 from repro.core.beacon import BeaconState
-from repro.core.protocol import UpdateNotice, UpdatePush
 from repro.network.bandwidth import TrafficCategory
 from repro.network.origin import OriginServer
 
@@ -53,7 +52,7 @@ def push_to_holders(
     ``version``. The one delivery body behind the star fan-out, the
     federation's per-cloud distribution (``from_beacon``: ``UPDATE_FANOUT``
     legs that a saturated holder's overload model may defer, charged to the
-    work profile and traced as :class:`UpdatePush`) and the origin's
+    work profile) and the origin's
     holder-by-holder refresh (``UPDATE_SERVER_TO_BEACON`` legs, none of
     those). A holder that is ``src`` itself needs no leg. A deferred or
     lost leg leaves its holder stale — one recovery contract for both: the
@@ -65,8 +64,8 @@ def push_to_holders(
     asking, sending and applying holder by holder: a leg touches only its
     destination's queue, a deferral reads only its holder's, and
     ``apply_update`` draws no randomness and sends nothing (DESIGN.md
-    §3.1). Spans, profile charges and trace messages are written after the
-    burst, in holder order, exactly as the per-leg loop wrote them.
+    §3.1). Spans and profile charges are written after the burst, in holder
+    order, exactly as the per-leg loop wrote them.
     """
     fabric = cloud.fabric
     caches = cloud.caches
@@ -112,7 +111,6 @@ def push_to_holders(
         profile.charge(
             "fanout_leg", sum(push.attempts for push in pushes), len(pushes)
         )
-    emit = from_beacon and fabric.trace.enabled
 
     refreshed = 0
     if own_copy:
@@ -122,8 +120,6 @@ def push_to_holders(
         if not push.ok:
             cloud.update_pushes_lost += 1
             continue
-        if emit:
-            fabric.emit(UpdatePush(src, holder, doc_id, version, size))
         caches[holder].apply_update(doc_id, version, now, size)
         refreshed += 1
     return refreshed
@@ -301,15 +297,10 @@ class BeaconRole:
         fabric = cloud.fabric
         beacon_id = self.beacon_id
         irh = cloud.doc_irh(doc_id)
-        carries_body = bool(holders)
-        if fabric.trace.enabled:
-            fabric.emit(
-                UpdateNotice(doc_id, version, beacon_id, carries_body, size)
-            )
         cloud.origin.note_update_message(doc_id)
         origin_id = cloud.origin.node_id
         tel = cloud.telemetry
-        if not carries_body:
+        if not holders:
             notice_span: Optional["Span"] = None
             if tel is not None:
                 notice_span = tel.begin_span(

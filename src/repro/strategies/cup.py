@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Optional, Set
 
-from repro.core.protocol import UpdatePush
 from repro.network.bandwidth import TrafficCategory
 from repro.strategies.paper import PolicyStrategy
 
@@ -118,10 +117,6 @@ class CUPTreeStrategy(PolicyStrategy):
                     )
                 if not push.ok:
                     continue  # counted below with the rest of its subtree
-                if fabric.trace.enabled:
-                    fabric.emit(
-                        UpdatePush(parent, child, doc_id, version, size)
-                    )
                 arrival[child] = parent_at + push.latency
         refreshed = 0
         for holder in holders:

@@ -10,7 +10,7 @@ inspected with standard tools, diffed, and checked into test fixtures:
 from __future__ import annotations
 
 from pathlib import Path
-from typing import List, TextIO, Union
+from typing import Iterable, List, TextIO, Union
 
 from repro.workload.trace import RequestRecord, Trace, UpdateRecord
 
@@ -46,24 +46,25 @@ def read_trace(source: Union[str, Path, TextIO]) -> Trace:
     """Parse a trace file written by :func:`write_trace`.
 
     Blank lines and lines starting with ``#`` are ignored, so fixtures may
-    carry comments.
+    carry comments. A file is decoded (UTF-8) line by line, so bytes that do
+    not decode are a malformed line like any other.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
+        with open(source, "rb") as fh:
             return _read_records(fh)
     return _read_records(source)
 
 
-def _read_records(fh: TextIO) -> Trace:
+def _read_records(fh: Iterable[Union[str, bytes]]) -> Trace:
     requests: List[RequestRecord] = []
     updates: List[UpdateRecord] = []
     for lineno, raw in enumerate(fh, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        kind = fields[0]
         try:
+            line = (raw.decode("utf-8") if isinstance(raw, bytes) else raw).strip()
+            if not line or line.startswith("#"):
+                continue
+            fields = line.split()
+            kind = fields[0]
             if kind == "R":
                 if len(fields) != 4:
                     raise TraceFormatError(

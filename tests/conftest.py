@@ -35,10 +35,9 @@ def make_cloud(
     num_rings=2,
     assignment=AssignmentScheme.DYNAMIC,
     placement=PlacementScheme.AD_HOC,
-    capture=True,
     **overrides,
 ):
-    """Build a small cloud with protocol capture on (test helper)."""
+    """Build a small cloud (test helper)."""
     config = CloudConfig(
         num_caches=num_caches,
         num_rings=num_rings,
@@ -48,7 +47,19 @@ def make_cloud(
         cycle_length=overrides.pop("cycle_length", 10.0),
         **overrides,
     )
-    return CacheCloud(config, corpus, capture_protocol=capture)
+    return CacheCloud(config, corpus)
+
+
+def wire(cloud, action):
+    """What ``action()`` sent on ``cloud``'s wire, one tuple per attempt.
+
+    Attaches the fabric's dispatch log for the call and returns its rows as
+    ``(src, dst, num_bytes, category)`` in dispatch order.
+    """
+    log = cloud.fabric.capture_dispatches()
+    action()
+    cloud.fabric.stop_dispatch_capture()
+    return [(r.src, r.dst, r.num_bytes, r.category) for r in log]
 
 
 @pytest.fixture

@@ -105,6 +105,61 @@ class TestExpUsageErrors:
         assert captured.out == ""
 
 
+#: A flight artifact recorded once for the rows that read one.
+_SMALL_FLIGHT = [
+    "flight", "record",
+    "--documents", "80",
+    "--caches", "4",
+    "--rings", "2",
+    "--duration", "4",
+    "--cycle", "2",
+    "--window", "2",
+]
+
+
+class TestRejectedValuesAndFiles:
+    """A value a verb's constructors reject, a negative count or bound, or an
+    input file that cannot be opened: exit 2 with one stderr line, before
+    anything runs, and never a traceback."""
+
+    @pytest.fixture(scope="class")
+    def artifact(self, tmp_path_factory):
+        path = str(tmp_path_factory.mktemp("flight") / "flight.jsonl")
+        assert main(_SMALL_FLIGHT + ["--out", path]) == 0
+        return path
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["flight", "record", "--out", "{out}", "--window", "0"], "window width"),
+            (["flight", "record", "--out", "{out}", "--top-docs", "-1"], "top_docs"),
+            (["observe", "--span-limit", "0"], "max_spans must be positive"),
+            (["run", "--caches", "0"], "num_caches must be positive"),
+            (["run", "--duration", "0"], "duration_minutes must be positive"),
+            (["trace", "--duration", "-5", "--out", "{out}"], "duration_minutes"),
+            (["flight", "render", "{missing}"], "No such file"),
+            (["compare", "{missing}", "{missing}"], "No such file"),
+            (["flight", "render", "{artifact}", "--top", "-1"], "--top must be >= 0"),
+            (
+                ["flight", "diff", "{artifact}", "{artifact}", "--tolerance", "-0.1"],
+                "--tolerance must be >= 0",
+            ),
+        ],
+    )
+    def test_exit_two_with_one_line(self, argv, message, artifact, tmp_path, capsys):
+        out = tmp_path / "out"
+        paths = dict(out=out, missing=tmp_path / "missing.json", artifact=artifact)
+        try:
+            code = main([arg.format(**paths) for arg in argv])
+        except SystemExit as exit_info:
+            code = exit_info.code
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and message in captured.err
+        assert not out.exists()  # nothing ran, nothing was written
+
+
 class TestCommands:
     def test_figure3_tiny(self, capsys):
         # One claim is known-false at the tiny scale (dynamic peak/mean is
@@ -307,7 +362,11 @@ class TestObserveCommand:
         stdout = capsys.readouterr().out
         data = json.loads(out_file.read_text())
         assert data["schema_version"] == 1
-        assert any(key.startswith("latency_ms.") for key in data["histograms"])
+        latency = [key for key in data["histograms"] if key.startswith("latency_ms.")]
+        assert latency
+        for key in latency:
+            for stat in ("p50", "p90", "p99"):
+                assert data["histograms"][key][stat] is not None, (key, stat)
         assert data["spans"]["recorded"] > 0
         # The printed JSON is the same canonical document.
         assert json.loads(stdout[: stdout.rindex("}") + 1]) == data
@@ -401,6 +460,18 @@ class TestFlightCommand:
         perturbed.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert main(["flight", "diff", str(artifact), str(perturbed)]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_artifact_carries_windows_phases_and_walk_leaders(self, tmp_path):
+        from repro.observe.flight import read_flight
+
+        artifact = tmp_path / "flight.jsonl"
+        assert main(self._RECORD + ["--out", str(artifact)]) == 0
+        log = read_flight(str(artifact))
+        assert len(log.windows) == 8 // 2  # one per --duration / --window
+        phases = {phase for window in log.windows for phase in window.get("cost", {})}
+        assert {"beacon_lookup", "holder_verify", "placement"} <= phases
+        assert any(window.get("walk", {}).get("top") for window in log.windows)
+        assert log.summary["profile"]["holder_walk_length"]["count"] > 0
 
     def test_same_seed_artifacts_are_bit_identical(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

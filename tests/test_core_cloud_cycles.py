@@ -1,9 +1,10 @@
 """Unit tests for sub-range determination cycles at the cloud level."""
 
 from repro.core.config import AssignmentScheme
-from repro.core.protocol import DirectoryTransfer, RangeAnnouncement
+from repro.core.directory import DIRECTORY_ENTRY_BYTES
 from repro.network.bandwidth import TrafficCategory
 from repro.simulation.engine import Simulator
+from tests.conftest import wire
 
 
 def hot_doc_in_ring(cloud, ring_index=0):
@@ -41,10 +42,10 @@ class TestCycleMechanics:
         doc = hot_doc_in_ring(cloud, 0)
         for i in range(200):
             cloud.handle_update(doc, now=float(i) * 0.01)
-        cloud.run_cycle(now=10.0)
-        meter = cloud.transport.meter
-        assert meter.messages_for(TrafficCategory.CONTROL) > 0
-        assert len(cloud.trace.of_type(RangeAnnouncement)) >= 1
+        rows = wire(cloud, lambda: cloud.run_cycle(now=10.0))
+        announced = [r for r in rows if r[3] == "control"]
+        # One announcement to every other cache and one to the origin.
+        assert len(announced) == len(cloud.caches)
 
     def test_balanced_load_changes_nothing(self, cloud_factory):
         cloud = cloud_factory()
@@ -52,13 +53,13 @@ class TestCycleMechanics:
             (ring.members, [ring.arc_of(m).spans() for m in ring.members])
             for ring in cloud.assigner.rings
         ]
-        cloud.run_cycle(now=10.0)  # no load at all
+        rows = wire(cloud, lambda: cloud.run_cycle(now=10.0))  # no load at all
         rings_after = [
             (ring.members, [ring.arc_of(m).spans() for m in ring.members])
             for ring in cloud.assigner.rings
         ]
         assert rings_before == rings_after
-        assert not cloud.trace.of_type(RangeAnnouncement)
+        assert rows == []  # nothing moved, so nothing is announced
 
 
 class TestDirectoryMigration:
@@ -105,13 +106,12 @@ class TestDirectoryMigration:
         for i in range(300):
             cloud.handle_update(doc, now=5.0 + i * 0.01)
         cloud.run_cycle(now=10.0)
-        transfers = cloud.trace.of_type(DirectoryTransfer)
-        migrated = sum(t.entry_count for t in transfers)
+        migrated = sum(b.directory_entries_migrated for b in cloud.beacons.values())
         bytes_migrated = cloud.transport.meter.bytes_for(
             TrafficCategory.DIRECTORY_MIGRATION
         )
-        if migrated:
-            assert bytes_migrated > 0
+        assert migrated > 0
+        assert bytes_migrated >= migrated * DIRECTORY_ENTRY_BYTES
 
 
 class TestStaticSchemesHaveNoCycles:

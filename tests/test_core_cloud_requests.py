@@ -4,8 +4,8 @@ import pytest
 
 from repro.core.cloud import RequestOutcome
 from repro.core.config import AssignmentScheme, PlacementScheme
-from repro.core.protocol import LookupRequest
 from repro.network.bandwidth import TrafficCategory
+from tests.conftest import wire
 
 
 class TestColdMiss:
@@ -46,10 +46,13 @@ class TestColdMiss:
 
     def test_protocol_trace_captures_lookup(self, cloud_factory):
         cloud = cloud_factory()
-        cloud.handle_request(0, 5, now=1.0)
-        lookups = cloud.trace.of_type(LookupRequest)
-        assert len(lookups) == 1
-        assert lookups[0].requester == 0
+        beacon = cloud.beacon_for_doc(5)
+        rows = wire(cloud, lambda: cloud.handle_request(0, 5, now=1.0))
+        # One lookup leg out, its response back (the full miss: test_core_protocol).
+        assert rows[:2] == [
+            (0, beacon, 256, "control"),
+            (beacon, 0, 256, "control"),
+        ]
 
 
 class TestCloudHit:

@@ -1,7 +1,7 @@
 """Unit tests for cooperative update propagation."""
 
-from repro.core.protocol import UpdateNotice, UpdatePush
 from repro.network.bandwidth import TrafficCategory
+from tests.conftest import wire
 
 
 class TestUpdateWithoutHolders:
@@ -17,10 +17,8 @@ class TestUpdateWithoutHolders:
 
     def test_notice_captured_without_body(self, cloud_factory):
         cloud = cloud_factory()
-        cloud.handle_update(5, now=1.0)
-        notices = cloud.trace.of_type(UpdateNotice)
-        assert len(notices) == 1
-        assert not notices[0].carries_body
+        rows = wire(cloud, lambda: cloud.handle_update(5, now=1.0))
+        assert rows == [(cloud.origin.node_id, cloud.beacon_for_doc(5), 256, "control")]
 
     def test_update_load_recorded_at_beacon(self, cloud_factory):
         cloud = cloud_factory()
@@ -69,7 +67,6 @@ class TestUpdateWithHolders:
             cloud.transport.meter.messages_for(TrafficCategory.UPDATE_FANOUT)
             == expected_pushes
         )
-        assert len(cloud.trace.of_type(UpdatePush)) == expected_pushes
 
     def test_holders_keep_serving_local_hits_after_update(self, cloud_factory):
         from repro.core.cloud import RequestOutcome

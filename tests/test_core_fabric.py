@@ -127,15 +127,6 @@ class TestDispatchStyles:
         assert fabric.faults.stats.dropped == 0
         assert fabric.faults.stats.bytes_attempted == 0
 
-    def test_traced_message_emitted_only_on_delivery(self):
-        fabric = _fabric(loss_rate=1.0)
-        fabric.trace.enabled = True
-        fabric.send_control(0, 1, message="lost-probe")
-        assert fabric.trace.messages == []
-        fabric.detach_faults()
-        fabric.send_control(0, 1, message="delivered-probe")
-        assert fabric.trace.messages == ["delivered-probe"]
-
 
 class TestFastPath:
     """The no-middleware dispatch fast path (see fabric module docs)."""
@@ -177,14 +168,6 @@ class TestFastPath:
         assert fabric.transport.meter.bytes_for(TrafficCategory.CONTROL) == (
             4 * CONTROL_MESSAGE_BYTES
         )
-
-    def test_traced_message_still_emitted(self):
-        """The fast path skips observers, never the protocol trace."""
-        fabric = _fabric()
-        fabric.trace.enabled = True
-        fabric.send_control(0, 1, message="probe")
-        fabric.request_response(0, 1, 1, request="rpc-probe")
-        assert fabric.trace.messages == ["probe", "rpc-probe"]
 
 
 def _topology_pair():
@@ -257,25 +240,22 @@ class TestBatchEquivalence:
 
 
 class TestForcedDeliveryTrace:
-    """Regression: the forced out-of-band leg must trace its message.
+    """The forced out-of-band leg is a row of the dispatch log.
 
     A transfer delivered past the retry budget reached the client just as
-    surely as one the budget covered; under heavy loss the captured trace
-    used to disagree with what the client actually received.
+    surely as one the budget covered, so the log shows it after the lost
+    attempts, like any other wire attempt.
     """
 
     def test_forced_leg_emits_the_message(self):
         fabric = _fabric(loss_rate=1.0, retry=RetryPolicy(max_attempts=2))
-        fabric.trace.enabled = True
-        fabric.send_forced_document(
-            0, 1, 1000, TrafficCategory.ORIGIN_FETCH, message="doc-5"
-        )
+        log = fabric.capture_dispatches()
+        fabric.send_forced_document(0, 1, 1000, TrafficCategory.ORIGIN_FETCH)
         assert fabric.stats.forced_deliveries == 1
-        assert fabric.trace.messages == ["doc-5"]
+        leg = DispatchRecord(0, 1, 1000 + TRANSFER_HEADER_BYTES, "origin_fetch")
+        assert log == [leg] * 3  # two lost attempts, then the forced leg
 
     def test_cloud_trace_records_every_served_document(self, small_corpus):
-        from repro.core.protocol import DocumentTransfer
-
         cloud = make_cloud(small_corpus)
         cloud.attach_faults(
             FaultInjector(
@@ -283,14 +263,14 @@ class TestForcedDeliveryTrace:
                 cloud.transport,
             )
         )
+        log = cloud.fabric.capture_dispatches()
         result = cloud.handle_request(0, 5, now=1.0)
         assert cloud.fabric.stats.forced_deliveries == 1
-        # The client was served exactly once, by the origin — and the trace
-        # says so even though the transfer rode the forced leg.
-        transfers = cloud.trace.of_type(DocumentTransfer)
-        served = [t for t in transfers if t.doc_id == 5 and t.dst == 0]
-        assert len(served) == 1
-        assert served[0].src == result.served_by
+        # The client was served by the origin: two lost attempts, then the
+        # forced leg that carried the document, the log's last row.
+        leg = DispatchRecord(result.served_by, 0, 1024 + TRANSFER_HEADER_BYTES, "origin_fetch")
+        assert [r for r in log if r.category != "control"] == [leg] * 3
+        assert log[-1] == leg
 
 
 class _ResponseDropInjector(FaultInjector):

@@ -192,22 +192,19 @@ class TestByteConservation:
     def test_meter_matches_protocol_reconstruction(self):
         """Every metered byte is explainable from first principles.
 
-        Replays a workload with protocol capture on and reconstructs the
-        expected byte totals per category from the cloud's own counters:
-        the meter must agree exactly — any drift means a code path accounts
-        traffic twice or not at all.
+        Replays a workload and reconstructs the expected byte totals per
+        category from the counters the roles keep: the meter must agree
+        exactly — any drift means a code path accounts traffic twice or not
+        at all.
         """
-        from repro.core.cloud import CacheCloud
         from repro.network.transport import (
             CONTROL_MESSAGE_BYTES,
             TRANSFER_HEADER_BYTES,
         )
+        from repro.workload.trace import UpdateRecord
 
         corpus = build_corpus(80, fixed_size=4096)
-        config = cloud_config(placement=PlacementScheme.AD_HOC)
-        cloud = CacheCloud(config, corpus, capture_protocol=True)
-        from repro.workload.generator import SyntheticTraceGenerator, WorkloadConfig
-
+        cloud = CacheCloud(cloud_config(placement=PlacementScheme.AD_HOC), corpus)
         trace = SyntheticTraceGenerator(
             WorkloadConfig(
                 num_documents=80,
@@ -218,17 +215,22 @@ class TestByteConservation:
                 seed=8,
             )
         ).build_trace()
+        refreshed = bodies = beacon_copies = 0
         for record in trace.merged():
-            from repro.workload.trace import UpdateRecord
-
             if isinstance(record, UpdateRecord):
-                cloud.handle_update(record.doc_id, record.time)
+                doc_id = record.doc_id
+                beacon_copy = cloud.caches[cloud.beacon_for_doc(doc_id)].holds(doc_id)
+                count = cloud.handle_update(doc_id, record.time)
+                refreshed += count
+                bodies += count > 0
+                beacon_copies += beacon_copy
             else:
                 cloud.handle_request(record.cache_id, record.doc_id, record.time)
 
         meter = cloud.transport.meter
         body = 4096 + TRANSFER_HEADER_BYTES
         stats = cloud.aggregate_stats()
+        assert stats.updates_applied == refreshed > 0
 
         # Peer transfers: one per cloud hit.
         assert meter.bytes_for(TrafficCategory.PEER_TRANSFER) == (
@@ -238,18 +240,15 @@ class TestByteConservation:
         assert meter.bytes_for(TrafficCategory.ORIGIN_FETCH) == (
             stats.origin_fetches * body
         )
-        # Server -> beacon bodies: one per update that found holders.
-        from repro.core.protocol import UpdateNotice, UpdatePush
-
-        notices = [
-            n for n in cloud.trace.of_type(UpdateNotice) if n.carries_body
-        ]
+        # One origin message per update: a body when it refreshed a holder.
+        assert cloud.origin.update_messages_sent == cloud.updates_handled
         assert meter.bytes_for(TrafficCategory.UPDATE_SERVER_TO_BEACON) == (
-            len(notices) * body
+            bodies * body
         )
-        # Fan-out pushes: exactly the captured UpdatePush messages.
-        pushes = cloud.trace.of_type(UpdatePush)
-        assert meter.bytes_for(TrafficCategory.UPDATE_FANOUT) == len(pushes) * body
+        # Fan-out pushes: one per refreshed holder except the beacon's copy.
+        assert meter.bytes_for(TrafficCategory.UPDATE_FANOUT) == (
+            (refreshed - beacon_copies) * body
+        )
         # Control messages are all CONTROL_MESSAGE_BYTES-sized.
         assert meter.bytes_for(TrafficCategory.CONTROL) == (
             meter.messages_for(TrafficCategory.CONTROL) * CONTROL_MESSAGE_BYTES

@@ -62,7 +62,7 @@ def _spec_cloud(corpus, scheme: str) -> CacheCloud:
     native = make_cloud(corpus, placement=PlacementScheme(scheme))
     config = replace(native.config, placement=other)
     strategy = build_strategy(StrategySpec(scheme=scheme), config)
-    return CacheCloud(config, corpus, capture_protocol=True, strategy=strategy)
+    return CacheCloud(config, corpus, strategy=strategy)
 
 
 @pytest.mark.parametrize("scheme", PAPER_SCHEMES)

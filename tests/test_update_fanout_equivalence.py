@@ -2,8 +2,8 @@
 
 An update's holder legs go out as one ``MessageFabric.send_fanout`` burst
 from one delivery body (``repro.core.roles.push_to_holders``): deferrals
-asked first, legs sent together, copies refreshed afterwards, spans and
-trace messages written after the fact. That is sound only if nothing can
+asked first, legs sent together, copies refreshed afterwards, spans
+written after the fact. That is sound only if nothing can
 tell the difference from asking, sending and applying holder by holder.
 This file is the net under that claim.
 
@@ -18,7 +18,7 @@ agree on the refreshed count, every stored copy, every directory entry and
 stamp, the holder-epoch, the meter by category, the transport ledger,
 ``fabric.stats``, ``update_pushes_lost`` and — where attached — the work
 profile, the span list and telemetry counters, the flight rows and
-artifact, the protocol trace, the dispatch log, the injector's RNG state
+artifact, the dispatch log, the injector's RNG state
 and the overload statistics.
 
 The last class mutates one seam of the new path at a time — the self-skip,
@@ -42,7 +42,6 @@ from repro.core.config import AssignmentScheme, CloudConfig, PlacementScheme
 from repro.core.edgenetwork import EdgeCacheNetwork
 from repro.core.fabric import MessageFabric
 from repro.core.overload import OverloadConfig
-from repro.core.protocol import UpdateNotice, UpdatePush
 from repro.edgecache.stats import DecayingRate
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, RetryPolicy
@@ -70,8 +69,6 @@ def _reference_propagate_update(self, doc_id, version, size, now):
     irh = cloud.doc_irh(doc_id)
     holders = self.update_targets(doc_id)
     carries_body = bool(holders)
-    if fabric.trace.enabled:
-        fabric.emit(UpdateNotice(doc_id, version, beacon_id, carries_body, size))
     cloud.origin.note_update_message(doc_id)
     origin_id = cloud.origin.node_id
     tel = cloud.telemetry
@@ -146,8 +143,6 @@ def _reference_propagate_update(self, doc_id, version, size, now):
             if not push.ok:
                 cloud.update_pushes_lost += 1
                 continue
-            if fabric.trace.enabled:
-                fabric.emit(UpdatePush(beacon_id, holder, doc_id, version, size))
         cloud.caches[holder].apply_update(doc_id, version, now, size_bytes=size)
         refreshed += 1
     self.note_refreshed(doc_id, version, refreshed)
@@ -194,8 +189,6 @@ def _reference_cup_on_update(self, beacon_role, doc_id, version, size, now):
     caches = cloud.caches
     holders = beacon_role.update_targets(doc_id)
     carries_body = bool(holders)
-    if fabric.trace.enabled:
-        fabric.emit(UpdateNotice(doc_id, version, beacon_id, carries_body, size))
     cloud.origin.note_update_message(doc_id)
     origin_id = cloud.origin.node_id
     tel = cloud.telemetry
@@ -267,8 +260,6 @@ def _reference_cup_on_update(self, beacon_role, doc_id, version, size, now):
                 )
             if not push.ok:
                 continue
-            if fabric.trace.enabled:
-                fabric.emit(UpdatePush(parent, child, doc_id, version, size))
             arrival[child] = parent_at + push.latency
     refreshed = 0
     for holder in holders:
@@ -347,7 +338,6 @@ def _build(
     limited: bool = False,
     cooperation: bool = True,
     topology: bool = False,
-    trace: bool = False,
     profile: bool = False,
     loss: Optional[float] = None,
     overload: bool = False,
@@ -382,7 +372,6 @@ def _build(
         config,
         corpus,
         transport=transport,
-        capture_protocol=trace,
         strategy=composed,
     )
     if telemetry:
@@ -534,8 +523,6 @@ def _observed(cloud: CacheCloud) -> Dict[str, object]:
         seen["flight_rows"] = {
             category: list(row) for category, row in cloud.flight._fabric.items()
         }
-    if fabric.trace.enabled:
-        seen["trace"] = list(fabric.trace.messages)
     if fabric.dispatch_log is not None:
         seen["dispatch_log"] = list(fabric.dispatch_log)
     if fabric.faults is not None:
@@ -573,11 +560,11 @@ SCENARIOS = {
     "nothing-attached": (dict(), dict()),
     "topology": (dict(topology=True), dict()),
     "grown-body-evicts": (dict(limited=True), dict(grow=True)),
-    "trace-enabled": (dict(trace=True), dict()),
-    "trace-enabled-topology": (dict(trace=True, topology=True), dict()),
+    "trace-enabled": (dict(capture=True), dict()),
+    "trace-enabled-topology": (dict(capture=True, topology=True), dict()),
     "work-profile": (dict(profile=True), dict()),
     "zero-fault-injector": (dict(loss=0.0, profile=True), dict()),
-    "loss-and-retries": (dict(loss=0.2, profile=True, trace=True), dict()),
+    "loss-and-retries": (dict(loss=0.2, profile=True, capture=True), dict()),
     "overload-deferral-telemetry": (
         dict(overload=True, telemetry=True, flight=True, topology=True),
         dict(),
@@ -589,19 +576,18 @@ SCENARIOS = {
             telemetry=True,
             flight=True,
             capture=True,
-            trace=True,
             limited=True,
         ),
         dict(grow=True),
     ),
-    "cup-tree": (dict(strategy="cup_tree", trace=True), dict()),
+    "cup-tree": (dict(strategy="cup_tree", capture=True), dict()),
     "cup-tree-all-planes": (
         dict(strategy="cup_tree", loss=0.2, overload=True, telemetry=True),
         dict(),
     ),
     "no-cooperation": (dict(cooperation=False), dict()),
     "no-cooperation-observed": (
-        dict(cooperation=False, loss=0.2, telemetry=True, profile=True, trace=True),
+        dict(cooperation=False, loss=0.2, telemetry=True, profile=True, capture=True),
         dict(),
     ),
     "dead-beacon-refresh": (dict(telemetry=True), dict(bare_crash=True)),

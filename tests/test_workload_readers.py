@@ -79,6 +79,12 @@ class TestErrors:
         with pytest.raises(TraceFormatError, match="line 2.*finite"):
             read_trace(io.StringIO(f"R 1.0 0 1\n{line}\nR 0.5 0 3\n"))
 
+    def test_undecodable_bytes_name_their_line(self, tmp_path):
+        path = tmp_path / "trace.txt"
+        path.write_bytes(b"R 1.0 0 5\n\xff\xfe bad\n")
+        with pytest.raises(TraceFormatError, match="line 2.*decode"):
+            read_trace(path)
+
     def test_negative_zero_time_loads(self):
         trace = read_trace(io.StringIO("R -0.0 0 1\nU -0.0 4\n"))
         assert trace.requests == [RequestRecord(0.0, 0, 1)] and trace.duration == 0.0
