@@ -29,8 +29,8 @@ hide behind.
 
 Determinism: arms share the workload spec, the controller is RNG-free, and
 the monitor runs on the simulated clock — the sweep is value-identical at
-any ``--jobs`` count and fingerprint-stable across runs (CI's
-sweep-determinism matrix).
+any ``--jobs`` count (``tests/test_experiments_registry.py`` runs it serial
+vs pooled).
 """
 
 from __future__ import annotations

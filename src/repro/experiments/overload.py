@@ -21,7 +21,7 @@ windows is visible, not just the totals.
 Determinism: both arms of a load point share one :class:`WorkloadSpec`
 (identical trace), all randomness flows from seeds, and the monitor runs
 on the simulated clock — the sweep is value-identical at any ``--jobs``
-count and fingerprint-stable across runs (CI's sweep-determinism matrix).
+count (``tests/test_experiments_registry.py`` runs it serial vs pooled).
 """
 
 from __future__ import annotations

@@ -10,9 +10,9 @@ processes:
   recipe crosses the process boundary, never multi-million-record traces.
 * :class:`ExperimentSpec` — one runnable experiment: cloud configuration +
   workload recipe + run window. Built in the parent, executed anywhere.
-* :func:`run_live` — the one spec-driven run body (streamed workload,
-  optional telemetry / monitor observers, live cloud kept);
-  :func:`run_spec` is its detached, picklable form.
+* :func:`run_live` — a spec run through the one run body, ``run_experiment``
+  (streamed workload, optional telemetry / monitor observers, live cloud
+  kept); :func:`run_spec` is its detached, picklable form.
 * :func:`run_sweep` — the driver: executes specs on a
   :class:`~concurrent.futures.ProcessPoolExecutor` with ``jobs`` workers,
   collects results in submission order, and logs per-run timing. ``jobs=1``
@@ -212,57 +212,47 @@ def run_live(
 ) -> LiveRun:
     """Execute one spec in-process and keep the cloud and observers live.
 
-    The one body every spec-driven run goes through. The workload is
+    The spec adapter of :func:`~repro.experiments.runner.run_experiment`,
+    which builds the cloud and attaches every plane. The workload is
     streamed — the trace is never held as a list, and the counting wrapper
     preserves ``unique_request_docs`` at O(corpus) state; the records are
     exactly what :meth:`WorkloadSpec.build_trace` would list out.
 
-    ``telemetry`` attaches an observability registry; ``monitor_windows``
-    arms a :class:`~repro.metrics.collector.CloudMonitor` sampling that
-    many windows on the run's own simulated clock; ``prepare`` sees the
+    ``telemetry`` attaches an observability registry; ``prepare`` sees the
     fully attached cloud before the first record (e.g. to hook the elastic
-    controller). Attach order — overload, telemetry, elastic, monitor — is
-    part of the determinism contract: same-tick periodic events fire in
-    the order they were scheduled.
+    controller); ``monitor_windows`` then arms a
+    :class:`~repro.metrics.collector.CloudMonitor` sampling that many
+    windows of every plane on the run's own simulated clock.
     """
-    corpus = spec.workload.build_corpus()
-    strategy = (
-        build_strategy(spec.strategy, spec.config)
-        if spec.strategy is not None
-        else None
-    )
-    simulator = Simulator()
-    cloud = CacheCloud(spec.config, corpus, strategy=strategy)
-    if spec.overload is not None:
-        cloud.attach_overload(spec.overload)
-    if telemetry is not None:
-        cloud.attach_telemetry(telemetry)
-    if spec.elastic is not None:
-        cloud.attach_elastic(spec.elastic, simulator)
-    if prepare is not None:
-        prepare(cloud)
-    monitor = None
-    if monitor_windows:
-        monitor = CloudMonitor(
-            cloud, simulator, period=spec.duration / monitor_windows
-        )
-        monitor.start()
+    monitor: Optional[CloudMonitor] = None
+
+    def attached(cloud: CacheCloud, simulator: Simulator) -> None:
+        nonlocal monitor
+        if prepare is not None:
+            prepare(cloud)
+        if monitor_windows:
+            monitor = CloudMonitor(cloud, simulator, spec.duration / monitor_windows)
+            monitor.start()
+
     generator = spec.workload.build_generator()
     counter = RequestStreamStats(generator.requests())
     result = run_experiment(
         spec.config,
-        corpus,
+        spec.workload.build_corpus(),
         counter,
         generator.updates(),
         duration=spec.duration,
         warmup=spec.warmup,
-        cloud=cloud,
         fault_plan=spec.fault_plan,
         churn=spec.churn,
         anti_entropy=spec.anti_entropy,
         audit=spec.audit,
-        simulator=simulator,
-        flight=spec.flight.build() if spec.flight is not None else None,
+        telemetry=telemetry,
+        overload=spec.overload,
+        elastic=spec.elastic,
+        strategy=build_strategy(spec.strategy, spec.config) if spec.strategy else None,
+        flight=spec.flight.build() if spec.flight else None,
+        on_attached=attached,
     )
     result.unique_request_docs = counter.unique_docs
     return LiveRun(result=result, monitor=monitor)

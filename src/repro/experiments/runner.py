@@ -9,7 +9,7 @@ statistics every figure needs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, Iterator, Optional
 
 from repro.core.cloud import CacheCloud
 from repro.core.config import CloudConfig
@@ -145,8 +145,12 @@ def run_experiment(
     simulator: Optional[Simulator] = None,
     strategy: Optional["CacheStrategy"] = None,
     flight: Optional["FlightRecorder"] = None,
+    on_attached: Optional[Callable[[CacheCloud, Simulator], None]] = None,
 ) -> ExperimentResult:
     """Run one trace-driven experiment.
+
+    The one place a run's planes are attached: the body's order is part of
+    the determinism contract (same-tick events fire in scheduling order).
 
     Parameters
     ----------
@@ -196,14 +200,15 @@ def run_experiment(
         and ``failure_resilience=True``) and its periodic watermark check
         is scheduled on the simulator.
     simulator:
-        Pre-built simulator (for callers that schedule their own periodic
-        observers, e.g. a :class:`~repro.metrics.collector.CloudMonitor`);
-        created internally when omitted.
+        Pre-built simulator; created internally when omitted.
     flight:
         Optional :class:`~repro.observe.flight.FlightRecorder`, attached
-        after the overload controller (so queue-depth deltas baseline
-        correctly) and finished — final window flushed, summary appended,
+        after every plane that can reject the run (so a rejected run writes
+        no artifact) and finished — final window flushed, summary appended,
         artifact closed — when the run completes. Off-path like telemetry.
+    on_attached:
+        Optional ``on_attached(cloud, simulator)``, called with every plane
+        attached, before the first record (e.g. to arm a monitor).
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
@@ -218,14 +223,12 @@ def run_experiment(
         cloud = CacheCloud(config, corpus, strategy=strategy)
     elif strategy is not None:
         raise ValueError("pass strategy via the pre-built cloud, not both")
+    if overload is not None:
+        cloud.attach_overload(overload)
     if telemetry is not None:
         cloud.attach_telemetry(telemetry)
-    if overload is not None and cloud.overload is None:
-        cloud.attach_overload(overload)
-    if elastic is not None and cloud.elastic is None:
+    if elastic is not None:
         cloud.attach_elastic(elastic, simulator)
-    if flight is not None:
-        cloud.attach_flight(flight)
     if fault_plan is not None:
         cloud.attach_faults(
             FaultInjector(
@@ -247,7 +250,11 @@ def run_experiment(
         if ae_process is not None:
             schedule.add_hook(ae_process.on_churn_event)
         schedule.attach(cloud, simulator)
+    if flight is not None:
+        cloud.attach_flight(flight)
     cloud.attach_cycles(simulator)
+    if on_attached is not None:
+        on_attached(cloud, simulator)
     feeder = TraceFeeder(simulator, cloud, merge_streams(requests, updates))
     feeder.start()
 

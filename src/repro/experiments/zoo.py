@@ -13,8 +13,8 @@ Determinism: all arms share one :class:`WorkloadSpec` and one config seed
 (common random numbers — arms differ only by the strategy under study);
 ProbCache's coin flips come from its own derived stream, so the shared
 streams see zero extra draws. The sweep is value-identical at any
-``--jobs`` count and fingerprint-stable across runs (CI's sweep-determinism
-matrix).
+``--jobs`` count (``tests/test_experiments_registry.py`` runs it serial vs
+pooled).
 
 Scale: spec-driven runs stream their trace — it is generated lazily and
 never materialized — so the ``ZOO_SCALE`` preset (1000 caches, ten million

@@ -44,7 +44,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, BinaryIO, Dict, List, Mapping, Optional, Tuple
 
 from repro.metrics.timeseries import CounterWindow
 from repro.observe.profile import PHASE_ROLES, PHASES, WorkProfile
@@ -91,7 +91,7 @@ class FlightSpec:
     top_docs: int = 5
 
     def build(self) -> "FlightRecorder":
-        """Instantiate a fresh recorder (truncates any existing artifact)."""
+        """Instantiate a fresh recorder (its header truncates any existing artifact)."""
         return FlightRecorder(
             self.path, window=self.window, top_docs=self.top_docs
         )
@@ -100,7 +100,8 @@ class FlightSpec:
 class FlightWriter:
     """Append-only JSONL writer with per-line fsync and torn-tail recovery.
 
-    A record is durable once :meth:`append` returns. With ``resume=True``
+    A record is durable once :meth:`append` returns; the first creates the
+    artifact (truncating any file at ``path``). With ``resume=True``
     an existing artifact is continued: any incomplete trailing line (a tear
     from a crash mid-write) is truncated away first, so the file always
     holds complete lines only.
@@ -108,12 +109,11 @@ class FlightWriter:
 
     def __init__(self, path: str, resume: bool = False) -> None:
         self.path = path
+        self.recovered_lines = 0
+        self._fh: Optional[BinaryIO] = None
         if resume and os.path.exists(path):
             self.recovered_lines = self._truncate_torn_tail(path)
             self._fh = open(path, "ab")
-        else:
-            self.recovered_lines = 0
-            self._fh = open(path, "wb")
 
     @staticmethod
     def _truncate_torn_tail(path: str) -> int:
@@ -129,12 +129,14 @@ class FlightWriter:
     def append(self, record: Mapping[str, object]) -> None:
         """Write one record as a canonical JSON line, flushed and fsynced."""
         line = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        if self._fh is None:
+            self._fh = open(self.path, "wb")
         self._fh.write(line.encode("utf-8") + b"\n")
         self._fh.flush()
         os.fsync(self._fh.fileno())
 
     def close(self) -> None:
-        if not self._fh.closed:
+        if self._fh is not None and not self._fh.closed:
             self._fh.close()
 
 

@@ -95,8 +95,9 @@ def run_materialized(spec):
     """Run ``spec`` from its fully materialized trace: the streaming reference.
 
     Spec-driven runs stream their workload (``run_spec``); this is the
-    value-identity oracle — the same spec fed from ``materialize()``'s
-    lists through :func:`~repro.experiments.runner.run_experiment`.
+    value-identity oracle — the same spec, every plane of it, fed from
+    ``materialize()``'s lists through
+    :func:`~repro.experiments.runner.run_experiment`.
     """
     from repro.experiments.runner import run_experiment
     from repro.strategies.spec import build_strategy
@@ -109,6 +110,12 @@ def run_materialized(spec):
         trace.updates,
         duration=spec.duration,
         warmup=spec.warmup,
+        fault_plan=spec.fault_plan,
+        churn=spec.churn,
+        anti_entropy=spec.anti_entropy,
+        audit=spec.audit,
+        overload=spec.overload,
+        elastic=spec.elastic,
         strategy=(
             build_strategy(spec.strategy, spec.config) if spec.strategy else None
         ),

@@ -1,4 +1,4 @@
-"""The experiment layer's two structural rules (pure ``ast``, like the gate beside it).
+"""The experiment layer's three structural rules (pure ``ast``, like the gate beside it).
 
 * The paper's setup is written once: ``CloudConfig``, ``SydneyConfig`` and
   ``WorkloadConfig`` are each constructed at exactly one site under
@@ -7,6 +7,8 @@
 * What modules share is public: no module under ``repro.experiments``,
   ``repro.audit`` or ``repro.baselines`` imports an underscore name from a
   sibling module.
+* A run's planes are attached in one place: the run body,
+  :func:`repro.experiments.runner.run_experiment`.
 
 :func:`lines_per_claim` ranks the experiment modules by what they cost:
 the table EXPERIMENTS.md embeds under the catalogue
@@ -50,6 +52,28 @@ def test_no_module_imports_a_siblings_private_name():
         if target is not None and target != importer and target.startswith(LAYERS)
     ]
     assert not private, private
+
+
+#: The ``CacheCloud`` methods that attach a run's planes.
+PLANE_ATTACHES = {
+    "attach_overload", "attach_telemetry", "attach_elastic", "attach_flight",
+    "attach_faults", "attach_anti_entropy", "attach_cycles",
+}
+
+
+def test_planes_are_attached_only_by_the_run_body():
+    # ``CacheCloud`` itself may delegate to its fabric (``self.fabric.attach_faults``).
+    stray = [
+        f"{name}:{node.lineno} {node.func.attr}"
+        for name, path in MODULES.items()
+        if name != "repro.experiments.runner"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in PLANE_ATTACHES
+        and not (name == "repro.core.cloud" and ast.unparse(node.func.value) == "self.fabric")
+    ]
+    assert not stray, f"attach planes through runner.run_experiment: {stray}"
 
 
 def lines_per_claim(claims: Mapping[str, Sequence[str]]) -> str:

@@ -6,7 +6,10 @@ import pickle
 
 import pytest
 
+from repro.audit.antientropy import AntiEntropyConfig
 from repro.core.config import AssignmentScheme, CloudConfig, PlacementScheme
+from repro.core.elastic import ElasticConfig
+from repro.core.overload import OverloadConfig
 from repro.experiments import parallel
 from repro.experiments.parallel import (
     JOBS_ENV_VAR,
@@ -14,12 +17,20 @@ from repro.experiments.parallel import (
     FailedRun,
     WorkloadSpec,
     resolve_jobs,
+    run_live,
     run_spec,
     run_sweep,
 )
+from repro.experiments.reporting import fingerprint
+from repro.experiments.sweeps import Scale, paper_cloud, poisson_churn, zipf_workload
+from repro.faults.plan import FaultPlan
+from repro.metrics.collector import _PLANE_METRICS
+from repro.observe.flight import FlightSpec
 from repro.simulation.rng import derive_seed
+from repro.strategies.spec import StrategySpec
 from repro.workload.generator import WorkloadConfig
 from repro.workload.sydney import SydneyConfig
+from tests.conftest import run_materialized
 
 
 def zipf_spec(key="spec", seed=7, alpha=0.9) -> ExperimentSpec:
@@ -189,6 +200,105 @@ class TestRunSweep:
         )
         expected.unique_request_docs = len(trace.request_counts_by_doc())
         assert run_spec(spec) == expected.detached()
+
+
+#: 8 caches, 200 documents, 30 simulated minutes: every plane in ~0.1 s.
+PLANES_SCALE = Scale(
+    num_caches=8,
+    num_rings=2,
+    num_documents=200,
+    request_rate_per_cache=20.0,
+    update_rate=8.0,
+    duration_minutes=30.0,
+    cycle_length=2.5,
+)
+
+#: Poisson crashes at 0.2/min; seed 5 crashes (and recovers) three live nodes.
+PLANES_CHURN = poisson_churn(
+    5, PLANES_SCALE.duration_minutes, PLANES_SCALE.cycle_length, 0.2
+)
+
+
+def planes_spec(flight_path, resilient=True, **planes) -> ExperimentSpec:
+    """A :data:`PLANES_SCALE` spec with a flight recorder and ``planes``."""
+    return ExperimentSpec(
+        key="planes",
+        config=paper_cloud(PLANES_SCALE, failure_resilience=resilient),
+        workload=zipf_workload(PLANES_SCALE),
+        duration=PLANES_SCALE.duration_minutes,
+        flight=FlightSpec(str(flight_path)),
+        **planes,
+    )
+
+
+class TestOneAttachSequence:
+    """``run_live`` goes through ``run_experiment``'s one attach sequence."""
+
+    def test_monitor_and_prepare_see_every_plane(self, tmp_path):
+        seen = {}
+
+        def prepare(cloud):
+            seen.update(
+                faults=cloud.faults,
+                anti_entropy=cloud.anti_entropy,
+                flight=cloud.flight,
+            )
+
+        live = run_live(
+            planes_spec(
+                tmp_path / "f.jsonl",
+                fault_plan=FaultPlan(seed=3, loss_rate=0.1),
+                anti_entropy=AntiEntropyConfig(),
+                overload=OverloadConfig(),
+            ),
+            monitor_windows=4,
+            prepare=prepare,
+        )
+        assert seen and all(plane is not None for plane in seen.values()), seen
+        assert live.monitor is not None
+        series = live.monitor.series
+        for plane in ("faults", "anti_entropy", "overload", "profile"):
+            missing = set(_PLANE_METRICS[plane]) - set(series)
+            assert not missing, f"monitor is blind to {plane}: {sorted(missing)}"
+        assert any(value for _, value in series["retries"].items())
+
+    def test_a_rejected_spec_leaves_nothing_behind(self, tmp_path):
+        artifact = tmp_path / "f.jsonl"
+        spec = planes_spec(
+            artifact,
+            resilient=False,
+            churn=PLANES_CHURN,
+        )
+        with pytest.raises(RuntimeError, match="failure_resilience"):
+            run_spec(spec)
+        assert not artifact.exists()
+
+    def test_every_plane_at_once(self, tmp_path):
+        specs = [
+            planes_spec(
+                tmp_path / f"{run}.jsonl",
+                fault_plan=FaultPlan(seed=3, loss_rate=0.1),
+                churn=PLANES_CHURN,
+                anti_entropy=AntiEntropyConfig(),
+                overload=OverloadConfig(),
+                elastic=ElasticConfig(),
+                strategy=StrategySpec(scheme="lcd"),
+                audit=True,
+            )
+            for run in ("a", "b", "materialized")
+        ]
+        first, second = run_spec(specs[0]), run_spec(specs[1])
+        materialized = run_materialized(specs[2])
+        assert first.audit["audit_hard"] == 0
+        assert first.audit["audit_repairable"] == 0
+        # Not vacuous: nodes crashed, the cloud shrank, repairs ran.
+        assert first.resilience["churn_failures"] > 0
+        assert first.resilience["elastic_scale_in_events"] > 0
+        assert first.resilience["ae_repairs"] > 0
+        assert fingerprint(first) == fingerprint(second) == fingerprint(materialized)
+        artifacts = [(tmp_path / f"{run}.jsonl").read_bytes() for run in ("a", "b")]
+        assert artifacts[0] == artifacts[1]
+        assert (tmp_path / "materialized.jsonl").read_bytes() == artifacts[0]
 
 
 def _always_boom(spec):

@@ -23,7 +23,7 @@ FALSE_AT_TINY = {
     ("capabilities", "dynamic_respects_capability"),  # 0.391 vs 0.8 x 0.362
 }
 
-#: The sweeps CI's determinism matrix runs cross-process.
+#: The beyond-paper sweeps run serially and across worker processes.
 DETERMINISM_MATRIX = ("resilience", "overload", "elastic", "zoo", "audit")
 
 
