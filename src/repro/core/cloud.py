@@ -58,7 +58,7 @@ from repro.core.ring import BeaconRing
 from repro.core.roles import BeaconRole, OriginRole
 from repro.edgecache.cache import EdgeCache
 from repro.edgecache.replacement import make_policy
-from repro.edgecache.stats import CacheStats, DecayingRate
+from repro.edgecache.stats import CacheStats, RateTable
 from repro.faults.injector import FaultInjector
 from repro.network.bandwidth import TrafficCategory
 from repro.network.origin import OriginServer
@@ -177,8 +177,9 @@ class CacheCloud:
                 )
             self.failure_manager = FailureResilienceManager(self)
 
-        # Cloud-wide update-rate monitoring (feeds the CMC component).
-        self._update_rates: Dict[int, DecayingRate] = {}
+        #: Cloud-wide update rate per document (feeds the CMC component),
+        #: written by :meth:`note_update`.
+        self.update_rates = RateTable(config.half_life)
         # Per-document assignment caches (invalidated on membership change).
         n = len(corpus)
         self._doc_irh: List[Optional[int]] = [None] * n
@@ -594,8 +595,6 @@ class CacheCloud:
         copy = storage.get(doc_id)
         if copy is not None:
             if copy.version >= current_version:
-                copy.last_access = now
-                copy.access_count += 1
                 storage.policy.on_access(doc_id, now)
                 cache.stats.local_hits += 1
                 # A local hit has zero latency, so the latency accumulator
@@ -665,18 +664,19 @@ class CacheCloud:
         telemetry.observe_root("updates.handled")
         return refreshed
 
+    def note_update(self, doc_id: int, now: float) -> None:
+        """Record an origin update of ``doc_id`` at ``now``: one event for
+        its update rate, and the time its older copies start going stale."""
+        self.update_rates.observe(doc_id, now)
+        self.last_update_times[doc_id] = now
+
     def _apply_update(self, doc_id: int, now: float) -> int:
         self.updates_handled += 1
         overload = self.overload
         if overload is not None and now > overload.now:
             overload.now = now  # ``overload.advance``, in place
         version = self.origin.publish_update(doc_id)
-        tracker = self._update_rates.get(doc_id)
-        if tracker is None:
-            tracker = DecayingRate(self.config.half_life)
-            self._update_rates[doc_id] = tracker
-        tracker.observe(now)
-        self.last_update_times[doc_id] = now
+        self.note_update(doc_id, now)
         size = self.corpus[doc_id].size_bytes
 
         if not self.config.cooperation:

@@ -179,13 +179,7 @@ class EdgeCacheNetwork:
         beacon_id = cloud.beacon_for_doc(doc_id)
         beacon = cloud.beacons[beacon_id]
         beacon.record_update(cloud.doc_irh(doc_id))
-        tracker = cloud._update_rates.get(doc_id)
-        if tracker is None:
-            from repro.edgecache.stats import DecayingRate
-
-            tracker = DecayingRate(cloud.config.half_life)
-            cloud._update_rates[doc_id] = tracker
-        tracker.observe(now)
+        cloud.note_update(doc_id, now)
 
         size = self.corpus[doc_id].size_bytes
         fabric = cloud.fabric

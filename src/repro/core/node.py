@@ -625,7 +625,6 @@ class CacheNode:
                 min_residence = residence
         if uncontended:
             min_residence = None
-        update_tracker = cloud._update_rates.get(doc_id)
         profile = cloud.profile
         if profile is not None:
             # One store decision, whose work scales with the live holders
@@ -639,7 +638,7 @@ class CacheNode:
             live,
             frequencies.rate_of(doc_id, now),
             frequencies.mean_rate(now),
-            update_tracker.rate(now) if update_tracker else 0.0,
+            cloud.update_rates.rate(doc_id, now),
             cache.storage.residence_mean,
             min_residence,
         )

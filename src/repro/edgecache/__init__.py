@@ -21,7 +21,7 @@ from repro.edgecache.replacement import (
     ReplacementPolicy,
     make_policy,
 )
-from repro.edgecache.stats import AccessFrequencyTracker, CacheStats, DecayingRate
+from repro.edgecache.stats import AccessFrequencyTracker, CacheStats
 from repro.edgecache.storage import CacheStorage
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "CacheStats",
     "CacheStorage",
     "CachedDocument",
-    "DecayingRate",
     "EdgeCache",
     "FIFOPolicy",
     "GDSFPolicy",

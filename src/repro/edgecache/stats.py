@@ -4,18 +4,20 @@ Two concerns live here:
 
 * :class:`CacheStats` — hit/miss/traffic counters per cache, the raw
   material of the experiment reports.
-* :class:`DecayingRate` / :class:`AccessFrequencyTracker` — exponentially
-  decayed event-rate estimators. The utility-based placement scheme decides
-  with "the request and update patterns of the document collected through
-  continued monitoring in the recent time duration" (paper §3.1); a decayed
-  counter is the standard constant-space estimator of a recent rate.
+* :class:`RateTable` / :class:`AccessFrequencyTracker` — exponentially
+  decayed event-rate estimators, one per key. The utility-based placement
+  scheme decides with "the request and update patterns of the document
+  collected through continued monitoring in the recent time duration"
+  (paper §3.1); a decayed counter is the standard constant-space estimator
+  of a recent rate.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Iterator, Tuple
 
 #: Default half-life (simulated minutes) for rate estimators. One hour —
 #: matching the paper's sub-range determination cycle, so placement and load
@@ -25,98 +27,113 @@ DEFAULT_HALF_LIFE = 60.0
 _LN2 = math.log(2.0)
 
 
-class DecayingRate:
-    """Exponentially decayed event counter exposing an event *rate*.
+class RateTable:
+    """Exponentially decayed event rates, one per key, in flat columns.
 
-    The decayed count ``c`` halves every ``half_life`` time units; the
-    estimated rate is ``c * ln(2) / half_life``, which converges to the true
-    rate for a stationary Poisson arrival process.
+    Per key, the decayed count ``c`` halves every ``half_life`` time units;
+    the estimated rate is ``c * ln(2) / half_life``, which converges to the
+    true rate for a stationary Poisson arrival process.
+
+    A key gets a slot the first time it is observed. Its count and the time
+    it was last decayed to live at that slot of two ``array('d')`` columns,
+    so the state of a key is two unboxed doubles and an entry of an
+    int-to-int dict — none of it tracked by the garbage collector, however
+    many keys a table holds. Reading an unseen key returns ``0.0`` and
+    allocates nothing.
     """
 
-    __slots__ = ("half_life", "_count", "_last_time")
+    __slots__ = ("half_life", "_slots", "_counts", "_lasts")
 
     def __init__(self, half_life: float = DEFAULT_HALF_LIFE) -> None:
         if half_life <= 0:
             raise ValueError(f"half_life must be > 0, got {half_life}")
         self.half_life = half_life
-        self._count = 0.0
-        self._last_time = 0.0
+        self._slots: Dict[int, int] = {}
+        self._counts = array("d")
+        self._lasts = array("d")
 
-    def observe(self, now: float, weight: float = 1.0) -> None:
-        """Record ``weight`` events at time ``now``."""
-        # The decay step is inlined (same arithmetic as ``_decay_to``):
-        # observation is the hot call on the request path, and the extra
-        # method dispatch is measurable at benchmark request rates.
-        last = self._last_time
+    def observe(self, key: int, now: float) -> None:
+        """Record one event for ``key`` at time ``now``."""
+        counts = self._counts
+        lasts = self._lasts
+        slot = self._slots.get(key)
+        if slot is None:
+            slot = self._slots[key] = len(counts)
+            counts.append(0.0)
+            lasts.append(0.0)
+        last = lasts[slot]
         if now > last:
-            self._count = self._count * 2.0 ** (-(now - last) / self.half_life)
-            self._last_time = now
-        self._count += weight
+            counts[slot] = counts[slot] * 2.0 ** (-(now - last) / self.half_life) + 1.0
+            lasts[slot] = now
+        else:
+            counts[slot] += 1.0
 
-    def rate(self, now: float) -> float:
-        """Estimated events per time unit as of ``now``."""
-        self._decay_to(now)
-        return self._count * _LN2 / self.half_life
+    def rate(self, key: int, now: float) -> float:
+        """Estimated events of ``key`` per time unit as of ``now``.
 
-    def _decay_to(self, now: float) -> None:
-        if now > self._last_time:
-            self._count *= 2.0 ** (-(now - self._last_time) / self.half_life)
-            self._last_time = now
+        The read decays the key's state to ``now``: the order of reads is
+        part of the float bits every later read returns.
+        """
+        slot = self._slots.get(key)
+        if slot is None:
+            return 0.0
+        count = self._counts[slot]
+        last = self._lasts[slot]
+        if now > last:
+            count *= 2.0 ** (-(now - last) / self.half_life)
+            self._counts[slot] = count
+            self._lasts[slot] = now
+        return count * _LN2 / self.half_life
 
-    def __repr__(self) -> str:
-        return f"DecayingRate(half_life={self.half_life}, count={self._count:.3f})"
+    def state(self) -> Iterator[Tuple[int, float, float]]:
+        """``(key, decayed count, time decayed to)`` per key, first seen first."""
+        return zip(self._slots, self._counts, self._lasts)
 
 
-class AccessFrequencyTracker:
+class AccessFrequencyTracker(RateTable):
     """Per-document decayed access rates plus the cache-wide mean.
 
     Feeds the AFC utility component: "how frequently the document is accessed
-    in comparison to other documents stored in the cache".
+    in comparison to other documents stored in the cache". The cache-wide
+    total is one more decayed count, kept beside the table's columns.
     """
 
+    __slots__ = ("_total", "_total_time")
+
     def __init__(self, half_life: float = DEFAULT_HALF_LIFE) -> None:
-        self.half_life = half_life
-        self._per_doc: Dict[int, DecayingRate] = {}
-        self._aggregate = DecayingRate(half_life)
+        super().__init__(half_life)
+        self._total = 0.0
+        self._total_time = 0.0
 
     def observe(self, doc_id: int, now: float) -> None:
         """Record one access to ``doc_id``."""
-        # Both estimator updates are inlined (same arithmetic as
-        # ``DecayingRate.observe``): this runs once per client request, and
-        # the two extra method dispatches are measurable at benchmark rates.
-        half_life = self.half_life
-        tracker = self._per_doc.get(doc_id)
-        if tracker is None:
-            tracker = DecayingRate(half_life)
-            self._per_doc[doc_id] = tracker
-        last = tracker._last_time
+        RateTable.observe(self, doc_id, now)
+        last = self._total_time
         if now > last:
-            tracker._count = tracker._count * 2.0 ** (-(now - last) / half_life)
-            tracker._last_time = now
-        tracker._count += 1.0
-        aggregate = self._aggregate
-        last = aggregate._last_time
-        if now > last:
-            aggregate._count = (
-                aggregate._count * 2.0 ** (-(now - last) / half_life)
-            )
-            aggregate._last_time = now
-        aggregate._count += 1.0
+            self._total = self._total * 2.0 ** (-(now - last) / self.half_life) + 1.0
+            self._total_time = now
+        else:
+            self._total += 1.0
 
-    def rate_of(self, doc_id: int, now: float) -> float:
-        """Recent access rate of ``doc_id`` at this cache."""
-        tracker = self._per_doc.get(doc_id)
-        return tracker.rate(now) if tracker is not None else 0.0
+    #: Recent access rate of a document at this cache (``0.0`` if unseen).
+    rate_of = RateTable.rate
 
     def mean_rate(self, now: float) -> float:
         """Mean per-document access rate across recently seen documents."""
-        if not self._per_doc:
+        seen = len(self._slots)
+        if not seen:
             return 0.0
-        return self._aggregate.rate(now) / len(self._per_doc)
+        total = self._total
+        last = self._total_time
+        if now > last:
+            total *= 2.0 ** (-(now - last) / self.half_life)
+            self._total = total
+            self._total_time = now
+        return total * _LN2 / self.half_life / seen
 
-    def forget(self, doc_id: int) -> None:
-        """Drop a document's estimator (e.g. after corpus churn)."""
-        self._per_doc.pop(doc_id, None)
+    def total_state(self) -> Tuple[float, float]:
+        """``(decayed count, time decayed to)`` of the cache-wide total."""
+        return self._total, self._total_time
 
 
 @dataclass

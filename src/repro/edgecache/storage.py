@@ -120,7 +120,6 @@ class CacheStorage:
     def access(self, doc_id: int, now: float) -> CachedDocument:
         """Record a hit; raises KeyError when absent."""
         doc = self._docs[doc_id]
-        doc.touch(now)
         self.policy.on_access(doc_id, now)
         return doc
 

@@ -82,8 +82,7 @@ class TestUpdateRateMonitoring:
         cloud = cloud_factory()
         for i in range(20):
             cloud.handle_update(5, now=float(i))
-        tracker = cloud._update_rates[5]
-        assert tracker.rate(20.0) > 0.1
+        assert cloud.update_rates.rate(5, 20.0) > 0.1
 
 
 class TestNoCooperationUpdates:

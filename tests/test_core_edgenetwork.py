@@ -128,6 +128,15 @@ class TestUpdatePropagation:
         assert network.handle_update(7, now=0.0) == 0
         assert network.origin.update_messages_sent == 0
 
+    def test_every_member_cloud_notes_the_update(self, corpus):
+        """As a standalone cloud does: one update-rate event, and the time
+        its older copies start going stale (the monitor's staleness age)."""
+        network = make_network(corpus)
+        network.handle_update(3, now=25.0)
+        for cloud in network.clouds:
+            assert cloud.last_update_times == {3: 25.0}
+            assert cloud.update_rates.rate(3, 25.0) > 0.0
+
     def test_holders_network_wide(self, corpus):
         network = make_network(corpus)
         for node in (0, 1, 4):

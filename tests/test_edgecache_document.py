@@ -20,17 +20,6 @@ class TestValidation:
 
 
 class TestBehaviour:
-    def test_last_access_defaults_to_stored_at(self):
-        doc = CachedDocument(doc_id=0, size_bytes=1, version=0, stored_at=7.0)
-        assert doc.last_access == 7.0
-
-    def test_touch_updates_access_state(self):
-        doc = CachedDocument(doc_id=0, size_bytes=1, version=0, stored_at=0.0)
-        doc.touch(5.0)
-        doc.touch(9.0)
-        assert doc.last_access == 9.0
-        assert doc.access_count == 2
-
     def test_residence_time(self):
         doc = CachedDocument(doc_id=0, size_bytes=1, version=0, stored_at=3.0)
         assert doc.residence_time(10.0) == 7.0

@@ -88,12 +88,11 @@ class TestBoundedStorage:
 
 
 class TestAccess:
-    def test_access_touches_document(self):
+    def test_access_returns_the_resident_copy(self):
+        # That it refreshes the replacement order is test_evicts_lru_to_make_room.
         storage = CacheStorage()
         storage.admit(1, 100, 0, 0.0)
-        doc = storage.access(1, 5.0)
-        assert doc.last_access == 5.0
-        assert doc.access_count == 1
+        assert storage.access(1, 5.0) is storage.get(1)
 
     def test_access_missing_raises(self):
         with pytest.raises(KeyError):

@@ -137,12 +137,6 @@ PRIVATE_READS: Set[Tuple[str, str]] = {
     ("repro.network.transport", "_messages"),
     # NodeQueue's deque, touched in place by the overload controller.
     ("repro.core.overload", "_completions"),
-    # The cloud-wide update-rate estimators, read where a miss is decided.
-    ("repro.core.node", "_update_rates"),
-    ("repro.core.edgenetwork", "_update_rates"),
-    # DecayingRate's two fields, folded by the stats aggregation beside it.
-    ("repro.edgecache.stats", "_count"),
-    ("repro.edgecache.stats", "_last_time"),
     # A class reading another instance of itself.
     ("repro.network.bandwidth", "_bytes"),
     ("repro.network.bandwidth", "_messages"),

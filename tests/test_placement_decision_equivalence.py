@@ -111,18 +111,18 @@ def bits(value: float) -> bytes:
 
 
 def estimator_bits(cloud: CacheCloud) -> List[Any]:
-    """``_count``/``_last_time`` of every estimator a decision can read."""
+    """Decayed count and time of every estimator a decision can read."""
     out: List[Any] = []
     for cache in cloud.caches:
         tracker = cache.frequencies
-        out.append((bits(tracker._aggregate._count), bits(tracker._aggregate._last_time)))
+        out.append(tuple(map(bits, tracker.total_state())))
         out.extend(
-            (doc, bits(rate._count), bits(rate._last_time))
-            for doc, rate in sorted(tracker._per_doc.items())
+            (doc, bits(count), bits(last))
+            for doc, count, last in sorted(tracker.state())
         )
     out.extend(
-        (doc, bits(rate._count), bits(rate._last_time))
-        for doc, rate in sorted(cloud._update_rates.items())
+        (doc, bits(count), bits(last))
+        for doc, count, last in sorted(cloud.update_rates.state())
     )
     return out
 

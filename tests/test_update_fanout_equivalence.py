@@ -42,7 +42,6 @@ from repro.core.config import AssignmentScheme, CloudConfig, PlacementScheme
 from repro.core.edgenetwork import EdgeCacheNetwork
 from repro.core.fabric import MessageFabric
 from repro.core.overload import OverloadConfig
-from repro.edgecache.stats import DecayingRate
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, RetryPolicy
 from repro.network.bandwidth import TrafficCategory
@@ -278,11 +277,7 @@ def _reference_distribute(self, cloud, doc_id, version, now):
     beacon_id = cloud.beacon_for_doc(doc_id)
     beacon = cloud.beacons[beacon_id]
     beacon.record_update(cloud.doc_irh(doc_id))
-    tracker = cloud._update_rates.get(doc_id)
-    if tracker is None:
-        tracker = DecayingRate(cloud.config.half_life)
-        cloud._update_rates[doc_id] = tracker
-    tracker.observe(now)
+    cloud.update_rates.observe(doc_id, now)
     size = self.corpus[doc_id].size_bytes
     beacon_role = cloud.beacon_roles[beacon_id]
     holders = beacon_role.update_targets(doc_id)
