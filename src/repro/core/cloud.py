@@ -74,7 +74,7 @@ if TYPE_CHECKING:
     from repro.core.elastic import ElasticConfig, ElasticController
     from repro.observe.flight import FlightRecorder
     from repro.observe.profile import WorkProfile
-    from repro.observe.registry import Telemetry
+    from repro.observe.registry import RoleWatch, Telemetry
 
 __all__ = ["CacheCloud", "RequestOutcome", "RequestResult"]
 
@@ -214,20 +214,18 @@ class CacheCloud:
         self.eviction_notices_lost = 0
         self.requests_redirected = 0
 
-        #: Optional observability registry (``repro.observe``). ``None``
-        #: keeps every protocol hot path on a single attribute check; the
-        #: roles read this reference, never import the package.
+        #: Optional observability registry (``repro.observe``).
         self.telemetry: Optional["Telemetry"] = None
-
-        #: Optional per-phase work profile (``repro.observe.profile``).
-        #: ``None`` keeps the role seams on a single attribute check, the
-        #: same contract as ``telemetry``.
-        self.profile: Optional["WorkProfile"] = None
+        self._attached_profile: Optional["WorkProfile"] = None
 
         #: Optional streaming flight recorder (``repro.observe.flight``).
         #: ``None`` keeps the request/update entry points and the fabric
         #: fast path exactly as they were before the recorder existed.
         self.flight: Optional["FlightRecorder"] = None
+
+        #: The one handle the role seams report through, rebuilt by every
+        #: attach/detach of the three above; ``None`` while none is attached.
+        self.watch: Optional["RoleWatch"] = None
 
         #: Optional per-node service model (``repro.core.overload``).
         #: ``None`` keeps the fabric fast path enabled and every protocol
@@ -304,12 +302,14 @@ class CacheCloud:
         """
         self.telemetry = telemetry
         self.fabric.telemetry = telemetry
+        self._rewatch()
 
     def detach_telemetry(self) -> Optional["Telemetry"]:
         """Stop recording; returns the detached registry with its data."""
         telemetry = self.telemetry
         self.telemetry = None
         self.fabric.telemetry = None
+        self._rewatch()
         return telemetry
 
     # ------------------------------------------------------------------
@@ -318,36 +318,38 @@ class CacheCloud:
     def attach_profile(self, profile: "WorkProfile") -> "WorkProfile":
         """Charge per-role, per-phase work counters into ``profile``.
 
-        Same contract as :meth:`attach_telemetry`: the role seams read
-        ``self.profile`` through one ``is not None`` check, charging draws
-        no randomness and dispatches nothing, so protocol behavior is
-        identical with and without a profile attached.
+        Same contract as :meth:`attach_telemetry`: charging draws no
+        randomness and dispatches nothing. A bound flight recorder follows:
+        the cloud charges one profile, and that is the one it reads.
         """
-        self.profile = profile
+        self._attached_profile = profile
+        self._rewatch()
         return profile
 
     def detach_profile(self) -> Optional["WorkProfile"]:
-        """Stop charging; returns the detached profile with its counters."""
+        """Stop charging; returns the profile (refused while a flight recorder reads it)."""
+        if self.flight is not None:
+            raise ValueError("a flight recorder reads the work profile: detach it first")
         profile = self.profile
-        self.profile = None
+        self._attached_profile = None
+        self._rewatch()
         return profile
 
     def attach_flight(self, recorder: "FlightRecorder") -> "FlightRecorder":
         """Stream windowed statistics from this cloud into ``recorder``.
 
         Binds the recorder (which writes the artifact header), hooks the
-        fabric so every wire attempt lands in the open window, and — when
-        no profile is attached yet — installs the recorder's own
-        :class:`~repro.observe.profile.WorkProfile` so per-phase cost
-        deltas appear in the same windows. Call
-        :meth:`~repro.observe.flight.FlightRecorder.finish` after the run
-        to flush the final window and the summary record.
+        fabric so every wire attempt lands in the open window, and has the
+        role seams charge the recorder's own
+        :class:`~repro.observe.profile.WorkProfile` (or the recorder read
+        the one attached) so per-phase cost deltas appear in the same
+        windows. Call :meth:`~repro.observe.flight.FlightRecorder.finish`
+        after the run to flush the final window and the summary record.
         """
         recorder.bind(self)
         self.flight = recorder
         self.fabric.flight = recorder
-        if self.profile is None:
-            self.profile = recorder.profile
+        self._rewatch()
         return recorder
 
     def detach_flight(self) -> Optional["FlightRecorder"]:
@@ -358,9 +360,28 @@ class CacheCloud:
         self.fabric.flight = None
         if recorder is not None:
             recorder.unbind()
-            if self.profile is recorder.profile:
-                self.profile = None
+        self._rewatch()
         return recorder
+
+    @property
+    def profile(self) -> Optional["WorkProfile"]:
+        """The work profile the role seams charge: the attached one, else the recorder's."""
+        return None if self.watch is None else self.watch.profile
+
+    def _rewatch(self) -> None:
+        """Rebuild :attr:`watch` after an observer moved, as the fabric
+        rebuilds its attempt plan; a bound recorder reads the profile charged."""
+        from repro.observe.registry import RoleWatch  # registry imports core
+
+        profile, flight = self._attached_profile, self.flight
+        if flight is not None:
+            if profile is None:
+                profile = flight.profile
+            elif flight.profile is not profile:
+                flight.follow(profile)
+        self.watch = None
+        if self.telemetry is not None or profile is not None:
+            self.watch = RoleWatch(self.telemetry, profile)
 
     # ------------------------------------------------------------------
     # Overload / service model (delegates to the fabric)

@@ -32,7 +32,6 @@ from repro.strategies.base import FetchRoute, ReplyHop, Retrieval, ServedFrom
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.cloud import CacheCloud
     from repro.core.placement import PlacementPolicy
-    from repro.observe.spans import Span
 
 #: Simulated minutes -> reported milliseconds.
 MINUTES_TO_MS = 60_000.0
@@ -104,6 +103,7 @@ class CacheNode:
                 RequestOutcome.BEACON_DOWN_ORIGIN_FALLBACK, 0.0,
             )
         beacon_role = cloud.beacon_roles[beacon_id]
+        watch = cloud.watch
         overload = cloud.overload
         if overload is not None and overload.shed_lookup(beacon_id):
             # Graceful degradation, first rung: the beacon point is
@@ -111,14 +111,8 @@ class CacheNode:
             # cooperative lookup is shed and the miss served origin-direct.
             # Cheaper for the beacon than rejecting the lookup RPC leg by
             # leg, and the requester is still served.
-            tel_shed = cloud.telemetry
-            if tel_shed is not None:
-                span = tel_shed.begin_span(
-                    "overload_shed", now, kind="lookup", node=beacon_id
-                )
-                if span is not None:
-                    tel_shed.end_span(span, now)
-                tel_shed.count("overload.shed.lookup")
+            if watch is not None:
+                watch.mark("overload_shed", now, "lookup", beacon_id, "overload.shed.lookup")
             return self.origin_fallback(
                 doc_id, size, now,
                 RequestOutcome.OVERLOAD_ORIGIN_FALLBACK, 0.0,
@@ -127,12 +121,6 @@ class CacheNode:
         # Lookup RPC (possibly multi-hop for consistent hashing). The load
         # counter ticks on every attempt whose request legs arrive — the
         # beacon did its work even if its response then went missing.
-        tel = cloud.telemetry
-        lookup_span: Optional["Span"] = None
-        if tel is not None:
-            lookup_span = tel.begin_span(
-                "beacon_lookup", now, beacon=beacon_id, hops=hops
-            )
         # The delivery callback is the beacon state's bound ``record_lookup``
         # with the IrH value threaded through the fabric — no per-request
         # closure allocation on the hot path.
@@ -143,15 +131,10 @@ class CacheNode:
             irh=irh,
             on_request_delivered=beacon_role.state.record_lookup,
         )
-        profile = cloud.profile
-        if profile is not None:
-            profile.charge("beacon_lookup", hops + 1)
-        if tel is not None and lookup_span is not None:
-            tel.end_span(
-                lookup_span,
-                now + lookup.latency,
-                ok=lookup.ok,
-                attempts=lookup.attempts,
+        if watch is not None:
+            watch.leg(
+                "beacon_lookup", now, now + lookup.latency, "beacon_lookup", hops + 1,
+                beacon=beacon_id, hops=hops, ok=lookup.ok, attempts=lookup.attempts,
             )
         if not lookup.ok:
             self._cloud.fault_origin_fallbacks += 1
@@ -170,22 +153,15 @@ class CacheNode:
             # itself saturated — fetch from the origin instead of piling a
             # peer transfer onto its queue. The lookup already succeeded,
             # so this counts as an ordinary group miss downstream.
-            if tel is not None:
-                span = tel.begin_span(
-                    "overload_shed", now, kind="peer_fetch", node=holder_id
+            if watch is not None:
+                watch.mark(
+                    "overload_shed", now, "peer_fetch", holder_id,
+                    "overload.shed.peer_fetch",
                 )
-                if span is not None:
-                    tel.end_span(span, now)
-                tel.count("overload.shed.peer_fetch")
             holder_id = None
 
         if holder_id is not None:
             fetch_start = now + lookup.latency
-            fetch_span: Optional["Span"] = None
-            if tel is not None:
-                fetch_span = tel.begin_span(
-                    "peer_fetch", fetch_start, holder=holder_id, bytes=size
-                )
             transfer = fabric.send_document(
                 holder_id,
                 cache_id,
@@ -193,13 +169,11 @@ class CacheNode:
                 TrafficCategory.PEER_TRANSFER,
                 reliable=True,
             )
-            if profile is not None:
-                profile.charge("peer_fetch", transfer.attempts)
-            if tel is not None and fetch_span is not None:
-                tel.end_span(
-                    fetch_span,
-                    fetch_start + transfer.latency,
-                    ok=transfer.ok,
+            if watch is not None:
+                watch.leg(
+                    "peer_fetch", fetch_start, fetch_start + transfer.latency,
+                    "peer_fetch", transfer.attempts,
+                    holder=holder_id, bytes=size, ok=transfer.ok,
                     attempts=transfer.attempts,
                 )
             if not transfer.ok:
@@ -229,21 +203,17 @@ class CacheNode:
                 )
             cloud.origin.serve_fetch(doc_id)
             fetch_start = now + lookup.latency
-            fetch_span = None
-            if tel is not None:
-                fetch_span = tel.begin_span(
-                    "origin_fetch", fetch_start, bytes=size
-                )
             transfer_latency = fabric.send_forced_document(
                 cloud.origin.node_id,
                 cache_id,
                 size,
                 TrafficCategory.ORIGIN_FETCH,
             )
-            if profile is not None:
-                profile.charge("origin_fetch")
-            if tel is not None and fetch_span is not None:
-                tel.end_span(fetch_span, fetch_start + transfer_latency)
+            if watch is not None:
+                watch.leg(
+                    "origin_fetch", fetch_start, fetch_start + transfer_latency,
+                    "origin_fetch", 1, bytes=size,
+                )
             served_by = cloud.origin.node_id
 
         # Admission decision at the requester, delegated to the strategy.
@@ -286,13 +256,8 @@ class CacheNode:
         fabric = cloud.fabric
         cache_id = self.cache.cache_id
         cloud.origin.serve_fetch(doc_id)
-        tel = cloud.telemetry
+        watch = cloud.watch
         leg_start = now + lookup_latency
-        leg_span: Optional["Span"] = None
-        if tel is not None:
-            leg_span = tel.begin_span(
-                "origin_fetch", leg_start, via_beacon=beacon_id, bytes=size
-            )
         leg_one = fabric.send_document(
             cloud.origin.node_id,
             beacon_id,
@@ -300,14 +265,11 @@ class CacheNode:
             TrafficCategory.ORIGIN_FETCH,
             reliable=True,
         )
-        profile = cloud.profile
-        if profile is not None:
-            profile.charge("origin_fetch", leg_one.attempts)
-        if tel is not None and leg_span is not None:
-            tel.end_span(
-                leg_span,
-                leg_start + leg_one.latency,
-                ok=leg_one.ok,
+        if watch is not None:
+            watch.leg(
+                "origin_fetch", leg_start, leg_start + leg_one.latency,
+                "origin_fetch", leg_one.attempts,
+                via_beacon=beacon_id, bytes=size, ok=leg_one.ok,
                 attempts=leg_one.attempts,
             )
         if not leg_one.ok:
@@ -332,11 +294,6 @@ class CacheNode:
                 decision_time=forward_start,
             ),
         )
-        forward_span: Optional["Span"] = None
-        if tel is not None:
-            forward_span = tel.begin_span(
-                "beacon_forward", forward_start, beacon=beacon_id, bytes=size
-            )
         leg_two = fabric.send_document(
             beacon_id,
             cache_id,
@@ -344,15 +301,13 @@ class CacheNode:
             TrafficCategory.PEER_TRANSFER,
             reliable=True,
         )
-        if profile is not None:
+        if watch is not None:
             # Second leg of the same origin retrieval: charged to the
             # origin-fetch phase, not peer_fetch — no peer served anything.
-            profile.charge("origin_fetch", leg_two.attempts)
-        if tel is not None and forward_span is not None:
-            tel.end_span(
-                forward_span,
-                forward_start + leg_two.latency,
-                ok=leg_two.ok,
+            watch.leg(
+                "beacon_forward", forward_start, forward_start + leg_two.latency,
+                "origin_fetch", leg_two.attempts,
+                beacon=beacon_id, bytes=size, ok=leg_two.ok,
                 attempts=leg_two.attempts,
             )
         if not leg_two.ok:
@@ -405,24 +360,19 @@ class CacheNode:
         cache = self.cache
         cache.stats.origin_fetches += 1
         cloud.origin.serve_fetch(doc_id)
-        tel = cloud.telemetry
         fetch_start = now + accrued_latency
-        fetch_span: Optional["Span"] = None
-        if tel is not None:
-            fetch_span = tel.begin_span(
-                "origin_fetch", fetch_start, bytes=size, fallback=True
-            )
         transfer_latency = cloud.fabric.send_forced_document(
             cloud.origin.node_id,
             cache.cache_id,
             size,
             TrafficCategory.ORIGIN_FETCH,
         )
-        profile = cloud.profile
-        if profile is not None:
-            profile.charge("origin_fetch")
-        if tel is not None and fetch_span is not None:
-            tel.end_span(fetch_span, fetch_start + transfer_latency)
+        watch = cloud.watch
+        if watch is not None:
+            watch.leg(
+                "origin_fetch", fetch_start, fetch_start + transfer_latency,
+                "origin_fetch", 1, bytes=size, fallback=True,
+            )
         version = cloud.origin.version_of(doc_id)
         evicted = cache.admit(doc_id, size, version, now)
         if evicted is None:
@@ -446,12 +396,6 @@ class CacheNode:
         fabric = cloud.fabric
         cache = self.cache
         size = cloud.origin.serve_fetch(doc_id)
-        tel = cloud.telemetry
-        fetch_span: Optional["Span"] = None
-        if tel is not None:
-            fetch_span = tel.begin_span(
-                "origin_fetch", now, bytes=size, direct=True
-            )
         request = fabric.send_control(
             cache.cache_id, cloud.origin.node_id, reliable=True
         )
@@ -469,12 +413,13 @@ class CacheNode:
             size,
             TrafficCategory.ORIGIN_FETCH,
         )
-        profile = cloud.profile
-        if profile is not None:
+        watch = cloud.watch
+        if watch is not None:
             # Request leg(s) plus the forced document leg of the direct fetch.
-            profile.charge("origin_fetch", request.attempts + 1)
-        if tel is not None and fetch_span is not None:
-            tel.end_span(fetch_span, now + request.latency + transfer_latency)
+            watch.leg(
+                "origin_fetch", now, now + request.latency + transfer_latency,
+                "origin_fetch", request.attempts + 1, bytes=size, direct=True,
+            )
         cache.stats.origin_fetches += 1
         version = cloud.origin.version_of(doc_id)
         cache.admit(doc_id, size, version, now)  # ad hoc local store
@@ -625,11 +570,11 @@ class CacheNode:
                 min_residence = residence
         if uncontended:
             min_residence = None
-        profile = cloud.profile
-        if profile is not None:
+        watch = cloud.watch
+        if watch is not None:
             # One store decision, whose work scales with the live holders
             # whose residence the DAI component examined.
-            profile.charge("placement", 1 + len(live))
+            watch.placement(1 + len(live))
         # The three estimator reads happen for every decision and in this
         # order: ``rate()`` advances decay state, and a decay split
         # differently changes float bits downstream.

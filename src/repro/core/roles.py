@@ -30,7 +30,6 @@ from repro.network.origin import OriginServer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.cloud import CacheCloud
-    from repro.observe.spans import Span
 
 
 def push_to_holders(
@@ -64,8 +63,8 @@ def push_to_holders(
     asking, sending and applying holder by holder: a leg touches only its
     destination's queue, a deferral reads only its holder's, and
     ``apply_update`` draws no randomness and sends nothing (DESIGN.md
-    §3.1). Spans and profile charges are written after the burst, in holder
-    order, exactly as the per-leg loop wrote them.
+    §3.1). The legs are reported after the burst, in holder order, exactly
+    as the per-leg loop reported them.
     """
     fabric = cloud.fabric
     caches = cloud.caches
@@ -81,36 +80,25 @@ def push_to_holders(
         category, span_name = TrafficCategory.UPDATE_FANOUT, "fanout_leg"
     else:
         category, span_name = TrafficCategory.UPDATE_SERVER_TO_BEACON, "origin_refresh"
+    phase: Optional[str] = span_name if from_beacon else None  # origin refreshes: no phase
     pushes = fabric.send_fanout(src, targets, size, category)
 
-    tel = cloud.telemetry
-    if tel is not None:
+    watch = cloud.watch
+    if watch is not None:
         landed = iter(pushes)
         for holder in holders:
             if holder == src:
                 continue
             if holder in deferred:
-                defer_span = tel.begin_span(
-                    "overload_defer", start, kind="fanout_leg", node=holder
+                watch.mark(
+                    "overload_defer", start, "fanout_leg", holder, "overload.deferred.fanout"
                 )
-                if defer_span is not None:
-                    tel.end_span(defer_span, start)
-                tel.count("overload.deferred.fanout")
                 continue
             push = next(landed)
-            leg_span = tel.begin_span(span_name, start, holder=holder, bytes=size)
-            if leg_span is not None:
-                tel.end_span(
-                    leg_span,
-                    start + push.latency,
-                    ok=push.ok,
-                    attempts=push.attempts,
-                )
-    profile = cloud.profile
-    if profile is not None and from_beacon:
-        profile.charge(
-            "fanout_leg", sum(push.attempts for push in pushes), len(pushes)
-        )
+            watch.leg(
+                span_name, start, start + push.latency, phase, push.attempts,
+                holder=holder, bytes=size, ok=push.ok, attempts=push.attempts,
+            )
 
     refreshed = 0
     if own_copy:
@@ -165,24 +153,24 @@ class BeaconRole:
         """
         cloud = self._cloud
         directory = self.state.directory
-        profile = cloud.profile
+        watch = cloud.watch
         epoch = cloud.holder_epoch[0]
         live: Collection[int]
         if directory.stamp_of(doc_id) == (version, epoch):
-            if profile is not None:
-                profile.record_walk(doc_id, 0)
+            if watch is not None:
+                watch.walk(doc_id, 0)
             entry = directory.entry(doc_id)
             live = entry - {requester} if requester in entry else entry
         else:
             caches = cloud.caches
             candidates = directory.holders(doc_id)
             candidates.discard(requester)
-            if profile is not None:
+            if watch is not None:
                 # The walk below visits every candidate exactly once: the
                 # O(holders) verification cost, charged before the loop so
                 # the recorded length is independent of how many entries
                 # the loop then repairs.
-                profile.record_walk(doc_id, len(candidates))
+                watch.walk(doc_id, len(candidates))
             verified: List[int] = []
             for holder in sorted(candidates):
                 holder_cache = caches[holder]
@@ -299,26 +287,17 @@ class BeaconRole:
         irh = cloud.doc_irh(doc_id)
         cloud.origin.note_update_message(doc_id)
         origin_id = cloud.origin.node_id
-        tel = cloud.telemetry
+        watch = cloud.watch
         if not holders:
-            notice_span: Optional["Span"] = None
-            if tel is not None:
-                notice_span = tel.begin_span(
-                    "update_notice", now, beacon=beacon_id
-                )
             notice = fabric.send_control(origin_id, beacon_id, reliable=True)
-            if tel is not None and notice_span is not None:
-                tel.end_span(
-                    notice_span, now + notice.latency, ok=notice.ok
+            if watch is not None:
+                watch.leg(
+                    "update_notice", now, now + notice.latency,
+                    beacon=beacon_id, ok=notice.ok,
                 )
             if notice.ok:
                 self.state.record_update(irh)
             return None
-        body_span: Optional["Span"] = None
-        if tel is not None:
-            body_span = tel.begin_span(
-                "server_to_beacon", now, beacon=beacon_id, bytes=size
-            )
         body = fabric.send_document(
             origin_id,
             beacon_id,
@@ -326,12 +305,10 @@ class BeaconRole:
             TrafficCategory.UPDATE_SERVER_TO_BEACON,
             reliable=True,
         )
-        if tel is not None and body_span is not None:
-            tel.end_span(
-                body_span,
-                now + body.latency,
-                ok=body.ok,
-                attempts=body.attempts,
+        if watch is not None:
+            watch.leg(
+                "server_to_beacon", now, now + body.latency,
+                beacon=beacon_id, bytes=size, ok=body.ok, attempts=body.attempts,
             )
         if not body.ok:
             cloud.update_pushes_lost += len(holders)

@@ -143,10 +143,9 @@ class FlightWriter:
 class FlightRecorder:
     """Rolls fixed-width sim-time windows and streams them to disk.
 
-    Owns a :class:`~repro.observe.profile.WorkProfile` (one is created when
-    not supplied); ``CacheCloud.attach_flight`` installs that profile as
-    the cloud's charging target so per-phase cost deltas land in the same
-    windows as the traffic they explain.
+    Owns a :class:`~repro.observe.profile.WorkProfile` for the bound cloud
+    to charge, or reads one attached to the cloud on its own (:meth:`follow`),
+    so per-phase cost deltas land in the same windows as the traffic.
     """
 
     def __init__(
@@ -154,7 +153,6 @@ class FlightRecorder:
         path: str,
         window: float = 1.0,
         top_docs: int = 5,
-        profile: Optional[WorkProfile] = None,
         start: float = 0.0,
         _writer: Optional[FlightWriter] = None,
     ) -> None:
@@ -165,7 +163,7 @@ class FlightRecorder:
         self.path = path
         self.window = float(window)
         self.top_docs = top_docs
-        self.profile = profile if profile is not None else WorkProfile()
+        self.profile = WorkProfile()
         self._writer = _writer if _writer is not None else FlightWriter(path)
         self._cloud: Optional["CacheCloud"] = None
         self._header_written = False
@@ -236,6 +234,12 @@ class FlightRecorder:
     def unbind(self) -> None:
         """Drop the cloud reference (recording pauses, file stays open)."""
         self._cloud = None
+
+    def follow(self, profile: WorkProfile) -> None:
+        """Read ``profile`` from here on (the one the bound cloud charges);
+        cost deltas count from its current counters."""
+        self.profile = profile
+        self._profile_base = profile.snapshot()
 
     # ------------------------------------------------------------------
     # Recording hooks (cloud entry points + fabric)

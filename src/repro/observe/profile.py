@@ -4,9 +4,9 @@ The telemetry registry (:mod:`repro.observe.registry`) answers "what
 happened on the wire"; this module answers "who did the work". A
 :class:`WorkProfile` holds one integer pair per protocol *phase* — how many
 times the phase ran (``counts``) and how many abstract work units it
-consumed (``units``) — charged at the role seams by
-:class:`~repro.core.node.CacheNode` and
-:class:`~repro.core.roles.BeaconRole`:
+consumed (``units``) — charged at the role seams of
+:class:`~repro.core.node.CacheNode`, :class:`~repro.core.roles.BeaconRole`
+and the update-propagation strategies:
 
 ========================  =========  =====================================
 phase                     role       one unit is
@@ -20,15 +20,18 @@ phase                     role       one unit is
                                      beacon-routed fetch charges both legs)
 ``placement``             requester  one live holder examined by a store
                                      decision, plus the decision itself
-``fanout_leg``            beacon     one update fan-out push attempt
+``fanout_leg``            beacon     one update push attempt, star or tree
 ========================  =========  =====================================
 
-Charging follows the telemetry attach contract: roles read
-``cloud.profile`` through a single ``is not None`` check, so a cloud with
-no profile attached executes the exact same instruction stream as before
-the profiler existed (pinned by the structural-equivalence tests), and
-charging draws no randomness and sends no messages — the numbers are a
-pure function of the protocol's own deterministic execution.
+Charging follows the telemetry attach contract: the roles report through
+the cloud's one attach-time handle (``cloud.watch``, a
+:class:`~repro.observe.registry.RoleWatch`) behind a single ``is not None``
+check, so a cloud with nothing attached executes the exact same instruction
+stream as before the profiler existed (pinned by the structural-equivalence
+tests), and charging draws no randomness and sends no messages — the
+numbers are a pure function of the protocol's own deterministic execution.
+A cloud charges one profile: the one attached with ``attach_profile``, else
+its flight recorder's, and a bound recorder reads that same profile.
 
 ``record_walk`` additionally feeds a ``holder_walk_length`` log-histogram
 and a per-window hottest-documents table, which the flight recorder
@@ -83,15 +86,11 @@ class WorkProfile:
         self._window_walk_max = 0
 
     # ------------------------------------------------------------------
-    # Charging (called from the role seams)
+    # Charging (called through the cloud's ``RoleWatch``)
     # ------------------------------------------------------------------
-    def charge(self, phase: str, units: int = 1, executions: int = 1) -> None:
-        """Record ``executions`` runs of ``phase`` costing ``units`` in total.
-
-        One call for a whole burst (an update's fan-out legs) leaves the
-        same counts and units as charging each execution on its own.
-        """
-        self.counts[phase] += executions
+    def charge(self, phase: str, units: int = 1) -> None:
+        """Record one run of ``phase`` costing ``units``."""
+        self.counts[phase] += 1
         self.units[phase] += units
 
     def record_walk(self, doc_id: int, walked: int) -> None:

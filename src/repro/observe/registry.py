@@ -1,25 +1,29 @@
-"""The unified telemetry registry.
+"""The unified telemetry registry, and the handle the protocol roles report through.
 
 One :class:`Telemetry` object owns every observability primitive — named
 counters, gauges, per-category histograms, the span recorder, and a raw
-request-latency time series for windowed percentiles. The protocol plane
-holds at most one optional reference to it (``cloud.telemetry`` /
-``fabric.telemetry``); when that reference is ``None`` the hot path pays a
-single attribute check and nothing else, which is what keeps the
-zero-overhead-when-off contract honest (see the off-path structural
+request-latency time series for windowed percentiles. The fabric holds one
+optional reference to it (``fabric.telemetry``), the role seams one
+:class:`RoleWatch` (``cloud.watch``); when that reference is ``None`` the
+hot path pays a single attribute check and nothing else, which is what keeps
+the zero-overhead-when-off contract honest (see the off-path structural
 equivalence tests in tests/test_core_fabric.py).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.core.node import MINUTES_TO_MS
 from repro.metrics.timeseries import TimeSeries
 from repro.observe.histogram import LogHistogram
 from repro.observe.spans import Span, SpanRecorder
 
-__all__ = ["CategoryInstruments", "Telemetry"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.observe.profile import WorkProfile
+
+__all__ = ["CategoryInstruments", "RoleWatch", "Telemetry"]
 
 
 def _histogram(histograms: Dict[str, LogHistogram], name: str) -> LogHistogram:
@@ -271,3 +275,64 @@ class Telemetry:
             f"Telemetry(counters={len(self.counters)}, "
             f"histograms={len(self.histograms)}, spans={len(self.spans.spans)})"
         )
+
+
+#: A profile-only event's stand-in while no profile is attached: a C-level
+#: callable that ignores its arguments, so the call enters no Python frame.
+_IGNORE: Callable[..., object] = {}.get
+_NO_ATTRS: Dict[str, object] = {}  # a leg span's closing attributes: none
+
+
+class RoleWatch:
+    """What the protocol roles report (``cloud.watch``), resolved per attach.
+
+    Built from the cloud's registry and the one profile it charges. A seam
+    reports each event with one call — :meth:`leg`, :meth:`mark`,
+    :attr:`walk` (a holder walk), :attr:`placement` (a store decision's
+    charge) — and never asks which observers are there. A leg's span is
+    written after its dispatch as one open and close: no seam opens a span
+    while a leg is in flight, so ids, parentage and widened ends are those
+    of a span held open across it. Past saturation a span is only counted.
+    """
+
+    __slots__ = ("telemetry", "profile", "walk", "placement", "_spans")
+
+    def __init__(self, telemetry: Optional[Telemetry], profile: Optional["WorkProfile"]) -> None:
+        self.telemetry = telemetry
+        self.profile = profile
+        self._spans = None if telemetry is None else telemetry.spans
+        self.walk: Callable[[int, int], object] = _IGNORE
+        self.placement: Callable[[int], object] = _IGNORE
+        if profile is not None:
+            self.walk = profile.record_walk
+            self.placement = partial(profile.charge, "placement")
+
+    def leg(
+        self, name: str, start: float, end: float, phase: Optional[str] = None,
+        units: int = 1, /, **attrs: object,
+    ) -> None:
+        """One dispatched piece of work: span ``name`` over ``[start, end]``
+        with ``attrs``, and ``units`` charged to ``phase`` if it has one."""
+        profile = self.profile
+        if phase is not None and profile is not None:
+            # ``WorkProfile.charge``, in place: one frame per leg, not two.
+            profile.counts[phase] += 1
+            profile.units[phase] += units
+        spans = self._spans
+        if spans is not None:
+            if spans.saturated:
+                spans.begun += 1
+            else:
+                spans.close(spans.open(name, start, attrs), end, _NO_ATTRS)
+
+    def mark(self, name: str, at: float, kind: str, node: int, counter: str) -> None:
+        """``kind`` work at ``node`` shed or deferred at ``at``: a zero-length
+        span ``name`` (written as :meth:`leg` would, in place) and ``counter``."""
+        telemetry = self.telemetry
+        if telemetry is not None:
+            telemetry.count(counter)
+            spans = telemetry.spans
+            if spans.saturated:
+                spans.begun += 1
+            else:
+                spans.close(spans.open(name, at, {"kind": kind, "node": node}), at, _NO_ATTRS)

@@ -22,9 +22,8 @@ Design constraints (see DESIGN.md §8):
   Once the recorder is full *and the stack is empty* it is
   :attr:`~SpanRecorder.saturated`: no later span can be retained or be the
   child of a retained one, so a caller may skip the begin/end pair and
-  only count the span in :attr:`~SpanRecorder.begun` — which is what
-  ``Telemetry.begin_span`` does (it returns ``None``, and every protocol
-  seam skips its ``end_span``/``unwind`` on ``None``).
+  only count the span in :attr:`~SpanRecorder.begun` — as
+  ``Telemetry.begin_span`` (returning ``None``) and ``RoleWatch`` do.
 * **Synchronous** — the protocol plane is single-threaded simulation code,
   so a plain stack models nesting exactly; :meth:`SpanRecorder.end` insists
   on properly paired begin/end calls.

@@ -100,17 +100,10 @@ def apply_store_decision(
 ) -> bool:
     """Carry out a requester-side store-or-not decision.
 
-    Emits the ``placement`` telemetry span (when a registry is attached),
-    then either admits-and-registers or ticks the decline counter — the
-    exact sequence the pre-strategy ``serve_miss`` hard-wired.
+    Either admits-and-registers or ticks the decline counter — the exact
+    sequence the pre-strategy ``serve_miss`` hard-wired — and reports the
+    decision as a zero-length ``placement`` leg.
     """
-    cloud = node.cloud
-    tel = cloud.telemetry
-    placement_span = None
-    if tel is not None:
-        placement_span = tel.begin_span(
-            "placement", retrieval.decision_time, stored=stored
-        )
     if stored:
         node.admit_and_register(
             retrieval.doc_id, retrieval.size_bytes, retrieval.version,
@@ -118,8 +111,10 @@ def apply_store_decision(
         )
     else:
         node.cache.decline()
-    if tel is not None and placement_span is not None:
-        tel.end_span(placement_span, retrieval.decision_time)
+    watch = node.cloud.watch
+    if watch is not None:
+        at = retrieval.decision_time
+        watch.leg("placement", at, at, stored=stored)
     return stored
 
 

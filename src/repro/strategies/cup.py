@@ -23,7 +23,7 @@ star under any admission rule.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Set
+from typing import TYPE_CHECKING, Dict, Set
 
 from repro.network.bandwidth import TrafficCategory
 from repro.strategies.paper import PolicyStrategy
@@ -31,7 +31,6 @@ from repro.strategies.paper import PolicyStrategy
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.placement import PlacementPolicy
     from repro.core.roles import BeaconRole
-    from repro.observe.spans import Span
 
 
 class CUPTreeStrategy(PolicyStrategy):
@@ -62,7 +61,7 @@ class CUPTreeStrategy(PolicyStrategy):
         root_at = beacon_role.receive_update(doc_id, version, size, now, holders)
         if root_at is None:
             return 0
-        tel = cloud.telemetry
+        watch = cloud.watch
 
         # Deterministic k-ary tree: the beacon at index 0, holders in sorted
         # order after it; node i relays to indices k*i+1 .. k*i+k. A node's
@@ -85,22 +84,13 @@ class CUPTreeStrategy(PolicyStrategy):
                     # Same graceful-degradation contract as the star: a
                     # saturated holder's push is deferred, and here the
                     # subtree below it is stranded with it.
-                    if tel is not None:
-                        defer_span = tel.begin_span(
-                            "overload_defer", parent_at,
-                            kind="tree_push", node=child,
+                    if watch is not None:
+                        watch.mark(
+                            "overload_defer", parent_at, "tree_push", child,
+                            "overload.deferred.fanout",
                         )
-                        if defer_span is not None:
-                            tel.end_span(defer_span, parent_at)
-                        tel.count("overload.deferred.fanout")
                     deferred.add(child)
                     continue
-                leg_span: Optional["Span"] = None
-                if tel is not None:
-                    leg_span = tel.begin_span(
-                        "tree_push", parent_at,
-                        parent=parent, holder=child, bytes=size,
-                    )
                 push = fabric.send_document(
                     parent,
                     child,
@@ -108,12 +98,13 @@ class CUPTreeStrategy(PolicyStrategy):
                     TrafficCategory.UPDATE_FANOUT,
                     reliable=True,
                 )
-                if tel is not None and leg_span is not None:
-                    tel.end_span(
-                        leg_span,
-                        parent_at + push.latency,
-                        ok=push.ok,
-                        attempts=push.attempts,
+                if watch is not None:
+                    # One update push attempt, like a star leg.
+                    watch.leg(
+                        "tree_push", parent_at, parent_at + push.latency,
+                        "fanout_leg", push.attempts,
+                        parent=parent, holder=child, bytes=size,
+                        ok=push.ok, attempts=push.attempts,
                     )
                 if not push.ok:
                     continue  # counted below with the rest of its subtree

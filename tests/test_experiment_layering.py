@@ -1,4 +1,4 @@
-"""The experiment layer's three structural rules (pure ``ast``, like the gate beside it).
+"""Four structural rules over ``src/repro`` (pure ``ast``, like the gate beside it).
 
 * The paper's setup is written once: ``CloudConfig``, ``SydneyConfig`` and
   ``WorkloadConfig`` are each constructed at exactly one site under
@@ -9,6 +9,10 @@
   sibling module.
 * A run's planes are attached in one place: the run body,
   :func:`repro.experiments.runner.run_experiment`.
+* The protocol roles report to the observers in one way: through
+  ``cloud.watch`` — no module under ``repro.core`` or ``repro.strategies``
+  but ``core/cloud.py`` opens a span, charges a profile or reads
+  ``.telemetry`` / ``.profile``.
 
 :func:`lines_per_claim` ranks the experiment modules by what they cost:
 the table EXPERIMENTS.md embeds under the catalogue
@@ -74,6 +78,22 @@ def test_planes_are_attached_only_by_the_run_body():
         and not (name == "repro.core.cloud" and ast.unparse(node.func.value) == "self.fabric")
     ]
     assert not stray, f"attach planes through runner.run_experiment: {stray}"
+
+
+#: What only ``CacheCloud`` may touch of its observers: a role seam reports
+#: through the one attach-time handle, ``cloud.watch``.
+OBSERVER_ATTRIBUTES = {"begin_span", "end_span", "charge", "record_walk", "telemetry", "profile"}
+
+
+def test_role_seams_report_only_through_the_watch():
+    stray = sorted(
+        f"{name}:{node.lineno} .{node.attr}"
+        for name, path in MODULES.items()
+        if name.startswith(("repro.core.", "repro.strategies.")) and name != "repro.core.cloud"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in OBSERVER_ATTRIBUTES
+    )
+    assert not stray, f"report through cloud.watch: {stray}"
 
 
 def lines_per_claim(claims: Mapping[str, Sequence[str]]) -> str:

@@ -64,6 +64,7 @@ from repro.observe.flight import FlightRecorder
 from repro.observe.registry import Telemetry
 from repro.simulation.engine import Simulator
 from repro.simulation.rng import derive_seed
+from repro.strategies import StrategySpec, build_strategy
 from repro.workload.documents import build_corpus
 from repro.workload.sydney import SydneyConfig, SydneyTraceGenerator
 
@@ -301,3 +302,150 @@ def test_warmup_reset_keeps_the_injector_inside_the_ledger(tmp_path):
     assert result.audit["audit_meter_mismatch"] == 0
     injector = cloud.faults
     assert 0 < injector.stats.bytes_attempted <= cloud.transport.bytes_attempted
+
+
+# ----------------------------------------------------------------------
+# The role seams the all-planes run never reaches
+# ----------------------------------------------------------------------
+#: Each run reaches role seams that the two runs above do not: ``lcd`` the
+#: beacon-routed fetch (``origin_fetch`` via the beacon, ``beacon_forward``,
+#: placement at the beacon hop), ``no_cooperation`` ``fetch_direct`` and the
+#: origin's ``origin_refresh``, ``cup_tree_overload`` the interest-tree push
+#: with overload deferral.
+SEAM_RUNS = {
+    "lcd": dict(scheme="lcd", cooperation=True, overload=False),
+    "no_cooperation": dict(scheme="utility", cooperation=False, overload=False),
+    "cup_tree_overload": dict(scheme="cup_tree", cooperation=True, overload=True),
+}
+
+#: ``(span name, attribute)`` pairs each run must record: its reason to exist.
+SEAM_SPANS = {
+    "lcd": {("origin_fetch", "via_beacon"), ("beacon_forward", "beacon"), ("placement", "stored")},
+    "no_cooperation": {("origin_fetch", "direct"), ("origin_refresh", "holder")},
+    "cup_tree_overload": {("tree_push", "parent"), ("overload_defer", "kind")},
+}
+
+#: sha256 of each artifact, generated with ``REPRO_PRINT_PLAN_DIGESTS=1`` on
+#: the parent of the change that folded the role seams' span and profile
+#: calls into one attach-time handle. No flight recorder or work profile is
+#: attached: that change charges CUP tree pushes to ``fanout_leg`` by design.
+SEAM_DIGESTS: Dict[str, Dict[str, str]] = {
+    "cup_tree_overload": {
+        "telemetry": "932689c27587d74c54975d45026e99915529d8e0162deaf2531962690cab7307",
+        "dispatch_log": "8059e5e6a35366bb559dd84b8c80b41b3b965389be7c989d0e034c2d0c8bee17",
+        "fabric_stats": "c6d39904c9302d00bd2be9ea81261779d52c9e8c6addb67cbf83d4733e0f981f",
+        "fault_stats": "24e3a2c380975cbd987fe55829474e12522a00fa20e6f57e1376c3fa4868087d",
+        "overload_stats": "21f93f55ee3fa0dcfa6dfd441127d3518ff02d7f855287a006512e0dd93119fe",
+        "monitor": "edc2d6e06774446d36e47a797261223c784c03460027ce64334bc5f74eacc6e4",
+        "result": "19284303dc58748f984dd523144c2e19979b5d95813a90f6e8fb4cd020800f33",
+    },
+    "lcd": {
+        "telemetry": "733fac1d8172043d54a462e9debd7bb2c29c6a8b77b88df94b5ca3a4bd94b9c8",
+        "dispatch_log": "665c073776025fc84e22025266db457cfb523afa190a323d8f829a14044b3ce0",
+        "fabric_stats": "55531c6531a7a461cafac663fbde542f974ae3d0b7f2c509b79460887aa7264d",
+        "fault_stats": "e0b762a7d051faa3fcbf19d8326ca8b587d2b8f7bb645d3e2313506ca2498845",
+        "overload_stats": "74234e98afe7498fb5daf1f36ac2d78acc339464f950703b8c019892f982b90b",
+        "monitor": "d99b7048247938bfa08ee8d39a7c4fc08b1a7f9c04fb55a2456b4fb3d4847d75",
+        "result": "ab4272ba07e021a96af4f929c8807f7da8094cedb70556e5e1060421e09fd96e",
+    },
+    "no_cooperation": {
+        "telemetry": "ae41384c6748f03107b271e217cce3177b4b105a0653dc0afc036a89af07ea06",
+        "dispatch_log": "7e36998e4360460568cf67a23c7fff38fb47cc8ab72cb8761fb8edac3372e2fc",
+        "fabric_stats": "3de50097cace0594871abd14e9e90b484c26dd0bb9f3b5b6e0dc9ee30d94d726",
+        "fault_stats": "870a9d6e0ffe1b332dce2b05d0ffbf932a7e032a26e4df951866c657c40a8335",
+        "overload_stats": "74234e98afe7498fb5daf1f36ac2d78acc339464f950703b8c019892f982b90b",
+        "monitor": "4a5ff00622d0a82e081c18346b805d5940226925119df9c2cb286bba2c61d35f",
+        "result": "4b499d25d59e755de760ea3e10780b334af8a5f7aedb7f2408f108b05ad4bb06",
+    },
+}
+
+
+def _seam_run(name: str) -> Dict[str, str]:
+    """One small lossy run of ``SEAM_RUNS[name]``; returns its digests."""
+    run = SEAM_RUNS[name]
+    corpus = build_corpus(DOCS, random.Random(derive_seed(SEED, "corpus")))
+    trace = SydneyTraceGenerator(
+        SydneyConfig(
+            num_documents=DOCS,
+            num_caches=CACHES,
+            peak_request_rate_per_cache=70.0,
+            base_update_rate=120.0,
+            duration_minutes=DURATION,
+            diurnal_period_minutes=DURATION,
+            drift_pool=DOCS // 2,
+            seed=derive_seed(SEED, "trace"),
+        )
+    ).build_trace()
+    config = CloudConfig(
+        num_caches=CACHES,
+        num_rings=4,
+        cycle_length=5.0,
+        assignment=AssignmentScheme.DYNAMIC,
+        placement=PlacementScheme.UTILITY,
+        utility_weights=WEIGHTS_ALL_ON,
+        capacity_bytes=int(corpus.total_bytes * 0.08),
+        cooperation=run["cooperation"],
+        seed=SEED,
+    )
+    strategy = build_strategy(StrategySpec(scheme=run["scheme"]), config)
+    cloud = CacheCloud(config, corpus, strategy=strategy)
+    simulator = Simulator()
+    telemetry = Telemetry(max_spans=1_000_000)
+    dispatches = cloud.fabric.capture_dispatches()
+    monitor = CloudMonitor(cloud, simulator, period=2.0)
+    result = run_experiment(
+        config,
+        corpus,
+        trace.requests,
+        trace.updates,
+        DURATION,
+        warmup=WARMUP,
+        cloud=cloud,
+        simulator=simulator,
+        fault_plan=FAULT_PLANS["uniform"],
+        telemetry=telemetry,
+        overload=OVERLOAD if run["overload"] else None,
+        on_attached=lambda *_: monitor.start(),
+        audit=True,
+    )
+    spans = telemetry.spans
+    assert spans.dropped == 0 and spans.depth == 0
+    assert SEAM_SPANS[name] <= {(span.name, attr) for span in spans.spans for attr in span.attrs}
+    overload = cloud.overload
+    if overload is not None:
+        assert overload.stats.fanout_deferred > 0
+    fault_stats = dict(cloud.faults.stats.as_dict())
+    fault_stats["by_category"] = dict(cloud.faults.stats.dropped_by_category)
+    return {
+        "telemetry": _sha(dump_json(telemetry)),
+        "dispatch_log": _sha(
+            "\n".join(f"{r.src},{r.dst},{r.num_bytes},{r.category}" for r in dispatches)
+        ),
+        "fabric_stats": _sha(_canonical(dataclasses.asdict(cloud.fabric.stats))),
+        "fault_stats": _sha(_canonical(fault_stats)),
+        "overload_stats": _sha(
+            _canonical(None if overload is None else dataclasses.asdict(overload.stats))
+        ),
+        "monitor": _sha(
+            _canonical({key: series.items() for key, series in monitor.series.items()})
+        ),
+        "result": _sha(
+            _canonical(
+                {
+                    "audit": result.audit,
+                    "stats": dataclasses.asdict(result.stats),
+                    "meter": cloud.transport.meter.breakdown(),
+                    "requests": result.requests,
+                    "updates": result.updates,
+                }
+            )
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(SEAM_RUNS))
+def test_role_seam_artifacts_match_parent_digests(name):
+    digests = _seam_run(name)
+    if os.environ.get("REPRO_PRINT_PLAN_DIGESTS"):
+        print(f"\nSEAM_DIGESTS {name} = {json.dumps(digests, indent=4)}")
+    assert digests == SEAM_DIGESTS[name]

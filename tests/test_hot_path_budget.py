@@ -67,19 +67,20 @@ FRAMES_PER_OPERATION_CEILING = 65.0
 #: fifth of the lookups is shed and the overload model makes an operation
 #: *cheaper*. 56.8 frames per operation with nothing attached.
 PLANES_PEAK_RATE, PLANES_MINUTES = 60.0, 16.0
-#: With all four planes attached: measured 81.9 over 2 340 operations (it
+#: With all four planes attached: measured 80.3 over 2 340 operations (it
 #: was 134.3 when every wire attempt walked the registry's histograms and
 #: the queue's call chain, and every dropped span kept the stack
-#: bookkeeping).
-PLANES_ON_CEILING = 90.0
+#: bookkeeping; 81.9 while a role seam paid ``begin_span`` and ``charge``
+#: as two frames).
+PLANES_ON_CEILING = 88.5
 #: Frames per operation each plane may add when attached after the ones
-#: before it — measured +9.4, +5.1, +4.7, +5.9 (it was +16.7, +17.8,
+#: before it — measured +9.4, +5.1, +4.7, +4.3 (it was +16.7, +17.8,
 #: +34.7, +5.9).
 PLANE_INCREMENT_CEILINGS = {
     "fault_plan": 10.5,
     "overload": 5.5,
-    "telemetry": 5.5,
-    "flight": 6.5,
+    "telemetry": 5.2,
+    "flight": 4.8,
 }
 
 SRC_ROOT = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep

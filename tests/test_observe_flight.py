@@ -21,10 +21,12 @@ Four contracts under test:
 from __future__ import annotations
 
 import json
+import random
 import tracemalloc
 
 import pytest
 
+from repro.core.cloud import CacheCloud
 from repro.core.config import AssignmentScheme, CloudConfig, PlacementScheme
 from repro.experiments.parallel import (
     ExperimentSpec,
@@ -33,7 +35,8 @@ from repro.experiments.parallel import (
     run_sweep,
 )
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import NO_FAULTS
+from repro.faults.plan import NO_FAULTS, FaultPlan, RetryPolicy
+from repro.network.bandwidth import TrafficCategory
 from repro.observe.flight import (
     FLIGHT_SCHEMA_VERSION,
     FlightRecorder,
@@ -46,6 +49,8 @@ from repro.observe.flight import (
     sparkline,
 )
 from repro.observe.profile import PHASE_ROLES, PHASES, WorkProfile
+from repro.strategies import StrategySpec, build_strategy
+from repro.workload.documents import build_corpus
 from repro.workload.generator import WorkloadConfig
 from tests.conftest import make_cloud, run_materialized
 
@@ -79,14 +84,6 @@ class TestWorkProfile:
         assert profile.counts["beacon_lookup"] == 2
         assert profile.units["beacon_lookup"] == 4
         assert profile.counts["peer_fetch"] == 0
-
-    def test_one_charge_for_a_burst_equals_charging_each_execution(self):
-        burst, per_leg = WorkProfile(), WorkProfile()
-        attempts = [1, 3, 1, 2]
-        burst.charge("fanout_leg", sum(attempts), len(attempts))
-        for units in attempts:
-            per_leg.charge("fanout_leg", units)
-        assert burst.snapshot() == per_leg.snapshot()
 
     def test_record_walk_feeds_histogram_and_window_table(self):
         profile = WorkProfile()
@@ -547,6 +544,103 @@ class TestMonitorProfileSeries:
 
 
 # ----------------------------------------------------------------------
+# One profile per cloud, charged by every propagation scheme
+# ----------------------------------------------------------------------
+def _tree_cloud(loss=None):
+    """An 8-cache ``cup_tree`` cloud on 40 documents, a profile attached,
+    driven by 2 000 requests with an update after every 4th."""
+    corpus = build_corpus(40, random.Random(3))
+    config = CloudConfig(
+        num_caches=8,
+        num_rings=2,
+        intra_gen=100,
+        cycle_length=10.0,
+        assignment=AssignmentScheme.DYNAMIC,
+        placement=PlacementScheme.AD_HOC,
+        seed=3,
+    )
+    cloud = CacheCloud(
+        config, corpus, strategy=build_strategy(StrategySpec(scheme="cup_tree"), config)
+    )
+    profile = cloud.attach_profile(WorkProfile())
+    if loss is not None:
+        plan = FaultPlan(seed=3, loss_rate=loss, retry=RetryPolicy(max_attempts=2))
+        cloud.attach_faults(FaultInjector(plan, cloud.transport))
+    rng = random.Random(3)
+    for i in range(2_000):
+        now = i / 4.0
+        cloud.handle_request(rng.randrange(8), int(rng.random() ** 2 * 40) % 40, now)
+        if i % 4 == 3:
+            cloud.handle_update(rng.randrange(40), now)
+    return cloud, profile
+
+
+class TestOneProfile:
+    def test_every_tree_push_is_a_fanout_leg(self):
+        cloud, profile = _tree_cloud()
+        pushes = cloud.transport.meter.messages_for(TrafficCategory.UPDATE_FANOUT)
+        assert pushes > 0
+        assert profile.counts["fanout_leg"] == profile.units["fanout_leg"] == pushes
+
+    def test_a_lost_tree_push_charges_its_retry(self):
+        cloud, profile = _tree_cloud(loss=0.2)
+        assert cloud.fabric.stats.retries > 0
+        assert profile.units["fanout_leg"] > profile.counts["fanout_leg"] > 0
+
+    @staticmethod
+    def _record(small_corpus, path, attach):
+        cloud = make_cloud(small_corpus)
+        attach(cloud, FlightRecorder(path, window=5.0))
+        _drive(cloud)
+        cloud.flight.finish(60.0)
+        with open(path, "rb") as handle:
+            return handle.read()
+
+    @pytest.mark.parametrize("order", ["profile_first", "flight_first"])
+    def test_a_separate_profile_feeds_the_recorder(self, small_corpus, tmp_path, order):
+        def alone(cloud, recorder):
+            cloud.attach_flight(recorder)
+
+        def both(cloud, recorder):
+            if order == "profile_first":
+                cloud.attach_profile(WorkProfile())
+                cloud.attach_flight(recorder)
+            else:
+                cloud.attach_flight(recorder)
+                cloud.attach_profile(WorkProfile())
+
+        want = self._record(small_corpus, str(tmp_path / "alone.jsonl"), alone)
+        got = self._record(small_corpus, str(tmp_path / f"{order}.jsonl"), both)
+        assert b'"cost"' in want
+        assert got == want
+
+    def test_no_sequence_leaves_a_bound_recorder_reading_a_dead_profile(
+        self, small_corpus, tmp_path
+    ):
+        cloud = make_cloud(small_corpus)
+        first, second = WorkProfile(), WorkProfile()
+        recorder = FlightRecorder(str(tmp_path / "f.jsonl"))
+
+        def consistent():
+            assert cloud.flight is None or cloud.flight.profile is cloud.profile
+
+        cloud.attach_profile(first)
+        cloud.attach_flight(recorder)
+        consistent()
+        cloud.attach_profile(second)
+        consistent()
+        assert recorder.profile is second
+        with pytest.raises(ValueError, match="flight recorder"):
+            cloud.detach_profile()
+        consistent()
+        cloud.detach_flight()
+        assert cloud.profile is second  # attached on its own: still charged
+        assert cloud.detach_profile() is second
+        assert cloud.profile is None
+        consistent()
+
+
+# ----------------------------------------------------------------------
 # Acceptance: million-request streaming replay, O(window) resident
 # ----------------------------------------------------------------------
 #: Peak resident bound for the traced steady-state slice of the replay:
@@ -567,8 +661,6 @@ TRACED_SLICE_END = 550_000
 @pytest.mark.slow
 class TestMillionRequestFlight:
     def test_streaming_replay_bounded_and_series_non_degenerate(self, tmp_path):
-        from repro.core.cloud import CacheCloud
-        from repro.workload.documents import build_corpus
         from repro.workload.generator import SyntheticTraceGenerator
         from repro.workload.trace import UpdateRecord, merge_streams
 
