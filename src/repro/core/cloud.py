@@ -78,11 +78,6 @@ if TYPE_CHECKING:
 
 __all__ = ["CacheCloud", "RequestOutcome", "RequestResult"]
 
-#: The ``requests.<outcome>`` telemetry counter of each outcome value.
-_REQUEST_COUNTERS = {
-    outcome.value: "requests." + outcome.value for outcome in RequestOutcome
-}
-
 
 class CacheCloud:
     """One cooperative cache cloud.
@@ -219,12 +214,12 @@ class CacheCloud:
         self._attached_profile: Optional["WorkProfile"] = None
 
         #: Optional streaming flight recorder (``repro.observe.flight``).
-        #: ``None`` keeps the request/update entry points and the fabric
-        #: fast path exactly as they were before the recorder existed.
         self.flight: Optional["FlightRecorder"] = None
 
-        #: The one handle the role seams report through, rebuilt by every
-        #: attach/detach of the three above; ``None`` while none is attached.
+        #: The one handle every seam reports through — the role seams, the
+        #: fabric's attempt plan, the two operation roots — rebuilt by every
+        #: attach/detach of the three above; ``None`` while none is attached
+        #: keeps the entry points and the fabric fast path as if none existed.
         self.watch: Optional["RoleWatch"] = None
 
         #: Optional per-node service model (``repro.core.overload``).
@@ -291,7 +286,8 @@ class CacheCloud:
         return self.fabric.faults
 
     # ------------------------------------------------------------------
-    # Telemetry (delegates to the fabric for the dispatch-point hook)
+    # Observers: telemetry, the work profile, the flight recorder — all
+    # resolved into ``cloud.watch`` by :meth:`_rewatch`
     # ------------------------------------------------------------------
     def attach_telemetry(self, telemetry: "Telemetry") -> None:
         """Route request/update spans and fabric histograms into ``telemetry``.
@@ -301,20 +297,15 @@ class CacheCloud:
         meter totals (tested in ``tests/test_core_fabric.py``).
         """
         self.telemetry = telemetry
-        self.fabric.telemetry = telemetry
         self._rewatch()
 
     def detach_telemetry(self) -> Optional["Telemetry"]:
         """Stop recording; returns the detached registry with its data."""
         telemetry = self.telemetry
         self.telemetry = None
-        self.fabric.telemetry = None
         self._rewatch()
         return telemetry
 
-    # ------------------------------------------------------------------
-    # Work profiling and the flight recorder (repro.observe)
-    # ------------------------------------------------------------------
     def attach_profile(self, profile: "WorkProfile") -> "WorkProfile":
         """Charge per-role, per-phase work counters into ``profile``.
 
@@ -348,7 +339,6 @@ class CacheCloud:
         """
         recorder.bind(self)
         self.flight = recorder
-        self.fabric.flight = recorder
         self._rewatch()
         return recorder
 
@@ -357,7 +347,6 @@ class CacheCloud:
         its ``finish`` is called)."""
         recorder = self.flight
         self.flight = None
-        self.fabric.flight = None
         if recorder is not None:
             recorder.unbind()
         self._rewatch()
@@ -369,8 +358,9 @@ class CacheCloud:
         return None if self.watch is None else self.watch.profile
 
     def _rewatch(self) -> None:
-        """Rebuild :attr:`watch` after an observer moved, as the fabric
-        rebuilds its attempt plan; a bound recorder reads the profile charged."""
+        """Rebuild :attr:`watch` after an observer moved and hand it to the
+        fabric, which rebuilds its attempt plan from it: the one place the
+        observers are resolved. A bound recorder reads the profile charged."""
         from repro.observe.registry import RoleWatch  # registry imports core
 
         profile, flight = self._attached_profile, self.flight
@@ -379,9 +369,12 @@ class CacheCloud:
                 profile = flight.profile
             elif flight.profile is not profile:
                 flight.follow(profile)
-        self.watch = None
+        watch = None
         if self.telemetry is not None or profile is not None:
-            self.watch = RoleWatch(self.telemetry, profile)
+            watch = RoleWatch(
+                self.telemetry, profile, flight, self._serve_request, self._apply_update
+            )
+        self.watch = self.fabric.watch = watch
 
     # ------------------------------------------------------------------
     # Overload / service model (delegates to the fabric)
@@ -534,49 +527,10 @@ class CacheCloud:
     # ------------------------------------------------------------------
     def handle_request(self, cache_id: int, doc_id: int, now: float) -> RequestResult:
         """Process one client request arriving at ``cache_id``."""
-        flight = self.flight
-        if flight is not None:
-            # Roll the recorder's window clock before any protocol work:
-            # every dispatch this handler triggers happens at ``now``, so
-            # it belongs to the window that is open *after* this call.
-            flight.advance(now)
-        telemetry = self.telemetry
-        if telemetry is None:
-            result = self._serve_request(cache_id, doc_id, now)
-            if flight is not None:
-                flight.observe_request(now, result)
-            return result
-        root = telemetry.begin_span("request", now, cache=cache_id, doc=doc_id)
-        try:
-            result = self._serve_request(cache_id, doc_id, now)
-        except BaseException:
-            if root is not None:
-                telemetry.spans.unwind(root, now)
-            raise
-        # ``_value_``: the plain attribute behind the ``value`` descriptor,
-        # which costs two Python frames per read.
-        outcome_name = result.outcome._value_
-        latency_ms = result.latency_ms
-        if root is not None:
-            telemetry.end_span(
-                root,
-                now + latency_ms / MINUTES_TO_MS,
-                outcome=outcome_name,
-                served_by=result.served_by,
-                latency_ms=latency_ms,
-            )
-        # A rejected request has no service latency — recording its 0.0
-        # would drag every latency percentile toward zero exactly when the
-        # cloud is overloaded. Rejections are visible through the
-        # requests.rejected counter and the overload statistics.
-        telemetry.observe_root(
-            _REQUEST_COUNTERS[outcome_name],
-            now,
-            None if result.outcome is RequestOutcome.REJECTED else latency_ms,
-        )
-        if flight is not None:
-            flight.observe_request(now, result)
-        return result
+        watch = self.watch
+        if watch is None:
+            return self._serve_request(cache_id, doc_id, now)
+        return watch.request(cache_id, doc_id, now)
 
     def _serve_request(
         self, cache_id: int, doc_id: int, now: float
@@ -665,25 +619,10 @@ class CacheCloud:
     # ------------------------------------------------------------------
     def handle_update(self, doc_id: int, now: float) -> int:
         """Process one origin-server update; returns holders refreshed."""
-        flight = self.flight
-        if flight is not None:
-            flight.advance(now)
-            flight.observe_update(now)
-        telemetry = self.telemetry
-        if telemetry is None:
+        watch = self.watch
+        if watch is None:
             return self._apply_update(doc_id, now)
-        root = telemetry.begin_span("update", now, doc=doc_id)
-        try:
-            refreshed = self._apply_update(doc_id, now)
-        except BaseException:
-            if root is not None:
-                telemetry.spans.unwind(root, now)
-            raise
-        if root is not None:
-            # The root's end is widened to cover the propagation children.
-            telemetry.end_span(root, now, refreshed=refreshed)
-        telemetry.observe_root("updates.handled")
-        return refreshed
+        return watch.update(doc_id, now)
 
     def note_update(self, doc_id: int, now: float) -> None:
         """Record an origin update of ``doc_id`` at ``now``: one event for

@@ -51,9 +51,10 @@ The attempt plan
 Who is attached changes at attach/detach, not per message, so that is when
 the fabric asks: :meth:`MessageFabric._sync_fast_path` rebuilds the
 *attempt plan* — the bound retry policy plus one slot per
-:class:`TrafficCategory` with the category's name, telemetry instruments
-and flight-recorder row — and the one general attempt body
-(:meth:`MessageFabric._attempt`) does arithmetic on those handles.
+:class:`TrafficCategory` with the category's name and the telemetry journal
+and flight-recorder row its one observer handle (``cloud.watch``) gives it —
+and the one general attempt body (:meth:`MessageFabric._attempt`) does
+arithmetic on those handles.
 
 The plan with nothing bound is the *fast path* (``_fast_path``): every
 dispatch lands on its single attempt with nothing watching, so the
@@ -69,7 +70,7 @@ byte-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Protocol, Sequence, Tuple
 
 from repro.core.overload import OverloadController
 from repro.faults.injector import FaultInjector
@@ -81,10 +82,6 @@ from repro.network.transport import (
     TRANSFER_HEADER_BYTES,
     Transport,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a runtime import
-    from repro.observe.flight import FlightRecorder
-    from repro.observe.registry import CategoryInstruments, Telemetry
 
 #: Control traffic category, hoisted so the RPC fast path pays no enum
 #: attribute lookup per call.
@@ -154,15 +151,30 @@ class FabricStats:
 DELIVERED_FREE = Delivery(ok=True, latency=0.0, attempts=1)
 
 
-class _CategorySlot(NamedTuple):
+class CategorySlot(NamedTuple):
     """What a wire attempt needs of one traffic category (an observer's
     handle is ``None`` while it is not attached; ``instruments`` is the
     telemetry journal the attempt appends to, ``flight_row`` the recorder's
     ``[messages, bytes, lost, latency_ms_sum]`` list)."""
 
     name: str
-    instruments: Optional["CategoryInstruments"]
+    instruments: Any
     flight_row: Optional[List[float]]
+
+
+#: Every category's slot with no observer handle bound.
+UNWATCHED = {category: CategorySlot(category.value, None, None) for category in TrafficCategory}
+
+
+class FabricWatch(Protocol):
+    """What the fabric reads of its observer handle (``cloud.watch``, a
+    :class:`~repro.observe.registry.RoleWatch`): every category's slot
+    (:data:`UNWATCHED` when it binds no handle), and where a queue
+    rejection is reported."""
+
+    slots: Dict[TrafficCategory, CategorySlot]
+
+    def reject(self, category: str) -> None: ...
 
 
 class MessageFabric:
@@ -179,37 +191,27 @@ class MessageFabric:
         self.stats = FabricStats()
         self._faults: Optional[FaultInjector] = None
         self._dispatch_log: Optional[List[DispatchRecord]] = None
-        self._telemetry: Optional["Telemetry"] = None
-        self._flight: Optional["FlightRecorder"] = None
+        self._watch: Optional[FabricWatch] = None
         self._service: Optional[OverloadController] = None
         self._sync_fast_path()
 
     def _sync_fast_path(self) -> None:
         """Rebuild the attempt plan: what a dispatch would otherwise re-ask
         per message — is anything attached (``_fast_path``), which retry
-        ladder governs, each category's name, instruments and flight row."""
-        faults, service = self._faults, self._service
-        telemetry, flight = self._telemetry, self._flight
+        ladder governs, each category's slot (the watch's)."""
+        faults, service, watch = self._faults, self._service, self._watch
+        self._slots = UNWATCHED if watch is None else watch.slots
         self._fast_path = (
             faults is None
             and self._dispatch_log is None
-            and telemetry is None
-            and flight is None
             and service is None
+            and self._slots is UNWATCHED
         )
         self._policy: Optional[RetryPolicy] = None
         if faults is not None:
             self._policy = faults.plan.retry
         elif service is not None:
             self._policy = service.config.retry
-        self._slots: Dict[TrafficCategory, _CategorySlot] = {
-            category: _CategorySlot(
-                category.value,
-                None if telemetry is None else telemetry.instruments(category.value),
-                None if flight is None else flight.fabric_row(category.value),
-            )
-            for category in TrafficCategory
-        }
 
     # ------------------------------------------------------------------
     # Middleware management
@@ -278,7 +280,7 @@ class MessageFabric:
         return controller
 
     # ------------------------------------------------------------------
-    # Observers (dispatch capture + telemetry)
+    # Observers (dispatch capture + the watch)
     # ------------------------------------------------------------------
     @property
     def dispatch_log(self) -> Optional[List[DispatchRecord]]:
@@ -291,28 +293,26 @@ class MessageFabric:
         self._sync_fast_path()
 
     @property
-    def telemetry(self) -> Optional["Telemetry"]:
-        """Optional telemetry sink; every wire attempt records its
-        category, bytes, and delivered latency. ``None`` keeps the fast
-        path enabled (the zero-overhead-when-off seam)."""
-        return self._telemetry
+    def watch(self) -> Optional[FabricWatch]:
+        """The one observer handle, set by ``CacheCloud`` to ``cloud.watch``
+        at every observer attach/detach. A watch that binds no handle (none,
+        or a work profile alone) keeps the fast path enabled."""
+        return self._watch
 
-    @telemetry.setter
-    def telemetry(self, telemetry: Optional["Telemetry"]) -> None:
-        self._telemetry = telemetry
+    @watch.setter
+    def watch(self, watch: Optional[FabricWatch]) -> None:
+        self._watch = watch
         self._sync_fast_path()
 
-    @property
-    def flight(self) -> Optional["FlightRecorder"]:
-        """Optional streaming flight recorder; every wire attempt lands in
-        the currently open window. ``None`` keeps the fast path enabled
-        (the same zero-overhead-when-off seam as telemetry)."""
-        return self._flight
+    def _watch_telemetry(self, telemetry: Any) -> None:
+        from repro.observe.registry import RoleWatch  # observe imports core
 
-    @flight.setter
-    def flight(self, recorder: Optional["FlightRecorder"]) -> None:
-        self._flight = recorder
-        self._sync_fast_path()
+        self.watch = None if telemetry is None else RoleWatch(telemetry, None)
+
+    #: Write-only: a telemetry-only watch on a bare fabric, for
+    #: ``benchmarks/perf/probes.py::fabric_dispatch``, which assigns
+    #: ``fabric.telemetry``; a cloud's fabric is watched through ``cloud.watch``.
+    telemetry = property(fset=_watch_telemetry)
 
     def capture_dispatches(self) -> List[DispatchRecord]:
         """Start recording wire attempts; returns the live record list."""
@@ -383,10 +383,9 @@ class MessageFabric:
                 # retry under the active ladder.
                 self.stats.rejections += 1
                 latency = None
-                if instruments is not None:
-                    instruments.record_rejection()
-                if self._flight is not None:
-                    self._flight.record_rejection(slot.name)
+                watch = self._watch
+                if watch is not None:
+                    watch.reject(slot.name)
             else:
                 if delay > 0.0:
                     latency += delay
@@ -694,9 +693,11 @@ class MessageFabric:
         return Delivery(False, latency, attempts)
 
     def __repr__(self) -> str:
-        middleware = "faults" if self._faults is not None else "none"
+        planes = {"faults": self._faults, "service": self._service, "watch": self._watch,
+                  "capture": self._dispatch_log}
+        bound = "+".join(name for name, plane in planes.items() if plane is not None) or "none"
         return (
             f"MessageFabric(transport={self.transport!r}, "
-            f"middleware={middleware}, fast_path={self._fast_path}, "
+            f"planes={bound}, fast_path={self._fast_path}, "
             f"stats={self.stats!r})"
         )

@@ -26,7 +26,8 @@ resume while :func:`read_flight` tolerates it on read.
 Clocking
 --------
 The fabric has no clock, so windows are rolled from the request/update
-entry points: ``CacheCloud.handle_request``/``handle_update`` call
+entry points: the roots that ``cloud.watch`` runs for
+``CacheCloud.handle_request``/``handle_update`` call
 :meth:`FlightRecorder.advance` before any protocol work. All fabric
 dispatches triggered by one handler happen at that handler's timestamp,
 so attributing them to the currently open window is exact, and idle gaps
@@ -190,11 +191,14 @@ class FlightRecorder:
 
         The writer truncates any torn tail, the header is re-read for the
         window geometry, and window numbering continues after the last
-        complete window on disk.
+        complete window on disk. A finished recording (one with a summary)
+        or a headerless file is refused with :class:`ArtifactError`.
         """
         log = read_flight(path)
         if log.header is None:
-            raise ValueError(f"{path}: no flight header to resume from")
+            raise ArtifactError(f"{path}: no flight header to resume from")
+        if log.summary is not None:
+            raise ArtifactError(f"{path}: the recording was finished; nothing to resume")
         writer = FlightWriter(path, resume=True)
         width = float(log.header["window"])
         start = float(log.windows[-1]["end"]) if log.windows else 0.0

@@ -1,12 +1,13 @@
-"""The unified telemetry registry, and the handle the protocol roles report through.
+"""The unified telemetry registry, and the one handle every seam reports through.
 
 One :class:`Telemetry` object owns every observability primitive — named
 counters, gauges, per-category histograms, the span recorder, and a raw
-request-latency time series for windowed percentiles. The fabric holds one
-optional reference to it (``fabric.telemetry``), the role seams one
-:class:`RoleWatch` (``cloud.watch``); when that reference is ``None`` the
-hot path pays a single attribute check and nothing else, which is what keeps
-the zero-overhead-when-off contract honest (see the off-path structural
+request-latency time series for windowed percentiles. No seam holds it: the
+cloud resolves its observers into one :class:`RoleWatch` (``cloud.watch``)
+at every attach/detach, and the role seams, the fabric's attempt plan and
+the two operation roots all read that; when it is ``None`` the hot path pays
+a single attribute check and nothing else, which is what keeps the
+zero-overhead-when-off contract honest (see the off-path structural
 equivalence tests in tests/test_core_fabric.py).
 """
 
@@ -15,12 +16,15 @@ from __future__ import annotations
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
-from repro.core.node import MINUTES_TO_MS
+from repro.core.fabric import UNWATCHED, CategorySlot
+from repro.core.node import MINUTES_TO_MS, RequestOutcome, RequestResult
 from repro.metrics.timeseries import TimeSeries
+from repro.network.bandwidth import TrafficCategory
 from repro.observe.histogram import LogHistogram
 from repro.observe.spans import Span, SpanRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.observe.flight import FlightRecorder
     from repro.observe.profile import WorkProfile
 
 __all__ = ["CategoryInstruments", "RoleWatch", "Telemetry"]
@@ -281,31 +285,67 @@ class Telemetry:
 #: callable that ignores its arguments, so the call enters no Python frame.
 _IGNORE: Callable[..., object] = {}.get
 _NO_ATTRS: Dict[str, object] = {}  # a leg span's closing attributes: none
+#: The ``requests.<outcome>`` counter of each outcome value.
+_REQUEST_COUNTERS = {
+    outcome.value: "requests." + outcome.value for outcome in RequestOutcome
+}
 
 
 class RoleWatch:
-    """What the protocol roles report (``cloud.watch``), resolved per attach.
+    """What every seam reports (``cloud.watch``), resolved per attach.
 
-    Built from the cloud's registry and the one profile it charges. A seam
-    reports each event with one call — :meth:`leg`, :meth:`mark`,
-    :attr:`walk` (a holder walk), :attr:`placement` (a store decision's
-    charge) — and never asks which observers are there. A leg's span is
-    written after its dispatch as one open and close: no seam opens a span
-    while a leg is in flight, so ids, parentage and widened ends are those
-    of a span held open across it. Past saturation a span is only counted.
+    Built from the cloud's registry, the one profile it charges and its
+    flight recorder. A role seam reports each event with one call —
+    :meth:`leg`, :meth:`mark`, :attr:`walk` (a holder walk),
+    :attr:`placement` (a store decision's charge) — and never asks which
+    observers are there. A leg's span is written after its dispatch as one
+    open and close: no seam opens a span while a leg is in flight, so ids,
+    parentage and widened ends are those of a span held open across it.
+    Past saturation a span is only counted. The fabric's attempt plan takes
+    :attr:`slots` (each category's telemetry journal and flight row) and
+    reports to :meth:`reject`; the cloud's entry points call
+    :attr:`request` / :attr:`update`, which run the operation root (window
+    clock, root span, root counters) — or are the cloud's own serve and
+    apply when only a profile is attached.
     """
 
-    __slots__ = ("telemetry", "profile", "walk", "placement", "_spans")
+    __slots__ = ("telemetry", "profile", "flight", "walk", "placement", "slots", "request",
+                 "update", "_spans", "_serve", "_apply")
 
-    def __init__(self, telemetry: Optional[Telemetry], profile: Optional["WorkProfile"]) -> None:
+    def __init__(
+        self,
+        telemetry: Optional[Telemetry],
+        profile: Optional["WorkProfile"],
+        flight: Optional["FlightRecorder"] = None,
+        serve: Optional[Callable[[int, int, float], RequestResult]] = None,
+        apply: Optional[Callable[[int, float], int]] = None,
+    ) -> None:
         self.telemetry = telemetry
         self.profile = profile
+        self.flight = flight
         self._spans = None if telemetry is None else telemetry.spans
         self.walk: Callable[[int, int], object] = _IGNORE
         self.placement: Callable[[int], object] = _IGNORE
         if profile is not None:
             self.walk = profile.record_walk
             self.placement = partial(profile.charge, "placement")
+        watched = telemetry is not None or flight is not None
+        self.slots: Dict[TrafficCategory, CategorySlot] = UNWATCHED
+        if watched:
+            self.slots = {
+                category: CategorySlot(
+                    category.value,
+                    None if telemetry is None else telemetry.instruments(category.value),
+                    None if flight is None else flight.fabric_row(category.value),
+                )
+                for category in TrafficCategory
+            }
+        if serve is not None and apply is not None:  # a bare fabric's watch has no roots
+            self._serve, self._apply = serve, apply
+            self.request: Callable[[int, int, float], RequestResult] = (
+                self._request if watched else serve
+            )
+            self.update: Callable[[int, float], int] = self._update if watched else apply
 
     def leg(
         self, name: str, start: float, end: float, phase: Optional[str] = None,
@@ -336,3 +376,78 @@ class RoleWatch:
                 spans.begun += 1
             else:
                 spans.close(spans.open(name, at, {"kind": kind, "node": node}), at, _NO_ATTRS)
+
+    def reject(self, category: str) -> None:
+        """One wire attempt of ``category`` turned away by a full queue."""
+        if self.telemetry is not None:
+            self.telemetry.count("fabric.rejected." + category)
+        if self.flight is not None:
+            self.flight.record_rejection(category)
+
+    def _request(self, cache_id: int, doc_id: int, now: float) -> RequestResult:
+        flight = self.flight
+        if flight is not None:
+            # Roll the recorder's window clock before any protocol work:
+            # every dispatch this request triggers happens at ``now``, so
+            # it belongs to the window that is open *after* this call.
+            flight.advance(now)
+        telemetry = self.telemetry
+        if telemetry is None:
+            result = self._serve(cache_id, doc_id, now)
+        else:
+            spans = telemetry.spans
+            root = None if spans.saturated else spans.open(
+                "request", now, {"cache": cache_id, "doc": doc_id}
+            )
+            if root is None:  # saturated: the root is only counted
+                spans.begun += 1
+            try:
+                result = self._serve(cache_id, doc_id, now)
+            except BaseException:
+                if root is not None:
+                    spans.unwind(root, now)
+                raise
+            # ``_value_``: the plain attribute behind the ``value``
+            # descriptor, which costs two Python frames per read.
+            outcome = result.outcome._value_
+            latency_ms = result.latency_ms
+            if root is not None:
+                spans.close(
+                    root,
+                    now + latency_ms / MINUTES_TO_MS,
+                    {"outcome": outcome, "served_by": result.served_by, "latency_ms": latency_ms},
+                )
+            # A rejected request has no service latency — recording its 0.0
+            # would drag every latency percentile toward zero exactly when
+            # the cloud is overloaded. Rejections are visible through the
+            # requests.rejected counter and the overload statistics.
+            telemetry.observe_root(
+                _REQUEST_COUNTERS[outcome], now, None if outcome == "rejected" else latency_ms
+            )
+        if flight is not None:
+            flight.observe_request(now, result)
+        return result
+
+    def _update(self, doc_id: int, now: float) -> int:
+        flight = self.flight
+        if flight is not None:
+            flight.advance(now)
+            flight.observe_update(now)
+        telemetry = self.telemetry
+        if telemetry is None:
+            return self._apply(doc_id, now)
+        spans = telemetry.spans
+        root = None if spans.saturated else spans.open("update", now, {"doc": doc_id})
+        if root is None:
+            spans.begun += 1
+        try:
+            refreshed = self._apply(doc_id, now)
+        except BaseException:
+            if root is not None:
+                spans.unwind(root, now)
+            raise
+        if root is not None:
+            # The root's end is widened to cover the propagation children.
+            spans.close(root, now, {"refreshed": refreshed})
+        telemetry.observe_root("updates.handled")
+        return refreshed

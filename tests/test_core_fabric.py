@@ -13,7 +13,11 @@ Two layers of coverage:
    "the very same wire messages in the very same order".
 """
 
+import tempfile
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.fabric import (
     DELIVERED_FREE,
@@ -21,6 +25,7 @@ from repro.core.fabric import (
     DispatchRecord,
     MessageFabric,
 )
+from repro.core.overload import OverloadConfig, OverloadController
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import NO_FAULTS, FaultPlan, RetryPolicy
 from repro.network.bandwidth import TrafficCategory
@@ -30,6 +35,8 @@ from repro.network.transport import (
     TRANSFER_HEADER_BYTES,
     Transport,
 )
+from repro.observe import FlightRecorder, WorkProfile
+from repro.workload.documents import build_corpus
 from tests.conftest import make_cloud
 
 
@@ -149,6 +156,15 @@ class TestFastPath:
         fabric.telemetry = None
         assert fabric._fast_path
 
+    def test_repr_names_every_bound_plane(self):
+        from repro.observe import Telemetry
+
+        fabric = _fabric(NO_FAULTS)
+        fabric.attach_service(OverloadController(OverloadConfig()))
+        fabric.telemetry = Telemetry()
+        fabric.capture_dispatches()
+        assert "planes=faults+service+watch+capture," in repr(fabric)
+
     def test_zero_latency_delivery_is_interned(self):
         """Topology-less dispatches return the shared frozen singleton."""
         fabric = _fabric()
@@ -168,6 +184,59 @@ class TestFastPath:
         assert fabric.transport.meter.bytes_for(TrafficCategory.CONTROL) == (
             4 * CONTROL_MESSAGE_BYTES
         )
+
+
+#: Observer attach/detach steps, in any order (a repeated attach replaces).
+OBSERVER_STEPS = (
+    "attach_telemetry", "detach_telemetry",
+    "attach_profile", "detach_profile",
+    "attach_flight", "detach_flight",
+)
+
+
+class TestOneResolutionPoint:
+    """``CacheCloud._rewatch`` is the one place observers are resolved: the
+    fabric's one observer reference is ``cloud.watch`` after every step."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(steps=st.lists(st.sampled_from(OBSERVER_STEPS), max_size=12))
+    def test_the_fabric_watches_what_the_cloud_watches(self, steps):
+        from repro.observe import Telemetry
+
+        cloud = make_cloud(build_corpus(50, fixed_size=1024))
+        fabric = cloud.fabric
+        recorders = []
+        with tempfile.TemporaryDirectory() as scratch:
+            for index, step in enumerate(steps):
+                if step == "attach_telemetry":
+                    cloud.attach_telemetry(Telemetry())
+                elif step == "attach_profile":
+                    cloud.attach_profile(WorkProfile())
+                elif step == "attach_flight":
+                    recorders.append(FlightRecorder(f"{scratch}/{index}.jsonl"))
+                    cloud.attach_flight(recorders[-1])
+                elif step == "detach_profile" and cloud.flight is not None:
+                    with pytest.raises(ValueError):
+                        cloud.detach_profile()
+                else:
+                    getattr(cloud, step)()
+                watch = cloud.watch
+                assert fabric.watch is watch
+                telemetry, flight = cloud.telemetry, cloud.flight
+                assert fabric._fast_path == (telemetry is None and flight is None)
+                for category in TrafficCategory:
+                    slot = fabric._slots[category]
+                    assert slot.instruments is (
+                        None if telemetry is None else telemetry.instruments(category.value)
+                    )
+                    assert slot.flight_row is (
+                        None if flight is None else flight.fabric_row(category.value)
+                    )
+                # Every combination serves through the roots it resolved.
+                cloud.handle_request(index % 4, index, now=float(index))
+                cloud.handle_update(index, now=index + 0.5)
+            for recorder in recorders:
+                recorder.finish(len(steps))
 
 
 def _topology_pair():
@@ -485,6 +554,6 @@ class TestTelemetryOffPathEquivalence:
         detached = cloud.detach_telemetry()
         assert detached is telemetry
         assert cloud.telemetry is None
-        assert cloud.fabric.telemetry is None
+        assert cloud.fabric.watch is None
         cloud.handle_request(1, 5, now=2.0)
         assert len(telemetry.spans.spans) == recorded

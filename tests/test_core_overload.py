@@ -363,10 +363,9 @@ class TestFabricServiceIntegration:
         fabric = _service_fabric(
             OverloadConfig(queue_capacity=1, service_ms=30_000.0)
         )
-        fabric.telemetry = Telemetry()
+        fabric.telemetry = telemetry = Telemetry()
         fabric.send_control(0, 1)  # delayed by its own service time
         fabric.send_control(0, 1)  # queue full: rejected
-        telemetry = fabric.telemetry
         assert telemetry.counters["fabric.rejected.control"] == 1
         assert telemetry.histograms["queue_delay_ms.control"].count == 1
         assert telemetry.gauges["queue_depth.1"] == 1.0

@@ -1,4 +1,4 @@
-"""Four structural rules over ``src/repro`` (pure ``ast``, like the gate beside it).
+"""Five structural rules over ``src/repro`` (pure ``ast``, like the gate beside it).
 
 * The paper's setup is written once: ``CloudConfig``, ``SydneyConfig`` and
   ``WorkloadConfig`` are each constructed at exactly one site under
@@ -9,10 +9,12 @@
   sibling module.
 * A run's planes are attached in one place: the run body,
   :func:`repro.experiments.runner.run_experiment`.
-* The protocol roles report to the observers in one way: through
-  ``cloud.watch`` — no module under ``repro.core`` or ``repro.strategies``
-  but ``core/cloud.py`` opens a span, charges a profile or reads
-  ``.telemetry`` / ``.profile``.
+* Every seam reports to the observers in one way: through ``cloud.watch``
+  — no module under ``repro.core`` or ``repro.strategies`` opens a span,
+  runs an operation root or charges a profile, and none but
+  ``core/cloud.py``'s attach code reads ``.telemetry`` / ``.profile``.
+* The fabric knows no observer class: ``core/fabric.py`` imports nothing
+  from ``repro.observe`` but the benchmark probe's lazy ``telemetry`` setter.
 
 :func:`lines_per_claim` ranks the experiment modules by what they cost:
 the table EXPERIMENTS.md embeds under the catalogue
@@ -20,7 +22,7 @@ the table EXPERIMENTS.md embeds under the catalogue
 """
 
 import ast
-from typing import Dict, Mapping, Sequence
+from typing import Dict, List, Mapping, Sequence
 
 from tests.test_module_reachability import MODULES, _reachable, _references, _resolve
 
@@ -80,20 +82,47 @@ def test_planes_are_attached_only_by_the_run_body():
     assert not stray, f"attach planes through runner.run_experiment: {stray}"
 
 
-#: What only ``CacheCloud`` may touch of its observers: a role seam reports
-#: through the one attach-time handle, ``cloud.watch``.
-OBSERVER_ATTRIBUTES = {"begin_span", "end_span", "charge", "record_walk", "telemetry", "profile"}
+#: What only the watch calls: spans, operation roots, profile charges.
+OBSERVER_CALLS = {
+    "begin_span", "end_span", "observe_root", "observe_request", "observe_update",
+    "charge", "record_walk",
+}
+#: What only ``CacheCloud``'s attach code reads of its observers.
+OBSERVER_ATTRIBUTES = OBSERVER_CALLS | {"telemetry", "profile"}
 
 
 def test_role_seams_report_only_through_the_watch():
     stray = sorted(
         f"{name}:{node.lineno} .{node.attr}"
         for name, path in MODULES.items()
-        if name.startswith(("repro.core.", "repro.strategies.")) and name != "repro.core.cloud"
+        if name.startswith(("repro.core.", "repro.strategies."))
+        for forbidden in [OBSERVER_CALLS if name == "repro.core.cloud" else OBSERVER_ATTRIBUTES]
         for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Attribute) and node.attr in OBSERVER_ATTRIBUTES
+        if isinstance(node, ast.Attribute) and node.attr in forbidden
     )
     assert not stray, f"report through cloud.watch: {stray}"
+
+
+def _observe_imports(node: ast.AST, function: str = "<module>") -> List[str]:
+    """The enclosing function of every import from ``repro.observe`` under ``node``."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ImportFrom):
+            modules = [child.module or ""]
+        elif isinstance(child, ast.Import):
+            modules = [alias.name for alias in child.names]
+        else:
+            modules = []
+        if any(module.startswith("repro.observe") for module in modules):
+            found.append(function)
+        inner = child.name if isinstance(child, ast.FunctionDef) else function
+        found.extend(_observe_imports(child, inner))
+    return found
+
+
+def test_the_fabric_imports_no_observer():
+    tree = ast.parse(MODULES["repro.core.fabric"].read_text())
+    assert _observe_imports(tree) == ["_watch_telemetry"]
 
 
 def lines_per_claim(claims: Mapping[str, Sequence[str]]) -> str:

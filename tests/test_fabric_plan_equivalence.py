@@ -203,14 +203,12 @@ def _all_planes_run(plan_name: str, flight_path: str, reattach: bool = False):
             # design, which is a window-content change, not a plan one.
             fabric = cloud.fabric
             fabric.detach_faults()
-            fabric.flight = None
+            fabric.watch = None
             fabric.detach_service()
-            fabric.telemetry = None
             fabric.stop_dispatch_capture()
             assert fabric._fast_path
-            fabric.telemetry = telemetry
             fabric.attach_service(controller)
-            fabric.flight = flight
+            fabric.watch = cloud.watch
             fabric.attach_faults(injector)
             fabric.dispatch_log = dispatches
             assert not fabric._fast_path

@@ -45,7 +45,7 @@ from repro.faults.plan import FaultPlan, RetryPolicy
 from repro.observe.flight import FlightRecorder
 from repro.observe.histogram import LogHistogram
 from repro.observe.profile import WorkProfile
-from repro.observe.registry import Telemetry
+from repro.observe.registry import RoleWatch, Telemetry
 from repro.observe.spans import SpanRecorder
 from repro.simulation.events import Event
 from repro.simulation.rng import derive_seed
@@ -71,7 +71,8 @@ PLANES_PEAK_RATE, PLANES_MINUTES = 60.0, 16.0
 #: was 134.3 when every wire attempt walked the registry's histograms and
 #: the queue's call chain, and every dropped span kept the stack
 #: bookkeeping; 81.9 while a role seam paid ``begin_span`` and ``charge``
-#: as two frames).
+#: as two frames). Unchanged since the roots run in ``cloud.watch``: its
+#: ``request`` frame replaced ``begin_span``'s.
 PLANES_ON_CEILING = 88.5
 #: Frames per operation each plane may add when attached after the ones
 #: before it — measured +9.4, +5.1, +4.7, +4.3 (it was +16.7, +17.8,
@@ -127,9 +128,10 @@ def counted(
         yield record
 
 
-def counted_run(peak_rate: float = 120.0, minutes: float = 8.0, **planes):
+def counted_run(peak_rate: float = 120.0, minutes: float = 8.0, profile: bool = False, **planes):
     """Replay the window with ``planes`` attached (``run_experiment``
-    keywords); returns ``(counter, operations, cloud)``."""
+    keywords) and a work profile if ``profile``; returns ``(counter,
+    operations, cloud)``."""
     corpus = build_corpus(1_000, random.Random(derive_seed(SEED, "corpus")))
     trace = SydneyTraceGenerator(
         SydneyConfig(
@@ -155,6 +157,8 @@ def counted_run(peak_rate: float = 120.0, minutes: float = 8.0, **planes):
         seed=SEED,
     )
     cloud = CacheCloud(config, corpus)
+    if profile:
+        cloud.attach_profile(WorkProfile())
     counter = FrameCounter()
     span: dict = {}
     previous = sys.getprofile()
@@ -190,6 +194,26 @@ def test_frames_per_operation_within_budget():
     # The window really was the miss-heavy steady state, not a quiet corner.
     stats = cloud.aggregate_stats()
     assert stats.origin_fetches + stats.cloud_hits > 0.5 * stats.requests
+
+
+#: The frames of an operation root, whoever runs it.
+ROOTS = (
+    CacheCloud.handle_request,
+    CacheCloud.handle_update,
+    CacheCloud._serve_request,
+    CacheCloud._apply_update,
+    RoleWatch._request,
+    RoleWatch._update,
+)
+
+
+def test_a_profile_only_watch_adds_no_frame_at_the_roots():
+    bare, operations, _ = counted_run()
+    profiled, profiled_operations, cloud = counted_run(profile=True)
+    assert cloud.watch is not None and cloud.fabric._fast_path
+    assert profiled_operations == operations
+    assert [profiled.of(root) for root in ROOTS] == [bare.of(root) for root in ROOTS]
+    assert profiled.of(RoleWatch._request) == profiled.of(RoleWatch._update) == 0
 
 
 def test_each_plane_adds_a_bounded_number_of_frames(tmp_path):

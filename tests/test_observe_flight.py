@@ -39,6 +39,7 @@ from repro.faults.plan import NO_FAULTS, FaultPlan, RetryPolicy
 from repro.network.bandwidth import TrafficCategory
 from repro.observe.flight import (
     FLIGHT_SCHEMA_VERSION,
+    ArtifactError,
     FlightRecorder,
     FlightSpec,
     FlightWriter,
@@ -245,7 +246,7 @@ class TestFlightOffPathEquivalence:
         cloud.handle_request(0, 5, now=0.5)
         cloud.detach_flight()
         assert cloud.flight is None
-        assert cloud.fabric.flight is None
+        assert cloud.fabric.watch is None
         assert cloud.profile is None
         assert cloud.fabric._fast_path
         counts = dict(recorder.profile.counts)
@@ -336,6 +337,25 @@ class TestFlightRecording:
         assert not log.torn_tail
         assert [w["index"] for w in log.windows] == list(range(5))
         assert log.summary["windows"] == 5
+
+    def test_resume_refuses_a_finished_recording(self, small_corpus, tmp_path):
+        # Continuing one would put a summary mid-file and windows off the grid.
+        path = str(tmp_path / "finished.jsonl")
+        cloud = make_cloud(small_corpus)
+        recorder = cloud.attach_flight(FlightRecorder(path, window=1.0))
+        for i in range(3):
+            cloud.handle_request(i % len(cloud.caches), i, now=0.5 + i)
+        recorder.finish(3.5)
+        finished = open(path, "rb").read()
+        with pytest.raises(ArtifactError, match="finished.jsonl"):
+            FlightRecorder.resume(path)
+        assert open(path, "rb").read() == finished
+
+    def test_resume_refuses_a_headerless_file(self, tmp_path):
+        path = tmp_path / "headless.jsonl"
+        path.write_text('{"type":"window","index":0,"start":0,"end":1,"requests":0,"updates":0}\n')
+        with pytest.raises(ArtifactError, match="headless.jsonl"):
+            FlightRecorder.resume(str(path))
 
     def test_fabric_traffic_lands_in_windows(self, small_corpus, tmp_path):
         path = str(tmp_path / "fabric.jsonl")
