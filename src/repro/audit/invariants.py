@@ -22,6 +22,11 @@ violation of the invariants the design promises:
 * **Stamp soundness** — a directory entry whose stamp is current (origin
   version, cloud holder-epoch) lists only live holders with a copy at that
   version or newer: what lets ``answer_lookup`` skip its holder walk.
+* **Residence order** — the cloud's residence order is sorted and holds
+  each cache once, under its storage's ``residence_key``, which is the key
+  its ``residence_mean`` gives: what lets a store decision take the least
+  residence among a document's holders from the first of them the order
+  meets.
 * **Traffic-meter conservation** — bytes charged to the meter equal the
   bytes attempted through the transport (injector drops and duplicates
   included), so no traffic is charged twice or silently uncharged.
@@ -37,6 +42,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.core.hashing import DynamicHashAssigner
+from repro.edgecache.storage import residence_key
 from repro.network.bandwidth import TrafficCategory
 
 
@@ -69,6 +75,11 @@ class ViolationKind(enum.Enum):
     #: holder list it should have verified (an event that invalidates the
     #: stamp was not propagated to it).
     UNSOUND_STAMP = "unsound_stamp"
+    #: The cloud's residence order is out of order, or a cache's entry in
+    #: it (or its storage's ``residence_key``) differs from the key its
+    #: ``residence_mean`` gives: a store decision would weigh the wrong
+    #: minimum residence among the holders.
+    RESIDENCE_ORDER = "residence_order"
 
 
 #: Kinds that represent *divergence* the anti-entropy process repairs, as
@@ -193,6 +204,7 @@ class InvariantAuditor:
         self._check_directories(cloud, report)
         self._check_storage(cloud, report)
         self._check_replicas(cloud, report)
+        self._check_residence_order(cloud, report)
         if check_meter:
             self._check_meter(cloud, report)
         report.caches_checked = len(cloud.caches)
@@ -351,6 +363,36 @@ class InvariantAuditor:
                     f"replica of beacon {owner} recorded at dead buddy "
                     f"{holder}",
                     cache_id=holder,
+                )
+
+    # ------------------------------------------------------------------
+    # Residence order
+    # ------------------------------------------------------------------
+    def _check_residence_order(self, cloud, report: AuditReport) -> None:
+        order = cloud.residence_order
+        if order != sorted(order):
+            report.add(
+                ViolationKind.RESIDENCE_ORDER,
+                f"residence order of {len(order)} entries is not sorted",
+            )
+        keys = {cache_id: residence for residence, cache_id in order}
+        if not len(keys) == len(order) == len(cloud.caches):
+            report.add(
+                ViolationKind.RESIDENCE_ORDER,
+                f"residence order has {len(order)} entries for {len(keys)} "
+                f"ids and {len(cloud.caches)} caches",
+            )
+        for cache in cloud.caches:
+            storage = cache.storage
+            key = residence_key(storage.residence_mean)
+            if not keys.get(cache.cache_id) == storage.residence_key == key:
+                report.add(
+                    ViolationKind.RESIDENCE_ORDER,
+                    f"cache {cache.cache_id}: residence order key "
+                    f"{keys.get(cache.cache_id)}, storage key "
+                    f"{storage.residence_key}, storage residence "
+                    f"{storage.residence_mean}",
+                    cache_id=cache.cache_id,
                 )
 
     # ------------------------------------------------------------------

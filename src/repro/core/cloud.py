@@ -59,6 +59,7 @@ from repro.core.roles import BeaconRole, OriginRole
 from repro.edgecache.cache import EdgeCache
 from repro.edgecache.replacement import make_policy
 from repro.edgecache.stats import CacheStats, RateTable
+from repro.edgecache.storage import ResidenceOrder
 from repro.faults.injector import FaultInjector
 from repro.network.bandwidth import TrafficCategory
 from repro.network.origin import OriginServer
@@ -122,6 +123,12 @@ class CacheCloud:
         #: stamps carry the epoch they were set in, so one bump sends every
         #: lookup in the cloud back to verifying its holders once.
         self.holder_epoch: List[int] = [0]
+        #: The cloud's residence order: ``(residence key, cache id)`` of
+        #: every cache, ascending, uncontended caches first. Each cache's
+        #: storage moves its own entry when its residence estimate changes;
+        #: a store decision scans it for the least residence among a
+        #: document's holders (:meth:`CacheNode._placement_inputs`).
+        self.residence_order: ResidenceOrder = []
         self.caches: List[EdgeCache] = [
             EdgeCache(
                 cache_id=cache_id,
@@ -130,6 +137,7 @@ class CacheCloud:
                 capability=config.capability_of(cache_id),
                 half_life=config.half_life,
                 holder_epoch=self.holder_epoch,
+                residence_order=self.residence_order,
             )
             for cache_id in range(config.num_caches)
         ]

@@ -20,7 +20,7 @@ un-verifies the rest, and adding one does unless the caller vouches for it.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import AbstractSet, Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 #: Serialized size of one directory entry during migration (doc key + holder
 #: list). Used for DIRECTORY_MIGRATION traffic accounting.
@@ -33,11 +33,18 @@ _NO_HOLDERS: AbstractSet[int] = frozenset()
 class LookupDirectory:
     """doc_id -> set of holder cache ids, indexed by IrH value."""
 
+    #: The entry's ``(version, epoch)`` stamp, or ``None``. Bound to the
+    #: stamp dict's C-implemented ``get`` in ``__init__``: every lookup and
+    #: every store decision asks, and the binding saves a Python frame per
+    #: ask. ``_stamps`` is mutated in place, never rebound.
+    stamp_of: Callable[[int], Optional[Tuple[int, int]]]
+
     def __init__(self) -> None:
         self._holders: Dict[int, Set[int]] = {}
         self._irh_of_doc: Dict[int, int] = {}
         self._docs_by_irh: Dict[int, Set[int]] = {}
         self._stamps: Dict[int, Tuple[int, int]] = {}
+        self.stamp_of = self._stamps.get
 
     # ------------------------------------------------------------------
     # Mutation
@@ -129,10 +136,6 @@ class LookupDirectory:
     def stamp(self, doc_id: int, version: int, epoch: int) -> None:
         """Record that every listed holder is alive with a copy >= ``version``."""
         self._stamps[doc_id] = (version, epoch)
-
-    def stamp_of(self, doc_id: int) -> Optional[Tuple[int, int]]:
-        """The entry's ``(version, epoch)`` stamp, or ``None``."""
-        return self._stamps.get(doc_id)
 
     def unstamp(self, doc_id: int) -> None:
         """Drop the entry's stamp (a listed holder may have lost its copy)."""

@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, AbstractSet, Optional, Set, Tuple
 
 from repro.core.utility import PlacementContext
 from repro.edgecache.cache import EdgeCache
+from repro.edgecache.storage import UNCONTENDED
 from repro.network.bandwidth import TrafficCategory
 from repro.strategies.base import FetchRoute, ReplyHop, Retrieval, ServedFrom
 
@@ -35,6 +36,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 #: Simulated minutes -> reported milliseconds.
 MINUTES_TO_MS = 60_000.0
+
+#: Where a store decision's fold of residence keys starts: above every
+#: key, finite or :data:`~repro.edgecache.storage.UNCONTENDED`.
+_ABOVE_EVERY_KEY = float("inf")
 
 
 class RequestOutcome(enum.Enum):
@@ -504,12 +509,12 @@ class CacheNode:
         Reads what :meth:`placement_context` would report and hands it to
         ``policy`` as plain arguments — no context object on the miss path.
         """
-        copies, local, mean, update, new, existing = self._placement_inputs(
+        live, local, mean, update, new, existing = self._placement_inputs(
             doc_id, now, beacon_id
         )
         return policy.decide(
             self.cache.cache_id == beacon_id,
-            len(copies), local, mean, update, new, existing,
+            len(live), local, mean, update, new, existing,
         )
 
     def placement_context(
@@ -520,7 +525,7 @@ class CacheNode:
         Counts as a decision for the estimators and the work profile, like
         :meth:`decide_store`: the rate reads advance decay state.
         """
-        copies, local, mean, update, new, existing = self._placement_inputs(
+        live, local, mean, update, new, existing = self._placement_inputs(
             doc_id, now, beacon_id
         )
         return PlacementContext(
@@ -529,7 +534,7 @@ class CacheNode:
             size_bytes=size,
             now=now,
             beacon_id=beacon_id,
-            existing_holders=frozenset(copies),
+            existing_holders=frozenset(live),
             local_access_rate=local,
             cache_mean_rate=mean,
             update_rate=update,
@@ -539,9 +544,11 @@ class CacheNode:
 
     def _placement_inputs(
         self, doc_id: int, now: float, beacon_id: int
-    ) -> Tuple[List[int], float, float, float, Optional[float], Optional[float]]:
-        """(live holders, local rate, mean rate, update rate, residence here,
-        minimum residence at the holders) for one store decision."""
+    ) -> Tuple[AbstractSet[int], float, float, float, Optional[float], Optional[float]]:
+        """(live holders other than this cache, local rate, mean rate,
+        update rate, residence here, minimum residence at those holders)
+        for one store decision. The holder set is read, never mutated: on
+        a stamped entry it may be the directory's own."""
         cloud = self._cloud
         cache = self.cache
         caches = cloud.caches
@@ -550,30 +557,44 @@ class CacheNode:
         # before its entries are repaired); the policy must only see live
         # replicas, in the holder count and the residence minimum alike
         # — phantom holders would deflate the DAI component.
-        live = []
-        # An existing holder with no contention keeps its copy indefinitely;
-        # only when every holder is under contention is the minimum finite.
+        directory = cloud.beacons[beacon_id].directory
+        entry = directory.entry(doc_id)
+        stamp = directory.stamp_of(doc_id)
+        live: AbstractSet[int]
+        if stamp is not None and stamp[1] == cloud.holder_epoch[0]:
+            # A stamp of the current holder-epoch says every listed holder
+            # is alive (the rule ``BeaconRole.update_targets`` trusts).
+            live = entry - {cache_id} if cache_id in entry else entry
+        else:
+            walked: Set[int] = set()
+            for holder in entry:
+                if holder != cache_id and caches[holder].alive:
+                    walked.add(holder)
+            live = walked
+        # The least residence key among the live holders, walking the
+        # cloud's residence order (ascending) and the holders in lockstep:
+        # the first holder the order meets has it, and if the holders run
+        # out first the least key folded from them is it. So the walk takes
+        # min(order position of that holder, holders) steps — few on a long
+        # entry, few on a short one. An uncontended holder keeps its copy
+        # indefinitely and sorts first, so the minimum is finite only when
+        # every holder is under contention.
         min_residence: Optional[float] = None
-        uncontended = False
-        # The entry is read in place, and each holder's estimate is an
-        # attribute read: this loop runs once per listed holder per store
-        # decision, on the miss path.
-        for holder in cloud.beacons[beacon_id].directory.entry(doc_id):
-            holder_cache = caches[holder]
-            if holder == cache_id or not holder_cache.alive:
-                continue
-            live.append(holder)
-            residence = holder_cache.storage.residence_mean
-            if residence is None:
-                uncontended = True
-            elif min_residence is None or residence < min_residence:
-                min_residence = residence
-        if uncontended:
-            min_residence = None
+        if live:
+            least = _ABOVE_EVERY_KEY
+            for (key, holder), listed in zip(cloud.residence_order, live):
+                if holder in live:
+                    least = key
+                    break
+                listed_key = caches[listed].storage.residence_key
+                if listed_key < least:
+                    least = listed_key
+            if least != UNCONTENDED:
+                min_residence = least
         watch = cloud.watch
         if watch is not None:
-            # One store decision, whose work scales with the live holders
-            # whose residence the DAI component examined.
+            # One store decision, plus one unit per live holder the DAI
+            # component counts.
             watch.placement(1 + len(live))
         # The three estimator reads happen for every decision and in this
         # order: ``rate()`` advances decay state, and a decay split

@@ -14,7 +14,7 @@ from typing import List, Optional
 from repro.edgecache.document import CachedDocument
 from repro.edgecache.replacement import ReplacementPolicy
 from repro.edgecache.stats import AccessFrequencyTracker, CacheStats
-from repro.edgecache.storage import CacheStorage
+from repro.edgecache.storage import CacheStorage, ResidenceOrder
 
 
 class EdgeCache:
@@ -41,6 +41,11 @@ class EdgeCache:
         notice announces — which is what invalidates, cloud-wide, the
         directory stamps that let a lookup trust its holder list
         (:mod:`repro.core.directory`). A cache outside a cloud gets its own.
+    residence_order:
+        The cloud's residence order, shared the same way: every cache's
+        storage keeps its entry there under its ``cache_id``
+        (:class:`~repro.edgecache.storage.CacheStorage`). A cache outside a
+        cloud gets its own.
     """
 
     def __init__(
@@ -51,6 +56,7 @@ class EdgeCache:
         capability: float = 1.0,
         half_life: float = 60.0,
         holder_epoch: Optional[List[int]] = None,
+        residence_order: Optional[ResidenceOrder] = None,
     ) -> None:
         if cache_id < 0:
             raise ValueError(f"cache_id must be >= 0, got {cache_id}")
@@ -58,7 +64,12 @@ class EdgeCache:
             raise ValueError(f"capability must be > 0, got {capability}")
         self.cache_id = cache_id
         self.capability = capability
-        self.storage = CacheStorage(capacity_bytes=capacity_bytes, policy=policy)
+        self.storage = CacheStorage(
+            capacity_bytes=capacity_bytes,
+            policy=policy,
+            residence_order=residence_order,
+            order_id=cache_id,
+        )
         self.stats = CacheStats()
         self.frequencies = AccessFrequencyTracker(half_life=half_life)
         self.alive = True

@@ -10,14 +10,28 @@ before it is replaced" (paper §3.1).
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import deque
-from typing import Callable, Deque, Dict, Iterator, List, Optional
+from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.edgecache.document import CachedDocument
 from repro.edgecache.replacement import LRUPolicy, NoReplacement, ReplacementPolicy
 
 #: How many recent evictions contribute to the residence-time estimate.
 RESIDENCE_SAMPLE_WINDOW = 64
+
+#: A store's residence key while its ``residence_mean`` is ``None``
+#: (uncontended): below every finite residence, so it sorts first.
+UNCONTENDED = float("-inf")
+
+#: ``(residence key, order id)`` of every store sharing it, ascending.
+ResidenceOrder = List[Tuple[float, int]]
+
+
+def residence_key(residence_mean: Optional[float]) -> float:
+    """A store's key in a residence order: ``residence_mean``, or
+    :data:`UNCONTENDED` while that is ``None``."""
+    return UNCONTENDED if residence_mean is None else residence_mean
 
 
 class CacheStorage:
@@ -34,6 +48,10 @@ class CacheStorage:
         replacement order: ``policy`` is then
         :class:`~repro.edgecache.replacement.NoReplacement`, whatever was
         passed.
+    residence_order, order_id:
+        A sorted list shared by the stores of one cloud, in which this
+        store keeps the one entry ``(residence_key, order_id)``
+        (:func:`residence_key`). A store outside a cloud gets its own.
     """
 
     #: The stored copy for a doc id, or ``None``. Bound directly to the
@@ -48,6 +66,8 @@ class CacheStorage:
         self,
         capacity_bytes: Optional[int] = None,
         policy: Optional[ReplacementPolicy] = None,
+        residence_order: Optional[ResidenceOrder] = None,
+        order_id: int = 0,
     ) -> None:
         if capacity_bytes is not None and capacity_bytes <= 0:
             raise ValueError(f"capacity_bytes must be > 0 or None, got {capacity_bytes}")
@@ -65,10 +85,21 @@ class CacheStorage:
         #: empirical proxy for "how long a new copy can be expected to reside
         #: before it is replaced". ``None`` means "effectively unbounded" —
         #: the store is unlimited, or no eviction has happened yet.
-        #: Recomputed at each eviction, the only place it changes, so the
-        #: placement walk over a document's holders reads an attribute
-        #: instead of re-summing the window once per holder.
+        #: Recomputed at each eviction, the only place it changes, which
+        #: is also where this store moves its entry in ``residence_order``.
         self.residence_mean: Optional[float] = None
+        #: ``residence_mean`` as a sortable key (:func:`residence_key`).
+        self.residence_key = UNCONTENDED
+        #: The residence order this store keeps its entry
+        #: ``(residence_key, order_id)`` in: a store decision finds the
+        #: least residence among a document's holders by walking it from
+        #: the front beside the holders
+        #: (:meth:`repro.core.node.CacheNode._placement_inputs`).
+        self.residence_order: ResidenceOrder = (
+            residence_order if residence_order is not None else []
+        )
+        self.order_id = order_id
+        insort(self.residence_order, (UNCONTENDED, order_id))
 
     # ------------------------------------------------------------------
     # Introspection
@@ -161,7 +192,12 @@ class CacheStorage:
             samples = self._residence_samples
             samples.append(doc.residence_time(now))
             if self.capacity_bytes is not None:
-                self.residence_mean = sum(samples) / len(samples)
+                order = self.residence_order
+                order_id = self.order_id
+                del order[bisect_left(order, (self.residence_key, order_id))]
+                # A mean is never None: it is its own key.
+                mean = self.residence_mean = self.residence_key = sum(samples) / len(samples)
+                insort(order, (mean, order_id))
 
     # ------------------------------------------------------------------
     # Internals

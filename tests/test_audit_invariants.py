@@ -166,6 +166,25 @@ class TestDetectsViolations:
         assert report.count(ViolationKind.METER_MISMATCH) == 2  # bytes + messages
         assert not InvariantAuditor().audit(cloud, check_meter=False).violations
 
+    def test_residence_order(self, small_corpus):
+        cloud = make_cloud(small_corpus, capacity_bytes=small_corpus.total_bytes // 20)
+        _drive(cloud, steps=120)
+        order = cloud.residence_order
+        assert sum(residence != float("-inf") for residence, _ in order) >= 2
+        assert self._audit(cloud).ok
+        # Two entries out of order: the order is unsorted (keys still agree).
+        order[0], order[-1] = order[-1], order[0]
+        report = self._audit(cloud)
+        assert report.count(ViolationKind.RESIDENCE_ORDER) == 1
+        assert report.hard_violations == 1
+        order.sort()
+        # An estimate moved without its entry: sorted, but the key lies.
+        storage = cloud.caches[order[-1][1]].storage
+        storage.residence_mean = order[-1][0] + 1.0
+        report = self._audit(cloud)
+        assert report.count(ViolationKind.RESIDENCE_ORDER) == 1
+        assert report.violations[0].cache_id == order[-1][1]
+
     def test_render_lists_violations(self, small_corpus):
         cloud = make_cloud(small_corpus)
         cloud.caches[0].admit(5, 1024, 0, now=1.0)

@@ -327,6 +327,9 @@ SEAM_SPANS = {
 #: the parent of the change that folded the role seams' span and profile
 #: calls into one attach-time handle. No flight recorder or work profile is
 #: attached: that change charges CUP tree pushes to ``fanout_leg`` by design.
+#: The three ``result`` digests were re-recorded when the auditor gained the
+#: ``residence_order`` kind: its summary carries one more key,
+#: ``audit_residence_order: 0.0``; with that key left out they hash as before.
 SEAM_DIGESTS: Dict[str, Dict[str, str]] = {
     "cup_tree_overload": {
         "telemetry": "932689c27587d74c54975d45026e99915529d8e0162deaf2531962690cab7307",
@@ -335,7 +338,7 @@ SEAM_DIGESTS: Dict[str, Dict[str, str]] = {
         "fault_stats": "24e3a2c380975cbd987fe55829474e12522a00fa20e6f57e1376c3fa4868087d",
         "overload_stats": "21f93f55ee3fa0dcfa6dfd441127d3518ff02d7f855287a006512e0dd93119fe",
         "monitor": "edc2d6e06774446d36e47a797261223c784c03460027ce64334bc5f74eacc6e4",
-        "result": "19284303dc58748f984dd523144c2e19979b5d95813a90f6e8fb4cd020800f33",
+        "result": "e9f7416803493b2940589aff93879f14c72f633df27d84d4251131be2cffb802",
     },
     "lcd": {
         "telemetry": "733fac1d8172043d54a462e9debd7bb2c29c6a8b77b88df94b5ca3a4bd94b9c8",
@@ -344,7 +347,7 @@ SEAM_DIGESTS: Dict[str, Dict[str, str]] = {
         "fault_stats": "e0b762a7d051faa3fcbf19d8326ca8b587d2b8f7bb645d3e2313506ca2498845",
         "overload_stats": "74234e98afe7498fb5daf1f36ac2d78acc339464f950703b8c019892f982b90b",
         "monitor": "d99b7048247938bfa08ee8d39a7c4fc08b1a7f9c04fb55a2456b4fb3d4847d75",
-        "result": "ab4272ba07e021a96af4f929c8807f7da8094cedb70556e5e1060421e09fd96e",
+        "result": "2f2c5beb732f7aa9218c2dc1f035443d98433b3df73a0d5295301c5a94b87320",
     },
     "no_cooperation": {
         "telemetry": "ae41384c6748f03107b271e217cce3177b4b105a0653dc0afc036a89af07ea06",
@@ -353,7 +356,7 @@ SEAM_DIGESTS: Dict[str, Dict[str, str]] = {
         "fault_stats": "870a9d6e0ffe1b332dce2b05d0ffbf932a7e032a26e4df951866c657c40a8335",
         "overload_stats": "74234e98afe7498fb5daf1f36ac2d78acc339464f950703b8c019892f982b90b",
         "monitor": "4a5ff00622d0a82e081c18346b805d5940226925119df9c2cb286bba2c61d35f",
-        "result": "4b499d25d59e755de760ea3e10780b334af8a5f7aedb7f2408f108b05ad4bb06",
+        "result": "e008912c20903dc893861eab4a54277c32715611245ad62156a0201f45fa18a1",
     },
 }
 

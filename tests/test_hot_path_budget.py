@@ -31,6 +31,8 @@ import sys
 from collections import Counter
 from typing import Iterable, Iterator
 
+import pytest
+
 import repro
 from repro.core.cloud import CacheCloud
 from repro.core.config import (
@@ -39,6 +41,7 @@ from repro.core.config import (
     CloudConfig,
     PlacementScheme,
 )
+from repro.core.node import CacheNode
 from repro.core.overload import OverloadConfig
 from repro.experiments.runner import run_experiment
 from repro.faults.plan import FaultPlan, RetryPolicy
@@ -56,26 +59,28 @@ from repro.workload.trace import RequestRecord
 SEED = 11
 WARM_RECORDS = 6_000
 COUNTED_RECORDS = 2_000
-#: Python frames under ``src/repro`` per operation: measured 59.1 over 2 164
+#: Python frames under ``src/repro`` per operation: measured 57.6 over 2 164
 #: operations (2 000 requests, 164 updates); the ceiling leaves ~10 %. It
 #: was 61.7 while each rate read went through a per-document estimator
-#: object's ``rate`` → ``_decay_to``.
+#: object's ``rate`` → ``_decay_to``, and 59.1 while ``stamp_of`` was a
+#: method frame.
 FRAMES_PER_OPERATION_CEILING = 65.0
 #: The planes window runs at half the request rate over twice the time:
 #: queues build and shed without saturating (3 % of lookups shed, 0.3 % of
 #: requests rejected), as in the benchmark's segment; at the full rate a
 #: fifth of the lookups is shed and the overload model makes an operation
-#: *cheaper*. 56.8 frames per operation with nothing attached.
+#: *cheaper*. 55.3 frames per operation with nothing attached.
 PLANES_PEAK_RATE, PLANES_MINUTES = 60.0, 16.0
-#: With all four planes attached: measured 80.3 over 2 340 operations (it
+#: With all four planes attached: measured 79.0 over 2 340 operations (it
 #: was 134.3 when every wire attempt walked the registry's histograms and
 #: the queue's call chain, and every dropped span kept the stack
 #: bookkeeping; 81.9 while a role seam paid ``begin_span`` and ``charge``
-#: as two frames). Unchanged since the roots run in ``cloud.watch``: its
-#: ``request`` frame replaced ``begin_span``'s.
+#: as two frames; 80.3 while ``stamp_of`` was a method frame). The roots'
+#: move into ``cloud.watch`` left it as it was: its ``request`` frame
+#: replaced ``begin_span``'s.
 PLANES_ON_CEILING = 88.5
 #: Frames per operation each plane may add when attached after the ones
-#: before it — measured +9.4, +5.1, +4.7, +4.3 (it was +16.7, +17.8,
+#: before it — measured +9.4, +5.2, +4.7, +4.3 (it was +16.7, +17.8,
 #: +34.7, +5.9).
 PLANE_INCREMENT_CEILINGS = {
     "fault_plan": 10.5,
@@ -262,3 +267,85 @@ def test_each_plane_adds_a_bounded_number_of_frames(tmp_path):
     # ...and a span begun past saturation touches no stack.
     assert counter.of(SpanRecorder.open) == 0 and counter.of(SpanRecorder.close) == 0
     assert telemetry.counters["fabric.attempts.control"] > operations
+
+
+#: Line events one store decision may execute inside
+#: ``CacheNode._placement_inputs``. Its holder reads cost
+#: min(p, h) steps, where h is the decision's live holders and p the
+#: position of the first of them in the cloud's residence order (about
+#: caches / (h + 1)). So a decision takes few steps whether its entry is
+#: long (the order soon meets a holder) or short (the holders soon run
+#: out), and the two shapes below hold both ends. Measured there (utility
+#: placement, each warmed with 20 000 requests and counted over the next
+#: 2 000, an update every 50):
+#:
+#: * ``long entries`` — the ``cloud250-knee`` shape (250 caches, 500
+#:   documents, 25 % disk): 1 556 decisions, all stamped, 44.6 live
+#:   holders each. 331.9 lines while a decision walked every listed
+#:   holder; 49.2 now (6.3 steps; the order meets a holder first in 94 %
+#:   of decisions). A scan of the order alone read 41.0.
+#: * ``short entries`` — a ``zoo`` ``scale``-shaped cloud (1 000 caches,
+#:   20 000 documents, 1 % disk): 1 940 decisions, 73 % stamped, 20.0 live
+#:   holders on average but 2 at the median and none in 27 %. 159.6 lines
+#:   with the walk; 41.0 now (5.7 steps; the holders run out first in
+#:   86 % of decisions). A scan of the order alone read 428.9 — 278
+#:   probes on average.
+STORE_DECISION_LINES_CEILING = 60.0
+#: (caches, rings, documents, disk fraction, request skew) by shape.
+STORE_DECISION_SHAPES = {
+    "long entries": (250, 10, 500, 0.25, 2),
+    "short entries": (1_000, 10, 20_000, 0.01, 3),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(STORE_DECISION_SHAPES))
+def test_a_store_decision_does_not_walk_the_holders(shape):
+    caches, rings, documents, disk, skew = STORE_DECISION_SHAPES[shape]
+    corpus = build_corpus(documents, random.Random(derive_seed(SEED, "corpus")))
+    config = CloudConfig(
+        num_caches=caches,
+        num_rings=rings,
+        assignment=AssignmentScheme.DYNAMIC,
+        placement=PlacementScheme.UTILITY,
+        capacity_bytes=max(1, int(corpus.total_bytes * disk)),
+        seed=SEED,
+    )
+    cloud = CacheCloud(config, corpus)
+    rng = random.Random(derive_seed(SEED, "requests"))
+
+    def feed(start: int, count: int) -> None:
+        for i in range(start, start + count):
+            now = i / 1000.0
+            cloud.handle_request(
+                rng.randrange(caches), int(rng.random() ** skew * documents), now
+            )
+            if i % 50 == 49:
+                cloud.handle_update((7 * i) % documents, now)
+
+    feed(0, 20_000)
+    target = CacheNode._placement_inputs.__code__
+    events = Counter()
+
+    def lines(frame, event, arg):
+        events[event] += 1
+        return lines
+
+    def calls(frame, event, arg):
+        if frame.f_code is not target:
+            return None
+        events["decision"] += 1
+        return lines
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        feed(20_000, 2_000)
+    finally:
+        sys.settrace(previous)
+    decisions = events["decision"]
+    assert decisions > 1_000
+    per_decision = events["line"] / decisions
+    assert per_decision <= STORE_DECISION_LINES_CEILING, (
+        f"{shape}: {per_decision:.1f} lines per store decision over {decisions} "
+        f"decisions (ceiling {STORE_DECISION_LINES_CEILING})"
+    )
