@@ -37,6 +37,15 @@ GOLDEN_RESILIENCE = (
 GOLDEN_FIGURE7_8 = (
     "2b8b55f7b9061e02503f921a35533c76c717463fa6379bb27ddfdd77ea698371"
 )
+#: Captured at e51fbe9, the last commit whose ``overload`` / ``elastic``
+#: series came from a sampler with its own clock: the flight windows that
+#: replaced it must give the same series, sample for sample.
+GOLDEN_OVERLOAD = (
+    "4477f952282766b3f6dc4084d1419bcde8e0913623f8bd891ebcbdc4f2f87e98"
+)
+GOLDEN_ELASTIC = (
+    "c198f8be71e77ee51c88eb64b749259a24f95dd3f238d0d167a0523075e439e2"
+)
 
 
 class TestGoldenFingerprints:
@@ -60,3 +69,9 @@ class TestGoldenFingerprints:
             jobs=1,
         )
         assert fingerprint(result) == GOLDEN_RESILIENCE
+
+    def test_overload_fingerprint_unchanged(self, smoke):
+        assert fingerprint(smoke("overload").result) == GOLDEN_OVERLOAD
+
+    def test_elastic_fingerprint_unchanged(self, smoke):
+        assert fingerprint(smoke("elastic").result) == GOLDEN_ELASTIC
