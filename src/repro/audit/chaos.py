@@ -124,7 +124,7 @@ def run_chaos_scenario(scenario: ChaosScenario) -> ChaosOutcome:
             ),
             anti_entropy=AntiEntropyConfig() if scenario.anti_entropy else None,
         )
-    ).result
+    )
 
     # --- quiesce: heal the network, rejoin everyone, repair, audit -----
     cloud = result.cloud

@@ -244,9 +244,6 @@ class CacheCloud:
         # attached-but-disabled process is a strict no-op, so fault-free
         # runs stay value-identical either way.
         self.anti_entropy: Optional["AntiEntropyProcess"] = None
-        #: doc_id -> time of its latest origin update, for staleness-age
-        #: metrics. Pure bookkeeping; never read by any protocol.
-        self.last_update_times: Dict[int, float] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -634,9 +631,8 @@ class CacheCloud:
 
     def note_update(self, doc_id: int, now: float) -> None:
         """Record an origin update of ``doc_id`` at ``now``: one event for
-        its update rate, and the time its older copies start going stale."""
+        its update rate."""
         self.update_rates.observe(doc_id, now)
-        self.last_update_times[doc_id] = now
 
     def _apply_update(self, doc_id: int, now: float) -> int:
         self.updates_handled += 1

@@ -213,11 +213,8 @@ class OverloadStats:
         return self.queue_depth_sum / self.queue_depth_samples
 
     def window_counters(self) -> Dict[str, float]:
-        """The cumulative counters windowed observers take deltas of.
-
-        What the cloud monitor's and the flight recorder's per-window
-        overload series (rejection and shed rates, mean depth) are made from.
-        """
+        """The cumulative counters the flight recorder's per-window
+        ``overload`` record (rejection and shed counts, mean depth) is made of."""
         return {
             "admitted": float(self.requests_admitted),
             "rejected": float(self.requests_rejected),

@@ -28,9 +28,9 @@ the end-of-run audit must be *perfectly* clean — there is no staleness to
 hide behind.
 
 Determinism: arms share the workload spec, the controller is RNG-free, and
-the monitor runs on the simulated clock — the sweep is value-identical at
-any ``--jobs`` count (``tests/test_experiments_registry.py`` runs it serial
-vs pooled).
+the flight recorder's windows are simulated time — the sweep is
+value-identical at any ``--jobs`` count
+(``tests/test_experiments_registry.py`` runs it serial vs pooled).
 """
 
 from __future__ import annotations
@@ -58,7 +58,9 @@ from repro.experiments.sweeps import (
     sydney_workload,
 )
 from repro.faults.churn import RETIRE, ChurnEvent
+from repro.observe.flight import FlightSpec, window_series
 from repro.observe.registry import Telemetry
+from repro.simulation.engine import Simulator
 from repro.simulation.rng import derive_seed
 
 #: Number of configured caches in every arm (the paper's cloud size; the
@@ -69,8 +71,8 @@ NUM_CACHES = 10
 #: arm's floor and starting size.
 MIN_CACHES = 3
 
-#: Monitor windows per run.
-MONITOR_WINDOWS = 24
+#: Flight windows per run.
+WINDOWS = 24
 
 #: Flash-crowd volume amplification inside the flash window.
 FLASH_BOOST = 3.0
@@ -82,13 +84,9 @@ FLASH_AT = 0.55
 #: Flash length as a fraction of the day.
 FLASH_LENGTH = 0.10
 
-#: Per-arm monitor series exported into the sweep result.
-SERIES_NAMES = (
-    "cloud_size",
-    "avg_queue_depth",
-    "rejection_rate",
-    "request_p99_ms",
-)
+#: Per-arm windowed series exported into the sweep result: the flight
+#: recorder's, plus the telemetry's windowed ``request_p99_ms``.
+FLIGHT_SERIES = ("cloud_size", "avg_queue_depth", "rejection_rate")
 
 ARMS = ("elastic", "over", "under")
 
@@ -212,12 +210,12 @@ class ElasticArmResult:
     scale_in_audits: int
     #: Hard violations in the end-of-run audit (must be zero).
     final_audit_violations: int
-    #: Monitor series (name -> [(t, value), ...]) over the run.
+    #: Windowed series (name -> [(window end, value), ...]) over the run.
     series: Dict[str, List[Tuple[float, float]]] = field(default_factory=dict)
 
 
 def _run_point(spec: ExperimentSpec) -> ElasticArmResult:
-    """Execute one arm with monitor, telemetry, and scale-in audits."""
+    """Execute one arm with a flight recorder, telemetry, and scale-in audits."""
     arm = str(spec.key)
     telemetry = Telemetry()
     audit_violations = 0
@@ -233,20 +231,14 @@ def _run_point(spec: ExperimentSpec) -> ElasticArmResult:
         audits += 1
         audit_violations += report.hard_violations
 
-    def _hook_controller(cloud: CacheCloud) -> None:
+    def _hook_controller(cloud: CacheCloud, simulator: Simulator) -> None:
         assert cloud.elastic is not None
         cloud.elastic.add_hook(_audit_scale_in)
 
-    live = run_live(
-        spec,
-        telemetry=telemetry,
-        monitor_windows=MONITOR_WINDOWS,
-        prepare=_hook_controller,
-    )
-    result, monitor = live.result, live.monitor
+    result = run_live(spec, telemetry=telemetry, on_attached=_hook_controller)
     cloud = result.cloud
-    assert cloud is not None and monitor is not None
-    assert cloud.overload is not None and cloud.elastic is not None
+    assert cloud is not None and cloud.overload is not None and cloud.elastic is not None
+    assert cloud.flight is not None and cloud.flight.log is not None
     controller = cloud.elastic
     stats = cloud.overload.stats
     arrivals = stats.requests_admitted + stats.requests_rejected
@@ -258,7 +250,13 @@ def _run_point(spec: ExperimentSpec) -> ElasticArmResult:
         0.0, spec.duration, 0.99
     )
     assert result.audit is not None
-    sizes = [value for _, value in monitor.series["cloud_size"].items()]
+    log, latencies = cloud.flight.log, telemetry.request_latencies
+    series = window_series(log, FLIGHT_SERIES)
+    series["request_p99_ms"] = [
+        (w["end"], latencies.percentile_in(w["start"], w["end"], 0.99) or 0.0)
+        for w in log.windows
+    ]
+    sizes = [value for _, value in series["cloud_size"]]
     return ElasticArmResult(
         arm=arm,
         requests=result.requests,
@@ -279,9 +277,7 @@ def _run_point(spec: ExperimentSpec) -> ElasticArmResult:
         scale_in_audit_violations=audit_violations,
         scale_in_audits=audits,
         final_audit_violations=int(result.audit["audit_hard"]),
-        series={
-            name: list(monitor.series[name].items()) for name in SERIES_NAMES
-        },
+        series=series,
     )
 
 
@@ -290,7 +286,7 @@ def elastic_sweep(
 ) -> SweepTable:
     """Run the three-arm diurnal comparison; one table row per arm.
 
-    The per-arm records and monitor series ride along as ``extras["arms"]``
+    The per-arm records and windowed series ride along as ``extras["arms"]``
     (arm -> :class:`ElasticArmResult`) and ``extras["series"]`` (arm ->
     series name -> ``[(t, value), ...]``).
     """
@@ -312,11 +308,12 @@ def elastic_sweep(
             duration=scale.duration_minutes,
             # No warm-up reset: the cold morning ramp is part of the story
             # (shared by all arms), and the overload statistics must cover
-            # the same window as the monitor series and the elastic
+            # the same window as the windowed series and the elastic
             # controller's signal window.
             warmup=0.0,
             overload=overload,
             elastic=_arm_elastic_config(arm, scale),
+            flight=FlightSpec(window=scale.duration_minutes / WINDOWS),
             # The workload is update-free, so the end-of-run audit must be
             # perfectly clean.
             audit=True,

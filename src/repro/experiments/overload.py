@@ -13,14 +13,14 @@ defer fan-out) keep the cooperative arm serving clients?
 Each sweep point reports the end-of-run overload statistics (rejection and
 shed percentages, mean queue depth, queueing delay) alongside the service
 metrics both arms compete on (cloud hit rate, origin load, mean client
-latency), plus the :class:`~repro.metrics.collector.CloudMonitor`'s
-windowed ``avg_queue_depth`` / ``rejection_rate`` / ``shed_rate`` /
-``cloud_hit_rate`` series so the *shape* of degradation over the flash
-windows is visible, not just the totals.
+latency), plus the windowed ``avg_queue_depth`` / ``rejection_rate`` /
+``shed_rate`` / ``cloud_hit_rate`` series of an in-memory flight recorder
+(:func:`~repro.observe.flight.window_series`) so the *shape* of
+degradation over the flash windows is visible, not just the totals.
 
 Determinism: both arms of a load point share one :class:`WorkloadSpec`
-(identical trace), all randomness flows from seeds, and the monitor runs
-on the simulated clock — the sweep is value-identical at any ``--jobs``
+(identical trace), all randomness flows from seeds, and the recorder's
+windows are simulated time — the sweep is value-identical at any ``--jobs``
 count (``tests/test_experiments_registry.py`` runs it serial vs pooled).
 """
 
@@ -45,13 +45,14 @@ from repro.experiments.sweeps import (
     sydney_workload,
 )
 from repro.faults.plan import RetryPolicy
+from repro.observe.flight import FlightSpec, window_series
 from repro.simulation.rng import derive_seed
 
-#: Monitor windows per run — coarse enough to stay cheap, fine enough to
+#: Flight windows per run — coarse enough to stay cheap, fine enough to
 #: resolve the flash-crowd humps.
-MONITOR_WINDOWS = 20
+WINDOWS = 20
 
-#: Per-point monitor series exported into the sweep result.
+#: Per-point windowed series exported into the sweep result.
 SERIES_NAMES = (
     "avg_queue_depth",
     "rejection_rate",
@@ -110,7 +111,7 @@ def _flash_workload(scale: Scale, load_multiplier: float) -> WorkloadSpec:
 
 @dataclass
 class OverloadPointResult:
-    """One (load multiplier, arm) point's table columns and monitor series.
+    """One (load multiplier, arm) point's table columns and windowed series.
 
     Detached and picklable; the point's coordinates are its spec key.
     """
@@ -121,23 +122,22 @@ class OverloadPointResult:
     cloud_hit_percent: float
     origin_fetches: int
     mean_latency_ms: float
-    #: Monitor series (name -> [(t, value), ...]) over the run.
+    #: Windowed series (name -> [(window end, value), ...]) over the run.
     series: Dict[str, List[Tuple[float, float]]] = field(default_factory=dict)
 
 
 def _run_point(spec: ExperimentSpec) -> OverloadPointResult:
-    """Execute one sweep point with an armed monitor (picklable runner).
+    """Execute one sweep point (picklable runner).
 
-    The :class:`~repro.metrics.collector.CloudMonitor` runs on the same
-    simulated clock as the experiment; the scalar summary + windowed series
-    are packaged into a detached record (the live cloud never crosses the
-    process boundary).
+    The scalar summary + the flight recorder's windowed series are packaged
+    into a detached record (the live cloud never crosses the process
+    boundary).
     """
-    live = run_live(spec, monitor_windows=MONITOR_WINDOWS)
-    result, monitor = live.result, live.monitor
-    assert result.cloud is not None and result.cloud.overload is not None
-    assert monitor is not None
-    stats = result.cloud.overload.stats
+    result = run_live(spec)
+    cloud = result.cloud
+    assert cloud is not None and cloud.overload is not None
+    assert cloud.flight is not None and cloud.flight.log is not None
+    stats = cloud.overload.stats
     arrivals = stats.requests_admitted + stats.requests_rejected
     return OverloadPointResult(
         rejection_percent=(
@@ -150,9 +150,7 @@ def _run_point(spec: ExperimentSpec) -> OverloadPointResult:
         cloud_hit_percent=100.0 * result.stats.cloud_hit_rate,
         origin_fetches=result.stats.origin_fetches,
         mean_latency_ms=result.stats.mean_latency_ms,
-        series={
-            name: list(monitor.series[name].items()) for name in SERIES_NAMES
-        },
+        series=window_series(cloud.flight.log, SERIES_NAMES),
     )
 
 
@@ -172,7 +170,7 @@ def overload_sweep(
     Both arms of a load point run the *same* flash-crowd trace under the
     *same* service model; the only variable is whether misses are handled
     cooperatively. ``overload`` overrides the icarus-shaped default config.
-    The monitor series ride along as ``extras["series"]``
+    The windowed series ride along as ``extras["series"]``
     (``"multiplier:arm"`` -> series name -> ``[(t, value), ...]``).
     """
     config = overload if overload is not None else default_overload_config()
@@ -193,9 +191,10 @@ def overload_sweep(
                     duration=scale.duration_minutes,
                     # No warm-up reset: the cold start is part of the story
                     # (shared by both arms), and overload statistics must
-                    # cover the same window as the monitor series.
+                    # cover the same window as the windowed series.
                     warmup=0.0,
                     overload=config,
+                    flight=FlightSpec(window=scale.duration_minutes / WINDOWS),
                 )
             )
 

@@ -11,8 +11,8 @@ processes:
 * :class:`ExperimentSpec` — one runnable experiment: cloud configuration +
   workload recipe + run window. Built in the parent, executed anywhere.
 * :func:`run_live` — a spec run through the one run body, ``run_experiment``
-  (streamed workload, optional telemetry / monitor observers, live cloud
-  kept); :func:`run_spec` is its detached, picklable form.
+  (streamed workload, optional telemetry, live cloud kept); :func:`run_spec`
+  is its detached, picklable form.
 * :func:`run_sweep` — the driver: executes specs on a
   :class:`~concurrent.futures.ProcessPoolExecutor` with ``jobs`` workers,
   collects results in submission order, and logs per-run timing. ``jobs=1``
@@ -60,7 +60,6 @@ from repro.core.overload import OverloadConfig
 from repro.experiments.runner import ExperimentResult, run_experiment
 from repro.faults.churn import ChurnSpec
 from repro.faults.plan import FaultPlan
-from repro.metrics.collector import CloudMonitor
 from repro.observe.flight import ArtifactError, FlightSpec
 from repro.simulation.engine import Simulator
 from repro.strategies.spec import StrategySpec, build_strategy
@@ -165,8 +164,9 @@ class ExperimentSpec:
     strategy: Optional[StrategySpec] = None
     #: Optional flight-recorder recipe (:mod:`repro.observe.flight`); the
     #: worker builds the recorder and streams the windowed artifact to
-    #: ``flight.path``. Same-seed runs produce byte-identical artifacts
-    #: at any ``--jobs`` count.
+    #: ``flight.path`` (or keeps it in memory, for a runner that reads
+    #: ``result.cloud.flight.log``). Same-seed runs produce byte-identical
+    #: artifacts at any ``--jobs`` count.
     flight: Optional[FlightSpec] = None
 
 
@@ -191,26 +191,12 @@ class FailedRun:
 R = TypeVar("R")
 
 
-@dataclass
-class LiveRun:
-    """One executed spec with its live observers still attached.
-
-    ``result.cloud`` is the live cloud; :func:`run_spec` ships the detached
-    result, while monitored runners read the monitor series, telemetry or
-    controller statistics first and package their own detached record.
-    """
-
-    result: ExperimentResult
-    monitor: Optional[CloudMonitor] = None
-
-
 def run_live(
     spec: ExperimentSpec,
     telemetry: Optional["Telemetry"] = None,
-    monitor_windows: int = 0,
-    prepare: Optional[Callable[[CacheCloud], None]] = None,
-) -> LiveRun:
-    """Execute one spec in-process and keep the cloud and observers live.
+    on_attached: Optional[Callable[[CacheCloud, Simulator], None]] = None,
+) -> ExperimentResult:
+    """Execute one spec in-process; the result keeps the live cloud.
 
     The spec adapter of :func:`~repro.experiments.runner.run_experiment`,
     which builds the cloud and attaches every plane. The workload is
@@ -218,22 +204,12 @@ def run_live(
     preserves ``unique_request_docs`` at O(corpus) state; the records are
     exactly what :meth:`WorkloadSpec.build_trace` would list out.
 
-    ``telemetry`` attaches an observability registry; ``prepare`` sees the
-    fully attached cloud before the first record (e.g. to hook the elastic
-    controller); ``monitor_windows`` then arms a
-    :class:`~repro.metrics.collector.CloudMonitor` sampling that many
-    windows of every plane on the run's own simulated clock.
+    ``telemetry`` attaches an observability registry; ``on_attached`` is
+    ``run_experiment``'s hook, which sees the fully attached cloud before
+    the first record (e.g. to hook the elastic controller). :func:`run_spec`
+    ships the detached result; a runner of its own reads the live cloud's
+    planes first and packages its own detached record.
     """
-    monitor: Optional[CloudMonitor] = None
-
-    def attached(cloud: CacheCloud, simulator: Simulator) -> None:
-        nonlocal monitor
-        if prepare is not None:
-            prepare(cloud)
-        if monitor_windows:
-            monitor = CloudMonitor(cloud, simulator, spec.duration / monitor_windows)
-            monitor.start()
-
     generator = spec.workload.build_generator()
     counter = RequestStreamStats(generator.requests())
     result = run_experiment(
@@ -252,15 +228,15 @@ def run_live(
         elastic=spec.elastic,
         strategy=build_strategy(spec.strategy, spec.config) if spec.strategy else None,
         flight=spec.flight.build() if spec.flight else None,
-        on_attached=attached,
+        on_attached=on_attached,
     )
     result.unique_request_docs = counter.unique_docs
-    return LiveRun(result=result, monitor=monitor)
+    return result
 
 
 def run_spec(spec: ExperimentSpec) -> ExperimentResult:
     """Execute one spec; returns a detached (cloud-free, picklable) result."""
-    return run_live(spec).result.detached()
+    return run_live(spec).detached()
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:

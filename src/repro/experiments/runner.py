@@ -208,7 +208,7 @@ def run_experiment(
         artifact closed — when the run completes. Off-path like telemetry.
     on_attached:
         Optional ``on_attached(cloud, simulator)``, called with every plane
-        attached, before the first record (e.g. to arm a monitor).
+        attached, before the first record.
     """
     if duration <= 0:
         raise ValueError("duration must be positive")

@@ -7,7 +7,6 @@ unit time (Figures 8-9). This package computes those statistics and renders
 the tabular reports the benchmark harness prints.
 """
 
-from repro.metrics.collector import CloudMonitor
 from repro.metrics.loadbalance import (
     LoadBalanceStats,
     coefficient_of_variation,
@@ -18,7 +17,6 @@ from repro.metrics.report import Table, format_figure_header
 from repro.metrics.timeseries import TimeSeries
 
 __all__ = [
-    "CloudMonitor",
     "LoadBalanceStats",
     "Table",
     "TimeSeries",

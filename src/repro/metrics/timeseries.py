@@ -4,20 +4,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import (
-    Callable,
-    Dict,
-    Generic,
-    Hashable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-    TypeVar,
-)
-
-K = TypeVar("K", bound=Hashable)
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 
 def _nearest_rank(sorted_values: Sequence[float], q: float) -> float:
@@ -80,54 +67,32 @@ class TimeSeries:
             return None
         return _nearest_rank(sorted(values), q)
 
-    def quantiles(
-        self,
-        qs: Sequence[float] = (0.5, 0.9, 0.99),
-        start: Optional[float] = None,
-        end: Optional[float] = None,
-    ) -> Dict[float, float]:
-        """Several percentiles over one window with a single sort.
 
-        ``start``/``end`` default to the whole series; an empty window
-        yields an empty dict.
-        """
-        if start is None and end is None:
-            values = list(self._values)
-        else:
-            lo = 0 if start is None else bisect_left(self._times, start)
-            hi = len(self._times) if end is None else bisect_left(self._times, end)
-            values = self._values[lo:hi]
-        if not values:
-            return {}
-        values.sort()
-        return {q: _nearest_rank(values, q) for q in qs}
-
-
-class CounterWindow(Generic[K]):
+class CounterWindow:
     """Per-window growth of the cumulative counters one source reports.
 
     ``read`` returns the counters' current values by name, as a mapping it
     does not touch again (the last one is kept as the baseline). The experiment
     runner zeroes statistics at the warm-up boundary, so a counter below its
     baseline was reset inside the window: its value *is* the growth since.
-    Every windowed observer (the cloud monitor, the flight recorder) takes
-    its deltas here, so they all read a warmed run the same way.
+    The flight recorder takes its overload deltas here, so a window that
+    holds the reset reads the post-reset counters, never a negative.
     """
 
-    def __init__(self, read: Callable[[], Mapping[K, float]]) -> None:
+    def __init__(self, read: Callable[[], Mapping[str, float]]) -> None:
         self._read = read
-        self._base: Mapping[K, float] = {}
+        self._base: Mapping[str, float] = {}
 
     def rebase(self) -> None:
         """Start the next window at the counters' current values."""
         self._base = self._read()
 
-    def delta(self) -> Dict[K, float]:
+    def delta(self) -> Dict[str, float]:
         """Growth of every counter since the last call, which it rebases."""
         snapshot = self._read()
         base = self._base
         self._base = snapshot
-        delta: Dict[K, float] = {}
+        delta: Dict[str, float] = {}
         for name, value in snapshot.items():
             last = base.get(name, 0.0)
             delta[name] = float(value - last if value >= last else value)

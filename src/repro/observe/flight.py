@@ -9,10 +9,12 @@ of ``Telemetry``), it rolls fixed-width *simulated-time* windows of
 * per-phase work-profile cost deltas (:mod:`repro.observe.profile`),
   including the hottest documents by holder-walk length, and
 * overload signals (queue depth, rejection/shed counts) when a controller
-  is attached,
+  is attached, and the live cache count when an elastic controller is,
 
 and appends each closed window as one JSON line to an on-disk artifact.
 Resident state is O(one window): closing a window writes and forgets it.
+A recorder built without a path keeps the records in a :class:`FlightLog`
+instead; :func:`window_series` derives the sweeps' windowed series from one.
 
 Determinism contract
 --------------------
@@ -44,8 +46,20 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, BinaryIO, Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    BinaryIO,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.metrics.timeseries import CounterWindow
 from repro.observe.profile import PHASE_ROLES, PHASES, WorkProfile
@@ -66,6 +80,7 @@ __all__ = [
     "render_flight_html",
     "render_flight_report",
     "sparkline",
+    "window_series",
 ]
 
 #: Version stamp of the JSONL record schema.
@@ -82,17 +97,18 @@ _MINUTES_TO_S = 60.0
 class FlightSpec:
     """Picklable flight-recorder recipe carried by an ``ExperimentSpec``.
 
-    ``path`` is the artifact to write; ``window`` is the window width in
+    ``path`` is the artifact to write (``None`` keeps the records in memory,
+    as :attr:`FlightRecorder.log`); ``window`` is the window width in
     simulated minutes; ``top_docs`` bounds the per-window hottest-document
     table.
     """
 
-    path: str
+    path: Optional[str] = None
     window: float = 1.0
     top_docs: int = 5
 
     def build(self) -> "FlightRecorder":
-        """Instantiate a fresh recorder (its header truncates any existing artifact)."""
+        """A fresh recorder (its header truncates any existing artifact)."""
         return FlightRecorder(
             self.path, window=self.window, top_docs=self.top_docs
         )
@@ -129,7 +145,9 @@ class FlightWriter:
 
     def append(self, record: Mapping[str, object]) -> None:
         """Write one record as a canonical JSON line, flushed and fsynced."""
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        line = json.dumps(
+            record, sort_keys=True, separators=(",", ":"), allow_nan=False
+        )
         if self._fh is None:
             self._fh = open(self.path, "wb")
         self._fh.write(line.encode("utf-8") + b"\n")
@@ -147,25 +165,35 @@ class FlightRecorder:
     Owns a :class:`~repro.observe.profile.WorkProfile` for the bound cloud
     to charge, or reads one attached to the cloud on its own (:meth:`follow`),
     so per-phase cost deltas land in the same windows as the traffic.
+    Built with ``path=None`` it writes nothing: :attr:`log` holds the
+    records instead.
     """
 
     def __init__(
         self,
-        path: str,
+        path: Optional[str],
         window: float = 1.0,
         top_docs: int = 5,
         start: float = 0.0,
         _writer: Optional[FlightWriter] = None,
     ) -> None:
-        if window <= 0:
-            raise ValueError(f"window width must be > 0, got {window}")
+        if not (window > 0 and math.isfinite(window)):
+            raise ValueError(f"window width must be a finite number > 0, got {window}")
         if top_docs < 0:
             raise ValueError(f"top_docs must be >= 0, got {top_docs}")
         self.path = path
         self.window = float(window)
         self.top_docs = top_docs
         self.profile = WorkProfile()
-        self._writer = _writer if _writer is not None else FlightWriter(path)
+        #: The records so far when the recorder has no path, else ``None``.
+        self.log: Optional[FlightLog] = None
+        self._writer: Union[FlightWriter, FlightLog]
+        if _writer is not None:
+            self._writer = _writer
+        elif path is not None:
+            self._writer = FlightWriter(path)
+        else:
+            self._writer = self.log = FlightLog()
         self._cloud: Optional["CacheCloud"] = None
         self._header_written = False
         self.finished = False
@@ -200,14 +228,11 @@ class FlightRecorder:
         if log.summary is not None:
             raise ArtifactError(f"{path}: the recording was finished; nothing to resume")
         writer = FlightWriter(path, resume=True)
-        width = float(log.header["window"])
         start = float(log.windows[-1]["end"]) if log.windows else 0.0
         recorder = cls(
             path,
-            window=width,
-            top_docs=(
-                int(log.header["top_docs"]) if top_docs is None else top_docs
-            ),
+            window=log.header["window"],
+            top_docs=log.header["top_docs"] if top_docs is None else top_docs,
             start=start,
             _writer=writer,
         )
@@ -308,6 +333,7 @@ class FlightRecorder:
         return cloud.overload.stats.window_counters()
 
     def _close_window(self, end: float, partial: bool = False) -> None:
+        cloud = self._cloud
         record: Dict[str, object] = {
             "type": "window",
             "index": self._index,
@@ -344,6 +370,8 @@ class FlightRecorder:
                 "max": max_walk,
                 "top": [[doc_id, walked] for doc_id, walked in top],
             }
+        if cloud is not None and cloud.elastic is not None:
+            record["cloud_size"] = cloud.elastic.active_count()
         overload = self._overload.delta()
         if overload:
             samples = overload["depth_samples"]
@@ -409,13 +437,31 @@ _REQUIRED_NUMBERS = {
 
 @dataclass
 class FlightLog:
-    """A parsed flight artifact."""
+    """A flight recording: parsed from an artifact, or kept in memory.
 
-    header: Optional[Dict[str, Any]]
-    windows: List[Dict[str, Any]]
-    summary: Optional[Dict[str, Any]]
+    :meth:`append` files one record under the header, the windows or the
+    summary; :func:`read_flight` feeds it the lines of a file, and a
+    recorder without a path uses the log itself as its sink.
+    """
+
+    header: Optional[Dict[str, Any]] = None
+    windows: List[Dict[str, Any]] = field(default_factory=list)
+    summary: Optional[Dict[str, Any]] = None
     #: True when the file ended in an incomplete (torn) line.
-    torn_tail: bool
+    torn_tail: bool = False
+
+    def append(self, record: Dict[str, Any]) -> None:
+        """File one record by its ``type`` (other types are skipped)."""
+        kind = record.get("type")
+        if kind == "header":
+            self.header = record
+        elif kind == "window":
+            self.windows.append(record)
+        elif kind == "summary":
+            self.summary = record
+
+    def close(self) -> None:
+        """Nothing to release: the sink half of the writer interface."""
 
     @property
     def window_width(self) -> float:
@@ -428,15 +474,14 @@ def read_flight(path: str) -> FlightLog:
     """Parse a flight artifact, tolerating a torn trailing line.
 
     A complete line that fails to parse is real corruption and raises;
-    only the final newline-less fragment (a crash tear) is skipped.
+    only the final newline-less fragment (a crash tear) is skipped. A header
+    without a finite ``window > 0`` or an integer ``top_docs >= 0`` (the
+    geometry :meth:`FlightRecorder.resume` continues with) raises too.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    torn = bool(data) and not data.endswith(b"\n")
     keep = data.rfind(b"\n") + 1
-    header: Optional[Dict[str, Any]] = None
-    windows: List[Dict[str, Any]] = []
-    summary: Optional[Dict[str, Any]] = None
+    log = FlightLog(torn_tail=bool(data) and not data.endswith(b"\n"))
     for lineno, raw in enumerate(data[:keep].splitlines(), start=1):
         if not raw:
             continue
@@ -455,12 +500,67 @@ def read_flight(path: str) -> FlightLog:
                     f"{name!r}, got {value!r}"
                 )
         if kind == "header":
-            header = record
-        elif kind == "window":
-            windows.append(record)
-        elif kind == "summary":
-            summary = record
-    return FlightLog(header=header, windows=windows, summary=summary, torn_tail=torn)
+            top_docs = record.get("top_docs")
+            if record["window"] <= 0:
+                raise ArtifactError(
+                    f"{path}:{lineno}: header record needs a window > 0, "
+                    f"got {record['window']!r}"
+                )
+            if type(top_docs) is not int or top_docs < 0:
+                raise ArtifactError(
+                    f"{path}:{lineno}: header record needs an integer "
+                    f"'top_docs' >= 0, got {top_docs!r}"
+                )
+        log.append(record)
+    return log
+
+
+def _ratio(part: float, whole: float) -> float:
+    return part / whole if whole else 0.0
+
+
+def _per_arrival(window: Mapping[str, Any], counter: str) -> float:
+    overload = window["overload"]
+    return _ratio(overload[counter], overload["admitted"] + overload["rejected"])
+
+
+def _cloud_hit_rate(window: Mapping[str, Any]) -> float:
+    outcomes = window.get("outcomes", {})
+    return _ratio(
+        outcomes.get("local_hit", 0) + outcomes.get("cloud_hit", 0),
+        window["requests"] - outcomes.get("rejected", 0),
+    )
+
+
+#: How :func:`window_series` reads each series off one window record.
+_WINDOW_VALUES: Dict[str, Callable[[Mapping[str, Any]], float]] = {
+    "avg_queue_depth": lambda window: float(window["overload"]["avg_depth"]),
+    "rejection_rate": lambda window: _per_arrival(window, "rejected"),
+    "shed_rate": lambda window: _per_arrival(window, "shed"),
+    "cloud_hit_rate": _cloud_hit_rate,
+    "cloud_size": lambda window: float(window["cloud_size"]),
+}
+
+
+def window_series(
+    log: FlightLog, names: Sequence[str]
+) -> Dict[str, List[Tuple[float, float]]]:
+    """``name -> [(window end, value), ...]`` for each of ``names``.
+
+    * ``avg_queue_depth`` — mean queue depth at message arrivals;
+    * ``rejection_rate`` / ``shed_rate`` — client requests turned away /
+      cooperative work items shed, per client arrival;
+    * ``cloud_hit_rate`` — share of the requests served (not rejected)
+      that hit in the cloud, locally or at a peer;
+    * ``cloud_size`` — live caches when the window closed.
+
+    A ratio over an empty window is 0.0. The first three need an overload
+    controller attached to the recorded cloud, ``cloud_size`` an elastic one.
+    """
+    return {
+        name: [(window["end"], _WINDOW_VALUES[name](window)) for window in log.windows]
+        for name in names
+    }
 
 
 # ----------------------------------------------------------------------

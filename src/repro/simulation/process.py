@@ -1,8 +1,8 @@
 """Periodic process helper for the discrete-event engine.
 
 The beacon-ring sub-range determination runs "periodically (in cycles)"
-(paper §2.3); metric windows also sample on a fixed period. This module
-provides the re-arming machinery for such processes.
+(paper §2.3), as do the elastic check and the anti-entropy sweep. This
+module provides the re-arming machinery for such processes.
 """
 
 from __future__ import annotations

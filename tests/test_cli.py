@@ -144,6 +144,8 @@ class TestRejectedValuesAndFiles:
                 ["flight", "diff", "{artifact}", "{artifact}", "--tolerance", "-0.1"],
                 "--tolerance must be >= 0",
             ),
+            (["flight", "record", "--out", "{out}", "--window", "nan"], "window width"),
+            (["flight", "record", "--out", "{out}", "--window", "inf"], "window width"),
         ],
     )
     def test_exit_two_with_one_line(self, argv, message, artifact, tmp_path, capsys):

@@ -39,6 +39,7 @@ from repro.faults.churn import (
 )
 from repro.network.transport import TRANSFER_HEADER_BYTES
 from repro.observe import Telemetry
+from repro.observe.flight import FlightRecorder, window_series
 from repro.workload.documents import build_corpus
 from tests.conftest import make_cloud
 
@@ -481,38 +482,30 @@ class TestRejectedRequestsAndLatency:
         assert len(telemetry.request_latencies) == 1
 
 
-class TestMonitorElasticSeries:
+class TestWindowedElasticSeries:
     def test_series_present_only_with_controller(self, small_corpus):
-        from repro.metrics.collector import CloudMonitor
-        from repro.simulation.engine import Simulator
-
         bare = make_cloud(small_corpus, failure_resilience=True)
-        monitor = CloudMonitor(bare, Simulator(), period=1.0)
-        assert "cloud_size" not in monitor.series
+        recorder = bare.attach_flight(FlightRecorder(None, window=1.0))
+        bare.handle_request(0, 5, now=0.5)
+        recorder.finish(2.0)
+        assert not any("cloud_size" in window for window in recorder.log.windows)
 
-    def test_cloud_size_gauge_and_windowed_scale_events(self, small_corpus):
-        from repro.metrics.collector import CloudMonitor
-        from repro.simulation.engine import Simulator
-
+    def test_cloud_size_gauge_is_read_when_the_window_closes(self, small_corpus):
         cloud, controller = elastic_cloud(small_corpus, min_caches=2)
-        simulator = Simulator()
-        monitor = CloudMonitor(cloud, simulator, period=1.0)
-        monitor.start()
-        simulator.schedule_at(
-            0.5,
-            lambda: controller.retire_node(
-                controller._choose_victim(), simulator.now
-            ),
-        )
-        simulator.run_until(2.5)
-        sizes = [value for _, value in monitor.series["cloud_size"].items()]
-        assert sizes == [5.0, 5.0]
-        events = [
-            value for _, value in monitor.series["scale_in_events"].items()
-        ]
-        assert events == [1.0, 0.0]
-        drain = [value for _, value in monitor.series["drain_bytes"].items()]
-        assert drain[1] == 0.0
+        recorder = cloud.attach_flight(FlightRecorder(None, window=1.0))
+
+        def request(now):
+            ingress = next(cache.cache_id for cache in cloud.caches if cache.alive)
+            cloud.handle_request(ingress, 5, now=now)
+
+        request(0.2)
+        controller.retire_node(controller._choose_victim(), 0.5)
+        request(1.5)  # closes [0, 1) with five caches live
+        controller.retire_node(controller._choose_victim(), 1.7)
+        recorder.finish(2.0)  # closes [1, 2) with four
+        assert window_series(recorder.log, ["cloud_size"]) == {
+            "cloud_size": [(1.0, 5.0), (2.0, 4.0)]
+        }
 
 
 class TestScaleSequenceProperty:

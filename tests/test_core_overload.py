@@ -37,6 +37,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, RetryPolicy
 from repro.network.bandwidth import TrafficCategory
 from repro.network.transport import Transport
+from repro.observe.flight import FlightRecorder, window_series
 from tests.conftest import make_cloud
 
 
@@ -479,26 +480,26 @@ class TestCloudOverload:
         assert summary["overload_requests_rejected"] == 1.0
 
 
-class TestMonitorOverloadSeries:
-    def test_series_present_only_with_controller_attached(self, small_corpus):
-        from repro.metrics.collector import CloudMonitor
-        from repro.simulation.engine import Simulator
+class TestWindowedOverloadSeries:
+    @staticmethod
+    def recorded(cloud):
+        """Windows [0, 1) and [1, 2) of one request at t=0.5, in memory."""
+        recorder = cloud.attach_flight(FlightRecorder(None, window=1.0))
+        cloud.handle_request(0, 5, now=0.5)
+        recorder.finish(2.0)
+        return recorder.log
 
-        bare = make_cloud(small_corpus)
-        monitor = CloudMonitor(bare, Simulator(), period=1.0)
-        assert "rejection_rate" not in monitor.series
+    def test_series_present_only_with_controller_attached(self, small_corpus):
+        bare = self.recorded(make_cloud(small_corpus))
+        assert len(bare.windows) == 2
+        assert not any("overload" in window for window in bare.windows)
 
         cloud = make_cloud(small_corpus)
         cloud.attach_overload(OverloadConfig(queue_capacity=0))
-        simulator = Simulator()
-        monitor = CloudMonitor(cloud, simulator, period=1.0)
-        monitor.start()
-        simulator.schedule_at(
-            0.5, lambda: cloud.handle_request(0, 5, now=0.5)
+        series = window_series(
+            self.recorded(cloud), ("rejection_rate", "avg_queue_depth", "shed_rate")
         )
-        simulator.run_until(2.5)
         # Window 1 saw one arrival, rejected; window 2 saw none.
-        assert monitor.series["rejection_rate"].items()[0][1] == 1.0
-        assert monitor.series["rejection_rate"].items()[1][1] == 0.0
-        assert len(monitor.series["avg_queue_depth"]) == 2
-        assert len(monitor.series["shed_rate"]) == 2
+        assert series["rejection_rate"] == [(1.0, 1.0), (2.0, 0.0)]
+        assert len(series["avg_queue_depth"]) == 2
+        assert len(series["shed_rate"]) == 2

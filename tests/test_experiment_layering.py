@@ -1,4 +1,4 @@
-"""Five structural rules over ``src/repro`` (pure ``ast``, like the gate beside it).
+"""Six structural rules over ``src/repro`` (pure ``ast``, like the gate beside it).
 
 * The paper's setup is written once: ``CloudConfig``, ``SydneyConfig`` and
   ``WorkloadConfig`` are each constructed at exactly one site under
@@ -15,6 +15,9 @@
   ``core/cloud.py``'s attach code reads ``.telemetry`` / ``.profile``.
 * The fabric knows no observer class: ``core/fabric.py`` imports nothing
   from ``repro.observe`` but the benchmark probe's lazy ``telemetry`` setter.
+* Only what changes state runs on a timer: ``PeriodicProcess`` is imported
+  by the sub-range cycles, the elastic check and the anti-entropy sweep.
+  An observer rolls its windows from the request and update roots.
 
 :func:`lines_per_claim` ranks the experiment modules by what they cost:
 the table EXPERIMENTS.md embeds under the catalogue
@@ -123,6 +126,24 @@ def _observe_imports(node: ast.AST, function: str = "<module>") -> List[str]:
 def test_the_fabric_imports_no_observer():
     tree = ast.parse(MODULES["repro.core.fabric"].read_text())
     assert _observe_imports(tree) == ["_watch_telemetry"]
+
+
+#: The modules that change the cloud's state on a timer: ``core/cloud.py``
+#: (sub-range cycles), the elastic check and the anti-entropy sweep.
+TIMED_MODULES = {"repro.core.cloud", "repro.core.elastic", "repro.audit.antientropy"}
+
+
+def test_only_state_changing_modules_run_on_a_timer():
+    # The defining module and its package re-export are not users of it.
+    importers = {
+        name
+        for name, path in MODULES.items()
+        if name not in ("repro.simulation.process", "repro.simulation")
+        for module, imported in _references(path)
+        if imported == "PeriodicProcess"
+        and _resolve(module, imported) == "repro.simulation.process"
+    }
+    assert importers == TIMED_MODULES
 
 
 def lines_per_claim(claims: Mapping[str, Sequence[str]]) -> str:

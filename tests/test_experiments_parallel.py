@@ -24,7 +24,6 @@ from repro.experiments.parallel import (
 from repro.experiments.reporting import fingerprint
 from repro.experiments.sweeps import Scale, paper_cloud, poisson_churn, zipf_workload
 from repro.faults.plan import FaultPlan
-from repro.metrics.collector import _PLANE_METRICS
 from repro.observe.flight import FlightSpec
 from repro.simulation.rng import derive_seed
 from repro.strategies.spec import StrategySpec
@@ -220,13 +219,14 @@ PLANES_CHURN = poisson_churn(
 
 
 def planes_spec(flight_path, resilient=True, **planes) -> ExperimentSpec:
-    """A :data:`PLANES_SCALE` spec with a flight recorder and ``planes``."""
+    """A :data:`PLANES_SCALE` spec with a flight recorder and ``planes``
+    (``flight_path=None`` keeps the recording in memory)."""
     return ExperimentSpec(
         key="planes",
         config=paper_cloud(PLANES_SCALE, failure_resilience=resilient),
         workload=zipf_workload(PLANES_SCALE),
         duration=PLANES_SCALE.duration_minutes,
-        flight=FlightSpec(str(flight_path)),
+        flight=FlightSpec(None if flight_path is None else str(flight_path)),
         **planes,
     )
 
@@ -234,33 +234,33 @@ def planes_spec(flight_path, resilient=True, **planes) -> ExperimentSpec:
 class TestOneAttachSequence:
     """``run_live`` goes through ``run_experiment``'s one attach sequence."""
 
-    def test_monitor_and_prepare_see_every_plane(self, tmp_path):
+    def test_on_attached_sees_every_plane(self):
         seen = {}
 
-        def prepare(cloud):
+        def on_attached(cloud, simulator):
             seen.update(
                 faults=cloud.faults,
                 anti_entropy=cloud.anti_entropy,
                 flight=cloud.flight,
             )
 
-        live = run_live(
+        result = run_live(
             planes_spec(
-                tmp_path / "f.jsonl",
+                None,
                 fault_plan=FaultPlan(seed=3, loss_rate=0.1),
                 anti_entropy=AntiEntropyConfig(),
                 overload=OverloadConfig(),
             ),
-            monitor_windows=4,
-            prepare=prepare,
+            on_attached=on_attached,
         )
         assert seen and all(plane is not None for plane in seen.values()), seen
-        assert live.monitor is not None
-        series = live.monitor.series
-        for plane in ("faults", "anti_entropy", "overload", "profile"):
-            missing = set(_PLANE_METRICS[plane]) - set(series)
-            assert not missing, f"monitor is blind to {plane}: {sorted(missing)}"
-        assert any(value for _, value in series["retries"].items())
+        # The in-memory recording saw the planes it records, window by window.
+        windows = result.cloud.flight.log.windows
+        assert len(windows) == 30
+        assert all("overload" in window for window in windows)
+        lost = [row[2] for window in windows for row in window.get("fabric", {}).values()]
+        assert sum(lost) > 0
+        assert any("holder_verify" in window.get("cost", {}) for window in windows)
 
     def test_a_rejected_spec_leaves_nothing_behind(self, tmp_path):
         artifact = tmp_path / "f.jsonl"

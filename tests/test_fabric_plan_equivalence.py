@@ -12,25 +12,14 @@ original interpretive ``_attempt`` and not against itself.
 One small run with every plane attached at once — loss + duplication +
 delay with retries, real bounded queues with a per-category service
 override, ``Telemetry`` with a span cap the run crosses, a
-``FlightRecorder``, dispatch capture, a ``CloudMonitor`` and the warm-up
-counter reset — in two flavours: a uniform loss plan (the injector's
-no-override fast path) and one with link and category overrides.
+``FlightRecorder``, dispatch capture and the warm-up counter reset — in
+two flavours: a uniform loss plan (the injector's no-override fast path)
+and one with link and category overrides.
 
 ``faults.stats.bytes_attempted`` is deliberately outside the digest: the
 same PR rebases it at the warm-up boundary (it is the transport ledger's
 twin, and the ledger is zeroed there), so it is the one number that is
 *meant* to differ from the parent.
-
-The two ``monitor`` digests are the exception to "generated before the
-plan": they were regenerated when ``CloudMonitor`` learnt the reset rule
-(``CounterWindow``). The warm-up reset fires at t=4.0 just before the
-sample that closes window [2, 4], and the old monitor subtracted its
-pre-reset baseline from the zeroed counters: that one sample read
-``network_mb`` -3.92 / -3.75, ``cloud_hit_rate`` 0.51 / 0.48 (a negative
-over a negative), ``avg_queue_depth`` 1.005 / 0.961, ``rejection_rate``
-0.0028 and ``shed_rate`` 0.0112 (uniform / overrides). It now reads the
-post-reset counters, 0.0; the other 91 samples of the 16 series are
-value-identical, compared one by one against the parent.
 """
 
 from __future__ import annotations
@@ -55,7 +44,6 @@ from repro.core.overload import OverloadConfig
 from repro.experiments.runner import run_experiment
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, RetryPolicy
-from repro.metrics.collector import CloudMonitor
 from repro.network.origin import ORIGIN_NODE_ID
 from repro.network.topology import EuclideanTopology
 from repro.network.transport import Transport
@@ -115,7 +103,6 @@ PARENT_DIGESTS: Dict[str, Dict[str, str]] = {
         "fabric_stats": "b1fcce70bb05105012557a7483128cb7d1f505a234c341b4d13819206fb9c547",
         "fault_stats": "3a3668fb78530f4598e5b8c394419a94fb1428d0449bceb2e292ef5522f395cd",
         "overload_stats": "126109a5645fde5c13a25c5eaa0aa291584fc0892d9195e6c9083dfac4e4e89f",
-        "monitor": "7fe824091d60e3d959841425786eb36f648b17b747f6db2318f69021cc42d257",
         "result": "19b5ba200416b0de5fafd90c72ad2b084a6a4663da9e5fd9a20e67b8ed7cc3d3",
     },
     "overrides": {
@@ -125,7 +112,6 @@ PARENT_DIGESTS: Dict[str, Dict[str, str]] = {
         "fabric_stats": "ba25e13a0bb3d93a814cf410696187dc344bca2c43f6a34332b5dece85e30f04",
         "fault_stats": "f7cbc974706d2a59aadf04256165fe73378ceb6d48dad61e2802f6f974e4a3e2",
         "overload_stats": "12968facf4c47aea877cb7de5769ada031847c54d0a4ffb9c66c37a71d694efe",
-        "monitor": "165bac4f4462c3e95ff96366b4bb9f8fbaf2362272d590e20dbb341cce9761d6",
         "result": "2d8b0426cc2bd5ba1d4c94a2c428d219b3445966ccd348980c59a3c6bdcac5e2",
     },
 }
@@ -192,8 +178,6 @@ def _all_planes_run(plan_name: str, flight_path: str, reattach: bool = False):
     cloud.attach_faults(injector)
     dispatches = cloud.fabric.capture_dispatches()
     assert not cloud.fabric._fast_path
-    monitor = CloudMonitor(cloud, simulator, period=2.0)
-    monitor.start()
 
     if reattach:
 
@@ -243,11 +227,6 @@ def _all_planes_run(plan_name: str, flight_path: str, reattach: bool = False):
         "fabric_stats": _sha(_canonical(dataclasses.asdict(cloud.fabric.stats))),
         "fault_stats": _sha(_canonical(fault_stats)),
         "overload_stats": _sha(_canonical(dataclasses.asdict(controller.stats))),
-        "monitor": _sha(
-            _canonical(
-                {name: series.items() for name, series in monitor.series.items()}
-            )
-        ),
         "result": _sha(
             _canonical(
                 {
@@ -337,7 +316,6 @@ SEAM_DIGESTS: Dict[str, Dict[str, str]] = {
         "fabric_stats": "c6d39904c9302d00bd2be9ea81261779d52c9e8c6addb67cbf83d4733e0f981f",
         "fault_stats": "24e3a2c380975cbd987fe55829474e12522a00fa20e6f57e1376c3fa4868087d",
         "overload_stats": "21f93f55ee3fa0dcfa6dfd441127d3518ff02d7f855287a006512e0dd93119fe",
-        "monitor": "edc2d6e06774446d36e47a797261223c784c03460027ce64334bc5f74eacc6e4",
         "result": "e9f7416803493b2940589aff93879f14c72f633df27d84d4251131be2cffb802",
     },
     "lcd": {
@@ -346,7 +324,6 @@ SEAM_DIGESTS: Dict[str, Dict[str, str]] = {
         "fabric_stats": "55531c6531a7a461cafac663fbde542f974ae3d0b7f2c509b79460887aa7264d",
         "fault_stats": "e0b762a7d051faa3fcbf19d8326ca8b587d2b8f7bb645d3e2313506ca2498845",
         "overload_stats": "74234e98afe7498fb5daf1f36ac2d78acc339464f950703b8c019892f982b90b",
-        "monitor": "d99b7048247938bfa08ee8d39a7c4fc08b1a7f9c04fb55a2456b4fb3d4847d75",
         "result": "2f2c5beb732f7aa9218c2dc1f035443d98433b3df73a0d5295301c5a94b87320",
     },
     "no_cooperation": {
@@ -355,7 +332,6 @@ SEAM_DIGESTS: Dict[str, Dict[str, str]] = {
         "fabric_stats": "3de50097cace0594871abd14e9e90b484c26dd0bb9f3b5b6e0dc9ee30d94d726",
         "fault_stats": "870a9d6e0ffe1b332dce2b05d0ffbf932a7e032a26e4df951866c657c40a8335",
         "overload_stats": "74234e98afe7498fb5daf1f36ac2d78acc339464f950703b8c019892f982b90b",
-        "monitor": "4a5ff00622d0a82e081c18346b805d5940226925119df9c2cb286bba2c61d35f",
         "result": "e008912c20903dc893861eab4a54277c32715611245ad62156a0201f45fa18a1",
     },
 }
@@ -393,7 +369,6 @@ def _seam_run(name: str) -> Dict[str, str]:
     simulator = Simulator()
     telemetry = Telemetry(max_spans=1_000_000)
     dispatches = cloud.fabric.capture_dispatches()
-    monitor = CloudMonitor(cloud, simulator, period=2.0)
     result = run_experiment(
         config,
         corpus,
@@ -406,7 +381,6 @@ def _seam_run(name: str) -> Dict[str, str]:
         fault_plan=FAULT_PLANS["uniform"],
         telemetry=telemetry,
         overload=OVERLOAD if run["overload"] else None,
-        on_attached=lambda *_: monitor.start(),
         audit=True,
     )
     spans = telemetry.spans
@@ -426,9 +400,6 @@ def _seam_run(name: str) -> Dict[str, str]:
         "fault_stats": _sha(_canonical(fault_stats)),
         "overload_stats": _sha(
             _canonical(None if overload is None else dataclasses.asdict(overload.stats))
-        ),
-        "monitor": _sha(
-            _canonical({key: series.items() for key, series in monitor.series.items()})
         ),
         "result": _sha(
             _canonical(

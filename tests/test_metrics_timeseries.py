@@ -58,40 +58,8 @@ class TestPercentiles:
         with pytest.raises(ValueError):
             self.build().percentile_in(0.0, 10.0, 1.5)
 
-    def test_quantiles_default_set(self):
-        quantiles = self.build().quantiles()
-        assert set(quantiles) == {0.5, 0.9, 0.99}
-        assert quantiles[0.5] == 30.0
-        assert quantiles[0.99] == 50.0
-
-    def test_quantiles_windowed_and_empty(self):
-        series = self.build()
-        assert series.quantiles(qs=(0.5,), start=1.0, end=4.0) == {0.5: 20.0}
-        assert series.quantiles(start=100.0, end=200.0) == {}
-
-    def test_quantiles_with_only_start(self):
-        # start=2.0, no end: t in [2, ...) contributes 30, 20, 50.
-        series = self.build()
-        assert series.quantiles(qs=(0.5, 1.0), start=2.0) == {
-            0.5: 30.0,
-            1.0: 50.0,
-        }
-
-    def test_quantiles_with_only_end(self):
-        # No start, end=2.0: t in [0, 2) contributes 40, 10.
-        series = self.build()
-        assert series.quantiles(qs=(0.0, 0.5), end=2.0) == {
-            0.0: 10.0,
-            0.5: 10.0,
-        }
-
-    def test_quantiles_one_sided_empty_windows(self):
-        series = self.build()
-        assert series.quantiles(start=100.0) == {}
-        assert series.quantiles(end=0.0) == {}
-
     def test_percentile_in_open_ended_windows(self):
-        """Infinite bounds make percentile_in agree with one-sided quantiles."""
+        """Infinite bounds make a window open at that end."""
         series = self.build()
         assert series.percentile_in(2.0, float("inf"), 0.5) == 30.0
         assert series.percentile_in(float("-inf"), 2.0, 0.5) == 10.0

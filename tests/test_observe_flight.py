@@ -40,6 +40,7 @@ from repro.network.bandwidth import TrafficCategory
 from repro.observe.flight import (
     FLIGHT_SCHEMA_VERSION,
     ArtifactError,
+    FlightLog,
     FlightRecorder,
     FlightSpec,
     FlightWriter,
@@ -48,6 +49,7 @@ from repro.observe.flight import (
     render_flight_html,
     render_flight_report,
     sparkline,
+    window_series,
 )
 from repro.observe.profile import PHASE_ROLES, PHASES, WorkProfile
 from repro.strategies import StrategySpec, build_strategy
@@ -159,7 +161,7 @@ class TestFlightWriter:
     def test_read_flight_tolerates_torn_tail_only(self, tmp_path):
         path = str(tmp_path / "tail.jsonl")
         writer = FlightWriter(path)
-        writer.append({"type": "header", "window": 1.0})
+        writer.append({"type": "header", "window": 1.0, "top_docs": 5})
         writer.close()
         with open(path, "ab") as fh:
             fh.write(b'{"type":"win')
@@ -171,6 +173,12 @@ class TestFlightWriter:
             fh.write(b"not json\n")
         with pytest.raises(ValueError, match="corrupt"):
             read_flight(path)
+
+    def test_a_non_finite_number_is_never_written(self, tmp_path):
+        writer = FlightWriter(str(tmp_path / "nan.jsonl"))
+        with pytest.raises(ValueError):
+            writer.append({"type": "window", "latency_ms": [float("nan"), 0.0]})
+        writer.close()
 
 
 # ----------------------------------------------------------------------
@@ -357,6 +365,40 @@ class TestFlightRecording:
         with pytest.raises(ArtifactError, match="headless.jsonl"):
             FlightRecorder.resume(str(path))
 
+    @pytest.mark.parametrize(
+        "geometry, field",
+        [
+            ('"window":1.0', "top_docs"),
+            ('"window":1.0,"top_docs":-1', "top_docs"),
+            ('"window":1.0,"top_docs":2.5', "top_docs"),
+            ('"window":1.0,"top_docs":true', "top_docs"),
+            ('"window":-1,"top_docs":5', "window"),
+            ('"window":0,"top_docs":5', "window"),
+        ],
+    )
+    def test_resume_refuses_a_header_without_its_geometry(self, tmp_path, geometry, field):
+        path = tmp_path / "geometry.jsonl"
+        path.write_text('{"type":"header","schema":1,' + geometry + "}\n")
+        for read in (read_flight, FlightRecorder.resume):
+            with pytest.raises(ArtifactError, match=f"geometry.jsonl:1: header.*'?{field}"):
+                read(str(path))
+
+    def test_a_recorder_without_a_path_keeps_the_artifact_in_memory(
+        self, small_corpus, tmp_path
+    ):
+        path = str(tmp_path / "disk.jsonl")
+        recorders = []
+        for where in (path, None):
+            cloud = make_cloud(small_corpus)
+            recorders.append(cloud.attach_flight(FlightRecorder(where, window=2.0)))
+            _drive(cloud)
+            recorders[-1].finish(60.0)
+        on_disk, in_memory = recorders
+        assert on_disk.log is None
+        assert in_memory.log == read_flight(path)
+        assert len(in_memory.log.windows) == 30
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["disk.jsonl"]
+
     def test_fabric_traffic_lands_in_windows(self, small_corpus, tmp_path):
         path = str(tmp_path / "fabric.jsonl")
         cloud = make_cloud(small_corpus)
@@ -523,21 +565,43 @@ class TestRenderAndDiff:
 
 
 # ----------------------------------------------------------------------
-# Monitor integration: windowed profile series
+# Windowed series from an in-memory recording
 # ----------------------------------------------------------------------
-class TestMonitorProfileSeries:
-    def _run(self, small_corpus, attach):
+class TestWindowSeries:
+    def test_each_series_from_its_window_fields(self):
+        log = FlightLog()
+        overload = {"admitted": 6.0, "rejected": 4.0, "shed": 2.0, "avg_depth": 1.5}
+        log.append({
+            "type": "window", "start": 0.0, "end": 1.0, "requests": 10,
+            "outcomes": {"local_hit": 3, "cloud_hit": 2, "origin_fetch": 1, "rejected": 4},
+            "overload": overload, "cloud_size": 7,
+        })
+        idle = dict.fromkeys(overload, 0.0)
+        log.append({
+            "type": "window", "start": 1.0, "end": 2.0, "requests": 0,
+            "overload": idle, "cloud_size": 6,
+        })
+        assert window_series(
+            log, ("avg_queue_depth", "rejection_rate", "shed_rate", "cloud_hit_rate", "cloud_size")
+        ) == {
+            "avg_queue_depth": [(1.0, 1.5), (2.0, 0.0)],
+            "rejection_rate": [(1.0, 0.4), (2.0, 0.0)],
+            "shed_rate": [(1.0, 0.2), (2.0, 0.0)],
+            # Rejected requests are not in the denominator: 5 hits of 6 served.
+            "cloud_hit_rate": [(1.0, 5 / 6), (2.0, 0.0)],
+            "cloud_size": [(1.0, 7.0), (2.0, 6.0)],
+        }
+
+    def test_windowed_walk_series_with_profile(self, small_corpus):
         from repro.experiments.runner import TraceFeeder
-        from repro.metrics.collector import CloudMonitor
         from repro.simulation.engine import Simulator
         from repro.workload.trace import RequestRecord, Trace, UpdateRecord
 
         cloud = make_cloud(small_corpus)
-        if attach:
-            cloud.attach_profile(WorkProfile())
+        profile = WorkProfile()
+        cloud.attach_profile(profile)
+        recorder = cloud.attach_flight(FlightRecorder(None, window=10.0))
         simulator = Simulator()
-        monitor = CloudMonitor(cloud, simulator, period=10.0)
-        monitor.start()
         trace = Trace(
             requests=[
                 RequestRecord(t * 0.2, int(t) % 4, int(t * 7) % 50)
@@ -547,20 +611,13 @@ class TestMonitorProfileSeries:
         )
         TraceFeeder(simulator, cloud, trace.merged()).start()
         simulator.run_until(40.0)
-        return monitor
-
-    def test_absent_without_profile(self, small_corpus):
-        monitor = self._run(small_corpus, attach=False)
-        assert "holder_walk_mean" not in monitor.series
-        assert "holder_verify_units" not in monitor.series
-
-    def test_windowed_walk_series_with_profile(self, small_corpus):
-        monitor = self._run(small_corpus, attach=True)
-        units = [v for _, v in monitor.series["holder_verify_units"].items()]
-        means = [v for _, v in monitor.series["holder_walk_mean"].items()]
+        recorder.finish(40.0)
+        units = [
+            window.get("cost", {}).get("holder_verify", [0, 0])[1]
+            for window in recorder.log.windows
+        ]
         assert len(units) == 4
-        assert sum(units) > 0
-        assert all(value >= 0.0 for value in means)
+        assert sum(units) == profile.units["holder_verify"] > 0
 
 
 # ----------------------------------------------------------------------

@@ -42,7 +42,7 @@ from repro.experiments import runner
 from repro.experiments.reporting import fingerprint
 from repro.experiments.runner import TraceFeeder, run_experiment
 from repro.faults.churn import FAIL, RECOVER, ChurnEvent, ChurnSpec
-from repro.metrics.collector import CloudMonitor
+from repro.observe.flight import FlightRecorder
 from repro.simulation import engine, events
 from repro.simulation.clock import ClockError
 from repro.simulation.engine import SimulationError, Simulator
@@ -442,7 +442,8 @@ DURATION = 30.0
 
 
 def pipeline_run(feeder_cls: type, monkeypatch) -> dict:
-    """``run_experiment`` with churn, anti-entropy, elastic and a monitor."""
+    """``run_experiment`` with churn, anti-entropy, elastic and an in-memory
+    flight recorder."""
     monkeypatch.setattr(runner, "TraceFeeder", feeder_cls)
     corpus = build_corpus(60, fixed_size=2048)
     config = CloudConfig(
@@ -457,8 +458,8 @@ def pipeline_run(feeder_cls: type, monkeypatch) -> dict:
         seed=77,
     )
     # Quarter-minute grid: records land on cycle boundaries (5, 10, ...),
-    # on the warm-up instant (5.0) and on monitor / elastic / anti-entropy
-    # ticks, and updates share instants with requests.
+    # on the warm-up instant (5.0), on flight-window boundaries and on
+    # elastic / anti-entropy ticks, and updates share instants with requests.
     request_records = [
         RequestRecord(i * 0.25, (i * 5) % 6, (i * 7) % 60) for i in range(118)
     ]
@@ -492,8 +493,7 @@ def pipeline_run(feeder_cls: type, monkeypatch) -> dict:
 
     simulator.schedule_at = logged_schedule_at
     cloud.attach_overload(OverloadConfig(queue_capacity=8, service_ms=200.0))
-    monitor = CloudMonitor(cloud, simulator, period=2.5)
-    monitor.start()
+    flight = FlightRecorder(None, window=2.5)
     seq_base = seq_now()
     result = run_experiment(
         config,
@@ -514,6 +514,7 @@ def pipeline_run(feeder_cls: type, monkeypatch) -> dict:
             ),
         ),
         anti_entropy=AntiEntropyConfig(period_minutes=2.5),
+        flight=flight,
         elastic=ElasticConfig(
             min_caches=3, check_period_minutes=1.25, cooldown_minutes=2.5,
             window_minutes=2.5,
@@ -527,8 +528,8 @@ def pipeline_run(feeder_cls: type, monkeypatch) -> dict:
         "pending": simulator.pending_events,
         "now": simulator.now,
         "result": fingerprint(result.detached()),
-        "monitor": fingerprint(
-            {name: series.items() for name, series in monitor.series.items()}
+        "flight": fingerprint(
+            [flight.log.header, flight.log.windows, flight.log.summary]
         ),
         "labels": {entry[2] for entry in order if isinstance(entry[1], int)},
     }
@@ -540,7 +541,10 @@ class TestPipeline:
         source = pipeline_run(TraceFeeder, monkeypatch)
         assert source == oracle
         # Every kind of scheduled work took part, and records met it.
-        assert len(oracle["labels"]) >= 6, oracle["labels"]
+        assert oracle["labels"] == {
+            "anti-entropy", "churn", "elastic-check", "sub-range-determination",
+            "warmup-reset",
+        }
         record_times = {entry[0] for entry in oracle["order"] if entry[1] in ("request", "update")}
         event_times = {entry[0] for entry in oracle["order"] if isinstance(entry[1], int)}
         assert len(record_times & event_times) >= 10
