@@ -27,7 +27,7 @@ Quickstart::
 See ``examples/`` for complete scenarios and DESIGN.md for the system map.
 """
 
-from repro.audit.antientropy import AntiEntropyConfig, AntiEntropyProcess
+from repro.audit.antientropy import AntiEntropyProcess
 from repro.audit.invariants import AuditReport, InvariantAuditor, ViolationKind
 from repro.baselines.leases import CooperativeLeaseCloud, LeaseConfig
 from repro.baselines.ttl import TTLCloud, TTLConfig
@@ -68,7 +68,6 @@ from repro.workload.trace import RequestRecord, Trace, UpdateRecord
 __version__ = "1.0.0"
 
 __all__ = [
-    "AntiEntropyConfig",
     "AntiEntropyProcess",
     "AssignmentScheme",
     "AuditReport",

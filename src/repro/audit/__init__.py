@@ -16,7 +16,6 @@ Two halves, one goal — *provable* convergence under faults:
 """
 
 from repro.audit.antientropy import (
-    AntiEntropyConfig,
     AntiEntropyProcess,
     AntiEntropyStats,
 )
@@ -34,7 +33,6 @@ from repro.audit.invariants import (
 )
 
 __all__ = [
-    "AntiEntropyConfig",
     "AntiEntropyProcess",
     "AntiEntropyStats",
     "AuditReport",

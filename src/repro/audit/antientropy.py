@@ -30,9 +30,8 @@ cycle.
 
 Determinism: the process draws **no** random numbers. Iteration order is
 sorted ids plus per-beacon cursors, so two runs with equal inputs perform
-identical repairs, a disabled process is a strict no-op, and an
-attached-but-idle process leaves a fault-free run value-identical to one
-without it.
+identical repairs, and an attached-but-idle process leaves a fault-free
+run value-identical to one without it.
 """
 
 from __future__ import annotations
@@ -51,46 +50,19 @@ from repro.simulation.process import PeriodicProcess
 DIGEST_ENTRY_BYTES = 16
 
 
-@dataclass(frozen=True)
-class AntiEntropyConfig:
-    """Picklable knobs of the anti-entropy process.
+#: Directory sample size per beacon point per cycle.
+MAX_DOCS_PER_BEACON = 32
 
-    Parameters
-    ----------
-    enabled:
-        ``False`` makes the attached process a strict no-op (no messages,
-        no repairs, no RNG) — the control arm of repair experiments.
-    period_minutes:
-        Sweep period; ``None`` reuses the cloud's cycle length.
-    max_docs_per_beacon:
-        Directory sample size per beacon point per cycle.
-    max_docs_per_cache:
-        Orphan-sweep sample size per cache per cycle.
-    max_repair_bytes_per_cycle:
-        Cloud-wide budget for proactive refresh bodies per cycle; once
-        spent, remaining stale holders are invalidated instead (cheap,
-        but costs a future miss).
-    repair_on_recovery:
-        Run one extra (budgeted) sweep immediately after a cache recovery
-        lands, so rejoining nodes reconverge without waiting a period.
-    """
+#: Orphan-sweep sample size per cache per cycle.
+MAX_DOCS_PER_CACHE = 32
 
-    enabled: bool = True
-    period_minutes: Optional[float] = None
-    max_docs_per_beacon: int = 32
-    max_docs_per_cache: int = 32
-    max_repair_bytes_per_cycle: int = 256 * 1024
-    repair_on_recovery: bool = True
+#: Cloud-wide budget for proactive refresh bodies per cycle; once spent,
+#: remaining stale holders are invalidated instead (cheap, but costs a
+#: future miss).
+MAX_REPAIR_BYTES_PER_CYCLE = 256 * 1024
 
-    def __post_init__(self) -> None:
-        if self.period_minutes is not None and self.period_minutes <= 0:
-            raise ValueError("period_minutes must be > 0")
-        if self.max_docs_per_beacon < 1:
-            raise ValueError("max_docs_per_beacon must be >= 1")
-        if self.max_docs_per_cache < 1:
-            raise ValueError("max_docs_per_cache must be >= 1")
-        if self.max_repair_bytes_per_cycle < 0:
-            raise ValueError("max_repair_bytes_per_cycle must be >= 0")
+#: Exhaustive sweeps :meth:`AntiEntropyProcess.quiesce` runs at most.
+QUIESCE_CYCLES = 8
 
 
 @dataclass
@@ -147,9 +119,8 @@ class AntiEntropyProcess:
     which wires the process into the cloud and (optionally) a simulator.
     """
 
-    def __init__(self, cloud, config: Optional[AntiEntropyConfig] = None) -> None:
+    def __init__(self, cloud) -> None:
         self.cloud = cloud
-        self.config = config if config is not None else AntiEntropyConfig()
         self.stats = AntiEntropyStats()
         #: Rotating sample cursors, keyed by beacon / cache id.
         self._dir_cursor: Dict[int, int] = {}
@@ -160,15 +131,12 @@ class AntiEntropyProcess:
     # Scheduling
     # ------------------------------------------------------------------
     def start(self, simulator: Simulator) -> None:
-        """Arm the periodic sweep on ``simulator`` (no-op when disabled)."""
-        if not self.config.enabled or self._process is not None:
+        """Arm the periodic sweep on ``simulator``, one per cloud cycle."""
+        if self._process is not None:
             return
-        period = self.config.period_minutes
-        if period is None:
-            period = self.cloud.config.cycle_length
         self._process = PeriodicProcess(
             simulator,
-            period,
+            self.cloud.config.cycle_length,
             lambda now: self.run_cycle(now),
             priority=EventPriority.CONTROL,
             label="anti-entropy",
@@ -182,7 +150,8 @@ class AntiEntropyProcess:
             self._process = None
 
     def on_churn_event(self, cloud, event, applied: bool, now: float) -> None:
-        """Churn / scale hook: sweep right after a node joins its ring.
+        """Churn / scale hook: sweep right after a node joins its ring, so a
+        rejoining node reconverges without waiting a period.
 
         A warm join (``instantiate``) is the same join as a crash recovery,
         so it gets the same repair-on-recovery sweep. A *scripted*
@@ -190,8 +159,6 @@ class AntiEntropyProcess:
         that executed it: hooked to both, the process sweeps twice, the
         second sweep continuing the sample rotation where the first stopped.
         """
-        if not (self.config.enabled and self.config.repair_on_recovery):
-            return
         if applied and event.action in (RECOVER, INSTANTIATE):
             self.run_cycle(now)
 
@@ -205,12 +172,10 @@ class AntiEntropyProcess:
         drive the cloud to convergence after a run (see :meth:`quiesce`).
         """
         cloud = self.cloud
-        if not self.config.enabled or not cloud.config.cooperation:
+        if not cloud.config.cooperation:
             return 0
         self.stats.cycles += 1
-        budget = [
-            float("inf") if exhaustive else float(self.config.max_repair_bytes_per_cycle)
-        ]
+        budget = [float("inf") if exhaustive else float(MAX_REPAIR_BYTES_PER_CYCLE)]
         repaired = 0
         for beacon_id in sorted(cloud.beacons):
             if cloud.caches[beacon_id].alive:
@@ -220,17 +185,17 @@ class AntiEntropyProcess:
                 repaired += self._orphan_sweep(cache, now, exhaustive)
         return repaired
 
-    def quiesce(self, now: float, max_cycles: int = 8) -> int:
+    def quiesce(self, now: float) -> int:
         """Run exhaustive sweeps until one makes no repair; returns total.
 
         Repairs can chain (an orphan registered in one sweep may prove
         stale in the next), so convergence takes a few passes. Callers
         should detach any fault injector first — under message loss a
         sweep's repairs are best-effort and the loop may need all
-        ``max_cycles`` passes.
+        :data:`QUIESCE_CYCLES` passes.
         """
         total = 0
-        for _ in range(max_cycles):
+        for _ in range(QUIESCE_CYCLES):
             repaired = self.run_cycle(now, exhaustive=True)
             total += repaired
             if repaired == 0:
@@ -249,7 +214,7 @@ class AntiEntropyProcess:
         if not docs:
             return 0
         sample = self._rotate(docs, self._dir_cursor, beacon_id,
-                              self.config.max_docs_per_beacon, exhaustive)
+                              MAX_DOCS_PER_BEACON, exhaustive)
         # One digest exchange with the origin covers the whole sample: the
         # beacon cannot trust its own version knowledge (the lost
         # server-to-beacon push is exactly the failure being repaired).
@@ -360,7 +325,7 @@ class AntiEntropyProcess:
         if not docs:
             return 0
         sample = self._rotate(docs, self._storage_cursor, cache.cache_id,
-                              self.config.max_docs_per_cache, exhaustive)
+                              MAX_DOCS_PER_CACHE, exhaustive)
         repaired = 0
         for doc_id in sample:
             beacon_id = cloud.beacon_for_doc(doc_id)
@@ -427,7 +392,4 @@ class AntiEntropyProcess:
         return forward_ok and reverse_ok
 
     def __repr__(self) -> str:
-        return (
-            f"AntiEntropyProcess(enabled={self.config.enabled}, "
-            f"stats={self.stats!r})"
-        )
+        return f"AntiEntropyProcess(stats={self.stats!r})"

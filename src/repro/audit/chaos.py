@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Mapping, Optional, Sequence
 
-from repro.audit.antientropy import AntiEntropyConfig
 from repro.audit.invariants import InvariantAuditor
 from repro.core.config import PlacementScheme
 from repro.experiments.parallel import ExperimentSpec, run_live
@@ -122,7 +121,7 @@ def run_chaos_scenario(scenario: ChaosScenario) -> ChaosOutcome:
                 scale.cycle_length,
                 scenario.churn_rate,
             ),
-            anti_entropy=AntiEntropyConfig() if scenario.anti_entropy else None,
+            anti_entropy=scenario.anti_entropy,
         )
     )
 

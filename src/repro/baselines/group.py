@@ -26,7 +26,6 @@ from repro.core.cloud import RequestOutcome, RequestResult
 from repro.core.hashing import StaticHashAssigner
 from repro.edgecache.cache import EdgeCache
 from repro.edgecache.document import CachedDocument
-from repro.edgecache.replacement import make_policy
 from repro.edgecache.stats import CacheStats
 from repro.network.bandwidth import TrafficCategory
 from repro.network.origin import OriginServer
@@ -36,11 +35,11 @@ from repro.workload.documents import Corpus
 
 @dataclass
 class GroupConfig:
-    """What every baseline group configures: its size and per-cache disk."""
+    """What every baseline group configures: its size and per-cache disk
+    (a bounded disk evicts least recently used first)."""
 
     num_caches: int = 10
     capacity_bytes: Optional[int] = None
-    replacement_policy: str = "lru"
 
     def __post_init__(self) -> None:
         if self.num_caches <= 0:
@@ -69,11 +68,7 @@ class CacheGroup:
         self.origin = origin if origin is not None else OriginServer(corpus)
         self.transport = transport if transport is not None else Transport()
         self.caches = [
-            EdgeCache(
-                cache_id=cache_id,
-                capacity_bytes=config.capacity_bytes,
-                policy=make_policy(config.replacement_policy),
-            )
+            EdgeCache(cache_id=cache_id, capacity_bytes=config.capacity_bytes)
             for cache_id in range(config.num_caches)
         ]
         self._assigner = StaticHashAssigner(list(range(config.num_caches)))

@@ -42,7 +42,6 @@ class TTLConfig(GroupConfig):
     """
 
     ttl_minutes: float = 15.0
-    cooperative: bool = True  # peers may serve misses (possibly stale)
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -104,9 +103,7 @@ class TTLCloud(CacheGroup):
     def _locate(
         self, cache_id: int, doc_id: int, now: float
     ) -> Tuple[float, Optional[int]]:
-        peer = (
-            self._find_peer(doc_id, cache_id, now) if self.config.cooperative else None
-        )
+        peer = self._find_peer(doc_id, cache_id, now)
         if peer is None:
             return 0.0, None
         return self.transport.send_control(cache_id, self.home_of(doc_id)), peer

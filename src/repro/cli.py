@@ -23,6 +23,7 @@ per-experiment flags are generated from the registry entries.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import random
 import sys
@@ -453,9 +454,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        for flag in ("top", "tolerance"):  # a count and a drift bound
-            if getattr(args, flag, 0) < 0:
-                raise _Usage(f"--{flag} must be >= 0, got {getattr(args, flag)}")
+        if getattr(args, "top", 0) < 0:
+            raise _Usage(f"--top must be >= 0, got {args.top}")
+        tolerance = getattr(args, "tolerance", 0.0)
+        if not (tolerance >= 0 and math.isfinite(tolerance)):  # NaN fails both
+            raise _Usage(f"--tolerance must be >= 0 and finite, got {tolerance}")
         return _HANDLERS[args.command](args)
     except _Usage as exc:  # one line, exit 2, before anything runs
         parser.exit(2, f"{parser.prog}: error: {exc}\n")

@@ -15,8 +15,8 @@ toward the component that addresses the dominant cost:
   requests keep leaving the local cache → raise the AFC and DAI weights,
   making the scheme more eager to replicate.
 
-Weight mass moves in small steps (``step`` per period, clamped to a floor
-so no enabled component is starved) and is renormalized, so the controller
+Weight mass moves in small steps (:data:`STEP` per period, clamped to
+:data:`FLOOR` so no enabled component is starved) and is renormalized, so the controller
 is a slow integrator rather than a bang-bang switch.
 """
 
@@ -40,6 +40,16 @@ _MISS_CATEGORIES = (
     TrafficCategory.PEER_TRANSFER,
 )
 
+#: Weight mass moved per adaptation period.
+STEP = 0.05
+
+#: Minimum weight retained by any component that started non-zero.
+FLOOR = 0.05
+
+#: The update-traffic share considered balanced; above it weight flows to
+#: CMC, below it to AFC/DAI.
+TARGET_UPDATE_SHARE = 0.5
+
 
 @dataclass
 class AdaptationRecord:
@@ -59,34 +69,11 @@ class FeedbackWeightAdapter:
         The live placement policy whose computer is steered.
     meter:
         The cloud's traffic meter (byte deltas are read per period).
-    step:
-        Weight mass moved per adaptation period.
-    floor:
-        Minimum weight retained by any component that started non-zero.
-    target_update_share:
-        The update-traffic share considered balanced; above it weight flows
-        to CMC, below it to AFC/DAI.
     """
 
-    def __init__(
-        self,
-        placement: UtilityPlacement,
-        meter: TrafficMeter,
-        step: float = 0.05,
-        floor: float = 0.05,
-        target_update_share: float = 0.5,
-    ) -> None:
-        if not 0 < step < 1:
-            raise ValueError(f"step must be in (0, 1), got {step}")
-        if not 0 <= floor < 0.5:
-            raise ValueError(f"floor must be in [0, 0.5), got {floor}")
-        if not 0 < target_update_share < 1:
-            raise ValueError("target_update_share must be in (0, 1)")
+    def __init__(self, placement: UtilityPlacement, meter: TrafficMeter) -> None:
         self.placement = placement
         self.meter = meter
-        self.step = step
-        self.floor = floor
-        self.target_update_share = target_update_share
         self._last_bytes: Dict[TrafficCategory, int] = {
             c: meter.bytes_for(c) for c in TrafficCategory
         }
@@ -130,7 +117,7 @@ class FeedbackWeightAdapter:
         current = self.placement.computer.weights
         weights = current.as_dict()
         enabled = {name for name, value in weights.items() if value > 0.0}
-        if share > self.target_update_share:
+        if share > TARGET_UPDATE_SHARE:
             gainers, donors = {"cmc"}, {"afc", "dai"}
         else:
             gainers, donors = {"afc", "dai"}, {"cmc"}
@@ -142,8 +129,8 @@ class FeedbackWeightAdapter:
         # Move `step` mass from donors to gainers, respecting the floor.
         movable = 0.0
         for name in donors:
-            available = max(0.0, weights[name] - self.floor)
-            take = min(available, self.step / len(donors))
+            available = max(0.0, weights[name] - FLOOR)
+            take = min(available, STEP / len(donors))
             weights[name] -= take
             movable += take
         for name in gainers:

@@ -71,7 +71,7 @@ from repro.strategies.paper import strategy_for
 from repro.workload.documents import Corpus
 
 if TYPE_CHECKING:
-    from repro.audit.antientropy import AntiEntropyConfig, AntiEntropyProcess
+    from repro.audit.antientropy import AntiEntropyProcess
     from repro.core.elastic import ElasticConfig, ElasticController
     from repro.observe.flight import FlightRecorder
     from repro.observe.profile import WorkProfile
@@ -438,9 +438,7 @@ class CacheCloud:
         return controller
 
     def attach_anti_entropy(
-        self,
-        config: Optional["AntiEntropyConfig"] = None,
-        simulator: Optional[Simulator] = None,
+        self, simulator: Optional[Simulator] = None
     ) -> "AntiEntropyProcess":
         """Attach (and optionally schedule) the anti-entropy repair process.
 
@@ -452,7 +450,7 @@ class CacheCloud:
 
         if self.anti_entropy is not None:
             return self.anti_entropy
-        process = AntiEntropyProcess(self, config)
+        process = AntiEntropyProcess(self)
         self.anti_entropy = process
         if simulator is not None:
             process.start(simulator)
@@ -798,7 +796,7 @@ class CacheCloud:
             summary.update(self.faults.stats.as_dict())
         if self.overload is not None and self.overload.engaged:
             summary.update(self.overload.stats.as_dict())
-        if self.anti_entropy is not None and self.anti_entropy.config.enabled:
+        if self.anti_entropy is not None:
             summary.update(self.anti_entropy.stats.as_dict())
         if self.elastic is not None:
             summary.update(self.elastic.stats.as_dict())

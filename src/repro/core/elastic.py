@@ -8,9 +8,10 @@ dynamic cache instantiation work (PAPERS.md) argues the right response to
 time-varying volume is to *change capacity*; this module adds that control
 loop on top of the overload signals from :mod:`repro.core.overload`:
 
-* :class:`ElasticConfig` — watermarks over the windowed overload signals
-  (mean queue depth, rejection rate) with hysteresis and a cooldown, plus
-  cloud-size bounds and the drain byte budget.
+* :class:`ElasticConfig` — cloud-size bounds, the signal window, the
+  check period and a cooldown; the watermarks over the windowed overload
+  signals (mean queue depth, rejection rate) and the drain byte budget are
+  module constants.
 * :class:`ElasticController` — the policy object attached via
   :meth:`~repro.core.cloud.CacheCloud.attach_elastic`. Once per check
   period it evaluates the sliding-window signals and drives deterministic
@@ -69,6 +70,25 @@ _Snapshot = Tuple[int, int, int, int]
 #: Hook signature shared with :class:`~repro.faults.churn.ChurnSchedule`.
 ScaleHook = Callable[["CacheCloud", ChurnEvent, bool, float], None]
 
+# Watermarks over the windowed mean queue depth (the icarus
+# ``AVERAGE_QUEUE_SIZE`` signal), plus a secondary OR-trigger: a windowed
+# client rejection rate at or above SCALE_OUT_REJECTION also scales out,
+# and any rejection in the window vetoes scale-in. Scale-in additionally
+# requires the scale-out condition to be *false*, so the watermarks cannot
+# flap membership on a steady signal. Scale out early and fast (depth 1.0
+# on a 10-deep queue): a warm join into an already-saturated cloud
+# triggers a miss storm against full queues, and the retry ladder turns
+# that into multi-minute tails. Joining while there is still headroom — so
+# the ramp completes on the diurnal rise, before the flash — keeps joins
+# cheap.
+SCALE_OUT_DEPTH = 1.0
+SCALE_IN_DEPTH = 0.5
+SCALE_OUT_REJECTION = 0.01
+
+#: Document-body bytes a single drain may ship. Copies beyond the budget are
+#: explicitly invalidated (notice charged), never lost.
+DRAIN_BYTE_BUDGET = 8 * 1024 * 1024
+
 
 @dataclass(frozen=True)
 class ElasticConfig:
@@ -86,15 +106,6 @@ class ElasticConfig:
         first, before any traffic). ``None`` keeps the configured size —
         the static over-provisioned arm is exactly a controller whose
         ``min == max == num_caches``.
-    scale_out_depth / scale_in_depth:
-        Watermarks over the windowed mean queue depth (the icarus
-        ``AVERAGE_QUEUE_SIZE`` signal). Scale-in additionally requires the
-        scale-out condition to be *false*, so equal watermarks cannot flap
-        membership on a steady signal (mirrors the overload model's
-        equal-shed-watermark contract).
-    scale_out_rejection:
-        Secondary OR-trigger: a windowed client rejection rate at or above
-        this also scales out. Any rejection in the window vetoes scale-in.
     window_minutes:
         Length of the sliding signal window.
     check_period_minutes:
@@ -103,21 +114,14 @@ class ElasticConfig:
     cooldown_minutes:
         Minimum simulated time between consecutive membership changes;
         ``0`` re-evaluates every check.
-    drain_byte_budget:
-        Document-body bytes a single drain may ship. Copies beyond the
-        budget are explicitly invalidated (notice charged), never lost.
     """
 
     min_caches: int = 1
     max_caches: Optional[int] = None
     initial_caches: Optional[int] = None
-    scale_out_depth: float = 4.0
-    scale_in_depth: float = 1.0
-    scale_out_rejection: float = 0.05
     window_minutes: float = 5.0
     check_period_minutes: float = 1.0
     cooldown_minutes: float = 3.0
-    drain_byte_budget: int = 8 * 1024 * 1024
 
     def __post_init__(self) -> None:
         if self.min_caches < 1:
@@ -136,23 +140,12 @@ class ElasticConfig:
                     f"initial_caches {self.initial_caches} outside "
                     f"[{lo}, {hi if hi is not None else 'num_caches'}]"
                 )
-        if self.scale_out_depth < 0 or self.scale_in_depth < 0:
-            raise ValueError("depth watermarks must be >= 0")
-        if self.scale_in_depth > self.scale_out_depth:
-            raise ValueError(
-                "scale_in_depth must be <= scale_out_depth, got "
-                f"{self.scale_in_depth} > {self.scale_out_depth}"
-            )
-        if not 0.0 <= self.scale_out_rejection <= 1.0:
-            raise ValueError("scale_out_rejection must be in [0, 1]")
         if self.window_minutes <= 0:
             raise ValueError("window_minutes must be > 0")
         if self.check_period_minutes <= 0:
             raise ValueError("check_period_minutes must be > 0")
         if self.cooldown_minutes < 0:
             raise ValueError("cooldown_minutes must be >= 0")
-        if self.drain_byte_budget < 0:
-            raise ValueError("drain_byte_budget must be >= 0")
 
 
 @dataclass
@@ -315,9 +308,7 @@ class ElasticController:
 
     def _decide(self, depth: float, rejection: float, now: float) -> None:
         cfg = self.config
-        want_out = (
-            depth >= cfg.scale_out_depth or rejection >= cfg.scale_out_rejection
-        )
+        want_out = depth >= SCALE_OUT_DEPTH or rejection >= SCALE_OUT_REJECTION
         if (
             self._last_change is not None
             and now - self._last_change < cfg.cooldown_minutes
@@ -335,7 +326,7 @@ class ElasticController:
         # watermark AND no rejections AND the scale-out condition false
         # (implied). On a steady boundary signal the out-condition wins,
         # so equal watermarks converge instead of flapping.
-        if depth <= cfg.scale_in_depth and rejection == 0.0:
+        if depth <= SCALE_IN_DEPTH and rejection == 0.0:
             if self.active_count() <= self.min_caches:
                 self.stats.blocked_bounds += 1
                 return
@@ -415,7 +406,7 @@ class ElasticController:
         cloud = self.cloud
         cache = cloud.caches[cache_id]
         absorber = self._manager.buddy_of(cache_id)
-        budget = self.config.drain_byte_budget
+        budget = DRAIN_BYTE_BUDGET
         for doc_id in sorted(cache.storage):
             copy = cache.storage.get(doc_id)
             assert copy is not None
@@ -494,8 +485,8 @@ class ElasticController:
 
         Runs before any traffic, so drains are trivially empty; the events
         are sizing, not watermark decisions, and are not counted as scale
-        events (the monitor's ``scale_*_events`` series measures the
-        control loop, not the starting line).
+        events (``ElasticStats.scale_out_events`` / ``scale_in_events``
+        measure the control loop, not the starting line).
         """
         while self.active_count() > target:
             victim = self._choose_victim()

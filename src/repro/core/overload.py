@@ -8,9 +8,8 @@ the missing service dimension behind the
 :class:`~repro.core.fabric.MessageFabric` seam:
 
 * :class:`OverloadConfig` — the icarus-shaped scenario knobs: a bounded
-  per-node queue (``queue_capacity``), per-message-category service costs
-  (``service_ms`` / ``category_service_ms`` / ``service_ms_per_kb``), and
-  the shed watermarks.
+  per-node queue (``queue_capacity``), per-message service costs
+  (``service_ms`` / ``service_ms_per_kb``), and the shed watermarks.
 * :class:`NodeQueue` — one node's FIFO service queue: a deterministic
   single-server model whose backlog drains at simulated time, so queueing
   delay accrues into :class:`~repro.core.fabric.Delivery` latency and a
@@ -54,10 +53,8 @@ from dataclasses import dataclass
 from typing import Deque, Dict, Optional, Set, Tuple
 
 from repro.faults.plan import RetryPolicy
-from repro.network.bandwidth import TrafficCategory
 
 __all__ = [
-    "CLIENT_REQUEST",
     "NodeQueue",
     "OverloadConfig",
     "OverloadController",
@@ -67,11 +64,6 @@ __all__ = [
 
 #: Simulated minutes per millisecond (service costs are configured in ms).
 _MS_TO_MINUTES = 1.0 / 60_000.0
-
-#: Pseudo-category under which client requests are admitted at their
-#: ingress cache. Not a :class:`TrafficCategory` — a client arrival is not
-#: a wire message — but it shares the service-cost override table.
-CLIENT_REQUEST = "client_request"
 
 
 @dataclass(frozen=True)
@@ -85,14 +77,10 @@ class OverloadConfig:
         messages pending is rejected; ``0`` rejects everything (a node
         with no queue at all).
     service_ms:
-        Default service time per message, milliseconds of simulated time.
+        Service time per message (and per client request), milliseconds of
+        simulated time.
     service_ms_per_kb:
         Size-proportional service component per KiB of message body.
-    category_service_ms:
-        ``(category_value, service_ms)`` overrides keyed by
-        :attr:`TrafficCategory.value` or :data:`CLIENT_REQUEST`; an
-        override replaces the flat ``service_ms`` term (the per-KiB term
-        still applies).
     shed_highwater / shed_lowwater:
         Queue-depth watermarks with hysteresis: a node starts shedding
         cooperative work when its depth reaches ``shed_highwater`` and
@@ -109,7 +97,6 @@ class OverloadConfig:
     queue_capacity: int = 10
     service_ms: float = 0.0
     service_ms_per_kb: float = 0.0
-    category_service_ms: Tuple[Tuple[str, float], ...] = ()
     shed_highwater: int = 8
     shed_lowwater: int = 4
     retry: Optional[RetryPolicy] = None
@@ -123,15 +110,6 @@ class OverloadConfig:
             raise ValueError("service_ms must be >= 0")
         if self.service_ms_per_kb < 0:
             raise ValueError("service_ms_per_kb must be >= 0")
-        known = {category.value for category in TrafficCategory}
-        known.add(CLIENT_REQUEST)
-        for category, cost in self.category_service_ms:
-            if category not in known:
-                raise ValueError(f"unknown service category {category!r}")
-            if cost < 0:
-                raise ValueError(
-                    f"service cost for {category!r} must be >= 0, got {cost}"
-                )
         if self.shed_lowwater < 0:
             raise ValueError("shed_lowwater must be >= 0")
         if self.shed_highwater < self.shed_lowwater:
@@ -140,13 +118,9 @@ class OverloadConfig:
                 f"{self.shed_highwater} < {self.shed_lowwater}"
             )
 
-    def service_minutes(self, category: str, num_bytes: int) -> float:
+    def service_minutes(self, num_bytes: int) -> float:
         """Service time for one message, in simulated minutes."""
         cost_ms = self.service_ms
-        for name, override in self.category_service_ms:
-            if name == category:
-                cost_ms = override
-                break
         if self.service_ms_per_kb:
             cost_ms += self.service_ms_per_kb * (num_bytes / 1024.0)
         return cost_ms * _MS_TO_MINUTES
@@ -318,9 +292,7 @@ class OverloadController:
         self._queues: Dict[int, NodeQueue] = {}
         self._shedding: Set[int] = set()
         self._exempt: Set[int] = set()
-        # ``config.service_minutes``, resolved once (first override wins).
-        self._flat_ms: Dict[str, float] = dict(reversed(config.category_service_ms))
-        self._request_minutes = config.service_minutes(CLIENT_REQUEST, 0)
+        self._request_minutes = config.service_minutes(0)
 
     # ------------------------------------------------------------------
     # Clock and topology
@@ -391,7 +363,7 @@ class OverloadController:
         if dst in self._exempt:
             return 0.0, 0
         config = self.config
-        cost_ms = self._flat_ms.get(category, config.service_ms)
+        cost_ms = config.service_ms
         if config.service_ms_per_kb:
             cost_ms += config.service_ms_per_kb * (num_bytes / 1024.0)
         # ``NodeQueue.arrive``, in place: this runs once per wire attempt.

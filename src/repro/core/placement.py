@@ -115,16 +115,11 @@ class ExpirationAgePlacement(PlacementPolicy):
 
     With Poisson accesses (rate ``a``) and updates (rate ``u``), the copy's
     expected lifetime is ``1/u`` and its expected time to next local hit is
-    ``1/a``; the copy earns its keep iff ``1/u > beta/a``, i.e.
-    ``a > beta * u``. Never-updated documents are always stored.
+    ``1/a``; the copy earns its keep iff ``1/u > 1/a``, i.e. ``a > u``.
+    Never-updated documents are always stored.
     """
 
     name = "expiration_age"
-
-    def __init__(self, beta: float = 1.0) -> None:
-        if beta <= 0:
-            raise ValueError(f"beta must be > 0, got {beta}")
-        self.beta = beta
 
     def decide(
         self, at_beacon: bool, copies: int, access_rate: float, mean_rate: float,
@@ -132,7 +127,7 @@ class ExpirationAgePlacement(PlacementPolicy):
     ) -> bool:
         if update_rate <= 0.0:
             return True
-        return access_rate > self.beta * update_rate
+        return access_rate > update_rate
 
 
 def make_placement(config: CloudConfig) -> PlacementPolicy:

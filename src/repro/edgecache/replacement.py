@@ -196,15 +196,13 @@ class GDSFPolicy(ReplacementPolicy):
     """GreedyDual-Size-Frequency.
 
     Priority ``H(d) = L + frequency(d) * cost(d) / size(d)`` where ``L`` is
-    the inflation clock (the priority of the last evicted document). With
-    uniform cost this favors small, popular documents — appropriate when the
-    retrieval cost is dominated by per-request overhead.
+    the inflation clock (the priority of the last evicted document). The
+    cost is uniform (1 per document), which favors small, popular documents
+    — appropriate when the retrieval cost is dominated by per-request
+    overhead.
     """
 
-    def __init__(self, cost_per_doc: float = 1.0) -> None:
-        if cost_per_doc <= 0:
-            raise ValueError("cost_per_doc must be > 0")
-        self._cost = cost_per_doc
+    def __init__(self) -> None:
         self._inflation = 0.0
         self._priority: Dict[int, float] = {}
         self._freq: Dict[int, int] = {}
@@ -212,7 +210,7 @@ class GDSFPolicy(ReplacementPolicy):
         self._heap: List[Tuple[float, int]] = []
 
     def _score(self, doc_id: int) -> float:
-        return self._inflation + self._freq[doc_id] * self._cost / self._size[doc_id]
+        return self._inflation + self._freq[doc_id] / self._size[doc_id]
 
     def _push(self, doc_id: int) -> None:
         heapq.heappush(self._heap, (self._priority[doc_id], doc_id))

@@ -165,15 +165,6 @@ def _arm_elastic_config(arm: str, scale: Scale) -> ElasticConfig:
         min_caches=bounds[0],
         max_caches=bounds[1],
         initial_caches=bounds[2],
-        # Scale out early and fast (depth 1.0 on a 10-deep queue, one-check
-        # cooldown): a warm join into an already-saturated cloud triggers a
-        # miss storm against full queues, and the retry ladder turns that
-        # into multi-minute tails. Joining while there is still headroom —
-        # so the ramp completes on the diurnal rise, before the flash —
-        # keeps joins cheap.
-        scale_out_depth=1.0,
-        scale_in_depth=0.5,
-        scale_out_rejection=0.01,
         window_minutes=4.0 * check,
         check_period_minutes=check,
         cooldown_minutes=check,

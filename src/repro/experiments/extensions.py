@@ -65,22 +65,23 @@ def _sydney(scale: Scale) -> Tuple[Corpus, Trace]:
     ).materialize()
 
 
-def consistency_mode_comparison(
-    scale: Scale = SMALL_SCALE,
-    ttl_minutes: float = 15.0,
-    lease_minutes: float = 30.0,
-) -> SweepTable:
+#: The TTL baseline's uniform time-to-live, and the leases' duration.
+TTL_MINUTES = 15.0
+LEASE_MINUTES = 30.0
+
+
+def consistency_mode_comparison(scale: Scale = SMALL_SCALE) -> SweepTable:
     """Push vs TTL vs cooperative leases on the same Sydney-like trace."""
     corpus, trace = _sydney(scale)
     cloud = CacheCloud(paper_cloud(scale), corpus)
     drive(cloud, trace, cloud.run_cycle, scale.cycle_length)
     ttl = TTLCloud(
-        TTLConfig(num_caches=scale.num_caches, ttl_minutes=ttl_minutes), corpus
+        TTLConfig(num_caches=scale.num_caches, ttl_minutes=TTL_MINUTES), corpus
     )
     drive(ttl, trace)
     leases = CooperativeLeaseCloud(
         LeaseConfig(
-            num_caches=scale.num_caches, lease_duration_minutes=lease_minutes
+            num_caches=scale.num_caches, lease_duration_minutes=LEASE_MINUTES
         ),
         corpus,
     )
@@ -88,8 +89,8 @@ def consistency_mode_comparison(
     arms = (
         # Push keeps registered copies fresh by construction.
         ("push (cache cloud)", cloud, 0.0),
-        (f"TTL ({ttl_minutes:g} min)", ttl, 100.0 * ttl.staleness_rate),
-        (f"leases ({lease_minutes:g} min)", leases, 100.0 * leases.staleness_rate),
+        (f"TTL ({TTL_MINUTES:g} min)", ttl, 100.0 * ttl.staleness_rate),
+        (f"leases ({LEASE_MINUTES:g} min)", leases, 100.0 * leases.staleness_rate),
     )
     return SweepTable(
         header=(
@@ -259,27 +260,16 @@ class AdaptiveWeightsResult:
         return "\n".join(lines)
 
 
-def adaptive_weights_comparison(
-    scale: Scale = SMALL_SCALE,
-    quiet_update_rate: Optional[float] = None,
-    burst_update_rate: Optional[float] = None,
-) -> AdaptiveWeightsResult:
+def adaptive_weights_comparison(scale: Scale = SMALL_SCALE) -> AdaptiveWeightsResult:
     """Fixed vs adaptive weights on a workload whose update rate jumps.
 
-    The trace's first half is read-mostly; at half-time the update rate
-    multiplies (a breaking-news regime). Fixed weights keep replicating as
-    before; the adapter shifts weight toward CMC and cuts fan-out traffic.
+    The trace's first half is read-mostly (a fifth of the scale's observed
+    update rate); at half-time the rate jumps to eight times it (a
+    breaking-news regime). Fixed weights keep replicating as before; the
+    adapter shifts weight toward CMC and cuts fan-out traffic.
     """
-    quiet = (
-        scale.observed_update_rate * 0.2
-        if quiet_update_rate is None
-        else quiet_update_rate
-    )
-    burst = (
-        scale.observed_update_rate * 8.0
-        if burst_update_rate is None
-        else burst_update_rate
-    )
+    quiet = scale.observed_update_rate * 0.2
+    burst = scale.observed_update_rate * 8.0
     corpus = sydney_workload(scale).build_corpus()
     half = scale.duration_minutes / 2.0
 
@@ -507,27 +497,28 @@ def _imbalance(loads: List[float], capabilities: List[float]) -> float:
     return sum(abs(v - mean) for v in per_capability) / (len(per_capability) * mean)
 
 
+#: Machine capability per cache of the heterogeneous cloud: half of it
+#: runs on 3x machines.
+CAPABILITIES = (3.0,) * 5 + (1.0,) * 5
+
+
 def capability_proportionality(
-    scale: Scale = SMALL_SCALE,
-    capabilities: Optional[List[float]] = None,
-    jobs: Optional[int] = None,
+    scale: Scale = SMALL_SCALE, jobs: Optional[int] = None
 ) -> SweepTable:
     """Heterogeneous cloud: does load track capability?
 
     §2.3 weighs each beacon point's fair share by its capability; static
-    hashing is capability-blind. Half the cloud runs on 3x machines by
-    default. One row per cache; the capability-normalized imbalance of each
-    scheme rides along as ``extras["static_imbalance"]`` /
+    hashing is capability-blind. Half the cloud runs on 3x machines
+    (:data:`CAPABILITIES`). One row per cache; the capability-normalized
+    imbalance of each scheme rides along as ``extras["static_imbalance"]`` /
     ``extras["dynamic_imbalance"]``.
     """
-    capabilities = capabilities if capabilities is not None else [3.0] * 5 + [1.0] * 5
-    if len(capabilities) != 10:
-        raise ValueError("capability experiment expects 10 caches")
+    capabilities = list(CAPABILITIES)
     workload = zipf_workload(scale)
     specs = [
         warmed_spec(
             scheme,
-            loadbalance_cloud(scale, scheme, capabilities=list(capabilities)),
+            loadbalance_cloud(scale, scheme, capabilities=capabilities),
             workload,
             scale.duration_minutes,
         )

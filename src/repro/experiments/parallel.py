@@ -62,14 +62,13 @@ from repro.faults.churn import ChurnSpec
 from repro.faults.plan import FaultPlan
 from repro.observe.flight import ArtifactError, FlightSpec
 from repro.simulation.engine import Simulator
-from repro.strategies.spec import StrategySpec, build_strategy
+from repro.strategies.spec import build_strategy
 from repro.workload.documents import Corpus, build_corpus, seed_corpus_rng
 from repro.workload.generator import SyntheticTraceGenerator, WorkloadConfig
 from repro.workload.sydney import SydneyConfig, SydneyTraceGenerator
 from repro.workload.trace import RequestStreamStats, Trace
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
-    from repro.audit.antientropy import AntiEntropyConfig
     from repro.observe.registry import Telemetry
 
 logger = logging.getLogger(__name__)
@@ -144,8 +143,8 @@ class ExperimentSpec:
     fault_plan: Optional[FaultPlan] = None
     #: Optional churn timeline recipe (requires failure_resilience=True).
     churn: Optional[ChurnSpec] = None
-    #: Optional anti-entropy repair configuration (frozen, picklable).
-    anti_entropy: Optional["AntiEntropyConfig"] = None
+    #: Attach the anti-entropy repair process.
+    anti_entropy: bool = False
     #: Run the invariant auditor at the end and fill ``result.audit``.
     audit: bool = False
     #: Optional per-node service model (bounded queues + overload
@@ -156,12 +155,12 @@ class ExperimentSpec:
     #: Optional elastic sizing policy (requires ``overload`` and
     #: ``failure_resilience=True``); frozen and picklable like the rest.
     elastic: Optional[ElasticConfig] = None
-    #: Optional caching-strategy recipe (:mod:`repro.strategies`); the
+    #: Optional caching-strategy scheme name (:mod:`repro.strategies`); the
     #: worker composes the cloud with
     #: :func:`~repro.strategies.spec.build_strategy`. Carried by the spec —
     #: never by :class:`CloudConfig` — so results embedding the config stay
     #: schema-identical (golden fingerprints untouched).
-    strategy: Optional[StrategySpec] = None
+    strategy: Optional[str] = None
     #: Optional flight-recorder recipe (:mod:`repro.observe.flight`); the
     #: worker builds the recorder and streams the windowed artifact to
     #: ``flight.path`` (or keeps it in memory, for a runner that reads

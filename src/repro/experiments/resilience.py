@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Tuple
 
-from repro.audit.antientropy import AntiEntropyConfig
 from repro.core.config import PlacementScheme
 from repro.experiments.figures import SMALL_SCALE
 from repro.experiments.parallel import ExperimentSpec, run_live
@@ -193,7 +192,7 @@ def anti_entropy_sweep(
             (loss_rate, churn_rate, repair),
             loss_rate,
             churn_rate,
-            anti_entropy=AntiEntropyConfig() if repair else None,
+            anti_entropy=repair,
             audit=True,
         )
         for loss_rate in loss_rates

@@ -137,7 +137,7 @@ def run_experiment(
     cloud: Optional[CacheCloud] = None,
     fault_plan: Optional[FaultPlan] = None,
     churn: Optional[ChurnSpec] = None,
-    anti_entropy=None,
+    anti_entropy: bool = False,
     audit: bool = False,
     telemetry: Optional["Telemetry"] = None,
     overload: Optional[OverloadConfig] = None,
@@ -178,9 +178,9 @@ def run_experiment(
         Optional churn timeline; events fire as simulation events through
         the cloud's failure manager (requires ``failure_resilience=True``).
     anti_entropy:
-        Optional :class:`~repro.audit.antientropy.AntiEntropyConfig`; when
-        given, the repair process is attached and (if enabled) scheduled,
-        and it sweeps after every applied churn recovery.
+        Attach and schedule the :class:`~repro.audit.antientropy.
+        AntiEntropyProcess`; it also sweeps after every applied churn
+        recovery and warm join.
     audit:
         Run the invariant auditor at the end of the run and store its flat
         summary in ``result.audit``. The audit is read-only and runs after
@@ -239,8 +239,8 @@ def run_experiment(
             )
         )
     ae_process = None
-    if anti_entropy is not None:
-        ae_process = cloud.attach_anti_entropy(anti_entropy, simulator)
+    if anti_entropy:
+        ae_process = cloud.attach_anti_entropy(simulator)
         if cloud.elastic is not None:
             # A warm join is a recovery: it gets the same repair sweep.
             cloud.elastic.add_hook(ae_process.on_churn_event)

@@ -341,10 +341,11 @@ class SweepTable:
     """Rows over a sweep grid, the points that failed, and archived extras.
 
     ``keys`` names the columns identifying a row (:meth:`row` matches them
-    positionally). ``extras`` is archived beside the table — monitor
-    series, per-arm records, scale labels — so :meth:`payload` is exactly
-    ``{columns, rows, failures}`` plus whatever the experiment put there;
-    ``header``/``title``/``precision``/``footer`` only shape :meth:`render`.
+    positionally). ``extras`` is archived beside the table — windowed
+    flight series, per-arm records, scale labels — so :meth:`payload` is
+    exactly ``{columns, rows, failures}`` plus whatever the experiment put
+    there; ``header``/``title``/``precision``/``footer`` only shape
+    :meth:`render`.
     """
 
     header: Tuple[str, str]

@@ -40,7 +40,7 @@ from repro.experiments.sweeps import (
 )
 from repro.observe.flight import FlightSpec
 from repro.simulation.rng import derive_seed
-from repro.strategies.spec import KNOWN_SCHEMES, StrategySpec
+from repro.strategies.spec import KNOWN_SCHEMES
 
 #: Schemes swept by default: the whole zoo, paper schemes first.
 DEFAULT_SCHEMES: Tuple[str, ...] = KNOWN_SCHEMES
@@ -144,7 +144,7 @@ def zoo_sweep(
     )
     # ``config.placement`` stays the utility default, but it is inert here:
     # :func:`~repro.strategies.spec.build_strategy` re-derives the placement
-    # from each arm's :class:`StrategySpec`, so the arm's strategy — not
+    # from each arm's scheme name, so the arm's strategy — not
     # that field — decides admission.
     config = paper_cloud(
         scale, capacity_bytes=disk_budget(workload, scale.disk_fraction)
@@ -166,7 +166,7 @@ def zoo_sweep(
             config,
             workload,
             scale.duration_minutes,
-            strategy=StrategySpec(scheme=scheme),
+            strategy=scheme,
             flight=_flight(scheme),
         )
         for scheme in schemes

@@ -8,9 +8,10 @@ regime rather than at steady state. This module provides:
 * :class:`ChurnEvent` — one scripted ``fail``/``recover`` at a time (plus
   the voluntary ``instantiate``/``retire`` scale actions executed through
   an attached :class:`~repro.core.elastic.ElasticController`).
-* :class:`ChurnSpec` — a small picklable recipe: scripted events plus an
-  optional Poisson process (failure rate, mean exponential downtime), all
-  derived from a seed so sweeps stay deterministic at any job count.
+* :class:`ChurnSpec` — a small picklable recipe: a Poisson process
+  (failure rate, mean exponential downtime) derived from a seed, so sweeps
+  stay deterministic at any job count. Scripted events go straight to a
+  :class:`ChurnSchedule`.
 * :class:`ChurnSchedule` — the executor. It can ``attach`` to a
   :class:`~repro.simulation.engine.Simulator` (events fire as simulation
   events, before same-instant traffic) or be stepped manually with
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence
 
 from repro.simulation.engine import Simulator
 from repro.simulation.events import EventPriority
@@ -67,11 +68,10 @@ class ChurnEvent:
 
 @dataclass(frozen=True)
 class ChurnSpec:
-    """Picklable recipe for a churn timeline.
+    """Picklable recipe for a random churn timeline.
 
-    ``events`` are scripted outages; the Poisson knobs add random churn on
-    top. ``failure_rate_per_minute`` is cloud-wide: each arrival picks a
-    victim uniformly and keeps it down for an exponential time with mean
+    ``failure_rate_per_minute`` is cloud-wide: each arrival picks a victim
+    uniformly and keeps it down for an exponential time with mean
     ``mean_downtime_minutes``.
     """
 
@@ -80,7 +80,6 @@ class ChurnSpec:
     mean_downtime_minutes: float = 10.0
     start_minutes: float = 0.0
     seed: int = 0
-    events: Tuple[ChurnEvent, ...] = ()
 
     def __post_init__(self) -> None:
         if self.duration_minutes <= 0:
@@ -93,8 +92,8 @@ class ChurnSpec:
             raise ValueError("start_minutes must lie in [0, duration_minutes)")
 
     def build_events(self, num_caches: int) -> List[ChurnEvent]:
-        """Materialize the full (scripted + Poisson) timeline, time-sorted."""
-        events = list(self.events)
+        """Materialize the Poisson timeline, time-sorted."""
+        events: List[ChurnEvent] = []
         if self.failure_rate_per_minute > 0.0:
             rng = random.Random(derive_seed(self.seed, "churn-timeline"))
             t = self.start_minutes

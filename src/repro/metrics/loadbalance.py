@@ -28,9 +28,24 @@ def mean(loads: Sequence[float]) -> float:
     return sum(loads) / len(loads)
 
 
+#: Below this peak load a squared deviation can underflow: at or above it,
+#: one that does is under 2**-111 of the peak and cannot move the result.
+_TINY_PEAK = 2.0 ** -400
+
+
 def std_deviation(loads: Sequence[float]) -> float:
-    """Population standard deviation of the load vector."""
+    """Population standard deviation of the load vector.
+
+    A vector whose peak is below :data:`_TINY_PEAK` is measured at the
+    scale of its peak, through an exact power-of-two factor, so its
+    squared deviations keep their precision.
+    """
     _require_loads(loads)
+    peak = max(loads)
+    if 0.0 < peak < _TINY_PEAK:
+        exponent = math.frexp(peak)[1]
+        scaled = [math.ldexp(value, -exponent) for value in loads]
+        return math.ldexp(std_deviation(scaled), exponent)
     mu = mean(loads)
     return math.sqrt(sum((value - mu) ** 2 for value in loads) / len(loads))
 

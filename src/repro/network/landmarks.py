@@ -26,6 +26,9 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.network.topology import NetworkTopology
 
+#: Swap-refinement passes k-medoids runs at most.
+MAX_ITERATIONS = 50
+
 
 class LandmarkClustering:
     """Clusters edge caches into clouds via landmark RTT vectors."""
@@ -56,7 +59,6 @@ class LandmarkClustering:
         cache_nodes: Sequence[int],
         num_clouds: int,
         rng: Optional[random.Random] = None,
-        max_iterations: int = 50,
     ) -> List[List[int]]:
         """Partition ``cache_nodes`` into ``num_clouds`` clouds.
 
@@ -94,7 +96,7 @@ class LandmarkClustering:
 
         assignment = assign(medoids)
         best_cost = cost(assignment)
-        for _ in range(max_iterations):
+        for _ in range(MAX_ITERATIONS):
             improved = False
             # Classic PAM: consider swapping each medoid with any non-medoid
             # node, not only its own members — restricting candidates to the

@@ -20,6 +20,13 @@ import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
 
+#: Fixed per-message cost of a Euclidean link (processing, last-mile).
+BASE_LATENCY_MS = 2.0
+
+#: Propagation cost per unit of Euclidean distance.
+MS_PER_UNIT = 1.0
+
+
 def ms_to_minutes(milliseconds: float) -> float:
     """Convert a millisecond latency to simulated minutes."""
     return milliseconds / 60_000.0
@@ -42,31 +49,15 @@ class NetworkTopology:
 
 
 class EuclideanTopology(NetworkTopology):
-    """Nodes placed in a plane; latency = base + distance * ms_per_unit.
+    """Nodes placed in a plane, given as a mapping node id -> (x, y).
 
-    Parameters
-    ----------
-    positions:
-        Mapping node id -> (x, y).
-    base_latency_ms:
-        Fixed per-message cost (processing, last-mile).
-    ms_per_unit:
-        Propagation cost per unit of Euclidean distance.
+    Latency = :data:`BASE_LATENCY_MS` + distance * :data:`MS_PER_UNIT`.
     """
 
-    def __init__(
-        self,
-        positions: Dict[int, Tuple[float, float]],
-        base_latency_ms: float = 2.0,
-        ms_per_unit: float = 1.0,
-    ) -> None:
+    def __init__(self, positions: Dict[int, Tuple[float, float]]) -> None:
         if not positions:
             raise ValueError("topology needs at least one node")
-        if base_latency_ms < 0 or ms_per_unit < 0:
-            raise ValueError("latency parameters must be >= 0")
         self._positions = dict(positions)
-        self.base_latency_ms = base_latency_ms
-        self.ms_per_unit = ms_per_unit
 
     @classmethod
     def random(
@@ -76,8 +67,6 @@ class EuclideanTopology(NetworkTopology):
         extent: float = 100.0,
         num_clusters: int = 0,
         cluster_spread: float = 5.0,
-        base_latency_ms: float = 2.0,
-        ms_per_unit: float = 1.0,
     ) -> "EuclideanTopology":
         """Place nodes uniformly, or around ``num_clusters`` cluster centers.
 
@@ -103,7 +92,7 @@ class EuclideanTopology(NetworkTopology):
         else:
             for node in range(num_nodes):
                 positions[node] = (rng.uniform(0, extent), rng.uniform(0, extent))
-        return cls(positions, base_latency_ms=base_latency_ms, ms_per_unit=ms_per_unit)
+        return cls(positions)
 
     def nodes(self) -> List[int]:
         return sorted(self._positions)
@@ -118,7 +107,7 @@ class EuclideanTopology(NetworkTopology):
         ax, ay = self._positions[a]
         bx, by = self._positions[b]
         distance = math.hypot(ax - bx, ay - by)
-        return self.base_latency_ms + distance * self.ms_per_unit
+        return BASE_LATENCY_MS + distance * MS_PER_UNIT
 
     def add_node(self, node: int, position: Tuple[float, float]) -> None:
         """Add a node (used to place the origin server and landmarks)."""

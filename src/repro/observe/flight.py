@@ -22,8 +22,7 @@ Window records are canonical JSON (sorted keys, compact separators, no
 wall-clock content), so two same-seed runs — serial or in a worker pool,
 streaming or materialized traces — produce *byte-identical* artifacts.
 Every appended line is flushed and fsynced; a crash can tear at most the
-line in flight, and :class:`FlightWriter` truncates that torn tail on
-resume while :func:`read_flight` tolerates it on read.
+line in flight, and :func:`read_flight` tolerates that torn tail.
 
 Clocking
 --------
@@ -99,49 +98,27 @@ class FlightSpec:
 
     ``path`` is the artifact to write (``None`` keeps the records in memory,
     as :attr:`FlightRecorder.log`); ``window`` is the window width in
-    simulated minutes; ``top_docs`` bounds the per-window hottest-document
-    table.
+    simulated minutes.
     """
 
     path: Optional[str] = None
     window: float = 1.0
-    top_docs: int = 5
 
     def build(self) -> "FlightRecorder":
         """A fresh recorder (its header truncates any existing artifact)."""
-        return FlightRecorder(
-            self.path, window=self.window, top_docs=self.top_docs
-        )
+        return FlightRecorder(self.path, window=self.window)
 
 
 class FlightWriter:
-    """Append-only JSONL writer with per-line fsync and torn-tail recovery.
+    """Append-only JSONL writer with per-line fsync.
 
     A record is durable once :meth:`append` returns; the first creates the
-    artifact (truncating any file at ``path``). With ``resume=True``
-    an existing artifact is continued: any incomplete trailing line (a tear
-    from a crash mid-write) is truncated away first, so the file always
-    holds complete lines only.
+    artifact (truncating any file at ``path``).
     """
 
-    def __init__(self, path: str, resume: bool = False) -> None:
+    def __init__(self, path: str) -> None:
         self.path = path
-        self.recovered_lines = 0
         self._fh: Optional[BinaryIO] = None
-        if resume and os.path.exists(path):
-            self.recovered_lines = self._truncate_torn_tail(path)
-            self._fh = open(path, "ab")
-
-    @staticmethod
-    def _truncate_torn_tail(path: str) -> int:
-        """Drop an incomplete trailing line; returns surviving line count."""
-        with open(path, "r+b") as fh:
-            data = fh.read()
-            keep = data.rfind(b"\n") + 1
-            if keep < len(data):
-                fh.seek(keep)
-                fh.truncate()
-        return data[:keep].count(b"\n")
 
     def append(self, record: Mapping[str, object]) -> None:
         """Write one record as a canonical JSON line, flushed and fsynced."""
@@ -174,8 +151,6 @@ class FlightRecorder:
         path: Optional[str],
         window: float = 1.0,
         top_docs: int = 5,
-        start: float = 0.0,
-        _writer: Optional[FlightWriter] = None,
     ) -> None:
         if not (window > 0 and math.isfinite(window)):
             raise ValueError(f"window width must be a finite number > 0, got {window}")
@@ -188,9 +163,7 @@ class FlightRecorder:
         #: The records so far when the recorder has no path, else ``None``.
         self.log: Optional[FlightLog] = None
         self._writer: Union[FlightWriter, FlightLog]
-        if _writer is not None:
-            self._writer = _writer
-        elif path is not None:
+        if path is not None:
             self._writer = FlightWriter(path)
         else:
             self._writer = self.log = FlightLog()
@@ -198,7 +171,7 @@ class FlightRecorder:
         self._header_written = False
         self.finished = False
         self._index = 0
-        self._window_start = float(start)
+        self._window_start = 0.0
         # Window-local accumulators (reset at every window close).
         self._requests = 0
         self._updates = 0
@@ -212,33 +185,6 @@ class FlightRecorder:
         # Baselines for cumulative sources (profile, overload stats).
         self._profile_base = self.profile.snapshot()
         self._overload = CounterWindow(self._overload_counters)
-
-    @classmethod
-    def resume(cls, path: str, top_docs: Optional[int] = None) -> "FlightRecorder":
-        """Continue an interrupted recording in place.
-
-        The writer truncates any torn tail, the header is re-read for the
-        window geometry, and window numbering continues after the last
-        complete window on disk. A finished recording (one with a summary)
-        or a headerless file is refused with :class:`ArtifactError`.
-        """
-        log = read_flight(path)
-        if log.header is None:
-            raise ArtifactError(f"{path}: no flight header to resume from")
-        if log.summary is not None:
-            raise ArtifactError(f"{path}: the recording was finished; nothing to resume")
-        writer = FlightWriter(path, resume=True)
-        start = float(log.windows[-1]["end"]) if log.windows else 0.0
-        recorder = cls(
-            path,
-            window=log.header["window"],
-            top_docs=log.header["top_docs"] if top_docs is None else top_docs,
-            start=start,
-            _writer=writer,
-        )
-        recorder._index = len(log.windows)
-        recorder._header_written = True
-        return recorder
 
     # ------------------------------------------------------------------
     # Attachment (driven by CacheCloud.attach_flight / detach_flight)
@@ -476,7 +422,7 @@ def read_flight(path: str) -> FlightLog:
     A complete line that fails to parse is real corruption and raises;
     only the final newline-less fragment (a crash tear) is skipped. A header
     without a finite ``window > 0`` or an integer ``top_docs >= 0`` (the
-    geometry :meth:`FlightRecorder.resume` continues with) raises too.
+    window geometry) raises too.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -568,19 +514,22 @@ def window_series(
 # ----------------------------------------------------------------------
 _SPARK_LEVELS = "▁▂▃▄▅▆▇█"
 
+#: Characters a sparkline spans at most.
+SPARK_WIDTH = 60
 
-def sparkline(values: List[float], width: int = 60) -> str:
+
+def sparkline(values: List[float]) -> str:
     """Render ``values`` as a fixed-height Unicode sparkline.
 
     Longer series are downsampled by averaging equal chunks so the curve
-    always fits in ``width`` characters.
+    always fits in :data:`SPARK_WIDTH` characters.
     """
     if not values:
         return ""
-    if len(values) > width:
-        chunk = len(values) / width
+    if len(values) > SPARK_WIDTH:
+        chunk = len(values) / SPARK_WIDTH
         downsampled: List[float] = []
-        for i in range(width):
+        for i in range(SPARK_WIDTH):
             lo = int(i * chunk)
             hi = max(lo + 1, int((i + 1) * chunk))
             segment = values[lo:hi]

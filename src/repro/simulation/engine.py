@@ -5,7 +5,7 @@ single-threaded and deterministic: events with equal timestamps dispatch in
 (priority, insertion) order.
 
 Pending work comes in two kinds. *Events* are callbacks on the heap
-(:meth:`Simulator.schedule_at`): cycles, resets, churn, monitors — anything
+(:meth:`Simulator.schedule_at`): cycles, resets, churn, repair sweeps — anything
 scheduled ahead of time, in any order. The *source*
 (:meth:`Simulator.attach_source`) is one time-sorted stream of items with a
 single item waiting at a time; a trace of a million records is a million
@@ -42,9 +42,9 @@ class Simulator:
         sim.schedule_at(5.0, lambda: print("hello at t=5"))
         sim.run_until(10.0)
 
-    The engine exposes both absolute (:meth:`schedule_at`) and relative
-    (:meth:`schedule_in`) scheduling, lazy cancellation, bounded runs, and
-    one attached record source (:meth:`attach_source`).
+    The engine exposes absolute scheduling (:meth:`schedule_at`), lazy
+    cancellation, bounded runs, and one attached record source
+    (:meth:`attach_source`).
     """
 
     def __init__(self, start_time: float = 0.0) -> None:
@@ -109,20 +109,6 @@ class Simulator:
         event = Event(time, callback, priority=priority, label=label)
         heapq.heappush(self._queue, event)
         return event
-
-    def schedule_in(
-        self,
-        delay: float,
-        callback: Callable[[], Any],
-        priority: EventPriority = EventPriority.REQUEST,
-        label: Optional[str] = None,
-    ) -> Event:
-        """Schedule ``callback`` after a relative ``delay`` (must be >= 0)."""
-        if delay < 0:
-            raise SimulationError(f"delay must be >= 0, got {delay}")
-        return self.schedule_at(
-            self.clock.now + delay, callback, priority=priority, label=label
-        )
 
     def attach_source(
         self,

@@ -32,7 +32,6 @@ from repro.strategies.spec import (
     EXTENDED_SCHEMES,
     KNOWN_SCHEMES,
     PAPER_SCHEMES,
-    StrategySpec,
     build_strategy,
 )
 
@@ -54,6 +53,5 @@ __all__ = [
     "EXTENDED_SCHEMES",
     "KNOWN_SCHEMES",
     "PAPER_SCHEMES",
-    "StrategySpec",
     "build_strategy",
 ]

@@ -6,11 +6,11 @@ fresh content to the nodes that asked *through* it — instead of having one
 authority contact every holder directly. Mapped onto the cache cloud: the
 beacon point remains the root (it receives the one server→beacon body the
 paper's protocol pays), but instead of the star fan-out it pushes to at
-most ``fanout`` holders, each of which relays onward to its own children
+most :data:`FANOUT` holders, each of which relays onward to its own children
 in a deterministic k-ary tree over the sorted holder set.
 
 Trade-off surfaced by the zoo sweep: the tree bounds the beacon's per-
-update send fan-out at ``fanout`` (the star pays degree = holder count),
+update send fan-out at :data:`FANOUT` (the star pays degree = holder count),
 at the cost of deeper propagation latency and a larger blast radius per
 lost edge — a failed or deferred push strands the entire subtree below it
 (every stranded holder stays stale until its next request repairs it,
@@ -32,15 +32,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.placement import PlacementPolicy
     from repro.core.roles import BeaconRole
 
+#: Children per node of the interest tree (the beacon's send fan-out).
+FANOUT = 2
+
 
 class CUPTreeStrategy(PolicyStrategy):
     """Beacon-rooted k-ary interest-tree push instead of star fan-out."""
 
-    def __init__(self, policy: "PlacementPolicy", fanout: int = 2) -> None:
+    def __init__(self, policy: "PlacementPolicy") -> None:
         super().__init__(policy)
-        if fanout < 1:
-            raise ValueError(f"fanout must be >= 1, got {fanout}")
-        self.fanout = fanout
         self.name = f"cup_tree:{policy.name}"
 
     def on_update(
@@ -70,7 +70,7 @@ class CUPTreeStrategy(PolicyStrategy):
         arrival: Dict[int, float] = {beacon_id: root_at}
         deferred: Set[int] = set()
         overload = cloud.overload
-        k = self.fanout
+        k = FANOUT
         for index, parent in enumerate(order):
             parent_at = arrival.get(parent)
             if parent_at is None:

@@ -38,6 +38,9 @@ from repro.strategies.base import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.node import CacheNode
 
+#: ProbCache's base store probability at the requester end of a path.
+STORE_PROBABILITY = 0.7
+
 
 class OnPathStrategy(CacheStrategy):
     """Shared routing for the on-path family.
@@ -109,25 +112,21 @@ class ProbCacheStrategy(OnPathStrategy):
     """ProbCache-style probabilistic admission, requester-weighted.
 
     Each storage point stores with probability ``p * position / path_len``
-    where positions count from the origin end — the beacon hop of a routed
-    fetch is position 1 of 2, the requester position 2 of 2 (or 1 of 1 on
-    single-point paths). Draws come from a dedicated seeded stream.
+    (``p`` = :data:`STORE_PROBABILITY`) where positions count from the
+    origin end — the beacon hop of a routed fetch is position 1 of 2, the
+    requester position 2 of 2 (or 1 of 1 on single-point paths). Draws come
+    from a dedicated seeded stream.
     """
 
     name = "probcache"
 
-    def __init__(self, store_probability: float = 0.7, seed: int = 0) -> None:
-        if not 0.0 <= store_probability <= 1.0:
-            raise ValueError(
-                f"store_probability must be in [0, 1], got {store_probability}"
-            )
-        self.store_probability = store_probability
+    def __init__(self, seed: int = 0) -> None:
         self._rng = random.Random(seed)
 
     def on_retrieval(self, node: "CacheNode", retrieval: Retrieval) -> bool:
         if retrieval.hop is ReplyHop.INTERMEDIATE:
-            probability = self.store_probability * 0.5
+            probability = STORE_PROBABILITY * 0.5
         else:
-            probability = self.store_probability
+            probability = STORE_PROBABILITY
         stored = self._rng.random() < probability
         return self._store_at_hop(node, retrieval, stored)

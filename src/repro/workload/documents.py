@@ -85,8 +85,13 @@ class Corpus:
         return [d.url for d in self._docs]
 
 
-DEFAULT_MEAN_SIZE = 8 * 1024  # 8 KiB — typical dynamically generated HTML page
-DEFAULT_SIGMA = 0.6
+#: Arithmetic mean of the generated sizes: 8 KiB, a typical dynamically
+#: generated HTML page.
+MEAN_SIZE = 8 * 1024
+#: Log-space standard deviation of the generated sizes.
+SIZE_SIGMA = 0.6
+#: Every document's URL is ``f"{URL_PREFIX}/{doc_id}.html"``.
+URL_PREFIX = "http://origin.example.com/doc"
 
 
 def seed_corpus_rng(seed: int) -> random.Random:
@@ -101,16 +106,12 @@ def seed_corpus_rng(seed: int) -> random.Random:
 def build_corpus(
     num_documents: int,
     rng: Optional[random.Random] = None,
-    mean_size: int = DEFAULT_MEAN_SIZE,
-    sigma: float = DEFAULT_SIGMA,
-    url_prefix: str = "http://origin.example.com/doc",
     fixed_size: Optional[int] = None,
 ) -> Corpus:
     """Generate a corpus with log-normally distributed document sizes.
 
     Web object sizes are famously heavy-tailed; the conventional model is a
-    log-normal body. ``mean_size`` is the arithmetic mean of the generated
-    sizes; ``sigma`` the log-space standard deviation. Pass ``fixed_size`` to
+    log-normal body (:data:`MEAN_SIZE`, :data:`SIZE_SIGMA`). Pass ``fixed_size`` to
     make every document the same size (useful in unit tests where byte
     accounting must be predictable).
     """
@@ -126,15 +127,16 @@ def build_corpus(
         # mean of lognormal(mu, sigma) is exp(mu + sigma^2/2); solve for mu.
         import math
 
-        mu = math.log(mean_size) - sigma * sigma / 2.0
+        mu = math.log(MEAN_SIZE) - SIZE_SIGMA * SIZE_SIGMA / 2.0
         sizes = [
-            max(64, int(rng.lognormvariate(mu, sigma))) for _ in range(num_documents)
+            max(64, int(rng.lognormvariate(mu, SIZE_SIGMA)))
+            for _ in range(num_documents)
         ]
     for doc_id in range(num_documents):
         docs.append(
             DocumentSpec(
                 doc_id=doc_id,
-                url=f"{url_prefix}/{doc_id}.html",
+                url=f"{URL_PREFIX}/{doc_id}.html",
                 size_bytes=sizes[doc_id],
             )
         )

@@ -5,11 +5,11 @@ and invalidations drawn from Zipf(0.9). This module generates such traces as
 homogeneous Poisson processes:
 
 * Requests arrive cloud-wide at ``num_caches * request_rate_per_cache`` per
-  minute; each arrival lands on a cache (uniform by default, weighted if a
-  per-cache load profile is supplied) and targets a document drawn from the
-  request Zipf distribution.
+  minute; each arrival lands on a cache drawn uniformly and targets a
+  document drawn from the Zipf distribution.
 * Updates arrive at ``update_rate`` per minute, targeting a document drawn
-  from the update Zipf distribution.
+  from the same Zipf distribution (the paper draws both from one Zipf
+  parameter).
 
 Document ids are decoupled from popularity ranks by a random permutation, so
 hashing schemes cannot accidentally correlate with popularity.
@@ -18,11 +18,10 @@ hashing schemes cannot accidentally correlate with popularity.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
-from math import inf, log
-from typing import Iterator, List, Optional, Sequence
+from math import log
+from typing import Iterator, List
 
 from repro.simulation.rng import RandomStreams
 from repro.workload.trace import RequestRecord, Trace, UpdateRecord
@@ -34,8 +33,8 @@ class WorkloadConfig:
     """Parameters of a synthetic workload.
 
     Rates are per simulated minute, matching the paper's "per unit time".
-    ``alpha_updates`` defaults to ``alpha_requests`` (the paper draws both
-    from the same Zipf parameter).
+    ``alpha_requests`` skews updates as well as requests (the paper draws
+    both from the same Zipf parameter).
     """
 
     num_documents: int = 25_000
@@ -43,10 +42,8 @@ class WorkloadConfig:
     request_rate_per_cache: float = 200.0
     update_rate: float = 195.0
     alpha_requests: float = 0.9
-    alpha_updates: Optional[float] = None
     duration_minutes: float = 120.0
     seed: int = 0
-    cache_weights: Optional[Sequence[float]] = None
 
     def __post_init__(self) -> None:
         if self.num_documents <= 0:
@@ -59,18 +56,6 @@ class WorkloadConfig:
             raise ValueError("update_rate must be >= 0")
         if self.duration_minutes <= 0:
             raise ValueError("duration_minutes must be positive")
-        if self.cache_weights is not None and len(self.cache_weights) != self.num_caches:
-            raise ValueError(
-                f"cache_weights has {len(self.cache_weights)} entries for "
-                f"{self.num_caches} caches"
-            )
-        if self.cache_weights is not None and not 0.0 < sum(self.cache_weights) < inf:
-            raise ValueError("cache_weights must sum to a positive finite total")
-
-    @property
-    def effective_alpha_updates(self) -> float:
-        """Update-skew parameter, defaulting to the request skew."""
-        return self.alpha_requests if self.alpha_updates is None else self.alpha_updates
 
 
 def poisson_arrivals(
@@ -118,21 +103,13 @@ class SyntheticTraceGenerator:
         sampler = ZipfSampler(cfg.num_documents, cfg.alpha_requests, doc_rng)
         pick, cdf, total = doc_rng.random, sampler.cdf, sampler.total
         rank_to_doc, duration = self._rank_to_doc, cfg.duration_minutes
-        cache_pick, cache_bits = cache_rng.random, cache_rng.getrandbits
+        cache_bits = cache_rng.getrandbits
         num_caches, bits = cfg.num_caches, cfg.num_caches.bit_length()
-        cum: Optional[List[float]] = None
-        if cfg.cache_weights is not None:
-            # What cache_rng.choices(ids, weights=...) does, accumulated once.
-            cum = list(accumulate(cfg.cache_weights))
-            weight_total, last = cum[-1] + 0.0, num_caches - 1
         t = -log(1.0 - arrive()) / rate  # arrival_rng.expovariate(rate)
         while t < duration:
-            if cum is None:
-                cache_id = cache_bits(bits)  # cache_rng.randrange(num_caches)
-                while cache_id >= num_caches:
-                    cache_id = cache_bits(bits)
-            else:
-                cache_id = bisect_right(cum, cache_pick() * weight_total, 0, last)
+            cache_id = cache_bits(bits)  # cache_rng.randrange(num_caches)
+            while cache_id >= num_caches:
+                cache_id = cache_bits(bits)
             rank = bisect_left(cdf, pick() * total)  # sampler.sample()
             yield RequestRecord(t, cache_id, rank_to_doc[rank])
             t += -log(1.0 - arrive()) / rate
@@ -145,7 +122,7 @@ class SyntheticTraceGenerator:
         doc_rng = self._streams.get("update-docs")
         if rate <= 0:
             return
-        sampler = ZipfSampler(cfg.num_documents, cfg.effective_alpha_updates, doc_rng)
+        sampler = ZipfSampler(cfg.num_documents, cfg.alpha_requests, doc_rng)
         pick, cdf, total = doc_rng.random, sampler.cdf, sampler.total
         rank_to_doc, duration = self._rank_to_doc, cfg.duration_minutes
         t = -log(1.0 - arrive()) / rate  # arrival_rng.expovariate(rate)

@@ -2,8 +2,8 @@
 
 Three contracts:
 
-1. A disabled (or never-cycled) process is a strict no-op — zero-fault
-   runs stay value-identical to a cloud without it.
+1. A never-cycled process is a strict no-op — zero-fault runs stay
+   value-identical to a cloud without it.
 2. Each divergence kind (stale holder, orphan copy, dangling entry,
    misplaced entry) is repaired by a sweep, within the byte budget, and
    counted.
@@ -13,7 +13,7 @@ Three contracts:
 
 import pytest
 
-from repro.audit.antientropy import AntiEntropyConfig, AntiEntropyProcess
+from repro.audit import antientropy
 from repro.audit.invariants import InvariantAuditor
 from repro.core.elastic import ElasticConfig
 from repro.core.overload import OverloadConfig
@@ -48,16 +48,6 @@ def _plant_stale(cloud, doc_id=5):
 
 
 class TestConfigValidation:
-    def test_rejects_bad_knobs(self):
-        with pytest.raises(ValueError):
-            AntiEntropyConfig(period_minutes=0.0)
-        with pytest.raises(ValueError):
-            AntiEntropyConfig(max_docs_per_beacon=0)
-        with pytest.raises(ValueError):
-            AntiEntropyConfig(max_docs_per_cache=0)
-        with pytest.raises(ValueError):
-            AntiEntropyConfig(max_repair_bytes_per_cycle=-1)
-
     def test_backoff_factor_below_one_rejected(self):
         # Companion guard in the retry policy (see faults/plan.py).
         with pytest.raises(ValueError):
@@ -65,37 +55,13 @@ class TestConfigValidation:
 
 
 class TestNoOpContract:
-    def test_disabled_process_is_value_identical_to_none(self, small_corpus):
-        bare = make_cloud(small_corpus)
-        idle = make_cloud(small_corpus)
-        process = idle.attach_anti_entropy(AntiEntropyConfig(enabled=False))
-
-        assert _drive(bare) == _drive(idle)
-        assert process.run_cycle(41.0) == 0
-        assert process.quiesce(42.0) == 0
-        assert bare.aggregate_stats() == idle.aggregate_stats()
-        assert bare.transport.meter == idle.transport.meter
-        assert bare.resilience_summary() == idle.resilience_summary()
-        assert process.stats.repairs == 0
-        assert process.stats.cycles == 0
-
     def test_attached_but_never_cycled_is_value_identical(self, small_corpus):
         bare = make_cloud(small_corpus)
         idle = make_cloud(small_corpus)
-        idle.attach_anti_entropy()  # enabled, but nothing ever fires it
+        idle.attach_anti_entropy()  # attached, but nothing ever fires it
         assert _drive(bare) == _drive(idle)
         assert bare.transport.meter == idle.transport.meter
         assert bare.resilience_summary().keys() <= idle.resilience_summary().keys()
-
-    def test_disabled_start_never_schedules(self, small_corpus):
-        cloud = make_cloud(small_corpus)
-        simulator = Simulator()
-        process = cloud.attach_anti_entropy(
-            AntiEntropyConfig(enabled=False), simulator
-        )
-        simulator.run_until(100.0)
-        assert process.stats.cycles == 0
-        assert cloud.transport.meter.bytes_for(TrafficCategory.ANTI_ENTROPY) == 0
 
     def test_attach_is_idempotent(self, small_corpus):
         cloud = make_cloud(small_corpus)
@@ -172,11 +138,12 @@ class TestRepairs:
 
 
 class TestBudget:
-    def test_zero_budget_invalidates_instead_of_refreshing(self, small_corpus):
+    def test_zero_budget_invalidates_instead_of_refreshing(
+        self, small_corpus, monkeypatch
+    ):
+        monkeypatch.setattr(antientropy, "MAX_REPAIR_BYTES_PER_CYCLE", 0)
         cloud = make_cloud(small_corpus)
-        process = cloud.attach_anti_entropy(
-            AntiEntropyConfig(max_repair_bytes_per_cycle=0)
-        )
+        process = cloud.attach_anti_entropy()
         holder = _plant_stale(cloud)
         assert process.run_cycle(2.0) >= 1
         assert process.stats.stale_refreshed == 0
@@ -185,13 +152,12 @@ class TestBudget:
         beacon = cloud.beacon_for_doc(5)
         assert holder not in cloud.beacons[beacon].directory.holders(5)
 
-    def test_budget_bounds_refresh_bytes_per_cycle(self, small_corpus):
+    def test_budget_bounds_refresh_bytes_per_cycle(self, small_corpus, monkeypatch):
         body = 1024 + TRANSFER_HEADER_BYTES  # fixed-size corpus documents
         budget = 2 * body
+        monkeypatch.setattr(antientropy, "MAX_REPAIR_BYTES_PER_CYCLE", budget)
         cloud = make_cloud(small_corpus)
-        process = cloud.attach_anti_entropy(
-            AntiEntropyConfig(max_repair_bytes_per_cycle=budget)
-        )
+        process = cloud.attach_anti_entropy()
         for i in range(6):
             cloud.handle_request(i % len(cloud.caches), 10 + i, now=1.0)
             cloud.origin.publish_update(10 + i)
@@ -203,13 +169,13 @@ class TestBudget:
 
 
 class TestDeterminismAndScheduling:
-    def test_identical_runs_produce_identical_stats(self, small_corpus):
+    def test_identical_runs_produce_identical_stats(self, small_corpus, monkeypatch):
+        monkeypatch.setattr(antientropy, "MAX_DOCS_PER_BEACON", 4)
+        monkeypatch.setattr(antientropy, "MAX_DOCS_PER_CACHE", 4)
         snapshots = []
         for _ in range(2):
             cloud = make_cloud(small_corpus)
-            process = cloud.attach_anti_entropy(
-                AntiEntropyConfig(max_docs_per_beacon=4, max_docs_per_cache=4)
-            )
+            process = cloud.attach_anti_entropy()
             injector = FaultInjector(
                 FaultPlan(seed=11, loss_rate=0.25), cloud.transport
             )
@@ -228,11 +194,9 @@ class TestDeterminismAndScheduling:
         assert snapshots[0] == snapshots[1]
 
     def test_periodic_scheduling_runs_cycles(self, small_corpus):
-        cloud = make_cloud(small_corpus)
+        cloud = make_cloud(small_corpus, cycle_length=5.0)
         simulator = Simulator()
-        process = cloud.attach_anti_entropy(
-            AntiEntropyConfig(period_minutes=5.0), simulator
-        )
+        process = cloud.attach_anti_entropy(simulator)
         _plant_stale(cloud)
         simulator.run_until(20.0)
         assert process.stats.cycles >= 3
@@ -245,17 +209,15 @@ class TestDeterminismAndScheduling:
     def test_default_period_is_cloud_cycle_length(self, small_corpus):
         cloud = make_cloud(small_corpus)  # cycle_length=10
         simulator = Simulator()
-        process = cloud.attach_anti_entropy(AntiEntropyConfig(), simulator)
+        process = cloud.attach_anti_entropy(simulator)
         simulator.run_until(30.0)
         assert process.stats.cycles == 3
 
 
 class TestChurnHook:
-    def _cloud_with_hooked_schedule(self, corpus, **config_overrides):
+    def _cloud_with_hooked_schedule(self, corpus):
         cloud = make_cloud(corpus, failure_resilience=True)
-        process = cloud.attach_anti_entropy(
-            AntiEntropyConfig(**config_overrides)
-        )
+        process = cloud.attach_anti_entropy()
         schedule = ChurnSchedule([])
         schedule.add_hook(process.on_churn_event)
         return cloud, process, schedule
@@ -273,20 +235,16 @@ class TestChurnHook:
         assert schedule.stats.skipped == 1
         assert process.stats.cycles == 0
 
-    def test_repair_on_recovery_opt_out(self, small_corpus):
-        cloud, process, schedule = self._cloud_with_hooked_schedule(
-            small_corpus, repair_on_recovery=False
-        )
-        schedule.apply(cloud, ChurnEvent(1.0, 1, "fail"), 1.0)
-        schedule.apply(cloud, ChurnEvent(2.0, 1, "recover"), 2.0)
-        assert process.stats.cycles == 0
-
     def test_sweep_fires_after_a_warm_join(self, small_corpus):
         """An elastic warm join *is* a recovery, so ``run_experiment`` hooks
         the repair sweep to the controller as it does to the churn schedule
         (it used to hook the schedule only, and the hook matched ``recover``
         only: a re-instantiated node waited for the next periodic sweep)."""
-        cloud = make_cloud(small_corpus, num_caches=6, failure_resilience=True)
+        # A cycle longer than the run: no periodic sweep falls inside it, so
+        # every cycle counted below is the hook's.
+        cloud = make_cloud(
+            small_corpus, num_caches=6, failure_resilience=True, cycle_length=100.0
+        )
         run_experiment(
             cloud.config,
             small_corpus,
@@ -296,9 +254,7 @@ class TestChurnHook:
             cloud=cloud,
             overload=OverloadConfig(),
             elastic=ElasticConfig(initial_caches=5),
-            # No periodic sweep falls inside the run: every cycle counted
-            # below is the hook's.
-            anti_entropy=AntiEntropyConfig(period_minutes=100.0),
+            anti_entropy=True,
         )
         assert cloud.anti_entropy.stats.cycles == 0
         standby = cloud.failure_manager.retired()[0]

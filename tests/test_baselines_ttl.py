@@ -104,12 +104,6 @@ class TestCooperation:
         result = ttl.handle_request(1, 5, now=5.0)  # peer copy expired
         assert result.outcome is RequestOutcome.ORIGIN_FETCH
 
-    def test_non_cooperative_mode(self, corpus):
-        ttl = make_ttl(corpus, cooperative=False)
-        ttl.handle_request(0, 5, now=0.0)
-        result = ttl.handle_request(1, 5, now=1.0)
-        assert result.outcome is RequestOutcome.ORIGIN_FETCH
-
 
 class TestMetrics:
     def test_staleness_rate(self, corpus):

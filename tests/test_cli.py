@@ -146,6 +146,16 @@ class TestRejectedValuesAndFiles:
             ),
             (["flight", "record", "--out", "{out}", "--window", "nan"], "window width"),
             (["flight", "record", "--out", "{out}", "--window", "inf"], "window width"),
+            (
+                ["flight", "diff", "{artifact}", "{artifact}", "--tolerance", "nan"],
+                "--tolerance must be >= 0 and finite",
+            ),
+            (
+                ["flight", "diff", "{artifact}", "{artifact}", "--tolerance", "inf"],
+                "--tolerance must be >= 0 and finite",
+            ),
+            (["compare", "{artifact}", "{artifact}", "--tolerance", "nan"], "finite"),
+            (["compare", "{artifact}", "{artifact}", "--tolerance", "inf"], "finite"),
         ],
     )
     def test_exit_two_with_one_line(self, argv, message, artifact, tmp_path, capsys):

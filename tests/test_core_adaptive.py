@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import adaptive
 from repro.core.adaptive import FeedbackWeightAdapter
 from repro.core.config import UtilityWeights, WEIGHTS_DSCC_OFF
 from repro.core.placement import UtilityPlacement
@@ -9,28 +10,12 @@ from repro.core.utility import UtilityComputer
 from repro.network.bandwidth import TrafficCategory, TrafficMeter
 
 
-def make_adapter(weights=None, **kwargs):
+def make_adapter(weights=None):
     placement = UtilityPlacement(
         UtilityComputer(weights if weights is not None else WEIGHTS_DSCC_OFF)
     )
     meter = TrafficMeter()
-    return FeedbackWeightAdapter(placement, meter, **kwargs), placement, meter
-
-
-class TestValidation:
-    def test_step_bounds(self):
-        with pytest.raises(ValueError):
-            make_adapter(step=0.0)
-        with pytest.raises(ValueError):
-            make_adapter(step=1.0)
-
-    def test_floor_bounds(self):
-        with pytest.raises(ValueError):
-            make_adapter(floor=0.5)
-
-    def test_target_bounds(self):
-        with pytest.raises(ValueError):
-            make_adapter(target_update_share=1.0)
+    return FeedbackWeightAdapter(placement, meter), placement, meter
 
 
 class TestObservation:
@@ -85,8 +70,9 @@ class TestAdaptation:
             total = sum(placement.computer.weights.as_dict().values())
             assert total == pytest.approx(1.0)
 
-    def test_floor_prevents_starvation(self):
-        adapter, placement, meter = make_adapter(step=0.2, floor=0.05)
+    def test_floor_prevents_starvation(self, monkeypatch):
+        monkeypatch.setattr(adaptive, "STEP", 0.2)
+        adapter, placement, meter = make_adapter()
         for step in range(50):
             meter.record(TrafficCategory.UPDATE_FANOUT, 1000)
             adapter.adapt(now=float(step))

@@ -25,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.audit.invariants import InvariantAuditor
+from repro.core import elastic
 from repro.core.elastic import ElasticConfig, ElasticController
 from repro.core.node import RequestOutcome
 from repro.core.overload import OverloadConfig
@@ -54,6 +55,17 @@ def elastic_cloud(corpus, num_caches=6, overload=None, **config_kwargs):
     return cloud, controller
 
 
+def watermarks(monkeypatch, out=None, in_=None, rejection=None):
+    """Move the module's scale-out / scale-in watermarks for one test."""
+    for name, value in (
+        ("SCALE_OUT_DEPTH", out),
+        ("SCALE_IN_DEPTH", in_),
+        ("SCALE_OUT_REJECTION", rejection),
+    ):
+        if value is not None:
+            monkeypatch.setattr(elastic, name, value)
+
+
 def feed(controller, now, depth, rejected=0, admitted=10):
     """Advance the overload counters so the window mean depth is ``depth``,
     then run one controller check."""
@@ -78,13 +90,9 @@ class TestElasticConfig:
             {"min_caches": 4, "max_caches": 3},
             {"min_caches": 2, "initial_caches": 1},
             {"max_caches": 4, "initial_caches": 5},
-            {"scale_out_depth": -1.0},
-            {"scale_out_depth": 1.0, "scale_in_depth": 2.0},
-            {"scale_out_rejection": 1.5},
             {"window_minutes": 0.0},
             {"check_period_minutes": 0.0},
             {"cooldown_minutes": -1.0},
-            {"drain_byte_budget": -1},
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -222,10 +230,11 @@ class TestSafeDrain:
         report = InvariantAuditor().audit(cloud)
         assert report.hard_violations == 0
 
-    def test_zero_budget_invalidates_everything_explicitly(self, small_corpus):
-        cloud, controller, victim = self._populated_victim(
-            small_corpus, drain_byte_budget=0
-        )
+    def test_zero_budget_invalidates_everything_explicitly(
+        self, small_corpus, monkeypatch
+    ):
+        monkeypatch.setattr(elastic, "DRAIN_BYTE_BUDGET", 0)
+        cloud, controller, victim = self._populated_victim(small_corpus)
         before = set(cloud.caches[victim].storage)
         controller.retire_node(victim, 2.0)
         assert controller.stats.docs_handed_off == 0
@@ -257,13 +266,12 @@ class TestSafeDrain:
 
 
 class TestHysteresis:
-    def test_equal_watermarks_do_not_flap(self, small_corpus):
+    def test_equal_watermarks_do_not_flap(self, small_corpus, monkeypatch):
+        watermarks(monkeypatch, out=2.0, in_=2.0)
         _, controller = elastic_cloud(
             small_corpus,
             min_caches=2,
             initial_caches=4,
-            scale_out_depth=2.0,
-            scale_in_depth=2.0,
             cooldown_minutes=0.0,
             window_minutes=3.0,
             check_period_minutes=1.0,
@@ -277,13 +285,12 @@ class TestHysteresis:
         assert controller.stats.scale_in_events == 0
 
     def test_zero_cooldown_converges_to_min_without_flapping(
-        self, small_corpus
+        self, small_corpus, monkeypatch
     ):
+        watermarks(monkeypatch, out=4.0, in_=1.0)
         _, controller = elastic_cloud(
             small_corpus,
             min_caches=2,
-            scale_out_depth=4.0,
-            scale_in_depth=1.0,
             cooldown_minutes=0.0,
             window_minutes=3.0,
             check_period_minutes=1.0,
@@ -295,12 +302,12 @@ class TestHysteresis:
         assert controller.stats.scale_out_events == 0
         assert controller.stats.blocked_bounds > 0
 
-    def test_cooldown_blocks_consecutive_changes(self, small_corpus):
+    def test_cooldown_blocks_consecutive_changes(self, small_corpus, monkeypatch):
+        watermarks(monkeypatch, out=2.0)
         _, controller = elastic_cloud(
             small_corpus,
             min_caches=2,
             initial_caches=3,
-            scale_out_depth=2.0,
             cooldown_minutes=10.0,
             window_minutes=3.0,
             check_period_minutes=1.0,
@@ -311,13 +318,12 @@ class TestHysteresis:
         assert controller.stats.scale_out_events == 1
         assert controller.stats.blocked_cooldown == 1
 
-    def test_rejection_rate_triggers_scale_out(self, small_corpus):
+    def test_rejection_rate_triggers_scale_out(self, small_corpus, monkeypatch):
+        watermarks(monkeypatch, out=100.0, rejection=0.05)
         _, controller = elastic_cloud(
             small_corpus,
             min_caches=2,
             initial_caches=3,
-            scale_out_depth=100.0,
-            scale_out_rejection=0.05,
             cooldown_minutes=0.0,
             window_minutes=3.0,
             check_period_minutes=1.0,
@@ -326,11 +332,11 @@ class TestHysteresis:
         feed(controller, 2.0, depth=0, rejected=5, admitted=5)
         assert controller.stats.scale_out_events == 1
 
-    def test_any_rejection_vetoes_scale_in(self, small_corpus):
+    def test_any_rejection_vetoes_scale_in(self, small_corpus, monkeypatch):
+        watermarks(monkeypatch, rejection=0.5)
         _, controller = elastic_cloud(
             small_corpus,
             min_caches=2,
-            scale_out_rejection=0.5,
             cooldown_minutes=0.0,
             window_minutes=3.0,
             check_period_minutes=1.0,

@@ -15,7 +15,7 @@ Four layers of coverage:
    and value-equal to a slow-path zero-latency delivery.
 4. Cloud integration: the ``REJECTED`` ingress outcome, shed lookups
    degrading to origin-direct, the ``engaged``-gated resilience summary,
-   and the monitor's overload series.
+   and the flight recorder's overload series.
 """
 
 import dataclasses
@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 
 from repro.core.fabric import DELIVERED_FREE, Delivery, MessageFabric
 from repro.core.overload import (
-    CLIENT_REQUEST,
     ZERO_COST_OVERLOAD,
     NodeQueue,
     OverloadConfig,
@@ -52,35 +51,18 @@ class TestOverloadConfig:
         with pytest.raises(ValueError):
             OverloadConfig(service_ms_per_kb=-0.5)
 
-    def test_rejects_unknown_category_override(self):
-        with pytest.raises(ValueError):
-            OverloadConfig(category_service_ms=(("bogus", 1.0),))
-
     def test_rejects_inverted_watermarks(self):
         with pytest.raises(ValueError):
             OverloadConfig(shed_highwater=2, shed_lowwater=5)
 
-    def test_service_minutes_flat_override_and_per_kb(self):
-        config = OverloadConfig(
-            service_ms=60.0,
-            service_ms_per_kb=30.0,
-            category_service_ms=(
-                (TrafficCategory.CONTROL.value, 120.0),
-                (CLIENT_REQUEST, 240.0),
-            ),
+    def test_service_minutes_flat_and_per_kb(self):
+        config = OverloadConfig(service_ms=60.0, service_ms_per_kb=30.0)
+        # The flat cost plus the per-KiB term.
+        assert config.service_minutes(2048) == pytest.approx(
+            (60.0 + 2 * 30.0) / 60_000.0
         )
-        # Flat cost for a category with no override, plus the per-KiB term.
-        assert config.service_minutes(
-            TrafficCategory.PEER_TRANSFER.value, 2048
-        ) == pytest.approx((60.0 + 2 * 30.0) / 60_000.0)
-        # An override replaces the flat term; per-KiB still applies.
-        assert config.service_minutes(
-            TrafficCategory.CONTROL.value, 1024
-        ) == pytest.approx((120.0 + 30.0) / 60_000.0)
-        # The client-request pseudo-category shares the override table.
-        assert config.service_minutes(CLIENT_REQUEST, 0) == pytest.approx(
-            240.0 / 60_000.0
-        )
+        # A client request carries no body: the flat cost alone.
+        assert config.service_minutes(0) == pytest.approx(60.0 / 60_000.0)
 
 
 class TestNodeQueue:
@@ -165,7 +147,6 @@ class TestNodeQueue:
             queue_capacity=3,
             service_ms=120.0,
             service_ms_per_kb=5.0,
-            category_service_ms=(("control", 0.0), ("control", 999.0)),
         )
         wired, reference = OverloadController(config), OverloadController(config)
         for controller in (wired, reference):
@@ -182,9 +163,9 @@ class TestNodeQueue:
             if delay is not None:
                 assert backlog == reference.depth_of(dst)
                 if dst != 3:
-                    # The controller's resolved cost table is the config's
-                    # formula, bit for bit (first duplicate override wins).
-                    cost = config.service_minutes(category, num_bytes)
+                    # The controller's in-place cost is the config's
+                    # formula, bit for bit.
+                    cost = config.service_minutes(num_bytes)
                     assert wired._queues[dst].busy_until == start + cost
         assert wired.stats == reference.stats
 
@@ -420,18 +401,15 @@ class TestCloudOverload:
         self, small_corpus
     ):
         cloud = make_cloud(small_corpus)
-        cloud.attach_overload(
-            OverloadConfig(
-                category_service_ms=((CLIENT_REQUEST, 60_000.0),),
-            )
-        )
+        cloud.handle_request(0, 5, now=0.0)  # warm the copy, no queues yet
+        cloud.attach_overload(OverloadConfig(service_ms=60_000.0))
         first = cloud.handle_request(0, 5, now=0.0)
-        second = cloud.handle_request(0, 5, now=0.0)  # local hit, queued
-        assert second.outcome is RequestOutcome.LOCAL_HIT
+        second = cloud.handle_request(0, 5, now=0.0)
+        assert first.outcome is second.outcome is RequestOutcome.LOCAL_HIT
         # Two same-instant arrivals: the second waits a full service time
         # behind the first, then pays its own (2 min total, in ms).
+        assert first.latency_ms == pytest.approx(1.0 * MINUTES_TO_MS)
         assert second.latency_ms == pytest.approx(2.0 * MINUTES_TO_MS)
-        assert first.latency_ms >= 1.0 * MINUTES_TO_MS
 
     def test_saturated_beacon_sheds_lookup_to_origin_direct(
         self, small_corpus

@@ -79,16 +79,10 @@ class TestFactory:
 
 
 class TestExpirationAge:
-    def make(self, beta=1.0):
+    def make(self):
         from repro.core.placement import ExpirationAgePlacement
 
-        return ExpirationAgePlacement(beta=beta)
-
-    def test_rejects_bad_beta(self):
-        import pytest as _pytest
-
-        with _pytest.raises(ValueError):
-            self.make(beta=0.0)
+        return ExpirationAgePlacement()
 
     def test_never_updated_doc_is_stored(self):
         policy = self.make()
@@ -107,12 +101,14 @@ class TestExpirationAge:
             make_context(local_access_rate=1.0, update_rate=10.0)
         )
 
-    def test_beta_scales_the_bar(self):
-        strict = self.make(beta=5.0)
-        lenient = self.make(beta=0.2)
-        ctx = make_context(local_access_rate=2.0, update_rate=1.0)
-        assert lenient.should_store(ctx)
-        assert not strict.should_store(ctx)
+    def test_the_bar_is_the_update_rate(self):
+        policy = self.make()
+        assert not policy.should_store(
+            make_context(local_access_rate=2.0, update_rate=2.0)
+        )
+        assert policy.should_store(
+            make_context(local_access_rate=2.0, update_rate=1.999)
+        )
 
     def test_factory(self):
         from repro.core.placement import ExpirationAgePlacement

@@ -140,10 +140,6 @@ class TestGDSF:
         policy.on_insert(4, 100, 53.0)
         assert policy.choose_victim() in (3, 4)
 
-    def test_rejects_bad_cost(self):
-        with pytest.raises(ValueError):
-            GDSFPolicy(cost_per_doc=0.0)
-
 
 class TestMakePolicy:
     @pytest.mark.parametrize(

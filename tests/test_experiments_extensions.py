@@ -5,8 +5,6 @@ Each result is the registry's shared smoke run (``smoke`` fixture).
 
 import pytest
 
-from repro.experiments.figures import TINY_SCALE
-
 
 class TestConsistencyComparison:
     @pytest.fixture(scope="class")
@@ -141,12 +139,6 @@ class TestCapabilityProportionality:
     def test_dynamic_respects_capability_better(self, result):
         imbalance = result.extras
         assert imbalance["dynamic_imbalance"] < imbalance["static_imbalance"] * 1.05
-
-    def test_rejects_wrong_capability_count(self):
-        from repro.experiments.extensions import capability_proportionality
-
-        with pytest.raises(ValueError):
-            capability_proportionality(TINY_SCALE, capabilities=[1.0, 2.0])
 
     def test_render(self, result):
         assert "capability" in result.render()

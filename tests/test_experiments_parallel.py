@@ -6,7 +6,6 @@ import pickle
 
 import pytest
 
-from repro.audit.antientropy import AntiEntropyConfig
 from repro.core.config import AssignmentScheme, CloudConfig, PlacementScheme
 from repro.core.elastic import ElasticConfig
 from repro.core.overload import OverloadConfig
@@ -26,7 +25,6 @@ from repro.experiments.sweeps import Scale, paper_cloud, poisson_churn, zipf_wor
 from repro.faults.plan import FaultPlan
 from repro.observe.flight import FlightSpec
 from repro.simulation.rng import derive_seed
-from repro.strategies.spec import StrategySpec
 from repro.workload.generator import WorkloadConfig
 from repro.workload.sydney import SydneyConfig
 from tests.conftest import run_materialized
@@ -248,7 +246,7 @@ class TestOneAttachSequence:
             planes_spec(
                 None,
                 fault_plan=FaultPlan(seed=3, loss_rate=0.1),
-                anti_entropy=AntiEntropyConfig(),
+                anti_entropy=True,
                 overload=OverloadConfig(),
             ),
             on_attached=on_attached,
@@ -279,10 +277,10 @@ class TestOneAttachSequence:
                 tmp_path / f"{run}.jsonl",
                 fault_plan=FaultPlan(seed=3, loss_rate=0.1),
                 churn=PLANES_CHURN,
-                anti_entropy=AntiEntropyConfig(),
+                anti_entropy=True,
                 overload=OverloadConfig(),
                 elastic=ElasticConfig(),
-                strategy=StrategySpec(scheme="lcd"),
+                strategy="lcd",
                 audit=True,
             )
             for run in ("a", "b", "materialized")

@@ -11,7 +11,8 @@ original interpretive ``_attempt`` and not against itself.
 
 One small run with every plane attached at once — loss + duplication +
 delay with retries, real bounded queues with a per-category service
-override, ``Telemetry`` with a span cap the run crosses, a
+cost (:class:`PerCategoryCost`, which keeps the traffic the digests were
+recorded from), ``Telemetry`` with a span cap the run crosses, a
 ``FlightRecorder``, dispatch capture and the warm-up counter reset — in
 two flavours: a uniform loss plan (the injector's no-override fast path)
 and one with link and category overrides.
@@ -33,6 +34,7 @@ from typing import Dict
 
 import pytest
 
+from repro.core import cloud as cloud_module
 from repro.core.cloud import CacheCloud
 from repro.core.config import (
     WEIGHTS_ALL_ON,
@@ -40,7 +42,7 @@ from repro.core.config import (
     CloudConfig,
     PlacementScheme,
 )
-from repro.core.overload import OverloadConfig
+from repro.core.overload import OverloadConfig, OverloadController
 from repro.experiments.runner import run_experiment
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, RetryPolicy
@@ -52,7 +54,7 @@ from repro.observe.flight import FlightRecorder
 from repro.observe.registry import Telemetry
 from repro.simulation.engine import Simulator
 from repro.simulation.rng import derive_seed
-from repro.strategies import StrategySpec, build_strategy
+from repro.strategies import build_strategy
 from repro.workload.documents import build_corpus
 from repro.workload.sydney import SydneyConfig, SydneyTraceGenerator
 
@@ -88,11 +90,44 @@ OVERLOAD = OverloadConfig(
     queue_capacity=6,
     service_ms=150.0,
     service_ms_per_kb=5.0,
-    category_service_ms=(("control", 40.0), ("client_request", 90.0)),
     shed_highwater=4,
     shed_lowwater=2,
     retry=RETRY,
 )
+
+
+class PerCategoryCost(OverloadController):
+    """The controller with a control message costing 40 ms and a client
+    request 90 ms instead of the flat 150 ms.
+
+    The digests below were recorded with these per-category costs. The
+    service model itself charges one flat cost, so this controller keeps
+    them for the runs here, and with them the traffic the digests pin.
+    """
+
+    CONTROL = dataclasses.replace(OVERLOAD, service_ms=40.0)
+
+    def __init__(self, config: OverloadConfig) -> None:
+        assert config is OVERLOAD
+        super().__init__(config)
+        self._request_minutes = dataclasses.replace(
+            config, service_ms=90.0
+        ).service_minutes(0)
+
+    def admit_wire(self, dst, category, num_bytes):
+        if category != "control":
+            return super().admit_wire(dst, category, num_bytes)
+        self.config = self.CONTROL
+        try:
+            return super().admit_wire(dst, category, num_bytes)
+        finally:
+            self.config = OVERLOAD
+
+
+@pytest.fixture(autouse=True)
+def per_category_cost(monkeypatch):
+    monkeypatch.setattr(cloud_module, "OverloadController", PerCategoryCost)
+
 
 #: sha256 of each artifact, generated on the parent commit (see module doc).
 PARENT_DIGESTS: Dict[str, Dict[str, str]] = {
@@ -364,7 +399,7 @@ def _seam_run(name: str) -> Dict[str, str]:
         cooperation=run["cooperation"],
         seed=SEED,
     )
-    strategy = build_strategy(StrategySpec(scheme=run["scheme"]), config)
+    strategy = build_strategy(run["scheme"], config)
     cloud = CacheCloud(config, corpus, strategy=strategy)
     simulator = Simulator()
     telemetry = Telemetry(max_spans=1_000_000)

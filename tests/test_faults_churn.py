@@ -64,15 +64,12 @@ class TestChurnSpec:
             duration_minutes=200.0,
             failure_rate_per_minute=0.1,
             seed=3,
-            events=(ChurnEvent(150.0, 0, FAIL),),
         )
         events = spec.build_events(8)
         assert events == sorted(events, key=lambda e: (e.time, e.cache_id, e.action))
 
-    def test_zero_rate_keeps_only_scripted_events(self):
-        scripted = (ChurnEvent(5.0, 1, FAIL), ChurnEvent(9.0, 1, RECOVER))
-        spec = ChurnSpec(duration_minutes=10.0, events=scripted)
-        assert tuple(spec.build_events(4)) == scripted
+    def test_zero_rate_builds_no_events(self):
+        assert ChurnSpec(duration_minutes=10.0).build_events(4) == []
 
 
 class TestChurnSchedule:

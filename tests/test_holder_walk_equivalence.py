@@ -31,7 +31,6 @@ from typing import Callable, List, Optional, Tuple
 
 import pytest
 
-from repro.audit.antientropy import AntiEntropyConfig
 from repro.audit.invariants import InvariantAuditor, ViolationKind
 from repro.core.cloud import CacheCloud
 from repro.core.config import (
@@ -59,7 +58,7 @@ from repro.network.origin import ORIGIN_NODE_ID
 from repro.network.topology import EuclideanTopology
 from repro.network.transport import Transport
 from repro.observe.profile import WorkProfile
-from repro.strategies import StrategySpec, build_strategy
+from repro.strategies import build_strategy
 from repro.workload.documents import build_corpus
 
 NUM_CACHES = 8
@@ -161,7 +160,7 @@ def _build(
         transport = Transport(topology=topo)
     composed = None
     if strategy is not None:
-        composed = build_strategy(StrategySpec(scheme=strategy), config)
+        composed = build_strategy(strategy, config)
     cloud = CacheCloud(config, corpus, transport=transport, strategy=composed)
     if loss:
         plan = FaultPlan(
@@ -173,7 +172,7 @@ def _build(
     if elastic:
         cloud.attach_elastic(ElasticConfig())
     if anti_entropy:
-        cloud.attach_anti_entropy(AntiEntropyConfig())
+        cloud.attach_anti_entropy()
     cloud.redirect_on_dead = True
     return cloud
 

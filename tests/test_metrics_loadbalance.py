@@ -1,7 +1,7 @@
 """Unit + property tests for load-balance statistics."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.metrics.loadbalance import (
@@ -74,6 +74,7 @@ positive_loads = st.lists(
 
 
 @given(loads=positive_loads)
+@example(loads=[0.0, 3.666454014692339e-162])  # squared deviations underflow
 @settings(max_examples=100, deadline=None)
 def test_statistics_invariants(loads):
     stats = load_balance_stats(loads)

@@ -144,8 +144,6 @@ PRIVATE_READS: Set[Tuple[str, str]] = {
     ("repro.observe.registry", "_histograms"),
     ("repro.observe.registry", "_times"),
     ("repro.observe.registry", "_values"),
-    ("repro.observe.flight", "_index"),
-    ("repro.observe.flight", "_header_written"),
     # The TTL rule extending the group's peer test through ``super()``.
     ("repro.baselines.ttl", "_peer_usable"),
 }

@@ -22,18 +22,12 @@ class TestEuclideanTopology:
         with pytest.raises(ValueError):
             EuclideanTopology({})
 
-    def test_rejects_negative_latency_params(self):
-        with pytest.raises(ValueError):
-            EuclideanTopology({0: (0, 0)}, base_latency_ms=-1)
-
     def test_self_latency_zero(self):
         topo = EuclideanTopology({0: (0, 0), 1: (3, 4)})
         assert topo.latency_ms(0, 0) == 0.0
 
     def test_latency_is_base_plus_distance(self):
-        topo = EuclideanTopology(
-            {0: (0, 0), 1: (3, 4)}, base_latency_ms=2.0, ms_per_unit=1.0
-        )
+        topo = EuclideanTopology({0: (0, 0), 1: (3, 4)})
         assert topo.latency_ms(0, 1) == pytest.approx(7.0)  # 2 + 5
 
     def test_latency_symmetric(self):

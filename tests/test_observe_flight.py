@@ -9,18 +9,18 @@ Four contracts under test:
 2. **Windowed streaming export** — fixed-width sim-time windows appended
    as canonical JSON lines: contiguous indices, explicit zero windows
    over idle gaps, byte-identical artifacts for same-seed runs (serial
-   vs worker pool, streaming vs materialized traces), and torn-tail
-   recovery for the fsync'd appending writer.
+   vs worker pool, streaming vs materialized traces), and a reader that
+   tolerates the torn tail a crash can leave behind the fsync'd writer.
 3. **Cost attribution** — per-phase work counters and the
    ``holder_walk_length`` histogram populate deterministically, and the
-   monitor exposes windowed profile series when a profile is attached.
+   flight windows carry the per-phase cost deltas when a profile is
+   attached.
 4. **Dashboard** — render/diff: the report carries its sections, a
    self-diff passes, and a perturbed artifact fails the diff.
 """
 
 from __future__ import annotations
 
-import json
 import random
 import tracemalloc
 
@@ -39,6 +39,7 @@ from repro.faults.plan import NO_FAULTS, FaultPlan, RetryPolicy
 from repro.network.bandwidth import TrafficCategory
 from repro.observe.flight import (
     FLIGHT_SCHEMA_VERSION,
+    SPARK_WIDTH,
     ArtifactError,
     FlightLog,
     FlightRecorder,
@@ -52,7 +53,7 @@ from repro.observe.flight import (
     window_series,
 )
 from repro.observe.profile import PHASE_ROLES, PHASES, WorkProfile
-from repro.strategies import StrategySpec, build_strategy
+from repro.strategies import build_strategy
 from repro.workload.documents import build_corpus
 from repro.workload.generator import WorkloadConfig
 from tests.conftest import make_cloud, run_materialized
@@ -130,7 +131,7 @@ class TestWorkProfile:
 
 
 # ----------------------------------------------------------------------
-# The appending writer: durability and torn-tail recovery
+# The appending writer: canonical lines, and a reader that tolerates a tear
 # ----------------------------------------------------------------------
 class TestFlightWriter:
     def test_lines_are_canonical_json(self, tmp_path):
@@ -141,22 +142,6 @@ class TestFlightWriter:
         writer.close()
         raw = open(path, "rb").read()
         assert raw == b'{"a":1,"b":2}\n{"type":"x"}\n'
-
-    def test_resume_truncates_torn_tail(self, tmp_path):
-        path = str(tmp_path / "torn.jsonl")
-        writer = FlightWriter(path)
-        writer.append({"type": "header"})
-        writer.append({"index": 0, "type": "window"})
-        writer.close()
-        with open(path, "ab") as fh:
-            fh.write(b'{"index":1,"ty')  # crash mid-write: no newline
-        resumed = FlightWriter(path, resume=True)
-        assert resumed.recovered_lines == 2
-        resumed.append({"index": 1, "type": "window"})
-        resumed.close()
-        lines = open(path, "rb").read().splitlines()
-        assert len(lines) == 3
-        assert json.loads(lines[-1]) == {"index": 1, "type": "window"}
 
     def test_read_flight_tolerates_torn_tail_only(self, tmp_path):
         path = str(tmp_path / "tail.jsonl")
@@ -325,46 +310,6 @@ class TestFlightRecording:
         assert first == second
         assert len(first) > 0
 
-    def test_resume_continues_window_numbering(self, small_corpus, tmp_path):
-        path = str(tmp_path / "resume.jsonl")
-        cloud = make_cloud(small_corpus)
-        cloud.attach_flight(FlightRecorder(path, window=1.0))
-        for i in range(4):
-            cloud.handle_request(i % len(cloud.caches), i, now=0.5 + i)
-        # Crash: no finish(), plus a torn fragment from a mid-write tear.
-        with open(path, "ab") as fh:
-            fh.write(b'{"index":3,"type":"win')
-        cloud.detach_flight()
-
-        resumed = FlightRecorder.resume(path)
-        fresh = make_cloud(small_corpus)
-        fresh.attach_flight(resumed)
-        fresh.handle_request(0, 5, now=4.5)
-        resumed.finish(5.0)
-        log = read_flight(path)
-        assert not log.torn_tail
-        assert [w["index"] for w in log.windows] == list(range(5))
-        assert log.summary["windows"] == 5
-
-    def test_resume_refuses_a_finished_recording(self, small_corpus, tmp_path):
-        # Continuing one would put a summary mid-file and windows off the grid.
-        path = str(tmp_path / "finished.jsonl")
-        cloud = make_cloud(small_corpus)
-        recorder = cloud.attach_flight(FlightRecorder(path, window=1.0))
-        for i in range(3):
-            cloud.handle_request(i % len(cloud.caches), i, now=0.5 + i)
-        recorder.finish(3.5)
-        finished = open(path, "rb").read()
-        with pytest.raises(ArtifactError, match="finished.jsonl"):
-            FlightRecorder.resume(path)
-        assert open(path, "rb").read() == finished
-
-    def test_resume_refuses_a_headerless_file(self, tmp_path):
-        path = tmp_path / "headless.jsonl"
-        path.write_text('{"type":"window","index":0,"start":0,"end":1,"requests":0,"updates":0}\n')
-        with pytest.raises(ArtifactError, match="headless.jsonl"):
-            FlightRecorder.resume(str(path))
-
     @pytest.mark.parametrize(
         "geometry, field",
         [
@@ -376,12 +321,13 @@ class TestFlightRecording:
             ('"window":0,"top_docs":5', "window"),
         ],
     )
-    def test_resume_refuses_a_header_without_its_geometry(self, tmp_path, geometry, field):
+    def test_read_flight_refuses_a_header_without_its_geometry(
+        self, tmp_path, geometry, field
+    ):
         path = tmp_path / "geometry.jsonl"
         path.write_text('{"type":"header","schema":1,' + geometry + "}\n")
-        for read in (read_flight, FlightRecorder.resume):
-            with pytest.raises(ArtifactError, match=f"geometry.jsonl:1: header.*'?{field}"):
-                read(str(path))
+        with pytest.raises(ArtifactError, match=f"geometry.jsonl:1: header.*'?{field}"):
+            read_flight(str(path))
 
     def test_a_recorder_without_a_path_keeps_the_artifact_in_memory(
         self, small_corpus, tmp_path
@@ -560,8 +506,8 @@ class TestRenderAndDiff:
         assert len(set(flat)) == 1
         ramp = sparkline([float(i) for i in range(8)])
         assert ramp[0] == "▁" and ramp[-1] == "█"
-        wide = sparkline([float(i) for i in range(500)], width=60)
-        assert len(wide) == 60
+        wide = sparkline([float(i) for i in range(500)])
+        assert len(wide) == SPARK_WIDTH == 60
 
 
 # ----------------------------------------------------------------------
@@ -637,7 +583,7 @@ def _tree_cloud(loss=None):
         seed=3,
     )
     cloud = CacheCloud(
-        config, corpus, strategy=build_strategy(StrategySpec(scheme="cup_tree"), config)
+        config, corpus, strategy=build_strategy("cup_tree", config)
     )
     profile = cloud.attach_profile(WorkProfile())
     if loss is not None:

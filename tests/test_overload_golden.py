@@ -57,7 +57,7 @@ class TestOverloadSweepDeterminism:
         row = result.record(16.0, "cooperative")
         assert row["rejected (%)"] > 0.0
         assert row["shed (%)"] > 0.0
-        # The windowed monitor series rode along for both arms.
+        # The windowed flight series rode along for both arms.
         series = result.extras["series"][point_key(16.0, "cooperative")]
         assert len(series["rejection_rate"]) == 20
         assert max(value for _, value in series["rejection_rate"]) > 0.0

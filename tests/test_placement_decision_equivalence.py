@@ -45,7 +45,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.audit.antientropy import AntiEntropyConfig
 from repro.audit.invariants import InvariantAuditor, ViolationKind
 from repro.core import node as node_module
 from repro.core.cloud import CacheCloud
@@ -63,7 +62,7 @@ from repro.core.utility import PlacementContext, UtilityComponents, UtilityCompu
 from repro.faults.churn import FAIL, RECOVER, ChurnEvent, ChurnSchedule
 from repro.strategies import paper
 from repro.strategies.base import Retrieval, apply_store_decision
-from repro.strategies.spec import KNOWN_SCHEMES, StrategySpec, build_strategy
+from repro.strategies.spec import KNOWN_SCHEMES, build_strategy
 from repro.workload.documents import build_corpus
 
 
@@ -94,7 +93,7 @@ def old_should_store(policy: PlacementPolicy, ctx: PlacementContext) -> bool:
     if isinstance(policy, ExpirationAgePlacement):
         if ctx.update_rate <= 0.0:
             return True
-        return ctx.local_access_rate > policy.beta * ctx.update_rate
+        return ctx.local_access_rate > 1.0 * ctx.update_rate  # beta was always 1.0
     assert isinstance(policy, UtilityPlacement)
     computer = policy.computer
     computer.evaluations += 1
@@ -172,7 +171,7 @@ def drive(scheme: str, seed: int, operations: int = 400) -> List[tuple]:
         seed=seed,
     )
     cloud = CacheCloud(
-        config, corpus, strategy=build_strategy(StrategySpec(scheme), config)
+        config, corpus, strategy=build_strategy(scheme, config)
     )
     rng = random.Random(seed + 1)
     observations = []
@@ -453,7 +452,7 @@ def churn_cloud(seed: int) -> CacheCloud:
         seed=seed,
     )
     cloud = CacheCloud(config, corpus)
-    cloud.attach_anti_entropy(AntiEntropyConfig())
+    cloud.attach_anti_entropy()
     cloud.redirect_on_dead = True
     return cloud
 

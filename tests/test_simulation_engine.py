@@ -19,18 +19,6 @@ class TestScheduling:
         sim.run_until(5.0)
         assert fired == [5.0]
 
-    def test_schedule_in_negative_delay_raises(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError):
-            sim.schedule_in(-0.1, lambda: None)
-
-    def test_schedule_in_is_relative(self):
-        sim = Simulator(start_time=2.0)
-        fired = []
-        sim.schedule_in(3.0, lambda: fired.append(sim.now))
-        sim.run_until(10.0)
-        assert fired == [5.0]
-
 
 class TestExecutionOrder:
     def test_events_run_in_time_order(self):
@@ -66,7 +54,7 @@ class TestExecutionOrder:
         def chain(n):
             seen.append(n)
             if n < 3:
-                sim.schedule_in(1.0, lambda: chain(n + 1))
+                sim.schedule_at(sim.now + 1.0, lambda: chain(n + 1))
 
         sim.schedule_at(0.0, lambda: chain(0))
         sim.run_until(10.0)

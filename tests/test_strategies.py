@@ -1,6 +1,6 @@
 """Unit tests for the strategy plane (:mod:`repro.strategies`).
 
-Covers the spec layer (validation, composition), the on-path admission
+Covers building a strategy from its scheme name, the on-path admission
 family's hop decisions, and — the accounting contract this PR's bugfix
 satellite pins — that every requester-side decision ticks exactly one of
 ``stores`` / ``placement_rejects`` *at the requester's cache*, including
@@ -20,8 +20,6 @@ from repro.strategies import (
     LCDStrategy,
     LCEStrategy,
     PolicyStrategy,
-    ProbCacheStrategy,
-    StrategySpec,
     build_strategy,
 )
 from repro.workload.documents import build_corpus
@@ -46,9 +44,9 @@ def corpus():
     return build_corpus(50, fixed_size=1024)
 
 
-def _cloud(scheme: str, corpus, **spec_knobs) -> CacheCloud:
+def _cloud(scheme: str, corpus) -> CacheCloud:
     config = _config()
-    strategy = build_strategy(StrategySpec(scheme=scheme, **spec_knobs), config)
+    strategy = build_strategy(scheme, config)
     return CacheCloud(config, corpus, strategy=strategy)
 
 
@@ -65,49 +63,29 @@ def _drive(cloud, steps=80):
 
 
 class TestStrategySpec:
+    """A strategy is built from its scheme name."""
+
     def test_known_schemes_build(self, corpus):
         config = _config()
         for scheme in KNOWN_SCHEMES:
-            strategy = build_strategy(StrategySpec(scheme=scheme), config)
+            strategy = build_strategy(scheme, config)
             assert scheme in strategy.name or strategy.name == scheme
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError, match="unknown strategy scheme"):
-            StrategySpec(scheme="mru")
-
-    def test_probability_bounds(self):
-        with pytest.raises(ValueError, match="store_probability"):
-            StrategySpec(scheme="probcache", store_probability=1.5)
-        with pytest.raises(ValueError, match="store_probability"):
-            ProbCacheStrategy(store_probability=-0.1)
-
-    def test_fanout_and_base_placement_validated(self):
-        with pytest.raises(ValueError, match="tree_fanout"):
-            StrategySpec(scheme="cup_tree", tree_fanout=0)
-        with pytest.raises(ValueError, match="base_placement"):
-            StrategySpec(scheme="cup_tree", base_placement="lce")
+            build_strategy("mru", _config())
 
     def test_composition_types(self):
-        config = _config()
-        assert isinstance(
-            build_strategy(StrategySpec(scheme="beacon"), config),
-            BeaconPointStrategy,
-        )
-        assert isinstance(
-            build_strategy(StrategySpec(scheme="ad_hoc"), config),
-            PolicyStrategy,
-        )
-        assert isinstance(
-            build_strategy(StrategySpec(scheme="lce"), config), LCEStrategy
-        )
-        assert isinstance(
-            build_strategy(StrategySpec(scheme="lcd"), config), LCDStrategy
-        )
-        cup = build_strategy(
-            StrategySpec(scheme="cup_tree", base_placement="ad_hoc"), config
-        )
+        config = _config(placement=PlacementScheme.AD_HOC)
+        assert isinstance(build_strategy("beacon", config), BeaconPointStrategy)
+        assert isinstance(build_strategy("ad_hoc", config), PolicyStrategy)
+        assert isinstance(build_strategy("lce", config), LCEStrategy)
+        assert isinstance(build_strategy("lcd", config), LCDStrategy)
+        # The tree's request-path admission is the utility placement,
+        # whatever the config names.
+        cup = build_strategy("cup_tree", config)
         assert isinstance(cup, CUPTreeStrategy)
-        assert cup.name == "cup_tree:ad_hoc"
+        assert cup.name == "cup_tree:utility"
 
     def test_config_composition_uses_clouds_own_policy(self, corpus):
         """Adaptive layers retune ``cloud.placement`` — the default strategy
@@ -117,7 +95,7 @@ class TestStrategySpec:
 
     def test_explicit_strategy_rebinds_cloud_placement(self, corpus):
         config = _config()
-        strategy = build_strategy(StrategySpec(scheme="ad_hoc"), config)
+        strategy = build_strategy("ad_hoc", config)
         cloud = CacheCloud(config, corpus, strategy=strategy)
         assert cloud.placement is strategy.policy
         assert cloud.placement.name == "ad_hoc"

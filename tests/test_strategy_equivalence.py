@@ -7,7 +7,7 @@ schemes can now be composed two ways:
   ``placement`` field (the pre-refactor spelling; ``CacheCloud`` composes
   the default strategy from it), and
 * **spec** — a config carrying a *different* placement (the utility
-  baseline) plus ``build_strategy(StrategySpec(scheme=...))`` injected at
+  baseline) plus ``build_strategy(...)`` injected at
   the composition root.
 
 Driven with the fabric suite's deterministic request/update/cycle mix, the
@@ -27,7 +27,7 @@ import pytest
 
 from repro.core.cloud import CacheCloud
 from repro.core.config import PlacementScheme
-from repro.strategies import PAPER_SCHEMES, StrategySpec, build_strategy
+from repro.strategies import PAPER_SCHEMES, build_strategy
 from tests.conftest import make_cloud
 
 
@@ -61,7 +61,7 @@ def _spec_cloud(corpus, scheme: str) -> CacheCloud:
     )
     native = make_cloud(corpus, placement=PlacementScheme(scheme))
     config = replace(native.config, placement=other)
-    strategy = build_strategy(StrategySpec(scheme=scheme), config)
+    strategy = build_strategy(scheme, config)
     return CacheCloud(config, corpus, strategy=strategy)
 
 
@@ -129,7 +129,7 @@ class TestSeamComposition:
         lce = CacheCloud(
             config,
             small_corpus,
-            strategy=build_strategy(StrategySpec(scheme="lce"), config),
+            strategy=build_strategy("lce", config),
         )
         _drive(baseline)
         _drive(lce)

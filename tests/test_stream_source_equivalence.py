@@ -28,7 +28,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.audit.antientropy import AntiEntropyConfig
 from repro.core.cloud import CacheCloud
 from repro.core.config import (
     WEIGHTS_ALL_ON,
@@ -41,7 +40,7 @@ from repro.core.overload import OverloadConfig
 from repro.experiments import runner
 from repro.experiments.reporting import fingerprint
 from repro.experiments.runner import TraceFeeder, run_experiment
-from repro.faults.churn import FAIL, RECOVER, ChurnEvent, ChurnSpec
+from repro.faults.churn import FAIL, RECOVER, ChurnEvent, ChurnSchedule
 from repro.observe.flight import FlightRecorder
 from repro.simulation import engine, events
 from repro.simulation.clock import ClockError
@@ -459,7 +458,8 @@ def pipeline_run(feeder_cls: type, monkeypatch) -> dict:
     )
     # Quarter-minute grid: records land on cycle boundaries (5, 10, ...),
     # on the warm-up instant (5.0), on flight-window boundaries and on
-    # elastic / anti-entropy ticks, and updates share instants with requests.
+    # elastic / anti-entropy ticks (anti-entropy sweeps once per cycle), and
+    # updates share instants with requests.
     request_records = [
         RequestRecord(i * 0.25, (i * 5) % 6, (i * 7) % 60) for i in range(118)
     ]
@@ -494,6 +494,21 @@ def pipeline_run(feeder_cls: type, monkeypatch) -> dict:
     simulator.schedule_at = logged_schedule_at
     cloud.attach_overload(OverloadConfig(queue_capacity=8, service_ms=200.0))
     flight = FlightRecorder(None, window=2.5)
+    churn = ChurnSchedule(
+        [
+            ChurnEvent(7.5, 2, FAIL),
+            ChurnEvent(12.0, 4, FAIL),
+            ChurnEvent(13.75, 2, RECOVER),
+            ChurnEvent(15.0, 4, RECOVER),
+        ]
+    )
+
+    def attach_churn(cloud, simulator):
+        # Scripted events reach a cloud through a schedule, hooked to the
+        # repair sweep as ``run_experiment`` hooks its own.
+        churn.add_hook(cloud.anti_entropy.on_churn_event)
+        churn.attach(cloud, simulator)
+
     seq_base = seq_now()
     result = run_experiment(
         config,
@@ -504,23 +519,16 @@ def pipeline_run(feeder_cls: type, monkeypatch) -> dict:
         warmup=5.0,
         cloud=cloud,
         simulator=simulator,
-        churn=ChurnSpec(
-            duration_minutes=DURATION,
-            events=(
-                ChurnEvent(7.5, 2, FAIL),
-                ChurnEvent(12.0, 4, FAIL),
-                ChurnEvent(13.75, 2, RECOVER),
-                ChurnEvent(15.0, 4, RECOVER),
-            ),
-        ),
-        anti_entropy=AntiEntropyConfig(period_minutes=2.5),
+        anti_entropy=True,
         flight=flight,
         elastic=ElasticConfig(
             min_caches=3, check_period_minutes=1.25, cooldown_minutes=2.5,
             window_minutes=2.5,
         ),
         audit=True,
+        on_attached=attach_churn,
     )
+    churn.finalize(DURATION)
     return {
         "order": order,
         "seq_used": seq_now() - seq_base - 1,
@@ -528,6 +536,7 @@ def pipeline_run(feeder_cls: type, monkeypatch) -> dict:
         "pending": simulator.pending_events,
         "now": simulator.now,
         "result": fingerprint(result.detached()),
+        "churn": churn.stats.as_dict(),
         "flight": fingerprint(
             [flight.log.header, flight.log.windows, flight.log.summary]
         ),

@@ -108,23 +108,17 @@ def synthetic_requests_by_the_book(gen: SyntheticTraceGenerator) -> Iterator[Req
     doc_rng = streams.get("request-docs")
     cache_rng = streams.get("request-caches")
     sampler = ZipfSampler(cfg.num_documents, cfg.alpha_requests, doc_rng)
-    cache_ids = list(range(cfg.num_caches))
     total_rate = cfg.num_caches * cfg.request_rate_per_cache
     for t in arrivals_by_the_book(total_rate, cfg.duration_minutes, arrival_rng):
         doc_id = gen.doc_for_rank(sampler.sample())
-        if cfg.cache_weights is None:
-            cache_id = cache_rng.randrange(cfg.num_caches)
-        else:
-            cache_id = cache_rng.choices(cache_ids, weights=list(cfg.cache_weights), k=1)[0]
+        cache_id = cache_rng.randrange(cfg.num_caches)
         yield RequestRecord(time=t, cache_id=cache_id, doc_id=doc_id)
 
 
 def synthetic_updates_by_the_book(gen: SyntheticTraceGenerator) -> Iterator[UpdateRecord]:
     cfg, streams = gen.config, gen._streams
     arrival_rng = streams.get("update-arrivals")
-    sampler = ZipfSampler(
-        cfg.num_documents, cfg.effective_alpha_updates, streams.get("update-docs")
-    )
+    sampler = ZipfSampler(cfg.num_documents, cfg.alpha_requests, streams.get("update-docs"))
     for t in arrivals_by_the_book(cfg.update_rate, cfg.duration_minutes, arrival_rng):
         yield UpdateRecord(time=t, doc_id=gen.doc_for_rank(sampler.sample()))
 
@@ -340,14 +334,9 @@ SCENARIOS = [
     Scenario("synthetic-one-cache", "synthetic", **small_synthetic(seed=2, num_caches=1)),
     Scenario("synthetic-33-caches", "synthetic", **small_synthetic(seed=3, num_caches=33)),
     Scenario(
-        "synthetic-cache-weights",
-        "synthetic",
-        **small_synthetic(seed=4, num_caches=5, cache_weights=(1.0, 2, 0.0, 4.5, 0.25)),
-    ),
-    Scenario(
         "synthetic-alpha-updates",
         "synthetic",
-        **small_synthetic(seed=5, alpha_requests=0.0, alpha_updates=1.2),
+        **small_synthetic(seed=5, alpha_requests=1.2),
     ),
     Scenario(
         "synthetic-zero-rates",
@@ -418,12 +407,6 @@ class TestStreamsMatchTheBook:
         assert times == last_ulp_arrivals(8.0, 1.0)[1]
         assert gen.epoch_at(times[1]) == gen.config.num_epochs - 1
 
-    def test_bad_cache_weights_still_raise(self):
-        """``random.choices`` refused these on the first record; the config does now."""
-        for weights in ((0.0, 0.0), (1.0, -3.0), (1.0, math.inf)):
-            with pytest.raises(ValueError, match="cache_weights"):
-                WorkloadConfig(**small_synthetic(num_caches=2, cache_weights=weights))
-
     def test_poisson_arrivals_is_expovariate(self):
         got = list(poisson_arrivals(7.5, 40.0, random.Random(5)))
         assert got == list(arrivals_by_the_book(7.5, 40.0, random.Random(5))) and len(got) > 200
@@ -462,21 +445,14 @@ def sydney_configs(draw) -> Dict[str, Any]:
 
 @st.composite
 def synthetic_configs(draw) -> Dict[str, Any]:
-    num_caches = draw(st.integers(1, 9))
-    weights = draw(
-        st.none()
-        | st.lists(st.sampled_from([0.5, 1, 3.25]), min_size=num_caches, max_size=num_caches)
-    )
     return dict(
         num_documents=draw(st.integers(1, 60)),
-        num_caches=num_caches,
+        num_caches=draw(st.integers(1, 9)),
         request_rate_per_cache=draw(st.sampled_from([0.0, 0.5, 12.0])),
         update_rate=draw(st.sampled_from([0.0, 1.0, 9.0])),
         alpha_requests=draw(st.sampled_from([0.0, 0.9, 1.3])),
-        alpha_updates=draw(st.sampled_from([None, 0.0, 0.4])),
         duration_minutes=draw(st.sampled_from([1.0, 12.0])),
         seed=draw(st.integers(0, 2**32)),
-        cache_weights=None if weights is None else tuple(weights),
     )
 
 

@@ -51,7 +51,8 @@ from repro.network.transport import Transport
 from repro.observe.flight import FlightRecorder
 from repro.observe.profile import WorkProfile
 from repro.observe.registry import Telemetry
-from repro.strategies import StrategySpec, build_strategy
+from repro.strategies import build_strategy
+from repro.strategies.cup import FANOUT, CUPTreeStrategy
 from repro.workload.documents import build_corpus
 
 NUM_CACHES = 8
@@ -225,7 +226,7 @@ def _reference_cup_on_update(self, beacon_role, doc_id, version, size, now):
     arrival: Dict[int, float] = {beacon_id: now + body.latency}
     deferred: Set[int] = set()
     overload = cloud.overload
-    k = self.fanout
+    k = FANOUT
     for index, parent in enumerate(order):
         parent_at = arrival.get(parent)
         if parent_at is None:
@@ -309,7 +310,7 @@ def _patch_to_reference(cloud: CacheCloud) -> None:
     cloud.origin_role.refresh_holders = types.MethodType(
         _reference_refresh_holders, cloud.origin_role
     )
-    if hasattr(cloud.strategy, "fanout"):  # the CUP tree
+    if isinstance(cloud.strategy, CUPTreeStrategy):
         cloud.strategy.on_update = types.MethodType(
             _reference_cup_on_update, cloud.strategy
         )
@@ -362,7 +363,7 @@ def _build(
         transport = Transport(topology=topo)
     composed = None
     if strategy is not None:
-        composed = build_strategy(StrategySpec(scheme=strategy), config)
+        composed = build_strategy(strategy, config)
     cloud = CacheCloud(
         config,
         corpus,
@@ -589,7 +590,13 @@ SCENARIOS = {
 }
 
 
-@pytest.mark.parametrize("seed", [3, 17])
+#: One seed per scenario: every mutant of :class:`TestRemovedSeamIsCaught`
+#: that tears a scenario tears it at seed 3 and at seed 17 alike, and 17
+#: is the quicker of the two on the heaviest scenarios.
+SEED = 17
+
+
+@pytest.mark.parametrize("seed", [SEED])
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_batched_fanout_matches_the_per_leg_loops(name, seed, tmp_path):
     planes, script = SCENARIOS[name]
@@ -778,14 +785,11 @@ def _diverges(batched: CacheCloud, per_leg: CacheCloud, ops: List[Op]) -> bool:
 
 class TestRemovedSeamIsCaught:
     def _check(self, monkeypatch, tmp_path, planes, sabotage) -> None:
-        caught = 0
-        for seed in (3, 17):
-            batched, per_leg = _pair(seed, tmp_path, **planes)
-            ops = _script(seed, 240)
-            with monkeypatch.context() as patch:
-                sabotage(patch)
-                caught += _diverges(batched, per_leg, ops)
-        assert caught == 2
+        batched, per_leg = _pair(SEED, tmp_path, **planes)
+        ops = _script(SEED, 240)
+        with monkeypatch.context() as patch:
+            sabotage(patch)
+            assert _diverges(batched, per_leg, ops)
 
     def test_the_beacon_must_not_push_to_itself(self, monkeypatch, tmp_path):
         def sabotage(patch):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.workload import documents
 from repro.workload.documents import Corpus, DocumentSpec, build_corpus
 
 
@@ -68,11 +69,13 @@ class TestBuildCorpus:
             build_corpus(10, fixed_size=0)
 
     def test_lognormal_sizes_near_requested_mean(self):
-        corpus = build_corpus(5000, random.Random(0), mean_size=8192)
-        assert corpus.mean_size() == pytest.approx(8192, rel=0.15)
+        corpus = build_corpus(5000, random.Random(0))
+        assert corpus.mean_size() == pytest.approx(documents.MEAN_SIZE, rel=0.15)
 
-    def test_sizes_have_floor(self):
-        corpus = build_corpus(2000, random.Random(0), mean_size=128, sigma=1.5)
+    def test_sizes_have_floor(self, monkeypatch):
+        monkeypatch.setattr(documents, "MEAN_SIZE", 128)
+        monkeypatch.setattr(documents, "SIZE_SIGMA", 1.5)
+        corpus = build_corpus(2000, random.Random(0))
         assert min(d.size_bytes for d in corpus) >= 64
 
     def test_urls_unique_and_prefixed(self):

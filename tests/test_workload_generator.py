@@ -15,11 +15,6 @@ class TestWorkloadConfig:
         config = WorkloadConfig()
         assert config.num_documents == 25_000
         assert config.alpha_requests == 0.9
-        assert config.effective_alpha_updates == 0.9
-
-    def test_alpha_updates_override(self):
-        config = WorkloadConfig(alpha_updates=0.5)
-        assert config.effective_alpha_updates == 0.5
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -30,10 +25,6 @@ class TestWorkloadConfig:
             WorkloadConfig(request_rate_per_cache=-1)
         with pytest.raises(ValueError):
             WorkloadConfig(duration_minutes=0)
-
-    def test_cache_weights_must_match_cache_count(self):
-        with pytest.raises(ValueError):
-            WorkloadConfig(num_caches=3, cache_weights=[1.0, 2.0])
 
 
 class TestPoissonArrivals:
@@ -107,16 +98,6 @@ class TestSyntheticTraceGenerator:
         hottest_doc = gen.doc_for_rank(0)
         median = sorted(counts.values())[len(counts) // 2]
         assert counts[hottest_doc] > 3 * median
-
-    def test_cache_weights_bias_distribution(self):
-        config = small_config(
-            cache_weights=[10.0, 1.0, 1.0, 1.0], duration_minutes=60.0
-        )
-        trace = SyntheticTraceGenerator(config).build_trace()
-        per_cache = [0] * 4
-        for record in trace.requests:
-            per_cache[record.cache_id] += 1
-        assert per_cache[0] > 3 * max(per_cache[1:])
 
     def test_updates_share_popularity_permutation(self):
         gen = SyntheticTraceGenerator(
