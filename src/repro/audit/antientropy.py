@@ -257,12 +257,12 @@ class AntiEntropyProcess:
                     CONTROL_MESSAGE_BYTES,
                 ):
                     continue
-            copy = holder_cache.copy_of(doc_id)
-            if copy is None:
+            held = holder_cache.storage.version_of(doc_id)
+            if held < 0:
                 beacon.directory.remove_holder(doc_id, holder)
                 self.stats.dangling_scrubbed += 1
                 repaired += 1
-            elif copy.version < version:
+            elif held < version:
                 repaired += self._refresh_or_invalidate(
                     beacon_id, doc_id, holder, version, size, now, budget
                 )
@@ -284,7 +284,7 @@ class AntiEntropyProcess:
             cloud.origin.serve_fetch(doc_id)
             if self._send(cloud.origin.node_id, holder, body):
                 budget[0] -= body
-                cloud.caches[holder].apply_update(doc_id, version, now, size_bytes=size)
+                cloud.caches[holder].apply_update(doc_id, version)
                 self.stats.stale_refreshed += 1
                 self.stats.refresh_bytes += body
                 return 1

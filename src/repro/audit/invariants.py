@@ -22,6 +22,8 @@ violation of the invariants the design promises:
 * **Stamp soundness** — a directory entry whose stamp is current (origin
   version, cloud holder-epoch) lists only live holders with a copy at that
   version or newer: what lets ``answer_lookup`` skip its holder walk.
+* **Version column** — the slots of a store's version column that name a
+  version are exactly its resident documents (dead caches: none).
 * **Residence order** — the cloud's residence order is sorted and holds
   each cache once, under its storage's ``residence_key``, which is the key
   its ``residence_mean`` gives: what lets a store decision take the least
@@ -80,6 +82,9 @@ class ViolationKind(enum.Enum):
     #: ``residence_mean`` gives: a store decision would weigh the wrong
     #: minimum residence among the holders.
     RESIDENCE_ORDER = "residence_order"
+    #: A store's version column names a version for a document it does not
+    #: hold, or none for one it does: a freshness check would misjudge it.
+    VERSION_COLUMN = "version_column"
 
 
 #: Kinds that represent *divergence* the anti-entropy process repairs, as
@@ -306,6 +311,16 @@ class InvariantAuditor:
     def _check_storage(self, cloud, report: AuditReport) -> None:
         cooperative = cloud.config.cooperation
         for cache in cloud.caches:
+            storage = cache.storage
+            resident = set(storage)
+            slotted = {doc_id for doc_id, held in enumerate(storage.versions) if held >= 0}
+            if slotted != resident:
+                report.add(
+                    ViolationKind.VERSION_COLUMN,
+                    f"cache {cache.cache_id}: version slots of docs "
+                    f"{sorted(slotted ^ resident)[:5]} disagree with its copies",
+                    cache_id=cache.cache_id,
+                )
             if not cache.alive:
                 if len(cache.storage):
                     report.add(
@@ -317,21 +332,21 @@ class InvariantAuditor:
                 continue
             for doc_id in sorted(cache.storage):
                 report.resident_copies_checked += 1
-                copy = cache.storage.get(doc_id)
+                held = storage.version_of(doc_id)
                 current = cloud.origin.version_of(doc_id)
-                if copy.version > current:
+                if held > current:
                     report.add(
                         ViolationKind.VERSION_AHEAD_OF_ORIGIN,
                         f"doc {doc_id}: cache {cache.cache_id} holds "
-                        f"version {copy.version}, origin at {current}",
+                        f"version {held}, origin at {current}",
                         cache_id=cache.cache_id,
                         doc_id=doc_id,
                     )
-                elif copy.version < current:
+                elif held < current:
                     report.add(
                         ViolationKind.STALE_COPY,
                         f"doc {doc_id}: cache {cache.cache_id} holds "
-                        f"version {copy.version}, origin at {current}",
+                        f"version {held}, origin at {current}",
                         cache_id=cache.cache_id,
                         doc_id=doc_id,
                     )

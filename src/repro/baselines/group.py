@@ -25,7 +25,6 @@ from typing import Dict, Optional, Set, Tuple
 from repro.core.cloud import RequestOutcome, RequestResult
 from repro.core.hashing import StaticHashAssigner
 from repro.edgecache.cache import EdgeCache
-from repro.edgecache.document import CachedDocument
 from repro.edgecache.stats import CacheStats
 from repro.network.bandwidth import TrafficCategory
 from repro.network.origin import OriginServer
@@ -82,9 +81,9 @@ class CacheGroup:
     # The rule a subclass states
     # ------------------------------------------------------------------
     def _serve_copy(
-        self, cache: EdgeCache, copy: CachedDocument, doc_id: int, current: int, now: float
+        self, cache: EdgeCache, held: int, doc_id: int, current: int, now: float
     ) -> RequestResult:
-        """Serve a request whose cache holds ``copy`` (``current`` = origin's version)."""
+        """Serve a request whose cache holds a copy at ``held`` (``current`` = origin's)."""
         raise NotImplementedError
 
     def _locate(
@@ -109,9 +108,9 @@ class CacheGroup:
         self.requests_handled += 1
         cache.observe_request(doc_id, now)
         current = self.origin.version_of(doc_id)
-        copy = cache.copy_of(doc_id)
-        if copy is not None:
-            return self._serve_copy(cache, copy, doc_id, current, now)
+        held = cache.storage.version_of(doc_id)
+        if held >= 0:
+            return self._serve_copy(cache, held, doc_id, current, now)
         latency, peer = self._locate(cache_id, doc_id, now)
         return self._fetch(cache, doc_id, current, now, latency, peer)
 
@@ -145,7 +144,7 @@ class CacheGroup:
                 peer, cache.cache_id, size, TrafficCategory.PEER_TRANSFER
             )
             # The peer hands over whatever version it has — stale spreads.
-            version = self.caches[peer].copy_of(doc_id).version
+            version = self.caches[peer].storage.version_of(doc_id)
             self.caches[peer].storage.access(doc_id, now)
             cache.stats.cloud_hits += 1
             self._store(cache, doc_id, size, version, now)

@@ -27,7 +27,6 @@ from typing import Dict, Optional, Tuple
 from repro.baselines.group import CacheGroup, GroupConfig
 from repro.core.cloud import RequestOutcome, RequestResult
 from repro.edgecache.cache import EdgeCache
-from repro.edgecache.document import CachedDocument
 from repro.network.origin import OriginServer
 from repro.network.transport import Transport
 from repro.workload.documents import Corpus
@@ -92,7 +91,7 @@ class CooperativeLeaseCloud(CacheGroup):
     # The rule
     # ------------------------------------------------------------------
     def _serve_copy(
-        self, cache: EdgeCache, copy: CachedDocument, doc_id: int, current: int, now: float
+        self, cache: EdgeCache, held: int, doc_id: int, current: int, now: float
     ) -> RequestResult:
         cache.serve_local(doc_id, now)
         latency = 0.0
@@ -103,7 +102,7 @@ class CooperativeLeaseCloud(CacheGroup):
         else:
             # Lapsed lease: the copy is served as-is; renewal happens via
             # the leaseholder so future updates invalidate again.
-            self._count(copy.version, current)
+            self._count(held, current)
             latency += self._renew_lease(doc_id, now)
         return self._served(cache, RequestOutcome.LOCAL_HIT, latency, cache.cache_id)
 

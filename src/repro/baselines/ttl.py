@@ -26,7 +26,6 @@ from typing import Dict, Optional, Tuple
 from repro.baselines.group import CacheGroup, GroupConfig
 from repro.core.cloud import RequestOutcome, RequestResult
 from repro.edgecache.cache import EdgeCache
-from repro.edgecache.document import CachedDocument
 from repro.network.origin import OriginServer
 from repro.network.transport import Transport
 from repro.workload.documents import Corpus
@@ -78,18 +77,18 @@ class TTLCloud(CacheGroup):
         self._expiry[(cache_id, doc_id)] = now + self.config.ttl_minutes
 
     def _serve_copy(
-        self, cache: EdgeCache, copy: CachedDocument, doc_id: int, current: int, now: float
+        self, cache: EdgeCache, held: int, doc_id: int, current: int, now: float
     ) -> RequestResult:
         cache_id = cache.cache_id
         if self._unexpired(cache_id, doc_id, now):
             # Unexpired: served blind. Staleness goes unnoticed.
             cache.serve_local(doc_id, now)
-            self._count(copy.version, current)
+            self._count(held, current)
             return self._served(cache, RequestOutcome.LOCAL_HIT, 0.0, cache_id)
         # Expired: conditional revalidation with the origin.
         self.validations += 1
         latency = self.transport.send_control(cache_id, self.origin.node_id)
-        if copy.version >= current:
+        if held >= current:
             # 304 Not Modified: extend the TTL, serve locally.
             latency += self.transport.send_control(self.origin.node_id, cache_id)
             self._expiry[(cache_id, doc_id)] = now + self.config.ttl_minutes

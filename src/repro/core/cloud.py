@@ -119,7 +119,7 @@ class CacheCloud:
 
         #: The cloud's holder-epoch: a one-element cell every cache bumps
         #: when it stops holding documents without telling their beacon
-        #: points (crash, retirement, unannounced eviction). Directory
+        #: points (a crash or a retirement). Directory
         #: stamps carry the epoch they were set in, so one bump sends every
         #: lookup in the cloud back to verifying its holders once.
         self.holder_epoch: List[int] = [0]
@@ -138,6 +138,7 @@ class CacheCloud:
                 half_life=config.half_life,
                 holder_epoch=self.holder_epoch,
                 residence_order=self.residence_order,
+                documents=len(corpus),
             )
             for cache_id in range(config.num_caches)
         ]
@@ -563,26 +564,27 @@ class CacheCloud:
         self.requests_handled += 1
         # Inlined EdgeCache.observe_request / serve_local: the local-hit
         # path runs at the full request rate, so the facade hops (and the
-        # second storage-dict lookup inside ``storage.access``) are
-        # flattened here. Counter and recency semantics are identical.
+        # storage-dict lookup inside ``storage.access``) are flattened
+        # here, reading only the copy's version slot. Counter and recency
+        # semantics are identical.
         cache.stats.requests += 1
         cache.frequencies.observe(doc_id, now)
         current_version = self.origin.version_of(doc_id)
 
         storage = cache.storage
-        copy = storage.get(doc_id)
-        if copy is not None:
-            if copy.version >= current_version:
-                storage.policy.on_access(doc_id, now)
-                cache.stats.local_hits += 1
-                # A local hit has zero latency, so the latency accumulator
-                # is untouched — skip the record call on the hottest path.
-                # Under overload the ingress queue wait still counts.
-                if ingress_delay_ms > 0.0:
-                    cache.stats.record_latency(ingress_delay_ms)
-                return RequestResult(
-                    RequestOutcome.LOCAL_HIT, ingress_delay_ms, cache_id
-                )
+        held = storage.versions[doc_id]
+        if held >= current_version:  # versions start at 0: a copy is resident
+            storage.policy.on_access(doc_id, now)
+            cache.stats.local_hits += 1
+            # A local hit has zero latency, so the latency accumulator
+            # is untouched — skip the record call on the hottest path.
+            # Under overload the ingress queue wait still counts.
+            if ingress_delay_ms > 0.0:
+                cache.stats.record_latency(ingress_delay_ms)
+            return RequestResult(
+                RequestOutcome.LOCAL_HIT, ingress_delay_ms, cache_id
+            )
+        if held >= 0:
             # Stale copy (possible after failures drop directory state):
             # discard and fall through to the miss path.
             cache.drop(doc_id, now)

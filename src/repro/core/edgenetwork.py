@@ -200,9 +200,7 @@ class EdgeCacheNetwork:
         if not body.ok:
             cloud.update_pushes_lost += len(holders)
             return 0
-        return beacon_role.fan_out(
-            holders, doc_id, version, size, now, now + body.latency
-        )
+        return beacon_role.fan_out(holders, doc_id, version, size, now + body.latency)
 
     def run_cycles(self, now: float) -> None:
         """Run the sub-range determination in every cloud."""

@@ -410,17 +410,16 @@ class ElasticController:
         for doc_id in sorted(cache.storage):
             copy = cache.storage.get(doc_id)
             assert copy is not None
-            fresh = copy.version >= cloud.origin.version_of(doc_id)
+            size = copy.size_bytes
+            version = cache.storage.versions[doc_id]
             handed = False
-            if fresh and copy.size_bytes <= budget:
+            if version >= cloud.origin.version_of(doc_id) and size <= budget:
                 target = self._handoff_target(doc_id, cache_id, absorber)
                 if target is not None:
-                    evicted = cloud.caches[target].admit(
-                        doc_id, copy.size_bytes, copy.version, now
-                    )
+                    evicted = cloud.caches[target].admit(doc_id, size, version, now)
                     if evicted is not None:
-                        budget -= copy.size_bytes
-                        body = copy.size_bytes + TRANSFER_HEADER_BYTES
+                        budget -= size
+                        body = size + TRANSFER_HEADER_BYTES
                         cloud.fabric.send_system(
                             cache_id, target, body, TrafficCategory.PEER_TRANSFER
                         )

@@ -213,6 +213,11 @@ class MessageFabric:
         elif service is not None:
             self._policy = service.config.retry
 
+    @property
+    def fast_path(self) -> bool:
+        """Whether nothing is bound: every dispatch lands on its one attempt."""
+        return self._fast_path
+
     # ------------------------------------------------------------------
     # Middleware management
     # ------------------------------------------------------------------

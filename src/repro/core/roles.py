@@ -25,6 +25,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Collection, List, Optional
 
 from repro.core.beacon import BeaconState
+from repro.edgecache.cache import apply_to_holders
 from repro.network.bandwidth import TrafficCategory
 from repro.network.origin import OriginServer
 
@@ -39,7 +40,6 @@ def push_to_holders(
     doc_id: int,
     version: int,
     size: int,
-    now: float,
     start: float,
     *,
     from_beacon: bool,
@@ -62,9 +62,10 @@ def push_to_holders(
     deferrals asked first and the copies refreshed afterwards. That equals
     asking, sending and applying holder by holder: a leg touches only its
     destination's queue, a deferral reads only its holder's, and
-    ``apply_update`` draws no randomness and sends nothing (DESIGN.md
+    applying an update draws no randomness and sends nothing (DESIGN.md
     §3.1). The legs are reported after the burst, in holder order, exactly
-    as the per-leg loop reported them.
+    as the per-leg loop reported them, and the delivered holders refreshed
+    in one :func:`~repro.edgecache.cache.apply_to_holders` call.
     """
     fabric = cloud.fabric
     caches = cloud.caches
@@ -100,17 +101,16 @@ def push_to_holders(
                 holder=holder, bytes=size, ok=push.ok, attempts=push.attempts,
             )
 
-    refreshed = 0
-    if own_copy:
-        caches[src].apply_update(doc_id, version, now, size)
-        refreshed = 1
+    if fabric.fast_path:
+        # Every leg landed, and with no service model none was deferred.
+        return apply_to_holders(caches, holders, doc_id, version)
+    delivered = [src] if own_copy else []
     for holder, push in zip(targets, pushes):
-        if not push.ok:
+        if push.ok:
+            delivered.append(holder)
+        else:
             cloud.update_pushes_lost += 1
-            continue
-        caches[holder].apply_update(doc_id, version, now, size)
-        refreshed += 1
-    return refreshed
+    return apply_to_holders(caches, delivered, doc_id, version)
 
 
 class BeaconRole:
@@ -176,12 +176,7 @@ class BeaconRole:
                 holder_cache = caches[holder]
                 # Freshness check inlined from ``EdgeCache.holds_fresh``:
                 # the verification loop runs for every holder it walks.
-                copy = holder_cache.storage.get(doc_id)
-                if (
-                    holder_cache.alive
-                    and copy is not None
-                    and copy.version >= version
-                ):
+                if holder_cache.alive and holder_cache.storage.versions[doc_id] >= version:
                     verified.append(holder)
                 else:
                     # Directory entry out of date (failure or stale replica).
@@ -213,7 +208,7 @@ class BeaconRole:
         verified = False
         if stamp is not None:
             cache = self._cloud.caches[holder]
-            verified = cache.alive and cache.holds_fresh(doc_id, stamp[0])
+            verified = cache.alive and cache.storage.versions[doc_id] >= stamp[0]
         directory.add_holder(doc_id, irh, holder, keep_stamp=verified)
 
     def accept_eviction(self, doc_id: int, holder: int) -> None:
@@ -322,7 +317,6 @@ class BeaconRole:
         doc_id: int,
         version: int,
         size: int,
-        now: float,
         start: float,
     ) -> int:
         """Push the body this beacon received at ``start`` to ``holders``.
@@ -331,8 +325,8 @@ class BeaconRole:
         all of it.
         """
         refreshed = push_to_holders(
-            self._cloud, self.beacon_id, holders, doc_id, version, size, now,
-            start, from_beacon=True,
+            self._cloud, self.beacon_id, holders, doc_id, version, size, start,
+            from_beacon=True,
         )
         self.note_refreshed(doc_id, version, refreshed)
         return refreshed
@@ -356,7 +350,7 @@ class BeaconRole:
         arrival = self.receive_update(doc_id, version, size, now, holders)
         if arrival is None:
             return 0
-        return self.fan_out(holders, doc_id, version, size, now, arrival)
+        return self.fan_out(holders, doc_id, version, size, arrival)
 
     def __repr__(self) -> str:
         return f"BeaconRole(state={self.state!r})"
@@ -401,7 +395,7 @@ class OriginRole:
         for _ in holders:
             self.server.note_update_message(doc_id)
         return push_to_holders(
-            cloud, self.node_id, holders, doc_id, version, size, now, now,
+            cloud, self.node_id, holders, doc_id, version, size, now,
             from_beacon=False,
         )
 

@@ -9,7 +9,7 @@ layering — a cache cloud is built *from* ordinary edge caches.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Iterable, List, Optional, Sequence
 
 from repro.edgecache.document import CachedDocument
 from repro.edgecache.replacement import ReplacementPolicy
@@ -37,8 +37,8 @@ class EdgeCache:
     holder_epoch:
         One-element counter cell shared by every cache of a cloud. It is
         bumped whenever this cache stops holding documents *without* its
-        beacon points being told — a crash, a retirement, an eviction no
-        notice announces — which is what invalidates, cloud-wide, the
+        beacon points being told — a crash or a retirement (every eviction
+        is announced) — which is what invalidates, cloud-wide, the
         directory stamps that let a lookup trust its holder list
         (:mod:`repro.core.directory`). A cache outside a cloud gets its own.
     residence_order:
@@ -46,6 +46,8 @@ class EdgeCache:
         storage keeps its entry there under its ``cache_id``
         (:class:`~repro.edgecache.storage.CacheStorage`). A cache outside a
         cloud gets its own.
+    documents:
+        Corpus size, which sizes the storage's version column up front.
     """
 
     def __init__(
@@ -57,6 +59,7 @@ class EdgeCache:
         half_life: float = 60.0,
         holder_epoch: Optional[List[int]] = None,
         residence_order: Optional[ResidenceOrder] = None,
+        documents: int = 0,
     ) -> None:
         if cache_id < 0:
             raise ValueError(f"cache_id must be >= 0, got {cache_id}")
@@ -69,6 +72,7 @@ class EdgeCache:
             policy=policy,
             residence_order=residence_order,
             order_id=cache_id,
+            documents=documents,
         )
         self.stats = CacheStats()
         self.frequencies = AccessFrequencyTracker(half_life=half_life)
@@ -83,13 +87,8 @@ class EdgeCache:
         return doc_id in self.storage
 
     def holds_fresh(self, doc_id: int, current_version: int) -> bool:
-        """Whether a copy at ``current_version`` is resident."""
-        doc = self.storage.get(doc_id)
-        return doc is not None and doc.version >= current_version
-
-    def copy_of(self, doc_id: int) -> Optional[CachedDocument]:
-        """The resident copy, if any."""
-        return self.storage.get(doc_id)
+        """Whether a copy at ``current_version`` (or newer) is resident."""
+        return self.storage.version_of(doc_id) >= current_version
 
     # ------------------------------------------------------------------
     # Request path
@@ -113,15 +112,9 @@ class EdgeCache:
         ``None`` means the document did not fit at all; the caller must not
         register this cache as a holder.
         """
-        storage = self.storage
-        evictions_before = storage.evictions
-        evicted = storage.admit(doc_id, size_bytes, version, now)
+        evicted = self.storage.admit(doc_id, size_bytes, version, now)
         if evicted is not None:
             self.stats.stores += 1
-            if storage.evictions - evictions_before != len(evicted):
-                # Re-admitting a resident copy at a larger size evicted
-                # others without reporting them: nobody will send a notice.
-                self.holder_epoch[0] += 1
         return evicted
 
     def decline(self) -> None:
@@ -131,18 +124,10 @@ class EdgeCache:
     # ------------------------------------------------------------------
     # Update path
     # ------------------------------------------------------------------
-    def apply_update(
-        self, doc_id: int, version: int, now: float, size_bytes: Optional[int] = None
-    ) -> bool:
-        """Apply a pushed update; returns False when no copy is resident."""
-        storage = self.storage
-        evictions_before = storage.evictions
-        if not storage.refresh_version(doc_id, version, size_bytes, now):
+    def apply_update(self, doc_id: int, version: int) -> bool:
+        """Apply a pushed update to one copy; ``False`` when none is resident."""
+        if not self.storage.refresh_version(doc_id, version):
             return False
-        if storage.evictions != evictions_before:
-            # The grown copy pushed others out, and this path sends no
-            # eviction notice for them.
-            self.holder_epoch[0] += 1
         self.stats.updates_applied += 1
         return True
 
@@ -189,3 +174,24 @@ class EdgeCache:
             f"EdgeCache(id={self.cache_id}, {state}, docs={len(self.storage)}, "
             f"hit_rate={self.stats.local_hit_rate:.3f})"
         )
+
+
+def apply_to_holders(
+    caches: Sequence[EdgeCache], holders: Iterable[int], doc_id: int, version: int
+) -> int:
+    """:meth:`EdgeCache.apply_update` at each of ``holders`` (ids into
+    ``caches``, whose columns cover ``doc_id``); returns how many held a copy.
+
+    Every update delivery ends here: one frame for all its holders, a version
+    slot written per holder, no copy object touched. That equals applying
+    holder by holder because an update never changes a copy's size.
+    """
+    applied = 0
+    for holder in holders:
+        cache = caches[holder]
+        versions = cache.storage.versions
+        if versions[doc_id] >= 0:
+            versions[doc_id] = version
+            cache.stats.updates_applied += 1
+            applied += 1
+    return applied

@@ -10,6 +10,7 @@ before it is replaced" (paper §3.1).
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, insort
 from collections import deque
 from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple
@@ -26,6 +27,10 @@ UNCONTENDED = float("-inf")
 
 #: ``(residence key, order id)`` of every store sharing it, ascending.
 ResidenceOrder = List[Tuple[float, int]]
+
+#: A version slot with no copy resident (versions start at 0).
+NO_COPY = -1
+_EMPTY_SLOT = array("i", [NO_COPY])
 
 
 def residence_key(residence_mean: Optional[float]) -> float:
@@ -52,6 +57,9 @@ class CacheStorage:
         A sorted list shared by the stores of one cloud, in which this
         store keeps the one entry ``(residence_key, order_id)``
         (:func:`residence_key`). A store outside a cloud gets its own.
+    documents:
+        Corpus size, to which :attr:`versions` is sized; a store built
+        without one grows the column on admit.
     """
 
     #: The stored copy for a doc id, or ``None``. Bound directly to the
@@ -62,12 +70,19 @@ class CacheStorage:
     #: so the binding stays valid for the store's lifetime.
     get: Callable[[int], Optional[CachedDocument]]
 
+    #: The version column: each doc id's resident copy's version, or
+    #: :data:`NO_COPY`. :meth:`admit` sets a slot, :meth:`remove` clears it,
+    #: an update writes it (:func:`repro.edgecache.cache.apply_to_holders`)
+    #: and every freshness check reads it: neither touches the copy object.
+    versions: array[int]
+
     def __init__(
         self,
         capacity_bytes: Optional[int] = None,
         policy: Optional[ReplacementPolicy] = None,
         residence_order: Optional[ResidenceOrder] = None,
         order_id: int = 0,
+        documents: int = 0,
     ) -> None:
         if capacity_bytes is not None and capacity_bytes <= 0:
             raise ValueError(f"capacity_bytes must be > 0 or None, got {capacity_bytes}")
@@ -77,6 +92,7 @@ class CacheStorage:
         self.policy: ReplacementPolicy = policy if policy is not None else LRUPolicy()
         self._docs: Dict[int, CachedDocument] = {}
         self.get = self._docs.get
+        self.versions = _EMPTY_SLOT * documents
         self._used = 0
         self.evictions = 0
         self._residence_samples: Deque[float] = deque(maxlen=RESIDENCE_SAMPLE_WINDOW)
@@ -123,6 +139,10 @@ class CacheStorage:
     def __iter__(self) -> Iterator[int]:
         return iter(self._docs)
 
+    def version_of(self, doc_id: int) -> int:
+        """The resident copy's version, or :data:`NO_COPY`."""
+        return self.versions[doc_id] if 0 <= doc_id < len(self.versions) else NO_COPY
+
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
@@ -133,17 +153,25 @@ class CacheStorage:
 
         Returns the list of evicted doc ids on success, or ``None`` when the
         document cannot be admitted (larger than the whole disk). Re-admitting
-        a resident document replaces the copy in place (version refresh).
+        a resident document overwrites its version in place; a document's
+        size never changes, so a re-admission at another size is refused.
         """
-        if doc_id in self._docs:
-            self.refresh_version(doc_id, version, size_bytes=size_bytes, now=now)
+        if doc_id < 0 or version < 0:
+            raise ValueError(f"doc_id and version must be >= 0, got {doc_id}, {version}")
+        resident = self.get(doc_id)
+        if resident is not None:
+            if size_bytes != resident.size_bytes:
+                raise ValueError(f"doc {doc_id} is resident at {resident.size_bytes} B")
+            self.versions[doc_id] = version
             return []
         if self.capacity_bytes is not None and size_bytes > self.capacity_bytes:
             return None
         evicted = self._make_room(size_bytes, now)
-        self._docs[doc_id] = CachedDocument(
-            doc_id=doc_id, size_bytes=size_bytes, version=version, stored_at=now
-        )
+        self._docs[doc_id] = CachedDocument(size_bytes, now)
+        versions = self.versions
+        if doc_id >= len(versions):
+            versions.extend(_EMPTY_SLOT * max(doc_id + 1 - len(versions), len(versions)))
+        versions[doc_id] = version
         self._used += size_bytes
         self.policy.on_insert(doc_id, size_bytes, now)
         return evicted
@@ -154,37 +182,17 @@ class CacheStorage:
         self.policy.on_access(doc_id, now)
         return doc
 
-    def refresh_version(
-        self,
-        doc_id: int,
-        version: int,
-        size_bytes: Optional[int] = None,
-        now: float = 0.0,
-    ) -> bool:
-        """Apply a pushed update to a resident copy (version bump, size change).
-
-        Returns ``False``, having changed nothing, when no copy is resident.
-        """
-        doc = self.get(doc_id)
-        if doc is None:
+    def refresh_version(self, doc_id: int, version: int) -> bool:
+        """Write a resident copy's version slot; ``False`` if none is resident."""
+        if self.version_of(doc_id) == NO_COPY:
             return False
-        doc.version = version
-        if size_bytes is not None and size_bytes != doc.size_bytes:
-            delta = size_bytes - doc.size_bytes
-            if self.capacity_bytes is not None and self._used + delta > self.capacity_bytes:
-                # The grown document no longer fits alongside the rest; make
-                # room, but never evict the document being refreshed.
-                self._used += delta
-                doc.size_bytes = size_bytes
-                self._shrink_to_capacity(now, protect=doc_id)
-                return True
-            self._used += delta
-            doc.size_bytes = size_bytes
+        self.versions[doc_id] = version
         return True
 
     def remove(self, doc_id: int, now: float, count_as_eviction: bool = False) -> None:
         """Explicitly drop a copy; raises KeyError when absent."""
         doc = self._docs.pop(doc_id)
+        self.versions[doc_id] = NO_COPY
         self._used -= doc.size_bytes
         self.policy.on_remove(doc_id)
         if count_as_eviction:
@@ -215,16 +223,6 @@ class CacheStorage:
             self.remove(victim, now, count_as_eviction=True)
             evicted.append(victim)
         return evicted
-
-    def _shrink_to_capacity(self, now: float, protect: int) -> None:
-        if self.capacity_bytes is None:
-            return
-        while self._used > self.capacity_bytes and len(self._docs) > 1:
-            victim = self.policy.choose_victim()
-            if victim is None or victim == protect:
-                # Can't evict the protected doc; tolerate transient overshoot.
-                break
-            self.remove(victim, now, count_as_eviction=True)
 
     def __repr__(self) -> str:
         cap = "inf" if self.capacity_bytes is None else str(self.capacity_bytes)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Set
 
+from repro.edgecache.cache import apply_to_holders
 from repro.network.bandwidth import TrafficCategory
 from repro.strategies.paper import PolicyStrategy
 
@@ -54,7 +55,6 @@ class CUPTreeStrategy(PolicyStrategy):
         cloud = beacon_role.cloud
         fabric = cloud.fabric
         beacon_id = beacon_role.beacon_id
-        caches = cloud.caches
         holders = beacon_role.update_targets(doc_id)
         # Same notice-or-body step as the star; with nobody holding the
         # document, or the root never getting the body, there is no tree.
@@ -109,13 +109,9 @@ class CUPTreeStrategy(PolicyStrategy):
                 if not push.ok:
                     continue  # counted below with the rest of its subtree
                 arrival[child] = parent_at + push.latency
-        refreshed = 0
-        for holder in holders:
-            if holder in arrival:
-                caches[holder].apply_update(
-                    doc_id, version, now, size_bytes=size
-                )
-                refreshed += 1
+        refreshed = apply_to_holders(
+            cloud.caches, [h for h in holders if h in arrival], doc_id, version
+        )
         # Every unreached holder is one stale copy awaiting request-time
         # repair; deferral is an overload statistic, not a loss.
         cloud.update_pushes_lost += sum(

@@ -87,10 +87,31 @@ class TestDetectsViolations:
     def test_version_ahead_of_origin(self, small_corpus):
         cloud = make_cloud(small_corpus)
         cloud.handle_request(0, 5, now=1.0)
-        cloud.caches[0].storage.refresh_version(5, 99, now=2.0)
+        cloud.caches[0].storage.refresh_version(5, 99)
         report = self._audit(cloud)
         assert report.count(ViolationKind.VERSION_AHEAD_OF_ORIGIN) == 1
         assert report.hard_violations >= 1
+
+    def test_version_column(self, small_corpus):
+        cloud = make_cloud(small_corpus)
+        cloud.handle_request(0, 5, now=1.0)
+        assert self._audit(cloud).ok
+        versions = cloud.caches[0].storage.versions
+        # A slot for a copy the store does not hold...
+        versions[6] = 0
+        report = self._audit(cloud)
+        assert report.count(ViolationKind.VERSION_COLUMN) == 1
+        assert report.hard_violations == 1
+        # ...or none for one it does.
+        versions[6] = versions[5] = -1
+        report = self._audit(cloud)
+        assert report.count(ViolationKind.VERSION_COLUMN) == 1
+        # A dead cache's column must be empty too.
+        versions[5] = 0
+        cloud.caches[0].fail(2.0)
+        assert self._audit(cloud).count(ViolationKind.VERSION_COLUMN) == 0
+        cloud.caches[0].storage.versions[7] = 0
+        assert self._audit(cloud).count(ViolationKind.VERSION_COLUMN) == 1
 
     def test_dead_holder_listed_and_dead_cache_stores(self, small_corpus):
         cloud = make_cloud(small_corpus)

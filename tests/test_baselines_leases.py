@@ -96,7 +96,7 @@ class TestInvalidation:
         cloud.handle_update(5, now=1.0)  # invalidates
         result = cloud.handle_request(0, 5, now=2.0)  # refetch
         assert result.outcome is RequestOutcome.ORIGIN_FETCH
-        assert cloud.caches[0].copy_of(5).version == 1
+        assert cloud.caches[0].storage.version_of(5) == 1
         assert cloud.stale_hits == 0
 
 

@@ -71,7 +71,7 @@ class TestTTLSemantics:
         result = ttl.handle_request(0, 5, now=4.0)  # expired and stale
         assert result.outcome is RequestOutcome.ORIGIN_FETCH
         assert ttl.validation_misses == 1
-        assert ttl.caches[0].copy_of(5).version == 1
+        assert ttl.caches[0].storage.version_of(5) == 1
 
     def test_update_sends_nothing(self, corpus):
         ttl = make_ttl(corpus)
@@ -96,7 +96,7 @@ class TestCooperation:
         ttl.handle_update(5, now=0.5)
         ttl.handle_request(1, 5, now=1.0)  # peer hands over stale bytes
         assert ttl.stale_hits == 1
-        assert ttl.caches[1].copy_of(5).version == 0
+        assert ttl.caches[1].storage.version_of(5) == 0
 
     def test_expired_peers_not_used(self, corpus):
         ttl = make_ttl(corpus, ttl_minutes=2.0)

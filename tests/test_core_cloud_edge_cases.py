@@ -42,7 +42,7 @@ class TestUpdateStorms:
         cloud.handle_request(0, 5, now=0.0)
         for i in range(50):
             cloud.handle_update(5, now=0.1 * (i + 1))
-        assert cloud.caches[0].copy_of(5).version == 50
+        assert cloud.caches[0].storage.version_of(5) == 50
         result = cloud.handle_request(0, 5, now=10.0)
         assert result.outcome is RequestOutcome.LOCAL_HIT
 

@@ -150,9 +150,7 @@ class TestLostUpdates:
         # Not a local hit: the version check caught the stale copy.
         assert result.outcome is not RequestOutcome.LOCAL_HIT
         assert cloud.stale_refreshes == 1
-        copy = cloud.caches[requester].copy_of(doc)
-        assert copy is not None
-        assert copy.version == cloud.origin.version_of(doc)
+        assert cloud.caches[requester].storage.version_of(doc) == cloud.origin.version_of(doc)
 
 
 class TestEvictionNotices:

@@ -301,7 +301,7 @@ class TestStaleCopies:
         result = cloud.handle_request(0, 5, now=2.0)
         assert result.outcome is not RequestOutcome.LOCAL_HIT
         assert cloud.stale_refreshes == 1
-        assert cloud.caches[0].copy_of(5).version == 1
+        assert cloud.caches[0].storage.version_of(5) == 1
 
 
 class TestConsistentAssignment:

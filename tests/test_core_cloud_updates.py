@@ -38,7 +38,7 @@ class TestUpdateWithHolders:
         refreshed = cloud.handle_update(5, now=10.0)
         assert refreshed == 3
         for cache_id in (0, 1, 2):
-            assert cloud.caches[cache_id].copy_of(5).version == 1
+            assert cloud.caches[cache_id].storage.version_of(5) == 1
 
     def test_single_server_to_beacon_body(self, cloud_factory):
         cloud = self.prepare(cloud_factory())
@@ -55,7 +55,7 @@ class TestUpdateWithHolders:
         cloud.handle_update(5, now=1.0)
         meter = cloud.transport.meter
         assert meter.messages_for(TrafficCategory.UPDATE_FANOUT) == 0
-        assert cloud.caches[beacon].copy_of(5).version == 1
+        assert cloud.caches[beacon].storage.version_of(5) == 1
 
     def test_fanout_counts_non_beacon_holders(self, cloud_factory):
         cloud = self.prepare(cloud_factory())
@@ -107,4 +107,4 @@ class TestVersionMonotonicity:
         for i in range(3):
             cloud.handle_update(5, now=float(i + 1))
         assert cloud.origin.version_of(5) == 3
-        assert cloud.caches[0].copy_of(5).version == 3
+        assert cloud.caches[0].storage.version_of(5) == 3

@@ -121,7 +121,7 @@ class TestUpdatePropagation:
         assert network.origin.version_of(7) == 1
         for node in (0, 4):
             cloud_index, local = network.cloud_of(node)
-            assert network.clouds[cloud_index].caches[local].copy_of(7).version == 1
+            assert network.clouds[cloud_index].caches[local].storage.version_of(7) == 1
 
     def test_update_with_no_holders_sends_no_bodies(self, corpus):
         network = make_network(corpus)

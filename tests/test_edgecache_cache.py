@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.edgecache.cache import EdgeCache
+from repro.edgecache.cache import EdgeCache, apply_to_holders
 from repro.edgecache.document import CachedDocument
 
 
@@ -58,14 +58,23 @@ class TestFreshness:
     def test_apply_update_refreshes_version(self):
         cache = EdgeCache(0)
         cache.admit(5, 100, 0, 0.0)
-        assert cache.apply_update(5, 3, 1.0)
-        assert cache.copy_of(5).version == 3
+        assert cache.apply_update(5, 3)
+        assert cache.storage.version_of(5) == 3
         assert cache.stats.updates_applied == 1
 
     def test_apply_update_to_absent_doc_is_noop(self):
         cache = EdgeCache(0)
-        assert not cache.apply_update(5, 3, 1.0)
+        assert not cache.apply_update(5, 3)
         assert cache.stats.updates_applied == 0
+
+    def test_apply_to_holders_writes_the_slot_of_each_copy(self):
+        caches = [EdgeCache(i, documents=10) for i in range(4)]
+        for cache in caches[:3]:
+            cache.admit(5, 100, 0, 0.0)
+        assert apply_to_holders(caches, [0, 2, 3], 5, 4) == 2  # 3 holds none
+        assert [c.storage.version_of(5) for c in caches] == [4, 0, 4, -1]
+        assert [c.stats.updates_applied for c in caches] == [1, 0, 1, 0]
+        assert 5 not in caches[3].storage
 
     def test_drop(self):
         cache = EdgeCache(0)
@@ -83,6 +92,7 @@ class TestFailure:
         cache.fail(1.0)
         assert not cache.alive
         assert len(cache.storage) == 0
+        assert cache.storage.version_of(1) == cache.storage.version_of(2) == -1
 
     def test_recover_comes_back_cold(self):
         cache = EdgeCache(0)
@@ -120,22 +130,7 @@ class TestHolderEpoch:
         cache.admit(1, 100, 0, 0.0)
         cache.admit(2, 100, 0, 1.0)
         assert cache.admit(3, 100, 0, 2.0) == [1]  # the caller sends the notice
-        cache.apply_update(2, 1, 3.0, size_bytes=100)
+        cache.apply_update(2, 1)
+        cache.admit(2, 100, 2, 3.5)  # re-admission
         cache.drop(2, 4.0)
         assert cache.holder_epoch == [0]
-
-    def test_update_that_grows_a_copy_over_others_bumps(self):
-        cache = EdgeCache(0, capacity_bytes=200)
-        cache.admit(1, 100, 0, 0.0)
-        cache.admit(2, 100, 0, 1.0)
-        cache.apply_update(2, 1, 2.0, size_bytes=150)  # pushes doc 1 out
-        assert not cache.holds(1)
-        assert cache.holder_epoch == [1]
-
-    def test_readmission_that_grows_a_copy_over_others_bumps(self):
-        cache = EdgeCache(0, capacity_bytes=200)
-        cache.admit(1, 100, 0, 0.0)
-        cache.admit(2, 100, 0, 1.0)
-        assert cache.admit(2, 150, 1, 2.0) == []  # evicted doc 1, unreported
-        assert not cache.holds(1)
-        assert cache.holder_epoch == [1]

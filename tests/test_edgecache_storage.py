@@ -27,8 +27,8 @@ class TestUnlimitedStorage:
         for doc in range(50):
             storage.admit(doc, 1000, 0, float(doc))
             storage.access(doc, doc + 0.5)
-        storage.refresh_version(3, 1, size_bytes=10**9, now=60.0)  # grown body
-        storage.admit(4, 10**9, 2, 61.0)  # re-admission at a larger size
+        storage.refresh_version(3, 1)
+        storage.admit(4, 1000, 2, 61.0)  # re-admission
         storage.remove(5, 62.0)
         assert len(storage) == 49 and storage.evictions == 0
         # ... so it keeps no replacement order for anybody to read.
@@ -83,8 +83,20 @@ class TestBoundedStorage:
         storage.admit(1, 400, 0, 0.0)
         evicted = storage.admit(1, 400, 3, 1.0)
         assert evicted == []
-        assert storage.get(1).version == 3
+        assert storage.version_of(1) == 3
         assert len(storage) == 1
+
+    def test_readmission_at_another_size_raises(self):
+        # A document's size never changes (the corpus is immutable), so a
+        # copy arriving at another size is a caller bug, refused before it
+        # could leave ``used_bytes`` out of step with the copies.
+        storage = CacheStorage(capacity_bytes=1000)
+        storage.admit(1, 400, 0, 0.0)
+        storage.admit(2, 400, 0, 1.0)
+        with pytest.raises(ValueError):
+            storage.admit(2, 600, 1, 2.0)
+        assert storage.version_of(2) == 0 and storage.used_bytes == 800
+        assert 1 in storage and storage.evictions == 0
 
 
 class TestAccess:
@@ -104,30 +116,39 @@ class TestVersionRefresh:
         storage = CacheStorage()
         storage.admit(1, 100, 0, 0.0)
         storage.refresh_version(1, 4)
-        assert storage.get(1).version == 4
+        assert storage.version_of(1) == 4
 
     def test_refresh_of_an_absent_doc_changes_nothing(self):
         storage = CacheStorage(capacity_bytes=1000)
         storage.admit(1, 100, 0, 0.0)
-        assert storage.refresh_version(2, 4, size_bytes=300) is False
+        assert storage.refresh_version(2, 4) is False
+        assert storage.refresh_version(7_000, 4) is False  # past the column
         assert storage.refresh_version(1, 4) is True
         assert 2 not in storage and storage.used_bytes == 100
+        assert storage.version_of(2) == -1
 
-    def test_refresh_with_size_change_adjusts_usage(self):
-        storage = CacheStorage(capacity_bytes=1000)
-        storage.admit(1, 100, 0, 0.0)
-        storage.refresh_version(1, 1, size_bytes=300)
-        assert storage.used_bytes == 300
-        assert storage.get(1).size_bytes == 300
 
-    def test_grown_doc_forces_eviction_of_others(self):
-        storage = CacheStorage(capacity_bytes=1000)
-        storage.admit(1, 500, 0, 0.0)
-        storage.admit(2, 400, 0, 1.0)
-        storage.refresh_version(2, 1, size_bytes=600, now=2.0)
-        assert 2 in storage
-        assert 1 not in storage  # evicted to fit the grown copy
-        assert storage.used_bytes <= 1000
+class TestVersionColumn:
+    def test_a_sized_column_covers_the_corpus_and_starts_empty(self):
+        storage = CacheStorage(documents=50)
+        assert list(storage.versions) == [-1] * 50
+        storage.admit(49, 100, 3, 0.0)
+        assert len(storage.versions) == 50 and storage.versions[49] == 3
+
+    def test_an_unsized_column_grows_on_admit(self):
+        storage = CacheStorage()
+        assert len(storage.versions) == 0 and storage.version_of(9) == -1
+        storage.admit(9, 100, 2, 0.0)
+        assert len(storage.versions) >= 10
+        assert [storage.version_of(d) for d in range(10)] == [-1] * 9 + [2]
+
+    def test_remove_and_eviction_clear_the_slot(self):
+        storage = CacheStorage(capacity_bytes=200, documents=10)
+        storage.admit(1, 100, 4, 0.0)
+        storage.admit(2, 100, 5, 1.0)
+        assert storage.admit(3, 100, 6, 2.0) == [1]
+        storage.remove(2, 3.0)
+        assert list(storage.versions) == [-1, -1, -1, 6] + [-1] * 6
 
 
 class TestRemove:

@@ -342,8 +342,9 @@ SEAM_SPANS = {
 #: calls into one attach-time handle. No flight recorder or work profile is
 #: attached: that change charges CUP tree pushes to ``fanout_leg`` by design.
 #: The three ``result`` digests were re-recorded when the auditor gained the
-#: ``residence_order`` kind: its summary carries one more key,
-#: ``audit_residence_order: 0.0``; with that key left out they hash as before.
+#: ``residence_order`` kind, and again when it gained ``version_column``: each
+#: time its summary carried one more key (``audit_residence_order: 0.0``,
+#: ``audit_version_column: 0.0``); with that key left out they hash as before.
 SEAM_DIGESTS: Dict[str, Dict[str, str]] = {
     "cup_tree_overload": {
         "telemetry": "932689c27587d74c54975d45026e99915529d8e0162deaf2531962690cab7307",
@@ -351,7 +352,7 @@ SEAM_DIGESTS: Dict[str, Dict[str, str]] = {
         "fabric_stats": "c6d39904c9302d00bd2be9ea81261779d52c9e8c6addb67cbf83d4733e0f981f",
         "fault_stats": "24e3a2c380975cbd987fe55829474e12522a00fa20e6f57e1376c3fa4868087d",
         "overload_stats": "21f93f55ee3fa0dcfa6dfd441127d3518ff02d7f855287a006512e0dd93119fe",
-        "result": "e9f7416803493b2940589aff93879f14c72f633df27d84d4251131be2cffb802",
+        "result": "96d72bc575d3942f8190754782944b0fd9ae1a466bb608e30fb39f9fd0e1f931",
     },
     "lcd": {
         "telemetry": "733fac1d8172043d54a462e9debd7bb2c29c6a8b77b88df94b5ca3a4bd94b9c8",
@@ -359,7 +360,7 @@ SEAM_DIGESTS: Dict[str, Dict[str, str]] = {
         "fabric_stats": "55531c6531a7a461cafac663fbde542f974ae3d0b7f2c509b79460887aa7264d",
         "fault_stats": "e0b762a7d051faa3fcbf19d8326ca8b587d2b8f7bb645d3e2313506ca2498845",
         "overload_stats": "74234e98afe7498fb5daf1f36ac2d78acc339464f950703b8c019892f982b90b",
-        "result": "2f2c5beb732f7aa9218c2dc1f035443d98433b3df73a0d5295301c5a94b87320",
+        "result": "3998713059382a09f4ccba81ae7fce1d991e3b7661b5a794fea40d6fb671e53e",
     },
     "no_cooperation": {
         "telemetry": "ae41384c6748f03107b271e217cce3177b4b105a0653dc0afc036a89af07ea06",
@@ -367,7 +368,7 @@ SEAM_DIGESTS: Dict[str, Dict[str, str]] = {
         "fabric_stats": "3de50097cace0594871abd14e9e90b484c26dd0bb9f3b5b6e0dc9ee30d94d726",
         "fault_stats": "870a9d6e0ffe1b332dce2b05d0ffbf932a7e032a26e4df951866c657c40a8335",
         "overload_stats": "74234e98afe7498fb5daf1f36ac2d78acc339464f950703b8c019892f982b90b",
-        "result": "e008912c20903dc893861eab4a54277c32715611245ad62156a0201f45fa18a1",
+        "result": "11e076ed71d6e0cf1cc13ef55d798e91ff64c2f84890993cef4d638f03bf32d0",
     },
 }
 

@@ -78,8 +78,7 @@ def _reference_answer_lookup(
     live: List[int] = []
     for holder in sorted(candidates):
         holder_cache = caches[holder]
-        copy = holder_cache.storage.get(doc_id)
-        if holder_cache.alive and copy is not None and copy.version >= version:
+        if holder_cache.alive and holder_cache.storage.version_of(doc_id) >= version:
             live.append(holder)
         else:
             self.state.directory.remove_holder(doc_id, holder)

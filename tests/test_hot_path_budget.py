@@ -59,17 +59,20 @@ from repro.workload.trace import RequestRecord
 SEED = 11
 WARM_RECORDS = 6_000
 COUNTED_RECORDS = 2_000
-#: Python frames under ``src/repro`` per operation: measured 57.6 over 2 164
+#: Python frames under ``src/repro`` per operation: measured 57.1 over 2 164
 #: operations (2 000 requests, 164 updates); the ceiling leaves ~10 %. It
 #: was 61.7 while each rate read went through a per-document estimator
-#: object's ``rate`` → ``_decay_to``, and 59.1 while ``stamp_of`` was a
-#: method frame.
-FRAMES_PER_OPERATION_CEILING = 65.0
+#: object's ``rate`` → ``_decay_to``, 59.1 while ``stamp_of`` was a
+#: method frame, and 57.6 while an update entered ``apply_update`` →
+#: ``refresh_version`` per holder (few holders per update here; on the
+#: ``update-storm`` shape, ~30 per update, that was 46.2 → 28.5 frames per
+#: operation).
+FRAMES_PER_OPERATION_CEILING = 63.0
 #: The planes window runs at half the request rate over twice the time:
 #: queues build and shed without saturating (3 % of lookups shed, 0.3 % of
 #: requests rejected), as in the benchmark's segment; at the full rate a
 #: fifth of the lookups is shed and the overload model makes an operation
-#: *cheaper*. 55.3 frames per operation with nothing attached.
+#: *cheaper*. 54.9 frames per operation with nothing attached.
 PLANES_PEAK_RATE, PLANES_MINUTES = 60.0, 16.0
 #: With all four planes attached: measured 79.0 over 2 340 operations (it
 #: was 134.3 when every wire attempt walked the registry's histograms and
@@ -199,6 +202,41 @@ def test_frames_per_operation_within_budget():
     # The window really was the miss-heavy steady state, not a quiet corner.
     stats = cloud.aggregate_stats()
     assert stats.origin_fetches + stats.cloud_hits > 0.5 * stats.requests
+
+
+def test_an_update_enters_no_frame_per_holder():
+    """On an ``update-storm``-shaped cloud (50 caches, unlimited disk, ad hoc
+    placement) an update whose document 40 caches hold enters exactly as
+    many frames as one whose document 4 hold: the holders' copies are
+    refreshed in one call, a version slot each (it was two frames a holder,
+    ``apply_update`` → ``refresh_version``)."""
+    corpus = build_corpus(2_000, random.Random(derive_seed(SEED, "corpus")))
+    config = CloudConfig(
+        num_caches=50,
+        num_rings=5,
+        assignment=AssignmentScheme.DYNAMIC,
+        placement=PlacementScheme.AD_HOC,
+        seed=SEED,
+    )
+    cloud = CacheCloud(config, corpus)
+    frames = {}
+    for doc_id, holders in ((11, 4), (12, 40)):
+        beacon = cloud.beacon_for_doc(doc_id)
+        requesters = [beacon] + [c for c in range(50) if c != beacon][: holders - 1]
+        for index, cache_id in enumerate(requesters):
+            cloud.handle_request(cache_id, doc_id, index / 100.0)
+        # The first update leaves the entry stamped, as in the steady state.
+        assert cloud.handle_update(doc_id, 1.0) == holders
+        counter = FrameCounter()
+        previous = sys.getprofile()
+        sys.setprofile(counter)
+        try:
+            refreshed = cloud.handle_update(doc_id, 2.0)
+        finally:
+            sys.setprofile(previous)
+        assert refreshed == holders
+        frames[holders] = sum(counter.calls.values())
+    assert frames[4] == frames[40], f"frames per update by holder count: {frames}"
 
 
 #: The frames of an operation root, whoever runs it.

@@ -81,7 +81,7 @@ class StorageMachine(RuleBasedStateMachine):
         now = self._tick()
         if doc_id in self.model:
             doc = self.storage.access(doc_id, now)
-            assert doc.doc_id == doc_id
+            assert doc.size_bytes == self.model[doc_id]
         else:
             try:
                 self.storage.access(doc_id, now)
@@ -103,13 +103,16 @@ class StorageMachine(RuleBasedStateMachine):
         now = self._tick()
         if doc_id not in self.model:
             return
-        self.storage.refresh_version(doc_id, version, now=now)
-        assert self.storage.get(doc_id).version == version
+        self.storage.refresh_version(doc_id, version)
+        assert self.storage.version_of(doc_id) == version
 
     @invariant()
     def resident_set_matches_model(self):
         assert set(self.storage) == set(self.model)
         assert len(self.storage) == len(self.model)
+        # The version column names a version for exactly the resident set.
+        slotted = {d for d, held in enumerate(self.storage.versions) if held >= 0}
+        assert slotted == set(self.model)
         # The policy tracks the resident set iff there is a budget: a
         # store that can never evict keeps no replacement order.
         tracked = len(self.model) if self.capacity is not None else 0

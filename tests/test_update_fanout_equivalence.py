@@ -143,7 +143,7 @@ def _reference_propagate_update(self, doc_id, version, size, now):
             if not push.ok:
                 cloud.update_pushes_lost += 1
                 continue
-        cloud.caches[holder].apply_update(doc_id, version, now, size_bytes=size)
+        cloud.caches[holder].apply_update(doc_id, version)
         refreshed += 1
     self.note_refreshed(doc_id, version, refreshed)
     return refreshed
@@ -176,7 +176,7 @@ def _reference_refresh_holders(self, doc_id, version, size, now):
             if not push.ok:
                 cloud.update_pushes_lost += 1
                 continue
-            cache.apply_update(doc_id, version, now, size_bytes=size)
+            cache.apply_update(doc_id, version)
             refreshed += 1
     return refreshed
 
@@ -264,7 +264,7 @@ def _reference_cup_on_update(self, beacon_role, doc_id, version, size, now):
     refreshed = 0
     for holder in holders:
         if holder in arrival:
-            caches[holder].apply_update(doc_id, version, now, size_bytes=size)
+            caches[holder].apply_update(doc_id, version)
             refreshed += 1
     cloud.update_pushes_lost += sum(
         1 for h in holders if h not in arrival and h not in deferred
@@ -298,7 +298,7 @@ def _reference_distribute(self, cloud, doc_id, version, now):
             cloud.transport.send_document(
                 beacon_id, holder, size, TrafficCategory.UPDATE_FANOUT
             )
-        cloud.caches[holder].apply_update(doc_id, version, now, size_bytes=size)
+        cloud.caches[holder].apply_update(doc_id, version)
         refreshed += 1
     beacon_role.note_refreshed(doc_id, version, refreshed)
     return refreshed
@@ -402,9 +402,7 @@ def _pair(seed: int, tmp_path, **planes) -> Tuple[CacheCloud, CacheCloud]:
 Op = Tuple  # (kind, *args)
 
 
-def _script(
-    seed: int, steps: int, *, grow: bool = False, bare_crash: bool = False
-) -> List[Op]:
+def _script(seed: int, steps: int, *, bare_crash: bool = False) -> List[Op]:
     rng = random.Random(seed)
     ops: List[Op] = []
     for i in range(steps):
@@ -414,8 +412,6 @@ def _script(
         if rng.random() < 0.4:
             # Uniform: updates reach the tail, whose documents nobody holds.
             update_doc = rng.randrange(NUM_DOCS)
-            if grow and rng.random() < 0.5:
-                ops.append(("grow", update_doc, 1.0 + 2.0 * rng.random()))
             ops.append(("update", update_doc, now))
         if i % 40 == 39:
             ops.append(("cycle", now))
@@ -435,14 +431,6 @@ def _apply(cloud: CacheCloud, op: Op):
     if kind == "update":
         _, doc_id, now = op
         return cloud.handle_update(doc_id, now)
-    if kind == "grow":
-        # The next update of this document pushes a larger body.
-        _, doc_id, factor = op
-        docs = cloud.corpus._docs
-        docs[doc_id] = dataclasses.replace(
-            docs[doc_id], size_bytes=int(docs[doc_id].size_bytes * factor) + 1
-        )
-        return docs[doc_id].size_bytes
     if kind == "cycle":
         return cloud.run_cycle(op[1])
     if kind == "bare_crash":
@@ -467,10 +455,11 @@ def _stores(cloud: CacheCloud):
             cache.storage.used_bytes,
             cache.storage.evictions,
             [
-                (doc_id, copy.version, copy.size_bytes)
+                (doc_id, cache.storage.version_of(doc_id), copy.size_bytes)
                 for doc_id in sorted(cache.storage)
                 for copy in (cache.storage.get(doc_id),)
             ],
+            list(cache.storage.versions),
         )
         for cache in cloud.caches
     ]
@@ -555,7 +544,7 @@ def _drive_and_compare(
 SCENARIOS = {
     "nothing-attached": (dict(), dict()),
     "topology": (dict(topology=True), dict()),
-    "grown-body-evicts": (dict(limited=True), dict(grow=True)),
+    "limited-disk": (dict(limited=True), dict()),
     "trace-enabled": (dict(capture=True), dict()),
     "trace-enabled-topology": (dict(capture=True, topology=True), dict()),
     "work-profile": (dict(profile=True), dict()),
@@ -574,7 +563,7 @@ SCENARIOS = {
             capture=True,
             limited=True,
         ),
-        dict(grow=True),
+        dict(),
     ),
     "cup-tree": (dict(strategy="cup_tree", capture=True), dict()),
     "cup-tree-all-planes": (
@@ -631,11 +620,11 @@ def test_scripts_exercise_what_they_claim(tmp_path):
     assert widest > NUM_CACHES // 2
     assert cloud.fabric._fast_path
 
-    # A grown body pushes other copies out, and the epoch says so.
+    # A bounded disk evicts, and every eviction is announced.
     quiet = _run(3, "nothing-attached", tmp_path)
-    grown = _run(3, "grown-body-evicts", tmp_path)
-    assert quiet.holder_epoch[0] == 0
-    assert grown.holder_epoch[0] > 0
+    bounded = _run(3, "limited-disk", tmp_path)
+    assert sum(cache.storage.evictions for cache in bounded.caches) > 0
+    assert quiet.holder_epoch[0] == bounded.holder_epoch[0] == 0
 
     lossy = _run(3, "loss-and-retries", tmp_path)
     assert lossy.update_pushes_lost > 0 and lossy.fabric.stats.retries > 0
@@ -829,3 +818,13 @@ class TestRemovedSeamIsCaught:
             )
 
         self._check(monkeypatch, tmp_path, dict(overload=True), sabotage)
+
+    def test_a_lost_leg_refreshes_nothing(self, monkeypatch, tmp_path):
+        def sabotage(patch):
+            patch.setattr(
+                roles,
+                "push_to_holders",
+                _mutant(roles.push_to_holders, "if push.ok:", "if True:"),
+            )
+
+        self._check(monkeypatch, tmp_path, dict(loss=0.2), sabotage)
