@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 from repro.baselines.leases import CooperativeLeaseCloud, LeaseConfig
@@ -52,7 +53,7 @@ from repro.network.origin import ORIGIN_NODE_ID, OriginServer
 from repro.network.topology import EuclideanTopology
 from repro.network.transport import Transport
 from repro.workload.documents import Corpus
-from repro.workload.trace import RequestRecord, Trace, UpdateRecord
+from repro.workload.trace import Trace, UpdateRecord
 
 
 # ----------------------------------------------------------------------
@@ -280,18 +281,15 @@ def adaptive_weights_comparison(scale: Scale = SMALL_SCALE) -> AdaptiveWeightsRe
             num_epochs=2,
         ).build_trace()
         return Trace(
-            requests=[
-                RequestRecord(r.time + offset, r.cache_id, r.doc_id)
-                for r in trace.requests
-            ],
-            updates=[UpdateRecord(u.time + offset, u.doc_id) for u in trace.updates],
+            requests=((r.time + offset, r.cache_id, r.doc_id) for r in trace.requests),
+            updates=((u.time + offset, u.doc_id) for u in trace.updates),
         )
 
     quiet_half = make_half(quiet, 0.0, scale.seed)
     burst_half = make_half(burst, half, scale.seed + 1)
     trace = Trace(
-        requests=quiet_half.requests + burst_half.requests,
-        updates=quiet_half.updates + burst_half.updates,
+        requests=chain(quiet_half.requests, burst_half.requests),
+        updates=chain(quiet_half.updates, burst_half.updates),
     )
 
     def run(adaptive: bool):

@@ -20,11 +20,12 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import starmap
 from math import log
 from typing import Iterator, List
 
 from repro.simulation.rng import RandomStreams
-from repro.workload.trace import RequestRecord, Trace, UpdateRecord
+from repro.workload.trace import RequestRecord, RequestRow, Trace, UpdateRecord, UpdateRow
 from repro.workload.zipf import ZipfSampler, permuted_ranks
 
 
@@ -90,9 +91,18 @@ class SyntheticTraceGenerator:
     # ------------------------------------------------------------------
     # Streams: one loop each over bound methods, the helpers spelled out in
     # place draw for draw (DESIGN.md §3.3); a trailing comment names the call.
+    # A loop yields bare rows: the record streams wrap them, and build_trace
+    # stores them as columns without ever making a record.
     # ------------------------------------------------------------------
     def requests(self) -> Iterator[RequestRecord]:
         """Lazy time-ordered stream of request records."""
+        return starmap(RequestRecord, self._request_rows())
+
+    def updates(self) -> Iterator[UpdateRecord]:
+        """Lazy time-ordered stream of update records."""
+        return starmap(UpdateRecord, self._update_rows())
+
+    def _request_rows(self) -> Iterator[RequestRow]:
         cfg = self.config
         rate = cfg.num_caches * cfg.request_rate_per_cache
         arrive = self._streams.get("request-arrivals").random
@@ -111,11 +121,10 @@ class SyntheticTraceGenerator:
             while cache_id >= num_caches:
                 cache_id = cache_bits(bits)
             rank = bisect_left(cdf, pick() * total)  # sampler.sample()
-            yield RequestRecord(t, cache_id, rank_to_doc[rank])
+            yield t, cache_id, rank_to_doc[rank]
             t += -log(1.0 - arrive()) / rate
 
-    def updates(self) -> Iterator[UpdateRecord]:
-        """Lazy time-ordered stream of update records."""
+    def _update_rows(self) -> Iterator[UpdateRow]:
         cfg = self.config
         rate = cfg.update_rate
         arrive = self._streams.get("update-arrivals").random
@@ -128,7 +137,7 @@ class SyntheticTraceGenerator:
         t = -log(1.0 - arrive()) / rate  # arrival_rng.expovariate(rate)
         while t < duration:
             rank = bisect_left(cdf, pick() * total)  # sampler.sample()
-            yield UpdateRecord(t, rank_to_doc[rank])
+            yield t, rank_to_doc[rank]
             t += -log(1.0 - arrive()) / rate
 
     # ------------------------------------------------------------------
@@ -136,7 +145,7 @@ class SyntheticTraceGenerator:
     # ------------------------------------------------------------------
     def build_trace(self) -> Trace:
         """Materialize the full trace (for tests and trace files)."""
-        return Trace(requests=list(self.requests()), updates=list(self.updates()))
+        return Trace(self._request_rows(), self._update_rows())
 
     def doc_for_rank(self, rank: int) -> int:
         """Which document id currently holds popularity ``rank`` (0 = hottest)."""

@@ -26,11 +26,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import starmap
 from math import cos, log
 from typing import Iterator, List, Optional, Tuple
 
 from repro.simulation.rng import RandomStreams
-from repro.workload.trace import RequestRecord, Trace, UpdateRecord
+from repro.workload.trace import RequestRecord, RequestRow, Trace, UpdateRecord, UpdateRow
 from repro.workload.zipf import ZipfSampler, permuted_ranks
 
 
@@ -185,9 +186,18 @@ class SydneyTraceGenerator:
     # ------------------------------------------------------------------
     # Streams: one loop each over bound methods, the helpers spelled out in
     # place draw for draw (DESIGN.md §3.3); a trailing comment names the call.
+    # A loop yields bare rows: the record streams wrap them, and build_trace
+    # stores them as columns without ever making a record.
     # ------------------------------------------------------------------
     def requests(self) -> Iterator[RequestRecord]:
         """Lazy stream of request records (non-homogeneous Poisson, thinned)."""
+        return starmap(RequestRecord, self._request_rows())
+
+    def updates(self) -> Iterator[UpdateRecord]:
+        """Lazy stream of update records concentrated on the live subset."""
+        return starmap(UpdateRecord, self._update_rows())
+
+    def _request_rows(self) -> Iterator[RequestRow]:
         cfg = self.config
         # Candidates arrive at the peak rate and are thinned to the diurnal
         # envelope. A volume boost B > 1 generates them at B times that rate and
@@ -236,11 +246,10 @@ class SydneyTraceGenerator:
                 cache_id = cache_bits(bits)  # cache_rng.randrange(num_caches)
                 while cache_id >= num_caches:
                     cache_id = cache_bits(bits)
-                yield RequestRecord(t, cache_id, epoch_maps[epoch][rank])
+                yield t, cache_id, epoch_maps[epoch][rank]
             t += -log(1.0 - arrive()) / rate
 
-    def updates(self) -> Iterator[UpdateRecord]:
-        """Lazy stream of update records concentrated on the live subset."""
+    def _update_rows(self) -> Iterator[UpdateRow]:
         cfg = self.config
         rate = cfg.base_update_rate
         arrive = self._streams.get("update-arrivals").random
@@ -265,12 +274,12 @@ class SydneyTraceGenerator:
             else:  # the rare branch: self.epoch_at(t), sampler.sample()
                 epoch_map = epoch_maps[min(int(t / epoch_len), last_epoch)]
                 doc_id = epoch_map[bisect_left(cdf, pick() * total)]
-            yield UpdateRecord(t, doc_id)
+            yield t, doc_id
             t += -log(1.0 - arrive()) / rate
 
     def build_trace(self) -> Trace:
-        """Materialize the full trace."""
-        return Trace(requests=list(self.requests()), updates=list(self.updates()))
+        """Materialize the full trace, straight from the rows into columns."""
+        return Trace(self._request_rows(), self._update_rows())
 
     @property
     def live_documents(self) -> List[int]:
