@@ -408,9 +408,7 @@ class ElasticController:
         absorber = self._manager.buddy_of(cache_id)
         budget = DRAIN_BYTE_BUDGET
         for doc_id in sorted(cache.storage):
-            copy = cache.storage.get(doc_id)
-            assert copy is not None
-            size = copy.size_bytes
+            size = cache.storage.size_of(doc_id)
             version = cache.storage.versions[doc_id]
             handed = False
             if version >= cloud.origin.version_of(doc_id) and size <= budget:

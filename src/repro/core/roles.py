@@ -246,7 +246,7 @@ class BeaconRole:
         return [
             h
             for h in listed
-            if caches[h].alive and caches[h].storage.get(doc_id) is not None
+            if caches[h].alive and doc_id in caches[h].storage
         ]
 
     def note_refreshed(self, doc_id: int, version: int, refreshed: int) -> None:

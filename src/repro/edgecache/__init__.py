@@ -11,7 +11,6 @@ placement scheme (:mod:`~repro.edgecache.stats`), and the node facade
 """
 
 from repro.edgecache.cache import EdgeCache
-from repro.edgecache.document import CachedDocument
 from repro.edgecache.replacement import (
     FIFOPolicy,
     GDSFPolicy,
@@ -28,7 +27,6 @@ __all__ = [
     "AccessFrequencyTracker",
     "CacheStats",
     "CacheStorage",
-    "CachedDocument",
     "EdgeCache",
     "FIFOPolicy",
     "GDSFPolicy",

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence
 
-from repro.edgecache.document import CachedDocument
 from repro.edgecache.replacement import ReplacementPolicy
 from repro.edgecache.stats import AccessFrequencyTracker, CacheStats
 from repro.edgecache.storage import CacheStorage, ResidenceOrder
@@ -98,11 +97,10 @@ class EdgeCache:
         self.stats.requests += 1
         self.frequencies.observe(doc_id, now)
 
-    def serve_local(self, doc_id: int, now: float) -> CachedDocument:
+    def serve_local(self, doc_id: int, now: float) -> None:
         """Serve a local hit; updates recency/frequency state."""
-        doc = self.storage.access(doc_id, now)
+        self.storage.access(doc_id, now)
         self.stats.local_hits += 1
-        return doc
 
     def admit(
         self, doc_id: int, size_bytes: int, version: int, now: float
@@ -183,8 +181,8 @@ def apply_to_holders(
     ``caches``, whose columns cover ``doc_id``); returns how many held a copy.
 
     Every update delivery ends here: one frame for all its holders, a version
-    slot written per holder, no copy object touched. That equals applying
-    holder by holder because an update never changes a copy's size.
+    slot written per holder. That equals applying holder by holder because an
+    update never changes a copy's size.
     """
     applied = 0
     for holder in holders:

@@ -13,9 +13,8 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, insort
 from collections import deque
-from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple
+from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
-from repro.edgecache.document import CachedDocument
 from repro.edgecache.replacement import LRUPolicy, NoReplacement, ReplacementPolicy
 
 #: How many recent evictions contribute to the residence-time estimate.
@@ -62,18 +61,11 @@ class CacheStorage:
         without one grows the column on admit.
     """
 
-    #: The stored copy for a doc id, or ``None``. Bound directly to the
-    #: backing dict's C-implemented ``get`` in ``__init__``: this is the
-    #: single most-called accessor in the simulator (every freshness check
-    #: and holder verification goes through it), and the binding removes a
-    #: Python frame per call. ``_docs`` is mutated in place, never rebound,
-    #: so the binding stays valid for the store's lifetime.
-    get: Callable[[int], Optional[CachedDocument]]
-
     #: The version column: each doc id's resident copy's version, or
     #: :data:`NO_COPY`. :meth:`admit` sets a slot, :meth:`remove` clears it,
     #: an update writes it (:func:`repro.edgecache.cache.apply_to_holders`)
-    #: and every freshness check reads it: neither touches the copy object.
+    #: and every freshness check reads it. A resident copy is this slot plus
+    #: its entries in ``_sizes`` and ``_stored_at``.
     versions: array[int]
 
     def __init__(
@@ -90,8 +82,11 @@ class CacheStorage:
         if capacity_bytes is None:
             policy = NoReplacement()
         self.policy: ReplacementPolicy = policy if policy is not None else LRUPolicy()
-        self._docs: Dict[int, CachedDocument] = {}
-        self.get = self._docs.get
+        #: Each resident copy's body size (what it occupies on disk), in
+        #: admission order: ``len``, ``in`` and iteration read this dict.
+        self._sizes: Dict[int, int] = {}
+        #: Each resident copy's admission time, for its residence sample.
+        self._stored_at: Dict[int, float] = {}
         self.versions = _EMPTY_SLOT * documents
         self._used = 0
         self.evictions = 0
@@ -131,13 +126,17 @@ class CacheStorage:
         return self.capacity_bytes is None
 
     def __len__(self) -> int:
-        return len(self._docs)
+        return len(self._sizes)
 
     def __contains__(self, doc_id: int) -> bool:
-        return doc_id in self._docs
+        return doc_id in self._sizes
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._docs)
+        return iter(self._sizes)
+
+    def size_of(self, doc_id: int) -> int:
+        """A resident copy's size in bytes; raises KeyError when absent."""
+        return self._sizes[doc_id]
 
     def version_of(self, doc_id: int) -> int:
         """The resident copy's version, or :data:`NO_COPY`."""
@@ -158,16 +157,19 @@ class CacheStorage:
         """
         if doc_id < 0 or version < 0:
             raise ValueError(f"doc_id and version must be >= 0, got {doc_id}, {version}")
-        resident = self.get(doc_id)
+        if size_bytes <= 0:
+            raise ValueError(f"size_bytes must be > 0, got {size_bytes}")
+        resident = self._sizes.get(doc_id)
         if resident is not None:
-            if size_bytes != resident.size_bytes:
-                raise ValueError(f"doc {doc_id} is resident at {resident.size_bytes} B")
+            if size_bytes != resident:
+                raise ValueError(f"doc {doc_id} is resident at {resident} B")
             self.versions[doc_id] = version
             return []
         if self.capacity_bytes is not None and size_bytes > self.capacity_bytes:
             return None
         evicted = self._make_room(size_bytes, now)
-        self._docs[doc_id] = CachedDocument(size_bytes, now)
+        self._sizes[doc_id] = size_bytes
+        self._stored_at[doc_id] = now
         versions = self.versions
         if doc_id >= len(versions):
             versions.extend(_EMPTY_SLOT * max(doc_id + 1 - len(versions), len(versions)))
@@ -176,11 +178,11 @@ class CacheStorage:
         self.policy.on_insert(doc_id, size_bytes, now)
         return evicted
 
-    def access(self, doc_id: int, now: float) -> CachedDocument:
+    def access(self, doc_id: int, now: float) -> None:
         """Record a hit; raises KeyError when absent."""
-        doc = self._docs[doc_id]
+        if doc_id not in self._sizes:
+            raise KeyError(doc_id)
         self.policy.on_access(doc_id, now)
-        return doc
 
     def refresh_version(self, doc_id: int, version: int) -> bool:
         """Write a resident copy's version slot; ``False`` if none is resident."""
@@ -191,14 +193,14 @@ class CacheStorage:
 
     def remove(self, doc_id: int, now: float, count_as_eviction: bool = False) -> None:
         """Explicitly drop a copy; raises KeyError when absent."""
-        doc = self._docs.pop(doc_id)
+        self._used -= self._sizes.pop(doc_id)
+        stored_at = self._stored_at.pop(doc_id)
         self.versions[doc_id] = NO_COPY
-        self._used -= doc.size_bytes
         self.policy.on_remove(doc_id)
         if count_as_eviction:
             self.evictions += 1
             samples = self._residence_samples
-            samples.append(doc.residence_time(now))
+            samples.append(max(0.0, now - stored_at))
             if self.capacity_bytes is not None:
                 order = self.residence_order
                 order_id = self.order_id
@@ -227,6 +229,6 @@ class CacheStorage:
     def __repr__(self) -> str:
         cap = "inf" if self.capacity_bytes is None else str(self.capacity_bytes)
         return (
-            f"CacheStorage(docs={len(self._docs)}, used={self._used}B, "
+            f"CacheStorage(docs={len(self._sizes)}, used={self._used}B, "
             f"capacity={cap}B, evictions={self.evictions})"
         )

@@ -2,7 +2,6 @@
 validation of the closed forms and their agreement with the real machinery.
 """
 
-import math
 import random
 
 import pytest

@@ -5,8 +5,6 @@ every :class:`ViolationKind` must be detectable when the corresponding
 corruption is planted by hand (no false negatives).
 """
 
-import pytest
-
 from repro.audit.invariants import InvariantAuditor, ViolationKind
 from repro.core.edgenetwork import EdgeCacheNetwork
 from repro.faults.injector import FaultInjector
@@ -176,7 +174,7 @@ class TestDetectsViolations:
         cloud.failure_manager.sync(1.0)
         holder = cloud.failure_manager.replica_holders()[0]
         cloud.caches[holder].alive = False
-        cloud.caches[holder].storage._docs = {}  # avoid DEAD_CACHE_STORES noise
+        cloud.caches[holder].storage._sizes = {}  # avoid DEAD_CACHE_STORES noise
         report = self._audit(cloud)
         assert report.count(ViolationKind.REPLICA_AT_DEAD_BUDDY) >= 1
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.cloud import RequestOutcome
 from repro.core.config import AssignmentScheme, PlacementScheme, UtilityWeights
-from repro.workload.documents import build_corpus
 from tests.conftest import make_cloud
 
 

@@ -251,8 +251,8 @@ class TestSafeDrain:
         # No live cache inherited the stale body from the drain path.
         for cache in cloud.caches:
             if cache.alive and cache.holds(doc_id):
-                copy = cache.storage.get(doc_id)
-                assert copy.version >= cloud.origin.version_of(doc_id)
+                held = cache.storage.version_of(doc_id)
+                assert held >= cloud.origin.version_of(doc_id)
 
     def test_retirement_directory_migrates_to_ring_successor(
         self, small_corpus

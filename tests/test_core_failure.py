@@ -3,8 +3,7 @@
 import pytest
 
 from repro.core.cloud import RequestOutcome
-from repro.core.config import AssignmentScheme, CloudConfig
-from repro.workload.documents import build_corpus
+from repro.core.config import AssignmentScheme
 from tests.conftest import make_cloud
 
 

@@ -1,7 +1,5 @@
 """Unit tests for placement policies."""
 
-import pytest
-
 from repro.core.config import CloudConfig, PlacementScheme, UtilityWeights
 from repro.core.placement import (
     AdHocPlacement,

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.edgecache.cache import EdgeCache, apply_to_holders
-from repro.edgecache.document import CachedDocument
 
 
 class TestConstruction:
@@ -26,8 +25,7 @@ class TestRequestPath:
     def test_serve_local_counts_hit(self):
         cache = EdgeCache(0)
         cache.admit(5, 100, 0, 0.0)
-        doc = cache.serve_local(5, 2.0)
-        assert isinstance(doc, CachedDocument)
+        assert cache.serve_local(5, 2.0) is None
         assert cache.stats.local_hits == 1
 
     def test_admit_counts_store(self):

@@ -1,7 +1,5 @@
 """Unit + property tests for replacement policies."""
 
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -1,9 +1,31 @@
-"""Unit tests for the byte-budgeted store."""
+"""Unit tests for the byte-budgeted store.
+
+A resident copy is a slot in the store's version column plus its size and
+admission time, both keyed by doc id, so the store validates every field of
+a copy on admit.
+"""
 
 import pytest
 
 from repro.edgecache.replacement import LRUPolicy, NoReplacement, make_policy
 from repro.edgecache.storage import CacheStorage
+
+
+class TestValidation:
+    @pytest.mark.parametrize(
+        "doc_id, size_bytes, version",
+        [
+            pytest.param(-1, 1, 0, id="negative-doc-id"),
+            # -1 is the column's "no copy": a copy at it would read as absent.
+            pytest.param(0, 1, -1, id="negative-version"),
+            pytest.param(0, 0, 0, id="zero-size"),
+        ],
+    )
+    def test_admit_rejects(self, doc_id, size_bytes, version):
+        storage = CacheStorage(documents=10)
+        with pytest.raises(ValueError):
+            storage.admit(doc_id, size_bytes, version, 0.0)
+        assert len(storage) == 0 and storage.used_bytes == 0
 
 
 class TestUnlimitedStorage:
@@ -100,11 +122,13 @@ class TestBoundedStorage:
 
 
 class TestAccess:
-    def test_access_returns_the_resident_copy(self):
-        # That it refreshes the replacement order is test_evicts_lru_to_make_room.
-        storage = CacheStorage()
+    def test_access_returns_nothing_and_refreshes_recency(self):
+        storage = CacheStorage(capacity_bytes=200, policy=LRUPolicy())
         storage.admit(1, 100, 0, 0.0)
-        assert storage.access(1, 5.0) is storage.get(1)
+        storage.admit(2, 100, 0, 1.0)
+        assert storage.access(1, 5.0) is None
+        assert storage.admit(3, 100, 0, 6.0) == [2]
+        assert storage.size_of(1) == 100
 
     def test_access_missing_raises(self):
         with pytest.raises(KeyError):
@@ -195,6 +219,15 @@ class TestResidenceEstimation:
                     samples
                 )
         assert len(storage._residence_samples) == RESIDENCE_SAMPLE_WINDOW
+
+    def test_an_eviction_before_admission_samples_zero(self):
+        # A residence is never negative, even for a ``now`` before the
+        # victim's admission time.
+        storage = CacheStorage(capacity_bytes=100)
+        storage.admit(1, 100, 0, 3.0)
+        assert storage.admit(2, 100, 0, 1.0) == [1]
+        assert list(storage._residence_samples) == [0.0]
+        assert storage.residence_mean == 0.0
 
     def test_explicit_removal_does_not_move_the_estimate(self):
         storage = CacheStorage(capacity_bytes=200)

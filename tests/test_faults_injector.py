@@ -1,7 +1,5 @@
 """Unit tests for the fault plan and the seeded injector."""
 
-import random
-
 import pytest
 
 from repro.faults.injector import FaultInjector, FaultStats

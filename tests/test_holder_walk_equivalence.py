@@ -98,7 +98,7 @@ def _reference_update_targets(self, doc_id: int) -> List[int]:
     return [
         h
         for h in sorted(self.state.directory.holders(doc_id))
-        if caches[h].alive and caches[h].storage.get(doc_id) is not None
+        if caches[h].alive and doc_id in caches[h].storage
     ]
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.cloud import CacheCloud, RequestOutcome
+from repro.core.cloud import CacheCloud
 from repro.core.config import (
     AssignmentScheme,
     CloudConfig,

@@ -6,7 +6,6 @@ system's safety invariants (directory soundness, partition totality,
 freshness of pushed copies).
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -80,8 +80,8 @@ class StorageMachine(RuleBasedStateMachine):
     def access(self, doc_id):
         now = self._tick()
         if doc_id in self.model:
-            doc = self.storage.access(doc_id, now)
-            assert doc.size_bytes == self.model[doc_id]
+            self.storage.access(doc_id, now)
+            assert self.storage.size_of(doc_id) == self.model[doc_id]
         else:
             try:
                 self.storage.access(doc_id, now)
@@ -100,7 +100,7 @@ class StorageMachine(RuleBasedStateMachine):
 
     @rule(doc_id=DOC_IDS, version=st.integers(1, 9))
     def refresh(self, doc_id, version):
-        now = self._tick()
+        self._tick()
         if doc_id not in self.model:
             return
         self.storage.refresh_version(doc_id, version)

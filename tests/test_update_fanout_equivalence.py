@@ -455,9 +455,12 @@ def _stores(cloud: CacheCloud):
             cache.storage.used_bytes,
             cache.storage.evictions,
             [
-                (doc_id, cache.storage.version_of(doc_id), copy.size_bytes)
+                (
+                    doc_id,
+                    cache.storage.version_of(doc_id),
+                    cache.storage.size_of(doc_id),
+                )
                 for doc_id in sorted(cache.storage)
-                for copy in (cache.storage.get(doc_id),)
             ],
             list(cache.storage.versions),
         )
