@@ -53,6 +53,9 @@ CHAOS_SCALE = Scale(
     num_rings=4,
 )
 
+#: ``IntraGen`` of every campaign's cloud (the paper's figures use 1000).
+CHAOS_INTRA_GEN = 400
+
 
 @dataclass(frozen=True)
 class ChaosScenario:
@@ -63,7 +66,6 @@ class ChaosScenario:
     loss_rate: float
     churn_rate: float
     anti_entropy: bool = True
-    intra_gen: int = 400
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.loss_rate < 1.0:
@@ -102,7 +104,7 @@ def run_chaos_scenario(scenario: ChaosScenario) -> ChaosOutcome:
             key=scenario.key,
             config=paper_cloud(
                 scale,
-                intra_gen=scenario.intra_gen,
+                intra_gen=CHAOS_INTRA_GEN,
                 placement=PlacementScheme.AD_HOC,
                 failure_resilience=True,
             ),

@@ -34,17 +34,14 @@ from repro.workload.documents import Corpus
 
 @dataclass
 class GroupConfig:
-    """What every baseline group configures: its size and per-cache disk
-    (a bounded disk evicts least recently used first)."""
+    """What every baseline group configures: its size (each cache's disk
+    is unlimited)."""
 
     num_caches: int = 10
-    capacity_bytes: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.num_caches <= 0:
             raise ValueError("num_caches must be positive")
-        if self.capacity_bytes is not None and self.capacity_bytes <= 0:
-            raise ValueError("capacity_bytes must be positive or None")
 
 
 class CacheGroup:
@@ -66,10 +63,7 @@ class CacheGroup:
         self.corpus = corpus
         self.origin = origin if origin is not None else OriginServer(corpus)
         self.transport = transport if transport is not None else Transport()
-        self.caches = [
-            EdgeCache(cache_id=cache_id, capacity_bytes=config.capacity_bytes)
-            for cache_id in range(config.num_caches)
-        ]
+        self.caches = [EdgeCache(cache_id=cache_id) for cache_id in range(config.num_caches)]
         self._assigner = StaticHashAssigner(list(range(config.num_caches)))
         self._holders: Dict[int, Set[int]] = {}  # doc_id -> caches w/ copies
         self.requests_handled = 0
@@ -163,14 +157,9 @@ class CacheGroup:
     def _store(
         self, cache: EdgeCache, doc_id: int, size: int, version: int, now: float
     ) -> None:
-        evicted = cache.admit(doc_id, size, version, now)
-        if evicted is None:
-            cache.decline()
-            return
+        cache.admit(doc_id, size, version, now)
         self._holders.setdefault(doc_id, set()).add(cache.cache_id)
         self._on_store(cache.cache_id, doc_id, now)
-        for evicted_doc in evicted:
-            self._holders.get(evicted_doc, set()).discard(cache.cache_id)
 
     def _count(self, version: int, current: int) -> None:
         """One request served from a copy at ``version``."""

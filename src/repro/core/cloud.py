@@ -57,7 +57,6 @@ from repro.core.placement import make_placement
 from repro.core.ring import BeaconRing
 from repro.core.roles import BeaconRole, OriginRole
 from repro.edgecache.cache import EdgeCache
-from repro.edgecache.replacement import make_policy
 from repro.edgecache.stats import CacheStats, RateTable
 from repro.edgecache.storage import ResidenceOrder
 from repro.faults.injector import FaultInjector
@@ -133,9 +132,7 @@ class CacheCloud:
             EdgeCache(
                 cache_id=cache_id,
                 capacity_bytes=config.capacity_bytes,
-                policy=make_policy(config.replacement_policy),
                 capability=config.capability_of(cache_id),
-                half_life=config.half_life,
                 holder_epoch=self.holder_epoch,
                 residence_order=self.residence_order,
                 documents=len(corpus),
@@ -183,7 +180,7 @@ class CacheCloud:
 
         #: Cloud-wide update rate per document (feeds the CMC component),
         #: written by :meth:`note_update`.
-        self.update_rates = RateTable(config.half_life)
+        self.update_rates = RateTable()
         # Per-document assignment caches (invalidated on membership change).
         n = len(corpus)
         self._doc_irh: List[Optional[int]] = [None] * n
@@ -255,9 +252,7 @@ class CacheCloud:
         if config.assignment is AssignmentScheme.STATIC:
             return StaticHashAssigner(cache_ids)
         if config.assignment is AssignmentScheme.CONSISTENT:
-            return ConsistentHashAssigner(
-                cache_ids, virtual_nodes=config.consistent_virtual_nodes
-            )
+            return ConsistentHashAssigner(cache_ids)
         capabilities = {
             cache_id: config.capability_of(cache_id) for cache_id in cache_ids
         }

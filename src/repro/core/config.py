@@ -110,12 +110,9 @@ class CloudConfig:
     utility_weights: UtilityWeights = field(default_factory=lambda: WEIGHTS_DSCC_OFF)
     utility_threshold: float = 0.5
     use_per_irh_load: bool = True
-    capacity_bytes: Optional[int] = None  # None = unlimited disk
-    replacement_policy: str = "lru"
+    capacity_bytes: Optional[int] = None  # None = unlimited disk; bounded = LRU
     capabilities: Optional[List[float]] = None  # None = all 1.0
     cooperation: bool = True  # False = isolated edge caches baseline
-    half_life: float = 60.0  # rate-estimator half-life, minutes
-    consistent_virtual_nodes: int = 64
     failure_resilience: bool = False  # lazy directory replication on/off
     seed: int = 0
 
@@ -146,10 +143,6 @@ class CloudConfig:
                 )
             if any(c <= 0 for c in self.capabilities):
                 raise ValueError("capabilities must all be positive")
-        if self.consistent_virtual_nodes <= 0:
-            raise ValueError("consistent_virtual_nodes must be positive")
-        if self.half_life <= 0:
-            raise ValueError("half_life must be positive")
 
     def ring_size(self) -> int:
         """Beacon points per ring (caches are dealt round-robin to rings).

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence
 
-from repro.edgecache.replacement import ReplacementPolicy
 from repro.edgecache.stats import AccessFrequencyTracker, CacheStats
 from repro.edgecache.storage import CacheStorage, ResidenceOrder
 
@@ -24,15 +23,12 @@ class EdgeCache:
     cache_id:
         Cloud-local identifier (also the node id in the topology).
     capacity_bytes:
-        Disk budget; ``None`` for the unlimited-disk experiments.
-    policy:
-        Replacement policy instance (defaults to LRU inside the storage).
+        Disk budget; ``None`` for the unlimited-disk experiments. A bounded
+        disk evicts least recently used first.
     capability:
         Relative machine power (paper §2.3: "each beacon point is assigned a
         positive real value to indicate its capability"). Used by the
         sub-range determination to give stronger nodes larger load shares.
-    half_life:
-        Half-life for the access-frequency estimators.
     holder_epoch:
         One-element counter cell shared by every cache of a cloud. It is
         bumped whenever this cache stops holding documents *without* its
@@ -53,9 +49,7 @@ class EdgeCache:
         self,
         cache_id: int,
         capacity_bytes: Optional[int] = None,
-        policy: Optional[ReplacementPolicy] = None,
         capability: float = 1.0,
-        half_life: float = 60.0,
         holder_epoch: Optional[List[int]] = None,
         residence_order: Optional[ResidenceOrder] = None,
         documents: int = 0,
@@ -68,13 +62,12 @@ class EdgeCache:
         self.capability = capability
         self.storage = CacheStorage(
             capacity_bytes=capacity_bytes,
-            policy=policy,
             residence_order=residence_order,
             order_id=cache_id,
             documents=documents,
         )
         self.stats = CacheStats()
-        self.frequencies = AccessFrequencyTracker(half_life=half_life)
+        self.frequencies = AccessFrequencyTracker()
         self.alive = True
         self.holder_epoch = holder_epoch if holder_epoch is not None else [0]
 

@@ -242,7 +242,7 @@ def ablation_ring_theory(
     The gaps quantify the model's error and the greedy walk's optimality gap.
     """
     weights = zipf_load_weights(scale.num_documents, 0.9)
-    measured = figure3(scale, jobs=jobs)
+    measured = figure3(scale, jobs=jobs).extras
     return SweepTable(
         header=("Ablation: ring-balancing theory validation", ""),
         columns=("scheme", "closed form", "ideal Monte-Carlo", "measured (greedy)"),
@@ -251,13 +251,13 @@ def ablation_ring_theory(
                 "static",
                 expected_cov_static(weights, 10),
                 monte_carlo_cov(weights, 10, ring_size=1, trials=150),
-                measured.static.load_stats.cov,
+                measured["static"].load_stats.cov,
             ),
             (
                 "rings(k=2)",
                 expected_cov_ring_balanced(weights, 10, 2),
                 monte_carlo_cov(weights, 10, ring_size=2, trials=150),
-                measured.dynamic.load_stats.cov,
+                measured["dynamic"].load_stats.cov,
             ),
         ],
         precision=3,

@@ -24,7 +24,7 @@ experiment's ``*_claims`` function states what it is expected to show.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
@@ -48,7 +48,6 @@ from repro.experiments.sweeps import (
     zipf_workload,
 )
 from repro.faults.churn import FAIL, ChurnEvent, ChurnSchedule
-from repro.metrics.report import format_figure_header
 from repro.network.origin import ORIGIN_NODE_ID, OriginServer
 from repro.network.topology import EuclideanTopology
 from repro.network.transport import Transport
@@ -230,44 +229,15 @@ def multi_cloud_claims(table: SweepTable) -> Dict[str, bool]:
 # ----------------------------------------------------------------------
 # Adaptive weights
 # ----------------------------------------------------------------------
-@dataclass
-class AdaptiveWeightsResult:
-    """Fixed vs feedback-adapted utility weights on a shifting workload."""
-
-    fixed_mb: float
-    adaptive_mb: float
-    final_weights: Dict[str, float]
-    steps: int
-
-    @property
-    def improvement_percent(self) -> float:
-        """Traffic saving of adaptation over fixed weights."""
-        if self.fixed_mb == 0:
-            return 0.0
-        return (self.fixed_mb - self.adaptive_mb) / self.fixed_mb * 100.0
-
-    def render(self) -> str:
-        lines = [
-            format_figure_header(
-                "Extension", "feedback weight adaptation (paper's future work)"
-            ),
-            f"fixed weights   : {self.fixed_mb:.2f} MB/unit",
-            f"adaptive weights: {self.adaptive_mb:.2f} MB/unit "
-            f"({self.improvement_percent:+.1f}%)",
-            f"adaptation steps: {self.steps}",
-            "final weights   : "
-            + ", ".join(f"{k}={v:.2f}" for k, v in sorted(self.final_weights.items())),
-        ]
-        return "\n".join(lines)
-
-
-def adaptive_weights_comparison(scale: Scale = SMALL_SCALE) -> AdaptiveWeightsResult:
+def adaptive_weights_comparison(scale: Scale = SMALL_SCALE) -> SweepTable:
     """Fixed vs adaptive weights on a workload whose update rate jumps.
 
     The trace's first half is read-mostly (a fifth of the scale's observed
     update rate); at half-time the rate jumps to eight times it (a
     breaking-news regime). Fixed weights keep replicating as before; the
-    adapter shifts weight toward CMC and cuts fan-out traffic.
+    adapter shifts weight toward CMC and cuts fan-out traffic. One row per
+    arm; ``extras`` holds the adapted arm's ``final_weights`` and its number
+    of adaptation ``steps``.
     """
     quiet = scale.observed_update_rate * 0.2
     burst = scale.observed_update_rate * 8.0
@@ -311,20 +281,32 @@ def adaptive_weights_comparison(scale: Scale = SMALL_SCALE) -> AdaptiveWeightsRe
 
     _, _, fixed_mb = run(adaptive=False)
     cloud, adapter, adaptive_mb = run(adaptive=True)
-    return AdaptiveWeightsResult(
-        fixed_mb=fixed_mb,
-        adaptive_mb=adaptive_mb,
-        final_weights=cloud.placement.computer.weights.as_dict(),
-        steps=len(adapter.history),
+    final_weights = cloud.placement.computer.weights.as_dict()
+    steps = len(adapter.history)
+    saving = (fixed_mb - adaptive_mb) / fixed_mb * 100.0 if fixed_mb else 0.0
+    return SweepTable(
+        header=("Extension", "feedback weight adaptation (paper's future work)"),
+        columns=("weights", "MB/unit"),
+        rows=[("fixed", fixed_mb), ("adaptive", adaptive_mb)],
+        extras={"final_weights": final_weights, "steps": steps},
+        footer=[
+            f"adaptive weights vs fixed weights: {saving:+.1f}% traffic saved",
+            f"adaptation steps: {steps}",
+            "final weights   : "
+            + ", ".join(f"{k}={v:.2f}" for k, v in sorted(final_weights.items())),
+        ],
     )
 
 
-def adaptive_weights_claims(result: AdaptiveWeightsResult) -> Dict[str, bool]:
+def adaptive_weights_claims(table: SweepTable) -> Dict[str, bool]:
     """The controller adapts, stays normalized, and never makes things worse."""
+    fixed_mb, adaptive_mb = table.column("MB/unit")
     return {
-        "controller_adapted": result.steps >= 3,
-        "adaptive_not_worse_than_fixed": result.adaptive_mb <= result.fixed_mb * 1.05,
-        "weights_stay_normalized": abs(sum(result.final_weights.values()) - 1.0) < 1e-9,
+        "controller_adapted": table.extras["steps"] >= 3,
+        "adaptive_not_worse_than_fixed": adaptive_mb <= fixed_mb * 1.05,
+        "weights_stay_normalized": (
+            abs(sum(table.extras["final_weights"].values()) - 1.0) < 1e-9
+        ),
     }
 
 

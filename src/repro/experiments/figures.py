@@ -1,8 +1,8 @@
 """One reproduction entry point per evaluation figure (Figures 3-9).
 
 Each ``figureN`` function runs the corresponding experiment and returns a
-result object carrying both the raw series and a :meth:`render` method that
-prints the same rows/series the paper charts. The benchmark harness in
+:class:`~repro.experiments.sweeps.SweepTable` (Figures 7-8 a pair of them)
+whose rows are the series the paper charts. The benchmark harness in
 ``benchmarks/`` is a thin wrapper over these functions.
 
 Scaling
@@ -33,8 +33,7 @@ for that figure as named booleans over the result; the registry
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.config import (
     AssignmentScheme,
@@ -63,7 +62,6 @@ from repro.experiments.sweeps import (
     zipf_workload,
 )
 from repro.metrics.loadbalance import improvement_percent
-from repro.metrics.report import Table, format_figure_header
 
 
 #: Fast default: each figure in seconds on a laptop.
@@ -99,61 +97,6 @@ PAPER_SCALE = Scale(
 # ----------------------------------------------------------------------
 # Figures 3-4: per-beacon load distribution, static vs dynamic
 # ----------------------------------------------------------------------
-@dataclass
-class LoadDistributionResult:
-    """Result of a Figure-3/4-style comparison."""
-
-    figure: str
-    dataset: str
-    static: ExperimentResult
-    dynamic: ExperimentResult
-
-    @property
-    def static_peak_to_mean(self) -> float:
-        """Heaviest-load / mean-load under static hashing."""
-        return self.static.load_stats.peak_to_mean
-
-    @property
-    def dynamic_peak_to_mean(self) -> float:
-        """Heaviest-load / mean-load under dynamic hashing."""
-        return self.dynamic.load_stats.peak_to_mean
-
-    @property
-    def cov_improvement_percent(self) -> float:
-        """CoV improvement of dynamic over static, percent."""
-        return improvement_percent(self.static.load_stats.cov, self.dynamic.load_stats.cov)
-
-    @property
-    def peak_improvement_percent(self) -> float:
-        """Peak/mean improvement of dynamic over static, percent."""
-        return improvement_percent(self.static_peak_to_mean, self.dynamic_peak_to_mean)
-
-    def render(self) -> str:
-        """The figure's series as a table plus the headline statistics."""
-        table = Table(
-            ["rank", "static load", "dynamic load"],
-            precision=1,
-            title=f"Loads at beacon points (decreasing order), {self.dataset}",
-        )
-        static_loads = self.static.sorted_loads()
-        dynamic_loads = self.dynamic.sorted_loads()
-        for rank, (s, d) in enumerate(zip(static_loads, dynamic_loads), start=1):
-            table.add_row(rank, s, d)
-        lines = [
-            format_figure_header(self.figure, f"load distribution, {self.dataset}"),
-            table.render(),
-            f"mean load: static={self.static.load_stats.mean:.1f} "
-            f"dynamic={self.dynamic.load_stats.mean:.1f}",
-            f"peak/mean: static={self.static_peak_to_mean:.2f} "
-            f"dynamic={self.dynamic_peak_to_mean:.2f} "
-            f"(improvement {self.peak_improvement_percent:.0f}%)",
-            f"coeff. of variation: static={self.static.load_stats.cov:.3f} "
-            f"dynamic={self.dynamic.load_stats.cov:.3f} "
-            f"(improvement {self.cov_improvement_percent:.0f}%)",
-        ]
-        return "\n".join(lines)
-
-
 def _load_distribution(
     figure: str,
     dataset: str,
@@ -161,7 +104,12 @@ def _load_distribution(
     scale: Scale,
     jobs: Optional[int] = None,
     overload: Optional[OverloadConfig] = None,
-) -> LoadDistributionResult:
+) -> SweepTable:
+    """Static vs dynamic hashing on ``workload``: loads by rank, both runs kept.
+
+    ``extras`` holds the two :class:`ExperimentResult` runs (``"static"``,
+    ``"dynamic"``), so an archive keeps every value of both.
+    """
     specs = [
         warmed_spec(
             scheme.value,
@@ -173,30 +121,54 @@ def _load_distribution(
         for scheme in (AssignmentScheme.STATIC, AssignmentScheme.DYNAMIC)
     ]
     runs, _ = run_points(specs, jobs=jobs, strict=True)
-    return LoadDistributionResult(figure, dataset, runs["static"], runs["dynamic"])
+    static, dynamic = runs["static"].load_stats, runs["dynamic"].load_stats
+    return SweepTable(
+        header=(figure, f"load distribution, {dataset}"),
+        columns=("rank", "static load", "dynamic load"),
+        rows=[
+            (rank, s, d)
+            for rank, (s, d) in enumerate(
+                zip(runs["static"].sorted_loads(), runs["dynamic"].sorted_loads()),
+                start=1,
+            )
+        ],
+        extras={"static": runs["static"], "dynamic": runs["dynamic"]},
+        precision=1,
+        title=f"Loads at beacon points (decreasing order), {dataset}",
+        footer=[
+            f"mean load: static={static.mean:.1f} dynamic={dynamic.mean:.1f}",
+            f"peak/mean: static={static.peak_to_mean:.2f} "
+            f"dynamic={dynamic.peak_to_mean:.2f} (improvement "
+            f"{improvement_percent(static.peak_to_mean, dynamic.peak_to_mean):.0f}%)",
+            f"coeff. of variation: static={static.cov:.3f} "
+            f"dynamic={dynamic.cov:.3f} "
+            f"(improvement {improvement_percent(static.cov, dynamic.cov):.0f}%)",
+        ],
+    )
 
 
-def load_distribution_claims(result: LoadDistributionResult) -> Dict[str, bool]:
+def load_distribution_claims(table: SweepTable) -> Dict[str, bool]:
     """Figures 3-4: dynamic hashing balances better on both statistics."""
-    static, dynamic = result.static.load_stats, result.dynamic.load_stats
+    static = table.extras["static"].load_stats
+    dynamic = table.extras["dynamic"].load_stats
     return {
-        "dynamic_peak_below_static": (
-            result.dynamic_peak_to_mean < result.static_peak_to_mean
-        ),
+        "dynamic_peak_below_static": dynamic.peak_to_mean < static.peak_to_mean,
         "dynamic_cov_below_static": dynamic.cov < static.cov,
         # Both schemes replay the identical trace: total load is conserved.
         "total_load_conserved": abs(static.mean - dynamic.mean) < 0.05 * static.mean,
     }
 
 
-def figure3_claims(result: LoadDistributionResult) -> Dict[str, bool]:
+def figure3_claims(table: SweepTable) -> Dict[str, bool]:
     """Figure 3 adds the paper's magnitudes under Zipf-0.9 skew."""
+    static = table.extras["static"].load_stats
+    dynamic = table.extras["dynamic"].load_stats
     return {
-        **load_distribution_claims(result),
+        **load_distribution_claims(table),
         # Static hashing visibly suffers (paper: ~1.9x the mean)...
-        "static_peak_above_1.3": result.static_peak_to_mean > 1.3,
+        "static_peak_above_1.3": static.peak_to_mean > 1.3,
         # ...and dynamic hashing lands near the paper's ~1.2 peak/mean.
-        "dynamic_peak_below_1.45": result.dynamic_peak_to_mean < 1.45,
+        "dynamic_peak_below_1.45": dynamic.peak_to_mean < 1.45,
     }
 
 
@@ -204,7 +176,7 @@ def figure3(
     scale: Scale = SMALL_SCALE,
     jobs: Optional[int] = None,
     overload: Optional[OverloadConfig] = None,
-) -> LoadDistributionResult:
+) -> SweepTable:
     """Figure 3: load distribution for the Zipf-0.9 dataset.
 
     Paper: 10 caches, 5 beacon rings of 2 beacon points, IntraGen 1000,
@@ -224,7 +196,7 @@ def figure3(
 
 def figure4(
     scale: Scale = SMALL_SCALE, jobs: Optional[int] = None
-) -> LoadDistributionResult:
+) -> SweepTable:
     """Figure 4: load distribution for the Sydney(-like) dataset.
 
     Paper: dynamic hashing improves peak/mean by ~40 % (to 1.06) and the
@@ -303,44 +275,17 @@ def figure5_claims(table: SweepTable) -> Dict[str, bool]:
 # ----------------------------------------------------------------------
 # Figure 6: Zipf-parameter sweep
 # ----------------------------------------------------------------------
-@dataclass
-class Figure6Result:
-    """CoV vs Zipf parameter for static and dynamic hashing."""
-
-    alphas: List[float]
-    cov_static: List[float] = field(default_factory=list)
-    cov_dynamic: List[float] = field(default_factory=list)
-
-    def render(self) -> str:
-        table = Table(
-            ["zipf alpha", "static CoV", "dynamic CoV"],
-            precision=3,
-            title="Coefficient of variation vs workload skew",
-        )
-        for alpha, s, d in zip(self.alphas, self.cov_static, self.cov_dynamic):
-            table.add_row(alpha, s, d)
-        return "\n".join(
-            [
-                format_figure_header(
-                    "Figure 6", "impact of Zipf parameter on load balancing"
-                ),
-                table.render(),
-            ]
-        )
-
-
 def figure6(
     scale: Scale = SMALL_SCALE,
     alphas: Tuple[float, ...] = ZIPF_SWEEP,
     jobs: Optional[int] = None,
     overload: Optional[OverloadConfig] = None,
-) -> Figure6Result:
+) -> SweepTable:
     """Figure 6: CoV vs Zipf parameter (0 → 0.99).
 
     Paper: both schemes are balanced at low skew; CoV grows with skew for
     both but far faster for static hashing — ~45 % worse at alpha 0.9.
     """
-    result = Figure6Result(list(alphas))
     specs = []
     for alpha in alphas:
         workload = zipf_workload(scale, alpha_requests=alpha)
@@ -355,20 +300,32 @@ def figure6(
                 )
             )
     runs, _ = run_points(specs, jobs=jobs, strict=True)
-    for alpha in alphas:
-        result.cov_static.append(runs[(alpha, "static")].load_stats.cov)
-        result.cov_dynamic.append(runs[(alpha, "dynamic")].load_stats.cov)
-    return result
+    return SweepTable(
+        header=("Figure 6", "impact of Zipf parameter on load balancing"),
+        columns=("zipf alpha", "static CoV", "dynamic CoV"),
+        rows=[
+            (
+                alpha,
+                runs[(alpha, "static")].load_stats.cov,
+                runs[(alpha, "dynamic")].load_stats.cov,
+            )
+            for alpha in alphas
+        ],
+        precision=3,
+        title="Coefficient of variation vs workload skew",
+    )
 
 
-def figure6_claims(result: Figure6Result) -> Dict[str, bool]:
+def figure6_claims(table: SweepTable) -> Dict[str, bool]:
     """Figure 6: skew hurts static hashing, and hurts it faster than dynamic."""
-    static, dynamic = result.cov_static, result.cov_dynamic
+    static, dynamic = table.column("static CoV"), table.column("dynamic CoV")
     return {
         "skew_hurts_static": static[-1] > static[0],
         "dynamic_degrades_slower": dynamic[-1] - dynamic[0] < static[-1] - static[0],
         "static_worse_at_high_skew": all(
-            s > d for alpha, s, d in zip(result.alphas, static, dynamic) if alpha >= 0.9
+            s > d
+            for alpha, s, d in zip(table.column("zipf alpha"), static, dynamic)
+            if alpha >= 0.9
         ),
     }
 

@@ -113,7 +113,8 @@ def paper_cloud(scale: Scale, **overrides: Any) -> CloudConfig:
     The recipe fixes shape, cycle and seed from the scale and leaves the
     rest to :class:`CloudConfig`'s defaults, which *are* the paper's §4
     setup (``IntraGen`` 1000, dynamic hashing, utility placement with DsCC
-    off and threshold 0.5, LRU on unlimited disk, no failure resilience).
+    off and threshold 0.5, unlimited disk, no failure resilience; a bounded
+    disk is LRU).
     """
     fields: Dict[str, Any] = dict(
         num_caches=scale.num_caches,

@@ -116,10 +116,3 @@ class TestCooperation:
             cloud.handle_update(5, now=1.0 + i)
             cloud.handle_request(0, 5, now=1.5 + i)
         assert cloud.origin.fetches_served == fetches_before + 3
-
-    def test_eviction_unregisters_holder(self, corpus):
-        cloud = make_leases(corpus, capacity_bytes=2 * 2048)
-        cloud.handle_request(0, 1, now=0.0)
-        cloud.handle_request(0, 2, now=1.0)
-        cloud.handle_request(0, 3, now=2.0)
-        assert 0 not in cloud._holders.get(1, set())

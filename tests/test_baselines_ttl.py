@@ -25,8 +25,6 @@ class TestConfig:
             TTLConfig(num_caches=0)
         with pytest.raises(ValueError):
             TTLConfig(ttl_minutes=0.0)
-        with pytest.raises(ValueError):
-            TTLConfig(capacity_bytes=0)
 
 
 class TestTTLSemantics:
@@ -116,10 +114,3 @@ class TestMetrics:
 
     def test_empty_staleness_rate(self, corpus):
         assert make_ttl(corpus).staleness_rate == 0.0
-
-    def test_eviction_unregisters_holder(self, corpus):
-        ttl = make_ttl(corpus, capacity_bytes=2 * 2048)
-        ttl.handle_request(0, 1, now=0.0)
-        ttl.handle_request(0, 2, now=1.0)
-        ttl.handle_request(0, 3, now=2.0)  # evicts doc 1
-        assert 0 not in ttl._holders.get(1, set())

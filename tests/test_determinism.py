@@ -113,5 +113,5 @@ class TestFigureDeterminism:
 
         a = figure6(TINY_SCALE, alphas=(0.9,))
         b = figure6(TINY_SCALE, alphas=(0.9,))
-        assert a.cov_static == b.cov_static
-        assert a.cov_dynamic == b.cov_dynamic
+        assert a.column("static CoV") == b.column("static CoV")
+        assert a.column("dynamic CoV") == b.column("dynamic CoV")

@@ -31,11 +31,15 @@ class TestFigureScale:
 class TestFigure3:
     def test_structure(self, smoke):
         result = smoke("fig3").result
-        assert len(result.static.beacon_loads) == 10
-        assert len(result.dynamic.beacon_loads) == 10
+        static, dynamic = result.extras["static"], result.extras["dynamic"]
+        assert len(static.beacon_loads) == 10
+        assert len(dynamic.beacon_loads) == 10
+        assert result.column("rank") == list(range(1, 11))
+        assert result.column("static load") == static.sorted_loads()
+        assert result.column("dynamic load") == dynamic.sorted_loads()
         # Identical workload: total load conserved across schemes.
-        assert sum(result.static.beacon_loads.values()) == pytest.approx(
-            sum(result.dynamic.beacon_loads.values()), rel=0.05
+        assert sum(static.beacon_loads.values()) == pytest.approx(
+            sum(dynamic.beacon_loads.values()), rel=0.05
         )
         rendered = result.render()
         assert "Figure 3" in rendered
@@ -64,14 +68,15 @@ class TestFigure5:
 class TestFigure6:
     def test_series_lengths(self, smoke):
         result = smoke("fig6").result
-        assert result.alphas == [0.0, 0.9, 0.99]
-        assert len(result.cov_static) == 3
-        assert len(result.cov_dynamic) == 3
+        assert result.column("zipf alpha") == [0.0, 0.9, 0.99]
+        assert len(result.column("static CoV")) == 3
+        assert len(result.column("dynamic CoV")) == 3
         assert "Figure 6" in result.render()
 
     def test_skew_increases_static_imbalance(self, smoke):
         result = smoke("fig6").result
-        assert result.cov_static[1] > result.cov_static[0]
+        static = result.column("static CoV")
+        assert static[1] > static[0]
 
 
 class TestFigures7And8:

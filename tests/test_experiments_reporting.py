@@ -154,5 +154,6 @@ class TestCompare:
         result = figure6(TINY_SCALE, alphas=(0.0, 0.9))
         doc = save_result(result, tmp_path / "fig6.json", name="figure6")
         numbers = numeric_view(doc)
-        assert "cov_static[0]" in numbers
-        assert "cov_dynamic[1]" in numbers
+        # rows[i] is (alpha, static CoV, dynamic CoV).
+        assert numbers["rows[0][1]"] == result.row(0.0)[1]
+        assert numbers["rows[1][2]"] == result.row(0.9)[2]

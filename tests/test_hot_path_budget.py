@@ -240,6 +240,56 @@ def test_an_update_enters_no_frame_per_holder():
     assert frames[4] == frames[40], f"frames per update by holder count: {frames}"
 
 
+#: The ``update-storm`` benchmark shape, driven as its ``DirectDrive`` does:
+#: 50 caches, 5 rings, 2 000 documents, ad hoc placement, unlimited disk,
+#: a uniform cache and a squared-uniform document per request, one
+#: squared-uniform update per two requests, seed 11, 60 000 requests of
+#: warm-up. Measured 28.0 frames per operation over the 5 000 counted
+#: requests (7 500 operations); 27.2 over 20 000. The ceiling leaves ~10 %.
+STORM_WARM_REQUESTS, STORM_COUNTED_REQUESTS = 60_000, 5_000
+STORM_FRAMES_PER_OPERATION_CEILING = 31.0
+
+
+def test_update_storm_frames_per_operation_within_budget():
+    documents, caches = 2_000, 50
+    corpus = build_corpus(documents, random.Random(derive_seed(SEED, "corpus")))
+    config = CloudConfig(
+        num_caches=caches,
+        num_rings=5,
+        assignment=AssignmentScheme.DYNAMIC,
+        placement=PlacementScheme.AD_HOC,
+        seed=SEED,
+    )
+    cloud = CacheCloud(config, corpus)
+    rng = random.Random(derive_seed(SEED, "requests"))
+
+    def feed(start: int, count: int) -> None:
+        for i in range(start, start + count):
+            now = i / 1000.0
+            cloud.handle_request(
+                rng.randrange(caches), int(rng.random() ** 2 * documents), now
+            )
+            if i % 2 == 1:
+                cloud.handle_update(int(rng.random() ** 2 * documents), now)
+
+    feed(0, STORM_WARM_REQUESTS)
+    start = cloud.requests_handled + cloud.updates_handled
+    counter = FrameCounter()
+    previous = sys.getprofile()
+    sys.setprofile(counter)
+    try:
+        feed(STORM_WARM_REQUESTS, STORM_COUNTED_REQUESTS)
+    finally:
+        sys.setprofile(previous)
+    operations = cloud.requests_handled + cloud.updates_handled - start
+    assert operations == STORM_COUNTED_REQUESTS * 3 // 2
+    per_operation = sum(counter.calls.values()) / operations
+    assert per_operation <= STORM_FRAMES_PER_OPERATION_CEILING, (
+        f"{per_operation:.1f} frames per operation over {operations} operations "
+        f"(ceiling {STORM_FRAMES_PER_OPERATION_CEILING}); most called: {counter.top()}"
+    )
+
+
 #: The frames of an operation root, whoever runs it.
 ROOTS = (
     CacheCloud.handle_request,
