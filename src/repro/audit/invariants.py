@@ -82,8 +82,10 @@ class ViolationKind(enum.Enum):
     #: ``residence_mean`` gives: a store decision would weigh the wrong
     #: minimum residence among the holders.
     RESIDENCE_ORDER = "residence_order"
-    #: A store's version column names a version for a document it does not
-    #: hold, or none for one it does: a freshness check would misjudge it.
+    #: A store's version column disagrees with its own bookkeeping: the
+    #: column holds another number of copies than the store counts, or (on a
+    #: bounded store) a copy the replacement order does not track, which
+    #: eviction could then never reach.
     VERSION_COLUMN = "version_column"
 
 
@@ -312,15 +314,25 @@ class InvariantAuditor:
         cooperative = cloud.config.cooperation
         for cache in cloud.caches:
             storage = cache.storage
-            resident = set(storage)
-            slotted = {doc_id for doc_id, held in enumerate(storage.versions) if held >= 0}
-            if slotted != resident:
+            resident = list(storage)
+            if len(resident) != len(storage):
                 report.add(
                     ViolationKind.VERSION_COLUMN,
-                    f"cache {cache.cache_id}: version slots of docs "
-                    f"{sorted(slotted ^ resident)[:5]} disagree with its copies",
+                    f"cache {cache.cache_id}: version column holds "
+                    f"{len(resident)} copies, the store counts {len(storage)}",
                     cache_id=cache.cache_id,
                 )
+            if not storage.unlimited:
+                order = storage.policy
+                untracked = [doc_id for doc_id in resident if doc_id not in order]
+                if untracked or len(order) != len(storage):
+                    report.add(
+                        ViolationKind.VERSION_COLUMN,
+                        f"cache {cache.cache_id}: replacement order tracks "
+                        f"{len(order)} copies of {len(storage)}, not docs "
+                        f"{untracked[:5]}",
+                        cache_id=cache.cache_id,
+                    )
             if not cache.alive:
                 if len(cache.storage):
                     report.add(
@@ -330,7 +342,7 @@ class InvariantAuditor:
                         cache_id=cache.cache_id,
                     )
                 continue
-            for doc_id in sorted(cache.storage):
+            for doc_id in resident:
                 report.resident_copies_checked += 1
                 held = storage.version_of(doc_id)
                 current = cloud.origin.version_of(doc_id)

@@ -31,6 +31,7 @@ Set ``cooperation=False`` in the config for the isolated-caches baseline
 
 from __future__ import annotations
 
+from array import array
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.core.beacon import BeaconState
@@ -128,6 +129,9 @@ class CacheCloud:
         #: a store decision scans it for the least residence among a
         #: document's holders (:meth:`CacheNode._placement_inputs`).
         self.residence_order: ResidenceOrder = []
+        # Every document's size, by doc id: the one size column every
+        # cache's storage reads a resident copy's size from.
+        sizes = array("i", [doc.size_bytes for doc in corpus])
         self.caches: List[EdgeCache] = [
             EdgeCache(
                 cache_id=cache_id,
@@ -135,7 +139,7 @@ class CacheCloud:
                 capability=config.capability_of(cache_id),
                 holder_epoch=self.holder_epoch,
                 residence_order=self.residence_order,
-                documents=len(corpus),
+                sizes=sizes,
             )
             for cache_id in range(config.num_caches)
         ]

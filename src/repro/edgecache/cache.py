@@ -9,6 +9,7 @@ layering — a cache cloud is built *from* ordinary edge caches.
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterable, List, Optional, Sequence
 
 from repro.edgecache.stats import AccessFrequencyTracker, CacheStats
@@ -41,8 +42,11 @@ class EdgeCache:
         storage keeps its entry there under its ``cache_id``
         (:class:`~repro.edgecache.storage.CacheStorage`). A cache outside a
         cloud gets its own.
-    documents:
-        Corpus size, which sizes the storage's version column up front.
+    sizes:
+        The corpus's size column, shared by every cache of a cloud; it
+        sizes the storage's version column up front
+        (:class:`~repro.edgecache.storage.CacheStorage`). A cache outside a
+        cloud grows a private one.
     """
 
     def __init__(
@@ -52,7 +56,7 @@ class EdgeCache:
         capability: float = 1.0,
         holder_epoch: Optional[List[int]] = None,
         residence_order: Optional[ResidenceOrder] = None,
-        documents: int = 0,
+        sizes: Optional[array[int]] = None,
     ) -> None:
         if cache_id < 0:
             raise ValueError(f"cache_id must be >= 0, got {cache_id}")
@@ -64,7 +68,7 @@ class EdgeCache:
             capacity_bytes=capacity_bytes,
             residence_order=residence_order,
             order_id=cache_id,
-            documents=documents,
+            sizes=sizes,
         )
         self.stats = CacheStats()
         self.frequencies = AccessFrequencyTracker()

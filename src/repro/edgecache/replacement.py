@@ -13,8 +13,11 @@ can be ablated independently of placement:
 
 A policy tracks metadata only; the byte accounting lives in
 :class:`~repro.edgecache.storage.CacheStorage`, which asks the policy for
-victims until the new document fits. A store with no byte budget never
-asks, so it binds :class:`NoReplacement` and keeps no order at all.
+victims until the new document fits. The policy also keeps each copy's
+admission time, which :meth:`~ReplacementPolicy.on_remove` hands back for
+the store's residence sample: an order is the one per-copy map a bounded
+store has. A store with no byte budget never asks for a victim, so it binds
+:class:`NoReplacement` and keeps no order at all.
 """
 
 from __future__ import annotations
@@ -37,8 +40,9 @@ class ReplacementPolicy(ABC):
         """Register a hit on a resident document."""
 
     @abstractmethod
-    def on_remove(self, doc_id: int) -> None:
-        """Forget a document (eviction or explicit removal)."""
+    def on_remove(self, doc_id: int) -> float:
+        """Forget a document (eviction or explicit removal); returns the
+        ``now`` it was inserted at."""
 
     @abstractmethod
     def choose_victim(self) -> Optional[int]:
@@ -59,7 +63,9 @@ class NoReplacement(ReplacementPolicy):
     :class:`~repro.edgecache.storage.CacheStorage` binds this when it has
     no byte budget, whichever policy it was handed — nobody would ever read
     the order, and keeping one costs an entry per resident copy plus a
-    reorder per local hit.
+    reorder per local hit. Nor does it keep admission times: only an
+    eviction samples one, so :meth:`on_remove` returns ``0.0``, which no
+    store reads.
     """
 
     def on_insert(self, doc_id: int, size_bytes: int, now: float) -> None:
@@ -68,8 +74,8 @@ class NoReplacement(ReplacementPolicy):
     def on_access(self, doc_id: int, now: float) -> None:
         pass
 
-    def on_remove(self, doc_id: int) -> None:
-        pass
+    def on_remove(self, doc_id: int) -> float:
+        return 0.0
 
     def choose_victim(self) -> Optional[int]:
         return None
@@ -82,21 +88,21 @@ class NoReplacement(ReplacementPolicy):
 
 
 class LRUPolicy(ReplacementPolicy):
-    """Least-recently-used eviction via an ordered dict."""
+    """Least-recently-used eviction via an ordered dict of admission times."""
 
     def __init__(self) -> None:
-        self._order: "OrderedDict[int, None]" = OrderedDict()
+        self._order: "OrderedDict[int, float]" = OrderedDict()
 
     def on_insert(self, doc_id: int, size_bytes: int, now: float) -> None:
         if doc_id in self._order:
             raise KeyError(f"doc {doc_id} already tracked")
-        self._order[doc_id] = None
+        self._order[doc_id] = now
 
     def on_access(self, doc_id: int, now: float) -> None:
         self._order.move_to_end(doc_id)
 
-    def on_remove(self, doc_id: int) -> None:
-        del self._order[doc_id]
+    def on_remove(self, doc_id: int) -> float:
+        return self._order.pop(doc_id)
 
     def choose_victim(self) -> Optional[int]:
         if not self._order:
@@ -114,19 +120,19 @@ class FIFOPolicy(ReplacementPolicy):
     """Evicts in admission order; accesses do not refresh position."""
 
     def __init__(self) -> None:
-        self._order: "OrderedDict[int, None]" = OrderedDict()
+        self._order: "OrderedDict[int, float]" = OrderedDict()
 
     def on_insert(self, doc_id: int, size_bytes: int, now: float) -> None:
         if doc_id in self._order:
             raise KeyError(f"doc {doc_id} already tracked")
-        self._order[doc_id] = None
+        self._order[doc_id] = now
 
     def on_access(self, doc_id: int, now: float) -> None:
         if doc_id not in self._order:
             raise KeyError(f"doc {doc_id} not tracked")
 
-    def on_remove(self, doc_id: int) -> None:
-        del self._order[doc_id]
+    def on_remove(self, doc_id: int) -> float:
+        return self._order.pop(doc_id)
 
     def choose_victim(self) -> Optional[int]:
         if not self._order:
@@ -150,6 +156,7 @@ class LFUPolicy(ReplacementPolicy):
     def __init__(self) -> None:
         self._counts: Dict[int, int] = {}
         self._last: Dict[int, float] = {}
+        self._admitted: Dict[int, float] = {}
         self._heap: List[Tuple[int, float, int]] = []
 
     def _push(self, doc_id: int) -> None:
@@ -162,6 +169,7 @@ class LFUPolicy(ReplacementPolicy):
             raise KeyError(f"doc {doc_id} already tracked")
         self._counts[doc_id] = 1
         self._last[doc_id] = now
+        self._admitted[doc_id] = now
         self._push(doc_id)
 
     def on_access(self, doc_id: int, now: float) -> None:
@@ -171,9 +179,10 @@ class LFUPolicy(ReplacementPolicy):
         self._last[doc_id] = now
         self._push(doc_id)
 
-    def on_remove(self, doc_id: int) -> None:
+    def on_remove(self, doc_id: int) -> float:
         del self._counts[doc_id]
         del self._last[doc_id]
+        return self._admitted.pop(doc_id)
 
     def choose_victim(self) -> Optional[int]:
         while self._heap:
@@ -207,6 +216,7 @@ class GDSFPolicy(ReplacementPolicy):
         self._priority: Dict[int, float] = {}
         self._freq: Dict[int, int] = {}
         self._size: Dict[int, int] = {}
+        self._admitted: Dict[int, float] = {}
         self._heap: List[Tuple[float, int]] = []
 
     def _score(self, doc_id: int) -> float:
@@ -220,6 +230,7 @@ class GDSFPolicy(ReplacementPolicy):
             raise KeyError(f"doc {doc_id} already tracked")
         self._freq[doc_id] = 1
         self._size[doc_id] = size_bytes
+        self._admitted[doc_id] = now
         self._priority[doc_id] = self._score(doc_id)
         self._push(doc_id)
 
@@ -230,13 +241,14 @@ class GDSFPolicy(ReplacementPolicy):
         self._priority[doc_id] = self._score(doc_id)
         self._push(doc_id)
 
-    def on_remove(self, doc_id: int) -> None:
+    def on_remove(self, doc_id: int) -> float:
         # Advance the inflation clock to the departing doc's priority so that
         # future admissions compete fairly against long-resident documents.
         self._inflation = max(self._inflation, self._priority[doc_id])
         del self._priority[doc_id]
         del self._freq[doc_id]
         del self._size[doc_id]
+        return self._admitted.pop(doc_id)
 
     def choose_victim(self) -> Optional[int]:
         while self._heap:

@@ -119,7 +119,11 @@ class AccessFrequencyTracker(RateTable):
     rate_of = RateTable.rate
 
     def mean_rate(self, now: float) -> float:
-        """Mean per-document access rate across recently seen documents."""
+        """Mean per-document access rate: the cache-wide decayed rate
+        divided by the number of documents ever seen here, since no code
+        path drops a rate slot. Slots that decayed to nothing still count,
+        so on long runs the mean reads low (ROADMAP item 16(c) is to drop
+        them)."""
         seen = len(self._slots)
         if not seen:
             return 0.0

@@ -13,7 +13,8 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, insort
 from collections import deque
-from typing import Deque, Dict, Iterator, List, Optional, Tuple
+from itertools import compress, count
+from typing import Deque, Iterator, List, Optional, Tuple
 
 from repro.edgecache.replacement import LRUPolicy, NoReplacement, ReplacementPolicy
 
@@ -30,6 +31,10 @@ ResidenceOrder = List[Tuple[float, int]]
 #: A version slot with no copy resident (versions start at 0).
 NO_COPY = -1
 _EMPTY_SLOT = array("i", [NO_COPY])
+#: A size slot of a document a private size column has not seen yet.
+_UNKNOWN_SIZE = array("i", [0])
+#: ``NO_COPY.__lt__``: true of a version slot that holds a copy.
+_HOLDS = NO_COPY.__lt__
 
 
 def residence_key(residence_mean: Optional[float]) -> float:
@@ -56,17 +61,25 @@ class CacheStorage:
         A sorted list shared by the stores of one cloud, in which this
         store keeps the one entry ``(residence_key, order_id)``
         (:func:`residence_key`). A store outside a cloud gets its own.
-    documents:
-        Corpus size, to which :attr:`versions` is sized; a store built
-        without one grows the column on admit.
+    sizes:
+        Every document's size in bytes, indexed by doc id: the corpus's
+        size column, which the stores of one cloud share and never write.
+        Its length sizes :attr:`versions`. A store built without one grows
+        a private column on admit, learning each document's size from its
+        first admission.
     """
 
     #: The version column: each doc id's resident copy's version, or
     #: :data:`NO_COPY`. :meth:`admit` sets a slot, :meth:`remove` clears it,
     #: an update writes it (:func:`repro.edgecache.cache.apply_to_holders`)
-    #: and every freshness check reads it. A resident copy is this slot plus
-    #: its entries in ``_sizes`` and ``_stored_at``.
+    #: and every freshness check reads it. A resident copy is this slot: its
+    #: size is its document's entry in :attr:`sizes`, and its admission time
+    #: (which only an eviction reads) is kept by the replacement order, so a
+    #: store without a budget keeps nothing else per copy.
     versions: array[int]
+    #: The size column (see ``sizes`` above); ``0`` marks a document a
+    #: private column has not seen.
+    sizes: array[int]
 
     def __init__(
         self,
@@ -74,7 +87,7 @@ class CacheStorage:
         policy: Optional[ReplacementPolicy] = None,
         residence_order: Optional[ResidenceOrder] = None,
         order_id: int = 0,
-        documents: int = 0,
+        sizes: Optional[array[int]] = None,
     ) -> None:
         if capacity_bytes is not None and capacity_bytes <= 0:
             raise ValueError(f"capacity_bytes must be > 0 or None, got {capacity_bytes}")
@@ -82,12 +95,10 @@ class CacheStorage:
         if capacity_bytes is None:
             policy = NoReplacement()
         self.policy: ReplacementPolicy = policy if policy is not None else LRUPolicy()
-        #: Each resident copy's body size (what it occupies on disk), in
-        #: admission order: ``len``, ``in`` and iteration read this dict.
-        self._sizes: Dict[int, int] = {}
-        #: Each resident copy's admission time, for its residence sample.
-        self._stored_at: Dict[int, float] = {}
-        self.versions = _EMPTY_SLOT * documents
+        self.sizes = sizes if sizes is not None else array("i")
+        self.versions = _EMPTY_SLOT * len(self.sizes)
+        #: Resident copies: the number of slots of ``versions`` that hold one.
+        self._count = 0
         self._used = 0
         self.evictions = 0
         self._residence_samples: Deque[float] = deque(maxlen=RESIDENCE_SAMPLE_WINDOW)
@@ -126,17 +137,23 @@ class CacheStorage:
         return self.capacity_bytes is None
 
     def __len__(self) -> int:
-        return len(self._sizes)
+        return self._count
 
     def __contains__(self, doc_id: int) -> bool:
-        return doc_id in self._sizes
+        try:
+            return doc_id >= 0 and self.versions[doc_id] >= 0
+        except IndexError:  # past the column: never admitted
+            return False
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._sizes)
+        """Resident doc ids, ascending (a scan of the version column)."""
+        return compress(count(), map(_HOLDS, self.versions))
 
     def size_of(self, doc_id: int) -> int:
         """A resident copy's size in bytes; raises KeyError when absent."""
-        return self._sizes[doc_id]
+        if doc_id not in self:
+            raise KeyError(doc_id)
+        return self.sizes[doc_id]
 
     def version_of(self, doc_id: int) -> int:
         """The resident copy's version, or :data:`NO_COPY`."""
@@ -152,36 +169,45 @@ class CacheStorage:
 
         Returns the list of evicted doc ids on success, or ``None`` when the
         document cannot be admitted (larger than the whole disk). Re-admitting
-        a resident document overwrites its version in place; a document's
-        size never changes, so a re-admission at another size is refused.
+        a resident document overwrites its version in place. A document's
+        size never changes, so a copy at a size other than the one
+        :attr:`sizes` holds for it is refused.
         """
         if doc_id < 0 or version < 0:
             raise ValueError(f"doc_id and version must be >= 0, got {doc_id}, {version}")
         if size_bytes <= 0:
             raise ValueError(f"size_bytes must be > 0, got {size_bytes}")
-        resident = self._sizes.get(doc_id)
-        if resident is not None:
-            if size_bytes != resident:
-                raise ValueError(f"doc {doc_id} is resident at {resident} B")
-            self.versions[doc_id] = version
+        sizes = self.sizes
+        versions = self.versions
+        if doc_id >= len(versions):
+            grow = max(doc_id + 1 - len(versions), len(versions))
+            versions.extend(_EMPTY_SLOT * grow)
+            if len(sizes) < len(versions):
+                sizes.extend(_UNKNOWN_SIZE * (len(versions) - len(sizes)))
+        known = sizes[doc_id]
+        if known != size_bytes:
+            if known:
+                raise ValueError(f"doc {doc_id} is {known} B, not {size_bytes} B")
+            sizes[doc_id] = size_bytes
+        if versions[doc_id] >= 0:
+            versions[doc_id] = version
             return []
         if self.capacity_bytes is not None and size_bytes > self.capacity_bytes:
             return None
         evicted = self._make_room(size_bytes, now)
-        self._sizes[doc_id] = size_bytes
-        self._stored_at[doc_id] = now
-        versions = self.versions
-        if doc_id >= len(versions):
-            versions.extend(_EMPTY_SLOT * max(doc_id + 1 - len(versions), len(versions)))
         versions[doc_id] = version
+        self._count += 1
         self._used += size_bytes
         self.policy.on_insert(doc_id, size_bytes, now)
         return evicted
 
     def access(self, doc_id: int, now: float) -> None:
         """Record a hit; raises KeyError when absent."""
-        if doc_id not in self._sizes:
-            raise KeyError(doc_id)
+        try:
+            if doc_id < 0 or self.versions[doc_id] < 0:
+                raise KeyError(doc_id)
+        except IndexError:
+            raise KeyError(doc_id) from None
         self.policy.on_access(doc_id, now)
 
     def refresh_version(self, doc_id: int, version: int) -> bool:
@@ -193,15 +219,21 @@ class CacheStorage:
 
     def remove(self, doc_id: int, now: float, count_as_eviction: bool = False) -> None:
         """Explicitly drop a copy; raises KeyError when absent."""
-        self._used -= self._sizes.pop(doc_id)
-        stored_at = self._stored_at.pop(doc_id)
-        self.versions[doc_id] = NO_COPY
-        self.policy.on_remove(doc_id)
+        versions = self.versions
+        try:
+            if doc_id < 0 or versions[doc_id] < 0:
+                raise KeyError(doc_id)
+        except IndexError:
+            raise KeyError(doc_id) from None
+        versions[doc_id] = NO_COPY
+        self._count -= 1
+        self._used -= self.sizes[doc_id]
+        stored_at = self.policy.on_remove(doc_id)
         if count_as_eviction:
             self.evictions += 1
-            samples = self._residence_samples
-            samples.append(max(0.0, now - stored_at))
             if self.capacity_bytes is not None:
+                samples = self._residence_samples
+                samples.append(max(0.0, now - stored_at))
                 order = self.residence_order
                 order_id = self.order_id
                 del order[bisect_left(order, (self.residence_key, order_id))]
@@ -229,6 +261,6 @@ class CacheStorage:
     def __repr__(self) -> str:
         cap = "inf" if self.capacity_bytes is None else str(self.capacity_bytes)
         return (
-            f"CacheStorage(docs={len(self._sizes)}, used={self._used}B, "
+            f"CacheStorage(docs={self._count}, used={self._used}B, "
             f"capacity={cap}B, evictions={self.evictions})"
         )

@@ -95,12 +95,12 @@ class TestDetectsViolations:
         cloud.handle_request(0, 5, now=1.0)
         assert self._audit(cloud).ok
         versions = cloud.caches[0].storage.versions
-        # A slot for a copy the store does not hold...
+        # A slot for a copy the store does not count...
         versions[6] = 0
         report = self._audit(cloud)
         assert report.count(ViolationKind.VERSION_COLUMN) == 1
         assert report.hard_violations == 1
-        # ...or none for one it does.
+        # ...or a copy it counts with no slot.
         versions[6] = versions[5] = -1
         report = self._audit(cloud)
         assert report.count(ViolationKind.VERSION_COLUMN) == 1
@@ -109,6 +109,22 @@ class TestDetectsViolations:
         cloud.caches[0].fail(2.0)
         assert self._audit(cloud).count(ViolationKind.VERSION_COLUMN) == 0
         cloud.caches[0].storage.versions[7] = 0
+        assert self._audit(cloud).count(ViolationKind.VERSION_COLUMN) == 1
+
+    def test_version_column_against_the_replacement_order(self, small_corpus):
+        cloud = make_cloud(small_corpus, capacity_bytes=small_corpus.total_bytes // 5)
+        cloud.handle_request(0, 5, now=1.0)
+        assert self._audit(cloud).ok
+        order = cloud.caches[0].storage.policy
+        # A resident copy the order lost: eviction could never reach it.
+        admitted = order.on_remove(5)
+        report = self._audit(cloud)
+        assert report.count(ViolationKind.VERSION_COLUMN) == 1
+        assert report.hard_violations == 1
+        order.on_insert(5, 1024, admitted)
+        assert self._audit(cloud).ok
+        # An order entry with no copy.
+        order.on_insert(9, 1024, 2.0)
         assert self._audit(cloud).count(ViolationKind.VERSION_COLUMN) == 1
 
     def test_dead_holder_listed_and_dead_cache_stores(self, small_corpus):
@@ -173,10 +189,15 @@ class TestDetectsViolations:
         cloud = make_cloud(small_corpus, failure_resilience=True)
         cloud.failure_manager.sync(1.0)
         holder = cloud.failure_manager.replica_holders()[0]
-        cloud.caches[holder].alive = False
-        cloud.caches[holder].storage._sizes = {}  # avoid DEAD_CACHE_STORES noise
+        cloud.handle_request(holder, 5, now=1.5)
+        assert cloud.caches[holder].holds(5)
+        # A crash the failure manager is not told of: the store empties (so
+        # the dead buddy reports no DEAD_CACHE_STORES noise), the record of
+        # the replica it held stays.
+        cloud.caches[holder].fail(2.0)
         report = self._audit(cloud)
         assert report.count(ViolationKind.REPLICA_AT_DEAD_BUDDY) >= 1
+        assert report.count(ViolationKind.DEAD_CACHE_STORES) == 0
 
     def test_meter_mismatch_on_unaccounted_bytes(self, small_corpus):
         cloud = make_cloud(small_corpus)

@@ -1,5 +1,7 @@
 """Unit tests for the edge cache node facade."""
 
+from array import array
+
 import pytest
 
 from repro.edgecache.cache import EdgeCache, apply_to_holders
@@ -66,7 +68,7 @@ class TestFreshness:
         assert cache.stats.updates_applied == 0
 
     def test_apply_to_holders_writes_the_slot_of_each_copy(self):
-        caches = [EdgeCache(i, documents=10) for i in range(4)]
+        caches = [EdgeCache(i, sizes=array("i", [100] * 10)) for i in range(4)]
         for cache in caches[:3]:
             cache.admit(5, 100, 0, 0.0)
         assert apply_to_holders(caches, [0, 2, 3], 5, 4) == 2  # 3 holds none
@@ -91,6 +93,26 @@ class TestFailure:
         assert not cache.alive
         assert len(cache.storage) == 0
         assert cache.storage.version_of(1) == cache.storage.version_of(2) == -1
+
+    def test_fail_is_no_eviction_on_a_contended_store(self):
+        """A crash empties the store without evicting: ``fail`` removes each
+        copy uncounted, so the order it walks them in (ascending doc id, not
+        admission order) reaches neither the eviction count nor the
+        residence window nor the store's entry in the residence order."""
+        order = []
+        cache = EdgeCache(3, capacity_bytes=300, residence_order=order)
+        storage = cache.storage
+        for doc_id, now in ((7, 0.0), (2, 1.0), (9, 2.0), (4, 6.0), (1, 9.0)):
+            cache.admit(doc_id, 100, 0, now)
+        # Doc 4 evicted doc 7 after 6 minutes, doc 1 evicted doc 2 after 8.
+        assert list(storage) == [1, 4, 9] and storage.policy.choose_victim() == 9
+        assert storage.evictions == 2 and storage.residence_mean == 7.0
+        before = (list(storage._residence_samples), list(order))
+        cache.fail(50.0)
+        assert len(storage) == 0 and storage.used_bytes == 0
+        assert storage.evictions == 2 and storage.residence_mean == 7.0
+        assert (list(storage._residence_samples), list(order)) == before
+        assert order == [(7.0, 3)]
 
     def test_recover_comes_back_cold(self):
         cache = EdgeCache(0)

@@ -4,6 +4,7 @@ import gc
 import math
 import struct
 import tracemalloc
+from array import array
 from typing import Dict, List, Tuple
 
 import pytest
@@ -207,14 +208,14 @@ class TestFootprint:
 
     def test_a_store_tracks_no_object_per_copy(self):
         keys = self.keys()
-        storage = CacheStorage(documents=keys[-1] + 1)
+        storage = CacheStorage(sizes=array("i", [100]) * (keys[-1] + 1))
         gc.collect()
         before = len(gc.get_objects())
         for index, key in enumerate(keys):
             storage.admit(key, 100, 70_000 + index, 0.0)
         gc.collect()
         admitted = len(gc.get_objects()) - before
-        # A copy is a version slot and two dict entries: no tracked object...
+        # A copy is a version slot: no tracked object...
         assert admitted < 10, f"{admitted} tracked objects for {self.KEYS} copies"
         for index, key in enumerate(keys):
             storage.refresh_version(key, 90_000 + index)

@@ -550,7 +550,7 @@ def constructed_decision(
     caches = cloud.caches
     for cache, residence in zip(caches, residences):
         if residence is not None:
-            cache.storage.admit(3, 1, 0, 0.0)
+            cache.storage.admit(3, corpus[3].size_bytes, 0, 0.0)
             cache.storage.remove(3, residence, count_as_eviction=True)
     beacon_id = cloud.beacon_for_doc(0)
     directory = cloud.beacons[beacon_id].directory

@@ -55,6 +55,9 @@ class StorageMachine(RuleBasedStateMachine):
             capacity_bytes=capacity, policy=make_policy(policy_name)
         )
         self.model = {}  # doc_id -> size
+        # A document has one size, the first drawn for it: the store's
+        # private size column learns it on that admission.
+        self.sizes = {}
 
     def _tick(self):
         self.now += 1.0
@@ -63,9 +66,10 @@ class StorageMachine(RuleBasedStateMachine):
     @rule(doc_id=DOC_IDS, size=SIZES, version=st.integers(0, 5))
     def admit(self, doc_id, size, version):
         now = self._tick()
+        size = self.sizes.setdefault(doc_id, size)
         if doc_id in self.model:
             # Re-admission refreshes in place at the existing entry.
-            self.storage.admit(doc_id, self.model[doc_id], version, now)
+            self.storage.admit(doc_id, size, version, now)
             return
         evicted = self.storage.admit(doc_id, size, version, now)
         if evicted is None:
@@ -75,6 +79,13 @@ class StorageMachine(RuleBasedStateMachine):
             assert victim in self.model
             del self.model[victim]
         self.model[doc_id] = size
+
+    @rule(doc_id=DOC_IDS, version=st.integers(0, 5))
+    def admit_at_another_size(self, doc_id, version):
+        if doc_id not in self.sizes:
+            return
+        with pytest.raises(ValueError):
+            self.storage.admit(doc_id, self.sizes[doc_id] + 1, version, self._tick())
 
     @rule(doc_id=DOC_IDS)
     def access(self, doc_id):
@@ -108,7 +119,7 @@ class StorageMachine(RuleBasedStateMachine):
 
     @invariant()
     def resident_set_matches_model(self):
-        assert set(self.storage) == set(self.model)
+        assert list(self.storage) == sorted(self.model)
         assert len(self.storage) == len(self.model)
         # The version column names a version for exactly the resident set.
         slotted = {d for d, held in enumerate(self.storage.versions) if held >= 0}
