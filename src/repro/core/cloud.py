@@ -228,7 +228,7 @@ class CacheCloud:
 
         #: The one handle every seam reports through — the role seams, the
         #: fabric's attempt plan, the two operation roots — rebuilt by every
-        #: attach/detach of the three above; ``None`` while none is attached
+        #: attach of the three above; ``None`` while none is attached
         #: keeps the entry points and the fabric fast path as if none existed.
         self.watch: Optional["RoleWatch"] = None
 
@@ -304,13 +304,6 @@ class CacheCloud:
         self.telemetry = telemetry
         self._rewatch()
 
-    def detach_telemetry(self) -> Optional["Telemetry"]:
-        """Stop recording; returns the detached registry with its data."""
-        telemetry = self.telemetry
-        self.telemetry = None
-        self._rewatch()
-        return telemetry
-
     def attach_profile(self, profile: "WorkProfile") -> "WorkProfile":
         """Charge per-role, per-phase work counters into ``profile``.
 
@@ -319,15 +312,6 @@ class CacheCloud:
         the cloud charges one profile, and that is the one it reads.
         """
         self._attached_profile = profile
-        self._rewatch()
-        return profile
-
-    def detach_profile(self) -> Optional["WorkProfile"]:
-        """Stop charging; returns the profile (refused while a flight recorder reads it)."""
-        if self.flight is not None:
-            raise ValueError("a flight recorder reads the work profile: detach it first")
-        profile = self.profile
-        self._attached_profile = None
         self._rewatch()
         return profile
 
@@ -344,16 +328,6 @@ class CacheCloud:
         """
         recorder.bind(self)
         self.flight = recorder
-        self._rewatch()
-        return recorder
-
-    def detach_flight(self) -> Optional["FlightRecorder"]:
-        """Stop recording; returns the recorder (file stays open until
-        its ``finish`` is called)."""
-        recorder = self.flight
-        self.flight = None
-        if recorder is not None:
-            recorder.unbind()
         self._rewatch()
         return recorder
 
@@ -377,7 +351,7 @@ class CacheCloud:
         watch = None
         if self.telemetry is not None or profile is not None:
             watch = RoleWatch(
-                self.telemetry, profile, flight, self._serve_request, self._apply_update
+                self.telemetry, profile, flight, self._serve_request, self.deliver_update
             )
         self.watch = self.fabric.watch = watch
 
@@ -392,8 +366,8 @@ class CacheCloud:
         keeps "degrade to origin-direct" a genuine relief valve): wire
         messages accrue queueing delay, full queues reject, and the
         watermark controller sheds cooperative work before client
-        requests are turned away. Mirrors :meth:`attach_faults`: the
-        returned controller's statistics survive :meth:`detach_overload`.
+        requests are turned away. Attaching again returns the controller
+        already attached.
         """
         if self.overload is not None:
             return self.overload
@@ -401,14 +375,6 @@ class CacheCloud:
         controller.exempt_node(self.origin.node_id)
         self.overload = controller
         self.fabric.attach_service(controller)
-        return controller
-
-    def detach_overload(self) -> Optional[OverloadController]:
-        """Remove the service model; returns it with its statistics."""
-        controller = self.overload
-        self.overload = None
-        if controller is not None:
-            self.fabric.detach_service()
         return controller
 
     def attach_elastic(
@@ -623,22 +589,30 @@ class CacheCloud:
     # ------------------------------------------------------------------
     def handle_update(self, doc_id: int, now: float) -> int:
         """Process one origin-server update; returns holders refreshed."""
+        version = self.origin.publish_update(doc_id)
         watch = self.watch
         if watch is None:
-            return self._apply_update(doc_id, now)
-        return watch.update(doc_id, now)
+            return self.deliver_update(doc_id, version, now)
+        return watch.update(doc_id, version, now)
 
     def note_update(self, doc_id: int, now: float) -> None:
         """Record an origin update of ``doc_id`` at ``now``: one event for
         its update rate."""
         self.update_rates.observe(doc_id, now)
 
-    def _apply_update(self, doc_id: int, now: float) -> int:
+    def deliver_update(self, doc_id: int, version: int, now: float) -> int:
+        """Carry the published ``version`` of ``doc_id`` to this cloud's
+        holders; returns how many now store it.
+
+        The one update body under both roots: :meth:`handle_update`, which
+        publishes for a cloud on its own, and
+        :meth:`~repro.core.edgenetwork.EdgeCacheNetwork.handle_update`,
+        which publishes once for every cloud it feeds.
+        """
         self.updates_handled += 1
         overload = self.overload
         if overload is not None and now > overload.now:
             overload.now = now  # ``overload.advance``, in place
-        version = self.origin.publish_update(doc_id)
         self.note_update(doc_id, now)
         size = self.corpus[doc_id].size_bytes
 
@@ -701,31 +675,24 @@ class CacheCloud:
             self.fabric.send_system_batch(legs, TrafficCategory.CONTROL)
             # Migrate lookup records for the moved IrH spans.
             for lo, hi, src, dst in result.moves:
-                entries = self.beacons[src].directory.extract_range(lo, hi)
-                num_bytes = max(CONTROL_MESSAGE_BYTES, len(entries) * DIRECTORY_ENTRY_BYTES)
-                self.hand_over(src, dst, entries, num_bytes)
+                self.hand_over(src, dst, self.beacons[src].directory.extract_range(lo, hi))
         if self.failure_manager is not None:
             self.failure_manager.sync(now)
 
     def hand_over(
-        self,
-        src: int,
-        dst: int,
-        entries: List[Tuple[int, int, Set[int]]],
-        num_bytes: int,
+        self, src: int, dst: int, entries: List[Tuple[int, int, Set[int]]]
     ) -> None:
         """Move directory entries to their new owner ``dst``.
 
         The one hand-over body — a cycle's range moves, a join's pull and a
         retirement's hand-off all end here: install, count at the receiver,
-        one ``DIRECTORY_MIGRATION`` system send. ``num_bytes`` is the
-        caller's: the three sites size the same wire message three ways
-        (DESIGN.md §6 names the inconsistency; reconciling it re-pins every
-        churn and elastic fingerprint).
+        one ``DIRECTORY_MIGRATION`` system send of ``max(256, n·96)`` bytes
+        for ``n`` entries (a control message carries an empty one).
         """
         receiver = self.beacons[dst]
         receiver.directory.ingest(entries)
         receiver.directory_entries_migrated += len(entries)
+        num_bytes = max(CONTROL_MESSAGE_BYTES, len(entries) * DIRECTORY_ENTRY_BYTES)
         self.fabric.send_system(
             src, dst, num_bytes, TrafficCategory.DIRECTORY_MIGRATION
         )

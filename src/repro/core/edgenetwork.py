@@ -9,8 +9,9 @@ one origin. This module supplies that outer layer:
   :mod:`repro.network.landmarks` (the stand-in for reference [12]);
 * each cloud runs the full cache-cloud protocol with its own beacon rings;
 * the origin serves every cloud, and — the headline saving of cooperative
-  update handling — sends **one body-carrying update message per cloud
-  holding the document**, instead of one per holding cache.
+  update handling — sends **one update message per cloud** to the
+  document's beacon point (the body where the cloud holds a copy, a bare
+  notice where it holds none), instead of one per holding cache.
 
 Global cache node ids are mapped to (cloud, local id) pairs so traces
 addressed to physical nodes drive the right cloud.
@@ -24,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.cloud import CacheCloud, RequestResult
 from repro.core.config import CloudConfig
-from repro.network.bandwidth import TrafficCategory, TrafficMeter
+from repro.network.bandwidth import TrafficMeter
 from repro.network.landmarks import form_cache_clouds
 from repro.network.origin import OriginServer
 from repro.network.topology import NetworkTopology
@@ -147,60 +148,17 @@ class EdgeCacheNetwork:
     def handle_update(self, doc_id: int, now: float) -> int:
         """Propagate one origin update to every cloud; returns refreshes.
 
-        The origin's version is published once; each cloud's beacon point
-        then fans the update out to its local holders. ``update_messages``
-        on the origin counts one per cloud per update (versus one per
-        holding cache without cooperation — the saving Figure 1 motivates).
+        The origin's version is published once, then each cloud delivers
+        it as a cloud on its own would (:meth:`CacheCloud.deliver_update`):
+        one origin message to the document's beacon point — a bare notice
+        where the cloud holds no copy — fanned out to the local holders.
+        ``update_messages_sent`` on the origin counts one per cloud per
+        update, versus one per holding cache without cooperation: the
+        saving Figure 1 motivates.
         """
         self.updates_handled += 1
-        # Publish once, then let each cloud distribute at the new version.
-        # CacheCloud.handle_update publishes internally, so feed the clouds
-        # in sequence: the first publish advances the version, the rest see
-        # versions already current and bump again — avoid that by publishing
-        # through a single cloud-agnostic path instead.
-        refreshed = 0
-        new_version = self.origin.publish_update(doc_id)
-        for cloud in self.clouds:
-            refreshed += self._distribute(cloud, doc_id, new_version, now)
-        return refreshed
-
-    def _distribute(
-        self, cloud: CacheCloud, doc_id: int, version: int, now: float
-    ) -> int:
-        """Run one cloud's beacon-mediated fan-out at ``version``.
-
-        The version was published network-wide, so this is
-        :meth:`BeaconRole.propagate_update` without the publish, over the
-        cloud's own fabric. Its preamble counts differently from the
-        beacon's notice-or-body step: the beacon's load counter ticks
-        whether or not the message arrives, and a bare notice is not an
-        origin update message (DESIGN.md §3.1).
-        """
-        beacon_id = cloud.beacon_for_doc(doc_id)
-        beacon = cloud.beacons[beacon_id]
-        beacon.record_update(cloud.doc_irh(doc_id))
-        cloud.note_update(doc_id, now)
-
-        size = self.corpus[doc_id].size_bytes
-        fabric = cloud.fabric
-        beacon_role = cloud.beacon_roles[beacon_id]
-        holders = beacon_role.update_targets(doc_id)
-        origin_id = self.origin.node_id
-        if not holders:
-            fabric.send_control(origin_id, beacon_id, reliable=True)
-            return 0
-        self.origin.note_update_message(doc_id)
-        body = fabric.send_document(
-            origin_id,
-            beacon_id,
-            size,
-            TrafficCategory.UPDATE_SERVER_TO_BEACON,
-            reliable=True,
-        )
-        if not body.ok:
-            cloud.update_pushes_lost += len(holders)
-            return 0
-        return beacon_role.fan_out(holders, doc_id, version, size, now + body.latency)
+        version = self.origin.publish_update(doc_id)
+        return sum(cloud.deliver_update(doc_id, version, now) for cloud in self.clouds)
 
     def run_cycles(self, now: float) -> None:
         """Run the sub-range determination in every cloud."""

@@ -300,7 +300,7 @@ class MessageFabric:
     @property
     def watch(self) -> Optional[FabricWatch]:
         """The one observer handle, set by ``CacheCloud`` to ``cloud.watch``
-        at every observer attach/detach. A watch that binds no handle (none,
+        at every observer attach. A watch that binds no handle (none,
         or a work profile alone) keeps the fast path enabled."""
         return self._watch
 

@@ -222,9 +222,7 @@ class FailureResilienceManager:
         lookup information is lost on a voluntary leave.
         """
         absorber, entries = self._depart(cache_id, RETIRED, now)
-        self._cloud.hand_over(
-            cache_id, absorber, entries, max(1, len(entries)) * DIRECTORY_ENTRY_BYTES
-        )
+        self._cloud.hand_over(cache_id, absorber, entries)
         if self._cloud.overload is not None:
             self._cloud.overload.reset_node(cache_id)
         self.retirements += 1
@@ -269,10 +267,7 @@ class FailureResilienceManager:
             entries: List[Entry] = []
             for span_lo, span_hi in taken.spans():
                 entries.extend(directory.extract_range(span_lo, span_hi))
-            if entries:
-                cloud.hand_over(
-                    other_id, cache_id, entries, len(entries) * DIRECTORY_ENTRY_BYTES
-                )
+            cloud.hand_over(other_id, cache_id, entries)
         cloud.invalidate_assignment_cache()
         self.recoveries += 1
 

@@ -48,10 +48,9 @@ def push_to_holders(
 
     ``src`` holds the fresh body from ``start`` on and pushes it reliably
     to each of ``holders`` (ascending ids); returns how many now store
-    ``version``. The one delivery body behind the star fan-out, the
-    federation's per-cloud distribution (``from_beacon``: ``UPDATE_FANOUT``
-    legs that a saturated holder's overload model may defer, charged to the
-    work profile) and the origin's
+    ``version``. The one delivery body behind the star fan-out
+    (``from_beacon``: ``UPDATE_FANOUT`` legs that a saturated holder's
+    overload model may defer, charged to the work profile) and the origin's
     holder-by-holder refresh (``UPDATE_SERVER_TO_BEACON`` legs, none of
     those). A holder that is ``src`` itself needs no leg. A deferred or
     lost leg leaves its holder stale — one recovery contract for both: the
@@ -232,7 +231,7 @@ class BeaconRole:
         """Listed holders that are alive and store a copy, in id order.
 
         These are the caches an update must reach, whatever the scheme
-        that carries it (star fan-out, CUP tree, federation distribute).
+        that carries it (star fan-out or CUP tree).
         A stamp of the current holder-epoch already says every listed
         holder qualifies, whichever version it was set at.
         """
@@ -270,7 +269,11 @@ class BeaconRole:
 
         With no holder to refresh a bare invalidation notice suffices;
         otherwise the server→beacon transfer carries the fresh body. Every
-        propagation scheme rooted at the beacon starts here. Returns the
+        propagation scheme rooted at the beacon starts here, and so does
+        each cloud's share of a federation's update: the origin sends one
+        such message per cloud, whether or not the cloud holds a copy. The
+        only ``UPDATE_SERVER_TO_BEACON`` sends are this body and the
+        origin's per-holder refresh (:func:`push_to_holders`). Returns the
         body's arrival time — when the holder legs may start — or ``None``
         when there is nothing to fan out: nobody holds the document, or the
         body was lost, which leaves *every* holder stale (counted in
@@ -311,26 +314,6 @@ class BeaconRole:
         self.state.record_update(irh)
         return now + body.latency
 
-    def fan_out(
-        self,
-        holders: List[int],
-        doc_id: int,
-        version: int,
-        size: int,
-        start: float,
-    ) -> int:
-        """Push the body this beacon received at ``start`` to ``holders``.
-
-        Returns the number refreshed, and stamps the entry when that is
-        all of it.
-        """
-        refreshed = push_to_holders(
-            self._cloud, self.beacon_id, holders, doc_id, version, size, start,
-            from_beacon=True,
-        )
-        self.note_refreshed(doc_id, version, refreshed)
-        return refreshed
-
     def propagate_update(
         self, doc_id: int, version: int, size: int, now: float
     ) -> int:
@@ -341,16 +324,22 @@ class BeaconRole:
         :class:`~repro.strategies.cup.CUPTreeStrategy` replaces it with an
         interest-tree push rooted at the same beacon.
 
-        Returns the number of holders refreshed. A lost server→beacon body
-        leaves *every* holder stale; a lost fan-out push leaves that one
-        holder stale. Both are detected by the version check on the
-        holder's next request and repaired there.
+        Returns the number of holders refreshed, and stamps the entry when
+        that is all of it. A lost server→beacon body leaves *every* holder
+        stale; a lost fan-out push leaves that one holder stale. Both are
+        detected by the version check on the holder's next request and
+        repaired there.
         """
         holders = self.update_targets(doc_id)
         arrival = self.receive_update(doc_id, version, size, now, holders)
         if arrival is None:
             return 0
-        return self.fan_out(holders, doc_id, version, size, arrival)
+        refreshed = push_to_holders(
+            self._cloud, self.beacon_id, holders, doc_id, version, size, arrival,
+            from_beacon=True,
+        )
+        self.note_refreshed(doc_id, version, refreshed)
+        return refreshed
 
     def __repr__(self) -> str:
         return f"BeaconRole(state={self.state!r})"

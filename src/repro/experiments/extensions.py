@@ -216,7 +216,7 @@ def multi_cloud_update_savings(
 
 
 def multi_cloud_claims(table: SweepTable) -> Dict[str, bool]:
-    """One update message per holding cloud beats one per holding cache."""
+    """One update message per cloud beats one per holding cache."""
     cooperative = table.column("coop msgs")
     return {
         "cooperation_saves_most_update_messages": all(

@@ -163,17 +163,16 @@ def overload_sweep(
     scale: Scale = SMALL_SCALE,
     multipliers: Sequence[float] = DEFAULT_MULTIPLIERS,
     jobs: Optional[int] = None,
-    overload: Optional[OverloadConfig] = None,
 ) -> SweepTable:
     """Run the (load multiplier × arm) grid; one table row per point.
 
     Both arms of a load point run the *same* flash-crowd trace under the
-    *same* service model; the only variable is whether misses are handled
-    cooperatively. ``overload`` overrides the icarus-shaped default config.
-    The windowed series ride along as ``extras["series"]``
-    (``"multiplier:arm"`` -> series name -> ``[(t, value), ...]``).
+    *same* service model, the icarus-shaped default config; the only
+    variable is whether misses are handled cooperatively. The windowed
+    series ride along as ``extras["series"]`` (``"multiplier:arm"`` ->
+    series name -> ``[(t, value), ...]``).
     """
-    config = overload if overload is not None else default_overload_config()
+    config = default_overload_config()
     specs: List[ExperimentSpec] = []
     for multiplier in multipliers:
         workload = _flash_workload(scale, multiplier)

@@ -27,9 +27,10 @@ class OriginServer:
     """Document versions plus server-side load counters.
 
     The server assigns monotonically increasing version numbers per document.
-    ``updates_sent`` counts update messages dispatched toward beacon points —
-    one per holding cloud per update — which is the server-side consistency
-    load the cooperative design is meant to reduce.
+    ``update_messages_sent`` counts update messages dispatched toward beacon
+    points — one per cloud per update, a body or a bare notice — which is
+    the server-side consistency load the cooperative design is meant to
+    reduce.
     """
 
     def __init__(self, corpus: Corpus, node_id: int = ORIGIN_NODE_ID) -> None:

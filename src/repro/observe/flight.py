@@ -187,7 +187,7 @@ class FlightRecorder:
         self._overload = CounterWindow(self._overload_counters)
 
     # ------------------------------------------------------------------
-    # Attachment (driven by CacheCloud.attach_flight / detach_flight)
+    # Attachment (driven by CacheCloud.attach_flight)
     # ------------------------------------------------------------------
     def bind(self, cloud: "CacheCloud") -> None:
         """Associate with ``cloud`` and write the header record."""
@@ -205,10 +205,6 @@ class FlightRecorder:
             )
             self._header_written = True
         self._overload.rebase()
-
-    def unbind(self) -> None:
-        """Drop the cloud reference (recording pauses, file stays open)."""
-        self._cloud = None
 
     def follow(self, profile: WorkProfile) -> None:
         """Read ``profile`` from here on (the one the bound cloud charges);

@@ -4,7 +4,7 @@ One :class:`Telemetry` object owns every observability primitive — named
 counters, gauges, per-category histograms, the span recorder, and a raw
 request-latency time series for windowed percentiles. No seam holds it: the
 cloud resolves its observers into one :class:`RoleWatch` (``cloud.watch``)
-at every attach/detach, and the role seams, the fabric's attempt plan and
+at every attach, and the role seams, the fabric's attempt plan and
 the two operation roots all read that; when it is ``None`` the hot path pays
 a single attribute check and nothing else, which is what keeps the
 zero-overhead-when-off contract honest (see the off-path structural
@@ -306,7 +306,7 @@ class RoleWatch:
     reports to :meth:`reject`; the cloud's entry points call
     :attr:`request` / :attr:`update`, which run the operation root (window
     clock, root span, root counters) — or are the cloud's own serve and
-    apply when only a profile is attached.
+    delivery when only a profile is attached.
     """
 
     __slots__ = ("telemetry", "profile", "flight", "walk", "placement", "slots", "request",
@@ -318,7 +318,7 @@ class RoleWatch:
         profile: Optional["WorkProfile"],
         flight: Optional["FlightRecorder"] = None,
         serve: Optional[Callable[[int, int, float], RequestResult]] = None,
-        apply: Optional[Callable[[int, float], int]] = None,
+        apply: Optional[Callable[[int, int, float], int]] = None,
     ) -> None:
         self.telemetry = telemetry
         self.profile = profile
@@ -345,7 +345,7 @@ class RoleWatch:
             self.request: Callable[[int, int, float], RequestResult] = (
                 self._request if watched else serve
             )
-            self.update: Callable[[int, float], int] = self._update if watched else apply
+            self.update: Callable[[int, int, float], int] = self._update if watched else apply
 
     def leg(
         self, name: str, start: float, end: float, phase: Optional[str] = None,
@@ -428,20 +428,20 @@ class RoleWatch:
             flight.observe_request(now, result)
         return result
 
-    def _update(self, doc_id: int, now: float) -> int:
+    def _update(self, doc_id: int, version: int, now: float) -> int:
         flight = self.flight
         if flight is not None:
             flight.advance(now)
             flight.observe_update(now)
         telemetry = self.telemetry
         if telemetry is None:
-            return self._apply(doc_id, now)
+            return self._apply(doc_id, version, now)
         spans = telemetry.spans
         root = None if spans.saturated else spans.open("update", now, {"doc": doc_id})
         if root is None:
             spans.begun += 1
         try:
-            refreshed = self._apply(doc_id, now)
+            refreshed = self._apply(doc_id, version, now)
         except BaseException:
             if root is not None:
                 spans.unwind(root, now)

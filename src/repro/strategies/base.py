@@ -20,7 +20,7 @@ ProbCache) plus CUP-style propagation trees — is expressed as one
   origin's per-holder refresh, or a CUP-style interest tree).
 
 The hooks are invoked from :class:`~repro.core.node.CacheNode` and
-:meth:`~repro.core.cloud.CacheCloud._apply_update` at exactly the points
+:meth:`~repro.core.cloud.CacheCloud.deliver_update` at exactly the points
 the decisions used to be hard-wired; the four paper schemes re-expressed
 through this seam are message-for-message identical to the pre-refactor
 protocol (``tests/test_strategy_equivalence.py`` and the golden
@@ -152,7 +152,8 @@ class CacheStrategy(ABC):
         Default: the paper's star fan-out (one server→beacon body, then
         beacon→holder pushes). The cooperation-off and dead-beacon
         fallbacks never reach this hook — they stay in
-        :meth:`CacheCloud._apply_update`.
+        :meth:`CacheCloud.deliver_update`, which every cloud of a
+        federation runs too.
         """
         return beacon_role.propagate_update(doc_id, version, size, now)
 

@@ -4,9 +4,12 @@ import random
 
 import pytest
 
+from repro.core.cloud import CacheCloud
 from repro.core.config import CloudConfig, PlacementScheme
 from repro.core.edgenetwork import EdgeCacheNetwork
+from repro.network.bandwidth import TrafficCategory
 from repro.network.topology import EuclideanTopology
+from repro.network.transport import CONTROL_MESSAGE_BYTES
 from repro.workload.documents import build_corpus
 
 
@@ -124,9 +127,50 @@ class TestUpdatePropagation:
             assert network.clouds[cloud_index].caches[local].storage.version_of(7) == 1
 
     def test_update_with_no_holders_sends_no_bodies(self, corpus):
+        """Each cloud's beacon point still gets the origin's one message: a
+        bare notice, counted as a cloud on its own counts it."""
         network = make_network(corpus)
         assert network.handle_update(7, now=0.0) == 0
-        assert network.origin.update_messages_sent == 0
+        assert network.origin.update_messages_sent == 2
+        assert network.meter.bytes_for(TrafficCategory.UPDATE_SERVER_TO_BEACON) == 0
+        assert network.meter.bytes_for(TrafficCategory.CONTROL) == 2 * CONTROL_MESSAGE_BYTES
+
+    def test_one_cloud_federation_is_a_cloud_on_its_own(self, corpus):
+        """The federation's update path is the cloud's: one cloud fed
+        through an ``EdgeCacheNetwork`` and the same cloud driven bare
+        agree on every byte, counter, directory and origin message, for
+        updates of held and of unheld documents alike."""
+        network = EdgeCacheNetwork([range(4)], base_config(), corpus)
+        ours = network.clouds[0]
+        bare = CacheCloud(ours.config, corpus)
+        rng = random.Random(11)
+        unheld = 0
+        for i in range(300):
+            now = i / 4.0
+            node, doc_id = rng.randrange(4), rng.randrange(30)
+            assert network.handle_request(node, doc_id, now) == (
+                bare.handle_request(node, doc_id, now)
+            )
+            if rng.random() < 0.4:
+                update_doc = rng.randrange(len(corpus))
+                unheld += not ours.holders_of(update_doc)
+                assert network.handle_update(update_doc, now) == (
+                    bare.handle_update(update_doc, now)
+                )
+            if i % 40 == 39:
+                network.run_cycles(now)
+                bare.run_cycle(now)
+        assert unheld > 0 and network.origin.updates_published > unheld
+        assert {c: network.meter.bytes_for(c) for c in TrafficCategory} == {
+            c: bare.transport.meter.bytes_for(c) for c in TrafficCategory
+        }
+        assert ours.aggregate_stats() == bare.aggregate_stats()
+        for cache_id, beacon in ours.beacons.items():
+            other = bare.beacons[cache_id]
+            assert sorted(beacon.directory.snapshot()) == sorted(other.directory.snapshot())
+            assert beacon.cycle_snapshot() == other.cycle_snapshot()
+            assert beacon.total_load == other.total_load
+        assert network.origin.update_messages_sent == bare.origin.update_messages_sent
 
     def test_every_member_cloud_notes_the_update(self, corpus):
         """As a standalone cloud does: one update-rate event."""

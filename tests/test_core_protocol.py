@@ -6,6 +6,8 @@ topology-less cloud, each protocol step is asserted as the exact sequence of
 The dispatch log is the one capture of what crossed the wire.
 """
 
+import pytest
+
 from repro.core.config import AssignmentScheme
 from repro.core.directory import DIRECTORY_ENTRY_BYTES
 from repro.network.origin import ORIGIN_NODE_ID
@@ -38,17 +40,31 @@ def _skewed(cloud, populated=True):
     return cloud
 
 
-def _cycle(cloud, monkeypatch):
-    """The cycle's wire rows, plus ``(src, dst, entries)`` per hand-over."""
+def _hand_overs(cloud, monkeypatch):
+    """``(src, dst, entries)`` per hand-over from here on."""
     moved = []
     hand_over = cloud.hand_over
 
-    def recording(src, dst, entries, num_bytes):
+    def recording(src, dst, entries):
         moved.append((src, dst, len(entries)))
-        hand_over(src, dst, entries, num_bytes)
+        hand_over(src, dst, entries)
 
     monkeypatch.setattr(cloud, "hand_over", recording)
+    return moved
+
+
+def _cycle(cloud, monkeypatch):
+    """The cycle's wire rows, plus ``(src, dst, entries)`` per hand-over."""
+    moved = _hand_overs(cloud, monkeypatch)
     return wire(cloud, lambda: cloud.run_cycle(10.0)), moved
+
+
+def _sized(moved):
+    """The one hand-over rule: ``max(256, n · 96)`` bytes for ``n`` entries."""
+    return [
+        (src, dst, max(CTL, n * DIRECTORY_ENTRY_BYTES), "directory_migration")
+        for src, dst, n in moved
+    ]
 
 
 class TestWireSequence:
@@ -109,12 +125,8 @@ class TestWireSequence:
             for dst in (*range(4), ORIGIN)
             if dst != coordinator
         ]
-        migrations = [
-            (src, dst, max(CTL, n * DIRECTORY_ENTRY_BYTES), "directory_migration")
-            for src, dst, n in moved
-        ]
         assert moved and any(n * DIRECTORY_ENTRY_BYTES > CTL for _, _, n in moved)
-        assert rows == announcements + migrations
+        assert rows == announcements + _sized(moved)
 
 
 class TestSizes:
@@ -154,6 +166,34 @@ class TestSizes:
         rows, moved = _cycle(cloud, monkeypatch)
         assert moved and all(n == 0 for _, _, n in moved)
         assert [r[2] for r in rows if r[3] == "directory_migration"] == [CTL] * len(moved)
+
+    @pytest.mark.parametrize("populated", [True, False])
+    def test_retirement_and_join_follow_the_cycle_rule(
+        self, small_corpus, monkeypatch, populated
+    ):
+        """A retirement hands its directory off in one message and a join
+        pulls one from every other ring member, each sized as a cycle move
+        is: ``max(256, n · 96)``, an empty hand-over a control message."""
+        cloud = make_cloud(small_corpus, num_caches=6, failure_resilience=True)
+        leaver = 0
+        if populated:
+            # Every cache but the leaver stores, so it is drained yet its
+            # beacon lists holders.
+            for doc in range(30):
+                cloud.handle_request(1 + doc % 5, doc, now=doc * 0.1)
+        manager = cloud.failure_manager
+        moved = _hand_overs(cloud, monkeypatch)
+        retired = wire(cloud, lambda: manager.retire_cache(leaver, 5.0))
+        assert len(moved) == 1
+        joined = wire(cloud, lambda: manager.instantiate_cache(leaver, 6.0))
+        rows = [row for row in retired + joined if row[3] == "directory_migration"]
+        assert rows == _sized(moved)
+        pulls = moved[1:]
+        assert [dst for _, dst, _ in pulls] == [leaver] * (len(manager.ring_of(leaver)) - 1)
+        if populated:
+            assert moved[0][2] * DIRECTORY_ENTRY_BYTES > CTL
+        else:
+            assert all(n == 0 for _, _, n in moved)
 
 
 class TestCloudTraceGating:

@@ -1,4 +1,4 @@
-"""Six structural rules over ``src/repro`` (pure ``ast``, like the gate beside it).
+"""Seven structural rules over ``src/repro`` (pure ``ast``, like the gate beside it).
 
 * The paper's setup is written once: ``CloudConfig``, ``SydneyConfig`` and
   ``WorkloadConfig`` are each constructed at exactly one site under
@@ -18,6 +18,12 @@
 * Only what changes state runs on a timer: ``PeriodicProcess`` is imported
   by the sub-range cycles, the elastic check and the anti-entropy sweep.
   An observer rolls its windows from the request and update roots.
+* An update has one root per entry point and one body: the origin's version
+  is published only by ``CacheCloud.handle_update``,
+  ``EdgeCacheNetwork.handle_update`` and the cooperation-free
+  ``CacheGroup.handle_update``, and only ``core/roles.py`` sends an
+  ``UPDATE_SERVER_TO_BEACON`` message — a federation delivers through its
+  clouds, not through a preamble of its own.
 
 :func:`lines_per_claim` ranks the experiment modules by what they cost:
 the table EXPERIMENTS.md embeds under the catalogue
@@ -25,7 +31,7 @@ the table EXPERIMENTS.md embeds under the catalogue
 """
 
 import ast
-from typing import Dict, List, Mapping, Sequence
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from tests.test_module_reachability import MODULES, _reachable, _references, _resolve
 
@@ -144,6 +150,46 @@ def test_only_state_changing_modules_run_on_a_timer():
         and _resolve(module, imported) == "repro.simulation.process"
     }
     assert importers == TIMED_MODULES
+
+
+#: Where an update's version is published: the three update entry points.
+PUBLISHERS = {
+    "repro.core.cloud:CacheCloud.handle_update",
+    "repro.core.edgenetwork:EdgeCacheNetwork.handle_update",
+    "repro.baselines.group:CacheGroup.handle_update",
+}
+
+
+def _calls_by_function(tree: ast.AST, scope: str = "") -> List[Tuple[str, ast.Call]]:
+    """Every call under ``tree`` with its enclosing ``Class.function`` name."""
+    found = []
+    for child in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+            inner = f"{scope}.{child.name}" if scope else child.name
+        elif isinstance(child, ast.Call):
+            found.append((scope, child))
+        found.extend(_calls_by_function(child, inner))
+    return found
+
+
+def test_an_update_is_published_and_sent_to_a_beacon_in_one_place():
+    publishers, senders = set(), []
+    for name, path in MODULES.items():
+        for function, call in _calls_by_function(ast.parse(path.read_text())):
+            if not isinstance(call.func, ast.Attribute):
+                continue
+            if call.func.attr == "publish_update":
+                publishers.add(f"{name}:{function}")
+            if call.func.attr.startswith("send") and name != "repro.core.roles":
+                senders.extend(
+                    f"{name}:{node.lineno}"
+                    for node in ast.walk(call)
+                    if isinstance(node, ast.Attribute)
+                    and ast.unparse(node) == "TrafficCategory.UPDATE_SERVER_TO_BEACON"
+                )
+    assert publishers == PUBLISHERS, publishers
+    assert not senders, f"send update bodies through core/roles.py: {senders}"
 
 
 def lines_per_claim(claims: Mapping[str, Sequence[str]]) -> str:

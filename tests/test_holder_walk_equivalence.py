@@ -12,8 +12,8 @@ kept here as the reference implementation (there is deliberately no switch
 for them in ``src/``). Two same-seed clouds, one patched to the reference,
 are driven through the same seeded script of requests, updates, sub-range
 cycles, crashes and recoveries, elastic retire/instantiate and anti-entropy
-sweeps, under loss, overload, a latency topology, the CUP tree and the
-federation's ``_distribute``. After every operation the two must agree on
+sweeps, under loss, overload, a latency topology, the CUP tree and a
+federation of clouds. After every operation the two must agree on
 what the lookup returned, on ``directory_repairs``, on every beacon's
 directory and on the aggregate cache statistics; the stamped cloud must
 also pass the auditor's stamp-soundness check at every step.
@@ -395,7 +395,12 @@ def test_scripts_exercise_what_they_claim():
 
 
 def test_federation_distribute_matches_the_full_walk():
-    """``EdgeCacheNetwork.handle_update`` goes through ``_distribute``."""
+    """A federation's clouds stamp and walk as a cloud on its own does.
+
+    ``EdgeCacheNetwork.handle_update`` publishes once and has every cloud
+    deliver through ``CacheCloud.deliver_update``, so each cloud's beacon
+    reaches ``update_targets`` and ``note_refreshed`` by the same path.
+    """
     corpus = build_corpus(NUM_DOCS, random.Random(5))
     base = CloudConfig(
         num_caches=4,

@@ -244,8 +244,9 @@ def test_an_update_enters_no_frame_per_holder():
 #: 50 caches, 5 rings, 2 000 documents, ad hoc placement, unlimited disk,
 #: a uniform cache and a squared-uniform document per request, one
 #: squared-uniform update per two requests, seed 11, 60 000 requests of
-#: warm-up. Measured 28.0 frames per operation over the 5 000 counted
-#: requests (7 500 operations); 27.2 over 20 000. The ceiling leaves ~10 %.
+#: warm-up. Measured 27.7 frames per operation over the 5 000 counted
+#: requests (7 500 operations); 28.0 while the beacon's fan-out was a
+#: method frame of its own. The ceiling leaves ~10 %.
 STORM_WARM_REQUESTS, STORM_COUNTED_REQUESTS = 60_000, 5_000
 STORM_FRAMES_PER_OPERATION_CEILING = 31.0
 
@@ -295,7 +296,7 @@ ROOTS = (
     CacheCloud.handle_request,
     CacheCloud.handle_update,
     CacheCloud._serve_request,
-    CacheCloud._apply_update,
+    CacheCloud.deliver_update,
     RoleWatch._request,
     RoleWatch._update,
 )

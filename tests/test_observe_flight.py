@@ -227,25 +227,6 @@ class TestFlightOffPathEquivalence:
         _drive(cloud)
         assert injector._rng.getstate() == before
 
-    def test_detach_restores_fast_path_and_stops_recording(
-        self, small_corpus, tmp_path
-    ):
-        cloud = make_cloud(small_corpus)
-        assert cloud.fabric._fast_path
-        recorder = FlightRecorder(str(tmp_path / "f.jsonl"))
-        cloud.attach_flight(recorder)
-        assert not cloud.fabric._fast_path
-        assert cloud.profile is recorder.profile
-        cloud.handle_request(0, 5, now=0.5)
-        cloud.detach_flight()
-        assert cloud.flight is None
-        assert cloud.fabric.watch is None
-        assert cloud.profile is None
-        assert cloud.fabric._fast_path
-        counts = dict(recorder.profile.counts)
-        cloud.handle_request(1, 5, now=1.5)
-        assert dict(recorder.profile.counts) == counts
-
 
 # ----------------------------------------------------------------------
 # Windowed recording
@@ -653,14 +634,6 @@ class TestOneProfile:
         cloud.attach_profile(second)
         consistent()
         assert recorder.profile is second
-        with pytest.raises(ValueError, match="flight recorder"):
-            cloud.detach_profile()
-        consistent()
-        cloud.detach_flight()
-        assert cloud.profile is second  # attached on its own: still charged
-        assert cloud.detach_profile() is second
-        assert cloud.profile is None
-        consistent()
 
 
 # ----------------------------------------------------------------------

@@ -9,9 +9,8 @@ This file is the net under that claim.
 
 The ``_reference_*`` functions are the bodies as they stood before the
 shared delivery existed — the star ``propagate_update``, the origin's
-``refresh_holders``, ``CUPTreeStrategy.on_update`` with its own copy of the
-notice-or-body step, and the federation's ``_distribute`` over the bare
-transport — kept here as the oracle (there is deliberately no switch for
+``refresh_holders`` and ``CUPTreeStrategy.on_update`` with its own copy of
+the notice-or-body step — kept here as the oracle (there is deliberately no switch for
 them in ``src/``). Two same-seed clouds, one patched to the oracle, are
 driven through the same seeded script; after every operation they must
 agree on the refreshed count, every stored copy, every directory entry and
@@ -269,37 +268,6 @@ def _reference_cup_on_update(self, beacon_role, doc_id, version, size, now):
     cloud.update_pushes_lost += sum(
         1 for h in holders if h not in arrival and h not in deferred
     )
-    beacon_role.note_refreshed(doc_id, version, refreshed)
-    return refreshed
-
-
-def _reference_distribute(self, cloud, doc_id, version, now):
-    """The federation's fan-out over the bare transport (no fabric)."""
-    beacon_id = cloud.beacon_for_doc(doc_id)
-    beacon = cloud.beacons[beacon_id]
-    beacon.record_update(cloud.doc_irh(doc_id))
-    cloud.update_rates.observe(doc_id, now)
-    size = self.corpus[doc_id].size_bytes
-    beacon_role = cloud.beacon_roles[beacon_id]
-    holders = beacon_role.update_targets(doc_id)
-    if not holders:
-        cloud.transport.send_control(self.origin.node_id, beacon_id)
-        return 0
-    self.origin.note_update_message(doc_id)
-    cloud.transport.send_document(
-        self.origin.node_id,
-        beacon_id,
-        size,
-        TrafficCategory.UPDATE_SERVER_TO_BEACON,
-    )
-    refreshed = 0
-    for holder in holders:
-        if holder != beacon_id:
-            cloud.transport.send_document(
-                beacon_id, holder, size, TrafficCategory.UPDATE_FANOUT
-            )
-        cloud.caches[holder].apply_update(doc_id, version)
-        refreshed += 1
     beacon_role.note_refreshed(doc_id, version, refreshed)
     return refreshed
 
@@ -656,7 +624,7 @@ def test_scripts_exercise_what_they_claim(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# The federation: same bytes as before, now through the fabric
+# The federation: every cloud's share of an update crosses its fabric
 # ----------------------------------------------------------------------
 def _federation(seed: int) -> EdgeCacheNetwork:
     corpus = build_corpus(NUM_DOCS, random.Random(seed))
@@ -668,54 +636,6 @@ def _federation(seed: int) -> EdgeCacheNetwork:
         capacity_bytes=max(1, corpus.total_bytes // 4),
     )
     return EdgeCacheNetwork([list(range(0, 6)), list(range(6, 12))], base, corpus)
-
-
-def _drive_federations(
-    ours: EdgeCacheNetwork, theirs: EdgeCacheNetwork, seed: int, steps: int = 300
-) -> None:
-    rng = random.Random(seed)
-    for i in range(steps):
-        now = i / 4.0
-        node = rng.randrange(12)
-        doc_id = int(rng.random() ** 2 * NUM_DOCS) % NUM_DOCS
-        got = ours.handle_request(node, doc_id, now)
-        want = theirs.handle_request(node, doc_id, now)
-        assert (got.outcome, got.served_by) == (want.outcome, want.served_by)
-        if rng.random() < 0.4:
-            update_doc = rng.randrange(NUM_DOCS)
-            assert ours.handle_update(update_doc, now) == (
-                theirs.handle_update(update_doc, now)
-            ), f"update {i}"
-        if i % 50 == 49:
-            ours.run_cycles(now)
-            theirs.run_cycles(now)
-        for cloud, reference in zip(ours.clouds, theirs.clouds):
-            where = f"after step {i}"
-            assert _stores(cloud) == _stores(reference), where
-            assert _directories(cloud) == _directories(reference), where
-            assert cloud.holder_epoch == reference.holder_epoch, where
-            assert cloud.aggregate_stats() == reference.aggregate_stats(), where
-            assert cloud.beacon_loads() == reference.beacon_loads(), where
-            assert (
-                cloud.transport.messages_attempted,
-                cloud.transport.bytes_attempted,
-            ) == (
-                reference.transport.messages_attempted,
-                reference.transport.bytes_attempted,
-            ), where
-        assert _meter(ours.clouds[0].transport) == _meter(theirs.clouds[0].transport)
-        assert (
-            ours.origin.update_messages_sent == theirs.origin.update_messages_sent
-        )
-
-
-@pytest.mark.parametrize("seed", [3, 17])
-def test_federation_distribute_moves_the_same_bytes_as_the_bare_transport(seed):
-    ours, theirs = _federation(seed), _federation(seed)
-    theirs._distribute = types.MethodType(_reference_distribute, theirs)
-    _drive_federations(ours, theirs, seed)
-    assert ours.meter.bytes_for(TrafficCategory.UPDATE_FANOUT) > 0
-    assert ours.meter == theirs.meter
 
 
 def test_federation_update_is_visible_to_the_fabric():
