@@ -54,7 +54,6 @@ from repro.core.node import (
     RequestResult,
 )
 from repro.core.overload import OverloadConfig, OverloadController
-from repro.core.placement import make_placement
 from repro.core.ring import BeaconRing
 from repro.core.roles import BeaconRole, OriginRole
 from repro.edgecache.cache import EdgeCache
@@ -67,7 +66,7 @@ from repro.network.transport import CONTROL_MESSAGE_BYTES, Transport
 from repro.simulation.engine import Simulator
 from repro.simulation.process import PeriodicProcess
 from repro.strategies.base import CacheStrategy
-from repro.strategies.paper import strategy_for
+from repro.strategies.spec import strategy_for
 from repro.workload.documents import Corpus
 
 if TYPE_CHECKING:
@@ -93,13 +92,9 @@ class CacheCloud:
         Shared origin server; created internally when omitted.
     transport:
         Byte-accounted wire; a zero-latency one is created when omitted.
-    strategy:
-        Optional :class:`~repro.strategies.base.CacheStrategy` override.
-        ``None`` composes the config's own placement scheme through the
-        strategy plane — behaviour (and fingerprints) identical to the
-        pre-strategy cloud. Carried as a constructor argument — never as a
-        config field — so archived results embedding the config keep
-        their schema.
+
+    The caching strategy is the one ``config.placement`` names, built by
+    :func:`~repro.strategies.spec.strategy_for`.
     """
 
     def __init__(
@@ -108,7 +103,6 @@ class CacheCloud:
         corpus: Corpus,
         origin: Optional[OriginServer] = None,
         transport: Optional[Transport] = None,
-        strategy: Optional[CacheStrategy] = None,
     ) -> None:
         self.config = config
         self.corpus = corpus
@@ -158,22 +152,9 @@ class CacheCloud:
         }
         self.origin_role = OriginRole(self, self.origin)
         self.assigner = self._build_assigner()
-        self.placement = make_placement(config)
-        if strategy is None:
-            # Default composition: the config's own placement scheme behind
-            # the strategy seam, sharing the policy *object* with
-            # ``self.placement`` so adaptive layers that retune it keep
-            # steering the live strategy.
-            strategy = strategy_for(config, self.placement)
-        else:
-            policy = getattr(strategy, "policy", None)
-            if policy is not None:
-                # Keep the reporting/adaptive surface aligned with the
-                # policy the composed strategy actually consults.
-                self.placement = policy
         #: The composed cooperative-caching strategy: every forwarding,
         #: admission, and update-propagation decision flows through it.
-        self.strategy: CacheStrategy = strategy
+        self.strategy: CacheStrategy = strategy_for(config)
         self.failure_manager: Optional[FailureResilienceManager] = None
         if config.failure_resilience:
             if config.assignment is not AssignmentScheme.DYNAMIC:

@@ -2,8 +2,9 @@
 
 :class:`CloudConfig` captures every knob the paper varies: the beacon-point
 assignment scheme (static / consistent / dynamic hashing), ring geometry
-(`IntraGen`, ring count, cycle length), the placement scheme (ad hoc /
-beacon-point / utility) with utility weights and threshold, per-cache disk
+(`IntraGen`, ring count, cycle length), the caching scheme (the paper's ad
+hoc / beacon-point / utility placements, or one of the on-path and CUP
+strategies beyond it) with utility weights and threshold, per-cache disk
 budgets, and whether the cloud cooperates at all (the paper's simulator
 "can be configured to simulate ... edge network without cooperation").
 """
@@ -24,16 +25,24 @@ class AssignmentScheme(enum.Enum):
 
 
 class PlacementScheme(enum.Enum):
-    """How a cache decides whether to store a retrieved copy (paper §3).
+    """The cloud's caching strategy, by name (paper §3 and beyond).
 
-    ``EXPIRATION_AGE`` is the authors' own earlier scheme (Ramaswamy & Liu,
-    IEEE-TKDE 2004, the paper's reference [10]), included as a baseline.
+    The first four are placement policies — how a cache decides whether to
+    store a retrieved copy. ``EXPIRATION_AGE`` is the authors' own earlier
+    scheme (Ramaswamy & Liu, IEEE-TKDE 2004, the paper's reference [10]),
+    included as a baseline. The last four are strategies beyond the paper:
+    the on-path LCE / LCD / ProbCache admission family and CUP's interest-tree
+    update propagation (:mod:`repro.strategies`).
     """
 
     AD_HOC = "ad_hoc"
     BEACON = "beacon"
     UTILITY = "utility"
     EXPIRATION_AGE = "expiration_age"
+    LCE = "lce"
+    LCD = "lcd"
+    PROBCACHE = "probcache"
+    CUP_TREE = "cup_tree"
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,9 @@ one origin. This module supplies that outer layer:
   notice where it holds none), instead of one per holding cache.
 
 Global cache node ids are mapped to (cloud, local id) pairs so traces
-addressed to physical nodes drive the right cloud.
+addressed to physical nodes drive the right cloud. A topology only forms
+the clouds: each cloud's transport carries no latency model, so every
+latency inside a federation is 0.
 """
 
 from __future__ import annotations
@@ -59,8 +61,9 @@ class EdgeCacheNetwork:
         points where possible).
     corpus:
         Shared document universe.
-    topology:
-        Optional latency model covering every cache node and the origin.
+
+    Every cloud's transport is latency-free and charges the network's one
+    shared meter.
     """
 
     def __init__(
@@ -68,7 +71,6 @@ class EdgeCacheNetwork:
         cloud_memberships: Sequence[Sequence[int]],
         base_config: CloudConfig,
         corpus: Corpus,
-        topology: Optional[NetworkTopology] = None,
     ) -> None:
         if not cloud_memberships:
             raise ValueError("need at least one cloud")
@@ -83,12 +85,11 @@ class EdgeCacheNetwork:
         for cloud_index, members in enumerate(cloud_memberships):
             members = list(members)
             config = self._size_config(base_config, len(members))
-            transport = Transport(topology=None, meter=self.meter)
+            transport = Transport(meter=self.meter)
             cloud = CacheCloud(config, corpus, origin=self.origin, transport=transport)
             self.clouds.append(cloud)
             for local_id, node in enumerate(members):
                 self._node_to_cloud[node] = (cloud_index, local_id)
-        self.topology = topology
         self.requests_handled = 0
         self.updates_handled = 0
 
@@ -116,11 +117,14 @@ class EdgeCacheNetwork:
         corpus: Corpus,
         rng: Optional[random.Random] = None,
     ) -> "EdgeCacheNetwork":
-        """Cluster ``cache_nodes`` into clouds by landmark RTT vectors."""
+        """Cluster ``cache_nodes`` into clouds by landmark RTT vectors.
+
+        ``topology`` forms the clouds only: no transport reads it.
+        """
         memberships = form_cache_clouds(
             topology, cache_nodes, landmark_nodes, num_clouds, rng=rng
         )
-        return cls(memberships, base_config, corpus, topology=topology)
+        return cls(memberships, base_config, corpus)
 
     # ------------------------------------------------------------------
     # Introspection

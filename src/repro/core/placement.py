@@ -131,7 +131,11 @@ class ExpirationAgePlacement(PlacementPolicy):
 
 
 def make_placement(config: CloudConfig) -> PlacementPolicy:
-    """Build the placement policy selected by ``config``."""
+    """Build the placement policy ``config.placement`` names.
+
+    Only the four policy schemes name one; the strategy factory
+    (:func:`~repro.strategies.spec.strategy_for`) builds every other scheme.
+    """
     if config.placement is PlacementScheme.AD_HOC:
         return AdHocPlacement()
     if config.placement is PlacementScheme.BEACON:
@@ -143,4 +147,4 @@ def make_placement(config: CloudConfig) -> PlacementPolicy:
         return UtilityPlacement(computer)
     if config.placement is PlacementScheme.EXPIRATION_AGE:
         return ExpirationAgePlacement()
-    raise ValueError(f"unknown placement scheme: {config.placement}")
+    raise ValueError(f"{config.placement} is not a placement policy")

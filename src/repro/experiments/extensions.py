@@ -265,7 +265,7 @@ def adaptive_weights_comparison(scale: Scale = SMALL_SCALE) -> SweepTable:
     def run(adaptive: bool):
         cloud = CacheCloud(paper_cloud(scale), corpus)
         adapter = (
-            FeedbackWeightAdapter(cloud.placement, cloud.transport.meter)
+            FeedbackWeightAdapter(cloud.strategy.policy, cloud.transport.meter)
             if adaptive
             else None
         )
@@ -281,7 +281,7 @@ def adaptive_weights_comparison(scale: Scale = SMALL_SCALE) -> SweepTable:
 
     _, _, fixed_mb = run(adaptive=False)
     cloud, adapter, adaptive_mb = run(adaptive=True)
-    final_weights = cloud.placement.computer.weights.as_dict()
+    final_weights = cloud.strategy.policy.computer.weights.as_dict()
     steps = len(adapter.history)
     saving = (fixed_mb - adaptive_mb) / fixed_mb * 100.0 if fixed_mb else 0.0
     return SweepTable(

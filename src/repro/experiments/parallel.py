@@ -62,7 +62,6 @@ from repro.faults.churn import ChurnSpec
 from repro.faults.plan import FaultPlan
 from repro.observe.flight import ArtifactError, FlightSpec
 from repro.simulation.engine import Simulator
-from repro.strategies.spec import build_strategy
 from repro.workload.documents import Corpus, build_corpus, seed_corpus_rng
 from repro.workload.generator import SyntheticTraceGenerator, WorkloadConfig
 from repro.workload.sydney import SydneyConfig, SydneyTraceGenerator
@@ -155,12 +154,6 @@ class ExperimentSpec:
     #: Optional elastic sizing policy (requires ``overload`` and
     #: ``failure_resilience=True``); frozen and picklable like the rest.
     elastic: Optional[ElasticConfig] = None
-    #: Optional caching-strategy scheme name (:mod:`repro.strategies`); the
-    #: worker composes the cloud with
-    #: :func:`~repro.strategies.spec.build_strategy`. Carried by the spec —
-    #: never by :class:`CloudConfig` — so results embedding the config stay
-    #: schema-identical (golden fingerprints untouched).
-    strategy: Optional[str] = None
     #: Optional flight-recorder recipe (:mod:`repro.observe.flight`); the
     #: worker builds the recorder and streams the windowed artifact to
     #: ``flight.path`` (or keeps it in memory, for a runner that reads
@@ -225,7 +218,6 @@ def run_live(
         telemetry=telemetry,
         overload=spec.overload,
         elastic=spec.elastic,
-        strategy=build_strategy(spec.strategy, spec.config) if spec.strategy else None,
         flight=spec.flight.build() if spec.flight else None,
         on_attached=on_attached,
     )

@@ -35,7 +35,6 @@ from repro.workload.trace import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.observe.flight import FlightRecorder
     from repro.observe.registry import Telemetry
-    from repro.strategies.base import CacheStrategy
 
 
 class TraceFeeder:
@@ -143,7 +142,6 @@ def run_experiment(
     overload: Optional[OverloadConfig] = None,
     elastic: Optional[ElasticConfig] = None,
     simulator: Optional[Simulator] = None,
-    strategy: Optional["CacheStrategy"] = None,
     flight: Optional["FlightRecorder"] = None,
     on_attached: Optional[Callable[[CacheCloud, Simulator], None]] = None,
 ) -> ExperimentResult:
@@ -220,9 +218,7 @@ def run_experiment(
     if simulator is None:
         simulator = Simulator()
     if cloud is None:
-        cloud = CacheCloud(config, corpus, strategy=strategy)
-    elif strategy is not None:
-        raise ValueError("pass strategy via the pre-built cloud, not both")
+        cloud = CacheCloud(config, corpus)
     if overload is not None:
         cloud.attach_overload(overload)
     if telemetry is not None:

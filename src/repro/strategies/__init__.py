@@ -3,7 +3,8 @@
 One :class:`~repro.strategies.base.CacheStrategy` answers the three
 decisions the protocol has — forwarding (:meth:`on_lookup`), admission
 (:meth:`on_retrieval`), and update propagation (:meth:`on_update`) —
-composed at the :class:`~repro.core.cloud.CacheCloud` root. See
+composed at the :class:`~repro.core.cloud.CacheCloud` root from the scheme
+``config.placement`` names (:func:`~repro.strategies.spec.strategy_for`). See
 ``base.py`` for the hook contract and DESIGN.md for the seam's placement
 in the protocol plane.
 """
@@ -23,17 +24,8 @@ from repro.strategies.onpath import (
     OnPathStrategy,
     ProbCacheStrategy,
 )
-from repro.strategies.paper import (
-    BeaconPointStrategy,
-    PolicyStrategy,
-    strategy_for,
-)
-from repro.strategies.spec import (
-    EXTENDED_SCHEMES,
-    KNOWN_SCHEMES,
-    PAPER_SCHEMES,
-    build_strategy,
-)
+from repro.strategies.paper import BeaconPointStrategy, PolicyStrategy
+from repro.strategies.spec import strategy_for
 
 __all__ = [
     "CacheStrategy",
@@ -50,8 +42,4 @@ __all__ = [
     "BeaconPointStrategy",
     "PolicyStrategy",
     "strategy_for",
-    "EXTENDED_SCHEMES",
-    "KNOWN_SCHEMES",
-    "PAPER_SCHEMES",
-    "build_strategy",
 ]

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.config import CloudConfig, PlacementScheme
 from repro.core.placement import PlacementPolicy
 from repro.strategies.base import (
     CacheStrategy,
@@ -90,14 +89,3 @@ class BeaconPointStrategy(PolicyStrategy):
         # copy): the ordinary policy flow, with BeaconPlacement answering.
         return super().on_retrieval(node, retrieval)
 
-
-def strategy_for(config: CloudConfig, policy: PlacementPolicy) -> CacheStrategy:
-    """The default strategy a config composes to (pre-strategy behaviour).
-
-    ``policy`` must be the cloud's own placement object so adaptive layers
-    that retune ``cloud.placement`` (e.g. feedback weight adaptation) keep
-    steering the live strategy.
-    """
-    if config.placement is PlacementScheme.BEACON:
-        return BeaconPointStrategy(policy)
-    return PolicyStrategy(policy)

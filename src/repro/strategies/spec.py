@@ -1,18 +1,16 @@
-"""Strategies by scheme name, for sweeps.
+"""The one strategy factory: ``config.placement`` names the strategy.
 
-A sweep names its strategy with a plain string — one of
-:data:`KNOWN_SCHEMES` — that crosses process boundaries on
-:class:`~repro.experiments.parallel.ExperimentSpec` and is built into the
-live :class:`~repro.strategies.base.CacheStrategy` inside the worker. The
-name rides on the spec — never on :class:`~repro.core.config.CloudConfig`
-— so archived results embedding the config stay schema-identical with and
-without a strategy override, and the golden fingerprints are untouched.
+:class:`~repro.core.config.PlacementScheme` names all eight schemes — the
+paper's four placement policies and the four strategies beyond it — and
+:func:`strategy_for` builds the live
+:class:`~repro.strategies.base.CacheStrategy` one config names. A sweep
+varies the scheme as it varies any other config field; the paper's values
+are unchanged, so archived configs keep their schema.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Tuple
 
 from repro.core.config import CloudConfig, PlacementScheme
 from repro.core.placement import make_placement
@@ -20,41 +18,27 @@ from repro.simulation.rng import derive_seed
 from repro.strategies.base import CacheStrategy
 from repro.strategies.cup import CUPTreeStrategy
 from repro.strategies.onpath import LCDStrategy, LCEStrategy, ProbCacheStrategy
-from repro.strategies.paper import strategy_for
-
-#: The paper's four schemes (composed from a placement policy).
-PAPER_SCHEMES: Tuple[str, ...] = tuple(s.value for s in PlacementScheme)
-
-#: Strategies beyond the paper, built directly.
-EXTENDED_SCHEMES: Tuple[str, ...] = ("lce", "lcd", "probcache", "cup_tree")
-
-#: Every scheme name :func:`build_strategy` accepts.
-KNOWN_SCHEMES: Tuple[str, ...] = PAPER_SCHEMES + EXTENDED_SCHEMES
+from repro.strategies.paper import BeaconPointStrategy, PolicyStrategy
 
 
-def build_strategy(scheme: str, config: CloudConfig) -> CacheStrategy:
-    """Build the live strategy called ``scheme``, seeded from ``config``.
+def strategy_for(config: CloudConfig) -> CacheStrategy:
+    """The live strategy ``config.placement`` names, seeded from ``config``.
 
-    Paper schemes are composed exactly as :class:`CacheCloud` would compose
-    them from a config carrying that placement — same policy object shape,
-    same decision sequence — so a named paper run is value-identical to a
-    config-driven one. ``cup_tree``'s request-path admission is the utility
-    placement. Raises :class:`ValueError` for a name outside
-    :data:`KNOWN_SCHEMES`.
+    A paper scheme is its placement policy behind the seam; adaptive layers
+    retune that policy through ``cloud.strategy.policy``. ``cup_tree``'s
+    request-path admission is the utility placement under the config's
+    weights and threshold; ProbCache draws from its own derived stream.
     """
-    if scheme in PAPER_SCHEMES:
-        placed = replace(config, placement=PlacementScheme(scheme))
-        return strategy_for(placed, make_placement(placed))
-    if scheme == "lce":
+    scheme = config.placement
+    if scheme is PlacementScheme.LCE:
         return LCEStrategy()
-    if scheme == "lcd":
+    if scheme is PlacementScheme.LCD:
         return LCDStrategy()
-    if scheme == "probcache":
+    if scheme is PlacementScheme.PROBCACHE:
         return ProbCacheStrategy(seed=derive_seed(config.seed, "strategy:probcache"))
-    if scheme == "cup_tree":
-        based = replace(config, placement=PlacementScheme.UTILITY)
-        return CUPTreeStrategy(make_placement(based))
-    raise ValueError(
-        f"unknown strategy scheme {scheme!r}; "
-        f"expected one of {sorted(KNOWN_SCHEMES)}"
-    )
+    if scheme is PlacementScheme.CUP_TREE:
+        utility = replace(config, placement=PlacementScheme.UTILITY)
+        return CUPTreeStrategy(make_placement(utility))
+    if scheme is PlacementScheme.BEACON:
+        return BeaconPointStrategy(make_placement(config))
+    return PolicyStrategy(make_placement(config))

@@ -100,7 +100,6 @@ def run_materialized(spec):
     :func:`~repro.experiments.runner.run_experiment`.
     """
     from repro.experiments.runner import run_experiment
-    from repro.strategies.spec import build_strategy
 
     corpus, trace = spec.workload.materialize()
     result = run_experiment(
@@ -116,9 +115,6 @@ def run_materialized(spec):
         audit=spec.audit,
         overload=spec.overload,
         elastic=spec.elastic,
-        strategy=(
-            build_strategy(spec.strategy, spec.config) if spec.strategy else None
-        ),
         flight=spec.flight.build() if spec.flight else None,
     )
     result.unique_request_docs = len(trace.request_counts_by_doc())

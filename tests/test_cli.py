@@ -266,6 +266,21 @@ class TestCommands:
         )
         assert code == 0
 
+    def test_run_with_a_strategy_beyond_the_paper(self, capsys):
+        """``--placement`` names every scheme, the zoo's four included."""
+        code = main(
+            [
+                "run",
+                "--documents", "100",
+                "--caches", "4",
+                "--rings", "2",
+                "--duration", "10",
+                "--placement", "lcd",
+            ]
+        )
+        assert code == 0
+        assert "cloud hit rate" in capsys.readouterr().out
+
 
 class TestResilienceSeedFlag:
     def test_seed_parses(self):

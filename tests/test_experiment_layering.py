@@ -1,4 +1,4 @@
-"""Seven structural rules over ``src/repro`` (pure ``ast``, like the gate beside it).
+"""Eight structural rules over ``src/repro`` (pure ``ast``, like the gate beside it).
 
 * The paper's setup is written once: ``CloudConfig``, ``SydneyConfig`` and
   ``WorkloadConfig`` are each constructed at exactly one site under
@@ -24,6 +24,10 @@
   ``CacheGroup.handle_update``, and only ``core/roles.py`` sends an
   ``UPDATE_SERVER_TO_BEACON`` message — a federation delivers through its
   clouds, not through a preamble of its own.
+* A caching strategy is selected in one way: ``CloudConfig.placement``
+  names it and :func:`repro.strategies.spec.strategy_for` — the one factory —
+  constructs it. No ``CacheCloud``, run body or spec takes a strategy of
+  its own.
 
 :func:`lines_per_claim` ranks the experiment modules by what they cost:
 the table EXPERIMENTS.md embeds under the catalogue
@@ -31,7 +35,7 @@ the table EXPERIMENTS.md embeds under the catalogue
 """
 
 import ast
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Set, Tuple
 
 from tests.test_module_reachability import MODULES, _reachable, _references, _resolve
 
@@ -190,6 +194,77 @@ def test_an_update_is_published_and_sent_to_a_beacon_in_one_place():
                 )
     assert publishers == PUBLISHERS, publishers
     assert not senders, f"send update bodies through core/roles.py: {senders}"
+
+
+#: The one place a ``CacheStrategy`` is constructed.
+STRATEGY_FACTORY = "repro.strategies.spec:strategy_for"
+#: What composes or describes a run, as ``module:qualified name``.
+RUN_SURFACES = {
+    "repro.core.cloud:CacheCloud.__init__",
+    "repro.experiments.runner:run_experiment",
+    "repro.experiments.parallel:run_live",
+    "repro.experiments.parallel:ExperimentSpec",
+}
+
+
+def _strategy_classes() -> Set[str]:
+    """``CacheStrategy`` and every subclass of it under ``src/repro``."""
+    bases = {
+        node.name: {ast.unparse(base) for base in node.bases}
+        for path in MODULES.values()
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+    }
+    found = {"CacheStrategy"}
+    while True:
+        more = {name for name, named in bases.items() if named & found} - found
+        if not more:
+            return found
+        found |= more
+
+
+def _definitions(module: str) -> Dict[str, ast.AST]:
+    """A module's top-level functions and classes, and its methods, by name."""
+    found: Dict[str, ast.AST] = {}
+    for node in ast.parse(MODULES[module].read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found[f"{module}:{node.name}"] = node
+        if isinstance(node, ast.ClassDef):
+            for child in node.body:
+                if isinstance(child, ast.FunctionDef):
+                    found[f"{module}:{node.name}.{child.name}"] = child
+    return found
+
+
+def _names(node: ast.AST) -> List[str]:
+    """The parameters of a function, or the annotated fields of a class."""
+    if isinstance(node, ast.FunctionDef):
+        args = node.args
+        return [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+    return [
+        ast.unparse(child.target)
+        for child in getattr(node, "body", [])
+        if isinstance(child, ast.AnnAssign)
+    ]
+
+
+def test_a_strategy_is_named_by_the_config_and_built_in_one_place():
+    classes = _strategy_classes()
+    assert {"PolicyStrategy", "LCEStrategy", "CUPTreeStrategy"} <= set(classes)
+    built = sorted(
+        f"{name}:{function} builds {call.func.id}"
+        for name, path in MODULES.items()
+        for function, call in _calls_by_function(ast.parse(path.read_text()))
+        if isinstance(call.func, ast.Name) and call.func.id in classes
+        and f"{name}:{function}" != STRATEGY_FACTORY
+    )
+    assert not built, f"build strategies only in {STRATEGY_FACTORY}: {built}"
+    surfaces: Dict[str, ast.AST] = {}
+    for module in {surface.split(":")[0] for surface in RUN_SURFACES}:
+        surfaces.update(_definitions(module))
+    assert RUN_SURFACES <= set(surfaces)
+    taking = sorted(s for s in RUN_SURFACES if "strategy" in _names(surfaces[s]))
+    assert not taking, f"select the strategy with config.placement: {taking}"
 
 
 def lines_per_claim(claims: Mapping[str, Sequence[str]]) -> str:

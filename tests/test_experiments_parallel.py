@@ -216,12 +216,16 @@ PLANES_CHURN = poisson_churn(
 )
 
 
-def planes_spec(flight_path, resilient=True, **planes) -> ExperimentSpec:
+def planes_spec(
+    flight_path, resilient=True, placement=PlacementScheme.UTILITY, **planes
+) -> ExperimentSpec:
     """A :data:`PLANES_SCALE` spec with a flight recorder and ``planes``
     (``flight_path=None`` keeps the recording in memory)."""
     return ExperimentSpec(
         key="planes",
-        config=paper_cloud(PLANES_SCALE, failure_resilience=resilient),
+        config=paper_cloud(
+            PLANES_SCALE, failure_resilience=resilient, placement=placement
+        ),
         workload=zipf_workload(PLANES_SCALE),
         duration=PLANES_SCALE.duration_minutes,
         flight=FlightSpec(None if flight_path is None else str(flight_path)),
@@ -280,7 +284,7 @@ class TestOneAttachSequence:
                 anti_entropy=True,
                 overload=OverloadConfig(),
                 elastic=ElasticConfig(),
-                strategy="lcd",
+                placement=PlacementScheme.LCD,
                 audit=True,
             )
             for run in ("a", "b", "materialized")

@@ -4,12 +4,20 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.config import PlacementScheme
 from repro.experiments import registry, sweeps
 from repro.experiments.reporting import fingerprint
-from repro.experiments.sweeps import Scale
-from repro.experiments.zoo import DEFAULT_SCHEMES, ZOO_TINY, zoo_sweep
-from repro.strategies import KNOWN_SCHEMES
+from repro.experiments.sweeps import Scale, SweepTable
+from repro.experiments.zoo import DEFAULT_SCHEMES, ZOO_TINY, zoo_claims, zoo_sweep
 from tests.conftest import run_materialized
+
+
+def _arms(*rows) -> SweepTable:
+    """A zoo table cut to the columns the claims read."""
+    return SweepTable(
+        header=("Zoo", "test"), columns=("strategy", "cloud hit (%)", "stores"),
+        rows=list(rows),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +33,9 @@ class TestZooSweep:
         assert [row[0] for row in tiny_result.rows] == list(
             range(1, len(DEFAULT_SCHEMES) + 1)
         )
-        assert sorted(tiny_result.column("strategy")) == sorted(KNOWN_SCHEMES)
+        assert sorted(tiny_result.column("strategy")) == sorted(
+            scheme.value for scheme in PlacementScheme
+        )
 
     def test_ranking_orders_by_cloud_hit_rate(self, tiny_result):
         hit_rates = [row[2] for row in tiny_result.rows]
@@ -38,7 +48,7 @@ class TestZooSweep:
             tiny_result.row("nonesuch")
         rendered = tiny_result.render()
         assert "strategy ranking" in rendered
-        assert all(scheme in rendered for scheme in KNOWN_SCHEMES)
+        assert all(scheme in rendered for scheme in DEFAULT_SCHEMES)
 
     def test_schemes_differentiate(self, tiny_result):
         """The zoo is not a mirror hall: strategies disagree on stores."""
@@ -50,8 +60,22 @@ class TestZooSweep:
         assert set(result.column("strategy")) == {"lce", "lcd"}
 
     def test_unknown_scheme_rejected(self):
-        with pytest.raises(ValueError, match="unknown strategy"):
+        with pytest.raises(ValueError, match="not a valid PlacementScheme"):
             zoo_sweep(scale=ZOO_TINY, schemes=("mru",))
+
+    def test_lcd_claims_fail_when_lce_wins(self):
+        """The claims can fail: a table where LCE out-hits LCD reads False."""
+        table = _arms(("lce", 74.26, 469), ("lcd", 69.60, 727))
+        assert zoo_claims(table) == {
+            "lcd_beats_lce": False,
+            "lcd_stores_fewer_than_lce": False,
+            "schemes_differentiate": True,
+        }
+
+    def test_lcd_claims_omitted_without_both_arms(self):
+        assert zoo_claims(_arms(("lcd", 74.26, 469), ("utility", 70.0, 500))) == {
+            "schemes_differentiate": True,
+        }
 
     def test_scale_validation(self):
         with pytest.raises(ValueError, match="must be positive"):

@@ -54,7 +54,6 @@ from repro.observe.flight import FlightRecorder
 from repro.observe.registry import Telemetry
 from repro.simulation.engine import Simulator
 from repro.simulation.rng import derive_seed
-from repro.strategies import build_strategy
 from repro.workload.documents import build_corpus
 from repro.workload.sydney import SydneyConfig, SydneyTraceGenerator
 
@@ -394,14 +393,13 @@ def _seam_run(name: str) -> Dict[str, str]:
         num_rings=4,
         cycle_length=5.0,
         assignment=AssignmentScheme.DYNAMIC,
-        placement=PlacementScheme.UTILITY,
+        placement=PlacementScheme(run["scheme"]),
         utility_weights=WEIGHTS_ALL_ON,
         capacity_bytes=int(corpus.total_bytes * 0.08),
         cooperation=run["cooperation"],
         seed=SEED,
     )
-    strategy = build_strategy(run["scheme"], config)
-    cloud = CacheCloud(config, corpus, strategy=strategy)
+    cloud = CacheCloud(config, corpus)
     simulator = Simulator()
     telemetry = Telemetry(max_spans=1_000_000)
     dispatches = cloud.fabric.capture_dispatches()

@@ -58,7 +58,6 @@ from repro.network.origin import ORIGIN_NODE_ID
 from repro.network.topology import EuclideanTopology
 from repro.network.transport import Transport
 from repro.observe.profile import WorkProfile
-from repro.strategies import build_strategy
 from repro.workload.documents import build_corpus
 
 NUM_CACHES = 8
@@ -136,7 +135,6 @@ def _build(
     elastic: bool = False,
     anti_entropy: bool = False,
     topology: bool = False,
-    strategy: Optional[str] = None,
 ) -> CacheCloud:
     corpus = build_corpus(NUM_DOCS, random.Random(seed))
     config = CloudConfig(
@@ -157,10 +155,7 @@ def _build(
         topo = EuclideanTopology.random(NUM_CACHES, random.Random(seed + 1))
         topo.add_node(ORIGIN_NODE_ID, (50.0, 50.0))
         transport = Transport(topology=topo)
-    composed = None
-    if strategy is not None:
-        composed = build_strategy(strategy, config)
-    cloud = CacheCloud(config, corpus, transport=transport, strategy=composed)
+    cloud = CacheCloud(config, corpus, transport=transport)
     if loss:
         plan = FaultPlan(
             seed=seed, loss_rate=loss, retry=RetryPolicy(max_attempts=2)
@@ -345,8 +340,8 @@ SCENARIOS = {
         dict(resilient=True, loss=0.2, anti_entropy=True),
         dict(churn=True, anti_entropy=True),
     ),
-    "cup-tree": (dict(strategy="cup_tree"), dict()),
-    "cup-tree-under-loss": (dict(strategy="cup_tree", loss=0.2), dict()),
+    "cup-tree": (dict(placement=PlacementScheme.CUP_TREE), dict()),
+    "cup-tree-under-loss": (dict(placement=PlacementScheme.CUP_TREE, loss=0.2), dict()),
 }
 
 

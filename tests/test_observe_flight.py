@@ -53,7 +53,6 @@ from repro.observe.flight import (
     window_series,
 )
 from repro.observe.profile import PHASE_ROLES, PHASES, WorkProfile
-from repro.strategies import build_strategy
 from repro.workload.documents import build_corpus
 from repro.workload.generator import WorkloadConfig
 from tests.conftest import make_cloud, run_materialized
@@ -560,12 +559,10 @@ def _tree_cloud(loss=None):
         intra_gen=100,
         cycle_length=10.0,
         assignment=AssignmentScheme.DYNAMIC,
-        placement=PlacementScheme.AD_HOC,
+        placement=PlacementScheme.CUP_TREE,
         seed=3,
     )
-    cloud = CacheCloud(
-        config, corpus, strategy=build_strategy("cup_tree", config)
-    )
+    cloud = CacheCloud(config, corpus)
     profile = cloud.attach_profile(WorkProfile())
     if loss is not None:
         plan = FaultPlan(seed=3, loss_rate=loss, retry=RetryPolicy(max_attempts=2))

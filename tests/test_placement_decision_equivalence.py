@@ -62,7 +62,6 @@ from repro.core.utility import PlacementContext, UtilityComponents, UtilityCompu
 from repro.faults.churn import FAIL, RECOVER, ChurnEvent, ChurnSchedule
 from repro.strategies import paper
 from repro.strategies.base import Retrieval, apply_store_decision
-from repro.strategies.spec import KNOWN_SCHEMES, build_strategy
 from repro.workload.documents import build_corpus
 
 
@@ -148,7 +147,7 @@ def estimator_bits(cloud: CacheCloud) -> List[Any]:
 def observe(cloud: CacheCloud, returned: Any) -> tuple:
     if isinstance(returned, RequestResult):
         returned = (returned.outcome, bits(returned.latency_ms), returned.served_by)
-    computer = getattr(cloud.placement, "computer", None)
+    computer = getattr(getattr(cloud.strategy, "policy", None), "computer", None)
     return (
         returned,
         [dataclasses.astuple(cache.stats) for cache in cloud.caches],
@@ -166,13 +165,11 @@ def drive(scheme: str, seed: int, operations: int = 400) -> List[tuple]:
         num_caches=CACHES,
         num_rings=2,
         cycle_length=5.0,
-        placement=PlacementScheme.UTILITY,
+        placement=PlacementScheme(scheme),
         capacity_bytes=int(corpus.total_bytes * 0.15),
         seed=seed,
     )
-    cloud = CacheCloud(
-        config, corpus, strategy=build_strategy(scheme, config)
-    )
+    cloud = CacheCloud(config, corpus)
     rng = random.Random(seed + 1)
     observations = []
     for step in range(operations):
@@ -189,7 +186,7 @@ def drive(scheme: str, seed: int, operations: int = 400) -> List[tuple]:
 
 
 class TestEveryScheme:
-    @pytest.mark.parametrize("scheme", KNOWN_SCHEMES)
+    @pytest.mark.parametrize("scheme", [scheme.value for scheme in PlacementScheme])
     @pytest.mark.parametrize("seed", [5, 23])
     def test_in_place_decision_equals_context_decision(self, scheme, seed, monkeypatch):
         shipped = drive(scheme, seed)
@@ -228,7 +225,13 @@ RATES = st.one_of(
     st.floats(min_value=-10.0, max_value=-1e-3),  # out of range on purpose
 )
 RESIDENCES = st.one_of(st.none(), st.floats(min_value=-5.0, max_value=1e6))
-SCHEMES = [scheme for scheme in PlacementScheme]
+#: The four placement-policy schemes (:func:`make_placement` builds these).
+SCHEMES = [
+    PlacementScheme.AD_HOC,
+    PlacementScheme.BEACON,
+    PlacementScheme.UTILITY,
+    PlacementScheme.EXPIRATION_AGE,
+]
 
 
 def outcome_of(call) -> Any:
@@ -568,7 +571,7 @@ def constructed_decision(
     assert InvariantAuditor().audit(cloud).count(ViolationKind.RESIDENCE_ORDER) == 0
     node = cloud.nodes[decider]
     node.placement_context(0, corpus[0].size_bytes, 3.0, beacon_id)
-    node.decide_store(cloud.placement, 0, 3.0, beacon_id)
+    node.decide_store(cloud.strategy.policy, 0, 3.0, beacon_id)
 
 
 #: Residence estimates a constructed state draws from: uncontended, or one

@@ -1,10 +1,10 @@
 """Unit tests for the strategy plane (:mod:`repro.strategies`).
 
-Covers building a strategy from its scheme name, the on-path admission
-family's hop decisions, and — the accounting contract this PR's bugfix
-satellite pins — that every requester-side decision ticks exactly one of
-``stores`` / ``placement_rejects`` *at the requester's cache*, including
-when an on-path strategy stores at an intermediate node mid-route.
+Covers building a strategy from the scheme ``config.placement`` names, the
+on-path admission family's hop decisions, and the accounting contract:
+every requester-side decision ticks exactly one of ``stores`` /
+``placement_rejects`` *at the requester's cache*, including when an
+on-path strategy stores at an intermediate node mid-route.
 """
 
 from __future__ import annotations
@@ -16,11 +16,11 @@ from repro.core.config import AssignmentScheme, CloudConfig, PlacementScheme
 from repro.strategies import (
     BeaconPointStrategy,
     CUPTreeStrategy,
-    KNOWN_SCHEMES,
     LCDStrategy,
     LCEStrategy,
     PolicyStrategy,
-    build_strategy,
+    ProbCacheStrategy,
+    strategy_for,
 )
 from repro.workload.documents import build_corpus
 
@@ -45,9 +45,7 @@ def corpus():
 
 
 def _cloud(scheme: str, corpus) -> CacheCloud:
-    config = _config()
-    strategy = build_strategy(scheme, config)
-    return CacheCloud(config, corpus, strategy=strategy)
+    return CacheCloud(_config(placement=PlacementScheme(scheme)), corpus)
 
 
 def _drive(cloud, steps=80):
@@ -62,43 +60,42 @@ def _drive(cloud, steps=80):
             cloud.run_cycle(now=float(i))
 
 
-class TestStrategySpec:
-    """A strategy is built from its scheme name."""
+class TestStrategyFactory:
+    """``config.placement`` names the strategy :func:`strategy_for` builds."""
 
-    def test_known_schemes_build(self, corpus):
-        config = _config()
-        for scheme in KNOWN_SCHEMES:
-            strategy = build_strategy(scheme, config)
-            assert scheme in strategy.name or strategy.name == scheme
+    def test_every_scheme_builds(self):
+        for scheme in PlacementScheme:
+            strategy = strategy_for(_config(placement=scheme))
+            assert scheme.value in strategy.name or strategy.name == scheme.value
 
     def test_unknown_scheme_rejected(self):
-        with pytest.raises(ValueError, match="unknown strategy scheme"):
-            build_strategy("mru", _config())
+        with pytest.raises(ValueError, match="not a valid PlacementScheme"):
+            PlacementScheme("mru")
 
     def test_composition_types(self):
-        config = _config(placement=PlacementScheme.AD_HOC)
-        assert isinstance(build_strategy("beacon", config), BeaconPointStrategy)
-        assert isinstance(build_strategy("ad_hoc", config), PolicyStrategy)
-        assert isinstance(build_strategy("lce", config), LCEStrategy)
-        assert isinstance(build_strategy("lcd", config), LCDStrategy)
-        # The tree's request-path admission is the utility placement,
-        # whatever the config names.
-        cup = build_strategy("cup_tree", config)
+        def built(scheme: PlacementScheme):
+            return strategy_for(_config(placement=scheme))
+
+        assert isinstance(built(PlacementScheme.BEACON), BeaconPointStrategy)
+        assert type(built(PlacementScheme.AD_HOC)) is PolicyStrategy
+        assert isinstance(built(PlacementScheme.LCE), LCEStrategy)
+        assert isinstance(built(PlacementScheme.LCD), LCDStrategy)
+        assert isinstance(built(PlacementScheme.PROBCACHE), ProbCacheStrategy)
+        # The tree's request-path admission is the utility placement, under
+        # the config's own weights and threshold.
+        cup = strategy_for(
+            _config(placement=PlacementScheme.CUP_TREE, utility_threshold=0.7)
+        )
         assert isinstance(cup, CUPTreeStrategy)
         assert cup.name == "cup_tree:utility"
+        assert cup.policy.computer.threshold == 0.7
 
-    def test_config_composition_uses_clouds_own_policy(self, corpus):
-        """Adaptive layers retune ``cloud.placement`` — the default strategy
-        must share that exact object, not a private copy."""
-        cloud = CacheCloud(_config(), corpus)
-        assert cloud.strategy.policy is cloud.placement
-
-    def test_explicit_strategy_rebinds_cloud_placement(self, corpus):
-        config = _config()
-        strategy = build_strategy("ad_hoc", config)
-        cloud = CacheCloud(config, corpus, strategy=strategy)
-        assert cloud.placement is strategy.policy
-        assert cloud.placement.name == "ad_hoc"
+    def test_the_cloud_composes_from_its_config(self, corpus):
+        """Adaptive layers retune ``cloud.strategy.policy``; it is the
+        policy the live strategy consults."""
+        cloud = CacheCloud(_config(placement=PlacementScheme.AD_HOC), corpus)
+        assert type(cloud.strategy) is PolicyStrategy
+        assert cloud.strategy.policy.name == "ad_hoc"
 
 
 class TestOnPathHopDecisions:

@@ -1,33 +1,29 @@
-"""Structural equivalence: the strategy seam is invisible for paper schemes.
+"""The strategy seam draws no shared randomness, and it is live.
 
-The tentpole refactor's safety proof. Each of the paper's four placement
-schemes can now be composed two ways:
+Every scheme :class:`~repro.core.config.PlacementScheme` names is composed
+from a bare ``CloudConfig`` carrying it as ``placement``. Driven with the
+fabric suite's deterministic request/update/cycle mix:
 
-* **native** — a bare ``CloudConfig`` carrying the scheme as its
-  ``placement`` field (the pre-refactor spelling; ``CacheCloud`` composes
-  the default strategy from it), and
-* **spec** — a config carrying a *different* placement (the utility
-  baseline) plus ``build_strategy(...)`` injected at
-  the composition root.
+* two clouds composed from equal configs are message-for-message
+  identical: same dispatch log, request outcomes and latencies, meter,
+  ledger and cache stats (composition depends on the config alone),
+* no composition draws from the global ``random`` module (strategy
+  composition must never consume shared randomness, or every seeded stream
+  downstream would shift — ProbCache's coins come from its own derived
+  stream), and
+* a strategy beyond the paper really changes behaviour.
 
-Driven with the fabric suite's deterministic request/update/cycle mix, the
-two must be indistinguishable: message-for-message identical dispatch
-logs, identical request outcomes/latencies, identical meter and ledger
-totals, identical cache stats — and zero draws from the global ``random``
-module (strategy composition must never consume shared randomness, or
-every seeded stream downstream would shift).
+That the paper's schemes behave exactly as before the seam existed is
+pinned by the golden fingerprints and the fabric-plan digests.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import pytest
 
-from repro.core.cloud import CacheCloud
 from repro.core.config import PlacementScheme
-from repro.strategies import PAPER_SCHEMES, build_strategy
 from tests.conftest import make_cloud
 
 
@@ -46,93 +42,71 @@ def _drive(cloud, steps=60):
     return results
 
 
-def _native_cloud(corpus, scheme: str) -> CacheCloud:
-    return make_cloud(corpus, placement=PlacementScheme(scheme))
+@pytest.mark.parametrize("scheme", list(PlacementScheme))
+def test_equal_configs_compose_identical_clouds(small_corpus, scheme):
+    """The config alone decides behaviour: equal configs, equal wires."""
+    first = make_cloud(small_corpus, placement=scheme)
+    second = make_cloud(small_corpus, placement=scheme)
+    first_log = first.fabric.capture_dispatches()
+    second_log = second.fabric.capture_dispatches()
+
+    assert _drive(first) == _drive(second)
+
+    assert len(first_log) > 0
+    assert first_log == second_log
+    assert first.transport.meter == second.transport.meter
+    assert first.transport.messages_attempted == second.transport.messages_attempted
+    assert first.transport.bytes_attempted == second.transport.bytes_attempted
+    assert first.fabric.stats == second.fabric.stats
+    first_stats = first.aggregate_stats()
+    second_stats = second.aggregate_stats()
+    assert first_stats.stores == second_stats.stores
+    assert first_stats.placement_rejects == second_stats.placement_rejects
+    assert first_stats.local_hits == second_stats.local_hits
+    assert first_stats.cloud_hits == second_stats.cloud_hits
+    assert first_stats.origin_fetches == second_stats.origin_fetches
 
 
-def _spec_cloud(corpus, scheme: str) -> CacheCloud:
-    """Same cloud, composed through the seam from a config whose own
-    ``placement`` field names a *different* scheme — proof the injected
-    strategy, not the config field, decides behaviour."""
-    other = (
-        PlacementScheme.AD_HOC
-        if scheme == PlacementScheme.UTILITY.value
-        else PlacementScheme.UTILITY
-    )
-    native = make_cloud(corpus, placement=PlacementScheme(scheme))
-    config = replace(native.config, placement=other)
-    strategy = build_strategy(scheme, config)
-    return CacheCloud(config, corpus, strategy=strategy)
+@pytest.mark.parametrize("scheme", list(PlacementScheme))
+def test_zero_global_rng_draws(small_corpus, scheme):
+    """No composition may touch the shared ``random`` module."""
+    random.seed(1234)
+    before = random.getstate()
+    cloud = make_cloud(small_corpus, placement=scheme)
+    _drive(cloud)
+    assert cloud.fabric.stats.dispatches > 0
+    assert random.getstate() == before
 
 
-@pytest.mark.parametrize("scheme", PAPER_SCHEMES)
-class TestPaperSchemeEquivalence:
-    def test_dispatch_log_message_for_message_identical(
-        self, small_corpus, scheme
+def test_a_policy_scheme_reports_its_own_name(small_corpus):
+    """The reporting surface is the policy the config names."""
+    for scheme in (
+        PlacementScheme.AD_HOC,
+        PlacementScheme.BEACON,
+        PlacementScheme.UTILITY,
+        PlacementScheme.EXPIRATION_AGE,
     ):
-        native = _native_cloud(small_corpus, scheme)
-        via_spec = _spec_cloud(small_corpus, scheme)
-        native_log = native.fabric.capture_dispatches()
-        spec_log = via_spec.fabric.capture_dispatches()
-
-        assert _drive(native) == _drive(via_spec)
-
-        assert len(native_log) > 0
-        assert native_log == spec_log
-
-    def test_meter_ledger_and_stats_identical(self, small_corpus, scheme):
-        native = _native_cloud(small_corpus, scheme)
-        via_spec = _spec_cloud(small_corpus, scheme)
-        _drive(native)
-        _drive(via_spec)
-
-        assert native.transport.meter == via_spec.transport.meter
-        assert (
-            native.transport.messages_attempted
-            == via_spec.transport.messages_attempted
-        )
-        assert (
-            native.transport.bytes_attempted
-            == via_spec.transport.bytes_attempted
-        )
-        assert native.fabric.stats == via_spec.fabric.stats
-        native_stats = native.aggregate_stats()
-        spec_stats = via_spec.aggregate_stats()
-        assert native_stats.stores == spec_stats.stores
-        assert native_stats.placement_rejects == spec_stats.placement_rejects
-        assert native_stats.local_hits == spec_stats.local_hits
-        assert native_stats.cloud_hits == spec_stats.cloud_hits
-        assert native_stats.origin_fetches == spec_stats.origin_fetches
-
-    def test_zero_global_rng_draws(self, small_corpus, scheme):
-        """Neither composition may touch the shared ``random`` module."""
-        random.seed(1234)
-        before = random.getstate()
-        native = _native_cloud(small_corpus, scheme)
-        via_spec = _spec_cloud(small_corpus, scheme)
-        _drive(native)
-        _drive(via_spec)
-        assert random.getstate() == before
+        cloud = make_cloud(small_corpus, placement=scheme)
+        assert cloud.strategy.policy.name == scheme.value
 
 
-class TestSeamComposition:
-    def test_spec_cloud_reports_scheme_placement_name(self, small_corpus):
-        """The reporting surface follows the injected strategy's policy."""
-        for scheme in PAPER_SCHEMES:
-            cloud = _spec_cloud(small_corpus, scheme)
-            assert cloud.placement.name == scheme
+def test_probcache_coins_follow_the_config_seed(small_corpus):
+    """ProbCache's stream is derived from ``config.seed``: a new seed moves
+    its decisions, the same seed repeats them."""
 
-    def test_extended_schemes_diverge_from_paper_schemes(self, small_corpus):
-        """The seam is live: a non-paper strategy really changes behaviour."""
-        baseline = make_cloud(small_corpus)
-        config = replace(baseline.config)
-        lce = CacheCloud(
-            config,
-            small_corpus,
-            strategy=build_strategy("lce", config),
-        )
-        _drive(baseline)
-        _drive(lce)
-        assert (
-            baseline.aggregate_stats().stores != lce.aggregate_stats().stores
-        )
+    def stores(seed):
+        cloud = make_cloud(small_corpus, placement=PlacementScheme.PROBCACHE, seed=seed)
+        _drive(cloud)
+        return [cache.stats.stores for cache in cloud.caches]
+
+    assert stores(1) == stores(1)
+    assert any(stores(1) != stores(seed) for seed in (2, 3, 4))
+
+
+def test_extended_schemes_diverge_from_paper_schemes(small_corpus):
+    """The seam is live: a non-paper strategy really changes behaviour."""
+    baseline = make_cloud(small_corpus)
+    lce = make_cloud(small_corpus, placement=PlacementScheme.LCE)
+    _drive(baseline)
+    _drive(lce)
+    assert baseline.aggregate_stats().stores != lce.aggregate_stats().stores

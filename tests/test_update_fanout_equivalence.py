@@ -50,7 +50,6 @@ from repro.network.transport import Transport
 from repro.observe.flight import FlightRecorder
 from repro.observe.profile import WorkProfile
 from repro.observe.registry import Telemetry
-from repro.strategies import build_strategy
 from repro.strategies.cup import FANOUT, CUPTreeStrategy
 from repro.workload.documents import build_corpus
 
@@ -308,7 +307,7 @@ def _build(
     telemetry: bool = False,
     flight: Optional[str] = None,
     capture: bool = False,
-    strategy: Optional[str] = None,
+    placement: PlacementScheme = PlacementScheme.AD_HOC,
 ) -> CacheCloud:
     corpus = build_corpus(NUM_DOCS, random.Random(seed))
     config = CloudConfig(
@@ -317,9 +316,10 @@ def _build(
         intra_gen=100,
         cycle_length=10.0,
         assignment=AssignmentScheme.DYNAMIC,
-        # Ad hoc placement on unlimited disks: every requester keeps its
-        # copy, so holder sets grow towards the whole cloud.
-        placement=PlacementScheme.AD_HOC,
+        # Ad hoc placement on unlimited disks (the default): every
+        # requester keeps its copy, so holder sets grow towards the whole
+        # cloud.
+        placement=placement,
         capacity_bytes=max(1, corpus.total_bytes // 6) if limited else None,
         cooperation=cooperation,
         seed=seed,
@@ -329,15 +329,7 @@ def _build(
         topo = EuclideanTopology.random(NUM_CACHES, random.Random(seed + 1))
         topo.add_node(ORIGIN_NODE_ID, (50.0, 50.0))
         transport = Transport(topology=topo)
-    composed = None
-    if strategy is not None:
-        composed = build_strategy(strategy, config)
-    cloud = CacheCloud(
-        config,
-        corpus,
-        transport=transport,
-        strategy=composed,
-    )
+    cloud = CacheCloud(config, corpus, transport=transport)
     if telemetry:
         cloud.attach_telemetry(Telemetry())
     if overload:
@@ -536,9 +528,11 @@ SCENARIOS = {
         ),
         dict(),
     ),
-    "cup-tree": (dict(strategy="cup_tree", capture=True), dict()),
+    "cup-tree": (dict(placement=PlacementScheme.CUP_TREE, capture=True), dict()),
     "cup-tree-all-planes": (
-        dict(strategy="cup_tree", loss=0.2, overload=True, telemetry=True),
+        dict(
+            placement=PlacementScheme.CUP_TREE, loss=0.2, overload=True, telemetry=True
+        ),
         dict(),
     ),
     "no-cooperation": (dict(cooperation=False), dict()),
