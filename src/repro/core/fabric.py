@@ -155,11 +155,11 @@ class CategorySlot(NamedTuple):
     """What a wire attempt needs of one traffic category (an observer's
     handle is ``None`` while it is not attached; ``instruments`` is the
     telemetry journal the attempt appends to, ``flight_row`` the recorder's
-    ``[messages, bytes, lost, latency_ms_sum]`` list)."""
+    journal of the open window)."""
 
     name: str
     instruments: Any
-    flight_row: Optional[List[float]]
+    flight_row: Any
 
 
 #: Every category's slot with no observer handle bound.
@@ -169,12 +169,9 @@ UNWATCHED = {category: CategorySlot(category.value, None, None) for category in 
 class FabricWatch(Protocol):
     """What the fabric reads of its observer handle (``cloud.watch``, a
     :class:`~repro.observe.registry.RoleWatch`): every category's slot
-    (:data:`UNWATCHED` when it binds no handle), and where a queue
-    rejection is reported."""
+    (:data:`UNWATCHED` when it binds no handle)."""
 
     slots: Dict[TrafficCategory, CategorySlot]
-
-    def reject(self, category: str) -> None: ...
 
 
 class MessageFabric:
@@ -388,9 +385,12 @@ class MessageFabric:
                 # retry under the active ladder.
                 self.stats.rejections += 1
                 latency = None
-                watch = self._watch
-                if watch is not None:
-                    watch.reject(slot.name)
+                if self._watch is not None:  # each observer's count, in place
+                    if instruments is not None:
+                        instruments.rejected += 1
+                    row = slot.flight_row
+                    if row is not None:
+                        row.rejected += 1
             else:
                 if delay > 0.0:
                     latency += delay
@@ -398,20 +398,18 @@ class MessageFabric:
                     if delay > 0.0:
                         instruments.note_delay(delay * _MINUTES_TO_MS)
                     instruments.backlogs[dst] = backlog
-        # Telemetry only journals the attempt (bound ``list.append``s, no
-        # frame); ``Telemetry.fold`` does the counting and the histograms.
+        # Each observer only journals the attempt (bound ``append``s, no
+        # frame); ``Telemetry.fold`` and the recorder's window close do the
+        # counting, the sums and the histograms.
         if instruments is not None:  # ``CategoryInstruments.record``, in place
             instruments.note_size(num_bytes)
             if latency is not None:
                 instruments.note_latency(latency * _MINUTES_TO_MS)
         row = slot.flight_row
         if row is not None:  # ``FlightRecorder.record_attempt``, row in hand
-            row[0] += 1
-            row[1] += num_bytes
-            if latency is None:
-                row[2] += 1
-            else:
-                row[3] += latency * _MINUTES_TO_MS
+            row.note_size(num_bytes)
+            if latency is not None:
+                row.note_latency(latency * _MINUTES_TO_MS)
         return latency
 
     def _bare(

@@ -29,7 +29,8 @@ Clocking
 The fabric has no clock, so windows are rolled from the request/update
 entry points: the roots that ``cloud.watch`` runs for
 ``CacheCloud.handle_request``/``handle_update`` call
-:meth:`FlightRecorder.advance` before any protocol work. All fabric
+:meth:`FlightRecorder.advance` before any protocol work once their time
+reaches :attr:`FlightRecorder.window_end`. All fabric
 dispatches triggered by one handler happen at that handler's timestamp,
 so attributing them to the currently open window is exact, and idle gaps
 emit explicit zero windows to keep the series aligned with the grid.
@@ -44,8 +45,11 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
+from array import array
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -136,6 +140,45 @@ class FlightWriter:
             self._fh.close()
 
 
+class FabricRow:
+    """One traffic category's wire attempts in the open window, journalled.
+
+    The fabric appends each attempt's size (:attr:`note_size`) and, when it
+    was delivered, its latency in ms (:attr:`note_latency`) — bound
+    ``array.append`` handles, no Python frame per attempt and no object
+    kept per attempt: 16 B each for the open window — and counts a queue
+    rejection in :attr:`rejected`. The window's close folds the journal
+    into the record's ``[messages, bytes, lost, latency_ms_sum]``
+    (:meth:`row`: left-to-right sums, the same additions an attempt-by-
+    attempt running total makes) and empties it in place, so the fabric
+    keeps the handles for the recorder's whole life.
+    """
+
+    __slots__ = ("sizes", "latencies", "rejected", "note_size", "note_latency")
+
+    def __init__(self) -> None:
+        self.sizes: array[int] = array("q")
+        self.latencies: array[float] = array("d")
+        self.rejected = 0
+        self.note_size: Callable[[int], None] = self.sizes.append
+        self.note_latency: Callable[[float], None] = self.latencies.append
+
+    def row(self) -> List[float]:
+        """``[messages, bytes, lost, latency_ms_sum]`` of the journal."""
+        sizes, latencies = self.sizes, self.latencies
+        return [
+            len(sizes),
+            reduce(operator.add, sizes, 0),
+            len(sizes) - len(latencies),
+            reduce(operator.add, latencies, 0.0),
+        ]
+
+    def clear(self) -> None:
+        del self.sizes[:]
+        del self.latencies[:]
+        self.rejected = 0
+
+
 class FlightRecorder:
     """Rolls fixed-width sim-time windows and streams them to disk.
 
@@ -172,16 +215,17 @@ class FlightRecorder:
         self.finished = False
         self._index = 0
         self._window_start = 0.0
-        # Window-local accumulators (reset at every window close).
-        self._requests = 0
+        #: End of the open window: a root at or past it closes windows
+        #: (:meth:`advance`), one before it has nothing to roll.
+        self.window_end = self.window
+        # Window-local accumulators (reset at every window close); the
+        # window's request count is the sum of its outcomes.
         self._updates = 0
         self._outcomes: Dict[str, int] = {}
         self._latency_sum = 0.0
         self._latency_max = 0.0
-        #: category -> [messages, bytes, lost, latency_ms_sum]; rows are
-        #: zeroed in place at a window close, so the fabric can keep them.
-        self._fabric: Dict[str, List[float]] = {}
-        self._queue_rejections: Dict[str, int] = {}
+        #: category -> the open window's journalled attempts.
+        self._fabric: Dict[str, FabricRow] = {}
         # Baselines for cumulative sources (profile, overload stats).
         self._profile_base = self.profile.snapshot()
         self._overload = CounterWindow(self._overload_counters)
@@ -217,16 +261,16 @@ class FlightRecorder:
     # ------------------------------------------------------------------
     def advance(self, now: float) -> None:
         """Close every window whose end is at or before ``now``."""
-        while now >= self._window_start + self.window:
-            self._close_window(self._window_start + self.window)
+        while now >= self.window_end:
+            self._close_window(self.window_end)
 
     def observe_request(self, now: float, result: "RequestResult") -> None:
         """Count one served client request (windows already advanced)."""
-        self._requests += 1
         # ``_value_``: the plain attribute behind the ``value`` descriptor,
         # which costs two Python frames per read.
         outcome = result.outcome._value_
-        self._outcomes[outcome] = self._outcomes.get(outcome, 0) + 1
+        outcomes = self._outcomes
+        outcomes[outcome] = outcomes.get(outcome, 0) + 1
         if outcome != "rejected":
             # Rejected requests have no service latency; including their
             # 0.0 would drag the window mean down exactly under overload.
@@ -239,12 +283,12 @@ class FlightRecorder:
         """Count one origin update (windows already advanced)."""
         self._updates += 1
 
-    def fabric_row(self, category: str) -> List[float]:
-        """The open window's ``[messages, bytes, lost, latency_ms_sum]`` row:
-        one list per category for the recorder's whole life."""
+    def fabric_row(self, category: str) -> FabricRow:
+        """The open window's journal of ``category``'s attempts: one per
+        category for the recorder's whole life."""
         row = self._fabric.get(category)
         if row is None:
-            row = self._fabric[category] = [0, 0, 0, 0.0]
+            row = self._fabric[category] = FabricRow()
         return row
 
     def record_attempt(
@@ -252,18 +296,13 @@ class FlightRecorder:
     ) -> None:
         """One fabric wire attempt (mirrors ``Telemetry.record_attempt``)."""
         row = self.fabric_row(category)
-        row[0] += 1
-        row[1] += num_bytes
-        if latency is None:
-            row[2] += 1
-        else:
-            row[3] += latency * _MINUTES_TO_MS
+        row.note_size(num_bytes)
+        if latency is not None:
+            row.note_latency(latency * _MINUTES_TO_MS)
 
     def record_rejection(self, category: str) -> None:
         """One wire attempt turned away by a full destination queue."""
-        self._queue_rejections[category] = (
-            self._queue_rejections.get(category, 0) + 1
-        )
+        self.fabric_row(category).rejected += 1
 
     # ------------------------------------------------------------------
     # Window lifecycle
@@ -276,25 +315,27 @@ class FlightRecorder:
 
     def _close_window(self, end: float, partial: bool = False) -> None:
         cloud = self._cloud
+        requests = sum(self._outcomes.values())
         record: Dict[str, object] = {
             "type": "window",
             "index": self._index,
             "start": self._window_start,
             "end": end,
-            "requests": self._requests,
+            "requests": requests,
             "updates": self._updates,
         }
         if partial:
             record["partial"] = True
         if self._outcomes:
             record["outcomes"] = self._outcomes
-        if self._requests and self._outcomes.get("rejected", 0) < self._requests:
+        if requests and self._outcomes.get("rejected", 0) < requests:
             record["latency_ms"] = [self._latency_sum, self._latency_max]
-        fabric = {name: list(row) for name, row in self._fabric.items() if row[0]}
+        fabric = {name: row.row() for name, row in self._fabric.items() if row.sizes}
         if fabric:
             record["fabric"] = fabric
-        if self._queue_rejections:
-            record["queue_rejections"] = self._queue_rejections
+        rejections = {name: row.rejected for name, row in self._fabric.items() if row.rejected}
+        if rejections:
+            record["queue_rejections"] = rejections
         counts, units = self.profile.snapshot()
         base_counts, base_units = self._profile_base
         cost: Dict[str, List[int]] = {}
@@ -328,14 +369,13 @@ class FlightRecorder:
         self._writer.append(record)
         self._index += 1
         self._window_start = end
-        self._requests = 0
+        self.window_end = end + self.window
         self._updates = 0
         self._outcomes = {}
         self._latency_sum = 0.0
         self._latency_max = 0.0
         for row in self._fabric.values():
-            row[:] = (0, 0, 0, 0.0)
-        self._queue_rejections = {}
+            row.clear()
 
     def finish(self, now: float) -> None:
         """Close remaining windows, append the summary, close the file."""

@@ -16,10 +16,15 @@ counts alone — deterministic, mergeable, and honest about resolution.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left, bisect_right
+from functools import reduce
+from itertools import repeat
 from typing import Dict, Iterable, List, Optional
 
 __all__ = ["LogHistogram"]
+
+_ADD = operator.add
 
 
 class LogHistogram:
@@ -85,21 +90,28 @@ class LogHistogram:
     def record_many(self, values: Iterable[float]) -> None:
         """Add every observation of ``values``, in order.
 
-        Leaves exactly the state one :meth:`record` call per value would:
-        ``total`` is accumulated left to right (never with ``sum``, whose
-        float result differs between CPython versions), while the bucket
-        counts come from one sort and a bisect per occupied bucket.
+        Leaves exactly the state one :meth:`record` call per value would,
+        and runs no Python loop per value: ``value + 0.0`` (int -> float,
+        -0.0 -> 0.0) is a ``map``, ``total`` a left-to-right
+        ``reduce(operator.add, …)`` (never ``sum``, which is compensated
+        from CPython 3.12 on), and the bucket counts come from one sort and
+        a bisect per occupied bucket. Only a batch holding a negative value
+        or NaN takes a per-value pass, to clamp it to zero as ``record``
+        does.
         """
-        # As ``record``: int -> float, and anything not positive (negatives,
-        # -0.0, NaN) clamps to zero.
-        clean = [value + 0.0 if value > 0.0 else 0.0 for value in values]
-        if not clean:
+        ordered = list(map(_ADD, values, repeat(0.0)))
+        if not ordered:
             return
-        total = self.total
-        for value in clean:
-            total += value
+        total = reduce(_ADD, ordered, self.total)
+        clean = sorted(ordered)
+        # A NaN makes the total NaN (the running total never is: it only
+        # ever adds clamped values); without one, the sort puts any
+        # negative first.
+        if total != total or clean[0] < 0.0:
+            ordered = [value if value > 0.0 else 0.0 for value in ordered]
+            total = reduce(_ADD, ordered, self.total)
+            clean = sorted(ordered)
         self.total = total
-        clean.sort()
         size = len(clean)
         self.count += size
         if self.min is None or clean[0] < self.min:

@@ -34,7 +34,9 @@ A cloud charges one profile: the one attached with ``attach_profile``, else
 its flight recorder's, and a bound recorder reads that same profile.
 
 ``record_walk`` additionally feeds a ``holder_walk_length`` log-histogram
-and a per-window hottest-documents table, which the flight recorder
+(through a journal of walk lengths that :meth:`LogHistogram.record_many`
+folds, as the telemetry registry's histograms are) and a per-window
+hottest-documents table, which the flight recorder
 (:mod:`repro.observe.flight`) drains at each window close.
 """
 
@@ -66,6 +68,9 @@ PHASE_ROLES: Dict[str, str] = {
     "placement": "requester",
 }
 
+#: Journalled walk lengths that trigger a fold into the histogram.
+WALK_FOLD_EVERY = 512
+
 
 class WorkProfile:
     """Cumulative per-phase work counters plus the holder-walk histogram.
@@ -78,9 +83,9 @@ class WorkProfile:
     def __init__(self) -> None:
         self.counts: Dict[str, int] = {phase: 0 for phase in PHASES}
         self.units: Dict[str, int] = {phase: 0 for phase in PHASES}
-        #: Distribution of ``answer_lookup`` walk lengths over the whole
-        #: recording (walks of length 0 land in the underflow bucket).
-        self.walk_hist = LogHistogram(lower=1.0, upper=1e6, buckets_per_decade=4)
+        self._walk_hist = LogHistogram(lower=1.0, upper=1e6, buckets_per_decade=4)
+        #: Walk lengths not yet in :attr:`walk_hist`, in arrival order.
+        self._walks: List[int] = []
         #: doc_id -> longest walk observed this window (drained per window).
         self._window_walks: Dict[int, int] = {}
         self._window_walk_max = 0
@@ -97,11 +102,27 @@ class WorkProfile:
         """One answered lookup that probed ``walked`` holders (0 = trusted)."""
         self.counts["holder_verify"] += 1
         self.units["holder_verify"] += walked
-        self.walk_hist.record(float(walked))
+        walks = self._walks
+        walks.append(walked)
+        if len(walks) >= WALK_FOLD_EVERY:
+            self._fold_walks()
         if walked > self._window_walks.get(doc_id, -1):
             self._window_walks[doc_id] = walked
         if walked > self._window_walk_max:
             self._window_walk_max = walked
+
+    def _fold_walks(self) -> None:
+        walks = self._walks
+        if walks:
+            self._walk_hist.record_many(walks)
+            del walks[:]
+
+    @property
+    def walk_hist(self) -> LogHistogram:
+        """Distribution of ``answer_lookup`` walk lengths over the whole
+        recording (walks of length 0 land in the underflow bucket)."""
+        self._fold_walks()
+        return self._walk_hist
 
     # ------------------------------------------------------------------
     # Snapshots and window drains (called by observers)

@@ -44,14 +44,16 @@ class CategoryInstruments:
     A category's counters and its three histograms are a left fold over its
     attempts, so an attempt only *appends* — the size to :attr:`sizes`, a
     delivered attempt's latency to :attr:`latencies`, a positive queueing
-    delay to :attr:`delays` — and :meth:`Telemetry.fold` does the arithmetic
-    for a whole batch, in arrival order. The fabric appends through the
-    bound ``list.append`` handles :attr:`note_size`, :attr:`note_latency`
-    and :attr:`note_delay` (no Python frame per attempt; the lists live as
-    long as the registry and are emptied in place) and writes
-    :attr:`backlogs` itself; :meth:`record` and :meth:`record_queueing` are
-    the method form of the same. Counters and histograms are still
-    *created* on first use: the export lists only what saw traffic.
+    delay to :attr:`delays` — or counts a queue rejection in
+    :attr:`rejected`, and :meth:`Telemetry.fold` does the arithmetic for a
+    whole batch, in arrival order. The fabric appends through the bound
+    ``list.append`` handles :attr:`note_size`, :attr:`note_latency` and
+    :attr:`note_delay` (no Python frame per attempt; the lists live as long
+    as the registry and are emptied in place) and writes :attr:`backlogs`
+    and :attr:`rejected` itself; :meth:`record`, :meth:`record_queueing` and
+    :meth:`record_rejection` are the method form of the same. Counters and
+    histograms are still *created* on first use: the export lists only what
+    saw traffic.
     """
 
     __slots__ = (
@@ -65,6 +67,7 @@ class CategoryInstruments:
         "note_latency",
         "note_delay",
         "backlogs",
+        "rejected",
     )
 
     def __init__(self, telemetry: "Telemetry", category: str) -> None:
@@ -85,6 +88,8 @@ class CategoryInstruments:
         self.note_delay: Callable[[float], None] = self.delays.append
         #: The registry's ``dst -> backlog`` map (:attr:`Telemetry.backlogs`).
         self.backlogs = telemetry.backlogs
+        #: Attempts turned away by a full queue since the last fold.
+        self.rejected = 0
 
     def record(self, num_bytes: int, latency_minutes: Optional[float]) -> None:
         """One wire attempt: a float latency if delivered, ``None`` if lost."""
@@ -93,7 +98,7 @@ class CategoryInstruments:
             self.note_latency(latency_minutes * MINUTES_TO_MS)
 
     def record_rejection(self) -> None:
-        self._telemetry.count(self._keys[2])
+        self.rejected += 1
 
     def record_queueing(self, dst: int, delay_minutes: float, backlog: int) -> None:
         """One admitted attempt: its queueing delay and ``dst``'s backlog."""
@@ -106,11 +111,14 @@ class CategoryInstruments:
         telemetry = self._telemetry
         counters, histograms = telemetry._counters, telemetry._histograms
         sizes, latencies = self.sizes, self.latencies
+        attempts, lost, rejected = self._keys
         if sizes:
-            attempts, lost, _ = self._keys
             counters[attempts] = counters.get(attempts, 0) + len(sizes)
             if len(latencies) < len(sizes):
                 counters[lost] = counters.get(lost, 0) + len(sizes) - len(latencies)
+        if self.rejected:
+            counters[rejected] = counters.get(rejected, 0) + self.rejected
+            self.rejected = 0
         for what, values in (
             ("bytes", sizes),
             ("latency_ms", latencies),
@@ -162,8 +170,8 @@ class Telemetry:
         #: the last fold: the ``queue_depth.<dst>`` gauges. Registry-wide
         #: because the gauge is last-write-wins *across* categories.
         self.backlogs: Dict[int, int] = {}
-        #: Request latencies (ms) not yet in ``latency_ms.request``.
-        self._request_ms: List[float] = []
+        #: Length of :attr:`request_latencies` already in ``latency_ms.request``.
+        self._requests_folded = 0
         self._roots = 0
 
     # -- the fold -------------------------------------------------------------
@@ -179,10 +187,12 @@ class Telemetry:
             for dst, backlog in backlogs.items():
                 gauges[f"queue_depth.{dst}"] = float(backlog)
             backlogs.clear()
-        request_ms = self._request_ms
-        if request_ms:
-            _histogram(self._histograms, "latency_ms.request").record_many(request_ms)
-            del request_ms[:]
+        series, folded = self.request_latencies, self._requests_folded
+        if len(series) > folded:
+            _histogram(self._histograms, "latency_ms.request").record_many(
+                series.values_from(folded)
+            )
+            self._requests_folded = len(series)
 
     @property
     def counters(self) -> Dict[str, int]:
@@ -230,9 +240,10 @@ class Telemetry:
         self.instruments(category).record(num_bytes, latency_minutes)
 
     def observe_request(self, now: float, latency_ms: float) -> None:
-        """Record one completed client request at sim-time ``now``."""
+        """Record one completed client request at sim-time ``now``: a point
+        of :attr:`request_latencies`, whose unfolded tail the next fold
+        adds to ``latency_ms.request``."""
         self.request_latencies.append(now, latency_ms)
-        self._request_ms.append(latency_ms)
 
     def observe_root(
         self, counter: str, now: float = 0.0, latency_ms: Optional[float] = None
@@ -245,17 +256,8 @@ class Telemetry:
         """
         counters = self._counters
         counters[counter] = counters.get(counter, 0) + 1
-        if latency_ms is not None:
-            # ``TimeSeries.append``, in place: once per request.
-            series = self.request_latencies
-            times = series._times
-            if times and now < times[-1]:
-                raise ValueError(
-                    f"timestamps must be non-decreasing: {now} after {times[-1]}"
-                )
-            times.append(now)
-            series._values.append(latency_ms)
-            self._request_ms.append(latency_ms)
+        if latency_ms is not None:  # :meth:`observe_request`'s one append
+            self.request_latencies.append(now, latency_ms)
         self._roots += 1
         if self._roots >= self.FOLD_EVERY:
             self.fold()
@@ -302,11 +304,10 @@ class RoleWatch:
     open and close: no seam opens a span while a leg is in flight, so ids,
     parentage and widened ends are those of a span held open across it.
     Past saturation a span is only counted. The fabric's attempt plan takes
-    :attr:`slots` (each category's telemetry journal and flight row) and
-    reports to :meth:`reject`; the cloud's entry points call
-    :attr:`request` / :attr:`update`, which run the operation root (window
-    clock, root span, root counters) — or are the cloud's own serve and
-    delivery when only a profile is attached.
+    :attr:`slots` (each category's telemetry journal and flight row); the
+    cloud's entry points call :attr:`request` / :attr:`update`, which run
+    the operation root (window clock, root span, root counters) — or are
+    the cloud's own serve and delivery when only a profile is attached.
     """
 
     __slots__ = ("telemetry", "profile", "flight", "walk", "placement", "slots", "request",
@@ -370,23 +371,17 @@ class RoleWatch:
         span ``name`` (written as :meth:`leg` would, in place) and ``counter``."""
         telemetry = self.telemetry
         if telemetry is not None:
-            telemetry.count(counter)
+            counters = telemetry._counters  # ``Telemetry.count``, in place
+            counters[counter] = counters.get(counter, 0) + 1
             spans = telemetry.spans
             if spans.saturated:
                 spans.begun += 1
             else:
                 spans.close(spans.open(name, at, {"kind": kind, "node": node}), at, _NO_ATTRS)
 
-    def reject(self, category: str) -> None:
-        """One wire attempt of ``category`` turned away by a full queue."""
-        if self.telemetry is not None:
-            self.telemetry.count("fabric.rejected." + category)
-        if self.flight is not None:
-            self.flight.record_rejection(category)
-
     def _request(self, cache_id: int, doc_id: int, now: float) -> RequestResult:
         flight = self.flight
-        if flight is not None:
+        if flight is not None and now >= flight.window_end:
             # Roll the recorder's window clock before any protocol work:
             # every dispatch this request triggers happens at ``now``, so
             # it belongs to the window that is open *after* this call.
@@ -396,34 +391,36 @@ class RoleWatch:
             result = self._serve(cache_id, doc_id, now)
         else:
             spans = telemetry.spans
-            root = None if spans.saturated else spans.open(
-                "request", now, {"cache": cache_id, "doc": doc_id}
-            )
-            if root is None:  # saturated: the root is only counted
+            if spans.saturated:  # the root is only counted
                 spans.begun += 1
-            try:
                 result = self._serve(cache_id, doc_id, now)
-            except BaseException:
-                if root is not None:
+            else:
+                root = spans.open("request", now, {"cache": cache_id, "doc": doc_id})
+                try:
+                    result = self._serve(cache_id, doc_id, now)
+                except BaseException:
                     spans.unwind(root, now)
-                raise
+                    raise
+                spans.close(
+                    root,
+                    now + result.latency_ms / MINUTES_TO_MS,
+                    {
+                        "outcome": result.outcome._value_,
+                        "served_by": result.served_by,
+                        "latency_ms": result.latency_ms,
+                    },
+                )
             # ``_value_``: the plain attribute behind the ``value``
             # descriptor, which costs two Python frames per read.
             outcome = result.outcome._value_
-            latency_ms = result.latency_ms
-            if root is not None:
-                spans.close(
-                    root,
-                    now + latency_ms / MINUTES_TO_MS,
-                    {"outcome": outcome, "served_by": result.served_by, "latency_ms": latency_ms},
-                )
-            # A rejected request has no service latency — recording its 0.0
-            # would drag every latency percentile toward zero exactly when
-            # the cloud is overloaded. Rejections are visible through the
-            # requests.rejected counter and the overload statistics.
-            telemetry.observe_root(
-                _REQUEST_COUNTERS[outcome], now, None if outcome == "rejected" else latency_ms
-            )
+            if outcome == "rejected":
+                # A rejected request has no service latency — recording its
+                # 0.0 would drag every latency percentile toward zero exactly
+                # when the cloud is overloaded. Rejections are visible through
+                # the requests.rejected counter and the overload statistics.
+                telemetry.observe_root("requests.rejected")
+            else:
+                telemetry.observe_root(_REQUEST_COUNTERS[outcome], now, result.latency_ms)
         if flight is not None:
             flight.observe_request(now, result)
         return result
@@ -431,7 +428,8 @@ class RoleWatch:
     def _update(self, doc_id: int, version: int, now: float) -> int:
         flight = self.flight
         if flight is not None:
-            flight.advance(now)
+            if now >= flight.window_end:
+                flight.advance(now)
             flight.observe_update(now)
         telemetry = self.telemetry
         if telemetry is None:

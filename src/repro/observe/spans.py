@@ -40,9 +40,10 @@ _DROPPED_ID = -1  # ``span_id`` of the placeholders handed out past the cap
 _NEVER = float("-inf")  # "no child has ended yet" in the child-end stack
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
-    """One timed unit of protocol work, linked to its parent by id."""
+    """One timed unit of protocol work, linked to its parent by id (slotted:
+    a retained span is one memory block, not an object and its ``__dict__``)."""
 
     span_id: int
     parent_id: Optional[int]

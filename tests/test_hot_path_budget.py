@@ -5,35 +5,39 @@ the same commit; the number of Python frames one operation enters does not
 move at all. This test replays 2 000 records of a ``figure-sim``-shaped run
 (the ``run_experiment`` pipeline: 20 caches, 5 rings, dynamic hashing,
 utility placement with all four components, 5 % disk) on a warmed cloud and
-counts, with ``sys.setprofile``, every ``call`` event whose code lives under
-``src/repro``. The ceiling sits about 10 % above what the code reaches, far
-below what it cost when every record was an ``Event`` on the heap and every
-miss built a frozen context (81.6 frames per operation on this script), so a
-change that quietly puts a frame or two back on every operation fails here,
-on any host, with the most-called functions named in the message.
+counts, with :class:`tests.hot_path_counter.HotPathCounter`, every ``call``
+event whose code lives under ``src/repro``. The ceiling sits about 10 %
+above what the code reaches, far below what it cost when every record was
+an ``Event`` on the heap and every miss built a frozen context (81.6 frames
+per operation on this script), so a change that quietly puts a frame or two
+back on every operation fails here, on any host, with the most-called
+functions named in the message.
 
 A second window (the same cloud at half the request rate) is replayed with
-the planes of the ``planes-on`` benchmark workload attached one after another — a fault plan (5 % loss, the
-default retry ladder), the overload model (queues of 10, 120 ms + 5 ms/KiB),
-a ``Telemetry`` registry, a ``FlightRecorder`` — and each plane's increment
-is held under its own ceiling: what an observer costs when attached is a
-number too. With the planes on, an operation makes several wire attempts,
-so the per-attempt rules are pinned as well: no ``LogHistogram.record``
-frame per attempt (the registry journals and folds), no span bookkeeping
-once the span recorder is saturated.
+the planes of the ``planes-on`` benchmark workload attached one after
+another — a fault plan (5 % loss, the default retry ladder), the overload
+model (queues of 10, 120 ms + 5 ms/KiB), a ``Telemetry`` registry, a
+``FlightRecorder`` — and each plane's increment is held under its own
+ceiling: what an observer costs when attached is a number too. The same
+counter counts the opcodes those runs execute under ``src/repro``, which
+see the work inside a frame that a frame count cannot. With the planes on,
+an operation makes several wire attempts, so the per-attempt rules are
+pinned as well: no ``LogHistogram.record`` frame per attempt or per holder
+walk (the registry and the profile journal and fold), no span bookkeeping
+once the span recorder is saturated, and the attached registry's
+footprint per served request.
 """
-
 from __future__ import annotations
 
-import os
+import gc
 import random
 import sys
+import tracemalloc
 from collections import Counter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 import pytest
 
-import repro
 from repro.core.cloud import CacheCloud
 from repro.core.config import (
     WEIGHTS_ALL_ON,
@@ -55,6 +59,7 @@ from repro.simulation.rng import derive_seed
 from repro.workload.documents import build_corpus
 from repro.workload.sydney import SydneyConfig, SydneyTraceGenerator
 from repro.workload.trace import RequestRecord
+from tests.hot_path_counter import HotPathCounter
 
 SEED = 11
 WARM_RECORDS = 6_000
@@ -73,52 +78,64 @@ FRAMES_PER_OPERATION_CEILING = 61.0
 #: queues build and shed without saturating (3 % of lookups shed, 0.3 % of
 #: requests rejected), as in the benchmark's segment; at the full rate a
 #: fifth of the lookups is shed and the overload model makes an operation
-#: *cheaper*. 53.8 frames per operation with nothing attached.
+#: *cheaper*. 53.7 frames per operation with nothing attached.
 PLANES_PEAK_RATE, PLANES_MINUTES = 60.0, 16.0
-#: With all four planes attached: measured 77.5 over 2 340 operations (it
+#: With all four planes attached: measured 76.3 over 2 340 operations (it
 #: was 134.3 when every wire attempt walked the registry's histograms and
 #: the queue's call chain, and every dropped span kept the stack
 #: bookkeeping; 81.9 while a role seam paid ``begin_span`` and ``charge``
 #: as two frames; 80.3 while ``stamp_of`` was a method frame; 78.7 while a
-#: resident copy was an object). The roots' move into ``cloud.watch`` left it
-#: as it was: its ``request`` frame replaced ``begin_span``'s.
-PLANES_ON_CEILING = 88.5
+#: resident copy was an object; 77.4 while every holder walk entered
+#: ``LogHistogram.record`` and every root ``FlightRecorder.advance``). The
+#: roots' move into ``cloud.watch`` left it as it was: its ``request``
+#: frame replaced ``begin_span``'s.
+PLANES_ON_CEILING = 84.0
 #: Frames per operation each plane may add when attached after the ones
-#: before it — measured +9.4, +5.2, +4.7, +4.3 (it was +16.7, +17.8,
-#: +34.7, +5.9).
+#: before it — measured +9.4, +5.3, +5.2, +2.6 (it was +16.7, +17.8,
+#: +34.7, +5.9, then +9.4, +5.3, +4.7, +4.3). Telemetry's rose by the one
+#: ``TimeSeries.append`` a served request enters now that the request
+#: latency has one append body instead of an inlined copy in
+#: ``observe_root`` (+0.85), less the counter bumps ``mark`` makes in place
+#: and the queue rejections the fabric journals (−0.3); the flight
+#: recorder's fell by the ``LogHistogram.record`` per holder walk and the
+#: ``advance`` per root it no longer enters.
 PLANE_INCREMENT_CEILINGS = {
     "fault_plan": 10.5,
     "overload": 5.5,
-    "telemetry": 5.2,
-    "flight": 4.8,
+    "telemetry": 5.8,
+    "flight": 2.9,
 }
-
-SRC_ROOT = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
-
-
-class FrameCounter:
-    """``sys.setprofile`` hook: ``call`` events per code object under src/repro."""
-
-    def __init__(self) -> None:
-        self.calls: Counter = Counter()
-
-    def __call__(self, frame, event, arg) -> None:
-        if event == "call":
-            code = frame.f_code
-            if code.co_filename.startswith(SRC_ROOT):
-                self.calls[code] += 1
-
-    def of(self, function) -> int:
-        return self.calls[function.__code__]
-
-    def top(self, count: int = 12) -> str:
-        return ", ".join(
-            f"{code.co_name}={n}" for code, n in self.calls.most_common(count)
-        )
+#: Opcodes per operation under ``src/repro`` on the planes window, counted
+#: on CPython 3.11 (seed-exact: identical in every run). Nothing attached:
+#: 1 611.1; faults + overload: 2 893.6; all four planes: 3 430.3. Before
+#: the observers became journals folded in C the observers' increment over
+#: faults + overload was 891.2 (all four planes 3 785.0): a Python loop per
+#: folded value (+235.3), a ``LogHistogram.record`` per holder walk
+#: (+71.8), and the flight recorder's running window sums per wire attempt.
+#: Other interpreters execute other instructions for the same code, so the
+#: two fixed shapes are held at their 3.11 counts only on 3.11; the
+#: observers' share is held on every version, as a fraction of what faults
+#: + overload cost on the same interpreter (0.185 on 3.11; 0.308 before).
+PLANES_OPCODE_CEILINGS = {
+    "nothing": 1_611.1,
+    "faults+overload": 2_893.8,
+    "all planes": 3_500.0,
+}
+OPCODES_MEASURED_ON = (3, 11)
+#: The observers' opcodes per operation over faults + overload: ≤ 610 on
+#: 3.11, and at most this fraction of faults + overload's on any version.
+OBSERVER_OPCODE_INCREMENT_CEILING = 610.0
+OBSERVER_OPCODE_SHARE_CEILING = 0.21
+#: What the attached registry holds per served request once its span list
+#: is let go: the raw latency series' two unboxed columns (16 B a request,
+#: plus the arrays' growth slack) and the histograms' fixed buckets:
+#: measured 22.5 B over 7 979 requests. It read 70.3 B while the series
+#: was two lists of boxed floats.
+TELEMETRY_BYTES_PER_REQUEST_CEILING = 24.0
 
 
 def counted(
-    requests: Iterable[RequestRecord], counter: FrameCounter, cloud: CacheCloud, span: dict
+    requests: Iterable[RequestRecord], counter: HotPathCounter, cloud: CacheCloud, span: dict
 ) -> Iterator[RequestRecord]:
     """Pass requests through; profile from the warm mark for a fixed count.
 
@@ -129,18 +146,24 @@ def counted(
     for index, record in enumerate(requests):
         if index == WARM_RECORDS:
             span["start"] = cloud.requests_handled + cloud.updates_handled
-            sys.setprofile(counter)
+            counter.start()
         elif index == WARM_RECORDS + COUNTED_RECORDS:
-            sys.setprofile(None)
+            counter.stop()
             span["end"] = cloud.requests_handled + cloud.updates_handled
             return
         yield record
 
 
-def counted_run(peak_rate: float = 120.0, minutes: float = 8.0, profile: bool = False, **planes):
+def counted_run(
+    peak_rate: float = 120.0,
+    minutes: float = 8.0,
+    profile: bool = False,
+    counter: Optional[HotPathCounter] = None,
+    **planes,
+):
     """Replay the window with ``planes`` attached (``run_experiment``
-    keywords) and a work profile if ``profile``; returns ``(counter,
-    operations, cloud)``."""
+    keywords) and a work profile if ``profile``, counted by ``counter``
+    (frames only if none); returns ``(counter, operations, cloud)``."""
     corpus = build_corpus(1_000, random.Random(derive_seed(SEED, "corpus")))
     trace = SydneyTraceGenerator(
         SydneyConfig(
@@ -168,9 +191,8 @@ def counted_run(peak_rate: float = 120.0, minutes: float = 8.0, profile: bool = 
     cloud = CacheCloud(config, corpus)
     if profile:
         cloud.attach_profile(WorkProfile())
-    counter = FrameCounter()
+    counter = counter or HotPathCounter()
     span: dict = {}
-    previous = sys.getprofile()
     try:
         run_experiment(
             config,
@@ -183,7 +205,8 @@ def counted_run(peak_rate: float = 120.0, minutes: float = 8.0, profile: bool = 
             **planes,
         )
     finally:
-        sys.setprofile(previous)
+        if "start" in span and "end" not in span:  # the run raised mid-window
+            counter.stop()
     operations = span["end"] - span["start"]
     assert operations >= COUNTED_RECORDS  # the requests, plus interleaved updates
     return counter, operations, cloud
@@ -191,7 +214,7 @@ def counted_run(peak_rate: float = 120.0, minutes: float = 8.0, profile: bool = 
 
 def test_frames_per_operation_within_budget():
     counter, operations, cloud = counted_run()
-    frames = sum(counter.calls.values())
+    frames = counter.frames
     per_operation = frames / operations
     assert per_operation <= FRAMES_PER_OPERATION_CEILING, (
         f"{per_operation:.1f} frames per operation over {operations} operations "
@@ -228,15 +251,10 @@ def test_an_update_enters_no_frame_per_holder():
             cloud.handle_request(cache_id, doc_id, index / 100.0)
         # The first update leaves the entry stamped, as in the steady state.
         assert cloud.handle_update(doc_id, 1.0) == holders
-        counter = FrameCounter()
-        previous = sys.getprofile()
-        sys.setprofile(counter)
-        try:
+        with HotPathCounter() as counter:
             refreshed = cloud.handle_update(doc_id, 2.0)
-        finally:
-            sys.setprofile(previous)
         assert refreshed == holders
-        frames[holders] = sum(counter.calls.values())
+        frames[holders] = counter.frames
     assert frames[4] == frames[40], f"frames per update by holder count: {frames}"
 
 
@@ -275,16 +293,11 @@ def test_update_storm_frames_per_operation_within_budget():
 
     feed(0, STORM_WARM_REQUESTS)
     start = cloud.requests_handled + cloud.updates_handled
-    counter = FrameCounter()
-    previous = sys.getprofile()
-    sys.setprofile(counter)
-    try:
+    with HotPathCounter() as counter:
         feed(STORM_WARM_REQUESTS, STORM_COUNTED_REQUESTS)
-    finally:
-        sys.setprofile(previous)
     operations = cloud.requests_handled + cloud.updates_handled - start
     assert operations == STORM_COUNTED_REQUESTS * 3 // 2
-    per_operation = sum(counter.calls.values()) / operations
+    per_operation = counter.frames / operations
     assert per_operation <= STORM_FRAMES_PER_OPERATION_CEILING, (
         f"{per_operation:.1f} frames per operation over {operations} operations "
         f"(ceiling {STORM_FRAMES_PER_OPERATION_CEILING}); most called: {counter.top()}"
@@ -311,9 +324,10 @@ def test_a_profile_only_watch_adds_no_frame_at_the_roots():
     assert profiled.of(RoleWatch._request) == profiled.of(RoleWatch._update) == 0
 
 
-def test_each_plane_adds_a_bounded_number_of_frames(tmp_path):
+def _planes(directory) -> dict:
+    """The ``planes-on`` planes by name; stateful ones built afresh per call."""
     retry = RetryPolicy()
-    planes = {  # stateful ones are built afresh for every run
+    return {
         "fault_plan": lambda: FaultPlan(
             seed=derive_seed(SEED, "faults"), loss_rate=0.05, retry=retry
         ),
@@ -321,19 +335,37 @@ def test_each_plane_adds_a_bounded_number_of_frames(tmp_path):
             queue_capacity=10, service_ms=120.0, service_ms_per_kb=5.0, retry=retry
         ),
         "telemetry": Telemetry,
-        "flight": lambda: FlightRecorder(str(tmp_path / "flight.jsonl"), window=2.0),
+        "flight": lambda: FlightRecorder(str(directory / "flight.jsonl"), window=2.0),
     }
-    counter, operations, _ = counted_run(PLANES_PEAK_RATE, PLANES_MINUTES)
-    before = sum(counter.calls.values()) / operations
-    attached = []
-    for name, ceiling in PLANE_INCREMENT_CEILINGS.items():
-        attached.append(name)
+
+
+@pytest.fixture(scope="module")
+def planes_window(tmp_path_factory):
+    """The planes window replayed with nothing attached, then with each
+    plane added in turn, frames and opcodes counted: ``[(attached planes,
+    counter, operations, cloud)]``."""
+    planes = _planes(tmp_path_factory.mktemp("planes"))
+    runs = []
+    attached: list = []
+    for name in [None, *PLANE_INCREMENT_CEILINGS]:
+        if name is not None:
+            attached = [*attached, name]
         counter, operations, cloud = counted_run(
             PLANES_PEAK_RATE,
             PLANES_MINUTES,
+            counter=HotPathCounter(opcodes=True),
             **{plane: planes[plane]() for plane in attached},
         )
-        per_operation = sum(counter.calls.values()) / operations
+        runs.append((attached, counter, operations, cloud))
+    return runs
+
+
+def test_each_plane_adds_a_bounded_number_of_frames(planes_window):
+    _, counter, operations, _ = planes_window[0]
+    before = counter.frames / operations
+    for attached, counter, operations, cloud in planes_window[1:]:
+        name, ceiling = attached[-1], PLANE_INCREMENT_CEILINGS[attached[-1]]
+        per_operation = counter.frames / operations
         assert per_operation - before <= ceiling, (
             f"{name} adds {per_operation - before:.1f} frames per operation "
             f"(ceiling {ceiling}); most called: {counter.top()}"
@@ -349,14 +381,76 @@ def test_each_plane_adds_a_bounded_number_of_frames(tmp_path):
     assert fabric.retries > 0 and fabric.rejections > 0
     telemetry = cloud.telemetry
     assert telemetry.spans.saturated and telemetry.spans.dropped > COUNTED_RECORDS
-    # Per wire attempt the registry only appends: its histograms are filled
-    # by the fold (a few ``record_many`` calls per ``FOLD_EVERY`` operations;
-    # the one ``record`` left is the work profile's, per answered lookup)...
-    assert counter.of(LogHistogram.record) == counter.of(WorkProfile.record_walk)
+    # Per wire attempt and per holder walk the observers only append: the
+    # histograms are filled by the folds (a few ``record_many`` calls per
+    # ``FOLD_EVERY`` operations), never one ``record`` per value...
+    assert counter.of(WorkProfile.record_walk) > operations / 2
+    assert counter.of(LogHistogram.record) == 0
     assert 0 < counter.of(LogHistogram.record_many) < 0.05 * operations
     # ...and a span begun past saturation touches no stack.
     assert counter.of(SpanRecorder.open) == 0 and counter.of(SpanRecorder.close) == 0
     assert telemetry.counters["fabric.attempts.control"] > operations
+
+
+def test_the_planes_window_stays_under_its_opcode_ceilings(planes_window):
+    per_operation = {}
+    for attached, counter, operations, _ in planes_window:
+        per_operation[len(attached)] = round(counter.opcodes / operations, 1)
+    shapes = {
+        "nothing": per_operation[0],
+        "faults+overload": per_operation[2],
+        "all planes": per_operation[4],
+    }
+    observers = shapes["all planes"] - shapes["faults+overload"]
+    if sys.version_info[:2] == OPCODES_MEASURED_ON:
+        for shape, ceiling in PLANES_OPCODE_CEILINGS.items():
+            assert shapes[shape] <= ceiling, (
+                f"{shape}: {shapes[shape]:.1f} opcodes per operation (ceiling {ceiling})"
+            )
+        assert observers <= OBSERVER_OPCODE_INCREMENT_CEILING, (
+            f"telemetry + flight add {observers:.1f} opcodes per operation "
+            f"(ceiling {OBSERVER_OPCODE_INCREMENT_CEILING})"
+        )
+    share = observers / shapes["faults+overload"]
+    assert share <= OBSERVER_OPCODE_SHARE_CEILING, (
+        f"telemetry + flight add {share:.3f} of what faults + overload execute "
+        f"({observers:.1f} opcodes per operation; ceiling {OBSERVER_OPCODE_SHARE_CEILING})"
+    )
+    # Opcodes only grow with what is attached.
+    assert shapes["nothing"] < shapes["faults+overload"] < shapes["all planes"]
+
+
+def test_the_attached_registry_holds_a_few_bytes_per_served_request(tmp_path):
+    """Everything the attached ``Telemetry`` holds after the planes window,
+    its capped span list let go, measured by ``tracemalloc`` as the memory
+    freed when the registry's state is dropped."""
+    planes = _planes(tmp_path)
+    telemetry = Telemetry()
+    tracemalloc.start()
+    try:
+        counted_run(
+            PLANES_PEAK_RATE,
+            PLANES_MINUTES,
+            **{name: make() for name, make in planes.items() if name != "telemetry"},
+            telemetry=telemetry,
+        )
+        served = len(telemetry.request_latencies)
+        telemetry.fold()
+        telemetry.spans.clear()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        state = dict(vars(telemetry))
+        vars(telemetry).clear()
+        del state
+        gc.collect()
+        held -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert served > WARM_RECORDS
+    assert held / served <= TELEMETRY_BYTES_PER_REQUEST_CEILING, (
+        f"the registry holds {held / served:.1f} B per served request over "
+        f"{served} requests (ceiling {TELEMETRY_BYTES_PER_REQUEST_CEILING})"
+    )
 
 
 #: Line events one store decision may execute inside

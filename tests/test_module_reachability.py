@@ -142,8 +142,6 @@ PRIVATE_READS: Set[Tuple[str, str]] = {
     ("repro.network.bandwidth", "_messages"),
     ("repro.observe.registry", "_counters"),
     ("repro.observe.registry", "_histograms"),
-    ("repro.observe.registry", "_times"),
-    ("repro.observe.registry", "_values"),
     # The TTL rule extending the group's peer test through ``super()``.
     ("repro.baselines.ttl", "_peer_usable"),
 }

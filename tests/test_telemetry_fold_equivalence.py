@@ -29,8 +29,10 @@ from __future__ import annotations
 import inspect
 import math
 import pickle
+import random
 import struct
 import sys
+from array import array
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import pytest
@@ -49,6 +51,7 @@ from repro.observe.export import dump_json
 from repro.observe.histogram import LogHistogram
 from repro.observe.registry import Telemetry
 from repro.observe.spans import SpanRecorder
+from tests.hot_path_counter import HotPathCounter
 
 CATEGORIES = (
     TrafficCategory.CONTROL,
@@ -557,6 +560,135 @@ def test_record_many_equals_one_record_per_value(prior, values, split):
 
 
 # ----------------------------------------------------------------------
+# The fold in C, on adversarial values
+# ----------------------------------------------------------------------
+#: The registry's histogram shape and the work profile's walk histogram.
+SHAPES = {
+    "registry": {},
+    "walk": {"lower": 1.0, "upper": 1e6, "buckets_per_decade": 4},
+}
+
+
+def _exact(hist: LogHistogram):
+    """Every field, each number by type and bit pattern: ``-0.0`` is not
+    ``0.0`` here, nor ``7`` ``7.0`` (a JSON export tells them apart)."""
+
+    def number(value):
+        return None if value is None else (type(value).__name__, _bits(value))
+
+    return (list(hist.counts), hist.count, number(hist.total), number(hist.min), number(hist.max))
+
+
+def _adversarial(hist: LogHistogram) -> List[float]:
+    """Ints, zeros of both signs, negatives, NaNs, infinities, subnormals,
+    every bucket edge and its two neighbours, and one value inside every
+    bucket (underflow and overflow included)."""
+    bounds = hist.bounds
+    values: List[float] = [
+        0, 1, 7, 256, 10**6, 2**53 + 1, -1, -(10**9),  # ints
+        0.0, -0.0, -1e-300, -2.5, float("-inf"), float("inf"),
+        float("nan"), -float("nan"),
+        5e-324, sys.float_info.min / 2, sys.float_info.min,  # subnormals
+    ]
+    for edge in bounds[1:]:
+        values += [edge, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf)]
+    values.append(bounds[1] / 2)  # underflow
+    values += [(low + high) / 2 for low, high in zip(bounds[1:], bounds[2:])]
+    values.append(bounds[-1] * 2)  # overflow
+    return values
+
+
+def _one_by_one(shape: str, values) -> LogHistogram:
+    hist = LogHistogram(**SHAPES[shape])
+    for value in values:
+        hist.record(value)
+    return hist
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_every_adversarial_value_folds_as_one_record(shape):
+    for value in _adversarial(LogHistogram(**SHAPES[shape])):
+        batched = LogHistogram(**SHAPES[shape])
+        batched.record_many([value])
+        assert _exact(batched) == _exact(_one_by_one(shape, [value])), value
+
+
+@pytest.mark.parametrize("order", ["given", "reversed", "shuffled", "clean_first"])
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_an_adversarial_batch_folds_as_records_in_order(shape, order):
+    values = _adversarial(LogHistogram(**SHAPES[shape]))
+    if order == "reversed":
+        values.reverse()
+    elif order == "shuffled":
+        random.Random(47).shuffle(values)
+    elif order == "clean_first":  # positives, then everything the clamp takes
+        values.sort(key=lambda value: not value > 0.0)
+    for prior in ([], [0.5, 3e4]):
+        batched = _one_by_one(shape, prior)
+        batched.record_many(values[:5])  # a clean fold, then a clamping one
+        batched.record_many(array("d", values[5:]))  # the request series' type
+        assert _exact(batched) == _exact(_one_by_one(shape, prior + values))
+        assert batched.to_dict() == _one_by_one(shape, prior + values).to_dict()
+
+
+def test_a_clean_fold_runs_no_python_loop_per_value():
+    """Folding 4 096 positive values executes as many opcodes under
+    ``src/repro`` as folding 16 that land in the same buckets: the clamp,
+    the int -> float and the total are ``map`` / ``all`` / ``reduce``."""
+    opcodes = {}
+    for size in (16, 4_096):
+        values = array("d", [12.5, 12.75] * (size // 2))
+        hist = LogHistogram()
+        with HotPathCounter(opcodes=True) as counter:
+            hist.record_many(values)
+        opcodes[size] = counter.opcodes
+        assert hist.count == size
+    assert opcodes[16] == opcodes[4_096], opcodes
+
+
+#: Seams of the C fold, each replaced by what it must not be.
+FOLD_MUTANTS = {
+    "negative_and_nan_not_clamped": (
+        "        if total != total or clean[0] < 0.0:",
+        "        if False:",
+    ),
+    "nan_not_noticed": (
+        "        if total != total or clean[0] < 0.0:",
+        "        if clean[0] < 0.0:",
+    ),
+    "negative_zero_and_ints_kept": (
+        "ordered = list(map(_ADD, values, repeat(0.0)))",
+        "ordered = list(values)",
+    ),
+    "clamp_keeps_the_value": (
+        "[value if value > 0.0 else 0.0 for value in ordered]",
+        "[value + 0.0 for value in ordered]",
+    ),
+    "total_not_recomputed_after_the_clamp": (
+        "            total = reduce(_ADD, ordered, self.total)\n",
+        "",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOLD_MUTANTS))
+def test_fold_mutant_tears_the_adversarial_net(name):
+    mutant = mutant_histogram(*FOLD_MUTANTS[name])
+    values = _adversarial(LogHistogram())
+    torn = []
+    for batch in [[value] for value in values] + [values]:
+        batched = mutant()
+        try:
+            batched.record_many(batch)
+        except TypeError:  # an unclamped NaN can make the sort itself fail
+            torn.append(batch)
+            continue
+        if _exact(batched) != _exact(_one_by_one("registry", batch)):
+            torn.append(batch)
+    assert torn, f"no adversarial batch noticed the {name} mutant"
+
+
+# ----------------------------------------------------------------------
 # A registry with a pending journal survives pickling
 # ----------------------------------------------------------------------
 def test_pickled_registry_keeps_its_pending_journal():
@@ -606,7 +738,7 @@ def mutant_histogram(fragment: str, replacement: str) -> type:
     return namespace["LogHistogram"]
 
 
-_LEFT_TO_RIGHT = "        for value in clean:\n            total += value\n"
+_LEFT_TO_RIGHT = "        total = reduce(_ADD, ordered, self.total)\n        clean = sorted(ordered)\n"
 
 MUTANTS = {
     "lost_not_counted_at_fold": lambda: mutant_telemetry(
@@ -634,7 +766,8 @@ MUTANTS = {
     ),
     "total_via_fsum": lambda: mutant_telemetry(
         histogram=mutant_histogram(
-            _LEFT_TO_RIGHT, "        total = math.fsum([total] + clean)\n"
+            _LEFT_TO_RIGHT,
+            "        total = math.fsum([self.total] + ordered)\n        clean = sorted(ordered)\n",
         ),
     ),
 }
@@ -669,5 +802,7 @@ class TestRemovedSeams:
         reason="sum() over floats is compensated from CPython 3.12 on",
     )
     def test_total_via_builtin_sum_tears_the_net(self):
-        compensated = mutant_histogram(_LEFT_TO_RIGHT, "        total = sum(clean, total)\n")
+        compensated = mutant_histogram(
+            _LEFT_TO_RIGHT, "        total = sum(ordered, self.total)\n        clean = sorted(ordered)\n"
+        )
         assert _torn(mutant_telemetry(histogram=compensated))

@@ -469,7 +469,8 @@ def _observed(cloud: CacheCloud) -> Dict[str, object]:
         seen["counters"] = dict(cloud.telemetry.counters)
     if cloud.flight is not None:
         seen["flight_rows"] = {
-            category: list(row) for category, row in cloud.flight._fabric.items()
+            category: (row.row(), row.rejected)
+            for category, row in cloud.flight._fabric.items()
         }
     if fabric.dispatch_log is not None:
         seen["dispatch_log"] = list(fabric.dispatch_log)
