@@ -9,7 +9,7 @@ Two halves, one goal — *provable* convergence under faults:
 * :mod:`repro.audit.antientropy` — the deterministic, budgeted
   :class:`~repro.audit.antientropy.AntiEntropyProcess`, which repairs the
   divergence (stale holders, dangling/orphaned directory state) the base
-  protocols would only fix lazily.
+  protocols fix lazily or never.
 * :mod:`repro.audit.chaos` — the chaos-audit harness: seeded
   fault+churn scenarios driven to quiescence, then audited; the CI gate
   asserting "anti-entropy repairs everything the auditor can see".

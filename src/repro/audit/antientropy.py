@@ -4,8 +4,8 @@ Lost messages and churn leave a cloud *divergent*: holders with stale
 copies (lost update fan-out), dangling directory entries (lost eviction
 notices, dead holders), and orphaned copies (origin fallbacks stored
 without a registration, lost registrations). The base protocols repair
-these lazily — one lookup at a time — which bounds nothing: a document
-that is never re-requested stays stale forever.
+an entry lazily, one lookup at a time, and a stale copy not at all: its
+holder serves it until the document's next update happens to reach it.
 
 :class:`AntiEntropyProcess` closes the loop CUP-style with a periodic,
 *budgeted* background sweep. Each cycle:

@@ -3,7 +3,7 @@
 Nothing in the protocol layer can say whether a cloud is *globally*
 consistent at a point in time: divergence introduced by lost messages and
 churn (stale holders, dangling or orphaned directory state) is repaired
-lazily, one lookup at a time. The :class:`InvariantAuditor` closes that gap
+lazily or never. The :class:`InvariantAuditor` closes that gap
 — it walks a :class:`~repro.core.cloud.CacheCloud` (or a whole
 :class:`~repro.core.edgenetwork.EdgeCacheNetwork`) and reports every
 violation of the invariants the design promises:

@@ -185,7 +185,7 @@ class CacheCloud:
         # stay schema-compatible across fault-free and fault-injected runs.
         self.requests_handled = 0
         self.updates_handled = 0
-        self.stale_refreshes = 0
+        self.stale_serves = 0  # local hits on a copy the origin has superseded
         self.directory_repairs = 0
         self.cycles_run = 0
         self._cycle_process: Optional[PeriodicProcess] = None
@@ -515,11 +515,12 @@ class CacheCloud:
         # semantics are identical.
         cache.stats.requests += 1
         cache.frequencies.observe(doc_id, now)
-        current_version = self.origin.version_of(doc_id)
-
         storage = cache.storage
         held = storage.versions[doc_id]
-        if held >= current_version:  # versions start at 0: a copy is resident
+        if held >= 0:  # versions start at 0: a copy is resident
+            # The holder serves what it holds; the origin read only counts.
+            if held < self.origin.version_of(doc_id):
+                self.stale_serves += 1
             storage.policy.on_access(doc_id, now)
             cache.stats.local_hits += 1
             # A local hit has zero latency, so the latency accumulator
@@ -530,12 +531,6 @@ class CacheCloud:
             return RequestResult(
                 RequestOutcome.LOCAL_HIT, ingress_delay_ms, cache_id
             )
-        if held >= 0:
-            # Stale copy (possible after failures drop directory state):
-            # discard and fall through to the miss path.
-            cache.drop(doc_id, now)
-            self.nodes[cache_id].notify_eviction(doc_id)
-            self.stale_refreshes += 1
         node = self.nodes[cache_id]
 
         if not self.config.cooperation:
@@ -738,7 +733,7 @@ class CacheCloud:
             "registrations_lost": float(self.registrations_lost),
             "eviction_notices_lost": float(self.eviction_notices_lost),
             "requests_redirected": float(self.requests_redirected),
-            "stale_refreshes": float(self.stale_refreshes),
+            "stale_serves": float(self.stale_serves),
             "directory_repairs": float(self.directory_repairs),
         }
         if self.faults is not None and self.faults.plan.enabled:

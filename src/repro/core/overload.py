@@ -466,10 +466,9 @@ class OverloadController:
     def defer_fanout(self, holder_id: int) -> bool:
         """Should the beacon defer this holder's update push?
 
-        A deferred push leaves the holder stale; the version check on the
-        holder's next request (or anti-entropy) repairs it — the same
-        recovery contract as a *lost* push, chosen deliberately so
-        deferral needs no new repair machinery.
+        A deferred leg is dropped, like a *lost* push: the holder serves its
+        stale copy (``stale_serves``) until a later update or anti-entropy
+        refreshes it; nothing queues the leg for later (ROADMAP item 4).
         """
         if self._update_shed_state(holder_id):
             self.stats.fanout_deferred += 1

@@ -53,8 +53,8 @@ def push_to_holders(
     overload model may defer, charged to the work profile) and the origin's
     holder-by-holder refresh (``UPDATE_SERVER_TO_BEACON`` legs, none of
     those). A holder that is ``src`` itself needs no leg. A deferred or
-    lost leg leaves its holder stale — one recovery contract for both: the
-    version check on the holder's next request, or anti-entropy, repairs it.
+    lost leg leaves its holder stale — one contract for both: the holder
+    serves that copy until a later update, or anti-entropy, refreshes it.
 
     All legs leave at ``start``, so they go out as one
     :meth:`~repro.core.fabric.MessageFabric.send_fanout` burst, the
@@ -277,7 +277,7 @@ class BeaconRole:
         body's arrival time — when the holder legs may start — or ``None``
         when there is nothing to fan out: nobody holds the document, or the
         body was lost, which leaves *every* holder stale (counted in
-        ``update_pushes_lost``) until its next request repairs it.
+        ``update_pushes_lost``) until a later update or a repair reaches it.
         """
         cloud = self._cloud
         fabric = cloud.fabric
@@ -326,9 +326,9 @@ class BeaconRole:
 
         Returns the number of holders refreshed, and stamps the entry when
         that is all of it. A lost server→beacon body leaves *every* holder
-        stale; a lost fan-out push leaves that one holder stale. Both are
-        detected by the version check on the holder's next request and
-        repaired there.
+        stale; a lost fan-out push leaves that one holder stale. Either
+        holder serves its stale copy (counted in ``stale_serves``) until a
+        later update or anti-entropy refreshes it.
         """
         holders = self.update_targets(doc_id)
         arrival = self.receive_update(doc_id, version, size, now, holders)
@@ -372,8 +372,8 @@ class OriginRole:
 
         Serves both the no-cooperation baseline and the degraded update
         path when no live beacon exists. Each refresh is a reliable
-        dispatch; a holder whose refresh is lost stays stale (repaired and
-        counted on its next request).
+        dispatch; a holder whose refresh is lost stays stale (its serves
+        are counted in ``stale_serves``).
         """
         cloud = self._cloud
         holders = [

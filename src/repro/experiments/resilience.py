@@ -99,7 +99,7 @@ def resilience_sweep(
             run.stats.origin_fetches,
             counters.get("retries", 0.0),
             counters.get("timeouts", 0.0),
-            counters.get("stale_refreshes", 0.0),
+            counters.get("stale_serves", 0.0),
             counters.get("directory_repairs", 0.0),
             counters.get("failovers", 0.0),
             counters.get("unavailability_minutes", 0.0),
@@ -117,7 +117,7 @@ def resilience_sweep(
             "origin fetches",
             "retries",
             "timeouts",
-            "stale refreshes",
+            "stale serves",
             "directory repairs",
             "failovers",
             "unavailable (min)",
@@ -210,6 +210,7 @@ def anti_entropy_sweep(
             "stale (off)",
             "stale (on)",
             "stale reduction (%)",
+            "stale serves (off)", "stale serves (on)",
             "repairs",
             "repair traffic (MB)",
         ),
@@ -224,31 +225,29 @@ def anti_entropy_sweep(
                 continue  # the matching FailedRun is already recorded
             stale_off = off.audit.get("audit_stale_copy", 0.0)
             stale_on = on.audit.get("audit_stale_copy", 0.0)
-            table.rows.append(
-                (
-                    loss_rate,
-                    churn_rate,
-                    stale_off,
-                    stale_on,
-                    100.0 * (stale_off - stale_on) / stale_off if stale_off else 0.0,
-                    on.resilience.get("ae_repairs", 0.0),
-                    on.traffic.bytes_for(TrafficCategory.ANTI_ENTROPY)
-                    / (1024.0 * 1024.0),
-                )
-            )
+            table.rows.append((
+                loss_rate, churn_rate, stale_off, stale_on,
+                100.0 * (stale_off - stale_on) / stale_off if stale_off else 0.0,
+                off.resilience["stale_serves"], on.resilience["stale_serves"],
+                on.resilience.get("ae_repairs", 0.0),
+                on.traffic.bytes_for(TrafficCategory.ANTI_ENTROPY) / (1024.0 * 1024.0),
+            ))
     return table
 
 
 def anti_entropy_claims(table: SweepTable) -> Dict[str, bool]:
-    """Background repair really runs, and its traffic is accounted.
+    """Background repair runs, costs traffic, and cuts stale serves.
 
-    Deliberately *not* claimed: that in-run repair lowers end-of-run
-    staleness at every point. Under loss the repair messages themselves are
-    lost, and at larger scales the two arms end within noise of each other —
-    which is why the chaos audit quiesces on a healed network before holding
-    the auditor's bar.
+    A holder serves whatever copy it holds, so repair is the only thing
+    that refreshes a copy whose update leg was lost. Deliberately *not*
+    claimed: a lower *end-of-run* stale-copy count at every point. Under
+    loss the repair messages themselves are lost, and at larger scales the
+    two arms end within noise of each other — which is why the chaos audit
+    quiesces on a healed network before holding the auditor's bar.
     """
+    off, on = table.column("stale serves (off)"), table.column("stale serves (on)")
     return {
+        "repair_cuts_stale_serves": all(a < b for a, b in zip(on, off)),
         "repair_did_work": all(r > 0.0 for r in table.column("repairs")),
         "repair_costs_traffic": all(
             mb > 0.0 for mb in table.column("repair traffic (MB)")

@@ -18,13 +18,25 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left, bisect_right
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import repeat
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 __all__ = ["LogHistogram"]
 
 _ADD = operator.add
+
+
+@lru_cache(maxsize=None, typed=True)
+def _edges(lower: float, upper: float, buckets_per_decade: int) -> Tuple[float, ...]:
+    """One shape's bucket edges, built once and shared by its histograms."""
+    growth = 10.0 ** (1.0 / buckets_per_decade)
+    bounds: List[float] = [0.0]
+    edge = lower
+    while edge <= upper:
+        bounds.append(edge)
+        edge *= growth
+    return tuple(bounds)
 
 
 class LogHistogram:
@@ -51,13 +63,7 @@ class LogHistogram:
             raise ValueError(f"need 0 < lower < upper, got {lower}, {upper}")
         if buckets_per_decade <= 0:
             raise ValueError(f"buckets_per_decade must be positive, got {buckets_per_decade}")
-        growth = 10.0 ** (1.0 / buckets_per_decade)
-        bounds: List[float] = [0.0]
-        edge = lower
-        while edge <= upper:
-            bounds.append(edge)
-            edge *= growth
-        self.bounds = bounds
+        self.bounds = bounds = _edges(lower, upper, buckets_per_decade)
         self._lower = lower
         # counts[i] covers values in (bounds[i-1], bounds[i]]; counts[0] is
         # the underflow bucket [0, bounds[1]) collapsed onto edge 0.0, and

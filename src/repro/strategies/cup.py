@@ -13,8 +13,8 @@ Trade-off surfaced by the zoo sweep: the tree bounds the beacon's per-
 update send fan-out at :data:`FANOUT` (the star pays degree = holder count),
 at the cost of deeper propagation latency and a larger blast radius per
 lost edge — a failed or deferred push strands the entire subtree below it
-(every stranded holder stays stale until its next request repairs it,
-the same recovery contract as a lost star push).
+(every stranded holder serves its stale copy until a later update or
+anti-entropy reaches it, the same contract as a lost star push).
 
 Request-path behaviour (admission, forwarding) is delegated to an inner
 placement policy, so the tree is an apples-to-apples replacement for the

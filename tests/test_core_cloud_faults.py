@@ -7,8 +7,9 @@ Covers the three contracts of the fault layer:
 2. Message loss degrades service along the documented fallback ladder
    (retry -> timeout -> origin fallback -> forced delivery) with every
    step visible in the resilience counters.
-3. Lost update pushes leave holders stale, and staleness is repaired --
-   and counted -- on the holder's next request.
+3. Lost update pushes leave holders stale, and a stale holder serves its
+   copy -- counted, with no origin fetch or message -- until propagation
+   (or anti-entropy) reaches it.
 """
 
 import pytest
@@ -17,7 +18,7 @@ from repro.core.cloud import RequestOutcome
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import NO_FAULTS, FaultPlan, RetryPolicy
 from repro.network.transport import Transport
-from tests.conftest import make_cloud
+from tests.conftest import make_cloud, wire
 
 
 def _attach(cloud, plan, seed=None):
@@ -133,7 +134,7 @@ class TestLostUpdates:
         assert refreshed == 0
         assert cloud.update_pushes_lost == 1
 
-    def test_stale_holder_repaired_on_next_request(self, small_corpus):
+    def test_stale_holder_serves_its_copy(self, small_corpus):
         cloud = make_cloud(small_corpus)
         doc = 5
         requester = (cloud.beacon_for_doc(doc) + 1) % len(cloud.caches)
@@ -146,20 +147,26 @@ class TestLostUpdates:
         )
         cloud.handle_request(requester, doc, now=1.0)
         cloud.handle_update(doc, now=2.0)  # push lost: holder now stale
-        result = cloud.handle_request(requester, doc, now=3.0)
-        # Not a local hit: the version check caught the stale copy.
-        assert result.outcome is not RequestOutcome.LOCAL_HIT
-        assert cloud.stale_refreshes == 1
-        assert cloud.caches[requester].storage.version_of(doc) == cloud.origin.version_of(doc)
+        fetches = cloud.origin.fetches_served
+        sent = wire(cloud, lambda: cloud.handle_request(requester, doc, now=3.0))
+        # The holder serves what it holds: nothing but the update path
+        # refreshes a copy, so the miss is counted, not repaired.
+        assert cloud.stale_serves == 1
+        assert sent == [] and cloud.origin.fetches_served == fetches
+        assert cloud.caches[requester].storage.version_of(doc) == 0
+        assert cloud.origin.version_of(doc) == 1
+        result = cloud.handle_request(requester, doc, now=4.0)
+        assert result.outcome is RequestOutcome.LOCAL_HIT
+        assert cloud.stale_serves == 2
 
 
 class TestEvictionNotices:
     def test_lost_eviction_notice_is_counted(self, small_corpus):
-        cloud = make_cloud(small_corpus)
-        doc = 5
+        # Room for one 1 KiB document: the next one stored evicts it.
+        cloud = make_cloud(small_corpus, capacity_bytes=1024)
+        doc, other = 5, 6
         requester = (cloud.beacon_for_doc(doc) + 1) % len(cloud.caches)
         cloud.handle_request(requester, doc, now=1.0)
-        cloud.origin.publish_update(doc)  # silently invalidate the copy
         _attach(
             cloud,
             FaultPlan(
@@ -167,8 +174,9 @@ class TestEvictionNotices:
                 retry=RetryPolicy(max_attempts=1),
             ),
         )
-        cloud.handle_request(requester, doc, now=2.0)
-        # The stale-copy drop tried to tell the beacon and the notice was
+        cloud.handle_request(requester, other, now=2.0)
+        assert not cloud.caches[requester].holds(doc)
+        # The capacity eviction tried to tell the beacon and the notice was
         # lost: the directory keeps a dangling entry, visibly counted.
         assert cloud.eviction_notices_lost == 1
         beacon = cloud.beacon_for_doc(doc)

@@ -292,16 +292,23 @@ class TestNoCooperationAccounting:
 
 
 class TestStaleCopies:
-    def test_stale_copy_refetched(self, cloud_factory):
+    def test_stale_copy_served_as_a_local_hit(self, cloud_factory):
         cloud = cloud_factory()
         cloud.handle_request(0, 5, now=1.0)
         # The origin publishes a new version without the cloud's update path
         # (models a lost update after a failure).
         cloud.origin.publish_update(5)
-        result = cloud.handle_request(0, 5, now=2.0)
-        assert result.outcome is not RequestOutcome.LOCAL_HIT
-        assert cloud.stale_refreshes == 1
-        assert cloud.caches[0].storage.version_of(5) == 1
+        results = []
+        sent = wire(cloud, lambda: results.append(cloud.handle_request(0, 5, now=2.0)))
+        # The holder serves what it holds: no origin fetch, no eviction
+        # notice, no message at all; the stale serve is only counted.
+        assert results[0].outcome is RequestOutcome.LOCAL_HIT
+        assert sent == []
+        assert cloud.stale_serves == 1
+        assert cloud.origin.fetches_served == 1
+        assert cloud.caches[0].storage.version_of(5) == 0
+        beacon = cloud.beacon_for_doc(5)
+        assert cloud.beacons[beacon].directory.holders(5) == {0}
 
 
 class TestConsistentAssignment:

@@ -1,4 +1,4 @@
-"""Eight structural rules over ``src/repro`` (pure ``ast``, like the gate beside it).
+"""Nine structural rules over ``src/repro`` (pure ``ast``, like the gate beside it).
 
 * The paper's setup is written once: ``CloudConfig``, ``SydneyConfig`` and
   ``WorkloadConfig`` are each constructed at exactly one site under
@@ -28,6 +28,10 @@
   names it and :func:`repro.strategies.spec.strategy_for` — the one factory —
   constructs it. No ``CacheCloud``, run body or spec takes a strategy of
   its own.
+* Freshness comes from the wire: under ``repro.core`` the origin's
+  ``version_of`` is read only where the origin replies itself, by the
+  request root's stale-serve count, and by the two readers ROADMAP item 1
+  still has to retire (``CacheNode.serve_miss`` and the elastic drain).
 
 :func:`lines_per_claim` ranks the experiment modules by what they cost:
 the table EXPERIMENTS.md embeds under the catalogue
@@ -164,16 +168,19 @@ PUBLISHERS = {
 }
 
 
-def _calls_by_function(tree: ast.AST, scope: str = "") -> List[Tuple[str, ast.Call]]:
-    """Every call under ``tree`` with its enclosing ``Class.function`` name."""
+def _calls_by_function(
+    tree: ast.AST, scope: str = "", kind: type = ast.Call
+) -> List[Tuple[str, ast.AST]]:
+    """Every call (or other ``kind`` of node) under ``tree`` with its
+    enclosing ``Class.function`` name."""
     found = []
     for child in ast.iter_child_nodes(tree):
         inner = scope
         if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
             inner = f"{scope}.{child.name}" if scope else child.name
-        elif isinstance(child, ast.Call):
+        elif isinstance(child, kind):
             found.append((scope, child))
-        found.extend(_calls_by_function(child, inner))
+        found.extend(_calls_by_function(child, inner, kind))
     return found
 
 
@@ -194,6 +201,36 @@ def test_an_update_is_published_and_sent_to_a_beacon_in_one_place():
                 )
     assert publishers == PUBLISHERS, publishers
     assert not senders, f"send update bodies through core/roles.py: {senders}"
+
+
+#: Who under ``repro.core`` may read the origin's current version. A holder
+#: serves what it holds, so any other read is a freshness oracle that no
+#: message paid for.
+ORIGIN_VERSION_READERS = {
+    # Measurement only: counts a local hit on a stale copy.
+    "repro.core.cloud:CacheCloud._serve_request",
+    # The origin replies itself, so its version rides the reply.
+    "repro.core.node:CacheNode.origin_fallback",
+    "repro.core.node:CacheNode.fetch_direct",
+    # ROADMAP item 1's remaining readers: a peer copy is stamped with the
+    # origin's version, and the drain ships only copies the origin calls
+    # current. Both go when a copy carries what its holder was sent.
+    "repro.core.node:CacheNode.serve_miss",
+    "repro.core.elastic:ElasticController._drain",
+}
+
+
+def test_only_the_origin_and_a_measurement_read_its_version():
+    readers = {
+        f"{name}:{function}"
+        for name, path in MODULES.items()
+        if name.startswith("repro.core.")
+        for function, node in _calls_by_function(
+            ast.parse(path.read_text()), kind=ast.Attribute
+        )
+        if node.attr == "version_of" and ast.unparse(node.value).endswith("origin")
+    }
+    assert readers == ORIGIN_VERSION_READERS, readers
 
 
 #: The one place a ``CacheStrategy`` is constructed.

@@ -23,6 +23,51 @@ FALSE_AT_TINY = {
     ("capabilities", "dynamic_respects_capability"),  # 0.391 vs 0.8 x 0.362
 }
 
+#: Every entry's tiny-scale fingerprint, read off the same smoke run. A
+#: moved value fails :func:`test_tiny_fingerprint_is_pinned` for that entry;
+#: re-record it only for an intended, documented change (see
+#: ``tests/test_golden_fingerprints.py``), never to silence a diff.
+TINY_FINGERPRINTS = {
+    # Re-recorded when ``stale_refreshes`` became ``stale_serves``: the
+    # point extras carry the resilience summary, and the parent's JSON with
+    # that one key renamed hashes to this value (was ``3dcc2c78…``). So
+    # does fig4's (was ``d5f1a898…``).
+    "fig3": "e32884a6e3314bec06abf96f0c852f5c1b31e3b58902c3127fd456d886717cac",
+    "fig4": "1089db8acb480ec79e6cbf5edefadb8a5e1a050f016ea42d1051f7c420806704",
+    "fig5": "8890ed60e16a03eb49f85667ccc3f366442a7b69b709ac26bc0ec5d661b809ca",
+    "fig6": "8d2007e8c50c1c88978448f3d4446b82e201ee92671c5e1cf134ae1667427a0e",
+    "fig7-8": "33d9e4293f8e21993a187e88ddf951e8a7718815184ace360f6bb3b71494b23f",
+    "fig9": "d1343861c59929cb975aebaf5e75ec42b044dc1da30bfb54e72861cff3d1312c",
+    "load-info": "acd8f3dbbe4161965f1efb442ec4a125f72fef2924f24e4c4d884e9b24ff2471",
+    "consistent-hashing": "5149cfa262c7297ea4ae329e99397172de41bfd8d58e31a8a25e081079de7dd8",
+    "threshold": "8244249de4b5555ed15edfb800194f542c4158bc794dbb9a930a8a5223499780",
+    "cycle-length": "3f99059c5b5d69ac358660f2dc57a90e4111b4571a16a9f8c1339519a575883c",
+    "ring-theory": "7074f9da3ea220912aba305ede87048eafd7a05a08ad792624e87b033be68173",
+    "consistency": "864b72e4b546176dc0c864e05d1bbe94424576aec0571555a7f6588803a222c9",
+    "multi-cloud": "e4c92de99641c11958a6e47819b4ecf7bfbf9c769f05b5aaf28ea63b3ace45ea",
+    "adaptive-weights": "616339ad2c855324e51733880cf6b6acbd19b2ff507104104e83ebfa0a284bae",
+    "failure-resilience": "979a7d0a9e1ee9766f4b1e650678eef963a47ed788be548772efc9e963b2802e",
+    "latency": "b1a0a512597c314b63f3a4c431999fe05a942a7831b5b6ef69f4ef75a7d1f911",
+    "capabilities": "b7167f9556ad34dae5d70e3d74fb0d68b06ea057007774cb63e843577e874bb5",
+    # Re-recorded when a holder came to serve a stale copy instead of
+    # refetching it; so were anti-entropy (was ``c13c9be6…``), overload
+    # (``4477f952…``) and audit (``62965943…``). Was ``59e4c4dc…``.
+    "resilience": "910745d6fef4b476246148e74a49f3fc092b2e07028ebbaeb8c91b4b502e5f06",
+    "anti-entropy": "6e70e7ba864d67a5b24061ba262b903d4be316d2e0d6676165091b170c3a1ff3",
+    # Was GOLDEN_OVERLOAD, captured at e51fbe9: the last commit whose
+    # ``overload`` / ``elastic`` series came from a sampler with its own
+    # clock. The flight windows that replaced it gave the same series,
+    # sample for sample (re-recorded since: see ``resilience``).
+    "overload": "7d0f333416b792978b4eb5fc93bee480a180c6387b865d0f42487d05b3c9cacf",
+    # Was GOLDEN_ELASTIC, re-recorded when every directory hand-over came
+    # to be sized ``max(256, n·96)``: only the ``elastic`` and ``under``
+    # arms' ``total_mb`` moved (by a retirement's and a join's bytes; was
+    # ``c198f8be…``).
+    "elastic": "c3b790873ba1ebd0438e23526ce9414cec7a8756ecf1c5f328fce4fed4c05687",
+    "zoo": "c1755cdbb8f0849f23fc66b1425b2e0662d1fcb09810e7eb62d826554e39d932",
+    "audit": "f16fd93f753ab6ce1173259ab8ddad77e8c1b337654beb4e42480771856001f9",
+}
+
 #: The beyond-paper sweeps run serially and across worker processes.
 DETERMINISM_MATRIX = ("resilience", "overload", "elastic", "zoo", "audit")
 
@@ -44,6 +89,15 @@ def test_entry_runs_and_claims_hold(name, smoke):
     rendered = outcome.render()
     assert rendered.rstrip().splitlines()[-1].startswith("claims: ")
     assert ("FAIL" in rendered) == bool(expected)
+
+
+@pytest.mark.parametrize("name", list(REGISTRY))
+def test_tiny_fingerprint_is_pinned(name, smoke):
+    assert fingerprint(smoke(name).result) == TINY_FINGERPRINTS[name], name
+
+
+def test_every_entry_has_a_pinned_fingerprint():
+    assert list(TINY_FINGERPRINTS) == list(REGISTRY)
 
 
 def test_experiments_md_catalogue_is_generated(smoke):

@@ -192,6 +192,7 @@ def _script(
     scale: bool = False,
     anti_entropy: bool = False,
     bare_crash: bool = False,
+    burst: bool = False,
 ) -> List[Op]:
     rng = random.Random(seed)
     ops: List[Op] = []
@@ -216,6 +217,10 @@ def _script(
             ops.append(("anti_entropy", now))
         if bare_crash and rng.random() < 0.04:
             ops.append(("bare_crash", rng.randrange(NUM_CACHES), now))
+        if burst and i % 40 == 19:
+            # A flash crowd: every cache asks for this document at once, so
+            # its first holders' queues fill and later misses shed them.
+            ops.extend(("request", cache_id, doc_id, now) for cache_id in range(NUM_CACHES))
     return ops
 
 
@@ -329,7 +334,7 @@ SCENARIOS = {
                 shed_lowwater=1,
             )
         ),
-        dict(),
+        dict(burst=True),
     ),
     "elastic-drain-retire": (dict(elastic=True), dict(scale=True)),
     "elastic-and-crashes": (

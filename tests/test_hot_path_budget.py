@@ -78,9 +78,11 @@ FRAMES_PER_OPERATION_CEILING = 61.0
 #: queues build and shed without saturating (3 % of lookups shed, 0.3 % of
 #: requests rejected), as in the benchmark's segment; at the full rate a
 #: fifth of the lookups is shed and the overload model makes an operation
-#: *cheaper*. 53.7 frames per operation with nothing attached.
+#: *cheaper*. 53.0 frames per operation with nothing attached (53.7 while
+#: every request, hit or miss, read the origin's version).
 PLANES_PEAK_RATE, PLANES_MINUTES = 60.0, 16.0
-#: With all four planes attached: measured 76.3 over 2 340 operations (it
+#: With all four planes attached: measured 75.0 over 2 340 operations (76.3
+#: while a stale copy was dropped and refetched; it
 #: was 134.3 when every wire attempt walked the registry's histograms and
 #: the queue's call chain, and every dropped span kept the stack
 #: bookkeeping; 81.9 while a role seam paid ``begin_span`` and ``charge``
@@ -107,7 +109,9 @@ PLANE_INCREMENT_CEILINGS = {
 }
 #: Opcodes per operation under ``src/repro`` on the planes window, counted
 #: on CPython 3.11 (seed-exact: identical in every run). Nothing attached:
-#: 1 611.1; faults + overload: 2 893.6; all four planes: 3 430.3. Before
+#: 1 592.3; faults + overload: 2 858.1; all four planes: 3 390.8 (1 611.1,
+#: 2 893.6 and 3 430.3 while every request read the origin's version and a
+#: stale copy was dropped and refetched). Before
 #: the observers became journals folded in C the observers' increment over
 #: faults + overload was 891.2 (all four planes 3 785.0): a Python loop per
 #: folded value (+235.3), a ``LogHistogram.record`` per holder walk
@@ -117,8 +121,8 @@ PLANE_INCREMENT_CEILINGS = {
 #: observers' share is held on every version, as a fraction of what faults
 #: + overload cost on the same interpreter (0.185 on 3.11; 0.308 before).
 PLANES_OPCODE_CEILINGS = {
-    "nothing": 1_611.1,
-    "faults+overload": 2_893.8,
+    "nothing": 1_592.3,
+    "faults+overload": 2_858.1,
     "all planes": 3_500.0,
 }
 OPCODES_MEASURED_ON = (3, 11)
@@ -129,9 +133,10 @@ OBSERVER_OPCODE_SHARE_CEILING = 0.21
 #: What the attached registry holds per served request once its span list
 #: is let go: the raw latency series' two unboxed columns (16 B a request,
 #: plus the arrays' growth slack) and the histograms' fixed buckets:
-#: measured 22.5 B over 7 979 requests. It read 70.3 B while the series
-#: was two lists of boxed floats.
-TELEMETRY_BYTES_PER_REQUEST_CEILING = 24.0
+#: measured 19.5–19.7 B over 7 983 requests. It read 22.5 B while every
+#: histogram built its own list of bucket edges, and 70.3 B while the
+#: series was two lists of boxed floats.
+TELEMETRY_BYTES_PER_REQUEST_CEILING = 20.0
 
 
 def counted(

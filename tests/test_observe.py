@@ -361,6 +361,16 @@ class TestLogHistogram:
         b.record(123456.0)
         assert a.bounds == b.bounds
 
+    def test_a_shape_shares_one_immutable_set_of_edges(self):
+        a, b = LogHistogram(), LogHistogram()
+        assert a.bounds is b.bounds and isinstance(a.bounds, tuple)
+        walk = LogHistogram(lower=1.0, upper=1e6)
+        assert walk.bounds is not a.bounds and walk.bounds[1] == 1.0
+        # Shapes equal as numbers but not as types do not share: an int
+        # ``lower`` keeps its int edge, which the export writes as ``1``.
+        LogHistogram(lower=1.0, upper=100.0)
+        assert type(LogHistogram(lower=1, upper=100).bounds[1]) is int
+
     def test_underflow_bucket_catches_zero_and_negatives(self):
         hist = LogHistogram(lower=1.0, upper=100.0, buckets_per_decade=1)
         hist.record(0.0)
@@ -436,7 +446,7 @@ class TestLogHistogram:
     _EDGES = LogHistogram(lower=1e-3, upper=1e3, buckets_per_decade=2).bounds
     _TRICKY = (
         [0.0, -0.0, -1.0, -1e-300, 5e-324, 1e-4, 1e9, math.inf, -math.inf, 0, 3, -2]
-        + _EDGES
+        + list(_EDGES)
         + [math.nextafter(edge, math.inf) for edge in _EDGES]
         + [math.nextafter(edge, -math.inf) for edge in _EDGES]
     )
